@@ -52,7 +52,7 @@ print("E1(a,a) / 2  :", 0.5 * form_E1(model, xa, xa).real)
 print("F(a,a)       :", form_F(model, f, xa, xa).real, " (= var - info)")
 
 # The audit: G from the report scalars, H from the spectral measure.
-audit = audit_G_equals_H(model, f, a.matrix, b.matrix)
+(audit,) = audit_G_equals_H(model, [f], a.matrix, b.matrix)
 print("\nG        =", audit.g_value)
 print("H        =", audit.h_value)
 print("residual =", audit.residual)
@@ -77,7 +77,7 @@ for i in range(50):
     rho_i = random_density(3 + i % 4, seed=100 + i)
     a_i = random_hermitian(rho_i.dim, seed=200 + i)
     b_i = random_hermitian(rho_i.dim, seed=300 + i)
-    r = audit_G_equals_H(GnsModel(rho_i), f, a_i.matrix, b_i.matrix)
+    (r,) = audit_G_equals_H(GnsModel(rho_i), [f], a_i.matrix, b_i.matrix)
     assert not r.flags
     worst = max(worst, r.residual)
 print("\n50 random audits, worst |G - H| residual:", worst)

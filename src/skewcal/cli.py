@@ -16,7 +16,7 @@ from .harness import (
     run_sweep,
 )
 from .monotone import from_key, validate_catalog_entry
-from .qinfo import DEFAULT_TOL
+from .qinfo import DEFAULT_TOL, validate_tol
 
 _DEFAULT_CATALOG = ("sld", "harmonic", "wyd:0.1", "wyd:0.25", "wyd:0.5", "wyd:0.75", "wyd:0.9")
 
@@ -44,10 +44,9 @@ def _env_tol() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        tol = float(raw)
-    except ValueError:
-        raise SystemExit(f"SKEWCAL_TOL is not a number: {raw!r}")
-    return tol
+        return validate_tol(raw)
+    except ValueError as exc:
+        raise SystemExit(f"error: SKEWCAL_TOL: {exc}") from None
 
 
 def _split_keys(values: list[str] | None, fallback: tuple[str, ...]) -> list[str]:

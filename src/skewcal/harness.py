@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .linalg import (
     random_hermitian,
 )
 from .monotone import from_key
-from .qinfo import DEFAULT_TOL, _report_in_eigenbasis, evaluate_inequalities
+from .qinfo import DEFAULT_TOL, _report_in_eigenbasis, evaluate_inequalities, validate_tol
 
 __all__ = [
     "CSV_COLUMNS",
@@ -122,8 +121,7 @@ class SweepConfig:
         for spec in specs:
             from_key(spec)  # fail fast on malformed keys
         object.__setattr__(self, "f_specs", specs)
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be a positive finite number")
+        object.__setattr__(self, "tol", validate_tol(self.tol))
         if self.format not in ("jsonl", "csv"):
             raise ValueError(f"format must be 'jsonl' or 'csv', got {self.format!r}")
 
@@ -210,7 +208,7 @@ class _SummaryAccumulator:
 
 def summarize_records(records, tol: float = DEFAULT_TOL) -> SweepSummary:
     """Reduce an iterable of record dicts to a SweepSummary, order independently."""
-    acc = _SummaryAccumulator(tol)
+    acc = _SummaryAccumulator(validate_tol(tol))
     for record in records:
         acc.update(record)
     return acc.summary()
@@ -261,18 +259,21 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
                 if config.normalize_observables:
                     a = _normalized(a)
                     b = _normalized(b)
-                model = GnsModel(rho) if config.gns_audit else None
-                # rotate once per instance; every f entry reuses the pair
+                # rotate and audit once per instance; every f entry reuses them
                 at = rho.to_eigenbasis(a.matrix)
                 bt = rho.to_eigenbasis(b.matrix)
-                for f in functions:
+                audits = (
+                    audit_G_equals_H(GnsModel(rho), functions, a, b)
+                    if config.gns_audit
+                    else [None] * len(functions)
+                )
+                for f, audit in zip(functions, audits):
                     report = _report_in_eigenbasis(
                         rho.eigenvalues, at, bt, f, config.tol
                     )
                     residuals = list(report.path_residuals)
                     flags = list(report.flags)
-                    if model is not None:
-                        audit = audit_G_equals_H(model, f, a, b)
+                    if audit is not None:
                         residuals.append(audit.residual)
                         flags.extend(audit.flags)
                     record = {
@@ -315,7 +316,7 @@ def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_T
         b = load_hermitian(b_path)
         f = from_key(f_spec)
         report = evaluate_inequalities(rho, f, a, b, tol=tol)
-        audit = audit_G_equals_H(GnsModel(rho), f, a, b)
+        (audit,) = audit_G_equals_H(GnsModel(rho), [f], a, b)
     except (OSError, ValueError) as exc:
         return {"error": str(exc)}, 1
     payload = {"report": report.to_dict(), "audit": audit.to_dict()}

@@ -9,6 +9,7 @@ hidden.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "f_correlation",
     "f_information",
     "heisenberg_bound",
+    "validate_tol",
     "variance",
 ]
 
@@ -38,6 +40,22 @@ DEFAULT_TOL = 1e-9
 # Nonnegativity of variances, informations, and the left-hand side is
 # checked to this much slack times the same scale.
 INVARIANT_SLACK = 1e-12
+
+
+def validate_tol(tol) -> float:
+    """``tol`` as a float; ValueError unless it is a positive finite number.
+
+    Every entry point that takes a base tolerance goes through this check:
+    a NaN tolerance would otherwise compare False against every gap and
+    pass every instance silently.
+    """
+    try:
+        value = float(tol)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    return value
 
 
 def _observable(rho: DensityMatrix, a) -> np.ndarray:
@@ -250,8 +268,7 @@ def evaluate_inequalities(
     entries the kernel-route quantities are cross-checked against the
     power-sandwich route and the disagreements recorded as residuals.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    tol = validate_tol(tol)
     ma, mb = _observable(rho, a), _observable(rho, b)
     at = rho.to_eigenbasis(ma)
     bt = rho.to_eigenbasis(mb)

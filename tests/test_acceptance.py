@@ -130,7 +130,7 @@ def test_criterion_4_proof_transcription_audit():
         rho = random_density(dim, seed=7_000 + 3 * i)
         a = random_hermitian(dim, seed=7_001 + 3 * i)
         b = random_hermitian(dim, seed=7_002 + 3 * i)
-        report = audit_G_equals_H(GnsModel(rho), from_key(key), a, b)
+        (report,) = audit_G_equals_H(GnsModel(rho), [from_key(key)], a, b)
         flagged += bool(report.flags)
         worst_residual_ratio = max(
             worst_residual_ratio, report.residual / max(1.0, abs(report.g_value))

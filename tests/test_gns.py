@@ -5,6 +5,7 @@ import pytest
 
 from oracle import FROZEN
 from skewcal.gns import (
+    G_H_RTOL,
     GnsModel,
     audit_G_equals_H,
     build_mu,
@@ -204,7 +205,7 @@ def test_h_matches_gap_on_fixture(fixture_rho, fixture_a, fixture_b):
 
 
 def test_audit_fixture(fixture_rho, fixture_a, fixture_b):
-    report = audit_G_equals_H(GnsModel(fixture_rho), wyd(0.5), fixture_a, fixture_b)
+    (report,) = audit_G_equals_H(GnsModel(fixture_rho), [wyd(0.5)], fixture_a, fixture_b)
     assert report.g_value == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
     assert report.h_value == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
     assert report.residual <= 1e-12
@@ -221,11 +222,60 @@ def test_audit_random_instances(key):
         m = _model(dim, seed=83 + dim)
         a = random_hermitian(dim, seed=84 + dim)
         b = random_hermitian(dim, seed=85 + dim)
-        report = audit_G_equals_H(m, f, a, b)
+        (report,) = audit_G_equals_H(m, [f], a, b)
         assert report.flags == (), (key, dim, report.to_dict())
         assert report.residual <= 1e-8 * max(1.0, abs(report.g_value))
         assert report.h_value >= -1e-10 * max(1.0, abs(report.g_value))
         assert report.gform_min >= -1e-12
+
+
+def _cluster_state(seed):
+    # a 3-fold and a 2-fold eigenvalue in a random eigenbasis
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    u, _ = np.linalg.qr(g)
+    lam = np.array([0.25, 0.25, 0.25, 0.1, 0.1, 0.05])
+    return DensityMatrix((u * lam) @ u.conj().T)
+
+
+def _h_oracle_cases():
+    for dim in (2, 3, 4, 8, 16, 24, 32):
+        yield f"random-{dim}", random_density(dim, seed=300 + dim)
+    yield "maximally-mixed", DensityMatrix(np.eye(4) / 4)
+    yield "cluster", _cluster_state(seed=307)
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_separable_h_matches_pair_sum(key):
+    # the definition: (1/4) sum over atom pairs of pair_integrand * mu
+    f = from_key(key)
+    for name, rho in _h_oracle_cases():
+        m = GnsModel(rho)
+        a0 = centered(rho, random_hermitian(m.dim, seed=400 + m.dim).matrix)
+        b0 = centered(rho, random_hermitian(m.dim, seed=500 + m.dim).matrix)
+        mu = build_mu(m, a0, b0)
+        s, t = mu.values[:, None], mu.values[None, :]
+        terms = 0.25 * pair_integrand(f, s, t) * mu.weights
+        scale = float(np.sum(np.abs(terms)))
+        assert scale > 0.0, name
+        assert abs(h_from_measure(mu, f) - float(np.sum(terms))) <= 1e-12 * scale, name
+    assert modular_spectrum(GnsModel(_cluster_state(seed=307))).values.size == 9
+
+
+def test_audit_at_wide_dims_one_call_per_instance():
+    functions = [from_key(k) for k in ALL_KEYS]
+    for dim in (16, 24, 32):
+        m = _model(dim, seed=600 + dim)
+        a = random_hermitian(dim, seed=601 + dim)
+        b = random_hermitian(dim, seed=602 + dim)
+        reports = audit_G_equals_H(m, functions, a, b)
+        assert len(reports) == len(functions)
+        for key, report in zip(ALL_KEYS, reports):
+            assert report.flags == (), (key, dim, report.to_dict())
+            assert report.residual <= G_H_RTOL * max(1.0, abs(report.g_value))
+        # the f-independent work is shared, never changed, by batching entries
+        singles = [audit_G_equals_H(m, [f], a, b)[0] for f in functions]
+        assert repr(reports) == repr(singles)
 
 
 def test_h_from_measure_consistency():

@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -85,6 +87,8 @@ def test_sweep_config_normalization_and_validation():
         SweepConfig(dims=(2,), trials=1, f_specs=("sld",), tol=0.0)
     with pytest.raises(ValueError, match="tol"):
         SweepConfig(dims=(2,), trials=1, f_specs=("sld",), tol=float("inf"))
+    with pytest.raises(ValueError, match="tol"):
+        SweepConfig(dims=(2,), trials=1, f_specs=("sld",), tol=float("nan"))
     with pytest.raises(ValueError, match="format"):
         SweepConfig(dims=(2,), trials=1, f_specs=("sld",), format="xml")
 
@@ -353,3 +357,40 @@ def test_cli_tolerance_via_environment(monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setenv("SKEWCAL_TOL", "1e-6")
     assert main(["verify", "--dims", "2", "--trials", "1"]) == 0
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_cli_rejects_invalid_tolerance(tol, capsys, fixtures_dir):
+    # NaN compares False against every gap, so an unvalidated tolerance
+    # would pass every instance with exit code 0
+    rho_path, a_path, b_path = _fixture_paths(fixtures_dir)
+    check = ["check", "--rho", rho_path, "--a", a_path, "--b", b_path]
+    assert main([*check, f"--tol={tol}"]) == 1
+    assert "tol" in capsys.readouterr().err
+    assert main(["verify", "--dims", "2", "--trials", "1", f"--tol={tol}"]) == 1
+    assert "tol" in capsys.readouterr().err
+    payload, code = check_instance(rho_path, a_path, b_path, "wyd:0.5", tol=float(tol))
+    assert code == 1 and "tol" in payload["error"]
+    with pytest.raises(ValueError, match="tol"):
+        summarize_records([], tol=float(tol))
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_cli_exits_1_on_nonfinite_environment_tolerance(command, fixtures_dir):
+    rho_path, a_path, b_path = _fixture_paths(fixtures_dir)
+    args = {
+        "check": ["--rho", rho_path, "--a", a_path, "--b", b_path],
+        "verify": ["--dims", "2", "--trials", "1"],
+    }[command]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, SKEWCAL_TOL="nan")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "skewcal.cli", command, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert "SKEWCAL_TOL" in done.stderr and done.stdout == ""

@@ -221,8 +221,9 @@ def test_flags_fire_on_invalid_profile(fixture_rho, fixture_a, fixture_b):
 
 
 def test_evaluate_validates_inputs(fixture_rho, fixture_a, fixture_b):
-    with pytest.raises(ValueError, match="tol"):
-        evaluate_inequalities(fixture_rho, sld(), fixture_a, fixture_b, tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            evaluate_inequalities(fixture_rho, sld(), fixture_a, fixture_b, tol=tol)
     with pytest.raises(ValueError, match="shape"):
         evaluate_inequalities(fixture_rho, sld(), np.eye(3), fixture_b)
 

@@ -1,0 +1,45 @@
+"""The benchmark's traced run still finds every program name it wraps.
+
+``bench/tracing.py`` wraps module-level names of harness, qinfo, gns and
+linalg by name and stops with KeyError when one is gone. Running it here
+makes a renamed or removed function fail the test suite rather than the
+benchmark. The module is loaded from its file and not modified.
+"""
+
+import importlib.util
+import os
+
+from skewcal.harness import SweepConfig, run_sweep
+
+TRACING_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py"
+)
+
+KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("skewcal_bench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_sweeps_record_every_wrapped_layer(tmp_path):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    configs = (
+        SweepConfig(dims=(3,), trials=1, f_specs=KEYS, gns_audit=True),
+        SweepConfig(
+            dims=(3,), trials=1, f_specs=KEYS,
+            output_path=str(tmp_path / "records.csv"), format="csv",
+        ),
+    )
+    with tracing.traced(tracer):
+        for config in configs:
+            summary = tracer.wrap("harness.loop", run_sweep)(config)
+            assert summary.total == len(KEYS) and summary.violations == 0
+    expected = {layer for _, _, layer in tracing.TARGETS}
+    expected |= {"harness.loop", "monotone.tilde", "gns.h", "linalg.rotate"}
+    assert expected <= set(tracer.calls())
+    assert tracer.counts["gns.h.atom_pairs"] > 0
