@@ -28,7 +28,7 @@ keys = ["sld", "harmonic", "wyd:0.1", "wyd:0.25", "wyd:0.5", "wyd:0.75", "wyd:0.
 print("key          f(2)        f(0)      ftilde(2)")
 for key in keys:
     f = from_key(key)
-    print(f"{key:<12} {f(2.0):.8f}  {f.f_at_zero:.4f}    {f.tilde(2.0):.8f}")
+    print(f"{key:<12} {f(2.0):.8f}  {f.f_at_zero:.4f}    {tilde_transform(f, 2.0):.8f}")
 
 # The Wigner-Yanase-Dyson family has a closed-form transform,
 # ftilde_beta(x) = (x^beta + x^(1-beta)) / 2, so the generic transform
@@ -37,7 +37,7 @@ beta = 0.3
 f = wyd(beta)
 x = np.array([0.25, 0.5, 2.0, 7.5])
 closed = (x**beta + x ** (1.0 - beta)) / 2.0
-print("\nwyd:0.3 transform vs closed form:", np.max(np.abs(f.tilde(x) - closed)))
+print("\nwyd:0.3 transform vs closed form:", np.max(np.abs(tilde_transform(f, x) - closed)))
 
 # sld and harmonic are each other's transform.  One direction lands on
 # the other function exactly, the other to rounding.

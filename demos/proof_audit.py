@@ -37,7 +37,7 @@ b = random_hermitian(4, seed=9)
 f = from_key("wyd:0.3")
 
 model = GnsModel(rho)
-print("modular spectrum has", len(model.spectrum().atoms), "atoms for dim", model.dim)
+print("modular spectrum has", model.spectrum().values.size, "atoms for dim", model.dim)
 
 # The forms reproduce the trace-formula scalars.
 report = evaluate_inequalities(rho, f, a.matrix, b.matrix)

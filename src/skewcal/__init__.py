@@ -10,155 +10,64 @@ matrices, and verifies the inequality
 (together with the classical commutator bound) along three mutually
 checking routes: direct traces, modular correlation kernels, and an exact
 atomic transcription of the underlying modular-theory identity.
+
+The package root exports the entry points only; every other name is
+importable from its own module (``skewcal.linalg``, ``skewcal.monotone``,
+``skewcal.qinfo``, ``skewcal.gns``, ``skewcal.harness``).
 """
 
-from .monotone import (
-    MonotoneFunction,
-    ValidationReport,
-    default_grid,
-    from_key,
-    harmonic,
-    sld,
-    tilde_transform,
-    validate_catalog_entry,
-    wyd,
-    wyd_f,
-    wyd_f_at_zero,
-    wyd_parameter,
-    wyd_tilde,
-)
+from .monotone import MonotoneFunction, from_key, harmonic, sld, validate_catalog_entry, wyd
 from .linalg import (
     DensityMatrix,
     HermitianMatrix,
-    SpectralPair,
-    as_matrix,
-    eigendecompose,
-    group_spectrum,
     load_density,
     load_hermitian,
-    matrix_from_json,
-    matrix_power,
-    matrix_to_json,
-    modular_kernel_apply,
-    modular_kernel_matrix,
     random_density,
     random_hermitian,
     save_matrix,
-    wyd_sandwich,
 )
-from .qinfo import (
-    UncertaintyReport,
-    beta_correlation,
-    beta_information,
-    centered,
-    covariance,
-    evaluate_inequalities,
-    expectation,
-    f_correlation,
-    f_information,
-    heisenberg_bound,
-    variance,
-)
-from .gns import (
-    AtomicPairMeasure,
-    GnsAuditReport,
-    GnsModel,
-    ModularAtom,
-    ModularSpectrum,
-    audit_G_equals_H,
-    build_mu,
-    corr_via_form,
-    cov_via_form,
-    form_E,
-    form_E1,
-    form_F,
-    form_G,
-    h_from_measure,
-    h_value,
-    modular_apply,
-    modular_spectrum,
-    pair_integrand,
-)
+from .qinfo import UncertaintyReport, evaluate_inequalities
+from .gns import GnsAuditReport, GnsModel, audit_G_equals_H
 from .harness import (
     SweepConfig,
     SweepSummary,
     check_instance,
     emit_gap_histogram,
-    hash64,
     read_records,
     run_sweep,
-    splitmix64,
     summarize_records,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicPairMeasure",
+    # matrices and sampling
     "DensityMatrix",
-    "GnsAuditReport",
-    "GnsModel",
     "HermitianMatrix",
-    "ModularAtom",
-    "ModularSpectrum",
-    "MonotoneFunction",
-    "SpectralPair",
-    "SweepConfig",
-    "SweepSummary",
-    "UncertaintyReport",
-    "ValidationReport",
-    "as_matrix",
-    "audit_G_equals_H",
-    "beta_correlation",
-    "beta_information",
-    "build_mu",
-    "centered",
-    "check_instance",
-    "corr_via_form",
-    "cov_via_form",
-    "covariance",
-    "default_grid",
-    "eigendecompose",
-    "emit_gap_histogram",
-    "evaluate_inequalities",
-    "expectation",
-    "f_correlation",
-    "f_information",
-    "form_E",
-    "form_E1",
-    "form_F",
-    "form_G",
-    "from_key",
-    "group_spectrum",
-    "h_from_measure",
-    "h_value",
-    "harmonic",
-    "hash64",
-    "heisenberg_bound",
     "load_density",
     "load_hermitian",
-    "matrix_from_json",
-    "matrix_power",
-    "matrix_to_json",
-    "modular_apply",
-    "modular_kernel_apply",
-    "modular_kernel_matrix",
-    "modular_spectrum",
+    "save_matrix",
     "random_density",
     "random_hermitian",
-    "read_records",
-    "run_sweep",
-    "save_matrix",
-    "sld",
-    "splitmix64",
-    "summarize_records",
-    "tilde_transform",
-    "validate_catalog_entry",
-    "variance",
+    # the catalog
+    "MonotoneFunction",
+    "from_key",
     "wyd",
-    "wyd_f",
-    "wyd_f_at_zero",
-    "wyd_parameter",
-    "wyd_sandwich",
-    "wyd_tilde",
+    "sld",
+    "harmonic",
+    "validate_catalog_entry",
+    # single-instance checks
+    "evaluate_inequalities",
+    "UncertaintyReport",
+    "GnsModel",
+    "audit_G_equals_H",
+    "GnsAuditReport",
+    # sweeps and records
+    "SweepConfig",
+    "SweepSummary",
+    "run_sweep",
+    "check_instance",
+    "read_records",
+    "summarize_records",
+    "emit_gap_histogram",
 ]

@@ -24,7 +24,7 @@ _EPILOG = f"""\
 exit codes:
   0  all checks passed
   2  at least one tolerance violation was flagged
-  1  input or configuration error
+  1  usage, input or configuration error
 
 The base tolerance defaults to {DEFAULT_TOL:g} and can be overridden by the
 SKEWCAL_TOL environment variable; --tol wins over both. Per-record the
@@ -58,8 +58,19 @@ def _split_keys(values: list[str] | None, fallback: tuple[str, ...]) -> list[str
     return keys
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit 1: exit code 2 means a flagged violation.
+
+    Subparsers are built with the same class, so they inherit the exit code.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewcal",
         description="Verify uncertainty inequalities for finite-dimensional quantum states.",
         epilog=_EPILOG,

@@ -40,11 +40,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .linalg import DensityMatrix, as_matrix, group_spectrum
+from .linalg import DensityMatrix, as_matrix, group_spectrum, modular_kernel_matrix
 from .monotone import MonotoneFunction, tilde_transform
 from .qinfo import centered, covariance, f_correlation, f_information, variance
 
@@ -52,7 +51,6 @@ __all__ = [
     "AtomicPairMeasure",
     "GnsAuditReport",
     "GnsModel",
-    "ModularAtom",
     "ModularSpectrum",
     "audit_G_equals_H",
     "build_mu",
@@ -63,9 +61,7 @@ __all__ = [
     "form_F",
     "form_G",
     "h_from_measure",
-    "h_value",
     "modular_apply",
-    "modular_spectrum",
     "pair_integrand",
 ]
 
@@ -101,10 +97,6 @@ class GnsModel:
         self.ratios = rho.eigenvalues[:, None] / rho.eigenvalues[None, :]
         self._spectrum = None
 
-    @property
-    def cyclic_vector(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
-
     def inner(self, x, y) -> complex:
         """GNS inner product Tr(rho x† y), by direct trace."""
         return complex(np.trace(self.rho.matrix @ as_matrix(x).conj().T @ as_matrix(y)))
@@ -126,15 +118,17 @@ def modular_apply(m: GnsModel, x) -> np.ndarray:
     return u @ (m.ratios * tilted) @ u.conj().T
 
 
-def _weighted_form(m: GnsModel, profile: np.ndarray, xt: np.ndarray, et: np.ndarray) -> complex:
-    # sum_ij profile[i,j] * conj(xt[i,j]) * et[i,j] * lam[j] over eigenbasis
-    # entries xt, et; the column weight lam[j] realizes Tr(rho x† y).
-    return complex(np.sum(profile * m.eigenvalues[None, :] * np.conj(xt) * et))
+def _weighted_form(kernel: np.ndarray, xt: np.ndarray, et: np.ndarray) -> complex:
+    # sum_ij kernel[i,j] * conj(xt[i,j]) * et[i,j] over eigenbasis entries
+    # xt, et; the kernel carries the column weight lam[j] that realizes
+    # Tr(rho x† y).
+    return complex(np.sum(kernel * np.conj(xt) * et))
 
 
 def form_E(m: GnsModel, xi, eta) -> complex:
     """Graph-term form <Delta^(1/2) xi, Delta^(1/2) eta> = <xi, Delta eta>."""
-    return _weighted_form(m, m.ratios, m.to_eigenbasis(xi), m.to_eigenbasis(eta))
+    kernel = m.ratios * m.eigenvalues[None, :]
+    return _weighted_form(kernel, m.to_eigenbasis(xi), m.to_eigenbasis(eta))
 
 
 def form_E1(m: GnsModel, xi, eta) -> complex:
@@ -144,8 +138,8 @@ def form_E1(m: GnsModel, xi, eta) -> complex:
 
 def form_F(m: GnsModel, f: MonotoneFunction, xi, eta) -> complex:
     """Kernel form <tilde(Delta)^(1/2) xi, tilde(Delta)^(1/2) eta>."""
-    profile = np.asarray(tilde_transform(f, m.ratios), dtype=float)
-    return _weighted_form(m, profile, m.to_eigenbasis(xi), m.to_eigenbasis(eta))
+    kernel = modular_kernel_matrix(m.rho, f)
+    return _weighted_form(kernel, m.to_eigenbasis(xi), m.to_eigenbasis(eta))
 
 
 def form_G(m: GnsModel, f: MonotoneFunction, xi, eta) -> complex:
@@ -167,64 +161,27 @@ def corr_via_form(m: GnsModel, f: MonotoneFunction, a, b) -> float:
     return form_G(m, f, a0, b0).real
 
 
-@dataclass(frozen=True)
-class ModularAtom:
-    """One atom of the modular spectrum: ratio value plus its index pairs."""
-
-    value: float
-    pairs: tuple[tuple[int, int], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class ModularSpectrum:
     """Atomic decomposition of the modular operator's spectrum.
 
     ``labels[i, j]`` is the atom index of eigenbasis entry (i, j) and
-    ``values[k]`` the ratio of atom k; the atoms cover all dim^2 pairs
-    exactly once, and transposing an atom's pairs lands on the atom of the
-    inverse ratio.
+    ``values[k]`` the ratio of atom k; every index pair lies in exactly one
+    atom, and ``labels.T`` maps each atom to the atom of the inverse ratio.
     """
 
     labels: np.ndarray
     values: np.ndarray
 
-    @cached_property
-    def atoms(self) -> tuple[ModularAtom, ...]:
-        """Per-atom view of ``labels``: each atom's value and its index pairs.
-
-        Built on first access only; the audit works on the arrays.
-        """
-        # A stable sort of the row-major labels lists each atom's index pairs
-        # contiguously and in row-major order; every atom has at least one pair.
-        flat = self.labels.ravel()
-        rows, cols = np.divmod(np.argsort(flat, kind="stable"), self.labels.shape[1])
-        index_pairs = list(zip(rows.tolist(), cols.tolist()))
-        ends = np.cumsum(np.bincount(flat, minlength=self.values.size)).tolist()
-        return tuple(
-            ModularAtom(value=value, pairs=tuple(index_pairs[lo:hi]))
-            for value, lo, hi in zip(self.values.tolist(), [0, *ends[:-1]], ends)
-        )
-
 
 def _compute_spectrum(eigenvalues: np.ndarray) -> ModularSpectrum:
-    pairs = group_spectrum(eigenvalues)
-    cluster = np.array([p.projector_index for p in pairs], dtype=int)
-    n_clusters = int(cluster[-1]) + 1
-    reps = np.zeros(n_clusters)
-    counts = np.zeros(n_clusters)
-    for p in pairs:
-        reps[p.projector_index] += p.value
-        counts[p.projector_index] += 1
-    reps /= counts
+    cluster = group_spectrum(eigenvalues)
+    # cluster means, summed in spectrum order
+    reps = np.bincount(cluster, weights=eigenvalues) / np.bincount(cluster)
 
-    labels = cluster[:, None] * n_clusters + cluster[None, :]
+    labels = cluster[:, None] * reps.size + cluster[None, :]
     values = (reps[:, None] / reps[None, :]).ravel()
     return ModularSpectrum(labels=labels, values=values)
-
-
-def modular_spectrum(m: GnsModel) -> ModularSpectrum:
-    """Ratio atoms of the modular operator, grouped by the degeneracy tolerance."""
-    return m.spectrum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,14 +206,6 @@ class AtomicPairMeasure:
     @property
     def min_weight(self) -> float:
         return float(np.min(self.weights))
-
-    @property
-    def support(self) -> list[tuple[tuple[float, float], float]]:
-        out = []
-        for k, s in enumerate(self.values):
-            for l, t in enumerate(self.values):
-                out.append(((float(s), float(t)), float(self.weights[k, l])))
-        return out
 
 
 def build_mu(m: GnsModel, xi, eta) -> AtomicPairMeasure:
@@ -323,11 +272,6 @@ def h_from_measure(mu: AtomicPairMeasure, f: MonotoneFunction) -> float:
     px, py, pz = (float(p @ w) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
     qx, qy, qz = (float(q @ w) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
     return 0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz))
-
-
-def h_value(m: GnsModel, f: MonotoneFunction, xi, eta) -> float:
-    """The atomic double integral H for two vectors of the representation."""
-    return h_from_measure(build_mu(m, xi, eta), f)
 
 
 @dataclass(frozen=True)
@@ -399,10 +343,10 @@ def audit_G_equals_H(
             flags.append("mu_negative_atom")
 
         # form_G(m, f, x, x) with the f-independent parts reused
-        profile = np.asarray(tilde_transform(f, m.ratios), dtype=float)
+        kernel = modular_kernel_matrix(rho, f)
         gform_values = []
         for xt, e1 in graph:
-            gf = (0.5 * e1 - _weighted_form(m, profile, xt, xt)).real
+            gf = (0.5 * e1 - _weighted_form(kernel, xt, xt)).real
             gform_values.append(gf)
             if gf < -GFORM_SLACK * max(e1.real, 0.0):
                 flags.append("gform_negative")

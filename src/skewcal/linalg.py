@@ -9,7 +9,6 @@ wire format for matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "HERMITICITY_REPAIR_THRESHOLD",
     "DensityMatrix",
     "HermitianMatrix",
-    "SpectralPair",
     "as_matrix",
     "eigendecompose",
     "group_spectrum",
@@ -40,7 +38,8 @@ __all__ = [
 ]
 
 # Inputs may carry round-off off Hermiticity; repairs up to this max-abs
-# deviation are accepted and recorded, larger ones rejected.
+# deviation times max(1, max|m|) are accepted and recorded, larger ones
+# rejected.
 HERMITICITY_REPAIR_THRESHOLD = 1e-9
 
 # States with an eigenvalue below this floor are rejected: modular ratios
@@ -70,7 +69,8 @@ class HermitianMatrix:
     """Square complex matrix forced Hermitian on construction.
 
     The constructor keeps (M + M†)/2 and records how far the input sat from
-    that repair; deviations beyond HERMITICITY_REPAIR_THRESHOLD raise.
+    that repair; deviations beyond HERMITICITY_REPAIR_THRESHOLD times
+    max(1, max|M|) raise, so the threshold scales with the data.
     Treat instances as immutable.
     """
 
@@ -84,11 +84,14 @@ class HermitianMatrix:
             raise ValueError("matrix entries must be finite")
         sym = 0.5 * (m + m.conj().T)
         residual = float(np.max(np.abs(m - sym)))
+        # the scale is at least 1, so it is only needed past the bare threshold
         if residual > HERMITICITY_REPAIR_THRESHOLD:
-            raise ValueError(
-                f"matrix is not Hermitian: max deviation {residual:.3e} exceeds "
-                f"repair threshold {HERMITICITY_REPAIR_THRESHOLD:.1e}"
-            )
+            limit = HERMITICITY_REPAIR_THRESHOLD * max(1.0, float(np.max(np.abs(m))))
+            if residual > limit:
+                raise ValueError(
+                    f"matrix is not Hermitian: max deviation {residual:.3e} exceeds "
+                    f"repair threshold {limit:.1e}"
+                )
         self.matrix = sym
         self.dim = int(m.shape[0])
         self.herm_residual = residual
@@ -234,28 +237,19 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-@dataclass(frozen=True)
-class SpectralPair:
-    """One eigenvalue together with the index of its degeneracy cluster."""
-
-    value: float
-    projector_index: int
-
-
-def group_spectrum(eigenvalues) -> list[SpectralPair]:
-    """Cluster near-degenerate eigenvalues of a descending spectrum.
+def group_spectrum(eigenvalues) -> np.ndarray:
+    """Cluster labels of a descending spectrum's near-degenerate eigenvalues.
 
     Consecutive values closer than DEGENERACY_RTOL * max|lam| share a
-    cluster index.
+    cluster; labels count up from 0 in spectrum order.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("expected a non-empty eigenvalue vector")
     tol = DEGENERACY_RTOL * float(np.max(np.abs(lam)))
     labels = np.zeros(lam.size, dtype=int)
-    for i in range(1, lam.size):
-        labels[i] = labels[i - 1] + (abs(lam[i] - lam[i - 1]) > tol)
-    return [SpectralPair(float(lam[i]), int(labels[i])) for i in range(lam.size)]
+    np.cumsum(np.abs(np.diff(lam)) > tol, out=labels[1:])
+    return labels
 
 
 # --- JSON wire format -------------------------------------------------------

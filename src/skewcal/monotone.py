@@ -31,7 +31,6 @@ __all__ = [
     "validate_catalog_entry",
     "wyd",
     "wyd_f",
-    "wyd_f_at_zero",
     "wyd_parameter",
     "wyd_tilde",
 ]
@@ -94,12 +93,6 @@ def wyd_f(beta: float, x) -> float | np.ndarray:
     return _match_input(out, x)
 
 
-def wyd_f_at_zero(beta: float) -> float:
-    """Limit of the wyd family at x -> 0+, equal to beta * (1 - beta)."""
-    beta = _require_beta(beta)
-    return beta * (1.0 - beta)
-
-
 def wyd_tilde(beta: float, x) -> float | np.ndarray:
     """Closed form (x^beta + x^(1-beta)) / 2 of the transform for the wyd family."""
     beta = _require_beta(beta)
@@ -143,9 +136,6 @@ class MonotoneFunction:
 
     def __call__(self, x) -> float | np.ndarray:
         return self.evaluate(x)
-
-    def tilde(self, x, clamp: bool = True) -> float | np.ndarray:
-        return tilde_transform(self, x, clamp=clamp)
 
 
 def _sld_profile(x):

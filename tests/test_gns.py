@@ -16,9 +16,7 @@ from skewcal.gns import (
     form_F,
     form_G,
     h_from_measure,
-    h_value,
     modular_apply,
-    modular_spectrum,
     pair_integrand,
 )
 from skewcal.linalg import DensityMatrix, random_density, random_hermitian
@@ -49,7 +47,7 @@ def test_inner_product_and_cyclic_vector():
     x, y = _vector(3, seed=54), _vector(3, seed=55)
     direct = complex(np.trace(m.rho.matrix @ x.conj().T @ y))
     assert m.inner(x, y) == pytest.approx(direct, abs=1e-13)
-    one = m.cyclic_vector
+    one = np.eye(3)  # the cyclic vector
     assert m.inner(one, one) == pytest.approx(1.0, abs=1e-13)
     # expectation of an observable is its inner product against the cyclic vector
     a = random_hermitian(3, seed=56)
@@ -118,25 +116,18 @@ def test_gform_expansion_and_nonnegativity(key):
 
 def test_spectrum_partitions_all_index_pairs():
     m = _model(5, seed=73)
-    spec = modular_spectrum(m)
+    spec = m.spectrum()
     n = m.dim
+    # each index pair carries one atom label, and every atom has a pair
     assert spec.labels.shape == (n, n)
-    seen = sorted(p for atom in spec.atoms for p in atom.pairs)
-    assert seen == [(i, j) for i in range(n) for j in range(n)]
-    # labels agree with the per-atom pair lists
-    for k, atom in enumerate(spec.atoms):
-        for i, j in atom.pairs:
-            assert spec.labels[i, j] == k
-    # atom values approximate the raw eigenvalue ratios
-    ratios = m.ratios
-    for atom in spec.atoms:
-        for i, j in atom.pairs:
-            assert atom.value == pytest.approx(ratios[i, j], rel=1e-9)
+    assert np.array_equal(np.unique(spec.labels), np.arange(spec.values.size))
+    # atom values approximate the raw eigenvalue ratios of their pairs
+    assert np.allclose(spec.values[spec.labels], m.ratios, rtol=1e-9, atol=0.0)
 
 
 def test_spectrum_values_close_under_reciprocal():
     m = _model(5, seed=74)
-    values = sorted(modular_spectrum(m).values)
+    values = sorted(m.spectrum().values)
     for t in values:
         assert any(abs(1.0 / t - s) <= 1e-9 * max(1.0, abs(s)) for s in values)
 
@@ -144,10 +135,9 @@ def test_spectrum_values_close_under_reciprocal():
 def test_spectrum_of_maximally_mixed_state_is_one_atom():
     n = 4
     m = GnsModel(DensityMatrix(np.eye(n) / n))
-    spec = modular_spectrum(m)
-    assert len(spec.atoms) == 1
-    assert spec.atoms[0].value == pytest.approx(1.0, abs=0.0)
-    assert len(spec.atoms[0].pairs) == n * n
+    spec = m.spectrum()
+    assert spec.values.tolist() == [1.0]
+    assert np.array_equal(spec.labels, np.zeros((n, n), dtype=int))
 
 
 def test_spectrum_is_cached():
@@ -169,7 +159,7 @@ def test_mu_atoms_are_nonnegative(dim):
     b0 = centered(m.rho, random_hermitian(dim, seed=80 + dim).matrix)
     mu = build_mu(m, a0, b0)
     assert mu.min_weight >= -1e-12 * max(mu.mass, 0.0)
-    assert len(mu.support) == mu.values.size**2
+    assert mu.weights.shape == (mu.values.size, mu.values.size)
 
 
 def test_mu_on_degenerate_state():
@@ -201,7 +191,8 @@ def test_h_matches_gap_on_fixture(fixture_rho, fixture_a, fixture_b):
     f = wyd(0.5)
     a0 = centered(fixture_rho, fixture_a.matrix)
     b0 = centered(fixture_rho, fixture_b.matrix)
-    assert h_value(m, f, a0, b0) == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-12)
+    h = h_from_measure(build_mu(m, a0, b0), f)
+    assert h == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-12)
 
 
 def test_audit_fixture(fixture_rho, fixture_a, fixture_b):
@@ -259,7 +250,7 @@ def test_separable_h_matches_pair_sum(key):
         scale = float(np.sum(np.abs(terms)))
         assert scale > 0.0, name
         assert abs(h_from_measure(mu, f) - float(np.sum(terms))) <= 1e-12 * scale, name
-    assert modular_spectrum(GnsModel(_cluster_state(seed=307))).values.size == 9
+    assert GnsModel(_cluster_state(seed=307)).spectrum().values.size == 9
 
 
 def test_audit_at_wide_dims_one_call_per_instance():
@@ -279,12 +270,14 @@ def test_audit_at_wide_dims_one_call_per_instance():
 
 
 def test_h_from_measure_consistency():
+    # the audit's H is the measure of the centered observables, integrated
     m = _model(3, seed=90)
-    a0 = centered(m.rho, random_hermitian(3, seed=91).matrix)
-    b0 = centered(m.rho, random_hermitian(3, seed=92).matrix)
+    a = random_hermitian(3, seed=91).matrix
+    b = random_hermitian(3, seed=92).matrix
     f = sld()
-    mu = build_mu(m, a0, b0)
-    assert h_from_measure(mu, f) == h_value(m, f, a0, b0)
+    mu = build_mu(m, centered(m.rho, a), centered(m.rho, b))
+    (report,) = audit_G_equals_H(m, [f], a, b)
+    assert h_from_measure(mu, f) == report.h_value
 
 
 def test_model_exposes_spectral_data():

@@ -375,6 +375,25 @@ def test_cli_rejects_invalid_tolerance(tol, capsys, fixtures_dir):
         summarize_records([], tol=float(tol))
 
 
+def test_cli_usage_errors_exit_1_and_help_exits_0(capsys, fixtures_dir):
+    # exit code 2 is reserved for a flagged violation
+    rho_path, a_path, b_path = _fixture_paths(fixtures_dir)
+    usage_errors = (
+        ["check", "--rho", rho_path, "--a", a_path, "--b", b_path, "--tol", "abc"],
+        ["verify", "--trials", "x"],
+    )
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "invalid" in capsys.readouterr().err
+    for argv in (["--help"], ["check", "--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+        assert "usage" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["check", "verify"])
 def test_cli_exits_1_on_nonfinite_environment_tolerance(command, fixtures_dir):
     rho_path, a_path, b_path = _fixture_paths(fixtures_dir)

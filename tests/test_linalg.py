@@ -40,6 +40,22 @@ def test_hermitian_accepts_and_repairs_roundoff():
     assert h.dim == 2
 
 
+def test_hermitian_repair_threshold_scales_with_the_data():
+    base = 1e8 * np.array([[1.0, 0.5 + 0.25j], [0.5 - 0.25j, 2.0]])
+    m = base.copy()
+    m[0, 1] += 1e-11 * 1e8  # 1e-11 relative asymmetry at norm 1e8
+    h = HermitianMatrix(m)
+    assert h.herm_residual == pytest.approx(0.5e-3, rel=1e-4)
+    assert np.array_equal(h.matrix, h.matrix.conj().T)
+    m = base.copy()
+    m[0, 1] += 1e-6 * 1e8  # 1e-6 relative asymmetry is no round-off
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMatrix(m)
+    # entries of size <= 1 keep the bare threshold: 5e-9 > 1e-9 is rejected
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMatrix([[1.0, 0.5], [0.5 + 1e-8, 0.25]])
+
+
 def test_hermitian_rejects_bad_input():
     with pytest.raises(ValueError, match="not Hermitian"):
         HermitianMatrix([[0.0, 1.0], [0.0, 0.0]])
@@ -167,12 +183,13 @@ def test_random_draws_are_deterministic():
 
 
 def test_group_spectrum_clusters():
-    assert [p.projector_index for p in group_spectrum([3.0, 2.0, 1.0])] == [0, 1, 2]
-    assert [p.projector_index for p in group_spectrum([2.0, 2.0, 1.0])] == [0, 0, 1]
+    assert group_spectrum([3.0, 2.0, 1.0]).tolist() == [0, 1, 2]
+    assert group_spectrum([2.0, 2.0, 1.0]).tolist() == [0, 0, 1]
+    assert group_spectrum([0.5]).tolist() == [0]
     near = 1.0 - 0.5 * DEGENERACY_RTOL
-    assert [p.projector_index for p in group_spectrum([1.0, near])] == [0, 0]
+    assert group_spectrum([1.0, near]).tolist() == [0, 0]
     apart = 1.0 - 1e-11
-    assert [p.projector_index for p in group_spectrum([1.0, apart])] == [0, 1]
+    assert group_spectrum([1.0, apart]).tolist() == [0, 1]
     with pytest.raises(ValueError):
         group_spectrum([])
     with pytest.raises(ValueError):

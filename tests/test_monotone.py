@@ -20,7 +20,6 @@ from skewcal.monotone import (
     validate_catalog_entry,
     wyd,
     wyd_f,
-    wyd_f_at_zero,
     wyd_parameter,
     wyd_tilde,
 )
@@ -111,7 +110,7 @@ def test_scalar_in_scalar_out():
 
 
 def test_f_at_zero_stored_limits():
-    assert wyd_f_at_zero(0.25) == 0.25 * 0.75
+    assert wyd(0.25).f_at_zero == 0.25 * 0.75
     assert sld().f_at_zero == 0.5
     assert harmonic().f_at_zero == 0.0
     assert wyd(0.3).f_at_zero == pytest.approx(0.21, rel=1e-15)

@@ -4,11 +4,16 @@
 linalg by name and stops with KeyError when one is gone. Running it here
 makes a renamed or removed function fail the test suite rather than the
 benchmark. The module is loaded from its file and not modified.
+
+The benchmark also reports ``len(skewcal.__all__)``, so the package root
+and every module must keep an ``__all__`` whose names all resolve.
 """
 
+import importlib
 import importlib.util
 import os
 
+import skewcal
 from skewcal.harness import SweepConfig, run_sweep
 
 TRACING_PATH = os.path.join(
@@ -43,3 +48,14 @@ def test_traced_sweeps_record_every_wrapped_layer(tmp_path):
     expected |= {"harness.loop", "monotone.tilde", "gns.h", "linalg.rotate"}
     assert expected <= set(tracer.calls())
     assert tracer.counts["gns.h.atom_pairs"] > 0
+
+
+def test_package_root_and_module_exports_resolve():
+    assert isinstance(skewcal.__all__, list) and skewcal.__all__
+    for name in skewcal.__all__:
+        assert hasattr(skewcal, name), name
+    for module_name in ("linalg", "monotone", "qinfo", "gns", "harness"):
+        module = importlib.import_module(f"skewcal.{module_name}")
+        assert module.__all__, module_name
+        for name in module.__all__:
+            assert hasattr(module, name), (module_name, name)
