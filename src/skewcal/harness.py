@@ -6,15 +6,27 @@ splitmix64 step (h starts at 0; for each word, h becomes the splitmix64
 output of state h XOR word). The state, the two observables, and therefore
 every record are functions of that per-trial seed alone, so rerunning a
 configuration reproduces the output stream byte for byte. Records are
-sorted by (dim, f, trial) before they are written, and summaries are
-computed with order-independent reductions, so they are invariant under
-shuffling of the record stream.
+written in (dim, f, trial) order, and summaries are computed with
+order-independent reductions, so they are invariant under shuffling of the
+record stream.
+
+Stacked evaluation: a sweep runs each dimension n in chunks of up to
+T = max(1, _STACK_ENTRIES // n**2) trials. Sampling, validation, the
+rotation into the state's eigenbasis and the optional G = H audit run per
+trial and write into preallocated (T, n) and (T, n, n) stacks; then one
+stacked report per catalog entry evaluates the whole chunk. The stacks and
+the report's temporaries hold O(_STACK_ENTRIES) numbers whatever the trial
+count; the records of one dimension are kept until it is written. Every
+reduction in the report runs over one trial's entries, so a record's bits
+do not depend on the chunk its trial fell in, and equal those of
+``evaluate_inequalities`` on the regenerated instance.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +40,13 @@ from .linalg import (
     random_hermitian,
 )
 from .monotone import from_key
-from .qinfo import DEFAULT_TOL, _report_in_eigenbasis, evaluate_inequalities, validate_tol
+from .qinfo import (
+    DEFAULT_TOL,
+    _report_in_eigenbasis,
+    _report_rows,
+    evaluate_inequalities,
+    validate_tol,
+)
 
 __all__ = [
     "CSV_COLUMNS",
@@ -48,6 +66,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 MAX_SWEEP_DIM = 64
+
+# A sweep evaluates trials in chunks of at most this many matrix entries per
+# (T, n, n) stack, so T = max(1, _STACK_ENTRIES // n**2) trials per chunk.
+_STACK_ENTRIES = 8192
 
 CSV_COLUMNS = (
     "dim",
@@ -131,8 +153,10 @@ class SweepSummary:
     """Order-independent reduction of a record stream.
 
     total = passes + boundary_cases + violations. A record counts as a
-    violation when it carries flags, as a boundary case when unflagged with
-    |gap| inside the effective tolerance, and as a pass otherwise.
+    violation when it carries flags or its gap is not finite, as a boundary
+    case when unflagged with |gap| inside the effective tolerance, and as a
+    pass otherwise. ``min_gap`` ranges over the finite gaps only (None when
+    there are none); ``max_residual`` is NaN once any residual is NaN.
     """
 
     total: int
@@ -170,15 +194,20 @@ class _SummaryAccumulator:
     def update(self, record: dict) -> None:
         self.total += 1
         gap = record["gap"]
+        finite = math.isfinite(gap)
         tol_eff = self.tol * max(1.0, record["var_a"] * record["var_b"])
-        if record["flags"]:
+        if record["flags"] or not finite:
             self.violations += 1
         elif abs(gap) <= tol_eff:
             self.boundary += 1
         else:
             self.passes += 1
-        if record["residuals"]:
-            self.max_residual = max(self.max_residual, max(record["residuals"]))
+        for residual in record["residuals"]:
+            # max() keeps the old value against a NaN; here a NaN sticks
+            if math.isnan(residual) or residual > self.max_residual:
+                self.max_residual = residual
+        if not finite:
+            return
         key = (record["dim"], record["f"], record["trial"])
         if (
             self.min_gap is None
@@ -233,12 +262,12 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
 
     Per (dim, trial) one instance (state rho, observables a and b) is drawn
     from the per-trial seed; every entry of ``f_specs`` is then evaluated on
-    that same instance. Records go to ``record_sink`` (if given) and to
-    ``config.output_path`` (if given) in (dim, f, trial) order. Inequality
-    violations are recorded and flagged, never raised.
+    that same instance, one stacked report per chunk of trials. Records go
+    to ``record_sink`` (if given) and to ``config.output_path`` (if given)
+    in (dim, f, trial) order. Inequality violations are recorded and
+    flagged, never raised.
     """
     functions = [from_key(k) for k in config.f_specs]
-    f_order = {f.name: i for i, f in enumerate(functions)}
     acc = _SummaryAccumulator(config.tol)
 
     out = None
@@ -250,52 +279,51 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
                 writer = csv.writer(out, lineterminator="\n")
                 writer.writerow(CSV_COLUMNS)
         for dim in config.dims:
-            buffered = []
-            for trial in range(config.trials):
-                trial_seed = hash64(config.seed, dim, trial)
-                rho = random_density(dim, hash64(trial_seed, 0))
-                a = random_hermitian(dim, hash64(trial_seed, 1))
-                b = random_hermitian(dim, hash64(trial_seed, 2))
-                if config.normalize_observables:
-                    a = _normalized(a)
-                    b = _normalized(b)
-                # rotate and audit once per instance; every f entry reuses them
-                at = rho.to_eigenbasis(a.matrix)
-                bt = rho.to_eigenbasis(b.matrix)
-                audits = (
-                    audit_G_equals_H(GnsModel(rho), functions, a, b)
-                    if config.gns_audit
-                    else [None] * len(functions)
-                )
-                for f, audit in zip(functions, audits):
-                    report = _report_in_eigenbasis(
-                        rho.eigenvalues, at, bt, f, config.tol
-                    )
-                    residuals = list(report.path_residuals)
-                    flags = list(report.flags)
-                    if audit is not None:
-                        residuals.append(audit.residual)
-                        flags.extend(audit.flags)
-                    record = {
-                        "dim": dim,
-                        "f": f.name,
-                        "trial": trial,
-                        "seed": trial_seed,
-                        **report.to_dict(),
-                    }
-                    record["residuals"] = residuals
-                    record["flags"] = flags
-                    buffered.append(record)
-            buffered.sort(key=lambda r: (f_order[r["f"]], r["trial"]))
-            for record in buffered:
-                acc.update(record)
-                if record_sink is not None:
-                    record_sink(record)
-                if out is not None:
-                    if writer is not None:
-                        writer.writerow(_csv_row(record))
-                    else:
-                        out.write(json.dumps(record) + "\n")
+            chunk = min(config.trials, max(1, _STACK_ENTRIES // (dim * dim)))
+            lam = np.empty((chunk, dim))
+            at = np.empty((chunk, dim, dim), dtype=complex)
+            bt = np.empty((chunk, dim, dim), dtype=complex)
+            by_f = [[] for _ in functions]
+            for start in range(0, config.trials, chunk):
+                trials = range(start, min(start + chunk, config.trials))
+                seeds = []
+                audits = []
+                for k, trial in enumerate(trials):
+                    trial_seed = hash64(config.seed, dim, trial)
+                    rho = random_density(dim, hash64(trial_seed, 0))
+                    a = random_hermitian(dim, hash64(trial_seed, 1))
+                    b = random_hermitian(dim, hash64(trial_seed, 2))
+                    if config.normalize_observables:
+                        a = _normalized(a)
+                        b = _normalized(b)
+                    seeds.append(trial_seed)
+                    lam[k] = rho.eigenvalues
+                    at[k] = rho.to_eigenbasis(a.matrix)
+                    bt[k] = rho.to_eigenbasis(b.matrix)
+                    if config.gns_audit:
+                        # one audit per instance covers every f entry
+                        audits.append(audit_G_equals_H(GnsModel(rho), functions, a, b))
+                t = len(trials)
+                for i, f in enumerate(functions):
+                    columns = _report_in_eigenbasis(lam[:t], at[:t], bt[:t], f, config.tol)
+                    for k, row in enumerate(_report_rows(columns)):
+                        if audits:
+                            audit = audits[k][i]
+                            row["residuals"].append(audit.residual)
+                            row["flags"].extend(audit.flags)
+                        by_f[i].append(
+                            {"dim": dim, "f": f.name, "trial": trials[k], "seed": seeds[k], **row}
+                        )
+            for records in by_f:
+                for record in records:
+                    acc.update(record)
+                    if record_sink is not None:
+                        record_sink(record)
+                    if out is not None:
+                        if writer is not None:
+                            writer.writerow(_csv_row(record))
+                        else:
+                            out.write(json.dumps(record) + "\n")
     finally:
         if out is not None:
             out.close()
@@ -344,13 +372,17 @@ def emit_gap_histogram(records, n_buckets: int = 20, out_path=None) -> list[tupl
 
     Positive gaps get ``n_buckets`` log-spaced buckets over their observed
     range; any nonpositive gaps (boundary hits) are collected in one leading
-    bucket ending at 0. Bucket counts always sum to the record count. Rows
+    bucket ending at 0. Bucket counts always sum to the record count; a
+    non-finite gap fits no bucket and raises ValueError. Rows
     are (gap_lo, gap_hi, count); with ``out_path`` they are also written as
     CSV with that header.
     """
     gaps = [float(r["gap"]) for r in records]
     if not gaps:
         raise ValueError("no records to bucket")
+    bad = sum(not math.isfinite(g) for g in gaps)
+    if bad:
+        raise ValueError(f"{bad} record(s) have a non-finite gap; no bucket holds them")
     if n_buckets < 1:
         raise ValueError("n_buckets must be at least 1")
     nonpos = [g for g in gaps if g <= 0.0]

@@ -170,83 +170,121 @@ class UncertaintyReport:
         }
 
 
+# Scalar columns of a report, in record order.
+_SCALARS = (
+    "var_a",
+    "var_b",
+    "cov_ab",
+    "info_a",
+    "info_b",
+    "corr_ab",
+    "lhs",
+    "rhs",
+    "gap",
+    "heisenberg_rhs",
+)
+
+# Flag names, in the order they are reported on a record.
+_FLAGS = (
+    "nonfinite_scalar",
+    "main_inequality_violation",
+    "commutator_bound_violation",
+    "negative_lhs",
+    "negative_info_a",
+    "negative_info_b",
+)
+
+
 def _report_in_eigenbasis(
     lam: np.ndarray,
     at: np.ndarray,
     bt: np.ndarray,
     f: MonotoneFunction,
     tol: float,
-) -> UncertaintyReport:
+) -> dict[str, np.ndarray]:
+    """Report columns for a stack of T instances already in their states' eigenbases.
+
+    ``lam`` is (T, n), ``at`` and ``bt`` are (T, n, n). Returns one length-T
+    array per name in _SCALARS, ``residuals`` of shape (T, 3) for wyd entries
+    and (T, 0) otherwise, and ``flags``, a (T, len(_FLAGS)) boolean mask.
+    Every reduction runs over the entries of one instance only, so a
+    trial's values do not depend on which other trials share its stack.
+    """
     # All traces against the state collapse to weighted entry sums once the
     # observables sit in its eigenbasis: Tr(rho X Y) = sum_ij lam_i X_ij Y_ji
     # and Tr((k o X) Y) = sum_ij k_ij X_ij Y_ji.
-    ratios = lam[:, None] / lam[None, :]
-    kernel = np.asarray(tilde_transform(f, ratios), dtype=float) * lam[None, :]
+    ratios = lam[:, :, None] / lam[:, None, :]
+    kernel = np.asarray(tilde_transform(f, ratios), dtype=float) * lam[:, None, :]
+    # entrywise products X_ij Y_ji; the products of (b, a) are those of (a, b) transposed
+    p_ab = at * bt.swapaxes(1, 2)
+    p_aa = (at * at.swapaxes(1, 2)).real
+    p_bb = (bt * bt.swapaxes(1, 2)).real
 
-    exp_a = float(np.einsum("i,ii->", lam, at).real)
-    exp_b = float(np.einsum("i,ii->", lam, bt).real)
-    tr_rho_ab = complex(np.einsum("i,ij,ji->", lam, at, bt))
-    tr_rho_ba = complex(np.einsum("i,ij,ji->", lam, bt, at))
-    tr_rho_aa = float(np.einsum("i,ij,ji->", lam, at, at).real)
-    tr_rho_bb = float(np.einsum("i,ij,ji->", lam, bt, bt).real)
+    exp_a = np.einsum("ti,tii->t", lam, at).real
+    exp_b = np.einsum("ti,tii->t", lam, bt).real
+    tr_rho_ab = np.einsum("ti,tij->t", lam, p_ab)
+    tr_rho_ba = np.einsum("tj,tij->t", lam, p_ab)
+    tr_rho_aa = np.einsum("ti,tij->t", lam, p_aa)
+    tr_rho_bb = np.einsum("ti,tij->t", lam, p_bb)
 
     var_a = tr_rho_aa - exp_a * exp_a
     var_b = tr_rho_bb - exp_b * exp_b
     cov_ab = tr_rho_ab.real - exp_a * exp_b
-    info_a = tr_rho_aa - float(np.einsum("ij,ij,ji->", kernel, at, at).real)
-    info_b = tr_rho_bb - float(np.einsum("ij,ij,ji->", kernel, bt, bt).real)
-    corr_ab = tr_rho_ab.real - float(np.einsum("ij,ij,ji->", kernel, at, bt).real)
-    heis = 0.25 * float(abs(tr_rho_ab - tr_rho_ba)) ** 2
+    info_a = tr_rho_aa - np.einsum("tij,tij->t", kernel, p_aa)
+    info_b = tr_rho_bb - np.einsum("tij,tij->t", kernel, p_bb)
+    corr_ab = tr_rho_ab.real - np.einsum("tij,tij->t", kernel, p_ab.real)
+    heis = 0.25 * np.abs(tr_rho_ab - tr_rho_ba) ** 2
 
     lhs = var_a * var_b - cov_ab * cov_ab
     rhs = info_a * info_b - corr_ab * corr_ab
     gap = lhs - rhs
 
-    scale = max(1.0, var_a * var_b)
+    # fmax, like max(1.0, x), keeps the scale at 1 when the product is NaN
+    scale = np.fmax(1.0, var_a * var_b)
     tol_eff = tol * scale
     slack = INVARIANT_SLACK * scale
 
-    residuals: list[float] = []
     beta = wyd_parameter(f)
-    if beta is not None:
+    if beta is None:
+        residuals = np.empty((lam.shape[0], 0))
+    else:
         # independent route: unsymmetrized power sandwich, real part taken last
-        w_beta = np.outer(np.power(lam, beta), np.power(lam, 1.0 - beta))
-        corr_beta = tr_rho_ab.real - float(np.einsum("ij,ij,ji->", w_beta, at, bt).real)
-        info_beta_a = tr_rho_aa - float(np.einsum("ij,ij,ji->", w_beta, at, at).real)
-        info_beta_b = tr_rho_bb - float(np.einsum("ij,ij,ji->", w_beta, bt, bt).real)
-        residuals.append(abs(corr_ab - corr_beta))
-        residuals.append(abs(info_a - info_beta_a))
-        residuals.append(abs(info_b - info_beta_b))
+        w_beta = np.power(lam, beta)[:, :, None] * np.power(lam, 1.0 - beta)[:, None, :]
+        corr_beta = tr_rho_ab.real - np.einsum("tij,tij->t", w_beta, p_ab.real)
+        info_beta_a = tr_rho_aa - np.einsum("tij,tij->t", w_beta, p_aa)
+        info_beta_b = tr_rho_bb - np.einsum("tij,tij->t", w_beta, p_bb)
+        residuals = np.abs(
+            np.array((corr_ab - corr_beta, info_a - info_beta_a, info_b - info_beta_b)).T
+        )
 
-    flags: list[str] = []
-    scalars = (var_a, var_b, cov_ab, info_a, info_b, corr_ab, lhs, rhs, gap, heis)
-    if not all(np.isfinite(s) for s in scalars):
-        flags.append("nonfinite_scalar")
-    if gap < -tol_eff:
-        flags.append("main_inequality_violation")
-    if lhs - heis < -tol_eff:
-        flags.append("commutator_bound_violation")
-    if lhs < -slack:
-        flags.append("negative_lhs")
-    if info_a < -slack:
-        flags.append("negative_info_a")
-    if info_b < -slack:
-        flags.append("negative_info_b")
+    # np.array rather than np.stack: the same result with less per-call overhead
+    scalars = np.array((var_a, var_b, cov_ab, info_a, info_b, corr_ab, lhs, rhs, gap, heis))
+    flags = np.array(
+        (
+            ~np.isfinite(scalars).all(axis=0),
+            gap < -tol_eff,
+            lhs - heis < -tol_eff,
+            lhs < -slack,
+            info_a < -slack,
+            info_b < -slack,
+        )
+    ).T
+    return {**dict(zip(_SCALARS, scalars)), "residuals": residuals, "flags": flags}
 
-    return UncertaintyReport(
-        var_a=var_a,
-        var_b=var_b,
-        cov_ab=cov_ab,
-        info_a=info_a,
-        info_b=info_b,
-        corr_ab=corr_ab,
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        heisenberg_rhs=heis,
-        path_residuals=tuple(residuals),
-        flags=tuple(flags),
-    )
+
+def _report_rows(columns: dict[str, np.ndarray]) -> list[dict]:
+    """One ``UncertaintyReport.to_dict()``-shaped dict per instance of a column report."""
+    scalars = np.array([columns[name] for name in _SCALARS]).T.tolist()
+    residuals = columns["residuals"].tolist()
+    masks = columns["flags"]
+    if masks.any():
+        flags = [[name for name, hit in zip(_FLAGS, row) if hit] for row in masks.tolist()]
+    else:
+        flags = [[] for _ in scalars]
+    return [
+        {**dict(zip(_SCALARS, row)), "residuals": res, "flags": names}
+        for row, res, names in zip(scalars, residuals, flags)
+    ]
 
 
 def evaluate_inequalities(
@@ -272,4 +310,7 @@ def evaluate_inequalities(
     ma, mb = _observable(rho, a), _observable(rho, b)
     at = rho.to_eigenbasis(ma)
     bt = rho.to_eigenbasis(mb)
-    return _report_in_eigenbasis(rho.eigenvalues, at, bt, f, tol)
+    # the sweep's stacked evaluation, on a stack of one
+    (row,) = _report_rows(_report_in_eigenbasis(rho.eigenvalues[None], at[None], bt[None], f, tol))
+    path_residuals, flags = tuple(row.pop("residuals")), tuple(row.pop("flags"))
+    return UncertaintyReport(**row, path_residuals=path_residuals, flags=flags)

@@ -1,7 +1,9 @@
 """Sweep harness: seeding, record streams, summaries, file checks, and the CLI."""
 
 import csv
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -24,7 +26,13 @@ from skewcal.harness import (
     splitmix64,
     summarize_records,
 )
-from skewcal.qinfo import UncertaintyReport
+from skewcal.linalg import random_density, random_hermitian
+from skewcal.monotone import from_key
+from skewcal.qinfo import UncertaintyReport, evaluate_inequalities
+
+KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
+SCALARS = CSV_COLUMNS[4:-2]
+PRODUCTS = ("lhs", "rhs", "gap", "heisenberg_rhs")
 
 # Published stream values for splitmix64 from seed 0.
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -139,6 +147,51 @@ def test_run_sweep_gns_audit_appends_residual():
         assert audited["gap"] == plain["gap"]
 
 
+def _report_bits(record: dict) -> str:
+    """Scalars, residuals and flags of a record; repr keeps every bit and the sign of zero."""
+    return repr({key: record[key] for key in CSV_COLUMNS[4:]})
+
+
+def test_record_bits_are_a_function_of_the_trial_alone():
+    dim = 64
+    # two trials fill a dim-64 chunk, so trial 2 of 3 starts a second, partial one
+    assert max(1, harness._STACK_ENTRIES // dim**2) == 2
+    sweeps = {}
+    for trials in (1, 3, 4):
+        records = []
+        run_sweep(SweepConfig(dims=(dim,), trials=trials, f_specs=KEYS, seed=7), records.append)
+        sweeps[trials] = {(r["f"], r["trial"]): r for r in records}
+    for (key, trial), record in sweeps[3].items():
+        seed = record["seed"]
+        rho = random_density(dim, hash64(seed, 0))
+        a, b = (harness._normalized(random_hermitian(dim, hash64(seed, k))) for k in (1, 2))
+        single = evaluate_inequalities(rho, from_key(key), a, b)
+        assert _report_bits(single.to_dict()) == _report_bits(record), (key, trial)
+        for other in (sweeps[1], sweeps[4]):
+            if (key, trial) in other:
+                assert _report_bits(other[key, trial]) == _report_bits(record), (key, trial)
+
+
+def test_sweep_matches_golden_stream(fixtures_dir):
+    # reference stream of the record-at-a-time evaluator: stacked evaluation
+    # may move a record's last bits, never its keys, seed or flags
+    golden = read_records(os.path.join(fixtures_dir, "golden_seed42.jsonl"))
+    config = SweepConfig(dims=(2, 3, 4, 8, 16), trials=3, f_specs=KEYS, seed=42, gns_audit=True)
+    records = []
+    run_sweep(config, records.append)
+    assert len(records) == len(golden) == 5 * 3 * len(KEYS)
+    for new, old in zip(records, golden):
+        for key in ("dim", "f", "trial", "seed", "flags"):
+            assert new[key] == old[key], (key, new, old)
+        scale = max(old["var_a"], old["var_b"])
+        for key in SCALARS:
+            unit = scale * scale if key in PRODUCTS else scale
+            assert abs(new[key] - old[key]) <= 1e-12 * unit, (key, new, old)
+        assert len(new["residuals"]) == len(old["residuals"])
+        for r_new, r_old in zip(new["residuals"], old["residuals"]):
+            assert abs(r_new - r_old) <= 1e-12 * scale, (new, old)
+
+
 def test_summary_matches_streamed_records_and_shuffling():
     config = _tiny_config()
     records = []
@@ -189,6 +242,39 @@ def test_summary_min_gap_tie_break_is_order_free():
     first = summarize_records([a, b], tol=1e-9).min_gap_instance
     second = summarize_records([b, a], tol=1e-9).min_gap_instance
     assert first == second == {"dim": 2, "f": "sld", "trial": 9, "seed": 1}
+
+
+def _summary_record(**fields):
+    record = {
+        "dim": 2, "f": "sld", "trial": 0, "seed": 1, "var_a": 1.0, "var_b": 1.0,
+        "gap": 0.5, "residuals": [], "flags": [],
+    }
+    record.update(fields)
+    return record
+
+
+def test_summary_max_residual_keeps_nan():
+    nan = float("nan")
+    for residuals in ([1e-15, nan], [nan, 1e-15]):
+        summary = summarize_records([_summary_record(residuals=residuals)])
+        assert math.isnan(summary.max_residual), residuals
+    records = [_summary_record(residuals=[nan]), _summary_record(trial=1, residuals=[1.0])]
+    for order in (records, records[::-1]):
+        assert math.isnan(summarize_records(order).max_residual)
+    assert summarize_records(records[1:]).max_residual == 1.0
+
+
+def test_summary_nonfinite_gap_is_a_violation_outside_min_gap():
+    gaps = (0.5, float("nan"), 0.25, float("inf"), float("-inf"))
+    records = [_summary_record(trial=i, gap=g) for i, g in enumerate(gaps)]
+    for order in itertools.permutations(records):
+        summary = summarize_records(order)
+        assert (summary.passes, summary.boundary_cases, summary.violations) == (2, 0, 3)
+        assert summary.min_gap == 0.25
+        assert summary.min_gap_instance["trial"] == 2
+    summary = summarize_records([_summary_record(gap=float("nan"))])
+    assert summary.violations == 1
+    assert summary.min_gap is None and summary.min_gap_instance is None
 
 
 def test_csv_output_round_trips(tmp_path):
@@ -295,6 +381,16 @@ def test_gap_histogram_edge_cases(tmp_path):
         emit_gap_histogram([{"gap": 1.0}], n_buckets=0)
     assert emit_gap_histogram([{"gap": 2.0}] * 3) == [(2.0, 2.0, 3)]
     assert emit_gap_histogram([{"gap": -1.0}, {"gap": 0.0}]) == [(-1.0, 0.0, 2)]
+
+
+def test_gap_histogram_rejects_nonfinite_gaps(tmp_path, capsys):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite"):
+            emit_gap_histogram([{"gap": 1.0}, {"gap": 2.0}, {"gap": bad}])
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"gap": 1.0}\n{"gap": 2.0}\n{"gap": NaN}\n')
+    assert main(["hist", "--in", str(path), "--out", str(tmp_path / "gaps.csv")]) == 1
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_cli_catalog_lists_entries(capsys):

@@ -9,6 +9,8 @@ from skewcal.linalg import DensityMatrix, matrix_power, random_density, random_h
 from skewcal.monotone import MonotoneFunction, from_key, harmonic, sld, wyd
 from skewcal.qinfo import (
     UncertaintyReport,
+    _report_in_eigenbasis,
+    _report_rows,
     beta_correlation,
     beta_information,
     centered,
@@ -218,6 +220,27 @@ def test_flags_fire_on_invalid_profile(fixture_rho, fixture_a, fixture_b):
     report = evaluate_inequalities(fixture_rho, mild, fixture_a, fixture_b)
     assert "negative_info_a" in report.flags
     assert "negative_info_b" in report.flags
+
+
+def test_stacked_report_flags_each_instance_on_its_own(fixture_a, fixture_b):
+    # the inflated f(0) breaks the inequality on a skewed state; on the
+    # maximally mixed state every ratio is 1, the kernel reduces to lam and
+    # nothing is flagged
+    bogus = MonotoneFunction("bogus", (), sld().evaluate, 10.0)
+    states = [
+        DensityMatrix(np.diag([0.5, 0.5]).astype(complex)),
+        DensityMatrix(np.diag([0.75, 0.25]).astype(complex)),
+        DensityMatrix(np.diag([0.5, 0.5]).astype(complex)),
+    ]
+    lam = np.stack([rho.eigenvalues for rho in states])
+    at = np.stack([rho.to_eigenbasis(fixture_a.matrix) for rho in states])
+    bt = np.stack([rho.to_eigenbasis(fixture_b.matrix) for rho in states])
+    rows = _report_rows(_report_in_eigenbasis(lam, at, bt, bogus, 1e-9))
+    assert [row["flags"] for row in rows][::2] == [[], []]
+    assert "main_inequality_violation" in rows[1]["flags"]
+    for rho, row in zip(states, rows):
+        single = evaluate_inequalities(rho, bogus, fixture_a, fixture_b)
+        assert repr(row) == repr(single.to_dict())
 
 
 def test_evaluate_validates_inputs(fixture_rho, fixture_a, fixture_b):

@@ -11,10 +11,11 @@ and every module must keep an ``__all__`` whose names all resolve.
 
 import importlib
 import importlib.util
+import math
 import os
 
 import skewcal
-from skewcal.harness import SweepConfig, run_sweep
+from skewcal.harness import _STACK_ENTRIES, SweepConfig, run_sweep
 
 TRACING_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py"
@@ -48,6 +49,21 @@ def test_traced_sweeps_record_every_wrapped_layer(tmp_path):
     expected |= {"harness.loop", "monotone.tilde", "gns.h", "linalg.rotate"}
     assert expected <= set(tracer.calls())
     assert tracer.counts["gns.h.atom_pairs"] > 0
+
+
+def test_traced_sweep_reports_once_per_dim_chunk_and_f():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    dims, trials = (3, 64), 3
+    with tracing.traced(tracer):
+        summary = run_sweep(SweepConfig(dims=dims, trials=trials, f_specs=KEYS))
+    records = len(dims) * trials * len(KEYS)
+    assert summary.total == records and summary.violations == 0
+    chunks = sum(math.ceil(trials / max(1, _STACK_ENTRIES // d**2)) for d in dims)
+    assert chunks == 3  # one chunk at dim 3, two at dim 64
+    calls = tracer.calls()
+    assert calls["qinfo.report"] == chunks * len(KEYS) < records
+    assert calls["linalg.rotate"] == 2 * len(dims) * trials  # rotations stay per trial
 
 
 def test_package_root_and_module_exports_resolve():
