@@ -11,15 +11,19 @@ order-independent reductions, so they are invariant under shuffling of the
 record stream.
 
 Stacked evaluation: a sweep runs each dimension n in chunks of up to
-T = max(1, _STACK_ENTRIES // n**2) trials. Sampling, validation, the
-rotation into the state's eigenbasis and the optional G = H audit run per
-trial and write into preallocated (T, n) and (T, n, n) stacks; then one
-stacked report per catalog entry evaluates the whole chunk. The stacks and
-the report's temporaries hold O(_STACK_ENTRIES) numbers whatever the trial
-count; the records of one dimension are kept until it is written. Every
-reduction in the report runs over one trial's entries, so a record's bits
-do not depend on the chunk its trial fell in, and equal those of
-``evaluate_inequalities`` on the regenerated instance.
+T = max(1, _STACK_ENTRIES // n**2) trials. The per-trial seeds are
+unchanged and each trial still draws from its own generators; the samplers
+take the chunk's seeds and return validated stacks. Sampling, validation
+(with one batched eigh), the Frobenius normalisation and the rotation into
+each state's eigenbasis run once per chunk, as does one stacked report per
+catalog entry. Only the draws, the observables' Frobenius norms and the
+optional G = H audit, which wraps each state from the validated slices,
+run per trial. A rejected trial is reported with its (dim, trial, seed).
+The stacks and the report's temporaries hold O(_STACK_ENTRIES) numbers
+whatever the trial count; the records of one dimension are kept until it
+is written. Every stacked operation and reduction acts on one trial's
+entries, so a record's bits do not depend on the chunk its trial fell in,
+and equal those of ``evaluate_inequalities`` on the regenerated instance.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .gns import GnsModel, audit_G_equals_H
 from .linalg import (
-    HermitianMatrix,
+    StackRejection,
     load_density,
     load_hermitian,
     random_density,
@@ -243,11 +247,15 @@ def summarize_records(records, tol: float = DEFAULT_TOL) -> SweepSummary:
     return acc.summary()
 
 
-def _normalized(h: HermitianMatrix) -> HermitianMatrix:
-    norm = float(np.linalg.norm(h.matrix))
-    if norm < 1e-300:
-        return h
-    return HermitianMatrix(h.matrix / norm)
+def _normalize(stack: np.ndarray) -> None:
+    """Scale each matrix of a (T, n, n) stack to unit Frobenius norm, in place.
+
+    Each norm is ``np.linalg.norm`` of its own matrix, so its bits do not
+    depend on the stack; a matrix of norm below 1e-300 is left as it is.
+    """
+    norms = np.array([np.linalg.norm(m) for m in stack])
+    norms[norms < 1e-300] = 1.0
+    stack /= norms[:, None, None]
 
 
 def _csv_row(record: dict) -> list:
@@ -255,6 +263,36 @@ def _csv_row(record: dict) -> list:
     row.append(";".join(repr(r) for r in record["residuals"]))
     row.append(";".join(record["flags"]))
     return row
+
+
+def _chunk_instances(config: SweepConfig, functions, dim: int, trials: range):
+    """Draw, validate and rotate the instances of one chunk of trials.
+
+    Returns the per-trial seeds, the states' eigenvalues (T, n), both
+    observables in each state's eigenbasis as (T, n, n) stacks and, with
+    ``config.gns_audit``, one list of audit reports per trial. The sampled
+    stacks die with this call, so they add nothing to the report's peak
+    memory. A rejected instance raises ValueError naming (dim, trial, seed).
+    """
+    seeds = [hash64(config.seed, dim, trial) for trial in trials]
+    try:
+        rho = random_density(dim, [hash64(s, 0) for s in seeds])
+        a = random_hermitian(dim, [hash64(s, 1) for s in seeds])
+        b = random_hermitian(dim, [hash64(s, 2) for s in seeds])
+    except StackRejection as exc:
+        k = exc.index
+        raise ValueError(f"dim {dim}, trial {trials[k]}, seed {seeds[k]}: {exc.reason}") from exc
+    if config.normalize_observables:
+        _normalize(a)
+        _normalize(b)
+    audits = []
+    if config.gns_audit:
+        # one audit per instance covers every f entry
+        audits = [
+            audit_G_equals_H(GnsModel(rho.state(k)), functions, a[k], b[k])
+            for k in range(len(trials))
+        ]
+    return seeds, rho.eigenvalues, rho.to_eigenbasis(a), rho.to_eigenbasis(b), audits
 
 
 def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
@@ -280,32 +318,12 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
                 writer.writerow(CSV_COLUMNS)
         for dim in config.dims:
             chunk = min(config.trials, max(1, _STACK_ENTRIES // (dim * dim)))
-            lam = np.empty((chunk, dim))
-            at = np.empty((chunk, dim, dim), dtype=complex)
-            bt = np.empty((chunk, dim, dim), dtype=complex)
             by_f = [[] for _ in functions]
             for start in range(0, config.trials, chunk):
                 trials = range(start, min(start + chunk, config.trials))
-                seeds = []
-                audits = []
-                for k, trial in enumerate(trials):
-                    trial_seed = hash64(config.seed, dim, trial)
-                    rho = random_density(dim, hash64(trial_seed, 0))
-                    a = random_hermitian(dim, hash64(trial_seed, 1))
-                    b = random_hermitian(dim, hash64(trial_seed, 2))
-                    if config.normalize_observables:
-                        a = _normalized(a)
-                        b = _normalized(b)
-                    seeds.append(trial_seed)
-                    lam[k] = rho.eigenvalues
-                    at[k] = rho.to_eigenbasis(a.matrix)
-                    bt[k] = rho.to_eigenbasis(b.matrix)
-                    if config.gns_audit:
-                        # one audit per instance covers every f entry
-                        audits.append(audit_G_equals_H(GnsModel(rho), functions, a, b))
-                t = len(trials)
+                seeds, lam, at, bt, audits = _chunk_instances(config, functions, dim, trials)
                 for i, f in enumerate(functions):
-                    columns = _report_in_eigenbasis(lam[:t], at[:t], bt[:t], f, config.tol)
+                    columns = _report_in_eigenbasis(lam, at, bt, f, config.tol)
                     for k, row in enumerate(_report_rows(columns)):
                         if audits:
                             audit = audits[k][i]

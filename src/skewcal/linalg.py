@@ -4,11 +4,19 @@ Everything here is desk-scale dense numerics: validated constructors, a
 cached eigendecomposition per state, fractional matrix powers, the
 entrywise kernel built from a monotone-function transform, and the JSON
 wire format for matrices.
+
+Validation is written once, for (T, n, n) stacks, and checks every matrix
+of a stack on its own; a single HermitianMatrix or DensityMatrix is a stack
+of one. The samplers take one seed or a sequence of per-matrix seeds; a
+sequence gives validated stacks whose slices equal the one-seed draws bit
+for bit.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +28,9 @@ __all__ = [
     "FAITHFULNESS_FLOOR",
     "HERMITICITY_REPAIR_THRESHOLD",
     "DensityMatrix",
+    "DensityStack",
     "HermitianMatrix",
+    "StackRejection",
     "as_matrix",
     "eigendecompose",
     "group_spectrum",
@@ -65,6 +75,76 @@ def as_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
+class StackRejection(ValueError):
+    """A stack validator rejected the matrix at ``index`` of its (T, n, n) stack."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"stack index {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
+def _require(ok: np.ndarray, stacked: bool, reason) -> None:
+    """Raise for the first False entry of the per-matrix mask ``ok``.
+
+    ``reason(k)`` says why matrix k failed. A stack names the index in a
+    StackRejection; a single matrix (a stack of one) raises a plain ValueError.
+    """
+    if ok.all():
+        return
+    index = int(np.argmin(ok))
+    if stacked:
+        raise StackRejection(index, reason(index))
+    raise ValueError(reason(index))
+
+
+def _hermitian_stack(m: np.ndarray, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a (T, n, n) complex stack; return ((M + M†)/2, max|M - (M + M†)/2|) per matrix.
+
+    Rejects a matrix with a non-finite entry, or whose repair residual
+    exceeds HERMITICITY_REPAIR_THRESHOLD * max(1, max|M|).
+    """
+    _require(np.isfinite(m).all(axis=(1, 2)), stacked, lambda k: "matrix entries must be finite")
+    sym = m + m.conj().swapaxes(1, 2)
+    sym *= 0.5
+    residual = np.abs(m - sym).max(axis=(1, 2))
+    # the scale is at least 1, so it is only needed past the bare threshold
+    if (residual > HERMITICITY_REPAIR_THRESHOLD).any():
+        limit = HERMITICITY_REPAIR_THRESHOLD * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+        _require(
+            residual <= limit,
+            stacked,
+            lambda k: f"matrix is not Hermitian: max deviation {residual[k]:.3e} exceeds "
+            f"repair threshold {limit[k]:.1e}",
+        )
+    return sym, residual
+
+
+def _faithful_spectrum(sym: np.ndarray, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (T, n) and eigenvectors (T, n, n) of a stack of Hermitian states.
+
+    Rejects a matrix whose trace is not 1 within TRACE_TOL, whose
+    eigendecomposition fails its reconstruction check, or whose smallest
+    eigenvalue lies below FAITHFULNESS_FLOOR.
+    """
+    trace = np.trace(sym, axis1=1, axis2=2).real
+    _require(
+        np.abs(trace - 1.0) <= TRACE_TOL,
+        stacked,
+        lambda k: f"density matrix trace {float(trace[k])!r} is not 1 within {TRACE_TOL:.1e}",
+    )
+    lam, u = eigendecompose(sym if stacked else sym[0])
+    if not stacked:
+        lam, u = lam[None], u[None]
+    _require(
+        lam[:, -1] >= FAITHFULNESS_FLOOR,
+        stacked,
+        lambda k: f"state is not faithful: smallest eigenvalue {lam[k, -1]:.3e} is below "
+        f"the floor {FAITHFULNESS_FLOOR:.1e}",
+    )
+    return lam, u
+
+
 class HermitianMatrix:
     """Square complex matrix forced Hermitian on construction.
 
@@ -80,47 +160,49 @@ class HermitianMatrix:
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("matrix entries must be finite")
-        sym = 0.5 * (m + m.conj().T)
-        residual = float(np.max(np.abs(m - sym)))
-        # the scale is at least 1, so it is only needed past the bare threshold
-        if residual > HERMITICITY_REPAIR_THRESHOLD:
-            limit = HERMITICITY_REPAIR_THRESHOLD * max(1.0, float(np.max(np.abs(m))))
-            if residual > limit:
-                raise ValueError(
-                    f"matrix is not Hermitian: max deviation {residual:.3e} exceeds "
-                    f"repair threshold {limit:.1e}"
-                )
-        self.matrix = sym
-        self.dim = int(m.shape[0])
-        self.herm_residual = residual
+        sym, residual = _hermitian_stack(m[None], stacked=False)
+        self.matrix, self.dim, self.herm_residual = sym[0], int(m.shape[0]), float(residual[0])
+
+    @classmethod
+    def _validated(cls, matrix: np.ndarray, herm_residual: float) -> "HermitianMatrix":
+        """Wrap one slice of a stack that _hermitian_stack already validated."""
+        h = object.__new__(cls)
+        h.matrix, h.dim, h.herm_residual = matrix, int(matrix.shape[0]), herm_residual
+        return h
 
     def __repr__(self):
         return f"HermitianMatrix(dim={self.dim}, herm_residual={self.herm_residual:.2e})"
 
 
 def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
+    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix or stack.
 
     Returns (lam, u) with h = u @ diag(lam) @ u†; the reconstruction is
-    verified to RECONSTRUCTION_RTOL relative Frobenius error.
+    verified to RECONSTRUCTION_RTOL relative Frobenius error. A (T, n, n)
+    stack gives (T, n) and (T, n, n) arrays from one batched ``eigh``, each
+    matrix checked on its own and a failure named by its stack index.
     """
     m = as_matrix(h)
+    stacked = m.ndim == 3
+    if not stacked:
+        m = m[None]
     try:
         lam, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigendecomposition did not converge: {exc}") from exc
-    lam = np.ascontiguousarray(lam[::-1])
-    u = np.ascontiguousarray(u[:, ::-1])
-    residual = float(np.linalg.norm((u * lam) @ u.conj().T - m))
-    scale = max(float(np.linalg.norm(m)), np.finfo(float).tiny)
-    if residual > RECONSTRUCTION_RTOL * scale:
-        raise ValueError(
-            f"eigendecomposition reconstruction residual {residual:.3e} exceeds "
-            f"{RECONSTRUCTION_RTOL:.1e} * ||h||"
-        )
-    return lam, u
+    lam = np.ascontiguousarray(lam[:, ::-1])
+    u = np.ascontiguousarray(u[:, :, ::-1])
+    recon = (u * lam[:, None, :]) @ u.conj().swapaxes(1, 2)
+    recon -= m
+    residual = np.linalg.norm(recon, axis=(1, 2))
+    scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), np.finfo(float).tiny)
+    _require(
+        residual <= RECONSTRUCTION_RTOL * scale,
+        stacked,
+        lambda k: f"eigendecomposition reconstruction residual {residual[k]:.3e} exceeds "
+        f"{RECONSTRUCTION_RTOL:.1e} * ||h||",
+    )
+    return (lam, u) if stacked else (lam[0], u[0])
 
 
 class DensityMatrix:
@@ -134,18 +216,15 @@ class DensityMatrix:
 
     def __init__(self, entries):
         base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
-        trace = float(np.trace(base.matrix).real)
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {trace!r} is not 1 within {TRACE_TOL:.1e}")
-        lam, u = eigendecompose(base)
-        if lam[-1] < FAITHFULNESS_FLOOR:
-            raise ValueError(
-                f"state is not faithful: smallest eigenvalue {lam[-1]:.3e} is below "
-                f"the floor {FAITHFULNESS_FLOOR:.1e}"
-            )
-        self.base = base
-        self.eigenvalues = lam
-        self.eigenvectors = u
+        lam, u = _faithful_spectrum(base.matrix[None], stacked=False)
+        self.base, self.eigenvalues, self.eigenvectors = base, lam[0], u[0]
+
+    @classmethod
+    def _validated(cls, base: HermitianMatrix, lam: np.ndarray, u: np.ndarray) -> "DensityMatrix":
+        """Wrap one state of a stack that _faithful_spectrum already validated."""
+        rho = object.__new__(cls)
+        rho.base, rho.eigenvalues, rho.eigenvectors = base, lam, u
+        return rho
 
     @property
     def matrix(self) -> np.ndarray:
@@ -166,6 +245,31 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, spectrum={np.array2string(self.eigenvalues, precision=4)})"
+
+
+@dataclass(frozen=True, eq=False)
+class DensityStack:
+    """T validated faithful states of one dimension, held as stacked arrays.
+
+    ``matrices`` is (T, n, n), ``herm_residuals`` (T,), ``eigenvalues``
+    (T, n) with each row descending and ``eigenvectors`` (T, n, n). Slice k
+    holds exactly what ``DensityMatrix(matrices[k])`` would compute.
+    """
+
+    matrices: np.ndarray
+    herm_residuals: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def state(self, k: int) -> DensityMatrix:
+        """State k as a DensityMatrix, wrapping the validated slices without a second eigh."""
+        base = HermitianMatrix._validated(self.matrices[k], float(self.herm_residuals[k]))
+        return DensityMatrix._validated(base, self.eigenvalues[k], self.eigenvectors[k])
+
+    def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
+        """u_k† a_k u_k for every state k and matrix k of the (T, n, n) stack ``a``."""
+        u = self.eigenvectors
+        return u.conj().swapaxes(1, 2) @ a @ u
 
 
 def matrix_power(rho: DensityMatrix, p: float) -> HermitianMatrix:
@@ -216,25 +320,66 @@ def wyd_sandwich(rho: DensityMatrix, beta: float, a) -> HermitianMatrix:
     return HermitianMatrix(0.5 * (pb @ m @ pc + pc @ m @ pb))
 
 
-def random_hermitian(dim: int, seed: int) -> HermitianMatrix:
-    """GUE-type draw (G + G†)/2 with G i.i.d. standard complex Gaussian."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianMatrix(0.5 * (g + g.conj().T))
+def _seed_list(seed: int | Sequence[int]) -> tuple[list, bool]:
+    """(seeds, stacked): an int seed is a stack of one, a sequence one seed per matrix."""
+    if isinstance(seed, (int, np.integer)):
+        return [seed], False
+    seeds = list(seed)
+    if not seeds:
+        raise ValueError("seed sequence must be non-empty")
+    return seeds, True
 
 
-def random_density(dim: int, seed: int) -> DensityMatrix:
-    """Wishart-type draw G G† / Tr, mixed slightly toward the maximally mixed state."""
+def _ginibre(dim: int, seeds: list) -> np.ndarray:
+    """(T, n, n) stack of i.i.d. standard complex Gaussian matrices, one per seed.
+
+    Matrix k takes its real parts, then its imaginary parts, from one
+    ``standard_normal((2, n, n))`` draw of ``default_rng(seeds[k])``: the
+    same stream as two (n, n) draws.
+    """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    w = g @ g.conj().T
-    rho = w / float(np.trace(w).real)
-    rho = (1.0 - DENSITY_REGULARIZATION) * rho + DENSITY_REGULARIZATION * np.eye(dim) / dim
-    return DensityMatrix(rho)
+    raw = np.empty((len(seeds), 2, dim, dim))
+    for k, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=raw[k])
+    g = np.empty((len(seeds), dim, dim), dtype=complex)
+    g.real = raw[:, 0]
+    g.imag = raw[:, 1]
+    return g
+
+
+def random_hermitian(dim: int, seed: int | Sequence[int]) -> HermitianMatrix | np.ndarray:
+    """GUE-type draw (G + G†)/2 with G i.i.d. standard complex Gaussian.
+
+    An int ``seed`` gives a HermitianMatrix; a sequence of T seeds gives the
+    validated (T, n, n) stack whose matrix k is
+    ``random_hermitian(dim, seed[k]).matrix``.
+    """
+    seeds, stacked = _seed_list(seed)
+    g = _ginibre(dim, seeds)
+    h = g + g.conj().swapaxes(1, 2)
+    h *= 0.5
+    sym, residual = _hermitian_stack(h, stacked)
+    return sym if stacked else HermitianMatrix._validated(sym[0], float(residual[0]))
+
+
+def random_density(dim: int, seed: int | Sequence[int]) -> DensityMatrix | DensityStack:
+    """Wishart-type draw G G† / Tr, mixed slightly toward the maximally mixed state.
+
+    An int ``seed`` gives a DensityMatrix; a sequence of T seeds gives a
+    DensityStack whose state k is ``random_density(dim, seed[k])``, validated
+    and decomposed with one batched eigh.
+    """
+    seeds, stacked = _seed_list(seed)
+    g = _ginibre(dim, seeds)
+    w = g @ g.conj().swapaxes(1, 2)
+    w /= np.trace(w, axis1=1, axis2=2).real[:, None, None]
+    w *= 1.0 - DENSITY_REGULARIZATION
+    w += DENSITY_REGULARIZATION * np.eye(dim) / dim
+    sym, residual = _hermitian_stack(w, stacked)
+    lam, u = _faithful_spectrum(sym, stacked)
+    states = DensityStack(sym, residual, lam, u)
+    return states if stacked else states.state(0)
 
 
 def group_spectrum(eigenvalues) -> np.ndarray:

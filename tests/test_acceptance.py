@@ -5,7 +5,9 @@ and is reduced on the fly; everything else is deterministic and seeded, so
 this module gives the same verdicts on every run.
 """
 
+import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -27,8 +29,21 @@ SWEEP_KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
 CATALOG_KEYS = ("sld", "harmonic", "wyd:0.1", "wyd:0.25", "wyd:0.5", "wyd:0.75", "wyd:0.9")
 
 
+def _nan_min(current: float, value: float) -> float:
+    # min() keeps the old value against a NaN; here a NaN sticks
+    return value if math.isnan(value) or value < current else current
+
+
+def _nan_max(current: float, value: float) -> float:
+    return value if math.isnan(value) or value > current else current
+
+
 class _SweepAggregate:
-    """Streaming reduction of the big sweep; keeps no records in memory."""
+    """Streaming reduction of the big sweep; keeps no records in memory.
+
+    A NaN gap, slack or residual sticks in its minimum or maximum, so it
+    reaches the criterion lines instead of being dropped.
+    """
 
     def __init__(self, tol: float):
         self.tol = tol
@@ -49,10 +64,32 @@ class _SweepAggregate:
         tol_eff = self.tol * max(1.0, record["var_a"] * record["var_b"])
         slack = record["lhs"] - record["heisenberg_rhs"]
         self.commutator_violations += slack < -tol_eff
-        self.min_gap = min(self.min_gap, record["gap"])
-        self.min_schrodinger_slack = min(self.min_schrodinger_slack, slack)
-        if record["residuals"]:
-            self.max_residual = max(self.max_residual, max(record["residuals"]))
+        self.min_gap = _nan_min(self.min_gap, record["gap"])
+        self.min_schrodinger_slack = _nan_min(self.min_schrodinger_slack, slack)
+        for residual in record["residuals"]:
+            self.max_residual = _nan_max(self.max_residual, residual)
+
+
+def test_sweep_aggregate_keeps_nan_in_every_order():
+    good = {"flags": [], "var_a": 1.0, "var_b": 1.0, "lhs": 0.5, "heisenberg_rhs": 0.25,
+            "gap": 0.5, "residuals": [1e-15]}
+    nan_gap = {**good, "gap": math.nan}
+    nan_slack = {**good, "lhs": math.nan}
+    nan_residual = {**good, "residuals": [1e-15, math.nan]}
+    for bad, field in (
+        (nan_gap, "min_gap"),
+        (nan_slack, "min_schrodinger_slack"),
+        (nan_residual, "max_residual"),
+    ):
+        for order in itertools.permutations((good, bad, {**good, "gap": 0.25})):
+            agg = _SweepAggregate(tol=DEFAULT_TOL)
+            for record in order:
+                agg.consume(record)
+            assert math.isnan(getattr(agg, field)), (field, order)
+    agg = _SweepAggregate(tol=DEFAULT_TOL)
+    for record in (good, {**good, "gap": 0.25, "residuals": [2e-15]}):
+        agg.consume(record)
+    assert (agg.min_gap, agg.min_schrodinger_slack, agg.max_residual) == (0.25, 0.25, 2e-15)
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +111,7 @@ def test_criterion_1_main_inequality_sweep(big_sweep):
         and agg.main_flagged == 0
         and agg.other_flagged == 0
         and agg.min_gap >= -DEFAULT_TOL
+        and math.isfinite(agg.max_residual)
     )
     record_acceptance(
         1,

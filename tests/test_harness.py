@@ -152,6 +152,28 @@ def _report_bits(record: dict) -> str:
     return repr({key: record[key] for key in CSV_COLUMNS[4:]})
 
 
+def test_run_sweep_names_the_rejected_trial(monkeypatch):
+    # dim 64 runs two trials per chunk; trial 2 is index 0 of the second chunk
+    eigh = np.linalg.eigh
+    calls = []
+
+    def perturb_second_chunk(m):
+        lam, u = eigh(m)
+        calls.append(len(m))
+        if len(calls) == 2:
+            u[0] *= 1.0 + 1e-6
+        return lam, u
+
+    monkeypatch.setattr(np.linalg, "eigh", perturb_second_chunk)
+    config = SweepConfig(dims=(64,), trials=3, f_specs=("sld",), seed=5)
+    seed = hash64(5, 64, 2)
+    with pytest.raises(
+        ValueError, match=f"^dim 64, trial 2, seed {seed}: eigendecomposition reconstruction"
+    ):
+        run_sweep(config)
+    assert calls == [2, 1]
+
+
 def test_record_bits_are_a_function_of_the_trial_alone():
     dim = 64
     # two trials fill a dim-64 chunk, so trial 2 of 3 starts a second, partial one
@@ -164,7 +186,8 @@ def test_record_bits_are_a_function_of_the_trial_alone():
     for (key, trial), record in sweeps[3].items():
         seed = record["seed"]
         rho = random_density(dim, hash64(seed, 0))
-        a, b = (harness._normalized(random_hermitian(dim, hash64(seed, k))) for k in (1, 2))
+        a, b = (random_hermitian(dim, hash64(seed, k)).matrix for k in (1, 2))
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)  # the sweep's normalisation
         single = evaluate_inequalities(rho, from_key(key), a, b)
         assert _report_bits(single.to_dict()) == _report_bits(record), (key, trial)
         for other in (sweeps[1], sweeps[4]):

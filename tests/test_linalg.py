@@ -6,13 +6,16 @@ import os
 import numpy as np
 import pytest
 
+import skewcal.linalg as linalg
 from oracle import FROZEN
 from skewcal.linalg import (
     DEGENERACY_RTOL,
     FAITHFULNESS_FLOOR,
     HERMITICITY_REPAIR_THRESHOLD,
     DensityMatrix,
+    DensityStack,
     HermitianMatrix,
+    StackRejection,
     as_matrix,
     eigendecompose,
     group_spectrum,
@@ -180,6 +183,106 @@ def test_random_draws_are_deterministic():
         random_hermitian(0, seed=1)
     with pytest.raises(ValueError):
         random_density(0, seed=1)
+
+
+def test_stacked_draws_equal_single_draws_bit_for_bit():
+    seeds = [11, 12, 13]
+    states = random_density(4, seeds)
+    observables = random_hermitian(4, seeds)
+    assert isinstance(states, DensityStack) and observables.shape == (3, 4, 4)
+    rotated = states.to_eigenbasis(observables)
+    for k, seed in enumerate(seeds):
+        rho, state = random_density(4, seed), states.state(k)
+        for single, stacked in (
+            (rho.matrix, state.matrix),
+            (rho.eigenvalues, state.eigenvalues),
+            (rho.eigenvectors, state.eigenvectors),
+            (random_hermitian(4, seed).matrix, observables[k]),
+            (rho.to_eigenbasis(observables[k]), rotated[k]),
+        ):
+            assert single.tobytes() == stacked.tobytes()
+        assert state.base.herm_residual == rho.base.herm_residual
+    with pytest.raises(ValueError, match="non-empty"):
+        random_density(4, [])
+
+
+# Every stack rejection below is checked with the bad matrix at each position
+# of a stack of otherwise good ones: the validators test every trial, and the
+# rejection names the bad one's index.
+STACK_SEEDS = [101, 102, 103, 104]
+
+
+def _with_bad(good: np.ndarray, k: int, bad: np.ndarray) -> np.ndarray:
+    stack = good.copy()
+    stack[k] = bad
+    return stack
+
+
+def _rejected(k: int, reason: str, call, *args) -> None:
+    with pytest.raises(StackRejection, match=f"^stack index {k}: {reason}") as info:
+        call(*args)
+    assert info.value.index == k
+
+
+def test_stacked_samplers_reject_nonfinite_draws_by_index(monkeypatch):
+    ginibre = linalg._ginibre
+    for k in range(len(STACK_SEEDS)):
+
+        def poisoned(dim, seeds, k=k):
+            g = ginibre(dim, seeds)
+            g[k, 1, 0] = np.nan
+            return g
+
+        monkeypatch.setattr(linalg, "_ginibre", poisoned)
+        _rejected(k, "matrix entries must be finite", random_hermitian, 3, STACK_SEEDS)
+        with np.errstate(invalid="ignore"):  # the NaN reaches the trace normalisation
+            _rejected(k, "matrix entries must be finite", random_density, 3, STACK_SEEDS)
+
+
+def test_stack_rejects_non_hermitian_matrix_by_index():
+    good = random_hermitian(2, STACK_SEEDS)
+    # each matrix gets its own scaled threshold: 1e-11 relative asymmetry at
+    # norm 1e8 is accepted next to the rejected one
+    large = 1e8 * good[0]
+    large[0, 1] += 1e-11 * 1e8
+    for k in range(len(STACK_SEEDS)):
+        bad = good[k].copy()
+        bad[0, 1] += 1e-7  # a deviation of 5e-8, far past 1e-9 * max|m| at entries ~1
+        stack = _with_bad(good, k, bad)
+        stack[(k + 1) % len(STACK_SEEDS)] = large
+        _rejected(k, "matrix is not Hermitian", linalg._hermitian_stack, stack, True)
+
+
+def test_stack_rejects_trace_by_index():
+    good = random_density(3, STACK_SEEDS).matrices
+    for k in range(len(STACK_SEEDS)):
+        stack = _with_bad(good, k, 1.1 * good[k])
+        _rejected(k, "density matrix trace", linalg._faithful_spectrum, stack, True)
+
+
+def test_stack_rejects_unfaithful_state_by_index():
+    good = random_density(3, STACK_SEEDS).matrices
+    below_floor = np.diag([1.0 - 2e-11, 1e-11, 1e-11]).astype(complex)
+    for k in range(len(STACK_SEEDS)):
+        stack = _with_bad(good, k, below_floor)
+        _rejected(k, "state is not faithful", linalg._faithful_spectrum, stack, True)
+
+
+def test_stack_rejects_failed_reconstruction_by_index(monkeypatch):
+    eigh = np.linalg.eigh
+    for k in range(len(STACK_SEEDS)):
+
+        def perturbed(m, k=k):
+            lam, u = eigh(m)
+            u[k] *= 1.0 + 1e-6  # reconstructs (1 + 1e-6)^2 times the matrix
+            return lam, u
+
+        monkeypatch.setattr(linalg.np.linalg, "eigh", perturbed)
+        _rejected(k, "eigendecomposition reconstruction", random_density, 3, STACK_SEEDS)
+    # a single matrix is a stack of one whose message names no index
+    monkeypatch.setattr(linalg.np.linalg, "eigh", lambda m: perturbed(m, k=0))
+    with pytest.raises(ValueError, match="^eigendecomposition reconstruction"):
+        eigendecompose(np.diag([2.0, 1.0]))
 
 
 def test_group_spectrum_clusters():

@@ -243,6 +243,54 @@ def test_stacked_report_flags_each_instance_on_its_own(fixture_a, fixture_b):
         assert repr(row) == repr(single.to_dict())
 
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def _nonfinite_row():
+    at = SIGMA_X.copy()
+    at[0, 1] = np.nan
+    return np.array([0.75, 0.25]), at, SIGMA_Z
+
+
+def _commutator_row():
+    # b's (1, 0) entry is not the conjugate of its (0, 1) entry. The
+    # variances and the covariance take real parts, which see sigma_x twice,
+    # so lhs = 1 * 1 - 1^2 = 0 and the rhs cancels to 0 as well; the
+    # commutator term keeps the imaginary part, |0.5i|^2 / 4 = 1/16 > lhs.
+    bt = np.array([[0.0, 1.0], [1.0 + 1.0j, 0.0]])
+    return np.array([0.75, 0.25]), SIGMA_X, bt
+
+
+def _negative_lhs_row():
+    # b is real but not symmetric, b[1, 0] = 1 - 2 d with d = 1e-5. On the
+    # maximally mixed state var_a = 1, var_b = 1 - 2 d and cov = 1 - d, so
+    # lhs = -d^2 = -1e-10: below -1e-12 (the nonnegativity slack) but above
+    # -1e-9 (the tolerance), where the commutator term 0 and the gap do not flag.
+    bt = np.array([[0.0, 1.0], [1.0 - 2e-5, 0.0]], dtype=complex)
+    return np.array([0.5, 0.5]), SIGMA_X, bt
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+@pytest.mark.parametrize(
+    "flag, bad_row",
+    [
+        ("nonfinite_scalar", _nonfinite_row),
+        ("commutator_bound_violation", _commutator_row),
+        ("negative_lhs", _negative_lhs_row),
+    ],
+)
+def test_report_flags_fire_alone_on_the_bad_row(flag, bad_row, key):
+    # the sampled instances of a sweep do not reach these flags, so the bad
+    # rows feed the stacked evaluator eigenbasis entries that no finite
+    # Hermitian pair produces
+    good = (np.array([0.75, 0.25]), SIGMA_X, SIGMA_Z)
+    lam, at, bt = (np.stack(parts) for parts in zip(good, bad_row()))
+    rows = _report_rows(_report_in_eigenbasis(lam, at, bt, from_key(key), 1e-9))
+    assert rows[0]["flags"] == []
+    assert rows[1]["flags"] == [flag]
+
+
 def test_evaluate_validates_inputs(fixture_rho, fixture_a, fixture_b):
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):

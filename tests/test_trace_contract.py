@@ -63,7 +63,11 @@ def test_traced_sweep_reports_once_per_dim_chunk_and_f():
     assert chunks == 3  # one chunk at dim 3, two at dim 64
     calls = tracer.calls()
     assert calls["qinfo.report"] == chunks * len(KEYS) < records
-    assert calls["linalg.rotate"] == 2 * len(dims) * trials  # rotations stay per trial
+    # per chunk: one state stack and two observable stacks, and one batched eigh
+    assert calls["linalg.sample"] == 3 * chunks
+    assert calls["linalg.eigh"] == chunks
+    # the stacked rotation is DensityStack.to_eigenbasis, not a per-state one
+    assert calls["linalg.rotate"] == 0
 
 
 def test_package_root_and_module_exports_resolve():
