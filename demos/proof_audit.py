@@ -21,10 +21,9 @@ from skewcal.gns import (
     GnsModel,
     audit_G_equals_H,
     build_mu,
-    cov_via_form,
-    corr_via_form,
     form_E1,
     form_F,
+    form_G,
     pair_integrand,
 )
 from skewcal.linalg import random_density, random_hermitian
@@ -39,15 +38,17 @@ f = from_key("wyd:0.3")
 model = GnsModel(rho)
 print("modular spectrum has", model.spectrum().values.size, "atoms for dim", model.dim)
 
-# The forms reproduce the trace-formula scalars.
+# The forms of the centered observables reproduce the trace-formula
+# scalars: cov = Re E1 / 2 and corr = Re G with G = E1 / 2 - F.
 report = evaluate_inequalities(rho, f, a.matrix, b.matrix)
-print("cov via form :", cov_via_form(model, a.matrix, b.matrix), " trace route:", report.cov_ab)
-print("corr via form:", corr_via_form(model, f, a.matrix, b.matrix), " trace route:", report.corr_ab)
+xa = centered(rho, a.matrix)
+xb = centered(rho, b.matrix)
+print("cov via form :", 0.5 * form_E1(model, xa, xb).real, " trace route:", report.cov_ab)
+print("corr via form:", form_G(model, f, xa, xb).real, " trace route:", report.corr_ab)
 
 # E1 and F sandwich every mixed term: F is the ftilde(Delta) form, E1
 # the f-independent envelope (Delta + 1), and F <= E1 / 2 entrywise in
 # any orthogonal decomposition.
-xa = centered(rho, a.matrix)
 print("E1(a,a) / 2  :", 0.5 * form_E1(model, xa, xa).real)
 print("F(a,a)       :", form_F(model, f, xa, xa).real, " (= var - info)")
 
@@ -60,7 +61,7 @@ print("flags    =", audit.flags)
 
 # mu is built from three rank-one pieces per atom pair and is
 # nonnegative by a Cauchy-Schwarz argument; min over atoms:
-mu = build_mu(model, xa, centered(rho, b.matrix))
+mu = build_mu(model, xa, xb)
 print("smallest mu atom:", float(mu.weights.min()))
 
 # The integrand against mu is nonnegative too, and at the fixed point

@@ -54,14 +54,10 @@ __all__ = [
     "ModularSpectrum",
     "audit_G_equals_H",
     "build_mu",
-    "corr_via_form",
-    "cov_via_form",
-    "form_E",
     "form_E1",
     "form_F",
     "form_G",
     "h_from_measure",
-    "modular_apply",
     "pair_integrand",
 ]
 
@@ -111,13 +107,6 @@ class GnsModel:
         return self._spectrum
 
 
-def modular_apply(m: GnsModel, x) -> np.ndarray:
-    """Modular operator rho x rho^(-1), via entrywise ratios in the eigenbasis."""
-    tilted = m.to_eigenbasis(x)
-    u = m.eigenvectors
-    return u @ (m.ratios * tilted) @ u.conj().T
-
-
 def _weighted_form(kernel: np.ndarray, xt: np.ndarray, et: np.ndarray) -> complex:
     # sum_ij kernel[i,j] * conj(xt[i,j]) * et[i,j] over eigenbasis entries
     # xt, et; the kernel carries the column weight lam[j] that realizes
@@ -125,15 +114,10 @@ def _weighted_form(kernel: np.ndarray, xt: np.ndarray, et: np.ndarray) -> comple
     return complex(np.sum(kernel * np.conj(xt) * et))
 
 
-def form_E(m: GnsModel, xi, eta) -> complex:
-    """Graph-term form <Delta^(1/2) xi, Delta^(1/2) eta> = <xi, Delta eta>."""
-    kernel = m.ratios * m.eigenvalues[None, :]
-    return _weighted_form(kernel, m.to_eigenbasis(xi), m.to_eigenbasis(eta))
-
-
 def form_E1(m: GnsModel, xi, eta) -> complex:
-    """form_E plus the plain inner product: <xi, (1 + Delta) eta>."""
-    return form_E(m, xi, eta) + m.inner(xi, eta)
+    """Graph form <xi, (1 + Delta) eta>: <xi, Delta eta> plus the plain inner product."""
+    kernel = m.ratios * m.eigenvalues[None, :]
+    return _weighted_form(kernel, m.to_eigenbasis(xi), m.to_eigenbasis(eta)) + m.inner(xi, eta)
 
 
 def form_F(m: GnsModel, f: MonotoneFunction, xi, eta) -> complex:
@@ -145,20 +129,6 @@ def form_F(m: GnsModel, f: MonotoneFunction, xi, eta) -> complex:
 def form_G(m: GnsModel, f: MonotoneFunction, xi, eta) -> complex:
     """Nonnegative-difference form: form_E1 / 2 - form_F."""
     return 0.5 * form_E1(m, xi, eta) - form_F(m, f, xi, eta)
-
-
-def cov_via_form(m: GnsModel, a, b) -> float:
-    """Covariance recomputed as Re form_E1 of the centered observables, halved."""
-    a0 = centered(m.rho, a)
-    b0 = centered(m.rho, b)
-    return 0.5 * form_E1(m, a0, b0).real
-
-
-def corr_via_form(m: GnsModel, f: MonotoneFunction, a, b) -> float:
-    """f-correlation recomputed as Re form_G of the centered observables."""
-    a0 = centered(m.rho, a)
-    b0 = centered(m.rho, b)
-    return form_G(m, f, a0, b0).real
 
 
 @dataclass(frozen=True, eq=False)

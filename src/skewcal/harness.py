@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,13 @@ def hash64(*words: int) -> int:
     return h
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError for a bool or a non-integer, never a truncation."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Parameters of one verification sweep.
@@ -132,15 +140,17 @@ class SweepConfig:
     format: str = "jsonl"
 
     def __post_init__(self):
-        dims = tuple(sorted(set(int(d) for d in self.dims)))
+        dims = tuple(sorted(set(_integer(d, "dims entry") for d in self.dims)))
         if not dims:
             raise ValueError("dims must be non-empty")
         if dims[0] < 1 or dims[-1] > MAX_SWEEP_DIM:
             raise ValueError(f"dims must lie in [1, {MAX_SWEEP_DIM}], got {dims}")
         object.__setattr__(self, "dims", dims)
-        if int(self.trials) < 1:
+        trials = _integer(self.trials, "trials")
+        if trials < 1:
             raise ValueError("trials must be at least 1")
-        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         specs = tuple(str(s) for s in self.f_specs)
         if not specs:
             raise ValueError("f_specs must be non-empty")
@@ -379,9 +389,12 @@ def read_records(path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{line_no}: a record must be a JSON object")
+            records.append(record)
     return records
 
 
@@ -391,16 +404,23 @@ def emit_gap_histogram(records, n_buckets: int = 20, out_path=None) -> list[tupl
     Positive gaps get ``n_buckets`` log-spaced buckets over their observed
     range; any nonpositive gaps (boundary hits) are collected in one leading
     bucket ending at 0. Bucket counts always sum to the record count; a
-    non-finite gap fits no bucket and raises ValueError. Rows
+    non-finite gap fits no bucket and raises ValueError, as does a record
+    without a gap or with one that is not a real number (a bool is not). Rows
     are (gap_lo, gap_hi, count); with ``out_path`` they are also written as
     CSV with that header.
     """
-    gaps = [float(r["gap"]) for r in records]
+    gaps = []
+    for k, record in enumerate(records):
+        if "gap" not in record:
+            raise ValueError(f"records[{k}] has no 'gap'")
+        gap = record["gap"]
+        if isinstance(gap, bool) or not isinstance(gap, numbers.Real):
+            raise ValueError(f"records[{k}]: gap {gap!r} is not a real number")
+        if not math.isfinite(gap):
+            raise ValueError(f"records[{k}]: gap {gap!r} is non-finite; no bucket holds it")
+        gaps.append(float(gap))
     if not gaps:
         raise ValueError("no records to bucket")
-    bad = sum(not math.isfinite(g) for g in gaps)
-    if bad:
-        raise ValueError(f"{bad} record(s) have a non-finite gap; no bucket holds them")
     if n_buckets < 1:
         raise ValueError("n_buckets must be at least 1")
     nonpos = [g for g in gaps if g <= 0.0]

@@ -1,8 +1,7 @@
 """Dense Hermitian and density-matrix types plus the modular correlation kernel.
 
 Everything here is desk-scale dense numerics: validated constructors, a
-cached eigendecomposition per state, fractional matrix powers, the
-entrywise kernel built from a monotone-function transform, and the JSON
+cached eigendecomposition per state, the entrywise kernel built from a monotone-function transform, and the JSON
 wire format for matrices.
 
 Validation is written once, for (T, n, n) stacks, and checks every matrix
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monotone import MonotoneFunction, _require_beta, tilde_transform
+from .monotone import MonotoneFunction, tilde_transform
 
 __all__ = [
     "DEGENERACY_RTOL",
@@ -37,14 +36,12 @@ __all__ = [
     "load_density",
     "load_hermitian",
     "matrix_from_json",
-    "matrix_power",
     "matrix_to_json",
     "modular_kernel_apply",
     "modular_kernel_matrix",
     "random_density",
     "random_hermitian",
     "save_matrix",
-    "wyd_sandwich",
 ]
 
 # Inputs may carry round-off off Hermiticity; repairs up to this max-abs
@@ -208,7 +205,7 @@ def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
 class DensityMatrix:
     """Faithful state: Hermitian, unit trace, spectrum above the floor.
 
-    Spectral data is computed once here; every kernel and power downstream
+    Spectral data is computed once here; every kernel downstream
     reuses ``eigenvalues`` (descending) and ``eigenvectors``.
     """
 
@@ -239,10 +236,6 @@ class DensityMatrix:
         u = self.eigenvectors
         return u.conj().T @ as_matrix(a) @ u
 
-    def from_eigenbasis(self, a) -> np.ndarray:
-        u = self.eigenvectors
-        return u @ as_matrix(a) @ u.conj().T
-
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, spectrum={np.array2string(self.eigenvalues, precision=4)})"
 
@@ -272,13 +265,6 @@ class DensityStack:
         return u.conj().swapaxes(1, 2) @ a @ u
 
 
-def matrix_power(rho: DensityMatrix, p: float) -> HermitianMatrix:
-    """Fractional power rho^p through the cached eigendecomposition."""
-    lam = np.power(rho.eigenvalues, float(p))
-    u = rho.eigenvectors
-    return HermitianMatrix((u * lam) @ u.conj().T)
-
-
 def modular_kernel_matrix(rho: DensityMatrix, f: MonotoneFunction) -> np.ndarray:
     """Kernel k[i, j] = tilde(lam_i / lam_j) * lam_j over the state's eigenbasis.
 
@@ -303,21 +289,6 @@ def modular_kernel_apply(rho: DensityMatrix, f: MonotoneFunction, a) -> Hermitia
     tilted = u.conj().T @ m @ u
     mapped = modular_kernel_matrix(rho, f) * tilted
     return HermitianMatrix(u @ mapped @ u.conj().T)
-
-
-def wyd_sandwich(rho: DensityMatrix, beta: float, a) -> HermitianMatrix:
-    """Symmetrized power sandwich (rho^b a rho^(1-b) + rho^(1-b) a rho^b) / 2.
-
-    Closed form of the kernel action for the wyd family; kept as an
-    independent computation path for cross-checking.
-    """
-    beta = _require_beta(beta)
-    m = as_matrix(a)
-    if m.shape != rho.matrix.shape:
-        raise ValueError(f"observable shape {m.shape} does not match state dim {rho.dim}")
-    pb = matrix_power(rho, beta).matrix
-    pc = matrix_power(rho, 1.0 - beta).matrix
-    return HermitianMatrix(0.5 * (pb @ m @ pc + pc @ m @ pb))
 
 
 def _seed_list(seed: int | Sequence[int]) -> tuple[list, bool]:

@@ -32,7 +32,6 @@ __all__ = [
     "wyd",
     "wyd_f",
     "wyd_parameter",
-    "wyd_tilde",
 ]
 
 logger = logging.getLogger(__name__)
@@ -90,14 +89,6 @@ def wyd_f(beta: float, x) -> float | np.ndarray:
     gamma = beta * (1.0 - beta)
     series = 1.0 + 0.5 * u - (1.0 - gamma) / 12.0 * np.square(u)
     out = np.where(near, series, num / den)
-    return _match_input(out, x)
-
-
-def wyd_tilde(beta: float, x) -> float | np.ndarray:
-    """Closed form (x^beta + x^(1-beta)) / 2 of the transform for the wyd family."""
-    beta = _require_beta(beta)
-    arr = _as_positive_array(x)
-    out = 0.5 * (np.power(arr, beta) + np.power(arr, 1.0 - beta))
     return _match_input(out, x)
 
 

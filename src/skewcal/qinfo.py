@@ -1,10 +1,12 @@
 """State-level covariance, skew information, and the coupled uncertainty checks.
 
 All scalars are real numbers built from traces against a faithful density
-matrix. Two computation routes exist for the information quantities: the
-kernel route (any catalog function) and the direct power-sandwich route
-(wyd family only); their disagreement is surfaced as a residual, never
-hidden.
+matrix. The module-level functions compute them by direct traces on the
+original matrices, the information quantities through the modular kernel
+of any catalog function. The stacked report recomputes them as weighted
+entry sums in the state's eigenbasis and, for the wyd family, also along
+the power-sandwich route Tr(rho^beta a rho^(1-beta) b); the disagreement
+of the kernel and sandwich routes is surfaced as a residual, never hidden.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, as_matrix, matrix_power, modular_kernel_apply
-from .monotone import MonotoneFunction, _require_beta, tilde_transform, wyd_parameter
+from .linalg import DensityMatrix, as_matrix, modular_kernel_apply
+from .monotone import MonotoneFunction, tilde_transform, wyd_parameter
 
 __all__ = [
     "DEFAULT_TOL",
     "UncertaintyReport",
-    "beta_correlation",
-    "beta_information",
     "centered",
     "covariance",
     "evaluate_inequalities",
@@ -87,26 +87,12 @@ def variance(rho: DensityMatrix, a) -> float:
     return covariance(rho, a, a)
 
 
-def beta_correlation(rho: DensityMatrix, beta: float, a, b) -> float:
-    """Re { Tr(rho a b) - Tr(rho^beta a rho^(1-beta) b) } by direct traces."""
-    beta = _require_beta(beta)
-    ma, mb = _observable(rho, a), _observable(rho, b)
-    pb = matrix_power(rho, beta).matrix
-    pc = matrix_power(rho, 1.0 - beta).matrix
-    value = np.trace(rho.matrix @ ma @ mb) - np.trace(pb @ ma @ pc @ mb)
-    return float(value.real)
-
-
-def beta_information(rho: DensityMatrix, beta: float, a) -> float:
-    """Skew information of the wyd family: the beta correlation of a with itself."""
-    return beta_correlation(rho, beta, a, a)
-
-
 def f_correlation(rho: DensityMatrix, f: MonotoneFunction, a, b) -> float:
     """Metric-adjusted correlation Re Tr(rho a b) - Re Tr(kernel(a) b).
 
     ``kernel`` is the modular correlation kernel of (rho, f); for the wyd
-    family this agrees with :func:`beta_correlation`.
+    family it equals Re Tr(rho a b) - Re Tr(rho^beta a rho^(1-beta) b), the
+    power-sandwich route whose disagreement the report carries as residuals.
     """
     ma, mb = _observable(rho, a), _observable(rho, b)
     ka = modular_kernel_apply(rho, f, ma).matrix

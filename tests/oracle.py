@@ -1,12 +1,17 @@
-"""Independent high-precision reference values for the test suite.
+"""Independent reference values and closed forms for the test suite.
 
-Everything in this module is computed with mpmath at 50 significant digits
-using scalar arithmetic and explicit 2x2 complex matrix operations only;
-nothing here imports the library under test. ``FROZEN`` holds the reference
+Nothing here imports the library under test. The high-precision part is
+computed with mpmath at 50 significant digits using scalar arithmetic and
+explicit 2x2 complex matrix operations only. ``FROZEN`` holds the reference
 numbers rounded to the nearest float. The generator functions below
 recompute them from scratch so a test can certify that the frozen literals
 are what the high-precision arithmetic actually produces; all other tests
 compare library output against the literals.
+
+The float64 part (at the end) holds the wyd closed forms for matrices of
+any size, in plain numpy: the power sandwich of rho in the standard basis
+and the transform (x^beta + x^(1-beta)) / 2. They are the second routes
+that the library's kernel route is tested against.
 
 Reference instance: the faithful qubit state diag(3/4, 1/4) with the two
 off-diagonal Pauli observables
@@ -14,6 +19,7 @@ off-diagonal Pauli observables
     A = [[0, 1], [1, 0]]      B = [[0, -i], [i, 0]]
 """
 
+import numpy as np
 from mpmath import mp, mpc, mpf, power
 
 mp.dps = 50
@@ -164,3 +170,35 @@ def fixture_kernel_entry_mp(beta=0.5):
     """Kernel entry k[0, 1] of the reference state for the power-mean family."""
     lam = [mpf(str(v)) for v in FIXTURE_RHO_DIAG]
     return float(wyd_tilde_mp(beta, lam[0] / lam[1]) * lam[1])
+
+
+# --- float64 closed forms ---------------------------------------------------
+
+
+def wyd_tilde_closed(beta, x):
+    """Closed-form transform (x^beta + x^(1-beta)) / 2, elementwise in float64."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * (np.power(x, beta) + np.power(x, 1.0 - beta))
+
+
+def rho_power(rho, p):
+    """rho^p of a positive definite matrix, through its eigendecomposition."""
+    lam, u = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    return (u * np.power(lam, p)) @ u.conj().T
+
+
+def power_sandwich(rho, beta, a):
+    """(rho^beta a rho^(1-beta) + rho^(1-beta) a rho^beta) / 2 in the standard basis."""
+    a = np.asarray(a, dtype=complex)
+    pb, pc = rho_power(rho, beta), rho_power(rho, 1.0 - beta)
+    return 0.5 * (pb @ a @ pc + pc @ a @ pb)
+
+
+def sandwich_correlation(rho, beta, a, b):
+    """Re Tr(rho a b) - Re Tr(rho^beta a rho^(1-beta) b), by standard-basis traces.
+
+    For Hermitian a and b the two terms of the symmetrized sandwich have the
+    same real trace against b, so the sandwich gives the second trace.
+    """
+    rho, a, b = (np.asarray(m, dtype=complex) for m in (rho, a, b))
+    return float(np.trace(rho @ a @ b).real - np.trace(power_sandwich(rho, beta, a) @ b).real)

@@ -240,7 +240,8 @@ def test_criterion_7_degenerate_suites():
         rho = random_density(dim, seed=seed)
         a = random_hermitian(dim, seed=seed + 1)
         b = random_hermitian(dim, seed=seed + 2)
-        commuting = rho.from_eigenbasis(np.diag(np.arange(1.0, dim + 1.0)))
+        u = rho.eigenvectors
+        commuting = u @ np.diag(np.arange(1.0, dim + 1.0)) @ u.conj().T
         scalar = 2.5 * np.eye(dim)
         for f in functions:
             # maximally mixed state: every skew quantity collapses

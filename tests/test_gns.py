@@ -1,22 +1,22 @@
 """Modular model, sesquilinear forms, the pair measure, and the G = H audit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import skewcal.gns as gns
 from oracle import FROZEN
 from skewcal.gns import (
     G_H_RTOL,
+    MU_ATOM_SLACK,
     GnsModel,
     audit_G_equals_H,
     build_mu,
-    corr_via_form,
-    cov_via_form,
-    form_E,
     form_E1,
     form_F,
     form_G,
     h_from_measure,
-    modular_apply,
     pair_integrand,
 )
 from skewcal.linalg import DensityMatrix, random_density, random_hermitian
@@ -35,13 +35,6 @@ def _vector(dim, seed):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def test_modular_apply_is_conjugation_by_the_state():
-    m = _model(4, seed=51)
-    x = _vector(4, seed=52)
-    direct = m.rho.matrix @ x @ np.linalg.inv(m.rho.matrix)
-    assert np.allclose(modular_apply(m, x), direct, atol=1e-8 * np.linalg.norm(direct))
-
-
 def test_inner_product_and_cyclic_vector():
     m = _model(3, seed=53)
     x, y = _vector(3, seed=54), _vector(3, seed=55)
@@ -56,21 +49,21 @@ def test_inner_product_and_cyclic_vector():
     )
 
 
-def test_form_E_is_the_modular_graph_form():
+def test_form_E1_is_the_modular_graph_form():
+    # the entrywise ratios act as the modular operator Delta y = rho y rho^(-1)
     m = _model(4, seed=57)
     x, y = _vector(4, seed=58), _vector(4, seed=59)
-    expected = m.inner(x, modular_apply(m, y))
-    assert form_E(m, x, y) == pytest.approx(expected, abs=1e-11)
-    assert form_E1(m, x, y) == pytest.approx(expected + m.inner(x, y), abs=1e-11)
+    delta_y = m.rho.matrix @ y @ np.linalg.inv(m.rho.matrix)
+    expected = m.inner(x, delta_y) + m.inner(x, y)
+    assert form_E1(m, x, y) == pytest.approx(expected, abs=1e-11)
 
 
 def test_forms_are_sesquilinear():
     m = _model(3, seed=61)
     x, y = _vector(3, seed=62), _vector(3, seed=63)
     c = 0.7 - 1.9j
-    for form in (form_E, form_E1):
-        assert form(m, c * x, y) == pytest.approx(np.conj(c) * form(m, x, y), abs=1e-11)
-        assert form(m, x, c * y) == pytest.approx(c * form(m, x, y), abs=1e-11)
+    assert form_E1(m, c * x, y) == pytest.approx(np.conj(c) * form_E1(m, x, y), abs=1e-11)
+    assert form_E1(m, x, c * y) == pytest.approx(c * form_E1(m, x, y), abs=1e-11)
     f = wyd(0.3)
     assert form_F(m, f, c * x, y) == pytest.approx(np.conj(c) * form_F(m, f, x, y), abs=1e-11)
 
@@ -90,8 +83,11 @@ def test_form_routes_reproduce_trace_scalars(key):
         m = _model(dim, seed=67 + dim)
         a = random_hermitian(dim, seed=68 + dim)
         b = random_hermitian(dim, seed=69 + dim)
-        assert cov_via_form(m, a, b) == pytest.approx(covariance(m.rho, a, b), abs=1e-10)
-        assert corr_via_form(m, f, a, b) == pytest.approx(
+        a0, b0 = centered(m.rho, a), centered(m.rho, b)
+        assert 0.5 * form_E1(m, a0, b0).real == pytest.approx(
+            covariance(m.rho, a, b), abs=1e-10
+        )
+        assert form_G(m, f, a0, b0).real == pytest.approx(
             f_correlation(m.rho, f, a, b), abs=1e-10
         )
 
@@ -267,6 +263,65 @@ def test_audit_at_wide_dims_one_call_per_instance():
         # the f-independent work is shared, never changed, by batching entries
         singles = [audit_G_equals_H(m, [f], a, b)[0] for f in functions]
         assert repr(reports) == repr(singles)
+
+
+def _audit_cases():
+    functions = [from_key(k) for k in ALL_KEYS]
+    for dim in (2, 3, 5):
+        m = _model(dim, seed=700 + dim)
+        a = random_hermitian(dim, seed=701 + dim)
+        b = random_hermitian(dim, seed=702 + dim)
+        yield audit_G_equals_H(m, functions, a, b)
+
+
+def _assert_flags(monkeypatch, expected):
+    # every report of the patched audit carries exactly the expected flags,
+    # and the same audits unpatched carry none
+    for reports in _audit_cases():
+        assert [r.flags for r in reports] == [expected(key) for key in ALL_KEYS]
+    monkeypatch.undo()
+    for reports in _audit_cases():
+        assert [r.flags for r in reports] == [()] * len(ALL_KEYS)
+
+
+def test_g_h_mismatch_gate_fires(monkeypatch):
+    real = gns.h_from_measure
+
+    def offset_h(mu, f):
+        h = real(mu, f)
+        return h + 100.0 * G_H_RTOL * max(1.0, abs(h))
+
+    monkeypatch.setattr(gns, "h_from_measure", offset_h)
+    _assert_flags(monkeypatch, lambda key: ("g_h_mismatch",))
+
+
+def test_mu_negative_atom_gate_fires(monkeypatch):
+    real = gns.build_mu
+
+    def one_negative_atom(m, xi, eta):
+        mu = real(m, xi, eta)
+        weights = mu.weights.copy()
+        weights[0, 0] = -1e3 * MU_ATOM_SLACK * float(np.sum(np.abs(mu.weights)))
+        return dataclasses.replace(mu, weights=weights)
+
+    monkeypatch.setattr(gns, "build_mu", one_negative_atom)
+    _assert_flags(monkeypatch, lambda key: ("mu_negative_atom",))
+
+
+def test_gform_negative_gate_fires(monkeypatch):
+    # the harmonic G-form is 0 up to round-off (tilde = (x + 1)/2), so a
+    # kernel 1% too large makes it negative on both centered observables
+    real = gns.modular_kernel_matrix
+
+    def inflated_harmonic(rho, f):
+        kernel = real(rho, f)
+        return 1.01 * kernel if f.name == "harmonic" else kernel
+
+    monkeypatch.setattr(gns, "modular_kernel_matrix", inflated_harmonic)
+    _assert_flags(
+        monkeypatch,
+        lambda key: ("gform_negative", "gform_negative") if key == "harmonic" else (),
+    )
 
 
 def test_h_from_measure_consistency():

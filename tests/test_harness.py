@@ -99,6 +99,17 @@ def test_sweep_config_normalization_and_validation():
         SweepConfig(dims=(2,), trials=1, f_specs=("sld",), tol=float("nan"))
     with pytest.raises(ValueError, match="format"):
         SweepConfig(dims=(2,), trials=1, f_specs=("sld",), format="xml")
+    # integers of any integer type pass; nothing is truncated or read as a bool
+    config = SweepConfig(dims=(np.int64(3),), trials=np.int64(2), f_specs=("sld",), seed=np.int64(7))
+    assert (config.dims, config.trials, config.seed) == ((3,), 2, 7)
+    assert type(config.trials) is int and type(config.seed) is int
+    for bad in (2.7, 2.0, 1.5, True, np.True_, np.float64(3.0), "2"):
+        with pytest.raises(ValueError, match="dims"):
+            SweepConfig(dims=(2, bad), trials=1, f_specs=("sld",))
+        with pytest.raises(ValueError, match="trials"):
+            SweepConfig(dims=(2,), trials=bad, f_specs=("sld",))
+        with pytest.raises(ValueError, match="seed"):
+            SweepConfig(dims=(2,), trials=1, f_specs=("sld",), seed=bad)
 
 
 def test_run_sweep_record_stream_layout():
@@ -374,13 +385,19 @@ def test_check_instance_flag_exit_code(monkeypatch, fixtures_dir):
     assert payload["report"]["flags"] == ["main_inequality_violation"]
 
 
-def test_read_records_handles_blank_and_bad_lines(tmp_path):
+def test_read_records_handles_blank_and_bad_lines(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
     path.write_text('{"gap": 1.0}\n\n{"gap": 2.0}\n')
     assert [r["gap"] for r in read_records(path)] == [1.0, 2.0]
     path.write_text('{"gap": 1.0}\nnot json\n')
     with pytest.raises(ValueError, match=":2:"):
         read_records(path)
+    for line in ("[1, 2]", "3.5", '"gap"', "null"):
+        path.write_text(f'{{"gap": 1.0}}\n\n{line}\n')
+        with pytest.raises(ValueError, match=":3: a record must be a JSON object"):
+            read_records(path)
+        assert main(["hist", "--in", str(path), "--out", str(tmp_path / "gaps.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_gap_histogram_buckets(tmp_path):
@@ -397,13 +414,24 @@ def test_gap_histogram_buckets(tmp_path):
     assert len(parsed) == len(rows) + 1
 
 
-def test_gap_histogram_edge_cases(tmp_path):
+def test_gap_histogram_edge_cases(tmp_path, capsys):
     with pytest.raises(ValueError, match="records"):
         emit_gap_histogram([])
     with pytest.raises(ValueError, match="n_buckets"):
         emit_gap_histogram([{"gap": 1.0}], n_buckets=0)
     assert emit_gap_histogram([{"gap": 2.0}] * 3) == [(2.0, 2.0, 3)]
     assert emit_gap_histogram([{"gap": -1.0}, {"gap": 0.0}]) == [(-1.0, 0.0, 2)]
+    assert emit_gap_histogram([{"gap": 1}, {"gap": np.float64(1.0)}]) == [(1.0, 1.0, 2)]
+    with pytest.raises(ValueError, match=r"records\[1\] has no 'gap'"):
+        emit_gap_histogram([{"gap": 1.0}, {"var_a": 1.0}])
+    for bad in (True, False, "1.0", None, [1.0]):
+        with pytest.raises(ValueError, match=r"records\[1\]: gap .* is not a real number"):
+            emit_gap_histogram([{"gap": 1.0}, {"gap": bad}])
+    path = tmp_path / "records.jsonl"
+    for line in ('{"lhs": 1.0}', '{"gap": true}', '{"gap": "1.0"}'):
+        path.write_text(f'{{"gap": 1.0}}\n{line}\n')
+        assert main(["hist", "--in", str(path), "--out", str(tmp_path / "gaps.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: records[1]")
 
 
 def test_gap_histogram_rejects_nonfinite_gaps(tmp_path, capsys):
