@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seed", type=int, default=0, help="sweep seed (default: 0)")
     verify.add_argument("--tol", type=float, default=None, help="base tolerance override")
-    verify.add_argument("--gns-audit", action="store_true", help="also run the G = H identity audit per record")
+    verify.add_argument("--gns-audit", action="store_true", help="also run the G = H identity audit per instance")
     verify.add_argument("--no-normalize", action="store_true", help="skip Frobenius normalization of observables")
     verify.add_argument("--out", default=None, help="write the record stream to this path")
     verify.add_argument("--format", choices=("jsonl", "csv"), default="jsonl", help="record format (default: jsonl)")

@@ -31,9 +31,14 @@ two inner products over the atoms, so the K x K double sum equals
 
 with P_x = sum_k p(s_k) m_xx[k], Q_x = sum_k q(s_k) m_xx[k] (y for m_yy,
 z for m_xy) exactly, up to the order of floating-point summation.
-The audit also does the f-independent work (variances, covariance,
-centered observables, their graph forms and mu) once per instance and
-only the f-dependent terms once per catalog entry.
+
+The audit does the f-independent work once per instance: variances,
+covariance, the centered observables with their graph forms and mu, and
+the state traces Re Tr(rho x y) and eigenbasis entries of both observables
+that the direct route needs. Per catalog entry it builds the modular kernel
+once and uses it for both informations, the correlation and the G-form;
+the kernel products of all entries are rotated back and validated
+Hermitian as one stack, and H is evaluated in separable form.
 """
 
 from __future__ import annotations
@@ -43,9 +48,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, as_matrix, group_spectrum, modular_kernel_matrix
+from .linalg import (
+    DensityMatrix,
+    _kernel_apply_stack,
+    as_matrix,
+    group_spectrum,
+    modular_kernel_matrix,
+)
 from .monotone import MonotoneFunction, tilde_transform
-from .qinfo import centered, covariance, f_correlation, f_information, variance
+# f_correlation and f_information go unused here; bench/tracing.py wraps them by name
+from .qinfo import centered, covariance, f_correlation, f_information, variance  # noqa: F401
 
 __all__ = [
     "AtomicPairMeasure",
@@ -273,17 +285,23 @@ def audit_G_equals_H(
 
     Audits one instance (state of ``m``, observables ``a`` and ``b``) for
     each catalog entry in ``functions`` and returns one report per entry,
-    in order. G is assembled from the qinfo scalars; H integrates the pair
-    measure of the centered observables. |G - H| beyond
-    G_H_RTOL * max(1, |G|) is flagged, as are negative mu atoms beyond
-    round-off slack and a negative quadratic form G^f on either centered
-    observable.
+    in order. G is assembled from direct traces, the route of the qinfo
+    scalars; H integrates the pair measure of the centered observables.
+    |G - H| beyond G_H_RTOL * max(1, |G|) is flagged, as are negative mu
+    atoms beyond round-off slack and a negative quadratic form G^f on
+    either centered observable.
 
-    The variances, the covariance, the centered observables, their graph
-    forms E1 and the measure mu do not depend on f and are computed once.
-    Each entry adds only its direct-trace informations and correlation, H
-    by :func:`h_from_measure` in separable form, and the kernel form F of
-    G^f = E1 / 2 - F.
+    Per instance: the variances, the covariance, the centered observables,
+    their graph forms E1, the measure mu, Re Tr(rho aa), Re Tr(rho bb),
+    Re Tr(rho ab) and the eigenbasis entries u† a u and u† b u. Per entry:
+    one modular kernel k, H by :func:`h_from_measure` in separable form and
+    the kernel form F of G^f = E1 / 2 - F. The 2F products k o (u† a u) and
+    k o (u† b u) of all F entries go back to the standard basis as one
+    (2F, n, n) stack, validated finite and Hermitian (a failure raises
+    ValueError). The informations and the correlation are then
+    Re Tr(rho x y) - Re Tr(kx y) against the unrotated observables, the same
+    operations as :func:`~skewcal.qinfo.f_correlation`, so G equals the
+    public direct route bit for bit.
     """
     rho = m.rho
     var_a = variance(rho, a)
@@ -297,11 +315,30 @@ def audit_G_equals_H(
     # eigenbasis entries and complex E1 of each centered observable
     graph = [(m.to_eigenbasis(x), form_E1(m, x, x)) for x in (a0, b0)]
 
+    # the f-independent half of the direct route: the state traces of
+    # f_correlation and both observables in the state's eigenbasis
+    ma, mb = as_matrix(a), as_matrix(b)
+    tr_aa, tr_bb, tr_ab = (
+        float(np.trace(rho.matrix @ x @ y).real) for x, y in ((ma, ma), (mb, mb), (ma, mb))
+    )
+    tilted = np.array((m.to_eigenbasis(ma), m.to_eigenbasis(mb)))
+
+    # one kernel per entry, applied to both observables in one validated
+    # (2F, n, n) stack ordered (k_0 o a, k_0 o b, k_1 o a, ...)
+    kernels = [modular_kernel_matrix(rho, f) for f in functions]
+    mapped = (np.array(kernels)[:, None] * tilted).reshape(-1, m.dim, m.dim)
+    applied, _ = _kernel_apply_stack(m.eigenvectors, mapped)
+    ka, kb = applied[0::2], applied[1::2]
+    # Tr(ka a), Tr(kb b) and Tr(ka b) against the unrotated observables
+    tr_ka_a, tr_kb_b, tr_ka_b = (
+        np.trace(k @ y, axis1=1, axis2=2).real.tolist() for k, y in ((ka, ma), (kb, mb), (ka, mb))
+    )
+
     reports = []
-    for f in functions:
-        info_a = f_information(rho, f, a)
-        info_b = f_information(rho, f, b)
-        corr_ab = f_correlation(rho, f, a, b)
+    for f, kernel, ka_a, kb_b, ka_b in zip(functions, kernels, tr_ka_a, tr_kb_b, tr_ka_b):
+        info_a = tr_aa - ka_a
+        info_b = tr_bb - kb_b
+        corr_ab = tr_ab - ka_b
         g = var_a * var_b - cov_ab**2 - info_a * info_b + corr_ab**2
         h = h_from_measure(mu, f)
         residual = abs(g - h)
@@ -313,7 +350,6 @@ def audit_G_equals_H(
             flags.append("mu_negative_atom")
 
         # form_G(m, f, x, x) with the f-independent parts reused
-        kernel = modular_kernel_matrix(rho, f)
         gform_values = []
         for xt, e1 in graph:
             gf = (0.5 * e1 - _weighted_form(kernel, xt, xt)).real

@@ -32,6 +32,7 @@ import csv
 import json
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +121,29 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _flag(value, name: str) -> bool:
+    """``value`` as a bool; ValueError for anything but a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _sequence(value, name: str) -> tuple:
+    """``value`` as a tuple; ValueError for a bare string or a non-iterable."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Parameters of one verification sweep.
 
     ``dims`` is normalized to a sorted deduplicated tuple; ``f_specs`` keeps
     the given order, which also fixes the record ordering within a
-    dimension.
+    dimension. Malformed fields raise ValueError: ``dims`` and ``f_specs``
+    must be sequences (a bare int or string is not), the integer fields
+    integers and the two switches bools, numpy ones included.
     """
 
     dims: tuple[int, ...]
@@ -140,7 +157,7 @@ class SweepConfig:
     format: str = "jsonl"
 
     def __post_init__(self):
-        dims = tuple(sorted(set(_integer(d, "dims entry") for d in self.dims)))
+        dims = tuple(sorted(set(_integer(d, "dims entry") for d in _sequence(self.dims, "dims"))))
         if not dims:
             raise ValueError("dims must be non-empty")
         if dims[0] < 1 or dims[-1] > MAX_SWEEP_DIM:
@@ -151,13 +168,15 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        specs = tuple(str(s) for s in self.f_specs)
+        specs = tuple(str(s) for s in _sequence(self.f_specs, "f_specs"))
         if not specs:
             raise ValueError("f_specs must be non-empty")
         for spec in specs:
             from_key(spec)  # fail fast on malformed keys
         object.__setattr__(self, "f_specs", specs)
         object.__setattr__(self, "tol", validate_tol(self.tol))
+        for name in ("normalize_observables", "gns_audit"):
+            object.__setattr__(self, name, _flag(getattr(self, name), name))
         if self.format not in ("jsonl", "csv"):
             raise ValueError(f"format must be 'jsonl' or 'csv', got {self.format!r}")
 

@@ -275,20 +275,33 @@ def modular_kernel_matrix(rho: DensityMatrix, f: MonotoneFunction) -> np.ndarray
     return np.asarray(tilde_transform(f, ratios), dtype=float) * lam[None, :]
 
 
+def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate a (S, n, n) stack of kernel products k o x back: u (k o x) u† per matrix.
+
+    ``u`` holds the state's eigenvectors and each ``mapped[s]`` a kernel
+    times an observable's eigenbasis entries. Every result is validated
+    finite and Hermitian by _hermitian_stack (a failure raises the plain
+    ValueError of a single HermitianMatrix); returns its Hermitian parts
+    and repair residuals. One batched matmul keeps each matrix's bits
+    those of a stack of one.
+    """
+    return _hermitian_stack(u @ mapped @ u.conj().T, stacked=False)
+
+
 def modular_kernel_apply(rho: DensityMatrix, f: MonotoneFunction, a) -> HermitianMatrix:
     """Apply the modular correlation kernel of (rho, f) to an observable.
 
     In the eigenbasis of rho the observable's entries are scaled entrywise
     by the kernel; the result is rotated back and is Hermitian up to
-    round-off by kernel symmetry.
+    round-off by kernel symmetry. This is the G = H audit's batched kernel
+    application on a stack of one.
     """
     m = as_matrix(a)
     if m.shape != rho.matrix.shape:
         raise ValueError(f"observable shape {m.shape} does not match state dim {rho.dim}")
-    u = rho.eigenvectors
-    tilted = u.conj().T @ m @ u
-    mapped = modular_kernel_matrix(rho, f) * tilted
-    return HermitianMatrix(u @ mapped @ u.conj().T)
+    mapped = modular_kernel_matrix(rho, f) * rho.to_eigenbasis(m)
+    sym, residual = _kernel_apply_stack(rho.eigenvectors, mapped[None])
+    return HermitianMatrix._validated(sym[0], float(residual[0]))
 
 
 def _seed_list(seed: int | Sequence[int]) -> tuple[list, bool]:

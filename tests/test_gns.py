@@ -21,7 +21,7 @@ from skewcal.gns import (
 )
 from skewcal.linalg import DensityMatrix, random_density, random_hermitian
 from skewcal.monotone import from_key, harmonic, sld, tilde_transform, wyd
-from skewcal.qinfo import centered, covariance, f_correlation
+from skewcal.qinfo import centered, covariance, f_correlation, f_information, variance
 
 ALL_KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
 
@@ -309,19 +309,66 @@ def test_mu_negative_atom_gate_fires(monkeypatch):
 
 
 def test_gform_negative_gate_fires(monkeypatch):
-    # the harmonic G-form is 0 up to round-off (tilde = (x + 1)/2), so a
-    # kernel 1% too large makes it negative on both centered observables
-    real = gns.modular_kernel_matrix
+    # the harmonic G-form is 0 up to round-off (tilde = (x + 1)/2), so a graph
+    # form E1 read 1e-6 too small makes it negative on both centered
+    # observables; E1 feeds only the G-form, so G and H do not move
+    real = gns.form_E1
 
-    def inflated_harmonic(rho, f):
-        kernel = real(rho, f)
-        return 1.01 * kernel if f.name == "harmonic" else kernel
+    def shrunk_e1(m, xi, eta):
+        return (1.0 - 1e-6) * real(m, xi, eta)
 
-    monkeypatch.setattr(gns, "modular_kernel_matrix", inflated_harmonic)
+    monkeypatch.setattr(gns, "form_E1", shrunk_e1)
     _assert_flags(
         monkeypatch,
         lambda key: ("gform_negative", "gform_negative") if key == "harmonic" else (),
     )
+
+
+def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
+    # an asymmetric kernel maps a Hermitian observable to a non-Hermitian
+    # matrix; the batched validation of the applied kernels must reject it
+    real = gns.modular_kernel_matrix
+
+    def asymmetric(rho, f):
+        kernel = real(rho, f).copy()
+        kernel[0, 1] += 1e-3
+        return kernel
+
+    monkeypatch.setattr(gns, "modular_kernel_matrix", asymmetric)
+    functions = [from_key(k) for k in ALL_KEYS]
+    for dim in (2, 3, 5):
+        m = _model(dim, seed=710 + dim)
+        a = random_hermitian(dim, seed=711 + dim)
+        b = random_hermitian(dim, seed=712 + dim)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            audit_G_equals_H(m, functions, a, b)
+    monkeypatch.undo()
+    assert all(r.flags == () for r in audit_G_equals_H(m, functions, a, b))
+
+
+def _g_cases():
+    for dim in (2, 3, 4, 6, 8, 16, 24, 32):
+        yield random_density(dim, seed=800 + dim)
+    yield _cluster_state(seed=809)
+
+
+def test_audit_g_is_the_public_direct_route():
+    # G is var_a var_b - cov^2 - I_a I_b + corr^2 from the public qinfo
+    # functions, bit for bit: the audit's one kernel per entry, applied to
+    # both observables in one batched stack, is their kernel application
+    functions = [from_key(k) for k in ALL_KEYS]
+    for rho in _g_cases():
+        n = rho.dim
+        a = random_hermitian(n, seed=900 + n)
+        b = random_hermitian(n, seed=950 + n)
+        reports = audit_G_equals_H(GnsModel(rho), functions, a, b)
+        var_a, var_b, cov_ab = variance(rho, a), variance(rho, b), covariance(rho, a, b)
+        for f, report in zip(functions, reports):
+            info_a, info_b = f_information(rho, f, a), f_information(rho, f, b)
+            corr_ab = f_correlation(rho, f, a, b)
+            g = var_a * var_b - cov_ab**2 - info_a * info_b + corr_ab**2
+            assert repr(report.g_value) == repr(g), (n, f.name)
+            assert report.flags == (), (n, f.name)
 
 
 def test_h_from_measure_consistency():

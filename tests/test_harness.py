@@ -110,6 +110,23 @@ def test_sweep_config_normalization_and_validation():
             SweepConfig(dims=(2,), trials=bad, f_specs=("sld",))
         with pytest.raises(ValueError, match="seed"):
             SweepConfig(dims=(2,), trials=1, f_specs=("sld",), seed=bad)
+    # the switches take Python or numpy bools only; a string like "false" is truthy
+    config = SweepConfig(
+        dims=(2,), trials=1, f_specs=("sld",), gns_audit=np.True_, normalize_observables=np.False_
+    )
+    assert config.gns_audit is True and config.normalize_observables is False
+    for name in ("gns_audit", "normalize_observables"):
+        for bad in ("false", "no", 0, 1, None, np.int64(1)):
+            with pytest.raises(ValueError, match=name):
+                SweepConfig(dims=(2,), trials=1, f_specs=("sld",), **{name: bad})
+    # a bare int or string is not a sequence: 'sld' would read as 's', 'l', 'd'
+    for bad in (3, np.int64(3), "3"):
+        with pytest.raises(ValueError, match="dims must be a sequence"):
+            SweepConfig(dims=bad, trials=1, f_specs=("sld",))
+    for bad in ("sld", 5):
+        with pytest.raises(ValueError, match="f_specs must be a sequence"):
+            SweepConfig(dims=(2,), trials=1, f_specs=bad)
+    assert SweepConfig(dims=[3], trials=1, f_specs=["sld"]).f_specs == ("sld",)
 
 
 def test_run_sweep_record_stream_layout():

@@ -51,6 +51,20 @@ def test_traced_sweeps_record_every_wrapped_layer(tmp_path):
     assert tracer.counts["gns.h.atom_pairs"] > 0
 
 
+def test_audited_sweep_builds_one_kernel_per_instance_and_f():
+    # 5 stacked reports (one per f) plus, per audited entry, one modular
+    # kernel for the direct route and the G-form and one tilde for H
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        summary = run_sweep(SweepConfig(dims=(3,), trials=1, f_specs=KEYS, gns_audit=True))
+    assert summary.total == len(KEYS) and summary.violations == 0
+    calls = tracer.calls()
+    assert calls["qinfo.report"] == len(KEYS)
+    assert calls["gns.h"] == len(KEYS)
+    assert calls["monotone.tilde"] == len(KEYS) + 2 * len(KEYS) == 15
+
+
 def test_traced_sweep_reports_once_per_dim_chunk_and_f():
     tracing = _load_tracing()
     tracer = tracing.Tracer()
