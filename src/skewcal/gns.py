@@ -19,26 +19,29 @@ where mu is a product measure built from the spectral weights of the two
 centered observables. mu is nonnegative atom by atom and the integrand is
 nonnegative wherever 0 <= tilde(x) <= (x + 1)/2, which exhibits G >= 0.
 
-H is evaluated in separable form, in O(K) per catalog entry for K atoms.
-mu = m_xx (x) m_yy + m_yy (x) m_xx - 2 m_xy (x) m_xy is a sum of three
-outer products of per-atom marginals, and the integrand
-p(s) q(t) + p(t) q(s) - 2 q(s) q(t), with p(s) = s + 1 and q = tilde, is a
-sum of three outer products of per-atom functions. Every one of the nine
-products of an integrand term with a measure term therefore factors into
-two inner products over the atoms, so the K x K double sum equals
+Nothing here is K x K for K atoms. mu = m_xx (x) m_yy + m_yy (x) m_xx -
+2 m_xy (x) m_xy is a sum of three outer products of per-atom marginals,
+and the integrand p(s) q(t) + p(t) q(s) - 2 q(s) q(t), with p(s) = s + 1
+and q = tilde, is a sum of three outer products of per-atom functions.
+Every one of the nine products of an integrand term with a measure term
+therefore factors into two inner products over the atoms, so the K x K
+double sum equals
 
     H = (1/4) [2 (P_x Q_y + P_y Q_x) - 4 (P_z Q_z + Q_x Q_y - Q_z^2)]
 
 with P_x = sum_k p(s_k) m_xx[k], Q_x = sum_k q(s_k) m_xx[k] (y for m_yy,
-z for m_xy) exactly, up to the order of floating-point summation.
+z for m_xy) exactly, up to the order of floating-point summation. That
+mu is nonnegative is certified in O(K) too: the proof's projection
+Cauchy-Schwarz step says that each atom's 2 x 2 Gram matrix of marginals
+is positive semidefinite, and with the arithmetic-geometric mean
+inequality that bounds every pair weight from below by per-atom
+quantities (:func:`build_mu`).
 
-The audit does the f-independent work once per instance: variances,
-covariance, the centered observables with their graph forms and mu, and
-the state traces Re Tr(rho x y) and eigenbasis entries of both observables
-that the direct route needs. Per catalog entry it builds the modular kernel
-once and uses it for both informations, the correlation and the G-form;
-the kernel products of all entries are rotated back and validated
-Hermitian as one stack, and H is evaluated in separable form.
+A GnsModel holds one state or a DensityStack of T states; the forms, the
+measure and H then take (T, n, n) stacks of vectors and give one value
+per state, each from that state's entries alone. The audit runs once per
+stack (:func:`audit_G_equals_H`); a single instance is the same audit on
+a stack of one.
 """
 
 from __future__ import annotations
@@ -50,13 +53,15 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
+    DensityStack,
     _kernel_apply_stack,
     as_matrix,
     group_spectrum,
     modular_kernel_matrix,
 )
 from .monotone import MonotoneFunction, tilde_transform
-# f_correlation and f_information go unused here; bench/tracing.py wraps them by name
+# The audit computes the direct route on whole stacks and calls none of
+# these; bench/tracing.py wraps them here by name.
 from .qinfo import centered, covariance, f_correlation, f_information, variance  # noqa: F401
 
 __all__ = [
@@ -70,44 +75,59 @@ __all__ = [
     "form_F",
     "form_G",
     "h_from_measure",
-    "pair_integrand",
 ]
 
 # |G - H| is accepted up to this much relative slack.
 G_H_RTOL = 1e-8
 
-# Atom weights of mu may undershoot zero by round-off up to this fraction of
-# the total mass; the quadratic form G may undershoot similarly relative to
-# the graph form E1.
+# The certified lower bound on the weights of mu may undershoot zero by
+# round-off up to this fraction of the total mass; the quadratic form G may
+# undershoot similarly relative to the graph form E1.
 MU_ATOM_SLACK = 1e-12
 GFORM_SLACK = 1e-12
 
-# Entries per row block when build_mu fills its K x K weights (256 KiB).
-_MU_BLOCK_ENTRIES = 32768
+# Flag of each audit mask column: G vs H, mu, and the G-form of a and of b.
+_AUDIT_FLAGS = ("g_h_mismatch", "mu_negative_atom", "gform_negative", "gform_negative")
+
+
+def _value(x):
+    """A 0-d result as a Python scalar; a stack's per-state array as it is."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _real_trace(m: np.ndarray) -> np.ndarray:
+    """Re Tr of each matrix of a stack, summed as for that matrix alone."""
+    return np.trace(m, axis1=-2, axis2=-1).real
 
 
 class GnsModel:
-    """Modular data of the state Tr(rho .) on the full matrix algebra.
+    """Modular data of the state Tr(rho .), or of each state of a stack.
 
     Vectors of the representation are plain matrices; the cyclic vector is
     the identity. Attributes expose the state's spectral data and the
     matrix of eigenvalue ratios lam_i / lam_j that represents the modular
-    operator entrywise in the eigenbasis.
+    operator entrywise in the eigenbasis. Over a DensityStack of T states
+    ``states``, ``eigenvalues``, ``eigenvectors`` and ``ratios`` carry a
+    leading trial axis, vectors are (T, n, n) stacks, and the inner
+    product, the forms and the measure give one value per state.
     """
 
-    __slots__ = ("rho", "dim", "eigenvalues", "eigenvectors", "ratios", "_spectrum")
+    __slots__ = ("rho", "dim", "states", "eigenvalues", "eigenvectors", "ratios", "_spectrum")
 
-    def __init__(self, rho: DensityMatrix):
+    def __init__(self, rho: DensityMatrix | DensityStack):
         self.rho = rho
-        self.dim = rho.dim
-        self.eigenvalues = rho.eigenvalues
+        self.states = rho.matrices if isinstance(rho, DensityStack) else rho.matrix
+        lam = rho.eigenvalues
+        self.dim = lam.shape[-1]
+        self.eigenvalues = lam
         self.eigenvectors = rho.eigenvectors
-        self.ratios = rho.eigenvalues[:, None] / rho.eigenvalues[None, :]
+        self.ratios = lam[..., :, None] / lam[..., None, :]
         self._spectrum = None
 
-    def inner(self, x, y) -> complex:
+    def inner(self, x, y):
         """GNS inner product Tr(rho x† y), by direct trace."""
-        return complex(np.trace(self.rho.matrix @ as_matrix(x).conj().T @ as_matrix(y)))
+        xh = as_matrix(x).conj().swapaxes(-1, -2)
+        return _value(np.trace(self.states @ xh @ as_matrix(y), axis1=-2, axis2=-1))
 
     def to_eigenbasis(self, x) -> np.ndarray:
         return self.rho.to_eigenbasis(x)
@@ -119,26 +139,33 @@ class GnsModel:
         return self._spectrum
 
 
-def _weighted_form(kernel: np.ndarray, xt: np.ndarray, et: np.ndarray) -> complex:
+def _weighted_form(kernel: np.ndarray, xt: np.ndarray, et: np.ndarray):
     # sum_ij kernel[i,j] * conj(xt[i,j]) * et[i,j] over eigenbasis entries
     # xt, et; the kernel carries the column weight lam[j] that realizes
     # Tr(rho x† y).
-    return complex(np.sum(kernel * np.conj(xt) * et))
+    return _value(np.sum(kernel * np.conj(xt) * et, axis=(-2, -1)))
 
 
-def form_E1(m: GnsModel, xi, eta) -> complex:
-    """Graph form <xi, (1 + Delta) eta>: <xi, Delta eta> plus the plain inner product."""
-    kernel = m.ratios * m.eigenvalues[None, :]
-    return _weighted_form(kernel, m.to_eigenbasis(xi), m.to_eigenbasis(eta)) + m.inner(xi, eta)
+def form_E1(m: GnsModel, xi, eta, eigenbasis=None):
+    """Graph form <xi, (1 + Delta) eta>: <xi, Delta eta> plus the plain inner product.
+
+    ``eigenbasis`` may pass the pair (u† xi u, u† eta u) that the caller
+    already holds; otherwise xi is rotated once, and eta too unless it is xi.
+    """
+    if eigenbasis is None:
+        xt = m.to_eigenbasis(xi)
+        eigenbasis = (xt, xt if eta is xi else m.to_eigenbasis(eta))
+    kernel = m.ratios * m.eigenvalues[..., None, :]
+    return _weighted_form(kernel, *eigenbasis) + m.inner(xi, eta)
 
 
-def form_F(m: GnsModel, f: MonotoneFunction, xi, eta) -> complex:
+def form_F(m: GnsModel, f: MonotoneFunction, xi, eta):
     """Kernel form <tilde(Delta)^(1/2) xi, tilde(Delta)^(1/2) eta>."""
     kernel = modular_kernel_matrix(m.rho, f)
     return _weighted_form(kernel, m.to_eigenbasis(xi), m.to_eigenbasis(eta))
 
 
-def form_G(m: GnsModel, f: MonotoneFunction, xi, eta) -> complex:
+def form_G(m: GnsModel, f: MonotoneFunction, xi, eta):
     """Nonnegative-difference form: form_E1 / 2 - form_F."""
     return 0.5 * form_E1(m, xi, eta) - form_F(m, f, xi, eta)
 
@@ -147,9 +174,13 @@ def form_G(m: GnsModel, f: MonotoneFunction, xi, eta) -> complex:
 class ModularSpectrum:
     """Atomic decomposition of the modular operator's spectrum.
 
-    ``labels[i, j]`` is the atom index of eigenbasis entry (i, j) and
-    ``values[k]`` the ratio of atom k; every index pair lies in exactly one
-    atom, and ``labels.T`` maps each atom to the atom of the inverse ratio.
+    With c_i the cluster of eigenvalue i (near-degenerate eigenvalues share
+    one), ``labels[i, j] = c_i * n + c_j`` is the atom of eigenbasis entry
+    (i, j) and ``values[k]`` the ratio of atom k, over n^2 atom slots. Every
+    index pair lies in exactly one atom, and ``labels.T`` maps each atom to
+    the atom of the inverse ratio. A state with C clusters uses C^2 slots;
+    the others hold no index pair and the ratio 1. Over a stack both arrays
+    carry a leading trial axis.
     """
 
     labels: np.ndarray
@@ -157,22 +188,35 @@ class ModularSpectrum:
 
 
 def _compute_spectrum(eigenvalues: np.ndarray) -> ModularSpectrum:
-    cluster = group_spectrum(eigenvalues)
-    # cluster means, summed in spectrum order
-    reps = np.bincount(cluster, weights=eigenvalues) / np.bincount(cluster)
+    lam = eigenvalues.reshape(-1, eigenvalues.shape[-1])
+    t, n = lam.shape
+    cluster = group_spectrum(lam)
+    # cluster means, summed in spectrum order; state r's clusters fill bins r*n + c
+    bins = (cluster + n * np.arange(t)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=t * n).reshape(t, n)
+    sums = np.bincount(bins, weights=lam.ravel(), minlength=t * n).reshape(t, n)
+    used = counts > 0
+    reps = np.where(used, sums / np.maximum(counts, 1), 1.0)
 
-    labels = cluster[:, None] * reps.size + cluster[None, :]
-    values = (reps[:, None] / reps[None, :]).ravel()
-    return ModularSpectrum(labels=labels, values=values)
+    labels = cluster[:, :, None] * n + cluster[:, None, :]
+    values = reps[:, :, None] / reps[:, None, :]
+    values[~(used[:, :, None] & used[:, None, :])] = 1.0
+    lead = eigenvalues.shape[:-1]
+    return ModularSpectrum(
+        labels=labels.reshape(lead + (n, n)), values=values.reshape(lead + (n * n,))
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class AtomicPairMeasure:
-    """Signed measure on pairs of spectrum atoms; nonnegative up to round-off.
+    """Signed measure on pairs of spectrum atoms, held by its per-atom marginals.
 
-    ``weights[k, l]`` belongs to the value pair (values[k], values[l]) and
-    equals m_xx[k] m_yy[l] + m_yy[k] m_xx[l] - 2 m_xy[k] m_xy[l] for the
-    per-atom marginals carried alongside it.
+    The weight of the atom pair (k, l) is
+    w[k, l] = m_xx[k] m_yy[l] + m_yy[k] m_xx[l] - 2 m_xy[k] m_xy[l]; the
+    K x K array is never formed. ``weights[k]`` is the diagonal weight
+    w[k, k] = 2 (m_xx[k] m_yy[k] - m_xy[k]^2) and ``values[k]`` the ratio of
+    atom k. Over a stack every array carries a leading trial axis and the
+    properties give one value per state.
     """
 
     values: np.ndarray
@@ -182,64 +226,97 @@ class AtomicPairMeasure:
     m_xy: np.ndarray
 
     @property
-    def mass(self) -> float:
-        return float(np.sum(self.weights))
+    def mass(self):
+        """Total weight sum_kl w[k, l] = 2 (sum m_xx sum m_yy - (sum m_xy)^2)."""
+        sx, sy, sz = (np.sum(m, axis=-1) for m in (self.m_xx, self.m_yy, self.m_xy))
+        return _value(2.0 * (sx * sy - sz * sz))
 
     @property
-    def min_weight(self) -> float:
-        return float(np.min(self.weights))
+    def min_weight_bound(self):
+        """Lower bound on min_kl w[k, l] from the marginals, in O(K).
+
+        With g_k = sqrt(m_xx[k]^+ m_yy[k]^+) (positive parts) and the
+        Cauchy-Schwarz excess c_k = max(|m_xy[k]| - g_k, 0), every weight,
+        diagonal or not, satisfies
+
+            w[k, l] >= -2 (2 s C + C^2) - 2 (A+ B- + A- B+)
+
+        where s = max g, C = max c, and A+, A- (B+, B-) are the largest
+        positive and negative parts of m_xx (m_yy): AM-GM bounds
+        m_xx[k] m_yy[l] + m_yy[k] m_xx[l] below by 2 g_k g_l less the
+        negative parts, and |m_xy[k] m_xy[l]| <= (g_k + c_k)(g_l + c_l).
+        The bound is the smaller of that and the exact diagonal minimum, so
+        it is <= every weight in exact arithmetic on the marginals. Honest
+        marginals are never negative and obey Cauchy-Schwarz up to round-off,
+        so the second term is 0 and C of round-off size.
+        """
+        a, b, z = self.m_xx, self.m_yy, self.m_xy
+        a_pos, a_neg, b_pos, b_neg = (np.maximum(m, 0.0) for m in (a, -a, b, -b))
+        g = np.sqrt(a_pos * b_pos)
+        s = np.max(g, axis=-1)
+        c = np.max(np.maximum(np.abs(z) - g, 0.0), axis=-1)
+        pos_a, neg_a, pos_b, neg_b = (np.max(m, axis=-1) for m in (a_pos, a_neg, b_pos, b_neg))
+        # + 0.0 turns the -0.0 of a zero bound into 0.0
+        off = -2.0 * (2.0 * s * c + c * c) - 2.0 * (pos_a * neg_b + neg_a * pos_b) + 0.0
+        return _value(np.minimum(np.min(self.weights, axis=-1), off))
 
 
-def build_mu(m: GnsModel, xi, eta) -> AtomicPairMeasure:
+def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     """Product measure mu = m_xx (x) m_yy + m_yy (x) m_xx - 2 m_xy (x) m_xy.
 
+    ``xt`` and ``et`` are the entries u† xi u and u† eta u of two vectors
+    in the state's eigenbasis ((T, n, n) stacks over a stacked model).
     m_xx, m_yy, m_xy are the spectral weights Re <xi, e_k xi>,
-    Re <eta, e_k eta>, Re <xi, e_k eta> of the atoms e_k. Each resulting
-    atom weight is nonnegative up to round-off: the cross term is bounded
-    through the projection Cauchy-Schwarz inequality and the two plus terms
-    dominate by the arithmetic-geometric mean inequality.
+    Re <eta, e_k eta>, Re <xi, e_k eta> of the atoms e_k: one ``bincount``
+    over the atom labels, offset by n^2 per state, gives all of a stack's.
+
+    Each pair weight is nonnegative up to round-off: the cross term is
+    bounded through the projection Cauchy-Schwarz inequality, which makes
+    each atom's Gram matrix of marginals positive semidefinite, and the two
+    plus terms dominate by the arithmetic-geometric mean inequality. The
+    audit gates ``mu_negative_atom`` on
+    :attr:`AtomicPairMeasure.min_weight_bound`, which is <= the minimum
+    over all K^2 weights in exact arithmetic and never forms them. The
+    former gate flagged min_kl w[k, l] < -MU_ATOM_SLACK * max(sum_kl w, 0);
+    the gate now flags bound < -MU_ATOM_SLACK * max(mass, 0), where ``mass``
+    equals sum_kl w exactly and bound <= min_kl w, so it fires on every
+    instance the former gate fired on. Its diagonal part equals the
+    K^2 array's diagonal bit for bit.
     """
     spec = m.spectrum()
-    xt = m.to_eigenbasis(as_matrix(xi))
-    et = m.to_eigenbasis(as_matrix(eta))
-    w = m.eigenvalues[None, :]
-    k = spec.values.size
-    flat = spec.labels.ravel()
-    m_xx = np.bincount(flat, weights=(np.abs(xt) ** 2 * w).ravel(), minlength=k)
-    m_yy = np.bincount(flat, weights=(np.abs(et) ** 2 * w).ravel(), minlength=k)
-    m_xy = np.bincount(flat, weights=(np.real(np.conj(xt) * et) * w).ravel(), minlength=k)
-    # (m_xx m_yy^T + m_yy m_xx^T) - 2 (m_xy m_xy^T), entry by entry in this
-    # order, written in row blocks whose temporaries stay in cache: at
-    # K = dim^2 atoms, whole K x K temporaries outgrow it from dim ~20 on.
-    weights = np.empty((k, k))
-    step = max(1, _MU_BLOCK_ENTRIES // k)
-    for lo in range(0, k, step):
-        rows = weights[lo : lo + step]
-        np.multiply(m_xx[lo : lo + step, None], m_yy, out=rows)
-        rows += m_yy[lo : lo + step, None] * m_xx
-        rows -= 2.0 * (m_xy[lo : lo + step, None] * m_xy)
+    n = m.dim
+    lead = np.shape(xt)[:-2]
+    states = int(np.prod(lead))
+    offsets = (n * n) * np.arange(states).reshape(lead + (1, 1))
+    bins = (spec.labels + offsets).ravel()
+    lam = m.eigenvalues[..., None, :]
+
+    def marginal(entries):
+        weights = (entries * lam).ravel()
+        return np.bincount(bins, weights=weights, minlength=states * n * n).reshape(lead + (-1,))
+
+    m_xx = marginal(np.abs(xt) ** 2)
+    m_yy = marginal(np.abs(et) ** 2)
+    m_xy = marginal(np.real(np.conj(xt) * et))
     return AtomicPairMeasure(
-        values=spec.values, weights=weights, m_xx=m_xx, m_yy=m_yy, m_xy=m_xy
+        values=np.broadcast_to(spec.values, m_xx.shape),
+        weights=2.0 * (m_xx * m_yy - m_xy * m_xy),
+        m_xx=m_xx,
+        m_yy=m_yy,
+        m_xy=m_xy,
     )
 
 
-def pair_integrand(f: MonotoneFunction, s, t):
-    """(s + 1) tilde(t) + (t + 1) tilde(s) - 2 tilde(s) tilde(t), elementwise.
-
-    Equals ((s + 1) - tilde(s)) tilde(t) + ((t + 1) - tilde(t)) tilde(s),
-    a sum of products of nonnegative factors for any valid catalog entry.
-    """
-    fs = np.asarray(tilde_transform(f, s), dtype=float)
-    ft = np.asarray(tilde_transform(f, t), dtype=float)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return (s + 1.0) * ft + (t + 1.0) * fs - 2.0 * fs * ft
+def _dot(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """p . w over the last axis: one BLAS dot per state, whatever the stack."""
+    return (p[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
-def h_from_measure(mu: AtomicPairMeasure, f: MonotoneFunction) -> float:
+def h_from_measure(mu: AtomicPairMeasure, f: MonotoneFunction):
     """Integrate the pair integrand against an already-built measure.
 
-    Evaluates (1/4) sum_kl pair_integrand(f, s_k, s_l) weights[k, l] in its
+    Evaluates (1/4) sum_kl integrand(s_k, s_l) w[k, l], with the integrand
+    (s + 1) tilde(t) + (t + 1) tilde(s) - 2 tilde(s) tilde(t), in its
     separable form from the marginals, in O(K) for K atoms:
 
         H = (1/4) [2 (P_x Q_y + P_y Q_x) - 4 (P_z Q_z + Q_x Q_y - Q_z^2)]
@@ -247,18 +324,23 @@ def h_from_measure(mu: AtomicPairMeasure, f: MonotoneFunction) -> float:
     with p = values + 1, q = tilde(values), P_x = p . m_xx, Q_x = q . m_xx
     (y for m_yy, z for m_xy). Both the integrand and the weights are sums
     of outer products of per-atom vectors, so the double sum factors into
-    these inner products exactly; only the summation order differs.
+    these inner products exactly; only the summation order differs. A
+    stacked measure gives one H per state.
     """
     p = mu.values + 1.0
     q = np.asarray(tilde_transform(f, mu.values), dtype=float)
-    px, py, pz = (float(p @ w) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
-    qx, qy, qz = (float(q @ w) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
-    return 0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz))
+    px, py, pz = (_dot(p, w) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
+    qx, qy, qz = (_dot(q, w) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
+    return _value(0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz)))
 
 
 @dataclass(frozen=True)
 class GnsAuditReport:
-    """Outcome of the G = H identity audit for one instance and catalog entry."""
+    """Outcome of the G = H identity audit for one instance and catalog entry.
+
+    ``mu_min_atom`` is the certified lower bound on the smallest pair weight
+    of mu (:attr:`AtomicPairMeasure.min_weight_bound`), not the weight itself.
+    """
 
     g_value: float
     h_value: float
@@ -278,93 +360,110 @@ class GnsAuditReport:
         }
 
 
-def audit_G_equals_H(
-    m: GnsModel, functions: Sequence[MonotoneFunction], a, b
-) -> list[GnsAuditReport]:
+def _gap(var_a, var_b, cov_ab, info_a, info_b, corr_ab) -> np.ndarray:
+    """G = var_a var_b - cov^2 - info_a info_b + corr^2 per (state, entry).
+
+    Evaluated on Python floats, as the public qinfo route is: its ``** 2``
+    is libm's pow, which can differ in the last bit from numpy's x * x.
+    """
+    columns = (var_a, var_b, cov_ab, info_a, info_b, corr_ab)
+    return np.array(
+        [
+            [va * vb - cov**2 - ia * ib + corr**2 for ia, ib, corr in zip(*entries)]
+            for va, vb, cov, *entries in zip(*(c.tolist() for c in columns))
+        ]
+    )
+
+
+def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -> list:
     """Check the trace-route inequality gap against its spectral double integral.
 
-    Audits one instance (state of ``m``, observables ``a`` and ``b``) for
-    each catalog entry in ``functions`` and returns one report per entry,
-    in order. G is assembled from direct traces, the route of the qinfo
-    scalars; H integrates the pair measure of the centered observables.
-    |G - H| beyond G_H_RTOL * max(1, |G|) is flagged, as are negative mu
-    atoms beyond round-off slack and a negative quadratic form G^f on
-    either centered observable.
+    Audits the instances of ``m`` for each catalog entry in ``functions``.
+    For one state (``a`` and ``b`` its observables) it returns one report
+    per entry, in order; over a DensityStack of T states (``a`` and ``b``
+    (T, n, n) stacks) one such list per state, each equal to the audit of
+    that state alone. G is assembled from direct traces, the route of the
+    qinfo scalars; H integrates the pair measure of the centered
+    observables. |G - H| beyond G_H_RTOL * max(1, |G|) is flagged, as are a
+    certified lower bound on the weights of mu below -MU_ATOM_SLACK times
+    its mass, and a negative quadratic form G^f on either centered
+    observable.
 
-    Per instance: the variances, the covariance, the centered observables,
-    their graph forms E1, the measure mu, Re Tr(rho aa), Re Tr(rho bb),
-    Re Tr(rho ab) and the eigenbasis entries u† a u and u† b u. Per entry:
-    one modular kernel k, H by :func:`h_from_measure` in separable form and
-    the kernel form F of G^f = E1 / 2 - F. The 2F products k o (u† a u) and
-    k o (u† b u) of all F entries go back to the standard basis as one
-    (2F, n, n) stack, validated finite and Hermitian (a failure raises
+    Once per stack: Tr(rho a), Tr(rho b), Re Tr(rho aa), Re Tr(rho bb),
+    Re Tr(rho ab), so the variances and the covariance; the centered
+    observables and their eigenbasis entries, each rotated once and shared
+    by the graph forms E1 and the measure mu; and u† a u, u† b u. Per entry:
+    one modular kernel k per state, H by :func:`h_from_measure` from the
+    (T, K) marginals, and the kernel form F of G^f = E1 / 2 - F. The 2FT
+    products k o (u† a u) and k o (u† b u) go back to the standard basis as
+    one batch, validated finite and Hermitian (a failure raises
     ValueError). The informations and the correlation are then
     Re Tr(rho x y) - Re Tr(kx y) against the unrotated observables, the same
     operations as :func:`~skewcal.qinfo.f_correlation`, so G equals the
-    public direct route bit for bit.
+    public direct route bit for bit. The flags are (T, F) masks.
     """
-    rho = m.rho
-    var_a = variance(rho, a)
-    var_b = variance(rho, b)
-    cov_ab = covariance(rho, a, b)
-    a0 = centered(rho, a)
-    b0 = centered(rho, b)
-    mu = build_mu(m, a0, b0)
-    mu_min = mu.min_weight
-    mu_negative = mu_min < -MU_ATOM_SLACK * max(mu.mass, 0.0)
-    # eigenbasis entries and complex E1 of each centered observable
-    graph = [(m.to_eigenbasis(x), form_E1(m, x, x)) for x in (a0, b0)]
-
-    # the f-independent half of the direct route: the state traces of
-    # f_correlation and both observables in the state's eigenbasis
+    if m.eigenvalues.ndim == 1:
+        one = GnsModel(DensityStack.of(m.rho))
+        (reports,) = audit_G_equals_H(one, functions, as_matrix(a)[None], as_matrix(b)[None])
+        return reports
+    rho = m.states
     ma, mb = as_matrix(a), as_matrix(b)
-    tr_aa, tr_bb, tr_ab = (
-        float(np.trace(rho.matrix @ x @ y).real) for x, y in ((ma, ma), (mb, mb), (ma, mb))
-    )
-    tilted = np.array((m.to_eigenbasis(ma), m.to_eigenbasis(mb)))
+    for x in (ma, mb):
+        if x.shape != rho.shape:
+            raise ValueError(f"observable shape {x.shape[1:]} does not match state dim {m.dim}")
 
-    # one kernel per entry, applied to both observables in one validated
-    # (2F, n, n) stack ordered (k_0 o a, k_0 o b, k_1 o a, ...)
-    kernels = [modular_kernel_matrix(rho, f) for f in functions]
-    mapped = (np.array(kernels)[:, None] * tilted).reshape(-1, m.dim, m.dim)
-    applied, _ = _kernel_apply_stack(m.eigenvectors, mapped)
-    ka, kb = applied[0::2], applied[1::2]
+    # the f-independent half: Tr(rho x) and Re Tr(rho x y), each once
+    ra, rb = rho @ ma, rho @ mb
+    exp_a, exp_b = _real_trace(ra), _real_trace(rb)
+    tr_aa, tr_bb, tr_ab = (_real_trace(r @ y) for r, y in ((ra, ma), (rb, mb), (ra, mb)))
+    var_a = tr_aa - exp_a * exp_a
+    var_b = tr_bb - exp_b * exp_b
+    cov_ab = tr_ab - exp_a * exp_b
+    eye = np.eye(m.dim)
+    a0 = ma - exp_a[:, None, None] * eye
+    b0 = mb - exp_b[:, None, None] * eye
+    at0, bt0 = m.to_eigenbasis(a0), m.to_eigenbasis(b0)
+    mu = build_mu(m, at0, bt0)
+    mu_min = mu.min_weight_bound
+    mu_negative = mu_min < -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0)
+    graph = [(xt, form_E1(m, x, x, (xt, xt))) for x, xt in ((a0, at0), (b0, bt0))]
+
+    # one kernel per (state, entry), applied to both observables in one
+    # validated (T, 2F, n, n) batch ordered (k_0 o a, k_0 o b, k_1 o a, ...)
+    kernels = np.stack([modular_kernel_matrix(m.rho, f) for f in functions], axis=1)
+    tilted = np.stack((m.to_eigenbasis(ma), m.to_eigenbasis(mb)), axis=1)
+    mapped = (kernels[:, :, None] * tilted[:, None]).reshape(len(rho), -1, m.dim, m.dim)
+    applied, _ = _kernel_apply_stack(m.eigenvectors[:, None], mapped)
+    ka, kb = applied[:, 0::2], applied[:, 1::2]
     # Tr(ka a), Tr(kb b) and Tr(ka b) against the unrotated observables
-    tr_ka_a, tr_kb_b, tr_ka_b = (
-        np.trace(k @ y, axis1=1, axis2=2).real.tolist() for k, y in ((ka, ma), (kb, mb), (ka, mb))
-    )
+    info_a = tr_aa[:, None] - _real_trace(ka @ ma[:, None])
+    info_b = tr_bb[:, None] - _real_trace(kb @ mb[:, None])
+    corr_ab = tr_ab[:, None] - _real_trace(ka @ mb[:, None])
+    g = _gap(var_a, var_b, cov_ab, info_a, info_b, corr_ab)
+    h = np.stack([h_from_measure(mu, f) for f in functions], axis=1)
+    residual = np.abs(g - h)
 
-    reports = []
-    for f, kernel, ka_a, kb_b, ka_b in zip(functions, kernels, tr_ka_a, tr_kb_b, tr_ka_b):
-        info_a = tr_aa - ka_a
-        info_b = tr_bb - kb_b
-        corr_ab = tr_ab - ka_b
-        g = var_a * var_b - cov_ab**2 - info_a * info_b + corr_ab**2
-        h = h_from_measure(mu, f)
-        residual = abs(g - h)
+    # form_G(m, f, x, x) with the f-independent parts reused
+    mismatch = residual > G_H_RTOL * np.fmax(1.0, np.abs(g))
+    masks = [mismatch, np.broadcast_to(mu_negative[:, None], g.shape)]
+    gforms = []
+    for xt, e1 in graph:
+        gf = (0.5 * e1[:, None] - _weighted_form(kernels, xt[:, None], xt[:, None])).real
+        gforms.append(gf.tolist())
+        masks.append(gf < -GFORM_SLACK * np.maximum(e1.real, 0.0)[:, None])
 
-        flags: list[str] = []
-        if residual > G_H_RTOL * max(1.0, abs(g)):
-            flags.append("g_h_mismatch")
-        if mu_negative:
-            flags.append("mu_negative_atom")
-
-        # form_G(m, f, x, x) with the f-independent parts reused
-        gform_values = []
-        for xt, e1 in graph:
-            gf = (0.5 * e1 - _weighted_form(kernel, xt, xt)).real
-            gform_values.append(gf)
-            if gf < -GFORM_SLACK * max(e1.real, 0.0):
-                flags.append("gform_negative")
-
-        reports.append(
+    columns = (g.tolist(), h.tolist(), residual.tolist(), *gforms, np.stack(masks, -1).tolist())
+    return [
+        [
             GnsAuditReport(
-                g_value=g,
-                h_value=h,
-                residual=residual,
-                mu_min_atom=mu_min,
-                gform_min=min(gform_values),
-                flags=tuple(flags),
+                g_value=g_tf,
+                h_value=h_tf,
+                residual=r_tf,
+                mu_min_atom=bound,
+                gform_min=min(gf_a, gf_b),
+                flags=tuple(name for name, hit in zip(_AUDIT_FLAGS, hits) if hit),
             )
-        )
-    return reports
+            for g_tf, h_tf, r_tf, gf_a, gf_b, hits in zip(*row)
+        ]
+        for bound, *row in zip(mu_min.tolist(), *columns)
+    ]

@@ -16,9 +16,9 @@ unchanged and each trial still draws from its own generators; the samplers
 take the chunk's seeds and return validated stacks. Sampling, validation
 (with one batched eigh), the Frobenius normalisation and the rotation into
 each state's eigenbasis run once per chunk, as does one stacked report per
-catalog entry. Only the draws, the observables' Frobenius norms and the
-optional G = H audit, which wraps each state from the validated slices,
-run per trial. A rejected trial is reported with its (dim, trial, seed).
+catalog entry, and the optional G = H audit once per chunk for every
+entry. Only the draws and the observables' Frobenius norms run per
+trial. A rejected trial is reported with its (dim, trial, seed).
 The stacks and the report's temporaries hold O(_STACK_ENTRIES) numbers
 whatever the trial count; the records of one dimension are kept until it
 is written. Every stacked operation and reduction acts on one trial's
@@ -299,9 +299,10 @@ def _chunk_instances(config: SweepConfig, functions, dim: int, trials: range):
 
     Returns the per-trial seeds, the states' eigenvalues (T, n), both
     observables in each state's eigenbasis as (T, n, n) stacks and, with
-    ``config.gns_audit``, one list of audit reports per trial. The sampled
-    stacks die with this call, so they add nothing to the report's peak
-    memory. A rejected instance raises ValueError naming (dim, trial, seed).
+    ``config.gns_audit``, one list of audit reports per trial from one
+    stacked audit. The sampled stacks die with this call, so they add
+    nothing to the report's peak memory. A rejected instance raises
+    ValueError naming (dim, trial, seed).
     """
     seeds = [hash64(config.seed, dim, trial) for trial in trials]
     try:
@@ -316,11 +317,8 @@ def _chunk_instances(config: SweepConfig, functions, dim: int, trials: range):
         _normalize(b)
     audits = []
     if config.gns_audit:
-        # one audit per instance covers every f entry
-        audits = [
-            audit_G_equals_H(GnsModel(rho.state(k)), functions, a[k], b[k])
-            for k in range(len(trials))
-        ]
+        # one audit per chunk covers every trial and f entry
+        audits = audit_G_equals_H(GnsModel(rho), functions, a, b)
     return seeds, rho.eigenvalues, rho.to_eigenbasis(a), rho.to_eigenbasis(b), audits
 
 

@@ -254,6 +254,12 @@ class DensityStack:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    @classmethod
+    def of(cls, rho: DensityMatrix) -> "DensityStack":
+        """The stack of one holding ``rho``, sharing its validated arrays."""
+        herm = np.array([rho.base.herm_residual])
+        return cls(rho.matrix[None], herm, rho.eigenvalues[None], rho.eigenvectors[None])
+
     def state(self, k: int) -> DensityMatrix:
         """State k as a DensityMatrix, wrapping the validated slices without a second eigh."""
         base = HermitianMatrix._validated(self.matrices[k], float(self.herm_residuals[k]))
@@ -265,27 +271,34 @@ class DensityStack:
         return u.conj().swapaxes(1, 2) @ a @ u
 
 
-def modular_kernel_matrix(rho: DensityMatrix, f: MonotoneFunction) -> np.ndarray:
+def modular_kernel_matrix(rho: DensityMatrix | DensityStack, f: MonotoneFunction) -> np.ndarray:
     """Kernel k[i, j] = tilde(lam_i / lam_j) * lam_j over the state's eigenbasis.
 
-    Symmetric in (i, j) because tilde(x) = x * tilde(1/x).
+    Symmetric in (i, j) because tilde(x) = x * tilde(1/x). A DensityStack
+    gives the (T, n, n) stack of its states' kernels, entry for entry
+    those of each state alone.
     """
     lam = rho.eigenvalues
-    ratios = lam[:, None] / lam[None, :]
-    return np.asarray(tilde_transform(f, ratios), dtype=float) * lam[None, :]
+    ratios = lam[..., :, None] / lam[..., None, :]
+    return np.asarray(tilde_transform(f, ratios), dtype=float) * lam[..., None, :]
 
 
 def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate a (S, n, n) stack of kernel products k o x back: u (k o x) u† per matrix.
+    """Rotate a stack of kernel products k o x back: u (k o x) u† per matrix.
 
-    ``u`` holds the state's eigenvectors and each ``mapped[s]`` a kernel
-    times an observable's eigenbasis entries. Every result is validated
-    finite and Hermitian by _hermitian_stack (a failure raises the plain
-    ValueError of a single HermitianMatrix); returns its Hermitian parts
-    and repair residuals. One batched matmul keeps each matrix's bits
-    those of a stack of one.
+    ``mapped[..., s, :, :]`` is a kernel times an observable's eigenbasis
+    entries, and ``u`` the eigenvectors of its state: (n, n) for one state,
+    or (..., 1, n, n) to broadcast each state's over its products. Every
+    result is validated finite and Hermitian by _hermitian_stack (a failure
+    raises the plain ValueError of a single HermitianMatrix); returns the
+    Hermitian parts and repair residuals, shaped like ``mapped`` and its
+    leading axes. One batched matmul keeps each matrix's bits those of a
+    stack of one.
     """
-    return _hermitian_stack(u @ mapped @ u.conj().T, stacked=False)
+    back = u @ mapped @ u.conj().swapaxes(-1, -2)
+    n = back.shape[-1]
+    sym, residual = _hermitian_stack(back.reshape(-1, n, n), stacked=False)
+    return sym.reshape(back.shape), residual.reshape(back.shape[:-2])
 
 
 def modular_kernel_apply(rho: DensityMatrix, f: MonotoneFunction, a) -> HermitianMatrix:
@@ -370,14 +383,15 @@ def group_spectrum(eigenvalues) -> np.ndarray:
     """Cluster labels of a descending spectrum's near-degenerate eigenvalues.
 
     Consecutive values closer than DEGENERACY_RTOL * max|lam| share a
-    cluster; labels count up from 0 in spectrum order.
+    cluster; labels count up from 0 in spectrum order. A (T, n) stack of
+    spectra gives the (T, n) labels of each row on its own.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("expected a non-empty eigenvalue vector")
-    tol = DEGENERACY_RTOL * float(np.max(np.abs(lam)))
-    labels = np.zeros(lam.size, dtype=int)
-    np.cumsum(np.abs(np.diff(lam)) > tol, out=labels[1:])
+    if lam.ndim not in (1, 2) or lam.size == 0:
+        raise ValueError("expected a non-empty eigenvalue vector or stack of vectors")
+    tol = DEGENERACY_RTOL * np.max(np.abs(lam), axis=-1, keepdims=True)
+    labels = np.zeros(lam.shape, dtype=int)
+    np.cumsum(np.abs(np.diff(lam, axis=-1)) > tol, axis=-1, out=labels[..., 1:])
     return labels
 
 

@@ -8,10 +8,12 @@ recompute them from scratch so a test can certify that the frozen literals
 are what the high-precision arithmetic actually produces; all other tests
 compare library output against the literals.
 
-The float64 part (at the end) holds the wyd closed forms for matrices of
-any size, in plain numpy: the power sandwich of rho in the standard basis
-and the transform (x^beta + x^(1-beta)) / 2. They are the second routes
-that the library's kernel route is tested against.
+The float64 part holds the wyd closed forms for matrices of any size, in
+plain numpy: the power sandwich of rho in the standard basis and the
+transform (x^beta + x^(1-beta)) / 2. They are the second routes that the
+library's kernel route is tested against. The last part holds the K x K
+definitions of the pair measure mu and the pair integrand that the
+library evaluates only in O(K) form.
 
 Reference instance: the faithful qubit state diag(3/4, 1/4) with the two
 off-diagonal Pauli observables
@@ -202,3 +204,31 @@ def sandwich_correlation(rho, beta, a, b):
     """
     rho, a, b = (np.asarray(m, dtype=complex) for m in (rho, a, b))
     return float(np.trace(rho @ a @ b).real - np.trace(power_sandwich(rho, beta, a) @ b).real)
+
+
+# --- the pair measure and integrand, K x K ----------------------------------
+
+
+def pair_weights(m_xx, m_yy, m_xy):
+    """K x K weights w[k, l] = m_xx[k] m_yy[l] + m_yy[k] m_xx[l] - 2 m_xy[k] m_xy[l].
+
+    The definition of mu from its per-atom marginals, entry by entry in this
+    order, that the library's O(K) mass, certificate and separable H are
+    checked against.
+    """
+    m_xx, m_yy, m_xy = (np.asarray(m, dtype=float) for m in (m_xx, m_yy, m_xy))
+    return (np.outer(m_xx, m_yy) + np.outer(m_yy, m_xx)) - 2.0 * np.outer(m_xy, m_xy)
+
+
+def pair_integrand(tilde, s, t):
+    """(s + 1) tilde(t) + (t + 1) tilde(s) - 2 tilde(s) tilde(t), elementwise.
+
+    ``tilde`` is a callable profile. Equals
+    ((s + 1) - tilde(s)) tilde(t) + ((t + 1) - tilde(t)) tilde(s), a sum of
+    products of nonnegative factors for any valid catalog entry.
+    """
+    fs = np.asarray(tilde(s), dtype=float)
+    ft = np.asarray(tilde(t), dtype=float)
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return (s + 1.0) * ft + (t + 1.0) * fs - 2.0 * fs * ft

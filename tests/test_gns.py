@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import skewcal.gns as gns
-from oracle import FROZEN
+from hypothesis import given
+from hypothesis import strategies as st
+from oracle import FROZEN, pair_integrand, pair_weights
 from skewcal.gns import (
     G_H_RTOL,
     MU_ATOM_SLACK,
@@ -17,9 +19,15 @@ from skewcal.gns import (
     form_F,
     form_G,
     h_from_measure,
-    pair_integrand,
 )
-from skewcal.linalg import DensityMatrix, random_density, random_hermitian
+from skewcal.harness import SweepConfig, hash64, run_sweep
+from skewcal.linalg import (
+    FAITHFULNESS_FLOOR,
+    DensityMatrix,
+    DensityStack,
+    random_density,
+    random_hermitian,
+)
 from skewcal.monotone import from_key, harmonic, sld, tilde_transform, wyd
 from skewcal.qinfo import centered, covariance, f_correlation, f_information, variance
 
@@ -132,8 +140,23 @@ def test_spectrum_of_maximally_mixed_state_is_one_atom():
     n = 4
     m = GnsModel(DensityMatrix(np.eye(n) / n))
     spec = m.spectrum()
-    assert spec.values.tolist() == [1.0]
+    # one cluster: every index pair lies in atom 0; the other n^2 - 1 slots
+    # hold no pair and the ratio 1
     assert np.array_equal(spec.labels, np.zeros((n, n), dtype=int))
+    assert spec.values.tolist() == [1.0] * n * n
+
+
+def test_spectrum_of_a_clustered_state_uses_the_cluster_slots():
+    # clusters {0, 1, 2}, {3, 4}, {5}: atom c_i * n + c_j, 9 of 36 slots used
+    m = GnsModel(_cluster_state(seed=307))
+    spec = m.spectrum()
+    assert np.unique(spec.labels).tolist() == [c * 6 + d for c in range(3) for d in range(3)]
+    lam = (0.25, 0.1, 0.05)
+    for c in range(3):
+        for d in range(3):
+            assert spec.values[c * 6 + d] == pytest.approx(lam[c] / lam[d], rel=1e-12)
+    unused = np.setdiff1d(np.arange(36), spec.labels)
+    assert np.all(spec.values[unused] == 1.0)
 
 
 def test_spectrum_is_cached():
@@ -141,11 +164,36 @@ def test_spectrum_is_cached():
     assert m.spectrum() is m.spectrum()
 
 
+def _mu(m, x, y):
+    # the measure of two vectors given in the standard basis
+    return build_mu(m, m.to_eigenbasis(x), m.to_eigenbasis(y))
+
+
 def test_mu_vanishes_on_equal_arguments():
     m = _model(4, seed=76)
     a0 = centered(m.rho, random_hermitian(4, seed=77).matrix)
-    mu = build_mu(m, a0, a0)
-    assert np.max(np.abs(mu.weights)) <= 1e-12 * max(1.0, np.sum(np.abs(mu.weights)) + 1.0)
+    mu = _mu(m, a0, a0)
+    w = pair_weights(mu.m_xx, mu.m_yy, mu.m_xy)
+    assert np.max(np.abs(w)) <= 1e-12 * max(1.0, np.sum(np.abs(w)) + 1.0)
+    assert abs(mu.mass) <= 1e-12 * max(1.0, np.sum(np.abs(w)) + 1.0)
+
+
+def _assert_certified(mu, where):
+    # against the K x K definition: the diagonal weights bit for bit, the
+    # mass up to summation order, and the bound at or below every weight.
+    # The bound holds in exact arithmetic; an off-diagonal weight whose exact
+    # value is 0 (at dim 2 the two ratio-1 atoms of centered observables)
+    # may round below it, by at most a few eps times the largest term
+    w = pair_weights(mu.m_xx, mu.m_yy, mu.m_xy)
+    assert mu.weights.shape == mu.values.shape == (w.shape[0],), where
+    assert np.array_equal(mu.weights, np.diag(w)), where
+    assert mu.mass == pytest.approx(float(np.sum(w)), rel=1e-12, abs=1e-300), where
+    a, b, z = (np.abs(m) for m in (mu.m_xx, mu.m_yy, mu.m_xy))
+    terms = np.outer(a, b) + np.outer(b, a) + 2.0 * np.outer(z, z)
+    round_off = 4.0 * np.finfo(float).eps * float(np.max(terms))
+    assert mu.min_weight_bound <= float(np.min(np.diag(w))), where
+    assert mu.min_weight_bound <= float(np.min(w)) + round_off, where
+    return w
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
@@ -153,9 +201,10 @@ def test_mu_atoms_are_nonnegative(dim):
     m = _model(dim, seed=78 + dim)
     a0 = centered(m.rho, random_hermitian(dim, seed=79 + dim).matrix)
     b0 = centered(m.rho, random_hermitian(dim, seed=80 + dim).matrix)
-    mu = build_mu(m, a0, b0)
-    assert mu.min_weight >= -1e-12 * max(mu.mass, 0.0)
-    assert mu.weights.shape == (mu.values.size, mu.values.size)
+    mu = _mu(m, a0, b0)
+    w = _assert_certified(mu, dim)
+    assert np.min(w) >= -1e-12 * max(mu.mass, 0.0)
+    assert mu.min_weight_bound >= -MU_ATOM_SLACK * max(mu.mass, 0.0)
 
 
 def test_mu_on_degenerate_state():
@@ -163,20 +212,55 @@ def test_mu_on_degenerate_state():
     m = GnsModel(DensityMatrix(np.eye(n) / n))
     a0 = centered(m.rho, random_hermitian(n, seed=81).matrix)
     b0 = centered(m.rho, random_hermitian(n, seed=82).matrix)
-    mu = build_mu(m, a0, b0)
-    assert mu.weights.shape == (1, 1)
-    assert mu.min_weight >= -1e-12 * max(mu.mass, 0.0)
+    mu = _mu(m, a0, b0)
+    # all mass sits on atom 0; the unused slots carry zero marginals
+    for marginal in (mu.m_xx, mu.m_yy, mu.m_xy):
+        assert np.all(marginal[1:] == 0.0)
+    w = _assert_certified(mu, "mixed")
+    assert np.min(w) >= -1e-12 * max(mu.mass, 0.0)
+
+
+def _near_floor_state(seed):
+    # a random eigenbasis with the smallest eigenvalue twice the faithfulness floor
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    u, _ = np.linalg.qr(g)
+    lam = np.array([0.4, 0.3, 0.2, 0.1, 0.0])
+    lam[-1] = 2.0 * FAITHFULNESS_FLOOR
+    lam[0] -= lam[-1]
+    return DensityMatrix((u * lam) @ u.conj().T)
+
+
+@given(
+    family=st.sampled_from(["random", "cluster", "near-floor"]),
+    dim=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certificate_is_below_the_k2_minimum(family, dim, seed):
+    rho = {
+        "random": lambda: random_density(dim, seed=seed),
+        "cluster": lambda: _cluster_state(seed),
+        "near-floor": lambda: _near_floor_state(seed),
+    }[family]()
+    m = GnsModel(rho)
+    a0 = centered(rho, random_hermitian(m.dim, seed=seed + 1).matrix)
+    b0 = centered(rho, random_hermitian(m.dim, seed=seed + 2).matrix)
+    _assert_certified(_mu(m, a0, b0), (family, dim, seed))
 
 
 def test_pair_integrand_values():
     f = wyd(0.5)
-    assert pair_integrand(f, 1.0, 1.0) == 2.0
+
+    def tilde(x):
+        return tilde_transform(f, x)
+
+    assert pair_integrand(tilde, 1.0, 1.0) == 2.0
     s = np.array([0.5, 1.0, 3.0])
     t = np.array([2.0, 4.0, 8.0])
-    direct = pair_integrand(f, s, t)
+    direct = pair_integrand(tilde, s, t)
     # factored formulation: ((s+1) - tilde(s)) tilde(t) + ((t+1) - tilde(t)) tilde(s)
-    ts = np.asarray(tilde_transform(f, s), dtype=float)
-    tt = np.asarray(tilde_transform(f, t), dtype=float)
+    ts = np.asarray(tilde(s), dtype=float)
+    tt = np.asarray(tilde(t), dtype=float)
     factored = ((s + 1.0) - ts) * tt + ((t + 1.0) - tt) * ts
     assert np.allclose(direct, factored, atol=1e-12)
     assert np.all(direct >= 0.0)
@@ -187,7 +271,7 @@ def test_h_matches_gap_on_fixture(fixture_rho, fixture_a, fixture_b):
     f = wyd(0.5)
     a0 = centered(fixture_rho, fixture_a.matrix)
     b0 = centered(fixture_rho, fixture_b.matrix)
-    h = h_from_measure(build_mu(m, a0, b0), f)
+    h = h_from_measure(_mu(m, a0, b0), f)
     assert h == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-12)
 
 
@@ -236,17 +320,20 @@ def _h_oracle_cases():
 def test_separable_h_matches_pair_sum(key):
     # the definition: (1/4) sum over atom pairs of pair_integrand * mu
     f = from_key(key)
+
+    def tilde(x):
+        return tilde_transform(f, x)
+
     for name, rho in _h_oracle_cases():
         m = GnsModel(rho)
         a0 = centered(rho, random_hermitian(m.dim, seed=400 + m.dim).matrix)
         b0 = centered(rho, random_hermitian(m.dim, seed=500 + m.dim).matrix)
-        mu = build_mu(m, a0, b0)
+        mu = _mu(m, a0, b0)
         s, t = mu.values[:, None], mu.values[None, :]
-        terms = 0.25 * pair_integrand(f, s, t) * mu.weights
+        terms = 0.25 * pair_integrand(tilde, s, t) * pair_weights(mu.m_xx, mu.m_yy, mu.m_xy)
         scale = float(np.sum(np.abs(terms)))
         assert scale > 0.0, name
         assert abs(h_from_measure(mu, f) - float(np.sum(terms))) <= 1e-12 * scale, name
-    assert GnsModel(_cluster_state(seed=307)).spectrum().values.size == 9
 
 
 def test_audit_at_wide_dims_one_call_per_instance():
@@ -289,23 +376,55 @@ def test_g_h_mismatch_gate_fires(monkeypatch):
 
     def offset_h(mu, f):
         h = real(mu, f)
-        return h + 100.0 * G_H_RTOL * max(1.0, abs(h))
+        return h + 100.0 * G_H_RTOL * np.fmax(1.0, np.abs(h))
 
     monkeypatch.setattr(gns, "h_from_measure", offset_h)
     _assert_flags(monkeypatch, lambda key: ("g_h_mismatch",))
 
 
-def test_mu_negative_atom_gate_fires(monkeypatch):
+def _inject_marginals(monkeypatch, edit, diagonal_kept):
+    # build_mu with the marginals of each state edited in place by edit(k,
+    # m_xx, m_yy, m_xy) at its heaviest atom k; the former K x K gate must
+    # fire on every result, and with ``diagonal_kept`` the edit leaves every
+    # diagonal weight as it was. H integrates the edited marginals, so
+    # G = H fails as well
     real = gns.build_mu
 
-    def one_negative_atom(m, xi, eta):
-        mu = real(m, xi, eta)
-        weights = mu.weights.copy()
-        weights[0, 0] = -1e3 * MU_ATOM_SLACK * float(np.sum(np.abs(mu.weights)))
-        return dataclasses.replace(mu, weights=weights)
+    def edited(m, xt, et):
+        mu = real(m, xt, et)
+        m_xx, m_yy, m_xy = (np.array(x) for x in (mu.m_xx, mu.m_yy, mu.m_xy))
+        for x, y, z in zip(m_xx, m_yy, m_xy):
+            before = np.diag(pair_weights(x, y, z))
+            edit(int(np.argmax(x * y)), x, y, z)
+            w = pair_weights(x, y, z)
+            assert np.min(w) < -MU_ATOM_SLACK * max(float(np.sum(w)), 0.0)
+            assert np.array_equal(np.diag(w), before) == diagonal_kept
+        weights = 2.0 * (m_xx * m_yy - m_xy * m_xy)
+        return dataclasses.replace(mu, weights=weights, m_xx=m_xx, m_yy=m_yy, m_xy=m_xy)
 
-    monkeypatch.setattr(gns, "build_mu", one_negative_atom)
-    _assert_flags(monkeypatch, lambda key: ("mu_negative_atom",))
+    monkeypatch.setattr(gns, "build_mu", edited)
+
+
+def test_mu_negative_atom_gate_fires_on_a_negative_diagonal_weight(monkeypatch):
+    # |m_xy| twice the geometric mean of m_xx and m_yy at one atom: its
+    # diagonal weight 2 (m_xx m_yy - m_xy^2) turns negative
+    def overlap(k, m_xx, m_yy, m_xy):
+        m_xy[k] = 2.0 * np.sqrt(m_xx[k] * m_yy[k])
+
+    _inject_marginals(monkeypatch, overlap, diagonal_kept=False)
+    _assert_flags(monkeypatch, lambda key: ("g_h_mismatch", "mu_negative_atom"))
+
+
+def test_mu_negative_atom_gate_fires_on_a_cauchy_schwarz_break(monkeypatch):
+    # negated m_xx and m_yy at one atom: its Gram matrix
+    # [[m_xx, m_xy], [m_xy, m_yy]] turns negative definite, so Cauchy-Schwarz
+    # fails there, but its determinant and so every diagonal weight keeps
+    # its value; only off-diagonal weights go negative
+    def negate(k, m_xx, m_yy, m_xy):
+        m_xx[k], m_yy[k] = -m_xx[k], -m_yy[k]
+
+    _inject_marginals(monkeypatch, negate, diagonal_kept=True)
+    _assert_flags(monkeypatch, lambda key: ("g_h_mismatch", "mu_negative_atom"))
 
 
 def test_gform_negative_gate_fires(monkeypatch):
@@ -314,8 +433,8 @@ def test_gform_negative_gate_fires(monkeypatch):
     # observables; E1 feeds only the G-form, so G and H do not move
     real = gns.form_E1
 
-    def shrunk_e1(m, xi, eta):
-        return (1.0 - 1e-6) * real(m, xi, eta)
+    def shrunk_e1(*args):
+        return (1.0 - 1e-6) * real(*args)
 
     monkeypatch.setattr(gns, "form_E1", shrunk_e1)
     _assert_flags(
@@ -331,7 +450,7 @@ def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
 
     def asymmetric(rho, f):
         kernel = real(rho, f).copy()
-        kernel[0, 1] += 1e-3
+        kernel[..., 0, 1] += 1e-3
         return kernel
 
     monkeypatch.setattr(gns, "modular_kernel_matrix", asymmetric)
@@ -377,9 +496,10 @@ def test_h_from_measure_consistency():
     a = random_hermitian(3, seed=91).matrix
     b = random_hermitian(3, seed=92).matrix
     f = sld()
-    mu = build_mu(m, centered(m.rho, a), centered(m.rho, b))
+    mu = _mu(m, centered(m.rho, a), centered(m.rho, b))
     (report,) = audit_G_equals_H(m, [f], a, b)
     assert h_from_measure(mu, f) == report.h_value
+    assert mu.min_weight_bound == report.mu_min_atom
 
 
 def test_model_exposes_spectral_data():
@@ -392,3 +512,65 @@ def test_model_exposes_spectral_data():
         (m.eigenvectors * m.eigenvalues) @ m.eigenvectors.conj().T,
         atol=1e-12,
     )
+
+
+def _stack(states):
+    return DensityStack(
+        np.array([rho.matrix for rho in states]),
+        np.array([rho.base.herm_residual for rho in states]),
+        np.array([rho.eigenvalues for rho in states]),
+        np.array([rho.eigenvectors for rho in states]),
+    )
+
+
+def _stack_cases():
+    yield [random_density(3, seed=1000 + k) for k in range(7)]
+    yield [random_density(8, seed=1100 + k) for k in range(7)]
+    # clustered, maximally mixed and generic states share one stack
+    mixed = DensityMatrix(np.eye(6) / 6)
+    yield [_cluster_state(1200), random_density(6, seed=1201), mixed, _cluster_state(1203)]
+
+
+def test_stacked_audit_equals_per_trial_audits():
+    # a chunk's audit is each trial's stack-of-one audit, by repr on every
+    # report field, whatever the chunk boundaries
+    functions = [from_key(k) for k in ALL_KEYS]
+    for states in _stack_cases():
+        n, t = states[0].dim, len(states)
+        a = np.array([random_hermitian(n, seed=1300 + k).matrix for k in range(t)])
+        b = np.array([random_hermitian(n, seed=1400 + k).matrix for k in range(t)])
+        singles = [
+            audit_G_equals_H(GnsModel(rho), functions, a[k], b[k]) for k, rho in enumerate(states)
+        ]
+        for cut in (1, t // 2, t - 1):
+            chunks = [range(0, cut), range(cut, t)]
+            stacked = [
+                report
+                for chunk in chunks
+                for report in audit_G_equals_H(
+                    GnsModel(_stack([states[k] for k in chunk])), functions, a[chunk], b[chunk]
+                )
+            ]
+            assert repr(stacked) == repr(singles), (n, cut)
+        assert all(r.flags == () for reports in singles for r in reports)
+
+
+def test_audited_sweep_records_are_per_trial_audits():
+    # dim 64 runs two trials per chunk, so trial 2 starts a second chunk
+    functions = [from_key(k) for k in ALL_KEYS]
+    records = []
+    config = SweepConfig(dims=(64,), trials=3, f_specs=ALL_KEYS, seed=11, gns_audit=True)
+    run_sweep(config, records.append)
+    by_trial = {}
+    for record in records:
+        by_trial.setdefault(record["trial"], []).append(record)
+    for trial, rows in by_trial.items():
+        seed = hash64(11, 64, trial)
+        rho = random_density(64, hash64(seed, 0))
+        a, b = (random_hermitian(64, hash64(seed, k)).matrix for k in (1, 2))
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)  # the sweep's normalisation
+        reports = audit_G_equals_H(GnsModel(rho), functions, a, b)
+        assert [r["f"] for r in rows] == [f.name for f in functions]
+        for row, report in zip(rows, reports):
+            assert repr(row["residuals"][-1]) == repr(report.residual), (trial, row["f"])
+            assert row["flags"] == list(report.flags) == []

@@ -277,10 +277,12 @@ def test_group_spectrum_clusters():
     assert group_spectrum([1.0, near]).tolist() == [0, 0]
     apart = 1.0 - 1e-11
     assert group_spectrum([1.0, apart]).tolist() == [0, 1]
-    with pytest.raises(ValueError):
-        group_spectrum([])
-    with pytest.raises(ValueError):
-        group_spectrum(np.zeros((2, 2)))
+    # a stack of spectra is grouped row by row, each on its own scale
+    stack = group_spectrum([[3.0, 2.0, 1.0], [2e-3, 2e-3, 1e-3]])
+    assert stack.tolist() == [[0, 1, 2], [0, 0, 1]]
+    for bad in ([], [[]], np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError):
+            group_spectrum(bad)
 
 
 def test_as_matrix_views():

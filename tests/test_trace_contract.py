@@ -46,8 +46,13 @@ def test_traced_sweeps_record_every_wrapped_layer(tmp_path):
             summary = tracer.wrap("harness.loop", run_sweep)(config)
             assert summary.total == len(KEYS) and summary.violations == 0
     expected = {layer for _, _, layer in tracing.TARGETS}
-    expected |= {"harness.loop", "monotone.tilde", "gns.h", "linalg.rotate"}
-    assert expected <= set(tracer.calls())
+    expected |= {"harness.loop", "monotone.tilde", "gns.h"}
+    # The stacked audit takes its direct traces and rotations on whole
+    # stacks inside gns.audit, as the stacked report does inside
+    # qinfo.report: a sweep calls none of the per-instance qinfo functions
+    # (qinfo.direct) or DensityMatrix.to_eigenbasis (linalg.rotate).
+    idle = {"qinfo.direct", "linalg.rotate"}
+    assert set(tracer.calls()) == expected - idle
     assert tracer.counts["gns.h.atom_pairs"] > 0
 
 
@@ -63,6 +68,27 @@ def test_audited_sweep_builds_one_kernel_per_instance_and_f():
     assert calls["qinfo.report"] == len(KEYS)
     assert calls["gns.h"] == len(KEYS)
     assert calls["monotone.tilde"] == len(KEYS) + 2 * len(KEYS) == 15
+    # H reads the K = 3^2 per-atom marginals, not K^2 atom pairs
+    assert tracer.counts["gns.h.atom_pairs"] == calls["gns.h"] * 3**2
+
+
+def test_audited_sweep_audits_once_per_dim_chunk():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    dims, trials = (3, 64), 3
+    with tracing.traced(tracer):
+        summary = run_sweep(SweepConfig(dims=dims, trials=trials, f_specs=KEYS, gns_audit=True))
+    assert summary.total == len(dims) * trials * len(KEYS) and summary.violations == 0
+    chunks = sum(math.ceil(trials / max(1, _STACK_ENTRIES // d**2)) for d in dims)
+    assert chunks == 3  # one chunk at dim 3, two at dim 64
+    calls = tracer.calls()
+    assert calls["gns.audit"] == calls["gns.mu"] == chunks
+    # one GnsModel per chunk, plus the one spectrum it computes for the chunk
+    assert calls["gns.model"] == 2 * chunks
+    # one H per (chunk, f), over the chunk's trials times n^2 atom slots:
+    # n^2 per record, where the K x K measure had n^4
+    assert calls["gns.h"] == chunks * len(KEYS)
+    assert tracer.counts["gns.h.atom_pairs"] == sum(trials * len(KEYS) * d**2 for d in dims)
 
 
 def test_traced_sweep_reports_once_per_dim_chunk_and_f():
