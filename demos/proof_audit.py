@@ -17,7 +17,7 @@ the measure.
 
 import numpy as np
 
-from skewcal.gns import GnsModel, audit_G_equals_H, build_mu, form_E1, form_F, form_G
+from skewcal.gns import GnsModel, audit_G_equals_H, build_mu, form_E1, form_G
 from skewcal.linalg import random_density, random_hermitian
 from skewcal.monotone import from_key, tilde_transform
 from skewcal.qinfo import centered, evaluate_inequalities
@@ -38,11 +38,12 @@ xb = centered(rho, b.matrix)
 print("cov via form :", 0.5 * form_E1(model, xa, xb).real, " trace route:", report.cov_ab)
 print("corr via form:", form_G(model, f, xa, xb).real, " trace route:", report.corr_ab)
 
-# E1 and F sandwich every mixed term: F is the ftilde(Delta) form, E1
-# the f-independent envelope (Delta + 1), and F <= E1 / 2 entrywise in
-# any orthogonal decomposition.
-print("E1(a,a) / 2  :", 0.5 * form_E1(model, xa, xa).real)
-print("F(a,a)       :", form_F(model, f, xa, xa).real, " (= var - info)")
+# E1 and F sandwich every mixed term: F = E1 / 2 - G is the ftilde(Delta)
+# form, E1 the f-independent envelope (Delta + 1), and F <= E1 / 2
+# entrywise in any orthogonal decomposition.
+e1_half = 0.5 * form_E1(model, xa, xa)
+print("E1(a,a) / 2  :", e1_half.real)
+print("F(a,a)       :", (e1_half - form_G(model, f, xa, xa)).real, " (= var - info)")
 
 # The audit: G from the report scalars, H from the spectral measure.
 (audit,) = audit_G_equals_H(model, [f], a.matrix, b.matrix)

@@ -72,7 +72,6 @@ __all__ = [
     "audit_G_equals_H",
     "build_mu",
     "form_E1",
-    "form_F",
     "form_G",
     "h_from_measure",
 ]
@@ -104,25 +103,22 @@ class GnsModel:
     """Modular data of the state Tr(rho .), or of each state of a stack.
 
     Vectors of the representation are plain matrices; the cyclic vector is
-    the identity. Attributes expose the state's spectral data and the
-    matrix of eigenvalue ratios lam_i / lam_j that represents the modular
-    operator entrywise in the eigenbasis. Over a DensityStack of T states
-    ``states``, ``eigenvalues``, ``eigenvectors`` and ``ratios`` carry a
-    leading trial axis, vectors are (T, n, n) stacks, and the inner
-    product, the forms and the measure give one value per state.
+    the identity. Attributes expose the state's spectral data; the modular
+    operator acts entrywise in the eigenbasis by the eigenvalue ratios
+    lam_i / lam_j. Over a DensityStack of T states ``states``,
+    ``eigenvalues`` and ``eigenvectors`` carry a leading trial axis,
+    vectors are (T, n, n) stacks, and the inner product, the forms and the
+    measure give one value per state.
     """
 
-    __slots__ = ("rho", "dim", "states", "eigenvalues", "eigenvectors", "ratios", "_spectrum")
+    __slots__ = ("rho", "dim", "states", "eigenvalues", "eigenvectors")
 
     def __init__(self, rho: DensityMatrix | DensityStack):
         self.rho = rho
         self.states = rho.matrices if isinstance(rho, DensityStack) else rho.matrix
-        lam = rho.eigenvalues
-        self.dim = lam.shape[-1]
-        self.eigenvalues = lam
+        self.eigenvalues = rho.eigenvalues
+        self.dim = self.eigenvalues.shape[-1]
         self.eigenvectors = rho.eigenvectors
-        self.ratios = lam[..., :, None] / lam[..., None, :]
-        self._spectrum = None
 
     def inner(self, x, y):
         """GNS inner product Tr(rho x† y), by direct trace."""
@@ -133,10 +129,8 @@ class GnsModel:
         return self.rho.to_eigenbasis(x)
 
     def spectrum(self) -> "ModularSpectrum":
-        """Atomic spectrum of the modular operator (cached; value-identical to uncached)."""
-        if self._spectrum is None:
-            self._spectrum = _compute_spectrum(self.eigenvalues)
-        return self._spectrum
+        """Atomic spectrum of the modular operator, computed on each call."""
+        return _compute_spectrum(self.eigenvalues)
 
 
 def _weighted_form(kernel: np.ndarray, xt: np.ndarray, et: np.ndarray):
@@ -155,19 +149,20 @@ def form_E1(m: GnsModel, xi, eta, eigenbasis=None):
     if eigenbasis is None:
         xt = m.to_eigenbasis(xi)
         eigenbasis = (xt, xt if eta is xi else m.to_eigenbasis(eta))
-    kernel = m.ratios * m.eigenvalues[..., None, :]
+    lam = m.eigenvalues
+    kernel = (lam[..., :, None] / lam[..., None, :]) * lam[..., None, :]
     return _weighted_form(kernel, *eigenbasis) + m.inner(xi, eta)
 
 
-def form_F(m: GnsModel, f: MonotoneFunction, xi, eta):
-    """Kernel form <tilde(Delta)^(1/2) xi, tilde(Delta)^(1/2) eta>."""
-    kernel = modular_kernel_matrix(m.rho, f)
-    return _weighted_form(kernel, m.to_eigenbasis(xi), m.to_eigenbasis(eta))
-
-
 def form_G(m: GnsModel, f: MonotoneFunction, xi, eta):
-    """Nonnegative-difference form: form_E1 / 2 - form_F."""
-    return 0.5 * form_E1(m, xi, eta) - form_F(m, f, xi, eta)
+    """Nonnegative-difference form G^f = form_E1 / 2 - F.
+
+    F is the kernel form <tilde(Delta)^(1/2) xi, tilde(Delta)^(1/2) eta>,
+    the modular kernel of (rho, f) summed against the eigenbasis entries.
+    """
+    xt, et = m.to_eigenbasis(xi), m.to_eigenbasis(eta)
+    kernel = modular_kernel_matrix(m.rho, f)
+    return 0.5 * form_E1(m, xi, eta, (xt, et)) - _weighted_form(kernel, xt, et)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +428,7 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
     kernels = np.stack([modular_kernel_matrix(m.rho, f) for f in functions], axis=1)
     tilted = np.stack((m.to_eigenbasis(ma), m.to_eigenbasis(mb)), axis=1)
     mapped = (kernels[:, :, None] * tilted[:, None]).reshape(len(rho), -1, m.dim, m.dim)
-    applied, _ = _kernel_apply_stack(m.eigenvectors[:, None], mapped)
+    applied = _kernel_apply_stack(m.eigenvectors[:, None], mapped)
     ka, kb = applied[:, 0::2], applied[:, 1::2]
     # Tr(ka a), Tr(kb b) and Tr(ka b) against the unrotated observables
     info_a = tr_aa[:, None] - _real_trace(ka @ ma[:, None])

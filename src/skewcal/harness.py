@@ -32,8 +32,9 @@ import csv
 import json
 import math
 import numbers
+import os
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .linalg import (
 )
 from .monotone import from_key
 from .qinfo import (
+    _SCALARS,
     DEFAULT_TOL,
     _report_in_eigenbasis,
     _report_rows,
@@ -77,24 +79,7 @@ MAX_SWEEP_DIM = 64
 # (T, n, n) stack, so T = max(1, _STACK_ENTRIES // n**2) trials per chunk.
 _STACK_ENTRIES = 8192
 
-CSV_COLUMNS = (
-    "dim",
-    "f",
-    "trial",
-    "seed",
-    "var_a",
-    "var_b",
-    "cov_ab",
-    "info_a",
-    "info_b",
-    "corr_ab",
-    "lhs",
-    "rhs",
-    "gap",
-    "heisenberg_rhs",
-    "residuals",
-    "flags",
-)
+CSV_COLUMNS = ("dim", "f", "trial", "seed", *_SCALARS, "residuals", "flags")
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -143,7 +128,9 @@ class SweepConfig:
     the given order, which also fixes the record ordering within a
     dimension. Malformed fields raise ValueError: ``dims`` and ``f_specs``
     must be sequences (a bare int or string is not), the integer fields
-    integers and the two switches bools, numpy ones included.
+    integers, the two switches bools, numpy ones included, and
+    ``output_path`` None, a str or an os.PathLike (``open`` would take an
+    int or a bool as a file descriptor).
     """
 
     dims: tuple[int, ...]
@@ -153,7 +140,7 @@ class SweepConfig:
     tol: float = DEFAULT_TOL
     normalize_observables: bool = True
     gns_audit: bool = False
-    output_path: str | None = None
+    output_path: str | os.PathLike | None = None
     format: str = "jsonl"
 
     def __post_init__(self):
@@ -177,6 +164,8 @@ class SweepConfig:
         object.__setattr__(self, "tol", validate_tol(self.tol))
         for name in ("normalize_observables", "gns_audit"):
             object.__setattr__(self, name, _flag(getattr(self, name), name))
+        if not (self.output_path is None or isinstance(self.output_path, (str, os.PathLike))):
+            raise ValueError(f"output_path must be None, a str or a path, got {self.output_path!r}")
         if self.format not in ("jsonl", "csv"):
             raise ValueError(f"format must be 'jsonl' or 'csv', got {self.format!r}")
 
@@ -201,15 +190,7 @@ class SweepSummary:
     max_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "passes": self.passes,
-            "boundary_cases": self.boundary_cases,
-            "violations": self.violations,
-            "min_gap": self.min_gap,
-            "min_gap_instance": self.min_gap_instance,
-            "max_residual": self.max_residual,
-        }
+        return asdict(self)
 
 
 class _SummaryAccumulator:

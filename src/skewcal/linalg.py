@@ -6,9 +6,9 @@ wire format for matrices.
 
 Validation is written once, for (T, n, n) stacks, and checks every matrix
 of a stack on its own; a single HermitianMatrix or DensityMatrix is a stack
-of one. The samplers take one seed or a sequence of per-matrix seeds; a
-sequence gives validated stacks whose slices equal the one-seed draws bit
-for bit.
+of one. The samplers take one seed or a sequence of per-matrix seeds: a
+single seed's draw goes through the validating constructor, and a sequence
+gives validated stacks whose slices equal the one-seed draws bit for bit.
 """
 
 from __future__ import annotations
@@ -160,13 +160,6 @@ class HermitianMatrix:
         sym, residual = _hermitian_stack(m[None], stacked=False)
         self.matrix, self.dim, self.herm_residual = sym[0], int(m.shape[0]), float(residual[0])
 
-    @classmethod
-    def _validated(cls, matrix: np.ndarray, herm_residual: float) -> "HermitianMatrix":
-        """Wrap one slice of a stack that _hermitian_stack already validated."""
-        h = object.__new__(cls)
-        h.matrix, h.dim, h.herm_residual = matrix, int(matrix.shape[0]), herm_residual
-        return h
-
     def __repr__(self):
         return f"HermitianMatrix(dim={self.dim}, herm_residual={self.herm_residual:.2e})"
 
@@ -216,13 +209,6 @@ class DensityMatrix:
         lam, u = _faithful_spectrum(base.matrix[None], stacked=False)
         self.base, self.eigenvalues, self.eigenvectors = base, lam[0], u[0]
 
-    @classmethod
-    def _validated(cls, base: HermitianMatrix, lam: np.ndarray, u: np.ndarray) -> "DensityMatrix":
-        """Wrap one state of a stack that _faithful_spectrum already validated."""
-        rho = object.__new__(cls)
-        rho.base, rho.eigenvalues, rho.eigenvectors = base, lam, u
-        return rho
-
     @property
     def matrix(self) -> np.ndarray:
         return self.base.matrix
@@ -260,11 +246,6 @@ class DensityStack:
         herm = np.array([rho.base.herm_residual])
         return cls(rho.matrix[None], herm, rho.eigenvalues[None], rho.eigenvectors[None])
 
-    def state(self, k: int) -> DensityMatrix:
-        """State k as a DensityMatrix, wrapping the validated slices without a second eigh."""
-        base = HermitianMatrix._validated(self.matrices[k], float(self.herm_residuals[k]))
-        return DensityMatrix._validated(base, self.eigenvalues[k], self.eigenvectors[k])
-
     def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
         """u_k† a_k u_k for every state k and matrix k of the (T, n, n) stack ``a``."""
         u = self.eigenvectors
@@ -283,7 +264,7 @@ def modular_kernel_matrix(rho: DensityMatrix | DensityStack, f: MonotoneFunction
     return np.asarray(tilde_transform(f, ratios), dtype=float) * lam[..., None, :]
 
 
-def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
     """Rotate a stack of kernel products k o x back: u (k o x) u† per matrix.
 
     ``mapped[..., s, :, :]`` is a kernel times an observable's eigenbasis
@@ -291,30 +272,28 @@ def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> tuple[np.ndarray, 
     or (..., 1, n, n) to broadcast each state's over its products. Every
     result is validated finite and Hermitian by _hermitian_stack (a failure
     raises the plain ValueError of a single HermitianMatrix); returns the
-    Hermitian parts and repair residuals, shaped like ``mapped`` and its
-    leading axes. One batched matmul keeps each matrix's bits those of a
-    stack of one.
+    Hermitian parts, shaped like ``mapped``. One batched matmul keeps each
+    matrix's bits those of a stack of one.
     """
     back = u @ mapped @ u.conj().swapaxes(-1, -2)
     n = back.shape[-1]
-    sym, residual = _hermitian_stack(back.reshape(-1, n, n), stacked=False)
-    return sym.reshape(back.shape), residual.reshape(back.shape[:-2])
+    return _hermitian_stack(back.reshape(-1, n, n), stacked=False)[0].reshape(back.shape)
 
 
-def modular_kernel_apply(rho: DensityMatrix, f: MonotoneFunction, a) -> HermitianMatrix:
+def modular_kernel_apply(rho: DensityMatrix, f: MonotoneFunction, a) -> np.ndarray:
     """Apply the modular correlation kernel of (rho, f) to an observable.
 
     In the eigenbasis of rho the observable's entries are scaled entrywise
     by the kernel; the result is rotated back and is Hermitian up to
-    round-off by kernel symmetry. This is the G = H audit's batched kernel
-    application on a stack of one.
+    round-off by kernel symmetry. Returns its validated Hermitian part as
+    an (n, n) array: the G = H audit's batched kernel application on a
+    stack of one.
     """
     m = as_matrix(a)
     if m.shape != rho.matrix.shape:
         raise ValueError(f"observable shape {m.shape} does not match state dim {rho.dim}")
     mapped = modular_kernel_matrix(rho, f) * rho.to_eigenbasis(m)
-    sym, residual = _kernel_apply_stack(rho.eigenvectors, mapped[None])
-    return HermitianMatrix._validated(sym[0], float(residual[0]))
+    return _kernel_apply_stack(rho.eigenvectors, mapped[None])[0]
 
 
 def _seed_list(seed: int | Sequence[int]) -> tuple[list, bool]:
@@ -356,8 +335,7 @@ def random_hermitian(dim: int, seed: int | Sequence[int]) -> HermitianMatrix | n
     g = _ginibre(dim, seeds)
     h = g + g.conj().swapaxes(1, 2)
     h *= 0.5
-    sym, residual = _hermitian_stack(h, stacked)
-    return sym if stacked else HermitianMatrix._validated(sym[0], float(residual[0]))
+    return _hermitian_stack(h, stacked=True)[0] if stacked else HermitianMatrix(h[0])
 
 
 def random_density(dim: int, seed: int | Sequence[int]) -> DensityMatrix | DensityStack:
@@ -373,10 +351,10 @@ def random_density(dim: int, seed: int | Sequence[int]) -> DensityMatrix | Densi
     w /= np.trace(w, axis1=1, axis2=2).real[:, None, None]
     w *= 1.0 - DENSITY_REGULARIZATION
     w += DENSITY_REGULARIZATION * np.eye(dim) / dim
-    sym, residual = _hermitian_stack(w, stacked)
-    lam, u = _faithful_spectrum(sym, stacked)
-    states = DensityStack(sym, residual, lam, u)
-    return states if stacked else states.state(0)
+    if not stacked:
+        return DensityMatrix(w[0])
+    sym, residual = _hermitian_stack(w, stacked=True)
+    return DensityStack(sym, residual, *_faithful_spectrum(sym, stacked=True))
 
 
 def group_spectrum(eigenvalues) -> np.ndarray:
@@ -417,7 +395,7 @@ def matrix_from_json(data: dict) -> np.ndarray:
     if missing:
         raise ValueError(f"matrix JSON is missing keys: {sorted(missing)}")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"matrix JSON field 'n' must be a positive integer, got {n!r}")
     try:
         re = np.array(data["re"], dtype=float)

@@ -15,7 +15,7 @@ tilde(x) = x * tilde(1/x).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -237,20 +237,7 @@ class ValidationReport:
         return not self.violations()
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid_size": self.grid_size,
-            "normalization_error": self.normalization_error,
-            "max_symmetry_violation": self.max_symmetry_violation,
-            "max_monotonicity_drop": self.max_monotonicity_drop,
-            "min_value": self.min_value,
-            "min_tilde": self.min_tilde,
-            "max_tilde_excess": self.max_tilde_excess,
-            "max_tilde_symmetry_violation": self.max_tilde_symmetry_violation,
-            "clamped_points": self.clamped_points,
-            "ok": self.ok,
-            "violations": self.violations(),
-        }
+        return {**asdict(self), "ok": self.ok, "violations": self.violations()}
 
 
 def validate_catalog_entry(f: MonotoneFunction, grid: np.ndarray | None = None) -> ValidationReport:

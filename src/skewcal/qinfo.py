@@ -47,10 +47,11 @@ def validate_tol(tol) -> float:
 
     Every entry point that takes a base tolerance goes through this check:
     a NaN tolerance would otherwise compare False against every gap and
-    pass every instance silently.
+    pass every instance silently, and a bool (Python or numpy) would read
+    as 1.0. Numeric strings are accepted.
     """
     try:
-        value = float(tol)
+        value = math.nan if isinstance(tol, (bool, np.bool_)) else float(tol)
     except (TypeError, ValueError):
         value = math.nan
     if not (value > 0.0 and math.isfinite(value)):
@@ -95,7 +96,7 @@ def f_correlation(rho: DensityMatrix, f: MonotoneFunction, a, b) -> float:
     power-sandwich route whose disagreement the report carries as residuals.
     """
     ma, mb = _observable(rho, a), _observable(rho, b)
-    ka = modular_kernel_apply(rho, f, ma).matrix
+    ka = modular_kernel_apply(rho, f, ma)
     return float(np.trace(rho.matrix @ ma @ mb).real) - float(np.trace(ka @ mb).real)
 
 
@@ -141,16 +142,7 @@ class UncertaintyReport:
 
     def to_dict(self) -> dict:
         return {
-            "var_a": self.var_a,
-            "var_b": self.var_b,
-            "cov_ab": self.cov_ab,
-            "info_a": self.info_a,
-            "info_b": self.info_b,
-            "corr_ab": self.corr_ab,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "heisenberg_rhs": self.heisenberg_rhs,
+            **{name: getattr(self, name) for name in _SCALARS},
             "residuals": list(self.path_residuals),
             "flags": list(self.flags),
         }

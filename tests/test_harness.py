@@ -1,6 +1,7 @@
 """Sweep harness: seeding, record streams, summaries, file checks, and the CLI."""
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -28,7 +29,7 @@ from skewcal.harness import (
 )
 from skewcal.linalg import random_density, random_hermitian
 from skewcal.monotone import from_key
-from skewcal.qinfo import UncertaintyReport, evaluate_inequalities
+from skewcal.qinfo import evaluate_inequalities, validate_tol
 
 KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
 SCALARS = CSV_COLUMNS[4:-2]
@@ -127,6 +128,37 @@ def test_sweep_config_normalization_and_validation():
         with pytest.raises(ValueError, match="f_specs must be a sequence"):
             SweepConfig(dims=(2,), trials=1, f_specs=bad)
     assert SweepConfig(dims=[3], trials=1, f_specs=["sld"]).f_specs == ("sld",)
+
+
+def test_output_path_must_be_none_a_str_or_a_path(tmp_path):
+    # open() takes an int or a bool as a file descriptor: run_sweep would write
+    # records into whatever file the number names (True is stdout) and close it
+    target = tmp_path / "fd.txt"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        for bad in (fd, np.int64(fd), True, False, 1, 2.5, b"records.jsonl"):
+            with pytest.raises(ValueError, match="output_path"):
+                SweepConfig(dims=(2,), trials=2, f_specs=("sld",), output_path=bad)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert target.stat().st_size == 0
+    path = tmp_path / "records.jsonl"
+    run_sweep(SweepConfig(dims=(2,), trials=2, f_specs=("sld",), output_path=path))
+    assert len(read_records(path)) == 2
+
+
+@pytest.mark.parametrize("tol", [True, False, np.True_, np.False_])
+def test_bool_tolerance_is_rejected(tol, fixtures_dir):
+    # True reads as 1.0, 1e9 times the default, and would loosen every check
+    with pytest.raises(ValueError, match="tol"):
+        SweepConfig(dims=(2,), trials=1, f_specs=("sld",), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        summarize_records([], tol=tol)
+    payload, code = check_instance(*_fixture_paths(fixtures_dir), "wyd:0.5", tol=tol)
+    assert code == 1 and "tol" in payload["error"]
+    # numeric strings, the SKEWCAL_TOL route, still pass
+    assert validate_tol("1e-6") == 1e-6
 
 
 def test_run_sweep_record_stream_layout():
@@ -389,12 +421,7 @@ def test_check_instance_flag_exit_code(monkeypatch, fixtures_dir):
     real = harness.evaluate_inequalities
 
     def forged(*args, **kwargs):
-        report = real(*args, **kwargs)
-        fields = {k: getattr(report, k) for k in (
-            "var_a", "var_b", "cov_ab", "info_a", "info_b", "corr_ab",
-            "lhs", "rhs", "gap", "heisenberg_rhs", "path_residuals",
-        )}
-        return UncertaintyReport(flags=("main_inequality_violation",), **fields)
+        return dataclasses.replace(real(*args, **kwargs), flags=("main_inequality_violation",))
 
     monkeypatch.setattr(harness, "evaluate_inequalities", forged)
     payload, code = check_instance(rho_path, a_path, b_path, "wyd:0.5")
@@ -556,6 +583,16 @@ def test_cli_usage_errors_exit_1_and_help_exits_0(capsys, fixtures_dir):
             main(argv)
         assert exc.value.code == 0, argv
         assert "usage" in capsys.readouterr().out
+
+
+def test_cli_check_rejects_a_bool_matrix_size(tmp_path, capsys):
+    # a bool is an int, so {"n": true} would read as n = 1: a valid 1 x 1 instance
+    path = tmp_path / "bool_n.json"
+    path.write_text(json.dumps({"n": True, "re": [[1.0]], "im": [[0.0]]}))
+    assert main(["check", "--rho", str(path), "--a", str(path), "--b", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "'n'" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])

@@ -120,7 +120,7 @@ def test_kernel_matrix_symmetric_positive(key):
 def test_kernel_apply_matches_power_sandwich(dim, beta):
     rho = random_density(dim, seed=dim * 101 + 7)
     a = random_hermitian(dim, seed=dim * 101 + 8)
-    via_kernel = modular_kernel_apply(rho, wyd(beta), a).matrix
+    via_kernel = modular_kernel_apply(rho, wyd(beta), a)
     via_powers = power_sandwich(rho.matrix, beta, a.matrix)
     scale = max(1.0, float(np.linalg.norm(a.matrix)))
     assert float(np.linalg.norm(via_kernel - via_powers)) <= 1e-9 * scale
@@ -131,9 +131,9 @@ def test_kernel_apply_is_linear_and_hermitian():
     a = random_hermitian(4, seed=34).matrix
     b = random_hermitian(4, seed=35).matrix
     f = sld()
-    ka = modular_kernel_apply(rho, f, a).matrix
-    kb = modular_kernel_apply(rho, f, b).matrix
-    combo = modular_kernel_apply(rho, f, 2.0 * a + b).matrix
+    ka = modular_kernel_apply(rho, f, a)
+    kb = modular_kernel_apply(rho, f, b)
+    combo = modular_kernel_apply(rho, f, 2.0 * a + b)
     assert np.allclose(combo, 2.0 * ka + kb, atol=1e-12)
     assert np.allclose(ka, ka.conj().T, atol=1e-13)
 
@@ -143,7 +143,7 @@ def test_kernel_apply_on_maximally_mixed_state():
     rho = DensityMatrix(np.eye(n) / n)
     a = random_hermitian(n, seed=77)
     for key in ("wyd:0.3", "sld", "harmonic"):
-        mapped = modular_kernel_apply(rho, from_key(key), a).matrix
+        mapped = modular_kernel_apply(rho, from_key(key), a)
         assert np.allclose(mapped, a.matrix / n, atol=1e-14)
 
 
@@ -175,17 +175,19 @@ def test_stacked_draws_equal_single_draws_bit_for_bit():
     observables = random_hermitian(4, seeds)
     assert isinstance(states, DensityStack) and observables.shape == (3, 4, 4)
     rotated = states.to_eigenbasis(observables)
+    # a single seed goes through the validating constructors, a sequence
+    # through the stack validators: two code paths, the same bits
     for k, seed in enumerate(seeds):
-        rho, state = random_density(4, seed), states.state(k)
+        rho = random_density(4, seed)
         for single, stacked in (
-            (rho.matrix, state.matrix),
-            (rho.eigenvalues, state.eigenvalues),
-            (rho.eigenvectors, state.eigenvectors),
+            (rho.matrix, states.matrices[k]),
+            (rho.eigenvalues, states.eigenvalues[k]),
+            (rho.eigenvectors, states.eigenvectors[k]),
             (random_hermitian(4, seed).matrix, observables[k]),
             (rho.to_eigenbasis(observables[k]), rotated[k]),
         ):
             assert single.tobytes() == stacked.tobytes()
-        assert state.base.herm_residual == rho.base.herm_residual
+        assert rho.base.herm_residual == states.herm_residuals[k]
     with pytest.raises(ValueError, match="non-empty"):
         random_density(4, [])
 
@@ -320,6 +322,9 @@ def test_matrix_json_field_validation():
         matrix_from_json({"n": 0, "re": [], "im": []})
     with pytest.raises(ValueError, match="positive integer"):
         matrix_from_json({"n": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
+    # a bool is an int in Python, but True is no matrix size
+    with pytest.raises(ValueError, match="positive integer"):
+        matrix_from_json({"n": True, "re": [[1.0]], "im": [[0.0]]})
     with pytest.raises(ValueError, match="numeric"):
         matrix_from_json({"n": 2, "re": [[1, 0], [0, "x"]], "im": [[0, 0], [0, 0]]})
     with pytest.raises(ValueError, match="2 x 2"):

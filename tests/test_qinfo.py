@@ -289,7 +289,8 @@ def test_report_flags_fire_alone_on_the_bad_row(flag, bad_row, key):
 
 
 def test_evaluate_validates_inputs(fixture_rho, fixture_a, fixture_b):
-    for tol in (0.0, float("nan"), float("inf")):
+    # a bool is no tolerance: True would read as 1.0
+    for tol in (0.0, float("nan"), float("inf"), True, np.True_, np.False_):
         with pytest.raises(ValueError, match="tol"):
             evaluate_inequalities(fixture_rho, sld(), fixture_a, fixture_b, tol=tol)
     with pytest.raises(ValueError, match="shape"):
