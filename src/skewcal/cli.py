@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .harness import (
@@ -16,7 +15,7 @@ from .harness import (
     run_sweep,
 )
 from .monotone import from_key, validate_catalog_entry
-from .qinfo import DEFAULT_TOL, validate_tol
+from .qinfo import DEFAULT_TOL
 
 _DEFAULT_CATALOG = ("sld", "harmonic", "wyd:0.1", "wyd:0.25", "wyd:0.5", "wyd:0.75", "wyd:0.9")
 
@@ -26,9 +25,8 @@ exit codes:
   2  at least one tolerance violation was flagged
   1  usage, input or configuration error
 
-The base tolerance defaults to {DEFAULT_TOL:g} and can be overridden by the
-SKEWCAL_TOL environment variable; --tol wins over both. Per-record the
-effective tolerance is tol * max(1, var_a * var_b).
+The base tolerance defaults to {DEFAULT_TOL:g}; --tol overrides it. Per-record
+the effective tolerance is tol * max(1, var_a * var_b).
 
 Per-trial seeds are hash64(seed, dim, trial), a chained splitmix64 hash, so
 a sweep configuration reproduces its record stream byte for byte.
@@ -37,16 +35,6 @@ CSV record columns, in order:
   {", ".join(CSV_COLUMNS)}
 residuals and flags are semicolon-joined within their cells.
 """
-
-
-def _env_tol() -> float:
-    raw = os.environ.get("SKEWCAL_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return validate_tol(raw)
-    except ValueError as exc:
-        raise SystemExit(f"error: SKEWCAL_TOL: {exc}") from None
 
 
 def _split_keys(values: list[str] | None, fallback: tuple[str, ...]) -> list[str]:
@@ -93,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="monotone function key (repeatable or comma-separated; default: wyd:0.5)",
     )
     verify.add_argument("--seed", type=int, default=0, help="sweep seed (default: 0)")
-    verify.add_argument("--tol", type=float, default=None, help="base tolerance override")
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"base tolerance (default: {DEFAULT_TOL:g})")
     verify.add_argument("--gns-audit", action="store_true", help="also run the G = H identity audit per instance")
     verify.add_argument("--no-normalize", action="store_true", help="skip Frobenius normalization of observables")
     verify.add_argument("--out", default=None, help="write the record stream to this path")
@@ -104,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--a", required=True, help="first observable JSON file")
     check.add_argument("--b", required=True, help="second observable JSON file")
     check.add_argument("--f", default="wyd:0.5", help="monotone function key (default: wyd:0.5)")
-    check.add_argument("--tol", type=float, default=None, help="base tolerance override")
+    check.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"base tolerance (default: {DEFAULT_TOL:g})")
 
     catalog = sub.add_parser("catalog", help="list or validate monotone function entries")
     catalog.add_argument("--validate", action="store_true", help="run grid validation and print reports")
@@ -124,14 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else _env_tol()
     try:
         config = SweepConfig(
             dims=tuple(int(d) for d in args.dims.split(",") if d.strip()),
             trials=args.trials,
             f_specs=tuple(_split_keys(args.f, ("wyd:0.5",))),
             seed=args.seed,
-            tol=tol,
+            tol=args.tol,
             normalize_observables=not args.no_normalize,
             gns_audit=args.gns_audit,
             output_path=args.out,
@@ -146,8 +133,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tol = args.tol if args.tol is not None else _env_tol()
-    payload, code = check_instance(args.rho, args.a, args.b, args.f, tol=tol)
+    payload, code = check_instance(args.rho, args.a, args.b, args.f, tol=args.tol)
     if code == 1:
         print(f"error: {payload['error']}", file=sys.stderr)
         return 1

@@ -6,9 +6,9 @@ splitmix64 step (h starts at 0; for each word, h becomes the splitmix64
 output of state h XOR word). The state, the two observables, and therefore
 every record are functions of that per-trial seed alone, so rerunning a
 configuration reproduces the output stream byte for byte. Records are
-written in (dim, f, trial) order, and summaries are computed with
-order-independent reductions, so they are invariant under shuffling of the
-record stream.
+written in (dim, f, trial) order, and the sweep summarizes them through
+``summarize_records``, whose reductions are order independent, so the
+summary is invariant under shuffling of the record stream.
 
 Stacked evaluation: a sweep runs each dimension n in chunks of up to
 T = max(1, _STACK_ENTRIES // n**2) trials. The per-trial seeds are
@@ -129,8 +129,8 @@ class SweepConfig:
     dimension. Malformed fields raise ValueError: ``dims`` and ``f_specs``
     must be sequences (a bare int or string is not), the integer fields
     integers, the two switches bools, numpy ones included, and
-    ``output_path`` None, a str or an os.PathLike (``open`` would take an
-    int or a bool as a file descriptor).
+    ``output_path`` None or a non-empty str or os.PathLike (``open`` takes
+    an int or a bool as a file descriptor).
     """
 
     dims: tuple[int, ...]
@@ -164,8 +164,9 @@ class SweepConfig:
         object.__setattr__(self, "tol", validate_tol(self.tol))
         for name in ("normalize_observables", "gns_audit"):
             object.__setattr__(self, name, _flag(getattr(self, name), name))
-        if not (self.output_path is None or isinstance(self.output_path, (str, os.PathLike))):
-            raise ValueError(f"output_path must be None, a str or a path, got {self.output_path!r}")
+        path = self.output_path
+        if not (path is None or (isinstance(path, (str, os.PathLike)) and os.fspath(path))):
+            raise ValueError(f"output_path must be None or a non-empty str or path, got {path!r}")
         if self.format not in ("jsonl", "csv"):
             raise ValueError(f"format must be 'jsonl' or 'csv', got {self.format!r}")
 
@@ -193,68 +194,47 @@ class SweepSummary:
         return asdict(self)
 
 
-class _SummaryAccumulator:
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.total = 0
-        self.passes = 0
-        self.boundary = 0
-        self.violations = 0
-        self.min_gap = None
-        self.min_instance = None
-        self.max_residual = 0.0
-        self._min_key = None
-
-    def update(self, record: dict) -> None:
-        self.total += 1
+def summarize_records(records, tol: float = DEFAULT_TOL) -> SweepSummary:
+    """Reduce an iterable of record dicts to a SweepSummary, order independently."""
+    tol = validate_tol(tol)
+    total = passes = boundary = violations = 0
+    min_gap = min_key = min_instance = None
+    max_residual = 0.0
+    for record in records:
+        total += 1
         gap = record["gap"]
         finite = math.isfinite(gap)
-        tol_eff = self.tol * max(1.0, record["var_a"] * record["var_b"])
+        tol_eff = tol * max(1.0, record["var_a"] * record["var_b"])
         if record["flags"] or not finite:
-            self.violations += 1
+            violations += 1
         elif abs(gap) <= tol_eff:
-            self.boundary += 1
+            boundary += 1
         else:
-            self.passes += 1
+            passes += 1
         for residual in record["residuals"]:
             # max() keeps the old value against a NaN; here a NaN sticks
-            if math.isnan(residual) or residual > self.max_residual:
-                self.max_residual = residual
+            if math.isnan(residual) or residual > max_residual:
+                max_residual = residual
         if not finite:
-            return
+            continue
         key = (record["dim"], record["f"], record["trial"])
-        if (
-            self.min_gap is None
-            or gap < self.min_gap
-            or (gap == self.min_gap and key < self._min_key)
-        ):
-            self.min_gap = gap
-            self._min_key = key
-            self.min_instance = {
+        if min_gap is None or gap < min_gap or (gap == min_gap and key < min_key):
+            min_gap, min_key = gap, key
+            min_instance = {
                 "dim": record["dim"],
                 "f": record["f"],
                 "trial": record["trial"],
                 "seed": record["seed"],
             }
-
-    def summary(self) -> SweepSummary:
-        return SweepSummary(
-            total=self.total,
-            passes=self.passes,
-            boundary_cases=self.boundary,
-            violations=self.violations,
-            min_gap=self.min_gap,
-            min_gap_instance=self.min_instance,
-            max_residual=self.max_residual,
-        )
-
-
-def summarize_records(records, tol: float = DEFAULT_TOL) -> SweepSummary:
-    """Reduce an iterable of record dicts to a SweepSummary, order independently."""
-    acc = _SummaryAccumulator(validate_tol(tol))
-    for record in records:
-        acc.update(record)
-    return acc.summary()
+    return SweepSummary(
+        total=total,
+        passes=passes,
+        boundary_cases=boundary,
+        violations=violations,
+        min_gap=min_gap,
+        min_gap_instance=min_instance,
+        max_residual=max_residual,
+    )
 
 
 def _normalize(stack: np.ndarray) -> None:
@@ -292,7 +272,7 @@ def _chunk_instances(config: SweepConfig, functions, dim: int, trials: range):
         b = random_hermitian(dim, [hash64(s, 2) for s in seeds])
     except StackRejection as exc:
         k = exc.index
-        raise ValueError(f"dim {dim}, trial {trials[k]}, seed {seeds[k]}: {exc.reason}") from exc
+        raise ValueError(f"dim {dim}, trial {trials[k]}, seed {seeds[k]}: {exc}") from exc
     if config.normalize_observables:
         _normalize(a)
         _normalize(b)
@@ -303,57 +283,58 @@ def _chunk_instances(config: SweepConfig, functions, dim: int, trials: range):
     return seeds, rho.eigenvalues, rho.to_eigenbasis(a), rho.to_eigenbasis(b), audits
 
 
+def _records(config: SweepConfig, functions):
+    """Yield the sweep's records in (dim, f, trial) order: every f on each drawn instance."""
+    for dim in config.dims:
+        chunk = min(config.trials, max(1, _STACK_ENTRIES // (dim * dim)))
+        by_f = [[] for _ in functions]
+        for start in range(0, config.trials, chunk):
+            trials = range(start, min(start + chunk, config.trials))
+            seeds, lam, at, bt, audits = _chunk_instances(config, functions, dim, trials)
+            for i, f in enumerate(functions):
+                columns = _report_in_eigenbasis(lam, at, bt, f, config.tol)
+                for k, row in enumerate(_report_rows(columns)):
+                    if audits:
+                        audit = audits[k][i]
+                        row["residuals"].append(audit.residual)
+                        row["flags"].extend(audit.flags)
+                    by_f[i].append(
+                        {"dim": dim, "f": f.name, "trial": trials[k], "seed": seeds[k], **row}
+                    )
+        for records in by_f:
+            yield from records
+
+
+def _emitted(records, record_sink, out=None, fmt="jsonl"):
+    """Pass each record to ``record_sink`` (if given), write it to ``out`` (if given), yield it."""
+    if out is not None and fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+    for record in records:
+        if record_sink is not None:
+            record_sink(record)
+        if out is not None:
+            if fmt == "csv":
+                writer.writerow(_csv_row(record))
+            else:
+                out.write(json.dumps(record) + "\n")
+        yield record
+
+
 def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
     """Run the configured random-instance sweep and reduce it to a summary.
 
-    Per (dim, trial) one instance (state rho, observables a and b) is drawn
-    from the per-trial seed; every entry of ``f_specs`` is then evaluated on
-    that same instance, one stacked report per chunk of trials. Records go
-    to ``record_sink`` (if given) and to ``config.output_path`` (if given)
-    in (dim, f, trial) order. Inequality violations are recorded and
-    flagged, never raised.
+    Each record goes to ``record_sink`` (if given), then to
+    ``config.output_path`` (if given), then to ``summarize_records``.
+    Inequality violations are recorded and flagged, never raised. An
+    exception from the sink propagates; the file then holds the records
+    before the one that raised.
     """
-    functions = [from_key(k) for k in config.f_specs]
-    acc = _SummaryAccumulator(config.tol)
-
-    out = None
-    writer = None
-    try:
-        if config.output_path:
-            out = open(config.output_path, "w", newline="")
-            if config.format == "csv":
-                writer = csv.writer(out, lineterminator="\n")
-                writer.writerow(CSV_COLUMNS)
-        for dim in config.dims:
-            chunk = min(config.trials, max(1, _STACK_ENTRIES // (dim * dim)))
-            by_f = [[] for _ in functions]
-            for start in range(0, config.trials, chunk):
-                trials = range(start, min(start + chunk, config.trials))
-                seeds, lam, at, bt, audits = _chunk_instances(config, functions, dim, trials)
-                for i, f in enumerate(functions):
-                    columns = _report_in_eigenbasis(lam, at, bt, f, config.tol)
-                    for k, row in enumerate(_report_rows(columns)):
-                        if audits:
-                            audit = audits[k][i]
-                            row["residuals"].append(audit.residual)
-                            row["flags"].extend(audit.flags)
-                        by_f[i].append(
-                            {"dim": dim, "f": f.name, "trial": trials[k], "seed": seeds[k], **row}
-                        )
-            for records in by_f:
-                for record in records:
-                    acc.update(record)
-                    if record_sink is not None:
-                        record_sink(record)
-                    if out is not None:
-                        if writer is not None:
-                            writer.writerow(_csv_row(record))
-                        else:
-                            out.write(json.dumps(record) + "\n")
-    finally:
-        if out is not None:
-            out.close()
-    return acc.summary()
+    records = _records(config, [from_key(k) for k in config.f_specs])
+    if config.output_path is None:
+        return summarize_records(_emitted(records, record_sink), config.tol)
+    with open(config.output_path, "w", newline="") as out:
+        return summarize_records(_emitted(records, record_sink, out, config.format), config.tol)
 
 
 def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_TOL):

@@ -6,9 +6,12 @@ wire format for matrices.
 
 Validation is written once, for (T, n, n) stacks, and checks every matrix
 of a stack on its own; a single HermitianMatrix or DensityMatrix is a stack
-of one. The samplers take one seed or a sequence of per-matrix seeds: a
-single seed's draw goes through the validating constructor, and a sequence
-gives validated stacks whose slices equal the one-seed draws bit for bit.
+of one. Every rejection is a StackRejection: a ValueError whose message is
+the reason alone and whose ``index`` names the failing matrix, so a single
+matrix fails at index 0 with the text that matrix k of a stack gets. The
+samplers take one seed or a sequence of per-matrix seeds: a single seed's
+draw goes through the validating constructor, and a sequence gives
+validated stacks whose slices equal the one-seed draws bit for bit.
 """
 
 from __future__ import annotations
@@ -73,35 +76,30 @@ def as_matrix(a) -> np.ndarray:
 
 
 class StackRejection(ValueError):
-    """A stack validator rejected the matrix at ``index`` of its (T, n, n) stack."""
+    """A validator rejected the matrix at ``index`` of its (T, n, n) stack; the message is the reason."""
 
     def __init__(self, index: int, reason: str):
-        super().__init__(f"stack index {index}: {reason}")
+        super().__init__(reason)
         self.index = index
-        self.reason = reason
 
 
-def _require(ok: np.ndarray, stacked: bool, reason) -> None:
-    """Raise for the first False entry of the per-matrix mask ``ok``.
+def _require(ok: np.ndarray, reason) -> None:
+    """Raise StackRejection for the first False entry of the per-matrix mask ``ok``.
 
-    ``reason(k)`` says why matrix k failed. A stack names the index in a
-    StackRejection; a single matrix (a stack of one) raises a plain ValueError.
+    ``reason(k)`` says why matrix k failed.
     """
-    if ok.all():
-        return
-    index = int(np.argmin(ok))
-    if stacked:
+    if not ok.all():
+        index = int(np.argmin(ok))
         raise StackRejection(index, reason(index))
-    raise ValueError(reason(index))
 
 
-def _hermitian_stack(m: np.ndarray, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate a (T, n, n) complex stack; return ((M + M†)/2, max|M - (M + M†)/2|) per matrix.
 
     Rejects a matrix with a non-finite entry, or whose repair residual
     exceeds HERMITICITY_REPAIR_THRESHOLD * max(1, max|M|).
     """
-    _require(np.isfinite(m).all(axis=(1, 2)), stacked, lambda k: "matrix entries must be finite")
+    _require(np.isfinite(m).all(axis=(1, 2)), lambda k: "matrix entries must be finite")
     sym = m + m.conj().swapaxes(1, 2)
     sym *= 0.5
     residual = np.abs(m - sym).max(axis=(1, 2))
@@ -110,14 +108,13 @@ def _hermitian_stack(m: np.ndarray, stacked: bool) -> tuple[np.ndarray, np.ndarr
         limit = HERMITICITY_REPAIR_THRESHOLD * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
         _require(
             residual <= limit,
-            stacked,
             lambda k: f"matrix is not Hermitian: max deviation {residual[k]:.3e} exceeds "
             f"repair threshold {limit[k]:.1e}",
         )
     return sym, residual
 
 
-def _faithful_spectrum(sym: np.ndarray, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
+def _faithful_spectrum(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (T, n) and eigenvectors (T, n, n) of a stack of Hermitian states.
 
     Rejects a matrix whose trace is not 1 within TRACE_TOL, whose
@@ -127,15 +124,11 @@ def _faithful_spectrum(sym: np.ndarray, stacked: bool) -> tuple[np.ndarray, np.n
     trace = np.trace(sym, axis1=1, axis2=2).real
     _require(
         np.abs(trace - 1.0) <= TRACE_TOL,
-        stacked,
         lambda k: f"density matrix trace {float(trace[k])!r} is not 1 within {TRACE_TOL:.1e}",
     )
-    lam, u = eigendecompose(sym if stacked else sym[0])
-    if not stacked:
-        lam, u = lam[None], u[None]
+    lam, u = eigendecompose(sym)
     _require(
         lam[:, -1] >= FAITHFULNESS_FLOOR,
-        stacked,
         lambda k: f"state is not faithful: smallest eigenvalue {lam[k, -1]:.3e} is below "
         f"the floor {FAITHFULNESS_FLOOR:.1e}",
     )
@@ -157,7 +150,7 @@ class HermitianMatrix:
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
-        sym, residual = _hermitian_stack(m[None], stacked=False)
+        sym, residual = _hermitian_stack(m[None])
         self.matrix, self.dim, self.herm_residual = sym[0], int(m.shape[0]), float(residual[0])
 
     def __repr__(self):
@@ -170,7 +163,7 @@ def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
     Returns (lam, u) with h = u @ diag(lam) @ u†; the reconstruction is
     verified to RECONSTRUCTION_RTOL relative Frobenius error. A (T, n, n)
     stack gives (T, n) and (T, n, n) arrays from one batched ``eigh``, each
-    matrix checked on its own and a failure named by its stack index.
+    matrix checked on its own and a failure a StackRejection at its index.
     """
     m = as_matrix(h)
     stacked = m.ndim == 3
@@ -188,7 +181,6 @@ def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
     scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), np.finfo(float).tiny)
     _require(
         residual <= RECONSTRUCTION_RTOL * scale,
-        stacked,
         lambda k: f"eigendecomposition reconstruction residual {residual[k]:.3e} exceeds "
         f"{RECONSTRUCTION_RTOL:.1e} * ||h||",
     )
@@ -206,7 +198,7 @@ class DensityMatrix:
 
     def __init__(self, entries):
         base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
-        lam, u = _faithful_spectrum(base.matrix[None], stacked=False)
+        lam, u = _faithful_spectrum(base.matrix[None])
         self.base, self.eigenvalues, self.eigenvectors = base, lam[0], u[0]
 
     @property
@@ -271,13 +263,13 @@ def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
     entries, and ``u`` the eigenvectors of its state: (n, n) for one state,
     or (..., 1, n, n) to broadcast each state's over its products. Every
     result is validated finite and Hermitian by _hermitian_stack (a failure
-    raises the plain ValueError of a single HermitianMatrix); returns the
+    raises the StackRejection a single HermitianMatrix would); returns the
     Hermitian parts, shaped like ``mapped``. One batched matmul keeps each
     matrix's bits those of a stack of one.
     """
     back = u @ mapped @ u.conj().swapaxes(-1, -2)
     n = back.shape[-1]
-    return _hermitian_stack(back.reshape(-1, n, n), stacked=False)[0].reshape(back.shape)
+    return _hermitian_stack(back.reshape(-1, n, n))[0].reshape(back.shape)
 
 
 def modular_kernel_apply(rho: DensityMatrix, f: MonotoneFunction, a) -> np.ndarray:
@@ -335,7 +327,7 @@ def random_hermitian(dim: int, seed: int | Sequence[int]) -> HermitianMatrix | n
     g = _ginibre(dim, seeds)
     h = g + g.conj().swapaxes(1, 2)
     h *= 0.5
-    return _hermitian_stack(h, stacked=True)[0] if stacked else HermitianMatrix(h[0])
+    return _hermitian_stack(h)[0] if stacked else HermitianMatrix(h[0])
 
 
 def random_density(dim: int, seed: int | Sequence[int]) -> DensityMatrix | DensityStack:
@@ -353,8 +345,8 @@ def random_density(dim: int, seed: int | Sequence[int]) -> DensityMatrix | Densi
     w += DENSITY_REGULARIZATION * np.eye(dim) / dim
     if not stacked:
         return DensityMatrix(w[0])
-    sym, residual = _hermitian_stack(w, stacked=True)
-    return DensityStack(sym, residual, *_faithful_spectrum(sym, stacked=True))
+    sym, residual = _hermitian_stack(w)
+    return DensityStack(sym, residual, *_faithful_spectrum(sym))
 
 
 def group_spectrum(eigenvalues) -> np.ndarray:

@@ -267,8 +267,7 @@ def test_criterion_7_degenerate_suites():
     assert ok, worst
 
 
-def test_criterion_8_reproducibility(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SKEWCAL_TOL", raising=False)
+def test_criterion_8_reproducibility(tmp_path, capsys):
     args = ["verify", "--seed", "42", "--dims", "2,3", "--trials", "25",
             "--f", "wyd:0.5,sld"]
     paths = [tmp_path / "run1.jsonl", tmp_path / "run2.jsonl"]

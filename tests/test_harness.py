@@ -7,8 +7,6 @@ import json
 import math
 import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -148,6 +146,33 @@ def test_output_path_must_be_none_a_str_or_a_path(tmp_path):
     assert len(read_records(path)) == 2
 
 
+def test_empty_output_path_is_rejected(tmp_path, capsys, monkeypatch):
+    # an empty path names no file: the sweep would write nothing and exit 0
+    with pytest.raises(ValueError, match="output_path"):
+        SweepConfig(dims=(2,), trials=2, f_specs=("sld",), output_path="")
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--dims", "2", "--trials", "3", "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "output_path" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_failing_sink_propagates_and_leaves_the_records_before_it(tmp_path):
+    path = tmp_path / "records.jsonl"
+    seen = []
+
+    def sink(record):
+        if len(seen) == 5:
+            raise RuntimeError("sink failed")
+        seen.append(record)
+
+    with pytest.raises(RuntimeError, match="sink failed"):
+        run_sweep(_tiny_config(output_path=str(path)), record_sink=sink)
+    # the file is closed, so every line before the failing record is on disk
+    assert read_records(path) == seen
+    assert len(seen) == 5
+
+
 @pytest.mark.parametrize("tol", [True, False, np.True_, np.False_])
 def test_bool_tolerance_is_rejected(tol, fixtures_dir):
     # True reads as 1.0, 1e9 times the default, and would loosen every check
@@ -157,7 +182,7 @@ def test_bool_tolerance_is_rejected(tol, fixtures_dir):
         summarize_records([], tol=tol)
     payload, code = check_instance(*_fixture_paths(fixtures_dir), "wyd:0.5", tol=tol)
     assert code == 1 and "tol" in payload["error"]
-    # numeric strings, the SKEWCAL_TOL route, still pass
+    # a numeric string still passes
     assert validate_tol("1e-6") == 1e-6
 
 
@@ -538,16 +563,20 @@ def test_cli_check_and_hist(capsys, tmp_path, fixtures_dir):
     assert main(["hist", "--in", str(tmp_path / "nope.jsonl"), "--out", str(hist_path)]) == 1
 
 
-def test_cli_tolerance_via_environment(monkeypatch, capsys):
-    monkeypatch.setenv("SKEWCAL_TOL", "not-a-number")
-    with pytest.raises(SystemExit, match="SKEWCAL_TOL"):
-        main(["verify", "--dims", "2", "--trials", "1"])
-    capsys.readouterr()
-    # an explicit --tol wins without consulting the environment
-    assert main(["verify", "--dims", "2", "--trials", "1", "--tol", "1e-9"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("SKEWCAL_TOL", "1e-6")
-    assert main(["verify", "--dims", "2", "--trials", "1"]) == 0
+def test_cli_tolerance_comes_from_tol_alone(monkeypatch, tmp_path, capsys):
+    # an exported variable must not change a run its command line reproduces:
+    # 1e3 would turn every pass into a boundary case, nan would end the run
+    def run(name):
+        path = tmp_path / name
+        code = main(["verify", "--dims", "2", "--trials", "5", "--f", "sld", "--out", str(path)])
+        return code, capsys.readouterr().out, path.read_bytes()
+
+    monkeypatch.delenv("SKEWCAL_TOL", raising=False)
+    unset = run("unset.jsonl")
+    assert unset[0] == 0 and json.loads(unset[1])["passes"] == 5
+    for value in ("1e3", "nan"):
+        monkeypatch.setenv("SKEWCAL_TOL", value)
+        assert run(f"{value}.jsonl") == unset, value
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
@@ -593,24 +622,3 @@ def test_cli_check_rejects_a_bool_matrix_size(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "'n'" in captured.err
     assert captured.out == ""
-
-
-@pytest.mark.parametrize("command", ["check", "verify"])
-def test_cli_exits_1_on_nonfinite_environment_tolerance(command, fixtures_dir):
-    rho_path, a_path, b_path = _fixture_paths(fixtures_dir)
-    args = {
-        "check": ["--rho", rho_path, "--a", a_path, "--b", b_path],
-        "verify": ["--dims", "2", "--trials", "1"],
-    }[command]
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, SKEWCAL_TOL="nan")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "skewcal.cli", command, *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 1
-    assert "SKEWCAL_TOL" in done.stderr and done.stdout == ""

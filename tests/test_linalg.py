@@ -194,7 +194,7 @@ def test_stacked_draws_equal_single_draws_bit_for_bit():
 
 # Every stack rejection below is checked with the bad matrix at each position
 # of a stack of otherwise good ones: the validators test every trial, and the
-# rejection names the bad one's index.
+# rejection names the bad one's index and its message is the reason alone.
 STACK_SEEDS = [101, 102, 103, 104]
 
 
@@ -205,7 +205,7 @@ def _with_bad(good: np.ndarray, k: int, bad: np.ndarray) -> np.ndarray:
 
 
 def _rejected(k: int, reason: str, call, *args) -> None:
-    with pytest.raises(StackRejection, match=f"^stack index {k}: {reason}") as info:
+    with pytest.raises(StackRejection, match=f"^{reason}") as info:
         call(*args)
     assert info.value.index == k
 
@@ -236,14 +236,14 @@ def test_stack_rejects_non_hermitian_matrix_by_index():
         bad[0, 1] += 1e-7  # a deviation of 5e-8, far past 1e-9 * max|m| at entries ~1
         stack = _with_bad(good, k, bad)
         stack[(k + 1) % len(STACK_SEEDS)] = large
-        _rejected(k, "matrix is not Hermitian", linalg._hermitian_stack, stack, True)
+        _rejected(k, "matrix is not Hermitian", linalg._hermitian_stack, stack)
 
 
 def test_stack_rejects_trace_by_index():
     good = random_density(3, STACK_SEEDS).matrices
     for k in range(len(STACK_SEEDS)):
         stack = _with_bad(good, k, 1.1 * good[k])
-        _rejected(k, "density matrix trace", linalg._faithful_spectrum, stack, True)
+        _rejected(k, "density matrix trace", linalg._faithful_spectrum, stack)
 
 
 def test_stack_rejects_unfaithful_state_by_index():
@@ -251,7 +251,7 @@ def test_stack_rejects_unfaithful_state_by_index():
     below_floor = np.diag([1.0 - 2e-11, 1e-11, 1e-11]).astype(complex)
     for k in range(len(STACK_SEEDS)):
         stack = _with_bad(good, k, below_floor)
-        _rejected(k, "state is not faithful", linalg._faithful_spectrum, stack, True)
+        _rejected(k, "state is not faithful", linalg._faithful_spectrum, stack)
 
 
 def test_stack_rejects_failed_reconstruction_by_index(monkeypatch):
@@ -265,10 +265,35 @@ def test_stack_rejects_failed_reconstruction_by_index(monkeypatch):
 
         monkeypatch.setattr(linalg.np.linalg, "eigh", perturbed)
         _rejected(k, "eigendecomposition reconstruction", random_density, 3, STACK_SEEDS)
-    # a single matrix is a stack of one whose message names no index
+    # a single matrix is a stack of one, rejected at index 0
     monkeypatch.setattr(linalg.np.linalg, "eigh", lambda m: perturbed(m, k=0))
-    with pytest.raises(ValueError, match="^eigendecomposition reconstruction"):
-        eigendecompose(np.diag([2.0, 1.0]))
+    _rejected(0, "eigendecomposition reconstruction", eigendecompose, np.diag([2.0, 1.0]))
+
+
+def test_single_matrix_rejection_equals_stack_rejection():
+    # the fixtures' four rejections: a single constructor raises what the
+    # stack validator raises for the same matrix at index k, at index 0
+    herm = random_hermitian(3, STACK_SEEDS)
+    states = random_density(3, STACK_SEEDS).matrices
+    nonfinite = herm[2].copy()
+    nonfinite[1, 0] = np.inf
+    asymmetric = herm[2].copy()
+    asymmetric[0, 1] += 1e-7
+    below_floor = np.diag([1.0 - 2e-11, 1e-11, 1e-11]).astype(complex)
+    cases = (
+        (HermitianMatrix, linalg._hermitian_stack, herm, nonfinite),
+        (HermitianMatrix, linalg._hermitian_stack, herm, asymmetric),
+        (DensityMatrix, linalg._faithful_spectrum, states, 1.1 * states[2]),
+        (DensityMatrix, linalg._faithful_spectrum, states, below_floor),
+    )
+    for single, validator, good, bad in cases:
+        for k in range(len(STACK_SEEDS)):
+            with pytest.raises(StackRejection) as alone:
+                single(bad)
+            with pytest.raises(StackRejection) as stacked:
+                validator(_with_bad(good, k, bad))
+            assert (stacked.value.index, alone.value.index) == (k, 0)
+            assert str(alone.value) == str(stacked.value)
 
 
 def test_group_spectrum_clusters():
