@@ -144,6 +144,8 @@ def _cmd_check(args) -> int:
 def _cmd_catalog(args) -> int:
     keys = _split_keys(args.f, _DEFAULT_CATALOG)
     try:
+        if not keys:
+            raise ValueError("--f gives no monotone function keys")
         entries = [(key, from_key(key)) for key in keys]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

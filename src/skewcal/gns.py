@@ -37,11 +37,11 @@ is positive semidefinite, and with the arithmetic-geometric mean
 inequality that bounds every pair weight from below by per-atom
 quantities (:func:`build_mu`).
 
-A GnsModel holds one state or a DensityStack of T states; the forms, the
-measure and H then take (T, n, n) stacks of vectors and give one value
-per state, each from that state's entries alone. The audit runs once per
-stack (:func:`audit_G_equals_H`); a single instance is the same audit on
-a stack of one.
+A GnsModel holds one DensityMatrix or a stacked one of T states; the
+forms, the measure and H then take (T, n, n) stacks of vectors and give
+one value per state, each from that state's entries alone. The audit
+runs once per stack (:func:`audit_G_equals_H`); a single instance is the
+same audit on a stack of one.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
-    DensityStack,
     _kernel_apply_stack,
     as_matrix,
     group_spectrum,
@@ -105,25 +104,24 @@ class GnsModel:
     Vectors of the representation are plain matrices; the cyclic vector is
     the identity. Attributes expose the state's spectral data; the modular
     operator acts entrywise in the eigenbasis by the eigenvalue ratios
-    lam_i / lam_j. Over a DensityStack of T states ``states``,
+    lam_i / lam_j. Over a stacked DensityMatrix of T states,
     ``eigenvalues`` and ``eigenvectors`` carry a leading trial axis,
     vectors are (T, n, n) stacks, and the inner product, the forms and the
     measure give one value per state.
     """
 
-    __slots__ = ("rho", "dim", "states", "eigenvalues", "eigenvectors")
+    __slots__ = ("rho", "dim", "eigenvalues", "eigenvectors")
 
-    def __init__(self, rho: DensityMatrix | DensityStack):
+    def __init__(self, rho: DensityMatrix):
         self.rho = rho
-        self.states = rho.matrices if isinstance(rho, DensityStack) else rho.matrix
+        self.dim = rho.dim
         self.eigenvalues = rho.eigenvalues
-        self.dim = self.eigenvalues.shape[-1]
         self.eigenvectors = rho.eigenvectors
 
     def inner(self, x, y):
         """GNS inner product Tr(rho x† y), by direct trace."""
         xh = as_matrix(x).conj().swapaxes(-1, -2)
-        return _value(np.trace(self.states @ xh @ as_matrix(y), axis1=-2, axis2=-1))
+        return _value(np.trace(self.rho.matrix @ xh @ as_matrix(y), axis1=-2, axis2=-1))
 
     def to_eigenbasis(self, x) -> np.ndarray:
         return self.rho.to_eigenbasis(x)
@@ -375,7 +373,7 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
 
     Audits the instances of ``m`` for each catalog entry in ``functions``.
     For one state (``a`` and ``b`` its observables) it returns one report
-    per entry, in order; over a DensityStack of T states (``a`` and ``b``
+    per entry, in order; over a stack of T states (``a`` and ``b``
     (T, n, n) stacks) one such list per state, each equal to the audit of
     that state alone. G is assembled from direct traces, the route of the
     qinfo scalars; H integrates the pair measure of the centered
@@ -398,10 +396,10 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
     public direct route bit for bit. The flags are (T, F) masks.
     """
     if m.eigenvalues.ndim == 1:
-        one = GnsModel(DensityStack.of(m.rho))
+        one = GnsModel(DensityMatrix(m.rho.matrix[None]))
         (reports,) = audit_G_equals_H(one, functions, as_matrix(a)[None], as_matrix(b)[None])
         return reports
-    rho = m.states
+    rho = m.rho.matrix
     ma, mb = as_matrix(a), as_matrix(b)
     for x in (ma, mb):
         if x.shape != rho.shape:

@@ -124,8 +124,9 @@ def _sequence(value, name: str) -> tuple:
 class SweepConfig:
     """Parameters of one verification sweep.
 
-    ``dims`` is normalized to a sorted deduplicated tuple; ``f_specs`` keeps
-    the given order, which also fixes the record ordering within a
+    ``dims`` is normalized to a sorted deduplicated tuple; ``f_specs`` to
+    the catalog names of its keys (``from_key(key).name``), deduplicated in
+    first-seen order, which also fixes the record ordering within a
     dimension. Malformed fields raise ValueError: ``dims`` and ``f_specs``
     must be sequences (a bare int or string is not), the integer fields
     integers, the two switches bools, numpy ones included, and
@@ -155,11 +156,10 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        specs = tuple(str(s) for s in _sequence(self.f_specs, "f_specs"))
+        keys = _sequence(self.f_specs, "f_specs")
+        specs = tuple(dict.fromkeys(from_key(str(key)).name for key in keys))
         if not specs:
             raise ValueError("f_specs must be non-empty")
-        for spec in specs:
-            from_key(spec)  # fail fast on malformed keys
         object.__setattr__(self, "f_specs", specs)
         object.__setattr__(self, "tol", validate_tol(self.tol))
         for name in ("normalize_observables", "gns_audit"):
@@ -268,8 +268,8 @@ def _chunk_instances(config: SweepConfig, functions, dim: int, trials: range):
     seeds = [hash64(config.seed, dim, trial) for trial in trials]
     try:
         rho = random_density(dim, [hash64(s, 0) for s in seeds])
-        a = random_hermitian(dim, [hash64(s, 1) for s in seeds])
-        b = random_hermitian(dim, [hash64(s, 2) for s in seeds])
+        a = random_hermitian(dim, [hash64(s, 1) for s in seeds]).matrix
+        b = random_hermitian(dim, [hash64(s, 2) for s in seeds]).matrix
     except StackRejection as exc:
         k = exc.index
         raise ValueError(f"dim {dim}, trial {trials[k]}, seed {seeds[k]}: {exc}") from exc

@@ -4,21 +4,23 @@ Everything here is desk-scale dense numerics: validated constructors, a
 cached eigendecomposition per state, the entrywise kernel built from a monotone-function transform, and the JSON
 wire format for matrices.
 
-Validation is written once, for (T, n, n) stacks, and checks every matrix
-of a stack on its own; a single HermitianMatrix or DensityMatrix is a stack
-of one. Every rejection is a StackRejection: a ValueError whose message is
-the reason alone and whose ``index`` names the failing matrix, so a single
-matrix fails at index 0 with the text that matrix k of a stack gets. The
-samplers take one seed or a sequence of per-matrix seeds: a single seed's
-draw goes through the validating constructor, and a sequence gives
-validated stacks whose slices equal the one-seed draws bit for bit.
+HermitianMatrix and DensityMatrix take one (n, n) matrix or a (T, n, n)
+stack of T matrices of one dimension. Validation is written once, for
+stacks, and checks every matrix of a stack on its own; a single matrix is
+a stack of one. Slice k of a validated stack holds exactly what the
+constructor computes for matrix k alone, and a stacked DensityMatrix is
+decomposed by one batched eigh. Every rejection is a StackRejection: a
+ValueError whose message is the reason alone and whose ``index`` names
+the failing matrix, so a single matrix fails at index 0 with the text
+that matrix k of a stack gets. The samplers take one seed or a sequence
+of per-matrix seeds and return the same type either way: a sequence
+gives a stack whose slices equal the one-seed draws bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +32,6 @@ __all__ = [
     "FAITHFULNESS_FLOOR",
     "HERMITICITY_REPAIR_THRESHOLD",
     "DensityMatrix",
-    "DensityStack",
     "HermitianMatrix",
     "StackRejection",
     "as_matrix",
@@ -136,25 +137,27 @@ def _faithful_spectrum(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class HermitianMatrix:
-    """Square complex matrix forced Hermitian on construction.
+    """Square complex matrix, or (T, n, n) stack of them, forced Hermitian on construction.
 
     The constructor keeps (M + M†)/2 and records how far the input sat from
     that repair; deviations beyond HERMITICITY_REPAIR_THRESHOLD times
-    max(1, max|M|) raise, so the threshold scales with the data.
+    max(1, max|M|) raise, so the threshold scales with the data. For a
+    stack, ``herm_residual`` is the (T,) array of per-matrix residuals.
     Treat instances as immutable.
     """
 
     __slots__ = ("matrix", "dim", "herm_residual")
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
-        sym, residual = _hermitian_stack(m[None])
-        self.matrix, self.dim, self.herm_residual = sym[0], int(m.shape[0]), float(residual[0])
+        m = np.asarray(entries, dtype=complex)
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or 0 in m.shape:
+            raise ValueError(f"expected a non-empty square matrix or stack, got shape {m.shape}")
+        sym, residual = _hermitian_stack(m.reshape((-1,) + m.shape[-2:]))
+        self.matrix, self.dim = sym.reshape(m.shape), int(m.shape[-1])
+        self.herm_residual = residual if m.ndim == 3 else float(residual[0])
 
     def __repr__(self):
-        return f"HermitianMatrix(dim={self.dim}, herm_residual={self.herm_residual:.2e})"
+        return f"HermitianMatrix(dim={self.dim}, herm_residual={np.max(self.herm_residual):.2e})"
 
 
 def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
@@ -188,18 +191,21 @@ def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DensityMatrix:
-    """Faithful state: Hermitian, unit trace, spectrum above the floor.
+    """Faithful state, or (T, n, n) stack of them: Hermitian, unit trace, spectrum above the floor.
 
-    Spectral data is computed once here; every kernel downstream
-    reuses ``eigenvalues`` (descending) and ``eigenvectors``.
+    Spectral data is computed once here; every kernel downstream reuses
+    ``eigenvalues`` (descending) and ``eigenvectors``, which over a stack
+    carry a leading trial axis.
     """
 
     __slots__ = ("base", "eigenvalues", "eigenvectors")
 
     def __init__(self, entries):
         base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
-        lam, u = _faithful_spectrum(base.matrix[None])
-        self.base, self.eigenvalues, self.eigenvectors = base, lam[0], u[0]
+        shape = base.matrix.shape
+        lam, u = _faithful_spectrum(base.matrix.reshape((-1,) + shape[-2:]))
+        self.base = base
+        self.eigenvalues, self.eigenvectors = lam.reshape(shape[:-1]), u.reshape(shape)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -210,44 +216,18 @@ class DensityMatrix:
         return self.base.dim
 
     def to_eigenbasis(self, a) -> np.ndarray:
-        """Entries of ``a`` in the eigenbasis of the state: u† a u."""
+        """Entries of ``a`` in the eigenbasis of the state: u† a u, or u_k† a_k u_k over a stack."""
         u = self.eigenvectors
-        return u.conj().T @ as_matrix(a) @ u
+        return u.conj().swapaxes(-1, -2) @ as_matrix(a) @ u
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, spectrum={np.array2string(self.eigenvalues, precision=4)})"
 
 
-@dataclass(frozen=True, eq=False)
-class DensityStack:
-    """T validated faithful states of one dimension, held as stacked arrays.
-
-    ``matrices`` is (T, n, n), ``herm_residuals`` (T,), ``eigenvalues``
-    (T, n) with each row descending and ``eigenvectors`` (T, n, n). Slice k
-    holds exactly what ``DensityMatrix(matrices[k])`` would compute.
-    """
-
-    matrices: np.ndarray
-    herm_residuals: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @classmethod
-    def of(cls, rho: DensityMatrix) -> "DensityStack":
-        """The stack of one holding ``rho``, sharing its validated arrays."""
-        herm = np.array([rho.base.herm_residual])
-        return cls(rho.matrix[None], herm, rho.eigenvalues[None], rho.eigenvectors[None])
-
-    def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
-        """u_k† a_k u_k for every state k and matrix k of the (T, n, n) stack ``a``."""
-        u = self.eigenvectors
-        return u.conj().swapaxes(1, 2) @ a @ u
-
-
-def modular_kernel_matrix(rho: DensityMatrix | DensityStack, f: MonotoneFunction) -> np.ndarray:
+def modular_kernel_matrix(rho: DensityMatrix, f: MonotoneFunction) -> np.ndarray:
     """Kernel k[i, j] = tilde(lam_i / lam_j) * lam_j over the state's eigenbasis.
 
-    Symmetric in (i, j) because tilde(x) = x * tilde(1/x). A DensityStack
+    Symmetric in (i, j) because tilde(x) = x * tilde(1/x). A stacked state
     gives the (T, n, n) stack of its states' kernels, entry for entry
     those of each state alone.
     """
@@ -288,13 +268,25 @@ def modular_kernel_apply(rho: DensityMatrix, f: MonotoneFunction, a) -> np.ndarr
     return _kernel_apply_stack(rho.eigenvectors, mapped[None])[0]
 
 
+def _is_seed(seed) -> bool:
+    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+
+
 def _seed_list(seed: int | Sequence[int]) -> tuple[list, bool]:
-    """(seeds, stacked): an int seed is a stack of one, a sequence one seed per matrix."""
-    if isinstance(seed, (int, np.integer)):
+    """(seeds, stacked): an integer seed is a stack of one, a sequence one seed per matrix.
+
+    A seed is a Python or numpy integer, never a bool; anything else, an
+    empty sequence or a string (bytes would read as their character codes)
+    raises ValueError.
+    """
+    if _is_seed(seed):
         return [seed], False
-    seeds = list(seed)
-    if not seeds:
-        raise ValueError("seed sequence must be non-empty")
+    try:
+        seeds = None if isinstance(seed, (str, bytes, bytearray)) else list(seed)
+    except TypeError:
+        seeds = None
+    if not seeds or not all(_is_seed(s) for s in seeds):
+        raise ValueError(f"seed must be an integer or a non-empty sequence of integers, got {seed!r}")
     return seeds, True
 
 
@@ -316,26 +308,25 @@ def _ginibre(dim: int, seeds: list) -> np.ndarray:
     return g
 
 
-def random_hermitian(dim: int, seed: int | Sequence[int]) -> HermitianMatrix | np.ndarray:
+def random_hermitian(dim: int, seed: int | Sequence[int]) -> HermitianMatrix:
     """GUE-type draw (G + G†)/2 with G i.i.d. standard complex Gaussian.
 
-    An int ``seed`` gives a HermitianMatrix; a sequence of T seeds gives the
-    validated (T, n, n) stack whose matrix k is
-    ``random_hermitian(dim, seed[k]).matrix``.
+    An integer ``seed`` gives one matrix; a sequence of T seeds gives the
+    (T, n, n) stack whose matrix k is ``random_hermitian(dim, seed[k]).matrix``.
     """
     seeds, stacked = _seed_list(seed)
     g = _ginibre(dim, seeds)
     h = g + g.conj().swapaxes(1, 2)
     h *= 0.5
-    return _hermitian_stack(h)[0] if stacked else HermitianMatrix(h[0])
+    return HermitianMatrix(h if stacked else h[0])
 
 
-def random_density(dim: int, seed: int | Sequence[int]) -> DensityMatrix | DensityStack:
+def random_density(dim: int, seed: int | Sequence[int]) -> DensityMatrix:
     """Wishart-type draw G G† / Tr, mixed slightly toward the maximally mixed state.
 
-    An int ``seed`` gives a DensityMatrix; a sequence of T seeds gives a
-    DensityStack whose state k is ``random_density(dim, seed[k])``, validated
-    and decomposed with one batched eigh.
+    An integer ``seed`` gives one state; a sequence of T seeds gives the
+    stack whose state k is ``random_density(dim, seed[k])``, validated and
+    decomposed with one batched eigh.
     """
     seeds, stacked = _seed_list(seed)
     g = _ginibre(dim, seeds)
@@ -343,10 +334,7 @@ def random_density(dim: int, seed: int | Sequence[int]) -> DensityMatrix | Densi
     w /= np.trace(w, axis1=1, axis2=2).real[:, None, None]
     w *= 1.0 - DENSITY_REGULARIZATION
     w += DENSITY_REGULARIZATION * np.eye(dim) / dim
-    if not stacked:
-        return DensityMatrix(w[0])
-    sym, residual = _hermitian_stack(w)
-    return DensityStack(sym, residual, *_faithful_spectrum(sym))
+    return DensityMatrix(w if stacked else w[0])
 
 
 def group_spectrum(eigenvalues) -> np.ndarray:
@@ -373,6 +361,8 @@ def group_spectrum(eigenvalues) -> np.ndarray:
 
 def matrix_to_json(m) -> dict:
     arr = as_matrix(m)
+    if arr.ndim != 2:
+        raise ValueError(f"matrix JSON holds one matrix, got shape {arr.shape}")
     return {
         "n": int(arr.shape[0]),
         "re": arr.real.tolist(),
@@ -402,8 +392,9 @@ def matrix_from_json(data: dict) -> np.ndarray:
 
 
 def save_matrix(path, m) -> None:
+    data = matrix_to_json(m)
     with open(path, "w") as fh:
-        json.dump(matrix_to_json(m), fh)
+        json.dump(data, fh)
         fh.write("\n")
 
 

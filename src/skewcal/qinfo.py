@@ -60,6 +60,9 @@ def validate_tol(tol) -> float:
 
 
 def _observable(rho: DensityMatrix, a) -> np.ndarray:
+    """``a`` as an array matching the single state ``rho``; a stacked state raises ValueError."""
+    if rho.matrix.ndim != 2:
+        raise ValueError(f"expected a single state, got a stack of shape {rho.matrix.shape}")
     m = as_matrix(a)
     if m.shape != rho.matrix.shape:
         raise ValueError(f"observable shape {m.shape} does not match state dim {rho.dim}")

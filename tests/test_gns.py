@@ -23,7 +23,6 @@ from skewcal.harness import SweepConfig, hash64, run_sweep
 from skewcal.linalg import (
     FAITHFULNESS_FLOOR,
     DensityMatrix,
-    DensityStack,
     random_density,
     random_hermitian,
 )
@@ -517,12 +516,7 @@ def test_model_exposes_spectral_data():
 
 
 def _stack(states):
-    return DensityStack(
-        np.array([rho.matrix for rho in states]),
-        np.array([rho.base.herm_residual for rho in states]),
-        np.array([rho.eigenvalues for rho in states]),
-        np.array([rho.eigenvectors for rho in states]),
-    )
+    return DensityMatrix(np.array([rho.matrix for rho in states]))
 
 
 def _stack_cases():

@@ -128,6 +128,20 @@ def test_sweep_config_normalization_and_validation():
     assert SweepConfig(dims=[3], trials=1, f_specs=["sld"]).f_specs == ("sld",)
 
 
+def test_sweep_config_stores_each_catalog_name_once():
+    # two spellings of one key are one catalog entry, kept at its first place
+    config = SweepConfig(dims=(2,), trials=2, f_specs=("wyd:0.50", "wyd:.5", " sld", "sld"))
+    assert config.f_specs == ("wyd:0.5", "sld")
+    records = []
+    run_sweep(config, records.append)
+    keys = [(r["dim"], r["f"], r["trial"]) for r in records]
+    assert keys == [(2, "wyd:0.5", 0), (2, "wyd:0.5", 1), (2, "sld", 0), (2, "sld", 1)]
+    # the canonical spelling writes the same records
+    canonical = []
+    run_sweep(SweepConfig(dims=(2,), trials=2, f_specs=("wyd:0.5", "sld")), canonical.append)
+    assert json.dumps(records) == json.dumps(canonical)
+
+
 def test_output_path_must_be_none_a_str_or_a_path(tmp_path):
     # open() takes an int or a bool as a file descriptor: run_sweep would write
     # records into whatever file the number names (True is stdout) and close it
@@ -545,6 +559,20 @@ def test_cli_verify_runs_and_reports(capsys, tmp_path):
 def test_cli_verify_rejects_bad_config(capsys):
     assert main(["verify", "--dims", "0", "--trials", "1"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_verify_counts_a_repeated_key_once(capsys):
+    assert main(["verify", "--dims", "2", "--trials", "3", "--f", "sld", "--f", "sld"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == 3
+
+
+@pytest.mark.parametrize("keys", [",", " ", " , "])
+@pytest.mark.parametrize("validate", [[], ["--validate"]])
+def test_cli_catalog_rejects_an_empty_key_list(keys, validate, capsys):
+    # no keys is an error, as for verify, not an empty listing that passes
+    assert main(["catalog", *validate, "--f", keys]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_cli_check_and_hist(capsys, tmp_path, fixtures_dir):

@@ -13,7 +13,6 @@ from skewcal.linalg import (
     FAITHFULNESS_FLOOR,
     HERMITICITY_REPAIR_THRESHOLD,
     DensityMatrix,
-    DensityStack,
     HermitianMatrix,
     StackRejection,
     as_matrix,
@@ -64,6 +63,9 @@ def test_hermitian_rejects_bad_input():
         HermitianMatrix(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="square"):
         HermitianMatrix(np.zeros((0, 0)))
+    for shape in ((2, 2, 3), (0, 2, 2), (1, 1, 2, 2), (2,)):
+        with pytest.raises(ValueError, match="square"):
+            HermitianMatrix(np.zeros(shape))
     with pytest.raises(ValueError, match="finite"):
         HermitianMatrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite"):
@@ -173,23 +175,55 @@ def test_stacked_draws_equal_single_draws_bit_for_bit():
     seeds = [11, 12, 13]
     states = random_density(4, seeds)
     observables = random_hermitian(4, seeds)
-    assert isinstance(states, DensityStack) and observables.shape == (3, 4, 4)
+    # one type per matrix kind, whatever the seed form
+    assert isinstance(states, DensityMatrix) and isinstance(observables, HermitianMatrix)
+    assert states.matrix.shape == observables.matrix.shape == (3, 4, 4)
+    assert (states.dim, observables.dim) == (4, 4)
+    assert states.eigenvalues.shape == (3, 4) and observables.herm_residual.shape == (3,)
     rotated = states.to_eigenbasis(observables)
-    # a single seed goes through the validating constructors, a sequence
-    # through the stack validators: two code paths, the same bits
     for k, seed in enumerate(seeds):
         rho = random_density(4, seed)
         for single, stacked in (
-            (rho.matrix, states.matrices[k]),
+            (rho.matrix, states.matrix[k]),
             (rho.eigenvalues, states.eigenvalues[k]),
             (rho.eigenvectors, states.eigenvectors[k]),
-            (random_hermitian(4, seed).matrix, observables[k]),
-            (rho.to_eigenbasis(observables[k]), rotated[k]),
+            (random_hermitian(4, seed).matrix, observables.matrix[k]),
+            (rho.to_eigenbasis(observables.matrix[k]), rotated[k]),
         ):
             assert single.tobytes() == stacked.tobytes()
-        assert rho.base.herm_residual == states.herm_residuals[k]
+        assert rho.base.herm_residual == states.base.herm_residual[k]
     with pytest.raises(ValueError, match="non-empty"):
         random_density(4, [])
+
+
+def test_stacked_constructors_equal_single_constructors_bit_for_bit():
+    # slice k of a stack is what the constructor builds from matrix k alone,
+    # also for inputs that need a Hermiticity repair
+    raw = np.array([random_hermitian(3, seed=s).matrix for s in STACK_SEEDS])
+    raw[1, 0, 2] += 1e-12
+    herm = HermitianMatrix(raw)
+    states = DensityMatrix(np.array([random_density(3, seed=s).matrix for s in STACK_SEEDS]))
+    for k in range(len(STACK_SEEDS)):
+        h = HermitianMatrix(raw[k])
+        assert h.matrix.tobytes() == herm.matrix[k].tobytes()
+        assert h.herm_residual == herm.herm_residual[k]
+        rho = DensityMatrix(states.matrix[k])
+        assert rho.eigenvalues.tobytes() == states.eigenvalues[k].tobytes()
+        assert rho.eigenvectors.tobytes() == states.eigenvectors[k].tobytes()
+    assert herm.herm_residual[1] > 0.0
+
+
+@pytest.mark.parametrize("sampler", [random_hermitian, random_density])
+def test_samplers_reject_seeds_that_are_not_integers(sampler):
+    # a bool is no seed, and every bad seed is a ValueError, never a TypeError
+    bad_seeds = (True, False, np.bool_(True), 1.5, "ab", b"ab", "", None)
+    for bad in bad_seeds + ([], [1, True], [1, 2.0], [[1]]):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sampler(3, bad)
+    seeds = (7, np.int64(7), np.uint32(7), [7], (np.int16(7),), np.array([7]))
+    draws = [sampler(3, seed).matrix for seed in seeds]
+    for draw in draws[1:]:
+        assert draw.reshape(3, 3).tobytes() == draws[0].tobytes()
 
 
 # Every stack rejection below is checked with the bad matrix at each position
@@ -226,7 +260,7 @@ def test_stacked_samplers_reject_nonfinite_draws_by_index(monkeypatch):
 
 
 def test_stack_rejects_non_hermitian_matrix_by_index():
-    good = random_hermitian(2, STACK_SEEDS)
+    good = random_hermitian(2, STACK_SEEDS).matrix
     # each matrix gets its own scaled threshold: 1e-11 relative asymmetry at
     # norm 1e8 is accepted next to the rejected one
     large = 1e8 * good[0]
@@ -236,22 +270,22 @@ def test_stack_rejects_non_hermitian_matrix_by_index():
         bad[0, 1] += 1e-7  # a deviation of 5e-8, far past 1e-9 * max|m| at entries ~1
         stack = _with_bad(good, k, bad)
         stack[(k + 1) % len(STACK_SEEDS)] = large
-        _rejected(k, "matrix is not Hermitian", linalg._hermitian_stack, stack)
+        _rejected(k, "matrix is not Hermitian", HermitianMatrix, stack)
 
 
 def test_stack_rejects_trace_by_index():
-    good = random_density(3, STACK_SEEDS).matrices
+    good = random_density(3, STACK_SEEDS).matrix
     for k in range(len(STACK_SEEDS)):
         stack = _with_bad(good, k, 1.1 * good[k])
-        _rejected(k, "density matrix trace", linalg._faithful_spectrum, stack)
+        _rejected(k, "density matrix trace", DensityMatrix, stack)
 
 
 def test_stack_rejects_unfaithful_state_by_index():
-    good = random_density(3, STACK_SEEDS).matrices
+    good = random_density(3, STACK_SEEDS).matrix
     below_floor = np.diag([1.0 - 2e-11, 1e-11, 1e-11]).astype(complex)
     for k in range(len(STACK_SEEDS)):
         stack = _with_bad(good, k, below_floor)
-        _rejected(k, "state is not faithful", linalg._faithful_spectrum, stack)
+        _rejected(k, "state is not faithful", DensityMatrix, stack)
 
 
 def test_stack_rejects_failed_reconstruction_by_index(monkeypatch):
@@ -271,27 +305,27 @@ def test_stack_rejects_failed_reconstruction_by_index(monkeypatch):
 
 
 def test_single_matrix_rejection_equals_stack_rejection():
-    # the fixtures' four rejections: a single constructor raises what the
-    # stack validator raises for the same matrix at index k, at index 0
-    herm = random_hermitian(3, STACK_SEEDS)
-    states = random_density(3, STACK_SEEDS).matrices
+    # the fixtures' four rejections: a constructor raises for one matrix
+    # what it raises for the same matrix at index k of a stack, at index 0
+    herm = random_hermitian(3, STACK_SEEDS).matrix
+    states = random_density(3, STACK_SEEDS).matrix
     nonfinite = herm[2].copy()
     nonfinite[1, 0] = np.inf
     asymmetric = herm[2].copy()
     asymmetric[0, 1] += 1e-7
     below_floor = np.diag([1.0 - 2e-11, 1e-11, 1e-11]).astype(complex)
     cases = (
-        (HermitianMatrix, linalg._hermitian_stack, herm, nonfinite),
-        (HermitianMatrix, linalg._hermitian_stack, herm, asymmetric),
-        (DensityMatrix, linalg._faithful_spectrum, states, 1.1 * states[2]),
-        (DensityMatrix, linalg._faithful_spectrum, states, below_floor),
+        (HermitianMatrix, herm, nonfinite),
+        (HermitianMatrix, herm, asymmetric),
+        (DensityMatrix, states, 1.1 * states[2]),
+        (DensityMatrix, states, below_floor),
     )
-    for single, validator, good, bad in cases:
+    for constructor, good, bad in cases:
         for k in range(len(STACK_SEEDS)):
             with pytest.raises(StackRejection) as alone:
-                single(bad)
+                constructor(bad)
             with pytest.raises(StackRejection) as stacked:
-                validator(_with_bad(good, k, bad))
+                constructor(_with_bad(good, k, bad))
             assert (stacked.value.index, alone.value.index) == (k, 0)
             assert str(alone.value) == str(stacked.value)
 
@@ -332,6 +366,12 @@ def test_json_roundtrip_is_exact(tmp_path):
     rho_path = tmp_path / "rho.json"
     save_matrix(rho_path, rho)
     assert np.array_equal(load_density(rho_path).matrix, rho.matrix)
+
+    # the format holds one matrix: a stack is refused before any file is written
+    stack_path = tmp_path / "stack.json"
+    with pytest.raises(ValueError, match="one matrix"):
+        save_matrix(stack_path, random_hermitian(3, [1, 2]))
+    assert not stack_path.exists()
 
 
 def test_matrix_json_field_validation():

@@ -297,6 +297,29 @@ def test_evaluate_validates_inputs(fixture_rho, fixture_a, fixture_b):
         evaluate_inequalities(fixture_rho, sld(), np.eye(3), fixture_b)
 
 
+def test_single_instance_functions_reject_a_stacked_state():
+    # a stack of T states with (T, n, n) observables lines up in shape, but
+    # these functions evaluate one instance: the sweep's stacked report and
+    # the stacked audit are the routes for stacks
+    rho = random_density(3, [5, 6, 7])
+    a = random_hermitian(3, [8, 9, 10])
+    b = random_hermitian(3, [11, 12, 13])
+    f = sld()
+    calls = (
+        lambda: expectation(rho, a),
+        lambda: centered(rho, a),
+        lambda: covariance(rho, a, b),
+        lambda: variance(rho, a),
+        lambda: f_correlation(rho, f, a, b),
+        lambda: f_information(rho, f, a),
+        lambda: heisenberg_bound(rho, a, b),
+        lambda: evaluate_inequalities(rho, f, a, b),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="single state"):
+            call()
+
+
 def test_report_to_dict_layout(fixture_rho, fixture_a, fixture_b):
     report = evaluate_inequalities(fixture_rho, wyd(0.5), fixture_a, fixture_b)
     data = report.to_dict()

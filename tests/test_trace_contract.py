@@ -46,13 +46,11 @@ def test_traced_sweeps_record_every_wrapped_layer(tmp_path):
             summary = tracer.wrap("harness.loop", run_sweep)(config)
             assert summary.total == len(KEYS) and summary.violations == 0
     expected = {layer for _, _, layer in tracing.TARGETS}
-    expected |= {"harness.loop", "monotone.tilde", "gns.h"}
-    # The stacked audit takes its direct traces and rotations on whole
-    # stacks inside gns.audit, as the stacked report does inside
-    # qinfo.report: a sweep calls none of the per-instance qinfo functions
-    # (qinfo.direct) or DensityMatrix.to_eigenbasis (linalg.rotate).
-    idle = {"qinfo.direct", "linalg.rotate"}
-    assert set(tracer.calls()) == expected - idle
+    expected |= {"harness.loop", "monotone.tilde", "gns.h", "linalg.rotate"}
+    # The stacked audit takes its direct traces on whole stacks inside
+    # gns.audit, as the stacked report does inside qinfo.report: a sweep
+    # calls none of the per-instance qinfo functions (qinfo.direct).
+    assert set(tracer.calls()) == expected - {"qinfo.direct"}
     assert tracer.counts["gns.h.atom_pairs"] > 0
 
 
@@ -85,6 +83,9 @@ def test_audited_sweep_audits_once_per_dim_chunk():
     assert calls["gns.audit"] == calls["gns.mu"] == chunks
     # one GnsModel per chunk, plus the one spectrum it computes for the chunk
     assert calls["gns.model"] == 2 * chunks
+    # per chunk, the harness rotates a and b for the report and the audit
+    # rotates a, b and their centered parts
+    assert calls["linalg.rotate"] == (2 + 4) * chunks
     # one H per (chunk, f), over the chunk's trials times n^2 atom slots:
     # n^2 per record, where the K x K measure had n^4
     assert calls["gns.h"] == chunks * len(KEYS)
@@ -106,8 +107,8 @@ def test_traced_sweep_reports_once_per_dim_chunk_and_f():
     # per chunk: one state stack and two observable stacks, and one batched eigh
     assert calls["linalg.sample"] == 3 * chunks
     assert calls["linalg.eigh"] == chunks
-    # the stacked rotation is DensityStack.to_eigenbasis, not a per-state one
-    assert calls["linalg.rotate"] == 0
+    # one stacked DensityMatrix.to_eigenbasis per observable and chunk
+    assert calls["linalg.rotate"] == 2 * chunks
 
 
 def test_package_root_and_module_exports_resolve():
