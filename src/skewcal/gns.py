@@ -40,8 +40,8 @@ quantities (:func:`build_mu`).
 A GnsModel holds one DensityMatrix or a stacked one of T states; the
 forms, the measure and H then take (T, n, n) stacks of vectors and give
 one value per state, each from that state's entries alone. The audit
-runs once per stack (:func:`audit_G_equals_H`); a single instance is the
-same audit on a stack of one.
+runs once per stack (:func:`audit_G_equals_H`); a single state's spectral
+arrays broadcast as a stack of one, with no second eigendecomposition.
 """
 
 from __future__ import annotations
@@ -269,12 +269,11 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     plus terms dominate by the arithmetic-geometric mean inequality. The
     audit gates ``mu_negative_atom`` on
     :attr:`AtomicPairMeasure.min_weight_bound`, which is <= the minimum
-    over all K^2 weights in exact arithmetic and never forms them. The
-    former gate flagged min_kl w[k, l] < -MU_ATOM_SLACK * max(sum_kl w, 0);
-    the gate now flags bound < -MU_ATOM_SLACK * max(mass, 0), where ``mass``
-    equals sum_kl w exactly and bound <= min_kl w, so it fires on every
-    instance the former gate fired on. Its diagonal part equals the
-    K^2 array's diagonal bit for bit.
+    over all K^2 weights in exact arithmetic and never forms them: the gate
+    flags bound < -MU_ATOM_SLACK * max(mass, 0), where ``mass`` equals
+    sum_kl w exactly, so it fires on every instance whose smallest pair
+    weight lies below -MU_ATOM_SLACK * max(sum_kl w, 0). Its diagonal part
+    equals the K^2 array's diagonal bit for bit.
     """
     spec = m.spectrum()
     n = m.dim
@@ -375,12 +374,12 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
     For one state (``a`` and ``b`` its observables) it returns one report
     per entry, in order; over a stack of T states (``a`` and ``b``
     (T, n, n) stacks) one such list per state, each equal to the audit of
-    that state alone. G is assembled from direct traces, the route of the
-    qinfo scalars; H integrates the pair measure of the centered
-    observables. |G - H| beyond G_H_RTOL * max(1, |G|) is flagged, as are a
-    certified lower bound on the weights of mu below -MU_ATOM_SLACK times
-    its mass, and a negative quadratic form G^f on either centered
-    observable.
+    that state alone. Either way the state's own eigendecomposition is
+    reused. G is assembled from direct traces, the route of the qinfo
+    scalars; H integrates the pair measure of the centered observables.
+    |G - H| beyond G_H_RTOL * max(1, |G|) is flagged, as are a certified
+    lower bound on the weights of mu below -MU_ATOM_SLACK times its mass,
+    and a negative quadratic form G^f on either centered observable.
 
     Once per stack: Tr(rho a), Tr(rho b), Re Tr(rho aa), Re Tr(rho bb),
     Re Tr(rho ab), so the variances and the covariance; the centered
@@ -395,15 +394,13 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
     operations as :func:`~skewcal.qinfo.f_correlation`, so G equals the
     public direct route bit for bit. The flags are (T, F) masks.
     """
-    if m.eigenvalues.ndim == 1:
-        one = GnsModel(DensityMatrix(m.rho.matrix[None]))
-        (reports,) = audit_G_equals_H(one, functions, as_matrix(a)[None], as_matrix(b)[None])
-        return reports
     rho = m.rho.matrix
     ma, mb = as_matrix(a), as_matrix(b)
     for x in (ma, mb):
         if x.shape != rho.shape:
-            raise ValueError(f"observable shape {x.shape[1:]} does not match state dim {m.dim}")
+            raise ValueError(f"observable shape {x.shape} does not match state shape {rho.shape}")
+    # a single state's spectral arrays broadcast against stacks of one
+    rho, ma, mb = (x.reshape(-1, m.dim, m.dim) for x in (rho, ma, mb))
 
     # the f-independent half: Tr(rho x) and Re Tr(rho x y), each once
     ra, rb = rho @ ma, rho @ mb
@@ -423,10 +420,10 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
 
     # one kernel per (state, entry), applied to both observables in one
     # validated (T, 2F, n, n) batch ordered (k_0 o a, k_0 o b, k_1 o a, ...)
-    kernels = np.stack([modular_kernel_matrix(m.rho, f) for f in functions], axis=1)
+    kernels = np.stack([modular_kernel_matrix(m.rho, f) for f in functions], axis=-3)
     tilted = np.stack((m.to_eigenbasis(ma), m.to_eigenbasis(mb)), axis=1)
-    mapped = (kernels[:, :, None] * tilted[:, None]).reshape(len(rho), -1, m.dim, m.dim)
-    applied = _kernel_apply_stack(m.eigenvectors[:, None], mapped)
+    mapped = (kernels[..., None, :, :] * tilted[:, None]).reshape(len(rho), -1, m.dim, m.dim)
+    applied = _kernel_apply_stack(m.eigenvectors[..., None, :, :], mapped)
     ka, kb = applied[:, 0::2], applied[:, 1::2]
     # Tr(ka a), Tr(kb b) and Tr(ka b) against the unrotated observables
     info_a = tr_aa[:, None] - _real_trace(ka @ ma[:, None])
@@ -446,7 +443,7 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
         masks.append(gf < -GFORM_SLACK * np.maximum(e1.real, 0.0)[:, None])
 
     columns = (g.tolist(), h.tolist(), residual.tolist(), *gforms, np.stack(masks, -1).tolist())
-    return [
+    reports = [
         [
             GnsAuditReport(
                 g_value=g_tf,
@@ -460,3 +457,4 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
         ]
         for bound, *row in zip(mu_min.tolist(), *columns)
     ]
+    return reports if m.eigenvalues.ndim == 2 else reports[0]

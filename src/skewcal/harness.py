@@ -14,11 +14,12 @@ Stacked evaluation: a sweep runs each dimension n in chunks of up to
 T = max(1, _STACK_ENTRIES // n**2) trials. The per-trial seeds are
 unchanged and each trial still draws from its own generators; the samplers
 take the chunk's seeds and return validated stacks. Sampling, validation
-(with one batched eigh), the Frobenius normalisation and the rotation into
-each state's eigenbasis run once per chunk, as does one stacked report per
-catalog entry, and the optional G = H audit once per chunk for every
-entry. Only the draws and the observables' Frobenius norms run per
-trial. A rejected trial is reported with its (dim, trial, seed).
+(with one batched eigh) and the Frobenius normalisation run once per chunk.
+The chunk's state stack and standard-basis observables then go, side by
+side, to one stacked report and, optionally, one G = H audit, each of
+which covers every catalog entry and does its own rotation into the
+states' eigenbases. Only the draws and the observables' Frobenius norms
+run per trial. A rejected trial is reported with its (dim, trial, seed).
 The stacks and the report's temporaries hold O(_STACK_ENTRIES) numbers
 whatever the trial count; the records of one dimension are kept until it
 is written. Every stacked operation and reduction acts on one trial's
@@ -255,15 +256,12 @@ def _csv_row(record: dict) -> list:
     return row
 
 
-def _chunk_instances(config: SweepConfig, functions, dim: int, trials: range):
-    """Draw, validate and rotate the instances of one chunk of trials.
+def _chunk_instances(config: SweepConfig, dim: int, trials: range):
+    """Draw, validate and normalise the instances of one chunk of trials.
 
-    Returns the per-trial seeds, the states' eigenvalues (T, n), both
-    observables in each state's eigenbasis as (T, n, n) stacks and, with
-    ``config.gns_audit``, one list of audit reports per trial from one
-    stacked audit. The sampled stacks die with this call, so they add
-    nothing to the report's peak memory. A rejected instance raises
-    ValueError naming (dim, trial, seed).
+    Returns the per-trial seeds, the states as one stacked DensityMatrix
+    and both observables as (T, n, n) standard-basis stacks. A rejected
+    instance raises ValueError naming (dim, trial, seed).
     """
     seeds = [hash64(config.seed, dim, trial) for trial in trials]
     try:
@@ -276,11 +274,7 @@ def _chunk_instances(config: SweepConfig, functions, dim: int, trials: range):
     if config.normalize_observables:
         _normalize(a)
         _normalize(b)
-    audits = []
-    if config.gns_audit:
-        # one audit per chunk covers every trial and f entry
-        audits = audit_G_equals_H(GnsModel(rho), functions, a, b)
-    return seeds, rho.eigenvalues, rho.to_eigenbasis(a), rho.to_eigenbasis(b), audits
+    return seeds, rho, a, b
 
 
 def _records(config: SweepConfig, functions):
@@ -290,9 +284,11 @@ def _records(config: SweepConfig, functions):
         by_f = [[] for _ in functions]
         for start in range(0, config.trials, chunk):
             trials = range(start, min(start + chunk, config.trials))
-            seeds, lam, at, bt, audits = _chunk_instances(config, functions, dim, trials)
-            for i, f in enumerate(functions):
-                columns = _report_in_eigenbasis(lam, at, bt, f, config.tol)
+            seeds, rho, a, b = _chunk_instances(config, dim, trials)
+            # one report and one audit per chunk cover every trial and f entry
+            reports = _report_in_eigenbasis(rho, functions, a, b, config.tol)
+            audits = audit_G_equals_H(GnsModel(rho), functions, a, b) if config.gns_audit else []
+            for i, (f, columns) in enumerate(zip(functions, reports)):
                 for k, row in enumerate(_report_rows(columns)):
                     if audits:
                         audit = audits[k][i]

@@ -355,8 +355,8 @@ def group_spectrum(eigenvalues) -> np.ndarray:
 
 # --- JSON wire format -------------------------------------------------------
 #
-# A matrix is {"n": int, "re": [[...]], "im": [[...]]} with n x n float
-# arrays. repr-level float serialization round-trips bit-exactly.
+# A matrix is {"n": int, "re": [[...]], "im": [[...]]} with n x n arrays
+# of JSON numbers. repr-level float serialization round-trips bit-exactly.
 
 
 def matrix_to_json(m) -> dict:
@@ -382,12 +382,15 @@ def matrix_from_json(data: dict) -> np.ndarray:
     try:
         re = np.array(data["re"], dtype=float)
         im = np.array(data["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix JSON entries are not numeric: {exc}") from exc
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(
             f"matrix JSON arrays must be {n} x {n}, got re {re.shape} and im {im.shape}"
         )
+    for x in (x for part in (data["re"], data["im"]) for row in part for x in row):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"matrix JSON entries are not numeric: {x!r} is not a JSON number")
     return re + 1j * im
 
 

@@ -257,9 +257,10 @@ def validate_catalog_entry(f: MonotoneFunction, grid: np.ndarray | None = None) 
     monotonicity = float(np.max(drops))
 
     raw_tilde = np.asarray(tilde_transform(f, xs, clamp=False), dtype=float)
-    clamped = int(np.count_nonzero((raw_tilde < 0.0) & (raw_tilde >= TILDE_CLAMP_FLOOR)))
+    round_off = (raw_tilde < 0.0) & (raw_tilde >= TILDE_CLAMP_FLOOR)
+    clamped = int(np.count_nonzero(round_off))
     excess = float(np.max(raw_tilde - 0.5 * (xs + 1.0)))
-    tilde_clamped = np.where((raw_tilde < 0.0) & (raw_tilde >= TILDE_CLAMP_FLOOR), 0.0, raw_tilde)
+    tilde_clamped = np.where(round_off, 0.0, raw_tilde)
     mirrored_tilde = xs * np.asarray(tilde_transform(f, 1.0 / xs), dtype=float)
     # absolute floor keeps clamped-to-zero points from dividing by zero
     tilde_scale = np.maximum(np.abs(tilde_clamped), 1e-12)

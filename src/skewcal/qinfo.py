@@ -3,15 +3,19 @@
 All scalars are real numbers built from traces against a faithful density
 matrix. The module-level functions compute them by direct traces on the
 original matrices, the information quantities through the modular kernel
-of any catalog function. The stacked report recomputes them as weighted
-entry sums in the state's eigenbasis and, for the wyd family, also along
-the power-sandwich route Tr(rho^beta a rho^(1-beta) b); the disagreement
-of the kernel and sandwich routes is surfaced as a residual, never hidden.
+of any catalog function. The stacked report takes one state or a stack
+and every catalog entry at once: it rotates the observables into the
+eigenbasis once, computes the f-independent half (expectations, Var, Cov,
+lhs, commutator term) once, and per entry recomputes the rest as weighted
+entry sums and, for the wyd family, also along the power-sandwich route
+Tr(rho^beta a rho^(1-beta) b); the disagreement of the kernel and
+sandwich routes is surfaced as a residual, never hidden.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,80 +181,80 @@ _FLAGS = (
 
 
 def _report_in_eigenbasis(
-    lam: np.ndarray,
-    at: np.ndarray,
-    bt: np.ndarray,
-    f: MonotoneFunction,
-    tol: float,
-) -> dict[str, np.ndarray]:
-    """Report columns for a stack of T instances already in their states' eigenbases.
+    rho: DensityMatrix, functions: Sequence[MonotoneFunction], a, b, tol: float
+) -> list[dict[str, np.ndarray]]:
+    """Report columns per entry of ``functions`` for one state or a stack of T states.
 
-    ``lam`` is (T, n), ``at`` and ``bt`` are (T, n, n). Returns one length-T
-    array per name in _SCALARS, ``residuals`` of shape (T, 3) for wyd entries
-    and (T, 0) otherwise, and ``flags``, a (T, len(_FLAGS)) boolean mask.
-    Every reduction runs over the entries of one instance only, so a
-    trial's values do not depend on which other trials share its stack.
+    ``a`` and ``b`` are standard-basis observables shaped like ``rho.matrix``,
+    rotated once; the f-independent half is computed once. Each dict holds
+    one length-T array per name in _SCALARS (T = 1 for one state),
+    ``residuals`` of shape (T, 3) for wyd entries and (T, 0) otherwise, and
+    ``flags``, a (T, len(_FLAGS)) boolean mask. Every reduction runs over the
+    entries of one instance only, so a trial's values do not depend on which
+    other trials share its stack.
     """
+    n = rho.dim
+    lam = rho.eigenvalues.reshape(-1, n)
+    at, bt = (rho.to_eigenbasis(x).reshape(-1, n, n) for x in (a, b))
     # All traces against the state collapse to weighted entry sums once the
     # observables sit in its eigenbasis: Tr(rho X Y) = sum_ij lam_i X_ij Y_ji
     # and Tr((k o X) Y) = sum_ij k_ij X_ij Y_ji.
     ratios = lam[:, :, None] / lam[:, None, :]
-    kernel = np.asarray(tilde_transform(f, ratios), dtype=float) * lam[:, None, :]
     # entrywise products X_ij Y_ji; the products of (b, a) are those of (a, b) transposed
     p_ab = at * bt.swapaxes(1, 2)
-    p_aa = (at * at.swapaxes(1, 2)).real
-    p_bb = (bt * bt.swapaxes(1, 2)).real
+    p_aa, p_bb = ((x * x.swapaxes(1, 2)).real for x in (at, bt))
 
-    exp_a = np.einsum("ti,tii->t", lam, at).real
-    exp_b = np.einsum("ti,tii->t", lam, bt).real
+    exp_a, exp_b = (np.einsum("ti,tii->t", lam, x).real for x in (at, bt))
     tr_rho_ab = np.einsum("ti,tij->t", lam, p_ab)
     tr_rho_ba = np.einsum("tj,tij->t", lam, p_ab)
-    tr_rho_aa = np.einsum("ti,tij->t", lam, p_aa)
-    tr_rho_bb = np.einsum("ti,tij->t", lam, p_bb)
+    tr_rho_aa, tr_rho_bb = (np.einsum("ti,tij->t", lam, p) for p in (p_aa, p_bb))
 
     var_a = tr_rho_aa - exp_a * exp_a
     var_b = tr_rho_bb - exp_b * exp_b
     cov_ab = tr_rho_ab.real - exp_a * exp_b
-    info_a = tr_rho_aa - np.einsum("tij,tij->t", kernel, p_aa)
-    info_b = tr_rho_bb - np.einsum("tij,tij->t", kernel, p_bb)
-    corr_ab = tr_rho_ab.real - np.einsum("tij,tij->t", kernel, p_ab.real)
     heis = 0.25 * np.abs(tr_rho_ab - tr_rho_ba) ** 2
-
     lhs = var_a * var_b - cov_ab * cov_ab
-    rhs = info_a * info_b - corr_ab * corr_ab
-    gap = lhs - rhs
 
     # fmax, like max(1.0, x), keeps the scale at 1 when the product is NaN
     scale = np.fmax(1.0, var_a * var_b)
-    tol_eff = tol * scale
-    slack = INVARIANT_SLACK * scale
+    tol_eff, slack = tol * scale, INVARIANT_SLACK * scale
 
-    beta = wyd_parameter(f)
-    if beta is None:
-        residuals = np.empty((lam.shape[0], 0))
-    else:
-        # independent route: unsymmetrized power sandwich, real part taken last
-        w_beta = np.power(lam, beta)[:, :, None] * np.power(lam, 1.0 - beta)[:, None, :]
-        corr_beta = tr_rho_ab.real - np.einsum("tij,tij->t", w_beta, p_ab.real)
-        info_beta_a = tr_rho_aa - np.einsum("tij,tij->t", w_beta, p_aa)
-        info_beta_b = tr_rho_bb - np.einsum("tij,tij->t", w_beta, p_bb)
-        residuals = np.abs(
-            np.array((corr_ab - corr_beta, info_a - info_beta_a, info_b - info_beta_b)).T
-        )
+    reports = []
+    for f in functions:
+        kernel = np.asarray(tilde_transform(f, ratios), dtype=float) * lam[:, None, :]
+        info_a = tr_rho_aa - np.einsum("tij,tij->t", kernel, p_aa)
+        info_b = tr_rho_bb - np.einsum("tij,tij->t", kernel, p_bb)
+        corr_ab = tr_rho_ab.real - np.einsum("tij,tij->t", kernel, p_ab.real)
+        rhs = info_a * info_b - corr_ab * corr_ab
+        gap = lhs - rhs
 
-    # np.array rather than np.stack: the same result with less per-call overhead
-    scalars = np.array((var_a, var_b, cov_ab, info_a, info_b, corr_ab, lhs, rhs, gap, heis))
-    flags = np.array(
-        (
-            ~np.isfinite(scalars).all(axis=0),
-            gap < -tol_eff,
-            lhs - heis < -tol_eff,
-            lhs < -slack,
-            info_a < -slack,
-            info_b < -slack,
-        )
-    ).T
-    return {**dict(zip(_SCALARS, scalars)), "residuals": residuals, "flags": flags}
+        beta = wyd_parameter(f)
+        if beta is None:
+            residuals = np.empty((lam.shape[0], 0))
+        else:
+            # independent route: unsymmetrized power sandwich, real part taken last
+            w_beta = np.power(lam, beta)[:, :, None] * np.power(lam, 1.0 - beta)[:, None, :]
+            corr_beta = tr_rho_ab.real - np.einsum("tij,tij->t", w_beta, p_ab.real)
+            info_beta_a = tr_rho_aa - np.einsum("tij,tij->t", w_beta, p_aa)
+            info_beta_b = tr_rho_bb - np.einsum("tij,tij->t", w_beta, p_bb)
+            residuals = np.abs(
+                np.array((corr_ab - corr_beta, info_a - info_beta_a, info_b - info_beta_b)).T
+            )
+
+        # np.array rather than np.stack: the same result with less per-call overhead
+        scalars = np.array((var_a, var_b, cov_ab, info_a, info_b, corr_ab, lhs, rhs, gap, heis))
+        flags = np.array(
+            (
+                ~np.isfinite(scalars).all(axis=0),
+                gap < -tol_eff,
+                lhs - heis < -tol_eff,
+                lhs < -slack,
+                info_a < -slack,
+                info_b < -slack,
+            )
+        ).T
+        reports.append({**dict(zip(_SCALARS, scalars)), "residuals": residuals, "flags": flags})
+    return reports
 
 
 def _report_rows(columns: dict[str, np.ndarray]) -> list[dict]:
@@ -288,10 +292,8 @@ def evaluate_inequalities(
     power-sandwich route and the disagreements recorded as residuals.
     """
     tol = validate_tol(tol)
-    ma, mb = _observable(rho, a), _observable(rho, b)
-    at = rho.to_eigenbasis(ma)
-    bt = rho.to_eigenbasis(mb)
     # the sweep's stacked evaluation, on a stack of one
-    (row,) = _report_rows(_report_in_eigenbasis(rho.eigenvalues[None], at[None], bt[None], f, tol))
+    (columns,) = _report_in_eigenbasis(rho, [f], _observable(rho, a), _observable(rho, b), tol)
+    (row,) = _report_rows(columns)
     path_residuals, flags = tuple(row.pop("residuals")), tuple(row.pop("flags"))
     return UncertaintyReport(**row, path_residuals=path_residuals, flags=flags)

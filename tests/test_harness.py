@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import skewcal.harness as harness
+import skewcal.linalg as linalg
 from oracle import FROZEN
 from skewcal.cli import main
 from skewcal.harness import (
@@ -431,6 +432,15 @@ def test_check_instance_passes_on_fixture(fixtures_dir):
     assert payload["audit"]["flags"] == []
 
 
+def test_check_instance_decomposes_the_state_once(monkeypatch, fixtures_dir):
+    # the report and the audit both reuse the loaded state's eigendecomposition
+    real, calls = linalg.eigendecompose, []
+    monkeypatch.setattr(linalg, "eigendecompose", lambda h: calls.append(h) or real(h))
+    payload, code = check_instance(*_fixture_paths(fixtures_dir), "wyd:0.5")
+    assert code == 0 and payload["audit"]["flags"] == []
+    assert len(calls) == 1
+
+
 def test_check_instance_error_paths(tmp_path, fixtures_dir):
     rho_path, a_path, b_path = _fixture_paths(fixtures_dir)
     bad_trace = os.path.join(fixtures_dir, "bad_trace.json")
@@ -649,4 +659,16 @@ def test_cli_check_rejects_a_bool_matrix_size(tmp_path, capsys):
     assert main(["check", "--rho", str(path), "--a", str(path), "--b", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "'n'" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_check_rejects_bool_matrix_entries(tmp_path, capsys, fixtures_dir):
+    # sigma_x written with true/false; numpy would read it as [[0, 1], [1, 0]]
+    path = tmp_path / "bool_sigma_x.json"
+    sigma_x = {"n": 2, "re": [[False, True], [True, False]], "im": [[0, 0], [0, 0]]}
+    path.write_text(json.dumps(sigma_x))
+    rho_path, _, b_path = _fixture_paths(fixtures_dir)
+    assert main(["check", "--rho", rho_path, "--a", str(path), "--b", b_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not a JSON number" in captured.err
     assert captured.out == ""

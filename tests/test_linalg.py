@@ -394,6 +394,13 @@ def test_matrix_json_field_validation():
         matrix_from_json({"n": 2, "re": [[1, 0], [0, "x"]], "im": [[0, 0], [0, 0]]})
     with pytest.raises(ValueError, match="2 x 2"):
         matrix_from_json({"n": 2, "re": [[1, 0, 0], [0, 1, 0]], "im": [[0, 0], [0, 0]]})
+    # numpy reads true as 1.0 and "1.5" as 1.5, but neither is a JSON number
+    for re, im in (([[True]], [[0]]), ([["1.5"]], [[0]]), ([[1.0]], [[False]])):
+        with pytest.raises(ValueError, match="not a JSON number"):
+            matrix_from_json({"n": 1, "re": re, "im": im})
+    # an integer beyond float range is a rejected entry, not an OverflowError
+    with pytest.raises(ValueError, match="numeric"):
+        matrix_from_json({"n": 1, "re": [[10**400]], "im": [[0]]})
 
 
 def test_load_rejects_bad_files(tmp_path, fixtures_dir):

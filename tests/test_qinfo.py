@@ -229,25 +229,37 @@ def test_stacked_report_flags_each_instance_on_its_own(fixture_a, fixture_b):
         DensityMatrix(np.diag([0.75, 0.25]).astype(complex)),
         DensityMatrix(np.diag([0.5, 0.5]).astype(complex)),
     ]
-    lam = np.stack([rho.eigenvalues for rho in states])
-    at = np.stack([rho.to_eigenbasis(fixture_a.matrix) for rho in states])
-    bt = np.stack([rho.to_eigenbasis(fixture_b.matrix) for rho in states])
-    rows = _report_rows(_report_in_eigenbasis(lam, at, bt, bogus, 1e-9))
+    rho = DensityMatrix(np.array([state.matrix for state in states]))
+    a, b = (np.array([x.matrix] * len(states)) for x in (fixture_a, fixture_b))
+    # one call covers every entry, and entry i is the call on functions[i] alone
+    functions = [bogus, *(from_key(key) for key in ALL_KEYS)]
+    reports = _report_in_eigenbasis(rho, functions, a, b, 1e-9)
+    assert len(reports) == len(functions)
+    for f, columns in zip(functions, reports):
+        (alone,) = _report_in_eigenbasis(rho, [f], a, b, 1e-9)
+        assert repr(_report_rows(columns)) == repr(_report_rows(alone))
+    rows = _report_rows(reports[0])
     assert [row["flags"] for row in rows][::2] == [[], []]
     assert "main_inequality_violation" in rows[1]["flags"]
-    for rho, row in zip(states, rows):
-        single = evaluate_inequalities(rho, bogus, fixture_a, fixture_b)
+    for state, row in zip(states, rows):
+        single = evaluate_inequalities(state, bogus, fixture_a, fixture_b)
         assert repr(row) == repr(single.to_dict())
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# Diagonal states whose eigenbasis is exact: the eigenvectors of
+# diag(0.75, 0.25) are the identity and those of 0.5 I are the swap, so a
+# standard-basis observable reaches the report's eigenbasis bit for bit
+# (permuted on 0.5 I).
+SKEWED = np.diag([0.75, 0.25]).astype(complex)
+MIXED = np.diag([0.5, 0.5]).astype(complex)
 
 
 def _nonfinite_row():
-    at = SIGMA_X.copy()
-    at[0, 1] = np.nan
-    return np.array([0.75, 0.25]), at, SIGMA_Z
+    a = SIGMA_X.copy()
+    a[0, 1] = np.nan
+    return SKEWED, a, SIGMA_Z
 
 
 def _commutator_row():
@@ -255,17 +267,18 @@ def _commutator_row():
     # variances and the covariance take real parts, which see sigma_x twice,
     # so lhs = 1 * 1 - 1^2 = 0 and the rhs cancels to 0 as well; the
     # commutator term keeps the imaginary part, |0.5i|^2 / 4 = 1/16 > lhs.
-    bt = np.array([[0.0, 1.0], [1.0 + 1.0j, 0.0]])
-    return np.array([0.75, 0.25]), SIGMA_X, bt
+    b = np.array([[0.0, 1.0], [1.0 + 1.0j, 0.0]])
+    return SKEWED, SIGMA_X, b
 
 
 def _negative_lhs_row():
-    # b is real but not symmetric, b[1, 0] = 1 - 2 d with d = 1e-5. On the
-    # maximally mixed state var_a = 1, var_b = 1 - 2 d and cov = 1 - d, so
-    # lhs = -d^2 = -1e-10: below -1e-12 (the nonnegativity slack) but above
-    # -1e-9 (the tolerance), where the commutator term 0 and the gap do not flag.
-    bt = np.array([[0.0, 1.0], [1.0 - 2e-5, 0.0]], dtype=complex)
-    return np.array([0.5, 0.5]), SIGMA_X, bt
+    # b is real but not symmetric: in the swapped eigenbasis of 0.5 I it
+    # reads [[0, 1], [1 - 2 d, 0]] with d = 1e-5. On the maximally mixed
+    # state var_a = 1, var_b = 1 - 2 d and cov = 1 - d, so lhs = -d^2 =
+    # -1e-10: below -1e-12 (the nonnegativity slack) but above -1e-9 (the
+    # tolerance), where the commutator term 0 and the gap do not flag.
+    b = np.array([[0.0, 1.0 - 2e-5], [1.0, 0.0]], dtype=complex)
+    return MIXED, SIGMA_X, b
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
@@ -279,11 +292,12 @@ def _negative_lhs_row():
 )
 def test_report_flags_fire_alone_on_the_bad_row(flag, bad_row, key):
     # the sampled instances of a sweep do not reach these flags, so the bad
-    # rows feed the stacked evaluator eigenbasis entries that no finite
-    # Hermitian pair produces
-    good = (np.array([0.75, 0.25]), SIGMA_X, SIGMA_Z)
-    lam, at, bt = (np.stack(parts) for parts in zip(good, bad_row()))
-    rows = _report_rows(_report_in_eigenbasis(lam, at, bt, from_key(key), 1e-9))
+    # rows feed the stacked evaluator observables that no finite Hermitian
+    # pair is
+    good = (SKEWED, SIGMA_X, SIGMA_Z)
+    states, a, b = (np.stack(parts) for parts in zip(good, bad_row()))
+    (columns,) = _report_in_eigenbasis(DensityMatrix(states), [from_key(key)], a, b, 1e-9)
+    rows = _report_rows(columns)
     assert rows[0]["flags"] == []
     assert rows[1]["flags"] == [flag]
 

@@ -55,15 +55,16 @@ def test_traced_sweeps_record_every_wrapped_layer(tmp_path):
 
 
 def test_audited_sweep_builds_one_kernel_per_instance_and_f():
-    # 5 stacked reports (one per f) plus, per audited entry, one modular
-    # kernel for the direct route and the G-form and one tilde for H
+    # one stacked report for every f, with one tilde per f, plus, per audited
+    # entry, one modular kernel for the direct route and the G-form and one
+    # tilde for H
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
         summary = run_sweep(SweepConfig(dims=(3,), trials=1, f_specs=KEYS, gns_audit=True))
     assert summary.total == len(KEYS) and summary.violations == 0
     calls = tracer.calls()
-    assert calls["qinfo.report"] == len(KEYS)
+    assert calls["qinfo.report"] == 1
     assert calls["gns.h"] == len(KEYS)
     assert calls["monotone.tilde"] == len(KEYS) + 2 * len(KEYS) == 15
     # H reads the K = 3^2 per-atom marginals, not K^2 atom pairs
@@ -83,8 +84,8 @@ def test_audited_sweep_audits_once_per_dim_chunk():
     assert calls["gns.audit"] == calls["gns.mu"] == chunks
     # one GnsModel per chunk, plus the one spectrum it computes for the chunk
     assert calls["gns.model"] == 2 * chunks
-    # per chunk, the harness rotates a and b for the report and the audit
-    # rotates a, b and their centered parts
+    # per chunk, the report rotates a and b and the audit rotates a, b and
+    # their centered parts
     assert calls["linalg.rotate"] == (2 + 4) * chunks
     # one H per (chunk, f), over the chunk's trials times n^2 atom slots:
     # n^2 per record, where the K x K measure had n^4
@@ -92,7 +93,7 @@ def test_audited_sweep_audits_once_per_dim_chunk():
     assert tracer.counts["gns.h.atom_pairs"] == sum(trials * len(KEYS) * d**2 for d in dims)
 
 
-def test_traced_sweep_reports_once_per_dim_chunk_and_f():
+def test_traced_sweep_reports_once_per_dim_chunk():
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     dims, trials = (3, 64), 3
@@ -103,7 +104,7 @@ def test_traced_sweep_reports_once_per_dim_chunk_and_f():
     chunks = sum(math.ceil(trials / max(1, _STACK_ENTRIES // d**2)) for d in dims)
     assert chunks == 3  # one chunk at dim 3, two at dim 64
     calls = tracer.calls()
-    assert calls["qinfo.report"] == chunks * len(KEYS) < records
+    assert calls["qinfo.report"] == chunks < records
     # per chunk: one state stack and two observable stacks, and one batched eigh
     assert calls["linalg.sample"] == 3 * chunks
     assert calls["linalg.eigh"] == chunks
