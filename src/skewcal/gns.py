@@ -2,9 +2,9 @@
 
 The carrier space is the full matrix algebra equipped with the inner
 product <x, y> = Tr(rho x† y) and cyclic vector the identity matrix. The
-modular operator acts as x -> rho x rho^(-1); its spectrum is the finite
-set of eigenvalue ratios, so every spectral integral below collapses to an
-exact sum over ratio atoms.
+modular operator acts as x -> rho x rho^(-1): it scales the eigenbasis
+matrix unit e_i e_j† by lam_i / lam_j, so every spectral integral below is
+an exact sum over n^2 atoms, the rank-one projections onto the e_i e_j†.
 
 The centerpiece is the identity audit: the inequality gap
 
@@ -55,7 +55,6 @@ from .linalg import (
     DensityMatrix,
     _kernel_apply_stack,
     as_matrix,
-    group_spectrum,
     modular_kernel_matrix,
 )
 from .monotone import MonotoneFunction, tilde_transform
@@ -67,7 +66,6 @@ __all__ = [
     "AtomicPairMeasure",
     "GnsAuditReport",
     "GnsModel",
-    "ModularSpectrum",
     "audit_G_equals_H",
     "build_mu",
     "form_E1",
@@ -126,8 +124,11 @@ class GnsModel:
     def to_eigenbasis(self, x) -> np.ndarray:
         return self.rho.to_eigenbasis(x)
 
-    def spectrum(self) -> "ModularSpectrum":
-        """Atomic spectrum of the modular operator, computed on each call."""
+    def spectrum(self) -> np.ndarray:
+        """Value lam_i / lam_j of each atom i * n + j, (T, n^2) over a stack.
+
+        Equal ratios stay separate atoms: merging them changes no integral.
+        """
         return _compute_spectrum(self.eigenvalues)
 
 
@@ -163,48 +164,18 @@ def form_G(m: GnsModel, f: MonotoneFunction, xi, eta):
     return 0.5 * form_E1(m, xi, eta, (xt, et)) - _weighted_form(kernel, xt, et)
 
 
-@dataclass(frozen=True, eq=False)
-class ModularSpectrum:
-    """Atomic decomposition of the modular operator's spectrum.
-
-    With c_i the cluster of eigenvalue i (near-degenerate eigenvalues share
-    one), ``labels[i, j] = c_i * n + c_j`` is the atom of eigenbasis entry
-    (i, j) and ``values[k]`` the ratio of atom k, over n^2 atom slots. Every
-    index pair lies in exactly one atom, and ``labels.T`` maps each atom to
-    the atom of the inverse ratio. A state with C clusters uses C^2 slots;
-    the others hold no index pair and the ratio 1. Over a stack both arrays
-    carry a leading trial axis.
-    """
-
-    labels: np.ndarray
-    values: np.ndarray
-
-
-def _compute_spectrum(eigenvalues: np.ndarray) -> ModularSpectrum:
-    lam = eigenvalues.reshape(-1, eigenvalues.shape[-1])
-    t, n = lam.shape
-    cluster = group_spectrum(lam)
-    # cluster means, summed in spectrum order; state r's clusters fill bins r*n + c
-    bins = (cluster + n * np.arange(t)[:, None]).ravel()
-    counts = np.bincount(bins, minlength=t * n).reshape(t, n)
-    sums = np.bincount(bins, weights=lam.ravel(), minlength=t * n).reshape(t, n)
-    used = counts > 0
-    reps = np.where(used, sums / np.maximum(counts, 1), 1.0)
-
-    labels = cluster[:, :, None] * n + cluster[:, None, :]
-    values = reps[:, :, None] / reps[:, None, :]
-    values[~(used[:, :, None] & used[:, None, :])] = 1.0
-    lead = eigenvalues.shape[:-1]
-    return ModularSpectrum(
-        labels=labels.reshape(lead + (n, n)), values=values.reshape(lead + (n * n,))
-    )
+def _compute_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
+    lam = eigenvalues
+    return (lam[..., :, None] / lam[..., None, :]).reshape(lam.shape[:-1] + (-1,))
 
 
 @dataclass(frozen=True, eq=False)
 class AtomicPairMeasure:
     """Signed measure on pairs of spectrum atoms, held by its per-atom marginals.
 
-    The weight of the atom pair (k, l) is
+    Atom k = i * n + j is eigenbasis entry (i, j) with value lam_i / lam_j
+    (:meth:`GnsModel.spectrum`), so K = n^2. The weight of the atom pair
+    (k, l) is
     w[k, l] = m_xx[k] m_yy[l] + m_yy[k] m_xx[l] - 2 m_xy[k] m_xy[l]; the
     K x K array is never formed. ``weights[k]`` is the diagonal weight
     w[k, k] = 2 (m_xx[k] m_yy[k] - m_xy[k]^2) and ``values[k]`` the ratio of
@@ -260,8 +231,9 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     ``xt`` and ``et`` are the entries u† xi u and u† eta u of two vectors
     in the state's eigenbasis ((T, n, n) stacks over a stacked model).
     m_xx, m_yy, m_xy are the spectral weights Re <xi, e_k xi>,
-    Re <eta, e_k eta>, Re <xi, e_k eta> of the atoms e_k: one ``bincount``
-    over the atom labels, offset by n^2 per state, gives all of a stack's.
+    Re <eta, e_k eta>, Re <xi, e_k eta> of the atoms e_k, the rank-one
+    projections onto the matrix units e_i e_j†: for atom k = i * n + j they
+    are |xt_ij|^2 lam_j, |et_ij|^2 lam_j and Re(conj(xt_ij) et_ij) lam_j.
 
     Each pair weight is nonnegative up to round-off: the cross term is
     bounded through the projection Cauchy-Schwarz inequality, which makes
@@ -275,23 +247,14 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     weight lies below -MU_ATOM_SLACK * max(sum_kl w, 0). Its diagonal part
     equals the K^2 array's diagonal bit for bit.
     """
-    spec = m.spectrum()
-    n = m.dim
     lead = np.shape(xt)[:-2]
-    states = int(np.prod(lead))
-    offsets = (n * n) * np.arange(states).reshape(lead + (1, 1))
-    bins = (spec.labels + offsets).ravel()
     lam = m.eigenvalues[..., None, :]
-
-    def marginal(entries):
-        weights = (entries * lam).ravel()
-        return np.bincount(bins, weights=weights, minlength=states * n * n).reshape(lead + (-1,))
-
-    m_xx = marginal(np.abs(xt) ** 2)
-    m_yy = marginal(np.abs(et) ** 2)
-    m_xy = marginal(np.real(np.conj(xt) * et))
+    m_xx, m_yy, m_xy = (
+        (entries * lam).reshape(lead + (-1,))
+        for entries in (np.abs(xt) ** 2, np.abs(et) ** 2, np.real(np.conj(xt) * et))
+    )
     return AtomicPairMeasure(
-        values=np.broadcast_to(spec.values, m_xx.shape),
+        values=np.broadcast_to(m.spectrum(), m_xx.shape),
         weights=2.0 * (m_xx * m_yy - m_xy * m_xy),
         m_xx=m_xx,
         m_yy=m_yy,

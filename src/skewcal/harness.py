@@ -380,8 +380,9 @@ def emit_gap_histogram(records, n_buckets: int = 20, out_path=None) -> list[tupl
     range; any nonpositive gaps (boundary hits) are collected in one leading
     bucket ending at 0. Bucket counts always sum to the record count; a
     non-finite gap fits no bucket and raises ValueError, as does a record
-    without a gap or with one that is not a real number (a bool is not). Rows
-    are (gap_lo, gap_hi, count); with ``out_path`` they are also written as
+    without a gap or with one that is not a real number (a bool is not), and
+    an ``n_buckets`` that is not an integer of at least 1. Rows are
+    (gap_lo, gap_hi, count); with ``out_path`` they are also written as
     CSV with that header.
     """
     gaps = []
@@ -396,7 +397,7 @@ def emit_gap_histogram(records, n_buckets: int = 20, out_path=None) -> list[tupl
         gaps.append(float(gap))
     if not gaps:
         raise ValueError("no records to bucket")
-    if n_buckets < 1:
+    if _integer(n_buckets, "n_buckets") < 1:
         raise ValueError("n_buckets must be at least 1")
     nonpos = [g for g in gaps if g <= 0.0]
     pos = [g for g in gaps if g > 0.0]

@@ -27,7 +27,6 @@ import numpy as np
 from .monotone import MonotoneFunction, tilde_transform
 
 __all__ = [
-    "DEGENERACY_RTOL",
     "DENSITY_REGULARIZATION",
     "FAITHFULNESS_FLOOR",
     "HERMITICITY_REPAIR_THRESHOLD",
@@ -36,7 +35,6 @@ __all__ = [
     "StackRejection",
     "as_matrix",
     "eigendecompose",
-    "group_spectrum",
     "load_density",
     "load_hermitian",
     "matrix_from_json",
@@ -59,10 +57,6 @@ FAITHFULNESS_FLOOR = 1e-10
 
 TRACE_TOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-9
-
-# Eigenvalues closer than DEGENERACY_RTOL * max(lam) count as degenerate
-# when grouping spectra into clusters.
-DEGENERACY_RTOL = 1e-12
 
 # Random states are mixed with this amount of the maximally mixed state so
 # the faithfulness floor always holds.
@@ -335,22 +329,6 @@ def random_density(dim: int, seed: int | Sequence[int]) -> DensityMatrix:
     w *= 1.0 - DENSITY_REGULARIZATION
     w += DENSITY_REGULARIZATION * np.eye(dim) / dim
     return DensityMatrix(w if stacked else w[0])
-
-
-def group_spectrum(eigenvalues) -> np.ndarray:
-    """Cluster labels of a descending spectrum's near-degenerate eigenvalues.
-
-    Consecutive values closer than DEGENERACY_RTOL * max|lam| share a
-    cluster; labels count up from 0 in spectrum order. A (T, n) stack of
-    spectra gives the (T, n) labels of each row on its own.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim not in (1, 2) or lam.size == 0:
-        raise ValueError("expected a non-empty eigenvalue vector or stack of vectors")
-    tol = DEGENERACY_RTOL * np.max(np.abs(lam), axis=-1, keepdims=True)
-    labels = np.zeros(lam.shape, dtype=int)
-    np.cumsum(np.abs(np.diff(lam, axis=-1)) > tol, axis=-1, out=labels[..., 1:])
-    return labels
 
 
 # --- JSON wire format -------------------------------------------------------

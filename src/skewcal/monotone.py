@@ -15,6 +15,7 @@ tilde(x) = x * tilde(1/x).
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -190,8 +191,10 @@ def wyd_parameter(f: MonotoneFunction) -> float | None:
 
 def default_grid(lo: float = 1e-6, hi: float = 1e6, points: int = 241) -> np.ndarray:
     """Log-spaced validation grid; the default hits x = 1 exactly."""
-    if not (0.0 < lo < hi) or points < 2:
-        raise ValueError("grid needs 0 < lo < hi and at least two points")
+    if isinstance(points, bool) or not isinstance(points, numbers.Integral):
+        raise ValueError(f"points must be an integer, got {points!r}")
+    if not (0.0 < lo < hi < np.inf) or points < 2:
+        raise ValueError("grid needs 0 < lo < hi < inf and at least two points")
     return np.logspace(np.log10(lo), np.log10(hi), points)
 
 
@@ -215,20 +218,21 @@ class ValidationReport:
     clamped_points: int
 
     def violations(self) -> list[str]:
+        # each bound is written so that a NaN field fails it
         out = []
         if not np.isfinite(self.min_value) or self.min_value <= 0.0:
             out.append("nonpositive value on grid")
-        if self.normalization_error > NORMALIZATION_TOL:
+        if not self.normalization_error <= NORMALIZATION_TOL:
             out.append(f"f(1) off by {self.normalization_error:.3e}")
-        if self.max_symmetry_violation > SYMMETRY_RTOL:
+        if not self.max_symmetry_violation <= SYMMETRY_RTOL:
             out.append(f"symmetry f(x) = x f(1/x) off by {self.max_symmetry_violation:.3e} (relative)")
-        if self.max_monotonicity_drop > MONOTONICITY_TOL:
+        if not self.max_monotonicity_drop <= MONOTONICITY_TOL:
             out.append(f"monotonicity drop of {self.max_monotonicity_drop:.3e}")
-        if self.min_tilde < TILDE_CLAMP_FLOOR:
+        if not self.min_tilde >= TILDE_CLAMP_FLOOR:
             out.append(f"tilde dips to {self.min_tilde:.3e}")
-        if self.max_tilde_excess > TILDE_UPPER_TOL:
+        if not self.max_tilde_excess <= TILDE_UPPER_TOL:
             out.append(f"tilde exceeds (x + 1)/2 by {self.max_tilde_excess:.3e}")
-        if self.max_tilde_symmetry_violation > TILDE_SYMMETRY_RTOL:
+        if not self.max_tilde_symmetry_violation <= TILDE_SYMMETRY_RTOL:
             out.append(f"tilde symmetry off by {self.max_tilde_symmetry_violation:.3e} (relative)")
         return out
 

@@ -512,6 +512,9 @@ def test_gap_histogram_edge_cases(tmp_path, capsys):
         emit_gap_histogram([])
     with pytest.raises(ValueError, match="n_buckets"):
         emit_gap_histogram([{"gap": 1.0}], n_buckets=0)
+    for bad in (True, 2.5, "3", None):
+        with pytest.raises(ValueError, match="n_buckets must be an integer"):
+            emit_gap_histogram([{"gap": 1.0}, {"gap": 2.0}], n_buckets=bad)
     assert emit_gap_histogram([{"gap": 2.0}] * 3) == [(2.0, 2.0, 3)]
     assert emit_gap_histogram([{"gap": -1.0}, {"gap": 0.0}]) == [(-1.0, 0.0, 2)]
     assert emit_gap_histogram([{"gap": 1}, {"gap": np.float64(1.0)}]) == [(1.0, 1.0, 2)]

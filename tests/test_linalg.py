@@ -9,7 +9,6 @@ import pytest
 import skewcal.linalg as linalg
 from oracle import FROZEN, power_sandwich
 from skewcal.linalg import (
-    DEGENERACY_RTOL,
     FAITHFULNESS_FLOOR,
     HERMITICITY_REPAIR_THRESHOLD,
     DensityMatrix,
@@ -17,7 +16,6 @@ from skewcal.linalg import (
     StackRejection,
     as_matrix,
     eigendecompose,
-    group_spectrum,
     load_density,
     load_hermitian,
     matrix_from_json,
@@ -328,22 +326,6 @@ def test_single_matrix_rejection_equals_stack_rejection():
                 constructor(_with_bad(good, k, bad))
             assert (stacked.value.index, alone.value.index) == (k, 0)
             assert str(alone.value) == str(stacked.value)
-
-
-def test_group_spectrum_clusters():
-    assert group_spectrum([3.0, 2.0, 1.0]).tolist() == [0, 1, 2]
-    assert group_spectrum([2.0, 2.0, 1.0]).tolist() == [0, 0, 1]
-    assert group_spectrum([0.5]).tolist() == [0]
-    near = 1.0 - 0.5 * DEGENERACY_RTOL
-    assert group_spectrum([1.0, near]).tolist() == [0, 0]
-    apart = 1.0 - 1e-11
-    assert group_spectrum([1.0, apart]).tolist() == [0, 1]
-    # a stack of spectra is grouped row by row, each on its own scale
-    stack = group_spectrum([[3.0, 2.0, 1.0], [2e-3, 2e-3, 1e-3]])
-    assert stack.tolist() == [[0, 1, 2], [0, 0, 1]]
-    for bad in ([], [[]], np.zeros((2, 2, 2)), 1.0):
-        with pytest.raises(ValueError):
-            group_spectrum(bad)
 
 
 def test_as_matrix_views():

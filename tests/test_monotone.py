@@ -179,6 +179,21 @@ def test_validation_grid_handling():
     assert report.ok
 
 
+@pytest.mark.parametrize(
+    "f, grid",
+    [(wyd(0.5), [1e-300, 1e300]), (harmonic(), [1e-300, 1e300]), (wyd(0.5), [1e-320, 1.0])],
+)
+def test_validation_fails_every_nan_field(f, grid):
+    # overflow at the grid's ends turns fields into NaN, and NaN passes no bound
+    with np.errstate(all="ignore"):
+        report = validate_catalog_entry(f, grid=grid)
+    fields = report.to_dict()
+    nan_fields = [k for k, v in fields.items() if isinstance(v, float) and np.isnan(v)]
+    assert nan_fields, fields
+    assert not report.ok
+    assert sum("nan" in v for v in report.violations()) == len(nan_fields), fields
+
+
 def test_default_grid_shape():
     grid = default_grid()
     assert grid.size == 241
@@ -189,6 +204,13 @@ def test_default_grid_shape():
         default_grid(1.0, 0.5)
     with pytest.raises(ValueError):
         default_grid(points=1)
+    for lo, hi in ((1e-3, np.inf), (np.nan, 1.0), (1e-3, np.nan)):
+        with pytest.raises(ValueError, match="0 < lo < hi < inf"):
+            default_grid(lo, hi, 5)
+    for points in (True, 2.5, 5.0, "5"):
+        with pytest.raises(ValueError, match="points must be an integer"):
+            default_grid(1e-3, 1e3, points)
+    assert default_grid(1e-3, 1e3, np.int64(3)).tolist() == [1e-3, 1.0, 1e3]
 
 
 @given(beta=betas, x=positive_x)
