@@ -20,7 +20,7 @@ import numpy as np
 from skewcal.gns import GnsModel, audit_G_equals_H, build_mu, form_E1, form_G
 from skewcal.linalg import random_density, random_hermitian
 from skewcal.monotone import from_key, tilde_transform
-from skewcal.qinfo import centered, evaluate_inequalities
+from skewcal.qinfo import centered, eigenbasis_terms, evaluate_inequalities
 
 rho = random_density(4, seed=7)
 a = random_hermitian(4, seed=8)
@@ -45,8 +45,9 @@ e1_half = 0.5 * form_E1(model, xa, xa)
 print("E1(a,a) / 2  :", e1_half.real)
 print("F(a,a)       :", (e1_half - form_G(model, f, xa, xa)).real, " (= var - info)")
 
-# The audit: G from the report scalars, H from the spectral measure.
-(audit,) = audit_G_equals_H(model, [f], a.matrix, b.matrix)
+# The audit: G from the report scalars, H from the spectral measure. It
+# reads the rotation and the tilde pass that the stacked report shares.
+(audit,) = audit_G_equals_H(model, eigenbasis_terms(rho, [f], a.matrix, b.matrix))
 print("\nG        =", audit.g_value)
 print("H        =", audit.h_value)
 print("residual =", audit.residual)
@@ -79,7 +80,7 @@ for i in range(50):
     rho_i = random_density(3 + i % 4, seed=100 + i)
     a_i = random_hermitian(rho_i.dim, seed=200 + i)
     b_i = random_hermitian(rho_i.dim, seed=300 + i)
-    (r,) = audit_G_equals_H(GnsModel(rho_i), [f], a_i.matrix, b_i.matrix)
+    (r,) = audit_G_equals_H(GnsModel(rho_i), eigenbasis_terms(rho_i, [f], a_i, b_i))
     assert not r.flags
     worst = max(worst, r.residual)
 print("\n50 random audits, worst |G - H| residual:", worst)

@@ -26,7 +26,7 @@ from .linalg import (
     random_hermitian,
     save_matrix,
 )
-from .qinfo import UncertaintyReport, evaluate_inequalities
+from .qinfo import UncertaintyReport, eigenbasis_terms, evaluate_inequalities
 from .gns import GnsAuditReport, GnsModel, audit_G_equals_H
 from .harness import (
     SweepConfig,
@@ -60,6 +60,7 @@ __all__ = [
     "evaluate_inequalities",
     "UncertaintyReport",
     "GnsModel",
+    "eigenbasis_terms",
     "audit_G_equals_H",
     "GnsAuditReport",
     # sweeps and records

@@ -42,11 +42,15 @@ forms, the measure and H then take (T, n, n) stacks of vectors and give
 one value per state, each from that state's entries alone. The audit
 runs once per stack (:func:`audit_G_equals_H`); a single state's spectral
 arrays broadcast as a stack of one, with no second eigendecomposition.
+It takes the observables' eigenbasis entries and the tilde values on the
+eigenvalue ratios from :func:`skewcal.qinfo.eigenbasis_terms`, the one
+rotation and the one tilde pass per catalog entry that the stacked report
+reads too. The kernels are those tilde values times lam_j, and H reads
+them at the atoms, which are the eigenbasis entries in ravel order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +61,11 @@ from .linalg import (
     as_matrix,
     modular_kernel_matrix,
 )
-from .monotone import MonotoneFunction, tilde_transform
+from .monotone import MonotoneFunction
+# The audit reads its tilde values from qinfo.eigenbasis_terms and calls
+# tilde_transform nowhere; bench/tracing.py wraps it here by name.
+from .monotone import tilde_transform  # noqa: F401
+from .qinfo import EigenbasisTerms
 # The audit computes the direct route on whole stacks and calls none of
 # these; bench/tracing.py wraps them here by name.
 from .qinfo import centered, covariance, f_correlation, f_information, variance  # noqa: F401
@@ -267,23 +275,27 @@ def _dot(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (p[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
-def h_from_measure(mu: AtomicPairMeasure, f: MonotoneFunction):
+def h_from_measure(mu: AtomicPairMeasure, q):
     """Integrate the pair integrand against an already-built measure.
 
+    ``q`` holds tilde(values), the per-atom tilde values of one catalog
+    entry, shaped like ``mu.values``: H depends on f only through them.
     Evaluates (1/4) sum_kl integrand(s_k, s_l) w[k, l], with the integrand
     (s + 1) tilde(t) + (t + 1) tilde(s) - 2 tilde(s) tilde(t), in its
     separable form from the marginals, in O(K) for K atoms:
 
         H = (1/4) [2 (P_x Q_y + P_y Q_x) - 4 (P_z Q_z + Q_x Q_y - Q_z^2)]
 
-    with p = values + 1, q = tilde(values), P_x = p . m_xx, Q_x = q . m_xx
-    (y for m_yy, z for m_xy). Both the integrand and the weights are sums
-    of outer products of per-atom vectors, so the double sum factors into
-    these inner products exactly; only the summation order differs. A
-    stacked measure gives one H per state.
+    with p = values + 1, P_x = p . m_xx, Q_x = q . m_xx (y for m_yy, z for
+    m_xy). Both the integrand and the weights are sums of outer products of
+    per-atom vectors, so the double sum factors into these inner products
+    exactly; only the summation order differs. A stacked measure gives one
+    H per state. A ``q`` of another shape raises ValueError.
     """
+    q = np.asarray(q, dtype=float)
+    if q.shape != np.shape(mu.values):
+        raise ValueError(f"tilde values {q.shape} do not match atoms {np.shape(mu.values)}")
     p = mu.values + 1.0
-    q = np.asarray(tilde_transform(f, mu.values), dtype=float)
     px, py, pz = (_dot(p, w) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
     qx, qy, qz = (_dot(q, w) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
     return _value(0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz)))
@@ -330,40 +342,43 @@ def _gap(var_a, var_b, cov_ab, info_a, info_b, corr_ab) -> np.ndarray:
     )
 
 
-def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -> list:
+def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> list:
     """Check the trace-route inequality gap against its spectral double integral.
 
-    Audits the instances of ``m`` for each catalog entry in ``functions``.
-    For one state (``a`` and ``b`` its observables) it returns one report
-    per entry, in order; over a stack of T states (``a`` and ``b``
-    (T, n, n) stacks) one such list per state, each equal to the audit of
-    that state alone. Either way the state's own eigendecomposition is
-    reused. G is assembled from direct traces, the route of the qinfo
-    scalars; H integrates the pair measure of the centered observables.
-    |G - H| beyond G_H_RTOL * max(1, |G|) is flagged, as are a certified
-    lower bound on the weights of mu below -MU_ATOM_SLACK times its mass,
-    and a negative quadratic form G^f on either centered observable.
+    ``terms`` is :func:`~skewcal.qinfo.eigenbasis_terms` of ``m.rho``: the
+    observables a and b, their eigenbasis entries u† a u and u† b u, and
+    tilde on the eigenvalue ratios per catalog entry, the arrays the stacked
+    report reads too. The audit covers each catalog entry of ``terms``.
+    For one state it returns one report per entry, in order; over a stack
+    of T states one such list per state, each equal to the audit of that
+    state alone (an empty list of entries gives [] and T empty lists).
+    Either way the state's own eigendecomposition is reused. G is assembled
+    from direct traces, the route of the qinfo scalars; H integrates the
+    pair measure of the centered observables. |G - H| beyond
+    G_H_RTOL * max(1, |G|) is flagged, as are a certified lower bound on the
+    weights of mu below -MU_ATOM_SLACK times its mass, and a negative
+    quadratic form G^f on either centered observable.
 
     Once per stack: Tr(rho a), Tr(rho b), Re Tr(rho aa), Re Tr(rho bb),
     Re Tr(rho ab), so the variances and the covariance; the centered
     observables and their eigenbasis entries, each rotated once and shared
-    by the graph forms E1 and the measure mu; and u† a u, u† b u. Per entry:
-    one modular kernel k per state, H by :func:`h_from_measure` from the
-    (T, K) marginals, and the kernel form F of G^f = E1 / 2 - F. The 2FT
-    products k o (u† a u) and k o (u† b u) go back to the standard basis as
-    one batch, validated finite and Hermitian (a failure raises
-    ValueError). The informations and the correlation are then
-    Re Tr(rho x y) - Re Tr(kx y) against the unrotated observables, the same
-    operations as :func:`~skewcal.qinfo.f_correlation`, so G equals the
-    public direct route bit for bit. The flags are (T, F) masks.
+    by the graph forms E1 and the measure mu. Per entry: the modular kernel
+    k = tilde * lam_j per state, H by :func:`h_from_measure` from the
+    (T, K) marginals and the per-atom tilde values, and the kernel form F
+    of G^f = E1 / 2 - F. The 2FT products k o (u† a u) and k o (u† b u) go
+    back to the standard basis as one batch, validated finite and Hermitian
+    (a failure raises ValueError). The informations and the correlation are
+    then Re Tr(rho x y) - Re Tr(kx y) against the unrotated observables, the
+    same operations as :func:`~skewcal.qinfo.f_correlation`, so G equals
+    the public direct route bit for bit. The flags are (T, F) masks.
     """
-    rho = m.rho.matrix
-    ma, mb = as_matrix(a), as_matrix(b)
-    for x in (ma, mb):
-        if x.shape != rho.shape:
-            raise ValueError(f"observable shape {x.shape} does not match state shape {rho.shape}")
+    if terms.rho is not m.rho:
+        raise ValueError("terms were computed for another state than the model's")
+    stacked = m.eigenvalues.ndim == 2
     # a single state's spectral arrays broadcast against stacks of one
-    rho, ma, mb = (x.reshape(-1, m.dim, m.dim) for x in (rho, ma, mb))
+    rho, ma, mb = m.rho.matrix.reshape(-1, m.dim, m.dim), terms.a, terms.b
+    if not terms.functions:
+        return [[] for _ in rho] if stacked else []
 
     # the f-independent half: Tr(rho x) and Re Tr(rho x y), each once
     ra, rb = rho @ ma, rho @ mb
@@ -381,10 +396,12 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
     mu_negative = mu_min < -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0)
     graph = [(xt, form_E1(m, x, x, (xt, xt))) for x, xt in ((a0, at0), (b0, bt0))]
 
-    # one kernel per (state, entry), applied to both observables in one
-    # validated (T, 2F, n, n) batch ordered (k_0 o a, k_0 o b, k_1 o a, ...)
-    kernels = np.stack([modular_kernel_matrix(m.rho, f) for f in functions], axis=-3)
-    tilted = np.stack((m.to_eigenbasis(ma), m.to_eigenbasis(mb)), axis=1)
+    # one kernel per (state, entry), modular_kernel_matrix's expression on the
+    # shared tilde values, applied to both observables in one validated
+    # (T, 2F, n, n) batch ordered (k_0 o a, k_0 o b, k_1 o a, ...)
+    lam = m.eigenvalues.reshape(-1, m.dim)
+    kernels = np.stack(terms.tilde, axis=1) * lam[:, None, None, :]
+    tilted = np.stack((terms.at, terms.bt), axis=1)
     mapped = (kernels[..., None, :, :] * tilted[:, None]).reshape(len(rho), -1, m.dim, m.dim)
     applied = _kernel_apply_stack(m.eigenvectors[..., None, :, :], mapped)
     ka, kb = applied[:, 0::2], applied[:, 1::2]
@@ -393,7 +410,9 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
     info_b = tr_bb[:, None] - _real_trace(kb @ mb[:, None])
     corr_ab = tr_ab[:, None] - _real_trace(ka @ mb[:, None])
     g = _gap(var_a, var_b, cov_ab, info_a, info_b, corr_ab)
-    h = np.stack([h_from_measure(mu, f) for f in functions], axis=1)
+    # atom i * n + j carries the ratio lam_i / lam_j, so its tilde value is
+    # entry (i, j) of the shared pass, in ravel order
+    h = np.stack([h_from_measure(mu, q.reshape(len(rho), -1)) for q in terms.tilde], axis=1)
     residual = np.abs(g - h)
 
     # form_G(m, f, x, x) with the f-independent parts reused
@@ -420,4 +439,4 @@ def audit_G_equals_H(m: GnsModel, functions: Sequence[MonotoneFunction], a, b) -
         ]
         for bound, *row in zip(mu_min.tolist(), *columns)
     ]
-    return reports if m.eigenvalues.ndim == 2 else reports[0]
+    return reports if stacked else reports[0]

@@ -15,16 +15,17 @@ T = max(1, _STACK_ENTRIES // n**2) trials. The per-trial seeds are
 unchanged and each trial still draws from its own generators; the samplers
 take the chunk's seeds and return validated stacks. Sampling, validation
 (with one batched eigh) and the Frobenius normalisation run once per chunk.
-The chunk's state stack and standard-basis observables then go, side by
-side, to one stacked report and, optionally, one G = H audit, each of
-which covers every catalog entry and does its own rotation into the
-states' eigenbases. Only the draws and the observables' Frobenius norms
-run per trial. A rejected trial is reported with its (dim, trial, seed).
-The stacks and the report's temporaries hold O(_STACK_ENTRIES) numbers
-whatever the trial count; the records of one dimension are kept until it
-is written. Every stacked operation and reduction acts on one trial's
-entries, so a record's bits do not depend on the chunk its trial fell in,
-and equal those of ``evaluate_inequalities`` on the regenerated instance.
+The chunk's observables are then rotated into the states' eigenbases once,
+and tilde is evaluated on the eigenvalue ratios once per catalog entry
+(``eigenbasis_terms``); one stacked report and, optionally, one G = H
+audit read those arrays side by side, each covering every catalog entry.
+Only the draws and the observables' Frobenius norms run per trial. A
+rejected trial is reported with its (dim, trial, seed). The stacks and
+the report's temporaries hold O(_STACK_ENTRIES) numbers whatever the trial
+count; the records of one dimension are kept until it is written. Every
+stacked operation and reduction acts on one trial's entries, so a record's
+bits do not depend on the chunk its trial fell in, and equal those of
+``evaluate_inequalities`` on the regenerated instance.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .qinfo import (
     DEFAULT_TOL,
     _report_in_eigenbasis,
     _report_rows,
+    eigenbasis_terms,
     evaluate_inequalities,
     validate_tol,
 )
@@ -285,9 +287,11 @@ def _records(config: SweepConfig, functions):
         for start in range(0, config.trials, chunk):
             trials = range(start, min(start + chunk, config.trials))
             seeds, rho, a, b = _chunk_instances(config, dim, trials)
-            # one report and one audit per chunk cover every trial and f entry
-            reports = _report_in_eigenbasis(rho, functions, a, b, config.tol)
-            audits = audit_G_equals_H(GnsModel(rho), functions, a, b) if config.gns_audit else []
+            # one rotation and one tilde pass per f, read by one report and
+            # one audit that cover every trial and f entry of the chunk
+            terms = eigenbasis_terms(rho, functions, a, b)
+            reports = _report_in_eigenbasis(terms, config.tol)
+            audits = audit_G_equals_H(GnsModel(rho), terms) if config.gns_audit else []
             for i, (f, columns) in enumerate(zip(functions, reports)):
                 for k, row in enumerate(_report_rows(columns)):
                     if audits:
@@ -347,7 +351,7 @@ def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_T
         b = load_hermitian(b_path)
         f = from_key(f_spec)
         report = evaluate_inequalities(rho, f, a, b, tol=tol)
-        (audit,) = audit_G_equals_H(GnsModel(rho), [f], a, b)
+        (audit,) = audit_G_equals_H(GnsModel(rho), eigenbasis_terms(rho, [f], a, b))
     except (OSError, ValueError) as exc:
         return {"error": str(exc)}, 1
     payload = {"report": report.to_dict(), "audit": audit.to_dict()}

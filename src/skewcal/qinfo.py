@@ -3,11 +3,13 @@
 All scalars are real numbers built from traces against a faithful density
 matrix. The module-level functions compute them by direct traces on the
 original matrices, the information quantities through the modular kernel
-of any catalog function. The stacked report takes one state or a stack
-and every catalog entry at once: it rotates the observables into the
-eigenbasis once, computes the f-independent half (expectations, Var, Cov,
-lhs, commutator term) once, and per entry recomputes the rest as weighted
-entry sums and, for the wyd family, also along the power-sandwich route
+of any catalog function. :func:`eigenbasis_terms` takes one state or a
+stack and every catalog entry at once: it rotates the observables into the
+eigenbasis once and evaluates tilde on the eigenvalue ratios once per
+entry, and the stacked report and the G = H audit both read that result.
+The report computes the f-independent half (expectations, Var, Cov, lhs,
+commutator term) once, and per entry the rest as weighted entry sums and,
+for the wyd family, also along the power-sandwich route
 Tr(rho^beta a rho^(1-beta) b); the disagreement of the kernel and
 sandwich routes is surfaced as a residual, never hidden.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, as_matrix, modular_kernel_apply
+from .linalg import DensityMatrix, HermitianMatrix, as_matrix, modular_kernel_apply
 from .monotone import MonotoneFunction, tilde_transform, wyd_parameter
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "UncertaintyReport",
     "centered",
     "covariance",
+    "eigenbasis_terms",
     "evaluate_inequalities",
     "expectation",
     "f_correlation",
@@ -64,13 +67,19 @@ def validate_tol(tol) -> float:
 
 
 def _observable(rho: DensityMatrix, a) -> np.ndarray:
-    """``a`` as an array matching the single state ``rho``; a stacked state raises ValueError."""
+    """``a`` as a Hermitian array matching the single state ``rho``.
+
+    The HermitianMatrix rule applies: (a + a†)/2 is kept, which is ``a``
+    itself when ``a`` is exactly Hermitian, and a deviation beyond the
+    repair threshold raises ValueError, as do a stacked state and a shape
+    mismatch.
+    """
     if rho.matrix.ndim != 2:
         raise ValueError(f"expected a single state, got a stack of shape {rho.matrix.shape}")
     m = as_matrix(a)
     if m.shape != rho.matrix.shape:
         raise ValueError(f"observable shape {m.shape} does not match state dim {rho.dim}")
-    return m
+    return HermitianMatrix(m).matrix
 
 
 def expectation(rho: DensityMatrix, a) -> float:
@@ -180,26 +189,72 @@ _FLAGS = (
 )
 
 
-def _report_in_eigenbasis(
-    rho: DensityMatrix, functions: Sequence[MonotoneFunction], a, b, tol: float
-) -> list[dict[str, np.ndarray]]:
-    """Report columns per entry of ``functions`` for one state or a stack of T states.
+@dataclass(frozen=True, eq=False)
+class EigenbasisTerms:
+    """What the stacked report and the G = H audit share for one state or a stack of T.
 
-    ``a`` and ``b`` are standard-basis observables shaped like ``rho.matrix``,
-    rotated once; the f-independent half is computed once. Each dict holds
-    one length-T array per name in _SCALARS (T = 1 for one state),
-    ``residuals`` of shape (T, 3) for wyd entries and (T, 0) otherwise, and
-    ``flags``, a (T, len(_FLAGS)) boolean mask. Every reduction runs over the
-    entries of one instance only, so a trial's values do not depend on which
-    other trials share its stack.
+    ``a`` and ``b`` are the standard-basis observables as (T, n, n) stacks
+    (T = 1 for one state), ``at`` and ``bt`` their entries u† a u and
+    u† b u in each state's eigenbasis, and ``tilde`` holds, per entry of
+    ``functions``, the (T, n, n) array tilde(lam_i / lam_j).
+    """
+
+    rho: DensityMatrix
+    functions: tuple[MonotoneFunction, ...]
+    a: np.ndarray
+    b: np.ndarray
+    at: np.ndarray
+    bt: np.ndarray
+    tilde: tuple[np.ndarray, ...]
+
+
+def eigenbasis_terms(
+    rho: DensityMatrix, functions: Sequence[MonotoneFunction], a, b
+) -> EigenbasisTerms:
+    """Rotate ``a`` and ``b`` into the eigenbasis of ``rho`` once and evaluate tilde once per entry.
+
+    ``rho`` is one state or a stack and ``a``, ``b`` are shaped like its
+    matrix (ValueError otherwise). Each function sees f only through tilde on
+    the eigenvalue ratios lam_i / lam_j, so one pass per entry of
+    ``functions`` serves both :func:`_report_in_eigenbasis` and
+    :func:`~skewcal.gns.audit_G_equals_H`.
     """
     n = rho.dim
+    ma, mb = as_matrix(a), as_matrix(b)
+    for x in (ma, mb):
+        if x.shape != rho.matrix.shape:
+            raise ValueError(
+                f"observable shape {x.shape} does not match state shape {rho.matrix.shape}"
+            )
     lam = rho.eigenvalues.reshape(-1, n)
-    at, bt = (rho.to_eigenbasis(x).reshape(-1, n, n) for x in (a, b))
+    ratios = lam[:, :, None] / lam[:, None, :]
+    functions = tuple(functions)
+    return EigenbasisTerms(
+        rho=rho,
+        functions=functions,
+        a=ma.reshape(-1, n, n),
+        b=mb.reshape(-1, n, n),
+        at=rho.to_eigenbasis(ma).reshape(-1, n, n),
+        bt=rho.to_eigenbasis(mb).reshape(-1, n, n),
+        tilde=tuple(np.asarray(tilde_transform(f, ratios), dtype=float) for f in functions),
+    )
+
+
+def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> list[dict[str, np.ndarray]]:
+    """Report columns per catalog entry of ``terms``, for its state or each of its T states.
+
+    The f-independent half is computed once. Each dict holds one length-T
+    array per name in _SCALARS (T = 1 for one state), ``residuals`` of shape
+    (T, 3) for wyd entries and (T, 0) otherwise, and ``flags``, a
+    (T, len(_FLAGS)) boolean mask. Every reduction runs over the entries of
+    one instance only, so a trial's values do not depend on which other
+    trials share its stack.
+    """
+    lam = terms.rho.eigenvalues.reshape(-1, terms.rho.dim)
+    at, bt = terms.at, terms.bt
     # All traces against the state collapse to weighted entry sums once the
     # observables sit in its eigenbasis: Tr(rho X Y) = sum_ij lam_i X_ij Y_ji
     # and Tr((k o X) Y) = sum_ij k_ij X_ij Y_ji.
-    ratios = lam[:, :, None] / lam[:, None, :]
     # entrywise products X_ij Y_ji; the products of (b, a) are those of (a, b) transposed
     p_ab = at * bt.swapaxes(1, 2)
     p_aa, p_bb = ((x * x.swapaxes(1, 2)).real for x in (at, bt))
@@ -220,8 +275,8 @@ def _report_in_eigenbasis(
     tol_eff, slack = tol * scale, INVARIANT_SLACK * scale
 
     reports = []
-    for f in functions:
-        kernel = np.asarray(tilde_transform(f, ratios), dtype=float) * lam[:, None, :]
+    for f, tilde in zip(terms.functions, terms.tilde):
+        kernel = tilde * lam[:, None, :]
         info_a = tr_rho_aa - np.einsum("tij,tij->t", kernel, p_aa)
         info_b = tr_rho_bb - np.einsum("tij,tij->t", kernel, p_bb)
         corr_ab = tr_rho_ab.real - np.einsum("tij,tij->t", kernel, p_ab.real)
@@ -293,7 +348,8 @@ def evaluate_inequalities(
     """
     tol = validate_tol(tol)
     # the sweep's stacked evaluation, on a stack of one
-    (columns,) = _report_in_eigenbasis(rho, [f], _observable(rho, a), _observable(rho, b), tol)
+    terms = eigenbasis_terms(rho, [f], _observable(rho, a), _observable(rho, b))
+    (columns,) = _report_in_eigenbasis(terms, tol)
     (row,) = _report_rows(columns)
     path_residuals, flags = tuple(row.pop("residuals")), tuple(row.pop("flags"))
     return UncertaintyReport(**row, path_residuals=path_residuals, flags=flags)

@@ -20,7 +20,7 @@ from skewcal.cli import main
 from skewcal.gns import GnsModel, audit_G_equals_H
 from skewcal.linalg import DensityMatrix, random_density, random_hermitian
 from skewcal.monotone import default_grid, from_key, validate_catalog_entry, wyd
-from skewcal.qinfo import DEFAULT_TOL, evaluate_inequalities
+from skewcal.qinfo import DEFAULT_TOL, eigenbasis_terms, evaluate_inequalities
 from skewcal.harness import SweepConfig, read_records, run_sweep, summarize_records
 
 SWEEP_DIMS = (2, 3, 4, 6, 8)
@@ -168,7 +168,7 @@ def test_criterion_4_proof_transcription_audit():
         rho = random_density(dim, seed=7_000 + 3 * i)
         a = random_hermitian(dim, seed=7_001 + 3 * i)
         b = random_hermitian(dim, seed=7_002 + 3 * i)
-        (report,) = audit_G_equals_H(GnsModel(rho), [from_key(key)], a, b)
+        (report,) = audit_G_equals_H(GnsModel(rho), eigenbasis_terms(rho, [from_key(key)], a, b))
         flagged += bool(report.flags)
         worst_residual_ratio = max(
             worst_residual_ratio, report.residual / max(1.0, abs(report.g_value))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import skewcal.gns as gns
+import skewcal.qinfo as qinfo
 from hypothesis import given
 from hypothesis import strategies as st
 from oracle import FROZEN, pair_integrand, pair_weights
@@ -27,9 +28,21 @@ from skewcal.linalg import (
     random_hermitian,
 )
 from skewcal.monotone import from_key, harmonic, sld, tilde_transform, wyd
-from skewcal.qinfo import centered, covariance, f_correlation, f_information, variance
+from skewcal.qinfo import (
+    centered,
+    covariance,
+    eigenbasis_terms,
+    f_correlation,
+    f_information,
+    variance,
+)
 
 ALL_KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
+
+
+def _audit(m, functions, a, b):
+    # the audit reads the rotation and tilde pass the stacked report shares
+    return audit_G_equals_H(m, eigenbasis_terms(m.rho, functions, a, b))
 
 
 def _model(dim, seed):
@@ -249,12 +262,13 @@ def test_h_matches_gap_on_fixture(fixture_rho, fixture_a, fixture_b):
     f = wyd(0.5)
     a0 = centered(fixture_rho, fixture_a.matrix)
     b0 = centered(fixture_rho, fixture_b.matrix)
-    h = h_from_measure(_mu(m, a0, b0), f)
+    mu = _mu(m, a0, b0)
+    h = h_from_measure(mu, tilde_transform(f, mu.values))
     assert h == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-12)
 
 
 def test_audit_fixture(fixture_rho, fixture_a, fixture_b):
-    (report,) = audit_G_equals_H(GnsModel(fixture_rho), [wyd(0.5)], fixture_a, fixture_b)
+    (report,) = _audit(GnsModel(fixture_rho), [wyd(0.5)], fixture_a, fixture_b)
     assert report.g_value == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
     assert report.h_value == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
     assert report.residual <= 1e-12
@@ -271,7 +285,7 @@ def test_audit_random_instances(key):
         m = _model(dim, seed=83 + dim)
         a = random_hermitian(dim, seed=84 + dim)
         b = random_hermitian(dim, seed=85 + dim)
-        (report,) = audit_G_equals_H(m, [f], a, b)
+        (report,) = _audit(m, [f], a, b)
         assert report.flags == (), (key, dim, report.to_dict())
         assert report.residual <= 1e-8 * max(1.0, abs(report.g_value))
         assert report.h_value >= -1e-10 * max(1.0, abs(report.g_value))
@@ -306,7 +320,7 @@ def test_audit_is_continuous_across_a_near_degenerate_pair(gap):
         m = GnsModel(_near_pair_state(1000 + seed, gap))
         a = random_hermitian(4, seed=2000 + seed)
         b = random_hermitian(4, seed=3000 + seed)
-        for key, report in zip(ALL_KEYS, audit_G_equals_H(m, functions, a, b)):
+        for key, report in zip(ALL_KEYS, _audit(m, functions, a, b)):
             where = (gap, seed, key, report.to_dict())
             assert report.flags == (), where
             assert report.residual <= 2e-14 * max(1.0, abs(report.g_value)), where
@@ -336,7 +350,8 @@ def test_separable_h_matches_pair_sum(key):
         terms = 0.25 * pair_integrand(tilde, s, t) * pair_weights(mu.m_xx, mu.m_yy, mu.m_xy)
         scale = float(np.sum(np.abs(terms)))
         assert scale > 0.0, name
-        assert abs(h_from_measure(mu, f) - float(np.sum(terms))) <= 1e-12 * scale, name
+        h = h_from_measure(mu, tilde(mu.values))
+        assert abs(h - float(np.sum(terms))) <= 1e-12 * scale, name
 
 
 def test_audit_at_wide_dims_one_call_per_instance():
@@ -345,13 +360,13 @@ def test_audit_at_wide_dims_one_call_per_instance():
         m = _model(dim, seed=600 + dim)
         a = random_hermitian(dim, seed=601 + dim)
         b = random_hermitian(dim, seed=602 + dim)
-        reports = audit_G_equals_H(m, functions, a, b)
+        reports = _audit(m, functions, a, b)
         assert len(reports) == len(functions)
         for key, report in zip(ALL_KEYS, reports):
             assert report.flags == (), (key, dim, report.to_dict())
             assert report.residual <= G_H_RTOL * max(1.0, abs(report.g_value))
         # the f-independent work is shared, never changed, by batching entries
-        singles = [audit_G_equals_H(m, [f], a, b)[0] for f in functions]
+        singles = [_audit(m, [f], a, b)[0] for f in functions]
         assert repr(reports) == repr(singles)
 
 
@@ -361,7 +376,7 @@ def _audit_cases():
         m = _model(dim, seed=700 + dim)
         a = random_hermitian(dim, seed=701 + dim)
         b = random_hermitian(dim, seed=702 + dim)
-        yield audit_G_equals_H(m, functions, a, b)
+        yield _audit(m, functions, a, b)
 
 
 def _assert_flags(monkeypatch, expected):
@@ -377,8 +392,8 @@ def _assert_flags(monkeypatch, expected):
 def test_g_h_mismatch_gate_fires(monkeypatch):
     real = gns.h_from_measure
 
-    def offset_h(mu, f):
-        h = real(mu, f)
+    def offset_h(mu, q):
+        h = real(mu, q)
         return h + 100.0 * G_H_RTOL * np.fmax(1.0, np.abs(h))
 
     monkeypatch.setattr(gns, "h_from_measure", offset_h)
@@ -448,24 +463,49 @@ def test_gform_negative_gate_fires(monkeypatch):
 
 def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
     # an asymmetric kernel maps a Hermitian observable to a non-Hermitian
-    # matrix; the batched validation of the applied kernels must reject it
-    real = gns.modular_kernel_matrix
+    # matrix; the batched validation of the applied kernels must reject it.
+    # The audit builds its kernels from the tilde pass that eigenbasis_terms
+    # shares with the report, so the asymmetry is injected there
+    real = qinfo.tilde_transform
 
-    def asymmetric(rho, f):
-        kernel = real(rho, f).copy()
-        kernel[..., 0, 1] += 1e-3
-        return kernel
+    def asymmetric(f, x):
+        tilde = real(f, x).copy()
+        tilde[..., 0, 1] += 1e-3
+        return tilde
 
-    monkeypatch.setattr(gns, "modular_kernel_matrix", asymmetric)
+    monkeypatch.setattr(qinfo, "tilde_transform", asymmetric)
     functions = [from_key(k) for k in ALL_KEYS]
     for dim in (2, 3, 5):
         m = _model(dim, seed=710 + dim)
         a = random_hermitian(dim, seed=711 + dim)
         b = random_hermitian(dim, seed=712 + dim)
         with pytest.raises(ValueError, match="not Hermitian"):
-            audit_G_equals_H(m, functions, a, b)
+            _audit(m, functions, a, b)
     monkeypatch.undo()
-    assert all(r.flags == () for r in audit_G_equals_H(m, functions, a, b))
+    assert all(r.flags == () for r in _audit(m, functions, a, b))
+
+
+def test_audit_with_no_catalog_entries_matches_the_report():
+    # no entries: [] for one state and one empty list per state for a
+    # stack; the stacked report gives [] for either
+    rho = random_density(3, seed=61)
+    a, b = random_hermitian(3, seed=62), random_hermitian(3, seed=63)
+    assert _audit(GnsModel(rho), [], a, b) == []
+    states = random_density(3, [64, 65, 66])
+    a, b = (random_hermitian(3, seeds).matrix for seeds in ([67, 68, 69], [70, 71, 72]))
+    assert _audit(GnsModel(states), [], a, b) == [[], [], []]
+    assert qinfo._report_in_eigenbasis(eigenbasis_terms(states, [], a, b), 1e-9) == []
+
+
+def test_audit_rejects_terms_of_another_state_and_misshapen_tilde_values():
+    m, other = _model(3, seed=73), _model(3, seed=74)
+    a, b = random_hermitian(3, seed=75), random_hermitian(3, seed=76)
+    with pytest.raises(ValueError, match="another state"):
+        audit_G_equals_H(m, eigenbasis_terms(other.rho, [sld()], a, b))
+    mu = _mu(m, centered(m.rho, a), centered(m.rho, b))
+    q = tilde_transform(sld(), mu.values)
+    with pytest.raises(ValueError, match="do not match"):
+        h_from_measure(mu, q[..., :-1])
 
 
 def _g_cases():
@@ -483,7 +523,7 @@ def test_audit_g_is_the_public_direct_route():
         n = rho.dim
         a = random_hermitian(n, seed=900 + n)
         b = random_hermitian(n, seed=950 + n)
-        reports = audit_G_equals_H(GnsModel(rho), functions, a, b)
+        reports = _audit(GnsModel(rho), functions, a, b)
         var_a, var_b, cov_ab = variance(rho, a), variance(rho, b), covariance(rho, a, b)
         for f, report in zip(functions, reports):
             info_a, info_b = f_information(rho, f, a), f_information(rho, f, b)
@@ -500,8 +540,8 @@ def test_h_from_measure_consistency():
     b = random_hermitian(3, seed=92).matrix
     f = sld()
     mu = _mu(m, centered(m.rho, a), centered(m.rho, b))
-    (report,) = audit_G_equals_H(m, [f], a, b)
-    assert h_from_measure(mu, f) == report.h_value
+    (report,) = _audit(m, [f], a, b)
+    assert h_from_measure(mu, tilde_transform(f, mu.values)) == report.h_value
     assert mu.min_weight_bound == report.mu_min_atom
 
 
@@ -538,14 +578,14 @@ def test_stacked_audit_equals_per_trial_audits():
         a = np.array([random_hermitian(n, seed=1300 + k).matrix for k in range(t)])
         b = np.array([random_hermitian(n, seed=1400 + k).matrix for k in range(t)])
         singles = [
-            audit_G_equals_H(GnsModel(rho), functions, a[k], b[k]) for k, rho in enumerate(states)
+            _audit(GnsModel(rho), functions, a[k], b[k]) for k, rho in enumerate(states)
         ]
         for cut in (1, t // 2, t - 1):
             chunks = [range(0, cut), range(cut, t)]
             stacked = [
                 report
                 for chunk in chunks
-                for report in audit_G_equals_H(
+                for report in _audit(
                     GnsModel(_stack([states[k] for k in chunk])), functions, a[chunk], b[chunk]
                 )
             ]
@@ -567,7 +607,7 @@ def test_audited_sweep_records_are_per_trial_audits():
         rho = random_density(64, hash64(seed, 0))
         a, b = (random_hermitian(64, hash64(seed, k)).matrix for k in (1, 2))
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)  # the sweep's normalisation
-        reports = audit_G_equals_H(GnsModel(rho), functions, a, b)
+        reports = _audit(GnsModel(rho), functions, a, b)
         assert [r["f"] for r in rows] == [f.name for f in functions]
         for row, report in zip(rows, reports):
             assert repr(row["residuals"][-1]) == repr(report.residual), (trial, row["f"])

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -245,6 +247,21 @@ def test_run_sweep_gns_audit_appends_residual():
         assert len(audited["residuals"]) == len(plain["residuals"]) + 1
         assert audited["flags"] == []
         assert audited["gap"] == plain["gap"]
+
+
+def test_audited_sweep_changes_no_report_field():
+    # the audit reads the report's rotation and tilde pass and appends only
+    # to residuals and flags; dim 64 runs two chunks
+    config = dict(dims=(2, 3, 8, 64), trials=3, f_specs=KEYS, seed=19)
+    plain, audited = [], []
+    run_sweep(SweepConfig(**config), plain.append)
+    run_sweep(SweepConfig(**config, gns_audit=True), audited.append)
+    assert len(audited) == len(plain) == 4 * 3 * len(KEYS)
+    for before, after in zip(plain, audited):
+        residuals, flags = after.pop("residuals"), after.pop("flags")
+        assert json.dumps(residuals[:-1]) == json.dumps(before.pop("residuals"))
+        assert flags == before.pop("flags") == []
+        assert json.dumps(after) == json.dumps(before)
 
 
 def _report_bits(record: dict) -> str:
@@ -545,6 +562,21 @@ def test_cli_catalog_lists_entries(capsys):
     out = capsys.readouterr().out
     assert "sld" in out and "harmonic" in out and "wyd:0.5" in out
     assert "f(0) = 0.25" in out  # wyd:0.5 limit
+
+
+def test_python_dash_m_skewcal_runs_the_cli(capsys, tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "skewcal", "catalog"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(["catalog"]) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_cli_catalog_validate(capsys):

@@ -13,6 +13,7 @@ from skewcal.qinfo import (
     _report_rows,
     centered,
     covariance,
+    eigenbasis_terms,
     evaluate_inequalities,
     expectation,
     f_correlation,
@@ -233,10 +234,10 @@ def test_stacked_report_flags_each_instance_on_its_own(fixture_a, fixture_b):
     a, b = (np.array([x.matrix] * len(states)) for x in (fixture_a, fixture_b))
     # one call covers every entry, and entry i is the call on functions[i] alone
     functions = [bogus, *(from_key(key) for key in ALL_KEYS)]
-    reports = _report_in_eigenbasis(rho, functions, a, b, 1e-9)
+    reports = _report_in_eigenbasis(eigenbasis_terms(rho, functions, a, b), 1e-9)
     assert len(reports) == len(functions)
     for f, columns in zip(functions, reports):
-        (alone,) = _report_in_eigenbasis(rho, [f], a, b, 1e-9)
+        (alone,) = _report_in_eigenbasis(eigenbasis_terms(rho, [f], a, b), 1e-9)
         assert repr(_report_rows(columns)) == repr(_report_rows(alone))
     rows = _report_rows(reports[0])
     assert [row["flags"] for row in rows][::2] == [[], []]
@@ -296,7 +297,8 @@ def test_report_flags_fire_alone_on_the_bad_row(flag, bad_row, key):
     # pair is
     good = (SKEWED, SIGMA_X, SIGMA_Z)
     states, a, b = (np.stack(parts) for parts in zip(good, bad_row()))
-    (columns,) = _report_in_eigenbasis(DensityMatrix(states), [from_key(key)], a, b, 1e-9)
+    terms = eigenbasis_terms(DensityMatrix(states), [from_key(key)], a, b)
+    (columns,) = _report_in_eigenbasis(terms, 1e-9)
     rows = _report_rows(columns)
     assert rows[0]["flags"] == []
     assert rows[1]["flags"] == [flag]
@@ -332,6 +334,49 @@ def test_single_instance_functions_reject_a_stacked_state():
     for call in calls:
         with pytest.raises(ValueError, match="single state"):
             call()
+
+
+def test_single_instance_functions_reject_a_non_hermitian_observable():
+    # an observable off Hermitian beyond the repair threshold is an input
+    # error, never a report: unchecked, the first pair gave a clean report
+    # and the second a negative var_a, flagged as a violation
+    cases = (
+        (
+            random_density(3, 1),
+            random_hermitian(3, 2).matrix + 1j * np.triu(np.ones((3, 3)), 1),
+            random_hermitian(3, 3).matrix,
+        ),
+        (random_density(2, 1), np.array([[0.0, 1.0], [0.0, 0.0]]), SIGMA_Z),
+    )
+    f = sld()
+    for rho, bad, good in cases:
+        calls = (
+            lambda: expectation(rho, bad),
+            lambda: centered(rho, bad),
+            lambda: covariance(rho, good, bad),
+            lambda: variance(rho, bad),
+            lambda: f_correlation(rho, f, good, bad),
+            lambda: f_information(rho, f, bad),
+            lambda: heisenberg_bound(rho, bad, good),
+            lambda: evaluate_inequalities(rho, f, bad, good),
+            lambda: evaluate_inequalities(rho, f, good, bad),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                call()
+
+
+def test_evaluate_repairs_an_observable_within_the_threshold():
+    # a deviation inside the repair threshold is round-off: the report is
+    # that of the Hermitian part, bit for bit
+    rho, a, b = random_density(3, 1), random_hermitian(3, 2).matrix, random_hermitian(3, 3).matrix
+    nudged = a + 1e-12j * np.triu(np.ones((3, 3)), 1)
+    repaired = (nudged + nudged.conj().T) / 2
+    assert not np.array_equal(repaired, a)
+    for f in (sld(), wyd(0.5)):
+        report = evaluate_inequalities(rho, f, nudged, b)
+        assert repr(report) == repr(evaluate_inequalities(rho, f, repaired, b))
+        assert report.flags == ()
 
 
 def test_report_to_dict_layout(fixture_rho, fixture_a, fixture_b):

@@ -55,9 +55,9 @@ def test_traced_sweeps_record_every_wrapped_layer(tmp_path):
 
 
 def test_audited_sweep_builds_one_kernel_per_instance_and_f():
-    # one stacked report for every f, with one tilde per f, plus, per audited
-    # entry, one modular kernel for the direct route and the G-form and one
-    # tilde for H
+    # one tilde pass per f, shared by the stacked report and the audit: the
+    # audit's kernels (direct route and G-form) and H's per-atom values all
+    # read it
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
@@ -66,7 +66,8 @@ def test_audited_sweep_builds_one_kernel_per_instance_and_f():
     calls = tracer.calls()
     assert calls["qinfo.report"] == 1
     assert calls["gns.h"] == len(KEYS)
-    assert calls["monotone.tilde"] == len(KEYS) + 2 * len(KEYS) == 15
+    assert calls["monotone.tilde"] == len(KEYS) == 5
+    assert tracer.counts["monotone.tilde.elements"] == len(KEYS) * 3**2
     # H reads the K = 3^2 per-atom marginals, not K^2 atom pairs
     assert tracer.counts["gns.h.atom_pairs"] == calls["gns.h"] * 3**2
 
@@ -84,9 +85,10 @@ def test_audited_sweep_audits_once_per_dim_chunk():
     assert calls["gns.audit"] == calls["gns.mu"] == chunks
     # one GnsModel per chunk, plus the one spectrum it computes for the chunk
     assert calls["gns.model"] == 2 * chunks
-    # per chunk, the report rotates a and b and the audit rotates a, b and
-    # their centered parts
-    assert calls["linalg.rotate"] == (2 + 4) * chunks
+    # per chunk, a and b are rotated once for the report and the audit, and
+    # the audit rotates their centered parts; one tilde pass per (chunk, f)
+    assert calls["linalg.rotate"] == (2 + 2) * chunks
+    assert calls["monotone.tilde"] == chunks * len(KEYS)
     # one H per (chunk, f), over the chunk's trials times n^2 atom slots:
     # n^2 per record, where the K x K measure had n^4
     assert calls["gns.h"] == chunks * len(KEYS)
@@ -108,8 +110,10 @@ def test_traced_sweep_reports_once_per_dim_chunk():
     # per chunk: one state stack and two observable stacks, and one batched eigh
     assert calls["linalg.sample"] == 3 * chunks
     assert calls["linalg.eigh"] == chunks
-    # one stacked DensityMatrix.to_eigenbasis per observable and chunk
+    # one stacked DensityMatrix.to_eigenbasis per observable and chunk, and
+    # one tilde pass per (chunk, f)
     assert calls["linalg.rotate"] == 2 * chunks
+    assert calls["monotone.tilde"] == chunks * len(KEYS)
 
 
 def test_package_root_and_module_exports_resolve():
