@@ -17,7 +17,7 @@ the measure.
 
 import numpy as np
 
-from skewcal.gns import GnsModel, audit_G_equals_H, build_mu, form_E1, form_G
+from skewcal.gns import AUDIT_FLAGS, GnsModel, audit_G_equals_H, build_mu, form_E1, form_G
 from skewcal.linalg import random_density, random_hermitian
 from skewcal.monotone import from_key, tilde_transform
 from skewcal.qinfo import centered, eigenbasis_terms, evaluate_inequalities
@@ -47,11 +47,12 @@ print("F(a,a)       :", (e1_half - form_G(model, f, xa, xa)).real, " (= var - in
 
 # The audit: G from the report scalars, H from the spectral measure. It
 # reads the rotation and the tilde pass that the stacked report shares.
-(audit,) = audit_G_equals_H(model, eigenbasis_terms(rho, [f], a.matrix, b.matrix))
-print("\nG        =", audit.g_value)
-print("H        =", audit.h_value)
-print("residual =", audit.residual)
-print("flags    =", audit.flags)
+# It returns (states, entries) columns; here one state and one entry.
+audit = audit_G_equals_H(model, eigenbasis_terms(rho, [f], a.matrix, b.matrix))
+print("\nG        =", audit["G"].item())
+print("H        =", audit["H"].item())
+print("residual =", audit["residual"].item())
+print("flags    =", tuple(name for name, hit in zip(AUDIT_FLAGS, audit["flags"][0, 0]) if hit))
 
 # mu is built from three rank-one pieces per atom pair and is
 # nonnegative by a Cauchy-Schwarz argument. The audit never forms its
@@ -80,7 +81,7 @@ for i in range(50):
     rho_i = random_density(3 + i % 4, seed=100 + i)
     a_i = random_hermitian(rho_i.dim, seed=200 + i)
     b_i = random_hermitian(rho_i.dim, seed=300 + i)
-    (r,) = audit_G_equals_H(GnsModel(rho_i), eigenbasis_terms(rho_i, [f], a_i, b_i))
-    assert not r.flags
-    worst = max(worst, r.residual)
+    r = audit_G_equals_H(GnsModel(rho_i), eigenbasis_terms(rho_i, [f], a_i, b_i))
+    assert not r["flags"].any()
+    worst = max(worst, r["residual"].item())
 print("\n50 random audits, worst |G - H| residual:", worst)

@@ -27,7 +27,7 @@ from .linalg import (
     save_matrix,
 )
 from .qinfo import UncertaintyReport, eigenbasis_terms, evaluate_inequalities
-from .gns import GnsAuditReport, GnsModel, audit_G_equals_H
+from .gns import GnsModel, audit_G_equals_H
 from .harness import (
     SweepConfig,
     SweepSummary,
@@ -62,7 +62,6 @@ __all__ = [
     "GnsModel",
     "eigenbasis_terms",
     "audit_G_equals_H",
-    "GnsAuditReport",
     # sweeps and records
     "SweepConfig",
     "SweepSummary",

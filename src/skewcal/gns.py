@@ -40,13 +40,15 @@ quantities (:func:`build_mu`).
 A GnsModel holds one DensityMatrix or a stacked one of T states; the
 forms, the measure and H then take (T, n, n) stacks of vectors and give
 one value per state, each from that state's entries alone. The audit
-runs once per stack (:func:`audit_G_equals_H`); a single state's spectral
-arrays broadcast as a stack of one, with no second eigendecomposition.
-It takes the observables' eigenbasis entries and the tilde values on the
-eigenvalue ratios from :func:`skewcal.qinfo.eigenbasis_terms`, the one
-rotation and the one tilde pass per catalog entry that the stacked report
-reads too. The kernels are those tilde values times lam_j, and H reads
-them at the atoms, which are the eigenbasis entries in ravel order.
+runs once per stack and covers every catalog entry in the same array
+pass (:func:`audit_G_equals_H`), returning (T, F) columns; a single
+state's spectral arrays broadcast as a stack of one, with no second
+eigendecomposition. It takes the observables' eigenbasis entries and the
+(T, F, n, n) tilde values on the eigenvalue ratios from
+:func:`skewcal.qinfo.eigenbasis_terms`, the one rotation and the one
+tilde pass per catalog entry that the stacked report reads too. The
+kernels are those tilde values times lam_j, and H reads them at the
+atoms, which are the eigenbasis entries in ravel order.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     _kernel_apply_stack,
+    _product_traces,
     as_matrix,
     modular_kernel_matrix,
 )
@@ -65,14 +68,13 @@ from .monotone import MonotoneFunction
 # The audit reads its tilde values from qinfo.eigenbasis_terms and calls
 # tilde_transform nowhere; bench/tracing.py wraps it here by name.
 from .monotone import tilde_transform  # noqa: F401
-from .qinfo import EigenbasisTerms
+from .qinfo import EigenbasisTerms, _grid
 # The audit computes the direct route on whole stacks and calls none of
 # these; bench/tracing.py wraps them here by name.
 from .qinfo import centered, covariance, f_correlation, f_information, variance  # noqa: F401
 
 __all__ = [
     "AtomicPairMeasure",
-    "GnsAuditReport",
     "GnsModel",
     "audit_G_equals_H",
     "build_mu",
@@ -91,7 +93,7 @@ MU_ATOM_SLACK = 1e-12
 GFORM_SLACK = 1e-12
 
 # Flag of each audit mask column: G vs H, mu, and the G-form of a and of b.
-_AUDIT_FLAGS = ("g_h_mismatch", "mu_negative_atom", "gform_negative", "gform_negative")
+AUDIT_FLAGS = ("g_h_mismatch", "mu_negative_atom", "gform_negative", "gform_negative")
 
 
 def _value(x):
@@ -271,60 +273,37 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
 
 
 def _dot(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """p . w over the last axis: one BLAS dot per state, whatever the stack."""
+    """p . w over the last axis: one BLAS dot per state (and entry), whatever the stack."""
     return (p[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
 def h_from_measure(mu: AtomicPairMeasure, q):
-    """Integrate the pair integrand against an already-built measure.
+    """Integrate the pair integrand against an already-built measure, for F catalog entries.
 
-    ``q`` holds tilde(values), the per-atom tilde values of one catalog
-    entry, shaped like ``mu.values``: H depends on f only through them.
-    Evaluates (1/4) sum_kl integrand(s_k, s_l) w[k, l], with the integrand
-    (s + 1) tilde(t) + (t + 1) tilde(s) - 2 tilde(s) tilde(t), in its
-    separable form from the marginals, in O(K) for K atoms:
+    ``q`` holds, per entry, tilde(values), the per-atom tilde values: shaped
+    like ``mu.values`` with an entry axis before the atom axis, (T, F, K)
+    over a stack of T states and (F, K) for one. H depends on f only
+    through them. Evaluates (1/4) sum_kl integrand(s_k, s_l) w[k, l], with
+    the integrand (s + 1) tilde(t) + (t + 1) tilde(s) - 2 tilde(s) tilde(t),
+    in its separable form from the marginals, in O(K) for K atoms:
 
         H = (1/4) [2 (P_x Q_y + P_y Q_x) - 4 (P_z Q_z + Q_x Q_y - Q_z^2)]
 
     with p = values + 1, P_x = p . m_xx, Q_x = q . m_xx (y for m_yy, z for
     m_xy). Both the integrand and the weights are sums of outer products of
     per-atom vectors, so the double sum factors into these inner products
-    exactly; only the summation order differs. A stacked measure gives one
-    H per state. A ``q`` of another shape raises ValueError.
+    exactly; only the summation order differs. The P's are computed once
+    for every entry, and each Q is its own dot per (state, entry). Returns
+    one H per (state, entry); a ``q`` of another shape raises ValueError.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != np.shape(mu.values):
-        raise ValueError(f"tilde values {q.shape} do not match atoms {np.shape(mu.values)}")
+    atoms = np.shape(mu.values)
+    if q.ndim != len(atoms) + 1 or q.shape[:-2] + q.shape[-1:] != atoms:
+        raise ValueError(f"tilde values {q.shape} do not match atoms {atoms} with an entry axis")
     p = mu.values + 1.0
-    px, py, pz = (_dot(p, w) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
-    qx, qy, qz = (_dot(q, w) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
-    return _value(0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz)))
-
-
-@dataclass(frozen=True)
-class GnsAuditReport:
-    """Outcome of the G = H identity audit for one instance and catalog entry.
-
-    ``mu_min_atom`` is the certified lower bound on the smallest pair weight
-    of mu (:attr:`AtomicPairMeasure.min_weight_bound`), not the weight itself.
-    """
-
-    g_value: float
-    h_value: float
-    residual: float
-    mu_min_atom: float
-    gform_min: float
-    flags: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "G": self.g_value,
-            "H": self.h_value,
-            "residual": self.residual,
-            "mu_min_atom": self.mu_min_atom,
-            "gform_min": self.gform_min,
-            "flags": list(self.flags),
-        }
+    px, py, pz = (_dot(p, w)[..., None] for w in (mu.m_xx, mu.m_yy, mu.m_xy))
+    qx, qy, qz = (_dot(q, w[..., None, :]) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
+    return 0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz))
 
 
 def _gap(var_a, var_b, cov_ab, info_a, info_b, corr_ab) -> np.ndarray:
@@ -342,43 +321,46 @@ def _gap(var_a, var_b, cov_ab, info_a, info_b, corr_ab) -> np.ndarray:
     )
 
 
-def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> list:
+def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarray]:
     """Check the trace-route inequality gap against its spectral double integral.
 
     ``terms`` is :func:`~skewcal.qinfo.eigenbasis_terms` of ``m.rho``: the
     observables a and b, their eigenbasis entries u† a u and u† b u, and
-    tilde on the eigenvalue ratios per catalog entry, the arrays the stacked
-    report reads too. The audit covers each catalog entry of ``terms``.
-    For one state it returns one report per entry, in order; over a stack
-    of T states one such list per state, each equal to the audit of that
-    state alone (an empty list of entries gives [] and T empty lists).
-    Either way the state's own eigendecomposition is reused. G is assembled
-    from direct traces, the route of the qinfo scalars; H integrates the
-    pair measure of the centered observables. |G - H| beyond
-    G_H_RTOL * max(1, |G|) is flagged, as are a certified lower bound on the
-    weights of mu below -MU_ATOM_SLACK times its mass, and a negative
-    quadratic form G^f on either centered observable.
+    the (T, F, n, n) tilde values on the eigenvalue ratios, the arrays the
+    stacked report reads too. The audit covers the (T, F) grid of states
+    (T = 1 for one state) and catalog entries in one pass and returns
+    columns: ``G``, ``H``, ``residual`` = |G - H| and ``gform_min`` as
+    (T, F) arrays, ``mu_min_atom`` as a (T,) array (mu does not depend on
+    f), and ``flags``, a (T, F, len(AUDIT_FLAGS)) boolean mask. Each value
+    equals the audit of its state alone, and the state's own
+    eigendecomposition is reused. G is assembled from direct traces, the
+    route of the qinfo scalars; H integrates the pair measure of the
+    centered observables. |G - H| beyond G_H_RTOL * max(1, |G|) is flagged,
+    as are a certified lower bound on the weights of mu below
+    -MU_ATOM_SLACK times its mass, and a negative quadratic form G^f on
+    either centered observable.
 
     Once per stack: Tr(rho a), Tr(rho b), Re Tr(rho aa), Re Tr(rho bb),
     Re Tr(rho ab), so the variances and the covariance; the centered
-    observables and their eigenbasis entries, each rotated once and shared
-    by the graph forms E1 and the measure mu. Per entry: the modular kernel
-    k = tilde * lam_j per state, H by :func:`h_from_measure` from the
-    (T, K) marginals and the per-atom tilde values, and the kernel form F
-    of G^f = E1 / 2 - F. The 2FT products k o (u† a u) and k o (u† b u) go
-    back to the standard basis as one batch, validated finite and Hermitian
-    (a failure raises ValueError). The informations and the correlation are
-    then Re Tr(rho x y) - Re Tr(kx y) against the unrotated observables, the
-    same operations as :func:`~skewcal.qinfo.f_correlation`, so G equals
-    the public direct route bit for bit. The flags are (T, F) masks.
+    observables, and their eigenbasis entries u† a u - Tr(rho a) 1 (the
+    centering commutes with the rotation), shared by the graph forms E1 and
+    the measure mu. Over every entry at once: the modular kernels
+    k = tilde * lam_j, H by :func:`h_from_measure` from the (T, K)
+    marginals and the (T, F, K) per-atom tilde values, and the kernel form
+    F of G^f = E1 / 2 - F. The 2FT products k o (u† a u) and k o (u† b u)
+    go back to the standard basis as one batch, validated finite and
+    Hermitian (a failure raises ValueError). The informations and the
+    correlation are then Re Tr(rho x y) - Re Tr(kx y) against the unrotated
+    observables, the last trace as an entry sum, the same operations as
+    :func:`~skewcal.qinfo.f_correlation`, so G equals the public direct
+    route bit for bit.
     """
     if terms.rho is not m.rho:
         raise ValueError("terms were computed for another state than the model's")
-    stacked = m.eigenvalues.ndim == 2
+    n = m.dim
     # a single state's spectral arrays broadcast against stacks of one
-    rho, ma, mb = m.rho.matrix.reshape(-1, m.dim, m.dim), terms.a, terms.b
-    if not terms.functions:
-        return [[] for _ in rho] if stacked else []
+    rho, ma, mb = m.rho.matrix.reshape(-1, n, n), terms.a, terms.b
+    t, f = terms.tilde.shape[:2]
 
     # the f-independent half: Tr(rho x) and Re Tr(rho x y), each once
     ra, rb = rho @ ma, rho @ mb
@@ -387,10 +369,9 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> list:
     var_a = tr_aa - exp_a * exp_a
     var_b = tr_bb - exp_b * exp_b
     cov_ab = tr_ab - exp_a * exp_b
-    eye = np.eye(m.dim)
-    a0 = ma - exp_a[:, None, None] * eye
-    b0 = mb - exp_b[:, None, None] * eye
-    at0, bt0 = m.to_eigenbasis(a0), m.to_eigenbasis(b0)
+    shift_a, shift_b = (x[:, None, None] * np.eye(n) for x in (exp_a, exp_b))
+    a0, b0 = ma - shift_a, mb - shift_b
+    at0, bt0 = terms.at - shift_a, terms.bt - shift_b
     mu = build_mu(m, at0, bt0)
     mu_min = mu.min_weight_bound
     mu_negative = mu_min < -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0)
@@ -399,44 +380,35 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> list:
     # one kernel per (state, entry), modular_kernel_matrix's expression on the
     # shared tilde values, applied to both observables in one validated
     # (T, 2F, n, n) batch ordered (k_0 o a, k_0 o b, k_1 o a, ...)
-    lam = m.eigenvalues.reshape(-1, m.dim)
-    kernels = np.stack(terms.tilde, axis=1) * lam[:, None, None, :]
+    lam = m.eigenvalues.reshape(-1, n)
+    kernels = terms.tilde * lam[:, None, None, :]
     tilted = np.stack((terms.at, terms.bt), axis=1)
-    mapped = (kernels[..., None, :, :] * tilted[:, None]).reshape(len(rho), -1, m.dim, m.dim)
+    mapped = (kernels[:, :, None] * tilted[:, None]).reshape(t, 2 * f, n, n)
     applied = _kernel_apply_stack(m.eigenvectors[..., None, :, :], mapped)
     ka, kb = applied[:, 0::2], applied[:, 1::2]
     # Tr(ka a), Tr(kb b) and Tr(ka b) against the unrotated observables
-    info_a = tr_aa[:, None] - _real_trace(ka @ ma[:, None])
-    info_b = tr_bb[:, None] - _real_trace(kb @ mb[:, None])
-    corr_ab = tr_ab[:, None] - _real_trace(ka @ mb[:, None])
+    info_a = tr_aa[:, None] - _product_traces(ka, ma)
+    info_b = tr_bb[:, None] - _product_traces(kb, mb)
+    corr_ab = tr_ab[:, None] - _product_traces(ka, mb)
     g = _gap(var_a, var_b, cov_ab, info_a, info_b, corr_ab)
     # atom i * n + j carries the ratio lam_i / lam_j, so its tilde value is
     # entry (i, j) of the shared pass, in ravel order
-    h = np.stack([h_from_measure(mu, q.reshape(len(rho), -1)) for q in terms.tilde], axis=1)
+    h = h_from_measure(mu, terms.tilde.reshape(t, f, n * n))
     residual = np.abs(g - h)
 
     # form_G(m, f, x, x) with the f-independent parts reused
     mismatch = residual > G_H_RTOL * np.fmax(1.0, np.abs(g))
-    masks = [mismatch, np.broadcast_to(mu_negative[:, None], g.shape)]
+    masks = [mismatch, mu_negative[:, None]]
     gforms = []
     for xt, e1 in graph:
         gf = (0.5 * e1[:, None] - _weighted_form(kernels, xt[:, None], xt[:, None])).real
-        gforms.append(gf.tolist())
+        gforms.append(gf)
         masks.append(gf < -GFORM_SLACK * np.maximum(e1.real, 0.0)[:, None])
-
-    columns = (g.tolist(), h.tolist(), residual.tolist(), *gforms, np.stack(masks, -1).tolist())
-    reports = [
-        [
-            GnsAuditReport(
-                g_value=g_tf,
-                h_value=h_tf,
-                residual=r_tf,
-                mu_min_atom=bound,
-                gform_min=min(gf_a, gf_b),
-                flags=tuple(name for name, hit in zip(_AUDIT_FLAGS, hits) if hit),
-            )
-            for g_tf, h_tf, r_tf, gf_a, gf_b, hits in zip(*row)
-        ]
-        for bound, *row in zip(mu_min.tolist(), *columns)
-    ]
-    return reports if stacked else reports[0]
+    return {
+        "G": g,
+        "H": h,
+        "residual": residual,
+        "mu_min_atom": mu_min,
+        "gform_min": np.minimum(*gforms),
+        "flags": _grid(masks, g.shape, bool).transpose(1, 2, 0),
+    }

@@ -18,14 +18,16 @@ take the chunk's seeds and return validated stacks. Sampling, validation
 The chunk's observables are then rotated into the states' eigenbases once,
 and tilde is evaluated on the eigenvalue ratios once per catalog entry
 (``eigenbasis_terms``); one stacked report and, optionally, one G = H
-audit read those arrays side by side, each covering every catalog entry.
-Only the draws and the observables' Frobenius norms run per trial. A
-rejected trial is reported with its (dim, trial, seed). The stacks and
-the report's temporaries hold O(_STACK_ENTRIES) numbers whatever the trial
-count; the records of one dimension are kept until it is written. Every
-stacked operation and reduction acts on one trial's entries, so a record's
-bits do not depend on the chunk its trial fell in, and equal those of
-``evaluate_inequalities`` on the regenerated instance.
+audit read those arrays side by side. Each covers the chunk's (trial,
+entry) grid in one array pass and returns (T, F) columns, which become
+the chunk's records in one pass, the audit's residual and flags appended
+to the report's. Only the draws and the observables' Frobenius norms run
+per trial. A rejected trial is reported with its (dim, trial, seed). The
+stacks and the report's temporaries hold O(_STACK_ENTRIES) numbers
+whatever the trial count; the records of one dimension are kept until it
+is written. Every stacked operation and reduction acts on one trial's
+entries, so a record's bits do not depend on the chunk its trial fell in,
+and equal those of ``evaluate_inequalities`` on the regenerated instance.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gns import GnsModel, audit_G_equals_H
+from .gns import AUDIT_FLAGS, GnsModel, audit_G_equals_H
 from .linalg import (
     StackRejection,
     load_density,
@@ -52,10 +54,11 @@ from .monotone import from_key
 from .qinfo import (
     _SCALARS,
     DEFAULT_TOL,
+    UncertaintyReport,
+    _flag_names,
     _report_in_eigenbasis,
     _report_rows,
     eigenbasis_terms,
-    evaluate_inequalities,
     validate_tol,
 )
 
@@ -288,19 +291,22 @@ def _records(config: SweepConfig, functions):
             trials = range(start, min(start + chunk, config.trials))
             seeds, rho, a, b = _chunk_instances(config, dim, trials)
             # one rotation and one tilde pass per f, read by one report and
-            # one audit that cover every trial and f entry of the chunk
+            # one audit that each cover the chunk's (trial, f) grid
             terms = eigenbasis_terms(rho, functions, a, b)
-            reports = _report_in_eigenbasis(terms, config.tol)
-            audits = audit_G_equals_H(GnsModel(rho), terms) if config.gns_audit else []
-            for i, (f, columns) in enumerate(zip(functions, reports)):
-                for k, row in enumerate(_report_rows(columns)):
-                    if audits:
-                        audit = audits[k][i]
-                        row["residuals"].append(audit.residual)
-                        row["flags"].extend(audit.flags)
-                    by_f[i].append(
-                        {"dim": dim, "f": f.name, "trial": trials[k], "seed": seeds[k], **row}
-                    )
+            rows = _report_rows(_report_in_eigenbasis(terms, config.tol))
+            if config.gns_audit:
+                audit = audit_G_equals_H(GnsModel(rho), terms)
+                residuals = audit["residual"].T.tolist()
+                flags = _flag_names(audit["flags"], AUDIT_FLAGS)
+                for f_rows, f_residuals, f_flags in zip(rows, residuals, flags):
+                    for row, residual, names in zip(f_rows, f_residuals, f_flags):
+                        row["residuals"].append(residual)
+                        row["flags"].extend(names)
+            for f, f_rows, records in zip(functions, rows, by_f):
+                records.extend(
+                    {"dim": dim, "f": f.name, "trial": trial, "seed": seed, **row}
+                    for trial, seed, row in zip(trials, seeds, f_rows)
+                )
         for records in by_f:
             yield from records
 
@@ -343,19 +349,26 @@ def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_T
     Returns (payload, exit_code): 0 on pass, 2 on any flagged tolerance
     violation, 1 on input errors (malformed files, non-Hermitian input,
     unfaithful state, shape mismatch). The payload carries the full report
-    plus the identity audit.
+    plus the identity audit (G, H, residual, mu_min_atom, gform_min and the
+    audit flags' names). One rotation and one tilde pass serve both.
     """
     try:
         rho = load_density(rho_path)
         a = load_hermitian(a_path)
         b = load_hermitian(b_path)
-        f = from_key(f_spec)
-        report = evaluate_inequalities(rho, f, a, b, tol=tol)
-        (audit,) = audit_G_equals_H(GnsModel(rho), eigenbasis_terms(rho, [f], a, b))
+        terms = eigenbasis_terms(rho, [from_key(f_spec)], a, b)
+        report = UncertaintyReport._from_terms(terms, tol)
+        audit = audit_G_equals_H(GnsModel(rho), terms)
     except (OSError, ValueError) as exc:
         return {"error": str(exc)}, 1
-    payload = {"report": report.to_dict(), "audit": audit.to_dict()}
-    code = 2 if (report.flags or audit.flags) else 0
+    # each audit column holds the one state and the one entry
+    names = ("G", "H", "residual", "mu_min_atom", "gform_min")
+    ((flags,),) = _flag_names(audit["flags"], AUDIT_FLAGS)
+    payload = {
+        "report": report.to_dict(),
+        "audit": {**{name: audit[name].item() for name in names}, "flags": flags},
+    }
+    code = 2 if (report.flags or flags) else 0
     return payload, code
 
 

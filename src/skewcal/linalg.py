@@ -246,6 +246,17 @@ def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
     return _hermitian_stack(back.reshape(-1, n, n))[0].reshape(back.shape)
 
 
+def _product_traces(kx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re Tr(kx[t, f] y[t]) for a (T, F, n, n) stack ``kx`` and a (T, n, n) stack ``y``.
+
+    Each trace is the entry sum sum_ij kx_ij y_ji, taken against a
+    contiguous transpose of ``y``: O(n^2) per trace instead of a matmul,
+    and the same reduction over one trace's entries whatever T and F are.
+    """
+    y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
+    return np.einsum("tfij,tij->tf", kx, y_t).real
+
+
 def modular_kernel_apply(rho: DensityMatrix, f: MonotoneFunction, a) -> np.ndarray:
     """Apply the modular correlation kernel of (rho, f) to an observable.
 

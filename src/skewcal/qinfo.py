@@ -3,13 +3,14 @@
 All scalars are real numbers built from traces against a faithful density
 matrix. The module-level functions compute them by direct traces on the
 original matrices, the information quantities through the modular kernel
-of any catalog function. :func:`eigenbasis_terms` takes one state or a
-stack and every catalog entry at once: it rotates the observables into the
-eigenbasis once and evaluates tilde on the eigenvalue ratios once per
-entry, and the stacked report and the G = H audit both read that result.
+of any catalog function; each validates an observable once per call.
+:func:`eigenbasis_terms` takes one state or a stack of T and F catalog
+entries at once: it rotates the observables into the eigenbasis once and
+evaluates tilde on the eigenvalue ratios once per entry, into one
+(T, F, n, n) array that the stacked report and the G = H audit both read.
 The report computes the f-independent half (expectations, Var, Cov, lhs,
-commutator term) once, and per entry the rest as weighted entry sums and,
-for the wyd family, also along the power-sandwich route
+commutator term) once, and the rest over the (T, F) grid as weighted
+entry sums and, for the wyd family, also along the power-sandwich route
 Tr(rho^beta a rho^(1-beta) b); the disagreement of the kernel and
 sandwich routes is surfaced as a residual, never hidden.
 """
@@ -22,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, HermitianMatrix, as_matrix, modular_kernel_apply
+from .linalg import (
+    DensityMatrix,
+    HermitianMatrix,
+    _product_traces,
+    as_matrix,
+    modular_kernel_apply,
+)
 from .monotone import MonotoneFunction, tilde_transform, wyd_parameter
 
 __all__ = [
@@ -82,26 +89,42 @@ def _observable(rho: DensityMatrix, a) -> np.ndarray:
     return HermitianMatrix(m).matrix
 
 
+def _expectation(rho: DensityMatrix, m: np.ndarray) -> float:
+    return float(np.trace(rho.matrix @ m).real)
+
+
 def expectation(rho: DensityMatrix, a) -> float:
     """Tr(rho a) for a Hermitian observable."""
-    return float(np.trace(rho.matrix @ _observable(rho, a)).real)
+    return _expectation(rho, _observable(rho, a))
 
 
 def centered(rho: DensityMatrix, a) -> np.ndarray:
     """a - Tr(rho a) * identity."""
     m = _observable(rho, a)
-    return m - expectation(rho, a) * np.eye(rho.dim)
+    return m - _expectation(rho, m) * np.eye(rho.dim)
+
+
+def _covariance(rho: DensityMatrix, ma: np.ndarray, mb: np.ndarray) -> float:
+    tr_ab = float(np.trace(rho.matrix @ ma @ mb).real)
+    return tr_ab - _expectation(rho, ma) * _expectation(rho, mb)
 
 
 def covariance(rho: DensityMatrix, a, b) -> float:
     """Symmetrized covariance Re Tr(rho a b) - Tr(rho a) Tr(rho b)."""
-    ma, mb = _observable(rho, a), _observable(rho, b)
-    return float(np.trace(rho.matrix @ ma @ mb).real) - expectation(rho, a) * expectation(rho, b)
+    return _covariance(rho, _observable(rho, a), _observable(rho, b))
 
 
 def variance(rho: DensityMatrix, a) -> float:
     """Variance of an observable in the state; covariance of a with itself."""
-    return covariance(rho, a, a)
+    m = _observable(rho, a)
+    return _covariance(rho, m, m)
+
+
+def _f_correlation(rho: DensityMatrix, f: MonotoneFunction, ma: np.ndarray, mb: np.ndarray):
+    # Tr(kernel(a) b) as an entry sum, the G = H audit's expression on a stack of one
+    ka = modular_kernel_apply(rho, f, ma)
+    k_trace = _product_traces(ka[None, None], mb[None])[0, 0]
+    return float(np.trace(rho.matrix @ ma @ mb).real) - float(k_trace)
 
 
 def f_correlation(rho: DensityMatrix, f: MonotoneFunction, a, b) -> float:
@@ -111,14 +134,13 @@ def f_correlation(rho: DensityMatrix, f: MonotoneFunction, a, b) -> float:
     family it equals Re Tr(rho a b) - Re Tr(rho^beta a rho^(1-beta) b), the
     power-sandwich route whose disagreement the report carries as residuals.
     """
-    ma, mb = _observable(rho, a), _observable(rho, b)
-    ka = modular_kernel_apply(rho, f, ma)
-    return float(np.trace(rho.matrix @ ma @ mb).real) - float(np.trace(ka @ mb).real)
+    return _f_correlation(rho, f, _observable(rho, a), _observable(rho, b))
 
 
 def f_information(rho: DensityMatrix, f: MonotoneFunction, a) -> float:
     """Metric-adjusted skew information: the f-correlation of a with itself."""
-    return f_correlation(rho, f, a, a)
+    m = _observable(rho, a)
+    return _f_correlation(rho, f, m, m)
 
 
 def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
@@ -163,6 +185,13 @@ class UncertaintyReport:
             "flags": list(self.flags),
         }
 
+    @classmethod
+    def _from_terms(cls, terms: EigenbasisTerms, tol) -> UncertaintyReport:
+        """The report of the one state and the one catalog entry of ``terms``."""
+        ((row,),) = _report_rows(_report_in_eigenbasis(terms, validate_tol(tol)))
+        path_residuals, flags = tuple(row.pop("residuals")), tuple(row.pop("flags"))
+        return cls(**row, path_residuals=path_residuals, flags=flags)
+
 
 # Scalar columns of a report, in record order.
 _SCALARS = (
@@ -195,8 +224,8 @@ class EigenbasisTerms:
 
     ``a`` and ``b`` are the standard-basis observables as (T, n, n) stacks
     (T = 1 for one state), ``at`` and ``bt`` their entries u† a u and
-    u† b u in each state's eigenbasis, and ``tilde`` holds, per entry of
-    ``functions``, the (T, n, n) array tilde(lam_i / lam_j).
+    u† b u in each state's eigenbasis, and ``tilde`` the (T, F, n, n) array
+    of tilde(lam_i / lam_j), entry ``functions[k]`` at ``tilde[:, k]``.
     """
 
     rho: DensityMatrix
@@ -205,7 +234,7 @@ class EigenbasisTerms:
     b: np.ndarray
     at: np.ndarray
     bt: np.ndarray
-    tilde: tuple[np.ndarray, ...]
+    tilde: np.ndarray
 
 
 def eigenbasis_terms(
@@ -216,8 +245,8 @@ def eigenbasis_terms(
     ``rho`` is one state or a stack and ``a``, ``b`` are shaped like its
     matrix (ValueError otherwise). Each function sees f only through tilde on
     the eigenvalue ratios lam_i / lam_j, so one pass per entry of
-    ``functions`` serves both :func:`_report_in_eigenbasis` and
-    :func:`~skewcal.gns.audit_G_equals_H`.
+    ``functions``, written into its slice of one (T, F, n, n) array, serves
+    both :func:`_report_in_eigenbasis` and :func:`~skewcal.gns.audit_G_equals_H`.
     """
     n = rho.dim
     ma, mb = as_matrix(a), as_matrix(b)
@@ -229,6 +258,9 @@ def eigenbasis_terms(
     lam = rho.eigenvalues.reshape(-1, n)
     ratios = lam[:, :, None] / lam[:, None, :]
     functions = tuple(functions)
+    tilde = np.empty((len(lam), len(functions), n, n))
+    for k, f in enumerate(functions):
+        tilde[:, k] = tilde_transform(f, ratios)
     return EigenbasisTerms(
         rho=rho,
         functions=functions,
@@ -236,19 +268,25 @@ def eigenbasis_terms(
         b=mb.reshape(-1, n, n),
         at=rho.to_eigenbasis(ma).reshape(-1, n, n),
         bt=rho.to_eigenbasis(mb).reshape(-1, n, n),
-        tilde=tuple(np.asarray(tilde_transform(f, ratios), dtype=float) for f in functions),
+        tilde=tilde,
     )
 
 
-def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> list[dict[str, np.ndarray]]:
-    """Report columns per catalog entry of ``terms``, for its state or each of its T states.
+def _entry_sums(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """sum_ij weights[t, f, i, j] products[t, i, j] per (t, f): one instance's entries each."""
+    return np.einsum("tfij,tij->tf", weights, products)
 
-    The f-independent half is computed once. Each dict holds one length-T
-    array per name in _SCALARS (T = 1 for one state), ``residuals`` of shape
-    (T, 3) for wyd entries and (T, 0) otherwise, and ``flags``, a
-    (T, len(_FLAGS)) boolean mask. Every reduction runs over the entries of
-    one instance only, so a trial's values do not depend on which other
-    trials share its stack.
+
+def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
+    """Report columns over the (T, F) grid of the states and catalog entries of ``terms``.
+
+    The f-independent half is computed once per state, the rest in one pass
+    over every entry. Each name in _SCALARS maps to a (T, F) array (T = 1
+    for one state; the f-independent ones repeat along F), ``residuals`` to
+    a tuple of F arrays, (T, 3) for a wyd entry and (T, 0) otherwise, and
+    ``flags`` to a (T, F, len(_FLAGS)) boolean mask. Every reduction runs
+    over the entries of one (instance, entry) only, so a value does not
+    depend on which other trials or entries share the call.
     """
     lam = terms.rho.eigenvalues.reshape(-1, terms.rho.dim)
     at, bt = terms.at, terms.bt
@@ -272,58 +310,84 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> list[dict[str, 
 
     # fmax, like max(1.0, x), keeps the scale at 1 when the product is NaN
     scale = np.fmax(1.0, var_a * var_b)
-    tol_eff, slack = tol * scale, INVARIANT_SLACK * scale
+    tol_eff, slack = (tol * scale)[:, None], (INVARIANT_SLACK * scale)[:, None]
 
-    reports = []
-    for f, tilde in zip(terms.functions, terms.tilde):
-        kernel = tilde * lam[:, None, :]
-        info_a = tr_rho_aa - np.einsum("tij,tij->t", kernel, p_aa)
-        info_b = tr_rho_bb - np.einsum("tij,tij->t", kernel, p_bb)
-        corr_ab = tr_rho_ab.real - np.einsum("tij,tij->t", kernel, p_ab.real)
-        rhs = info_a * info_b - corr_ab * corr_ab
-        gap = lhs - rhs
+    # the kernel lam_j tilde(lam_i / lam_j) of every entry
+    kernels = terms.tilde * lam[:, None, None, :]
+    tr_aa, tr_bb, tr_ab = tr_rho_aa[:, None], tr_rho_bb[:, None], tr_rho_ab.real[:, None]
+    info_a = tr_aa - _entry_sums(kernels, p_aa)
+    info_b = tr_bb - _entry_sums(kernels, p_bb)
+    corr_ab = tr_ab - _entry_sums(kernels, p_ab.real)
+    rhs = info_a * info_b - corr_ab * corr_ab
+    gap = lhs[:, None] - rhs
 
-        beta = wyd_parameter(f)
-        if beta is None:
-            residuals = np.empty((lam.shape[0], 0))
-        else:
-            # independent route: unsymmetrized power sandwich, real part taken last
-            w_beta = np.power(lam, beta)[:, :, None] * np.power(lam, 1.0 - beta)[:, None, :]
-            corr_beta = tr_rho_ab.real - np.einsum("tij,tij->t", w_beta, p_ab.real)
-            info_beta_a = tr_rho_aa - np.einsum("tij,tij->t", w_beta, p_aa)
-            info_beta_b = tr_rho_bb - np.einsum("tij,tij->t", w_beta, p_bb)
-            residuals = np.abs(
-                np.array((corr_ab - corr_beta, info_a - info_beta_a, info_b - info_beta_b)).T
-            )
-
-        # np.array rather than np.stack: the same result with less per-call overhead
-        scalars = np.array((var_a, var_b, cov_ab, info_a, info_b, corr_ab, lhs, rhs, gap, heis))
-        flags = np.array(
+    # independent route for the wyd entries: unsymmetrized power sandwich,
+    # real part taken last
+    betas = [wyd_parameter(f) for f in terms.functions]
+    k_wyd = [k for k, beta in enumerate(betas) if beta is not None]
+    w_beta = np.empty((len(lam), len(k_wyd)) + p_aa.shape[1:])
+    for j, k in enumerate(k_wyd):
+        beta = betas[k]
+        w_beta[:, j] = np.power(lam, beta)[:, :, None] * np.power(lam, 1.0 - beta)[:, None, :]
+    sandwich = np.abs(
+        np.array(
             (
-                ~np.isfinite(scalars).all(axis=0),
-                gap < -tol_eff,
-                lhs - heis < -tol_eff,
-                lhs < -slack,
-                info_a < -slack,
-                info_b < -slack,
+                corr_ab[:, k_wyd] - (tr_ab - _entry_sums(w_beta, p_ab.real)),
+                info_a[:, k_wyd] - (tr_aa - _entry_sums(w_beta, p_aa)),
+                info_b[:, k_wyd] - (tr_bb - _entry_sums(w_beta, p_bb)),
             )
-        ).T
-        reports.append({**dict(zip(_SCALARS, scalars)), "residuals": residuals, "flags": flags})
-    return reports
+        )
+    )
+    residuals = [np.empty((len(lam), 0))] * len(terms.functions)
+    for j, k in enumerate(k_wyd):
+        residuals[k] = sandwich[:, :, j].T
+
+    columns = (var_a[:, None], var_b[:, None], cov_ab[:, None], info_a, info_b, corr_ab)
+    scalars = _grid((*columns, lhs[:, None], rhs, gap, heis[:, None]), gap.shape, float)
+    flags = (
+        ~np.isfinite(scalars).all(axis=0),
+        gap < -tol_eff,
+        (lhs - heis)[:, None] < -tol_eff,
+        lhs[:, None] < -slack,
+        info_a < -slack,
+        info_b < -slack,
+    )
+    return {
+        **dict(zip(_SCALARS, scalars)),
+        "residuals": tuple(residuals),
+        "flags": _grid(flags, gap.shape, bool).transpose(1, 2, 0),
+    }
 
 
-def _report_rows(columns: dict[str, np.ndarray]) -> list[dict]:
-    """One ``UncertaintyReport.to_dict()``-shaped dict per instance of a column report."""
-    scalars = np.array([columns[name] for name in _SCALARS]).T.tolist()
-    residuals = columns["residuals"].tolist()
-    masks = columns["flags"]
-    if masks.any():
-        flags = [[name for name, hit in zip(_FLAGS, row) if hit] for row in masks.tolist()]
-    else:
-        flags = [[] for _ in scalars]
+def _grid(parts, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """One (len(parts), *shape) array whose row k is ``parts[k]`` broadcast to ``shape``."""
+    out = np.empty((len(parts),) + shape, dtype)
+    for row, part in zip(out, parts):
+        row[...] = part
+    return out
+
+
+def _flag_names(masks: np.ndarray, names: tuple[str, ...]) -> list[list[list[str]]]:
+    """The names set in a (T, F, len(names)) mask, as one list per (entry, instance), [f][t]."""
+    t, f = masks.shape[:2]
+    if not masks.any():
+        return [[[] for _ in range(t)] for _ in range(f)]
     return [
-        {**dict(zip(_SCALARS, row)), "residuals": res, "flags": names}
-        for row, res, names in zip(scalars, residuals, flags)
+        [[name for name, hit in zip(names, row) if hit] for row in entry]
+        for entry in masks.swapaxes(0, 1).tolist()
+    ]
+
+
+def _report_rows(columns: dict) -> list[list[dict]]:
+    """One ``UncertaintyReport.to_dict()``-shaped dict per (entry, instance), as [f][t] lists."""
+    scalars = np.array([columns[name] for name in _SCALARS]).transpose(2, 1, 0).tolist()
+    flags = _flag_names(columns["flags"], _FLAGS)
+    return [
+        [
+            {**dict(zip(_SCALARS, row)), "residuals": res, "flags": names}
+            for row, res, names in zip(rows, residuals.tolist(), entry_flags)
+        ]
+        for rows, residuals, entry_flags in zip(scalars, columns["residuals"], flags)
     ]
 
 
@@ -346,10 +410,6 @@ def evaluate_inequalities(
     entries the kernel-route quantities are cross-checked against the
     power-sandwich route and the disagreements recorded as residuals.
     """
-    tol = validate_tol(tol)
-    # the sweep's stacked evaluation, on a stack of one
+    # the sweep's stacked evaluation, on a stack of one state and one entry
     terms = eigenbasis_terms(rho, [f], _observable(rho, a), _observable(rho, b))
-    (columns,) = _report_in_eigenbasis(terms, tol)
-    (row,) = _report_rows(columns)
-    path_residuals, flags = tuple(row.pop("residuals")), tuple(row.pop("flags"))
-    return UncertaintyReport(**row, path_residuals=path_residuals, flags=flags)
+    return UncertaintyReport._from_terms(terms, tol)

@@ -168,11 +168,10 @@ def test_criterion_4_proof_transcription_audit():
         rho = random_density(dim, seed=7_000 + 3 * i)
         a = random_hermitian(dim, seed=7_001 + 3 * i)
         b = random_hermitian(dim, seed=7_002 + 3 * i)
-        (report,) = audit_G_equals_H(GnsModel(rho), eigenbasis_terms(rho, [from_key(key)], a, b))
-        flagged += bool(report.flags)
-        worst_residual_ratio = max(
-            worst_residual_ratio, report.residual / max(1.0, abs(report.g_value))
-        )
+        audit = audit_G_equals_H(GnsModel(rho), eigenbasis_terms(rho, [from_key(key)], a, b))
+        flagged += bool(audit["flags"].any())
+        g, residual = audit["G"].item(), audit["residual"].item()
+        worst_residual_ratio = max(worst_residual_ratio, residual / max(1.0, abs(g)))
     ok = flagged == 0 and worst_residual_ratio <= 1e-8
     record_acceptance(
         4,

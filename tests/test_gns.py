@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracle import FROZEN, pair_integrand, pair_weights
 from skewcal.gns import (
+    AUDIT_FLAGS,
     G_H_RTOL,
     MU_ATOM_SLACK,
     GnsModel,
@@ -24,14 +25,17 @@ from skewcal.harness import SweepConfig, hash64, run_sweep
 from skewcal.linalg import (
     FAITHFULNESS_FLOOR,
     DensityMatrix,
+    _product_traces,
     random_density,
     random_hermitian,
 )
 from skewcal.monotone import from_key, harmonic, sld, tilde_transform, wyd
 from skewcal.qinfo import (
+    _flag_names,
     centered,
     covariance,
     eigenbasis_terms,
+    expectation,
     f_correlation,
     f_information,
     variance,
@@ -39,10 +43,27 @@ from skewcal.qinfo import (
 
 ALL_KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
 
+# the (T, F) columns of an audit; mu_min_atom is (T,)
+GRID_COLUMNS = ("G", "H", "residual", "gform_min")
+
 
 def _audit(m, functions, a, b):
     # the audit reads the rotation and tilde pass the stacked report shares
     return audit_G_equals_H(m, eigenbasis_terms(m.rho, functions, a, b))
+
+
+def _entries(audit):
+    # one check-payload-shaped dict per catalog entry of a one-state audit
+    (mu_min,) = audit["mu_min_atom"].tolist()
+    flags = _flag_names(audit["flags"], AUDIT_FLAGS)
+    return [
+        {
+            **{key: audit[key][0, k].item() for key in GRID_COLUMNS},
+            "mu_min_atom": mu_min,
+            "flags": names,
+        }
+        for k, (names,) in enumerate(flags)
+    ]
 
 
 def _model(dim, seed):
@@ -263,19 +284,21 @@ def test_h_matches_gap_on_fixture(fixture_rho, fixture_a, fixture_b):
     a0 = centered(fixture_rho, fixture_a.matrix)
     b0 = centered(fixture_rho, fixture_b.matrix)
     mu = _mu(m, a0, b0)
-    h = h_from_measure(mu, tilde_transform(f, mu.values))
+    (h,) = h_from_measure(mu, tilde_transform(f, mu.values)[None])
     assert h == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-12)
 
 
 def test_audit_fixture(fixture_rho, fixture_a, fixture_b):
-    (report,) = _audit(GnsModel(fixture_rho), [wyd(0.5)], fixture_a, fixture_b)
-    assert report.g_value == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
-    assert report.h_value == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
-    assert report.residual <= 1e-12
-    assert report.flags == ()
-    data = report.to_dict()
-    assert set(data) == {"G", "H", "residual", "mu_min_atom", "gform_min", "flags"}
-    assert data["flags"] == []
+    audit = _audit(GnsModel(fixture_rho), [wyd(0.5)], fixture_a, fixture_b)
+    assert set(audit) == {"G", "H", "residual", "mu_min_atom", "gform_min", "flags"}
+    assert all(audit[key].shape == (1, 1) for key in GRID_COLUMNS)
+    assert audit["mu_min_atom"].shape == (1,)
+    assert audit["flags"].shape == (1, 1, len(AUDIT_FLAGS))
+    (entry,) = _entries(audit)
+    assert entry["G"] == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
+    assert entry["H"] == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
+    assert entry["residual"] <= 1e-12
+    assert entry["flags"] == []
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
@@ -285,11 +308,11 @@ def test_audit_random_instances(key):
         m = _model(dim, seed=83 + dim)
         a = random_hermitian(dim, seed=84 + dim)
         b = random_hermitian(dim, seed=85 + dim)
-        (report,) = _audit(m, [f], a, b)
-        assert report.flags == (), (key, dim, report.to_dict())
-        assert report.residual <= 1e-8 * max(1.0, abs(report.g_value))
-        assert report.h_value >= -1e-10 * max(1.0, abs(report.g_value))
-        assert report.gform_min >= -1e-12
+        (entry,) = _entries(_audit(m, [f], a, b))
+        assert entry["flags"] == [], (key, dim, entry)
+        assert entry["residual"] <= 1e-8 * max(1.0, abs(entry["G"]))
+        assert entry["H"] >= -1e-10 * max(1.0, abs(entry["G"]))
+        assert entry["gform_min"] >= -1e-12
 
 
 def _cluster_state(seed):
@@ -320,10 +343,10 @@ def test_audit_is_continuous_across_a_near_degenerate_pair(gap):
         m = GnsModel(_near_pair_state(1000 + seed, gap))
         a = random_hermitian(4, seed=2000 + seed)
         b = random_hermitian(4, seed=3000 + seed)
-        for key, report in zip(ALL_KEYS, _audit(m, functions, a, b)):
-            where = (gap, seed, key, report.to_dict())
-            assert report.flags == (), where
-            assert report.residual <= 2e-14 * max(1.0, abs(report.g_value)), where
+        for key, entry in zip(ALL_KEYS, _entries(_audit(m, functions, a, b))):
+            where = (gap, seed, key, entry)
+            assert entry["flags"] == [], where
+            assert entry["residual"] <= 2e-14 * max(1.0, abs(entry["G"])), where
 
 
 def _h_oracle_cases():
@@ -350,7 +373,7 @@ def test_separable_h_matches_pair_sum(key):
         terms = 0.25 * pair_integrand(tilde, s, t) * pair_weights(mu.m_xx, mu.m_yy, mu.m_xy)
         scale = float(np.sum(np.abs(terms)))
         assert scale > 0.0, name
-        h = h_from_measure(mu, tilde(mu.values))
+        (h,) = h_from_measure(mu, tilde(mu.values)[None])
         assert abs(h - float(np.sum(terms))) <= 1e-12 * scale, name
 
 
@@ -360,14 +383,14 @@ def test_audit_at_wide_dims_one_call_per_instance():
         m = _model(dim, seed=600 + dim)
         a = random_hermitian(dim, seed=601 + dim)
         b = random_hermitian(dim, seed=602 + dim)
-        reports = _audit(m, functions, a, b)
-        assert len(reports) == len(functions)
-        for key, report in zip(ALL_KEYS, reports):
-            assert report.flags == (), (key, dim, report.to_dict())
-            assert report.residual <= G_H_RTOL * max(1.0, abs(report.g_value))
+        entries = _entries(_audit(m, functions, a, b))
+        assert len(entries) == len(functions)
+        for key, entry in zip(ALL_KEYS, entries):
+            assert entry["flags"] == [], (key, dim, entry)
+            assert entry["residual"] <= G_H_RTOL * max(1.0, abs(entry["G"]))
         # the f-independent work is shared, never changed, by batching entries
-        singles = [_audit(m, [f], a, b)[0] for f in functions]
-        assert repr(reports) == repr(singles)
+        singles = [_entries(_audit(m, [f], a, b))[0] for f in functions]
+        assert repr(entries) == repr(singles)
 
 
 def _audit_cases():
@@ -376,17 +399,17 @@ def _audit_cases():
         m = _model(dim, seed=700 + dim)
         a = random_hermitian(dim, seed=701 + dim)
         b = random_hermitian(dim, seed=702 + dim)
-        yield _audit(m, functions, a, b)
+        yield _entries(_audit(m, functions, a, b))
 
 
 def _assert_flags(monkeypatch, expected):
-    # every report of the patched audit carries exactly the expected flags,
+    # every entry of the patched audit carries exactly the expected flags,
     # and the same audits unpatched carry none
-    for reports in _audit_cases():
-        assert [r.flags for r in reports] == [expected(key) for key in ALL_KEYS]
+    for entries in _audit_cases():
+        assert [tuple(e["flags"]) for e in entries] == [expected(key) for key in ALL_KEYS]
     monkeypatch.undo()
-    for reports in _audit_cases():
-        assert [r.flags for r in reports] == [()] * len(ALL_KEYS)
+    for entries in _audit_cases():
+        assert [e["flags"] for e in entries] == [[]] * len(ALL_KEYS)
 
 
 def test_g_h_mismatch_gate_fires(monkeypatch):
@@ -482,19 +505,24 @@ def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
         with pytest.raises(ValueError, match="not Hermitian"):
             _audit(m, functions, a, b)
     monkeypatch.undo()
-    assert all(r.flags == () for r in _audit(m, functions, a, b))
+    assert not _audit(m, functions, a, b)["flags"].any()
 
 
 def test_audit_with_no_catalog_entries_matches_the_report():
-    # no entries: [] for one state and one empty list per state for a
-    # stack; the stacked report gives [] for either
+    # no entries: (T, 0) columns for one state (T = 1) and for a stack, as
+    # the stacked report gives, and no rows
     rho = random_density(3, seed=61)
     a, b = random_hermitian(3, seed=62), random_hermitian(3, seed=63)
-    assert _audit(GnsModel(rho), [], a, b) == []
     states = random_density(3, [64, 65, 66])
-    a, b = (random_hermitian(3, seeds).matrix for seeds in ([67, 68, 69], [70, 71, 72]))
-    assert _audit(GnsModel(states), [], a, b) == [[], [], []]
-    assert qinfo._report_in_eigenbasis(eigenbasis_terms(states, [], a, b), 1e-9) == []
+    sa, sb = (random_hermitian(3, seeds).matrix for seeds in ([67, 68, 69], [70, 71, 72]))
+    for state, x, y, t in ((rho, a, b, 1), (states, sa, sb, 3)):
+        audit = _audit(GnsModel(state), [], x, y)
+        assert all(audit[key].shape == (t, 0) for key in GRID_COLUMNS)
+        assert audit["flags"].shape == (t, 0, len(AUDIT_FLAGS))
+        assert audit["mu_min_atom"].shape == (t,)
+        columns = qinfo._report_in_eigenbasis(eigenbasis_terms(state, [], x, y), 1e-9)
+        assert columns["gap"].shape == (t, 0)
+        assert qinfo._report_rows(columns) == []
 
 
 def test_audit_rejects_terms_of_another_state_and_misshapen_tilde_values():
@@ -504,8 +532,10 @@ def test_audit_rejects_terms_of_another_state_and_misshapen_tilde_values():
         audit_G_equals_H(m, eigenbasis_terms(other.rho, [sld()], a, b))
     mu = _mu(m, centered(m.rho, a), centered(m.rho, b))
     q = tilde_transform(sld(), mu.values)
-    with pytest.raises(ValueError, match="do not match"):
-        h_from_measure(mu, q[..., :-1])
+    # one state's measure takes (F, K) tilde values: an entry axis, then the atoms
+    for bad in (q, q[None, :-1], q[None, None]):
+        with pytest.raises(ValueError, match="do not match"):
+            h_from_measure(mu, bad)
 
 
 def _g_cases():
@@ -523,26 +553,34 @@ def test_audit_g_is_the_public_direct_route():
         n = rho.dim
         a = random_hermitian(n, seed=900 + n)
         b = random_hermitian(n, seed=950 + n)
-        reports = _audit(GnsModel(rho), functions, a, b)
+        entries = _entries(_audit(GnsModel(rho), functions, a, b))
         var_a, var_b, cov_ab = variance(rho, a), variance(rho, b), covariance(rho, a, b)
-        for f, report in zip(functions, reports):
+        for f, entry in zip(functions, entries):
             info_a, info_b = f_information(rho, f, a), f_information(rho, f, b)
             corr_ab = f_correlation(rho, f, a, b)
             g = var_a * var_b - cov_ab**2 - info_a * info_b + corr_ab**2
-            assert repr(report.g_value) == repr(g), (n, f.name)
-            assert report.flags == (), (n, f.name)
+            assert repr(entry["G"]) == repr(g), (n, f.name)
+            assert entry["flags"] == [], (n, f.name)
 
 
 def test_h_from_measure_consistency():
-    # the audit's H is the measure of the centered observables, integrated
+    # the audit's H is the measure of the centered observables, integrated;
+    # it centers them in the eigenbasis, u† a u - Tr(rho a) 1
     m = _model(3, seed=90)
     a = random_hermitian(3, seed=91).matrix
     b = random_hermitian(3, seed=92).matrix
-    f = sld()
-    mu = _mu(m, centered(m.rho, a), centered(m.rho, b))
-    (report,) = _audit(m, [f], a, b)
-    assert h_from_measure(mu, tilde_transform(f, mu.values)) == report.h_value
-    assert mu.min_weight_bound == report.mu_min_atom
+    functions = [sld(), wyd(0.3)]
+    at0, bt0 = (m.to_eigenbasis(x) - expectation(m.rho, x) * np.eye(3) for x in (a, b))
+    mu = build_mu(m, at0, bt0)
+    audit = _audit(m, functions, a, b)
+    q = np.array([tilde_transform(f, mu.values) for f in functions])
+    assert repr(h_from_measure(mu, q).tolist()) == repr(audit["H"][0].tolist())
+    assert mu.min_weight_bound == audit["mu_min_atom"][0]
+    # against the rotation of the standard-basis centered observables, only
+    # round-off moves
+    rotated = _mu(m, centered(m.rho, a), centered(m.rho, b))
+    h_rotated = h_from_measure(rotated, q)
+    assert np.allclose(h_rotated, audit["H"][0], rtol=1e-13, atol=1e-15)
 
 
 def test_model_exposes_spectral_data():
@@ -569,28 +607,52 @@ def _stack_cases():
     yield [_cluster_state(1200), random_density(6, seed=1201), mixed, _cluster_state(1203)]
 
 
+def _bits(columns, keys):
+    # each column's values as text, so -0.0 and every last bit count
+    return {key: repr(np.asarray(columns[key]).tolist()) for key in keys}
+
+
 def test_stacked_audit_equals_per_trial_audits():
-    # a chunk's audit is each trial's stack-of-one audit, by repr on every
-    # report field, whatever the chunk boundaries
+    # a chunk's audit columns are each state's stack-of-one columns, by repr
+    # on every column, whatever the chunk boundaries
     functions = [from_key(k) for k in ALL_KEYS]
+    keys = (*GRID_COLUMNS, "mu_min_atom", "flags")
     for states in _stack_cases():
         n, t = states[0].dim, len(states)
         a = np.array([random_hermitian(n, seed=1300 + k).matrix for k in range(t)])
         b = np.array([random_hermitian(n, seed=1400 + k).matrix for k in range(t)])
-        singles = [
-            _audit(GnsModel(rho), functions, a[k], b[k]) for k, rho in enumerate(states)
-        ]
+        singles = [_audit(GnsModel(rho), functions, a[k], b[k]) for k, rho in enumerate(states)]
+        expected = _bits({key: np.concatenate([s[key] for s in singles]) for key in keys}, keys)
         for cut in (1, t // 2, t - 1):
             chunks = [range(0, cut), range(cut, t)]
-            stacked = [
-                report
-                for chunk in chunks
-                for report in _audit(
-                    GnsModel(_stack([states[k] for k in chunk])), functions, a[chunk], b[chunk]
-                )
+            audits = [
+                _audit(GnsModel(_stack([states[k] for k in c])), functions, a[c], b[c])
+                for c in chunks
             ]
-            assert repr(stacked) == repr(singles), (n, cut)
-        assert all(r.flags == () for reports in singles for r in reports)
+            stacked = {key: np.concatenate([x[key] for x in audits]) for key in keys}
+            assert _bits(stacked, keys) == expected, (n, cut)
+        assert not any(s["flags"].any() for s in singles)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
+def test_entry_sum_traces_do_not_depend_on_the_stack(dim):
+    # the audit's Tr(k o x . y) entry sums: a (T, F) stack gives, bit for bit,
+    # what each (t, f) gives as a stack of one
+    rng = np.random.default_rng(dim)
+    for t, f in ((1, 1), (3, 5), (7, 2)):
+        shape = (t, 2 * f, dim, dim)
+        kx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kx = kx[:, 0::2]  # strided, as the audit's ka slice of its batch is
+        y = rng.standard_normal((t, dim, dim)) + 1j * rng.standard_normal((t, dim, dim))
+        stacked = _product_traces(kx, y)
+        assert stacked.shape == (t, f)
+        alone = [
+            [_product_traces(kx[i, k][None, None].copy(), y[i][None])[0, 0] for k in range(f)]
+            for i in range(t)
+        ]
+        assert repr(stacked.tolist()) == repr(np.array(alone).tolist()), (t, f)
+        exact = np.einsum("tfij,tji->tf", kx, y).real
+        assert np.allclose(stacked, exact, rtol=1e-12, atol=1e-12 * dim)
 
 
 def test_audited_sweep_records_are_per_trial_audits():
@@ -607,8 +669,8 @@ def test_audited_sweep_records_are_per_trial_audits():
         rho = random_density(64, hash64(seed, 0))
         a, b = (random_hermitian(64, hash64(seed, k)).matrix for k in (1, 2))
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)  # the sweep's normalisation
-        reports = _audit(GnsModel(rho), functions, a, b)
+        entries = _entries(_audit(GnsModel(rho), functions, a, b))
         assert [r["f"] for r in rows] == [f.name for f in functions]
-        for row, report in zip(rows, reports):
-            assert repr(row["residuals"][-1]) == repr(report.residual), (trial, row["f"])
-            assert row["flags"] == list(report.flags) == []
+        for row, entry in zip(rows, entries):
+            assert repr(row["residuals"][-1]) == repr(entry["residual"]), (trial, row["f"])
+            assert row["flags"] == entry["flags"] == []

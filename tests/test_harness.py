@@ -1,7 +1,6 @@
 """Sweep harness: seeding, record streams, summaries, file checks, and the CLI."""
 
 import csv
-import dataclasses
 import itertools
 import json
 import math
@@ -15,6 +14,7 @@ import pytest
 
 import skewcal.harness as harness
 import skewcal.linalg as linalg
+import skewcal.qinfo as qinfo
 from oracle import FROZEN
 from skewcal.cli import main
 from skewcal.harness import (
@@ -484,12 +484,15 @@ def test_check_instance_error_paths(tmp_path, fixtures_dir):
 
 def test_check_instance_flag_exit_code(monkeypatch, fixtures_dir):
     rho_path, a_path, b_path = _fixture_paths(fixtures_dir)
-    real = harness.evaluate_inequalities
+    real = qinfo._report_in_eigenbasis
 
-    def forged(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), flags=("main_inequality_violation",))
+    def forged(terms, tol):
+        columns = real(terms, tol)
+        flags = columns["flags"].copy()
+        flags[..., qinfo._FLAGS.index("main_inequality_violation")] = True
+        return {**columns, "flags": flags}
 
-    monkeypatch.setattr(harness, "evaluate_inequalities", forged)
+    monkeypatch.setattr(qinfo, "_report_in_eigenbasis", forged)
     payload, code = check_instance(rho_path, a_path, b_path, "wyd:0.5")
     assert code == 2
     assert payload["report"]["flags"] == ["main_inequality_violation"]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracle
+import skewcal.qinfo as qinfo
 from oracle import FROZEN
-from skewcal.linalg import DensityMatrix, random_density, random_hermitian
+from skewcal.linalg import DensityMatrix, HermitianMatrix, random_density, random_hermitian
 from skewcal.monotone import MonotoneFunction, from_key, harmonic, sld, wyd
 from skewcal.qinfo import (
     UncertaintyReport,
@@ -234,12 +235,12 @@ def test_stacked_report_flags_each_instance_on_its_own(fixture_a, fixture_b):
     a, b = (np.array([x.matrix] * len(states)) for x in (fixture_a, fixture_b))
     # one call covers every entry, and entry i is the call on functions[i] alone
     functions = [bogus, *(from_key(key) for key in ALL_KEYS)]
-    reports = _report_in_eigenbasis(eigenbasis_terms(rho, functions, a, b), 1e-9)
+    reports = _report_rows(_report_in_eigenbasis(eigenbasis_terms(rho, functions, a, b), 1e-9))
     assert len(reports) == len(functions)
-    for f, columns in zip(functions, reports):
-        (alone,) = _report_in_eigenbasis(eigenbasis_terms(rho, [f], a, b), 1e-9)
-        assert repr(_report_rows(columns)) == repr(_report_rows(alone))
-    rows = _report_rows(reports[0])
+    for f, rows in zip(functions, reports):
+        (alone,) = _report_rows(_report_in_eigenbasis(eigenbasis_terms(rho, [f], a, b), 1e-9))
+        assert repr(rows) == repr(alone)
+    rows = reports[0]
     assert [row["flags"] for row in rows][::2] == [[], []]
     assert "main_inequality_violation" in rows[1]["flags"]
     for state, row in zip(states, rows):
@@ -298,8 +299,7 @@ def test_report_flags_fire_alone_on_the_bad_row(flag, bad_row, key):
     good = (SKEWED, SIGMA_X, SIGMA_Z)
     states, a, b = (np.stack(parts) for parts in zip(good, bad_row()))
     terms = eigenbasis_terms(DensityMatrix(states), [from_key(key)], a, b)
-    (columns,) = _report_in_eigenbasis(terms, 1e-9)
-    rows = _report_rows(columns)
+    (rows,) = _report_rows(_report_in_eigenbasis(terms, 1e-9))
     assert rows[0]["flags"] == []
     assert rows[1]["flags"] == [flag]
 
@@ -407,3 +407,49 @@ def test_fixed_entries_report_no_residuals(fixture_rho, fixture_a, fixture_b):
         report = evaluate_inequalities(fixture_rho, f, fixture_a, fixture_b)
         assert report.path_residuals == ()
         assert report.flags == ()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
+def test_report_over_f_entries_equals_single_entry_reports(dim):
+    # the entries are an array axis: a report over F entries is, by repr on
+    # every row, F reports of one entry each, whatever the stack size T
+    functions = [from_key(key) for key in ALL_KEYS]
+    for t in (1, 4, 20):
+        seeds = [7 * dim + 100 * t + k for k in range(t)]
+        rho = random_density(dim, seeds)
+        a, b = (random_hermitian(dim, [s + k for s in seeds]).matrix for k in (1, 2))
+        columns = _report_in_eigenbasis(eigenbasis_terms(rho, functions, a, b), 1e-9)
+        assert columns["gap"].shape == (t, len(functions))
+        assert columns["flags"].shape == (t, len(functions), len(qinfo._FLAGS))
+        rows = _report_rows(columns)
+        for f, f_rows in zip(functions, rows):
+            (alone,) = _report_rows(_report_in_eigenbasis(eigenbasis_terms(rho, [f], a, b), 1e-9))
+            assert repr(f_rows) == repr(alone), (dim, t, f.name)
+
+
+def test_public_functions_validate_each_observable_once(monkeypatch, fixture_rho, fixture_a):
+    # one HermitianMatrix per observable argument; an exact-Hermitian input
+    # comes back bit for bit, so no value depends on the count
+    built = []
+    real_init = HermitianMatrix.__init__
+
+    def counting(self, entries):
+        built.append(entries)
+        real_init(self, entries)
+
+    monkeypatch.setattr(HermitianMatrix, "__init__", counting)
+    a, b = fixture_a.matrix, random_hermitian(fixture_rho.dim, seed=31).matrix
+    f = wyd(0.5)
+    calls = {
+        "expectation": (lambda: expectation(fixture_rho, a), 1),
+        "centered": (lambda: centered(fixture_rho, a), 1),
+        "variance": (lambda: variance(fixture_rho, a), 1),
+        "covariance": (lambda: covariance(fixture_rho, a, b), 2),
+        "f_information": (lambda: f_information(fixture_rho, f, a), 1),
+        "f_correlation": (lambda: f_correlation(fixture_rho, f, a, b), 2),
+        "heisenberg_bound": (lambda: heisenberg_bound(fixture_rho, a, b), 2),
+    }
+    for name, (call, count) in calls.items():
+        built.clear()
+        call()
+        assert len(built) == count, name

@@ -15,8 +15,9 @@ import math
 import os
 
 import skewcal
-from skewcal.harness import _STACK_ENTRIES, SweepConfig, run_sweep
+from skewcal.harness import _STACK_ENTRIES, SweepConfig, check_instance, run_sweep
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 TRACING_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py"
 )
@@ -57,7 +58,7 @@ def test_traced_sweeps_record_every_wrapped_layer(tmp_path):
 def test_audited_sweep_builds_one_kernel_per_instance_and_f():
     # one tilde pass per f, shared by the stacked report and the audit: the
     # audit's kernels (direct route and G-form) and H's per-atom values all
-    # read it
+    # read it, and H covers every f in one call
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
@@ -65,10 +66,10 @@ def test_audited_sweep_builds_one_kernel_per_instance_and_f():
     assert summary.total == len(KEYS) and summary.violations == 0
     calls = tracer.calls()
     assert calls["qinfo.report"] == 1
-    assert calls["gns.h"] == len(KEYS)
+    assert calls["gns.h"] == 1
     assert calls["monotone.tilde"] == len(KEYS) == 5
     assert tracer.counts["monotone.tilde.elements"] == len(KEYS) * 3**2
-    # H reads the K = 3^2 per-atom marginals, not K^2 atom pairs
+    # H reads the K = 3^2 per-atom marginals of the one trial, not K^2 atom pairs
     assert tracer.counts["gns.h.atom_pairs"] == calls["gns.h"] * 3**2
 
 
@@ -86,13 +87,14 @@ def test_audited_sweep_audits_once_per_dim_chunk():
     # one GnsModel per chunk, plus the one spectrum it computes for the chunk
     assert calls["gns.model"] == 2 * chunks
     # per chunk, a and b are rotated once for the report and the audit, and
-    # the audit rotates their centered parts; one tilde pass per (chunk, f)
-    assert calls["linalg.rotate"] == (2 + 2) * chunks
+    # the audit centers them in the eigenbasis without rotating again; one
+    # tilde pass per (chunk, f)
+    assert calls["linalg.rotate"] == 2 * chunks
     assert calls["monotone.tilde"] == chunks * len(KEYS)
-    # one H per (chunk, f), over the chunk's trials times n^2 atom slots:
-    # n^2 per record, where the K x K measure had n^4
-    assert calls["gns.h"] == chunks * len(KEYS)
-    assert tracer.counts["gns.h.atom_pairs"] == sum(trials * len(KEYS) * d**2 for d in dims)
+    # one H per chunk for every f, each call over the chunk's T trials times
+    # n^2 atom slots: n^2 per trial, where the K x K measure had n^4
+    assert calls["gns.h"] == chunks
+    assert tracer.counts["gns.h.atom_pairs"] == sum(trials * d**2 for d in dims)
 
 
 def test_traced_sweep_reports_once_per_dim_chunk():
@@ -114,6 +116,23 @@ def test_traced_sweep_reports_once_per_dim_chunk():
     # one tilde pass per (chunk, f)
     assert calls["linalg.rotate"] == 2 * chunks
     assert calls["monotone.tilde"] == chunks * len(KEYS)
+
+
+def test_traced_check_evaluates_one_instance_once():
+    # check_instance builds one terms object for the report and the audit:
+    # one tilde pass and the two rotations of a and b, nothing more
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    names = ("rho_fixture.json", "sigma_x.json", "sigma_y.json")
+    paths = (os.path.join(FIXTURES, name) for name in names)
+    with tracing.traced(tracer):
+        payload, code = check_instance(*paths, "wyd:0.5")
+    assert code == 0, payload
+    calls = tracer.calls()
+    assert calls["monotone.tilde"] == 1
+    assert calls["linalg.rotate"] == 2
+    assert calls["linalg.eigh"] == 1
+    assert calls["gns.h"] == 1
 
 
 def test_package_root_and_module_exports_resolve():
