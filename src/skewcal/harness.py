@@ -19,13 +19,17 @@ The chunk's observables are then rotated into the states' eigenbases once,
 and tilde is evaluated on the eigenvalue ratios once per catalog entry
 (``eigenbasis_terms``); one stacked report and, optionally, one G = H
 audit read those arrays side by side. Each covers the chunk's (trial,
-entry) grid in one array pass and returns (T, F) columns, which become
-the chunk's records in one pass, the audit's residual and flags appended
-to the report's. Only the draws and the observables' Frobenius norms run
-per trial. A rejected trial is reported with its (dim, trial, seed). The
-stacks and the report's temporaries hold O(_STACK_ENTRIES) numbers
-whatever the trial count; the records of one dimension are kept until it
-is written. Every stacked operation and reduction acts on one trial's
+entry) grid in one array pass and returns (T, F) columns, the audit's
+residual and flags appended to the report's. Each entry's records are
+built from those columns in one pass per chunk. A sweep that writes a
+file also turns the same columns into the records' text, one repr pass
+per column block: the scalars that do not depend on f once per trial, the
+others and the residuals once per (trial, entry). Only the draws and the
+observables' Frobenius norms run per trial. A rejected trial is reported
+with its (dim, trial, seed). The stacks and the report's temporaries hold
+O(_STACK_ENTRIES) numbers whatever the trial count; the records of one
+dimension, with their text when there is output, are kept until it is
+written. Every stacked operation and reduction acts on one trial's
 entries, so a record's bits do not depend on the chunk its trial fell in,
 and equal those of ``evaluate_inequalities`` on the regenerated instance.
 """
@@ -52,12 +56,12 @@ from .linalg import (
 )
 from .monotone import from_key
 from .qinfo import (
+    _FLAGS,
     _SCALARS,
     DEFAULT_TOL,
     UncertaintyReport,
     _flag_names,
     _report_in_eigenbasis,
-    _report_rows,
     eigenbasis_terms,
     validate_tol,
 )
@@ -85,7 +89,17 @@ MAX_SWEEP_DIM = 64
 # (T, n, n) stack, so T = max(1, _STACK_ENTRIES // n**2) trials per chunk.
 _STACK_ENTRIES = 8192
 
+# A record's fields in order, which is also the csv header.
 CSV_COLUMNS = ("dim", "f", "trial", "seed", *_SCALARS, "residuals", "flags")
+
+# Positions in _SCALARS of the report's scalars that do not depend on f,
+# whose (T, F) columns _report_in_eigenbasis fills with one value per trial,
+# and of the others.
+_SHARED = [_SCALARS.index(name) for name in ("var_a", "var_b", "cov_ab", "lhs", "heisenberg_rhs")]
+_PER_ENTRY = [_SCALARS.index(name) for name in ("info_a", "info_b", "corr_ab", "rhs", "gap")]
+
+# json's spelling of the floats whose repr is nan, inf and -inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -254,13 +268,6 @@ def _normalize(stack: np.ndarray) -> None:
     stack /= norms[:, None, None]
 
 
-def _csv_row(record: dict) -> list:
-    row = [record[c] for c in CSV_COLUMNS[:-2]]
-    row.append(";".join(repr(r) for r in record["residuals"]))
-    row.append(";".join(record["flags"]))
-    return row
-
-
 def _chunk_instances(config: SweepConfig, dim: int, trials: range):
     """Draw, validate and normalise the instances of one chunk of trials.
 
@@ -283,7 +290,12 @@ def _chunk_instances(config: SweepConfig, dim: int, trials: range):
 
 
 def _records(config: SweepConfig, functions):
-    """Yield the sweep's records in (dim, f, trial) order: every f on each drawn instance."""
+    """Yield (record, text) pairs in (dim, f, trial) order: every f on each drawn instance.
+
+    The text is the record's jsonl line or csv row when the sweep writes
+    ``config.output_path``, and None when it writes nothing.
+    """
+    fmt = None if config.output_path is None else config.format
     for dim in config.dims:
         chunk = min(config.trials, max(1, _STACK_ENTRIES // (dim * dim)))
         by_f = [[] for _ in functions]
@@ -293,37 +305,136 @@ def _records(config: SweepConfig, functions):
             # one rotation and one tilde pass per f, read by one report and
             # one audit that each cover the chunk's (trial, f) grid
             terms = eigenbasis_terms(rho, functions, a, b)
-            rows = _report_rows(_report_in_eigenbasis(terms, config.tol))
+            columns = _report_in_eigenbasis(terms, config.tol)
+            residuals = columns["residuals"]
+            flags = _flag_names(columns["flags"], _FLAGS)
             if config.gns_audit:
                 audit = audit_G_equals_H(GnsModel(rho), terms)
-                residuals = audit["residual"].T.tolist()
-                flags = _flag_names(audit["flags"], AUDIT_FLAGS)
-                for f_rows, f_residuals, f_flags in zip(rows, residuals, flags):
-                    for row, residual, names in zip(f_rows, f_residuals, f_flags):
-                        row["residuals"].append(residual)
-                        row["flags"].extend(names)
-            for f, f_rows, records in zip(functions, rows, by_f):
-                records.extend(
-                    {"dim": dim, "f": f.name, "trial": trial, "seed": seed, **row}
-                    for trial, seed, row in zip(trials, seeds, f_rows)
-                )
-        for records in by_f:
-            yield from records
+                residuals = [np.column_stack((r, col)) for r, col in zip(residuals, audit["residual"].T)]
+                flags = [
+                    [names + more for names, more in zip(f_flags, f_more)]
+                    for f_flags, f_more in zip(flags, _flag_names(audit["flags"], AUDIT_FLAGS))
+                ]
+            # (F, T, len(_SCALARS)): the _SCALARS values of each (entry, trial)
+            scalars = np.array([columns[name] for name in _SCALARS]).transpose(2, 1, 0)
+            if fmt is None:
+                texts = [[None] * len(trials)] * len(functions)
+            else:
+                texts = _chunk_texts(fmt, dim, functions, trials, seeds, scalars, residuals, flags)
+            for f, rows, res, f_flags, f_texts, pairs in zip(
+                functions, scalars.tolist(), residuals, flags, texts, by_f
+            ):
+                # the keys of CSV_COLUMNS, in its order
+                records = [
+                    {
+                        "dim": dim,
+                        "f": f.name,
+                        "trial": trial,
+                        "seed": seed,
+                        "var_a": va,
+                        "var_b": vb,
+                        "cov_ab": cov,
+                        "info_a": ia,
+                        "info_b": ib,
+                        "corr_ab": ca,
+                        "lhs": lhs,
+                        "rhs": rhs,
+                        "gap": gap,
+                        "heisenberg_rhs": heis,
+                        "residuals": r,
+                        "flags": names,
+                    }
+                    for trial, seed, (va, vb, cov, ia, ib, ca, lhs, rhs, gap, heis), r, names in zip(
+                        trials, seeds, rows, res.tolist(), f_flags
+                    )
+                ]
+                pairs.extend(zip(records, f_texts))
+        for pairs in by_f:
+            yield from pairs
+
+
+def _chunk_texts(fmt, dim, functions, trials, seeds, scalars, residuals, flags) -> list[list]:
+    """The jsonl line or csv row of each record of one chunk, as [f][t] lists.
+
+    ``scalars`` holds the (F, T, len(_SCALARS)) values. The _SHARED ones
+    are printed once per trial, from the first entry's rows, and the
+    _PER_ENTRY ones once per (entry, trial); each block, and each entry's
+    residuals, in one ``_float_texts`` pass.
+    """
+    count = len(trials)
+    shared = list(_grouped(_float_texts(scalars[0][:, _SHARED], fmt), len(_SHARED), count))
+    own = _float_texts(scalars[:, :, _PER_ENTRY], fmt)
+    own = list(_grouped(own, len(_PER_ENTRY), len(functions) * count))
+    texts = []
+    for k, (f, res, f_flags) in enumerate(zip(functions, residuals, flags)):
+        res_texts = _grouped(_float_texts(res, fmt), res.shape[1], count)
+        rows = zip(trials, seeds, shared, own[k * count : (k + 1) * count], res_texts, f_flags)
+        if fmt == "csv":
+            texts.append([_csv_row((dim, f.name, trial, seed), *rest) for trial, seed, *rest in rows])
+            continue
+        head = f'{{"dim": {dim}, "f": {json.dumps(f.name)}, "trial": '
+        texts.append(
+            [
+                f'{head}{trial}, "seed": {seed}, "var_a": {va}, "var_b": {vb}, "cov_ab": {cov}, '
+                f'"info_a": {ia}, "info_b": {ib}, "corr_ab": {ca}, "lhs": {lhs}, "rhs": {rhs}, '
+                f'"gap": {gap}, "heisenberg_rhs": {heis}, "residuals": [{", ".join(r)}], '
+                f'"flags": {json.dumps(names) if names else "[]"}}}\n'
+                for trial, seed, (va, vb, cov, lhs, heis), (ia, ib, ca, rhs, gap), r, names in rows
+            ]
+        )
+    return texts
+
+
+def _float_texts(values: np.ndarray, fmt: str) -> list[str]:
+    """The text of each float of ``values``, in C order, as one repr pass over the block.
+
+    Both formats spell a float as its repr; jsonl spells nan, inf and -inf
+    as json does (NaN, Infinity, -Infinity), csv keeps repr's spelling.
+    """
+    if not values.size:
+        return []
+    texts = repr(values.ravel().tolist())[1:-1].split(", ")
+    if fmt == "jsonl" and not np.isfinite(values).all():
+        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+    return texts
+
+
+def _grouped(texts: list[str], width: int, count: int):
+    """``texts`` as ``count`` consecutive tuples of ``width`` texts each."""
+    return zip(*[iter(texts)] * width) if width else [()] * count
+
+
+def _csv_row(head, shared, own, residuals, flags) -> list:
+    """One csv record in CSV_COLUMNS order from its texts.
+
+    ``head`` is (dim, f, trial, seed), ``shared`` and ``own`` the texts of
+    the _SHARED and _PER_ENTRY scalars, ``residuals`` the residuals' texts
+    and ``flags`` the flag names.
+    """
+    var_a, var_b, cov_ab, lhs, heisenberg_rhs = shared
+    info_a, info_b, corr_ab, rhs, gap = own
+    scalars = (var_a, var_b, cov_ab, info_a, info_b, corr_ab, lhs, rhs, gap, heisenberg_rhs)
+    return [*head, *scalars, ";".join(residuals), ";".join(flags)]
 
 
 def _emitted(records, record_sink, out=None, fmt="jsonl"):
-    """Pass each record to ``record_sink`` (if given), write it to ``out`` (if given), yield it."""
-    if out is not None and fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-    for record in records:
+    """Pass each record to ``record_sink`` (if given), write its text to ``out`` (if given), yield it.
+
+    ``records`` holds (record, text) pairs; the sink sees a record before
+    its text is written.
+    """
+    if out is not None:
+        if fmt == "csv":
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            write = writer.writerow
+        else:
+            write = out.write
+    for record, text in records:
         if record_sink is not None:
             record_sink(record)
         if out is not None:
-            if fmt == "csv":
-                writer.writerow(_csv_row(record))
-            else:
-                out.write(json.dumps(record) + "\n")
+            write(text)
         yield record
 
 
@@ -332,6 +443,9 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
 
     Each record goes to ``record_sink`` (if given), then to
     ``config.output_path`` (if given), then to ``summarize_records``.
+    A jsonl line holds the bytes of ``json.dumps(record)`` and a csv row
+    what ``csv.writer`` writes for the record's values, but both are built
+    from the chunk's column arrays; a sweep without output builds no text.
     Inequality violations are recorded and flagged, never raised. An
     exception from the sink propagates; the file then holds the records
     before the one that raised.

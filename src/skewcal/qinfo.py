@@ -188,9 +188,13 @@ class UncertaintyReport:
     @classmethod
     def _from_terms(cls, terms: EigenbasisTerms, tol) -> UncertaintyReport:
         """The report of the one state and the one catalog entry of ``terms``."""
-        ((row,),) = _report_rows(_report_in_eigenbasis(terms, validate_tol(tol)))
-        path_residuals, flags = tuple(row.pop("residuals")), tuple(row.pop("flags"))
-        return cls(**row, path_residuals=path_residuals, flags=flags)
+        columns = _report_in_eigenbasis(terms, validate_tol(tol))
+        ((flags,),) = _flag_names(columns["flags"], _FLAGS)
+        return cls(
+            **{name: columns[name].item() for name in _SCALARS},
+            path_residuals=tuple(columns["residuals"][0][0].tolist()),
+            flags=tuple(flags),
+        )
 
 
 # Scalar columns of a report, in record order.
@@ -375,19 +379,6 @@ def _flag_names(masks: np.ndarray, names: tuple[str, ...]) -> list[list[list[str
     return [
         [[name for name, hit in zip(names, row) if hit] for row in entry]
         for entry in masks.swapaxes(0, 1).tolist()
-    ]
-
-
-def _report_rows(columns: dict) -> list[list[dict]]:
-    """One ``UncertaintyReport.to_dict()``-shaped dict per (entry, instance), as [f][t] lists."""
-    scalars = np.array([columns[name] for name in _SCALARS]).transpose(2, 1, 0).tolist()
-    flags = _flag_names(columns["flags"], _FLAGS)
-    return [
-        [
-            {**dict(zip(_SCALARS, row)), "residuals": res, "flags": names}
-            for row, res, names in zip(rows, residuals.tolist(), entry_flags)
-        ]
-        for rows, residuals, entry_flags in zip(scalars, columns["residuals"], flags)
     ]
 
 

@@ -1,6 +1,7 @@
 """Sweep harness: seeding, record streams, summaries, file checks, and the CLI."""
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -187,6 +188,13 @@ def test_failing_sink_propagates_and_leaves_the_records_before_it(tmp_path):
         run_sweep(_tiny_config(output_path=str(path)), record_sink=sink)
     # the file is closed, so every line before the failing record is on disk
     assert read_records(path) == seen
+    assert len(seen) == 5
+    # a csv file holds the header and the rows of the same records
+    path = tmp_path / "records.csv"
+    seen.clear()
+    with pytest.raises(RuntimeError, match="sink failed"):
+        run_sweep(_tiny_config(output_path=str(path), format="csv"), record_sink=sink)
+    assert path.read_text() == _csv_text(seen)
     assert len(seen) == 5
 
 
@@ -437,6 +445,105 @@ def test_jsonl_output_matches_sink(tmp_path):
     records = []
     run_sweep(_tiny_config(output_path=str(path)), record_sink=records.append)
     assert read_records(path) == records
+
+
+def _csv_text(records) -> str:
+    """The csv stream of ``records`` as csv.writer writes each record's dict-based row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in records:
+        residuals = ";".join(repr(x) for x in r["residuals"])
+        writer.writerow([r[c] for c in CSV_COLUMNS[:-2]] + [residuals, ";".join(r["flags"])])
+    return out.getvalue()
+
+
+def _written_as_dumped(config, tmp_path) -> list[dict]:
+    """Run ``config`` to a jsonl and a csv file; each must hold the sink's records as dumped per record."""
+    streams = {}
+    for fmt in ("jsonl", "csv"):
+        path = tmp_path / f"records.{fmt}"
+        records = []
+        run_sweep(
+            SweepConfig(**{**vars(config), "output_path": str(path), "format": fmt}),
+            record_sink=records.append,
+        )
+        streams[fmt] = (path, records)
+    (jsonl, records), (csv_path, csv_records) = streams["jsonl"], streams["csv"]
+    assert repr(csv_records) == repr(records)
+    assert jsonl.read_bytes() == "".join(json.dumps(r) + "\n" for r in records).encode()
+    assert csv_path.read_bytes() == _csv_text(records).encode()
+    # json reads NaN and the infinities back; repr compares NaN and -0.0 exactly
+    assert repr(read_records(jsonl)) == repr(records)
+    return records
+
+
+@pytest.mark.parametrize("gns_audit", [False, True])
+def test_sweep_text_equals_per_record_dumps(gns_audit, monkeypatch, tmp_path):
+    # a small stack size splits the dim-3 trials over chunks; dim 64 takes
+    # one trial per chunk
+    monkeypatch.setattr(harness, "_STACK_ENTRIES", 18)
+    config = SweepConfig(dims=(2, 3, 64), trials=4, f_specs=KEYS, seed=5, gns_audit=gns_audit)
+    assert len(_written_as_dumped(config, tmp_path)) == 3 * 4 * len(KEYS)
+
+
+def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_path):
+    # the sampled instances reach no non-finite value or flag, so the report
+    # and the audit are fed them: each f-independent column keeps one value
+    # per trial across the entries, as the report computes it
+    real_report, real_audit = harness._report_in_eigenbasis, harness.audit_G_equals_H
+
+    def forged_report(terms, tol):
+        columns = real_report(terms, tol)
+        last = len(columns["gap"]) - 1
+        columns["var_a"][0] = np.nan
+        columns["cov_ab"][last] = -0.0
+        columns["lhs"][last] = -np.inf
+        columns["heisenberg_rhs"][0] = 1e16
+        columns["info_a"][0, 0] = np.inf
+        columns["info_b"][0, 1] = 1e-5
+        columns["corr_ab"][last, -1] = -0.0
+        columns["rhs"][0, -1] = 5e-324
+        columns["gap"][last, 1] = np.nan
+        columns["residuals"][0][last] = (np.nan, -0.0, 5e-324)
+        columns["residuals"][1][0, 2] = -np.inf
+        columns["flags"][0, :, 1] = True
+        columns["flags"][last, 0] = True
+        return columns
+
+    def forged_audit(model, terms):
+        audit = real_audit(model, terms)
+        audit["residual"][0, -1] = np.inf
+        audit["residual"][-1, 0] = np.nan
+        audit["flags"][0, 0, 0] = True
+        return audit
+
+    monkeypatch.setattr(harness, "_report_in_eigenbasis", forged_report)
+    monkeypatch.setattr(harness, "audit_G_equals_H", forged_audit)
+    monkeypatch.setattr(harness, "_STACK_ENTRIES", 18)
+    for gns_audit in (False, True):
+        config = SweepConfig(dims=(2, 3), trials=4, f_specs=KEYS, seed=5, gns_audit=gns_audit)
+        records = _written_as_dumped(config, tmp_path)
+        texts = {repr(r[c]) for r in records for c in SCALARS} | {
+            repr(x) for r in records for x in r["residuals"]
+        }
+        assert {"nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "1e-05"} <= texts
+        assert any(r["residuals"] == [] for r in records) != gns_audit
+        flags = [set(r["flags"]) for r in records]
+        assert any("main_inequality_violation" in names for names in flags)
+        assert any("g_h_mismatch" in names for names in flags) == gns_audit
+        assert any(
+            {"main_inequality_violation", "g_h_mismatch"} <= names for names in flags
+        ) == gns_audit
+
+
+def test_sweep_without_output_builds_no_text(monkeypatch):
+    def no_text(values, fmt):
+        raise AssertionError("a sweep without output built record text")
+
+    monkeypatch.setattr(harness, "_float_texts", no_text)
+    for gns_audit in (False, True):
+        assert run_sweep(_tiny_config(gns_audit=gns_audit)).total == 2 * 4 * 2
 
 
 def test_check_instance_passes_on_fixture(fixtures_dir):

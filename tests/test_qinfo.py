@@ -11,7 +11,6 @@ from skewcal.monotone import MonotoneFunction, from_key, harmonic, sld, wyd
 from skewcal.qinfo import (
     UncertaintyReport,
     _report_in_eigenbasis,
-    _report_rows,
     centered,
     covariance,
     eigenbasis_terms,
@@ -24,6 +23,22 @@ from skewcal.qinfo import (
 )
 
 ALL_KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
+
+
+def _rows(columns):
+    """The stacked report's columns as one ``UncertaintyReport.to_dict()``-shaped dict per (f, t), [f][t]."""
+    flags = qinfo._flag_names(columns["flags"], qinfo._FLAGS)
+    return [
+        [
+            {
+                **{name: columns[name][t, k].item() for name in qinfo._SCALARS},
+                "residuals": residuals[t].tolist(),
+                "flags": flags[k][t],
+            }
+            for t in range(len(residuals))
+        ]
+        for k, residuals in enumerate(columns["residuals"])
+    ]
 
 
 def _random_instance(dim, tag):
@@ -235,10 +250,10 @@ def test_stacked_report_flags_each_instance_on_its_own(fixture_a, fixture_b):
     a, b = (np.array([x.matrix] * len(states)) for x in (fixture_a, fixture_b))
     # one call covers every entry, and entry i is the call on functions[i] alone
     functions = [bogus, *(from_key(key) for key in ALL_KEYS)]
-    reports = _report_rows(_report_in_eigenbasis(eigenbasis_terms(rho, functions, a, b), 1e-9))
+    reports = _rows(_report_in_eigenbasis(eigenbasis_terms(rho, functions, a, b), 1e-9))
     assert len(reports) == len(functions)
     for f, rows in zip(functions, reports):
-        (alone,) = _report_rows(_report_in_eigenbasis(eigenbasis_terms(rho, [f], a, b), 1e-9))
+        (alone,) = _rows(_report_in_eigenbasis(eigenbasis_terms(rho, [f], a, b), 1e-9))
         assert repr(rows) == repr(alone)
     rows = reports[0]
     assert [row["flags"] for row in rows][::2] == [[], []]
@@ -299,7 +314,7 @@ def test_report_flags_fire_alone_on_the_bad_row(flag, bad_row, key):
     good = (SKEWED, SIGMA_X, SIGMA_Z)
     states, a, b = (np.stack(parts) for parts in zip(good, bad_row()))
     terms = eigenbasis_terms(DensityMatrix(states), [from_key(key)], a, b)
-    (rows,) = _report_rows(_report_in_eigenbasis(terms, 1e-9))
+    (rows,) = _rows(_report_in_eigenbasis(terms, 1e-9))
     assert rows[0]["flags"] == []
     assert rows[1]["flags"] == [flag]
 
@@ -421,9 +436,9 @@ def test_report_over_f_entries_equals_single_entry_reports(dim):
         columns = _report_in_eigenbasis(eigenbasis_terms(rho, functions, a, b), 1e-9)
         assert columns["gap"].shape == (t, len(functions))
         assert columns["flags"].shape == (t, len(functions), len(qinfo._FLAGS))
-        rows = _report_rows(columns)
+        rows = _rows(columns)
         for f, f_rows in zip(functions, rows):
-            (alone,) = _report_rows(_report_in_eigenbasis(eigenbasis_terms(rho, [f], a, b), 1e-9))
+            (alone,) = _rows(_report_in_eigenbasis(eigenbasis_terms(rho, [f], a, b), 1e-9))
             assert repr(f_rows) == repr(alone), (dim, t, f.name)
 
 
