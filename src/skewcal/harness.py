@@ -3,17 +3,25 @@
 Reproducibility contract: every trial derives its seed as
 hash64(seed, dim, trial) where hash64 absorbs each 64-bit word into one
 splitmix64 step (h starts at 0; for each word, h becomes the splitmix64
-output of state h XOR word). The state, the two observables, and therefore
-every record are functions of that per-trial seed alone, so rerunning a
-configuration reproduces the output stream byte for byte. Records are
-written in (dim, f, trial) order, and the sweep summarizes them through
-``summarize_records``, whose reductions are order independent, so the
-summary is invariant under shuffling of the record stream.
+output of state h XOR word). The state and the two observables draw from
+the streams of ``default_rng(hash64(trial seed, k))`` for k = 0, 1, 2, so
+they, and therefore every record, are functions of that per-trial seed
+alone; rerunning a configuration reproduces the output stream byte for
+byte. Records are written in (dim, f, trial) order, and the sweep
+summarizes them through ``summarize_records``, whose reductions are order
+independent, so the summary is invariant under shuffling of the record
+stream.
 
 Stacked evaluation: a sweep runs each dimension n in chunks of up to
-T = max(1, _STACK_ENTRIES // n**2) trials. The per-trial seeds are
-unchanged and each trial still draws from its own generators; the samplers
-take the chunk's seeds and return validated stacks. Sampling, validation
+T = max(1, _STACK_ENTRIES // n**2) trials. Every seed of the sweep is
+derived once, before the first chunk, in one array pass: hash64 over
+arrays of (dim, trial) and then of (trial seed, k), and numpy's
+SeedSequence hash of each stream seed, into one (dims, trials, 3, 4)
+table of the words that PCG64 takes from it (``_sweep_seeds``). Each
+trial draws from its own generators, seeded by ISeedSequences that hand
+over its rows (``linalg.preset_seeds``), so every stream is that of
+``default_rng`` of its integer seed bit for bit; the samplers take the
+chunk's seeds and return validated stacks. Sampling, validation
 (with one batched eigh) and the Frobenius normalisation run once per chunk.
 The chunk's observables are then rotated into the states' eigenbases once,
 and tilde is evaluated on the eigenvalue ratios once per catalog entry
@@ -27,11 +35,14 @@ per column block: the scalars that do not depend on f once per trial, the
 others and the residuals once per (trial, entry). Only the draws and the
 observables' Frobenius norms run per trial. A rejected trial is reported
 with its (dim, trial, seed). The stacks and the report's temporaries hold
-O(_STACK_ENTRIES) numbers whatever the trial count; the records of one
-dimension, with their text when there is output, are kept until it is
-written. Every stacked operation and reduction acts on one trial's
-entries, so a record's bits do not depend on the chunk its trial fell in,
-and equal those of ``evaluate_inequalities`` on the regenerated instance.
+O(_STACK_ENTRIES) numbers whatever the trial count; the seed table holds
+O(dims x trials) words, 104 B per (dim, trial) for the trial seed and its
+three streams' words, for the whole sweep (its construction peaks near
+475 B per (dim, trial) of temporaries); the records of one dimension,
+with their text when there is output, are kept until it is written.
+Every stacked operation and reduction acts on one trial's entries, so a
+record's bits do not depend on the chunk its trial fell in, and equal
+those of ``evaluate_inequalities`` on the regenerated instance.
 """
 
 from __future__ import annotations
@@ -51,8 +62,10 @@ from .linalg import (
     StackRejection,
     load_density,
     load_hermitian,
+    preset_seeds,
     random_density,
     random_hermitian,
+    seed_sequence_words,
 )
 from .monotone import from_key
 from .qinfo import (
@@ -102,8 +115,12 @@ _PER_ENTRY = [_SCALARS.index(name) for name in ("info_a", "info_b", "corr_ab", "
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def splitmix64(state: int) -> tuple[int, int]:
-    """One step of the splitmix64 stream: (next_state, output)."""
+def splitmix64(state):
+    """One step of the splitmix64 stream: (next_state, output).
+
+    ``state`` is an int below 2**64 or a uint64 array, whose arithmetic
+    wraps at 64 bits as the masks do for an int.
+    """
     state = (state + _GOLDEN) & _MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -111,11 +128,17 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def hash64(*words: int) -> int:
-    """Deterministic 64-bit hash of integer words via chained splitmix64 steps."""
+def hash64(*words):
+    """Deterministic 64-bit hash of integer words via chained splitmix64 steps.
+
+    Integer words give a Python int. A word may also be an integer array:
+    the hash then runs elementwise on uint64 arrays, broadcast over the
+    words, and equals the integer hash of each element's words.
+    """
     h = 0
     for w in words:
-        _, h = splitmix64(h ^ (int(w) & _MASK64))
+        w = w.astype(np.uint64) if isinstance(w, np.ndarray) else int(w) & _MASK64
+        _, h = splitmix64(h ^ w)
     return h
 
 
@@ -268,18 +291,34 @@ def _normalize(stack: np.ndarray) -> None:
     stack /= norms[:, None, None]
 
 
-def _chunk_instances(config: SweepConfig, dim: int, trials: range):
+def _sweep_seeds(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every seed of a sweep in one array pass: (trial seeds (D, N), stream words (D, N, 3, 4)).
+
+    Trial seed [d, t] is hash64(seed, dims[d], t); its streams k = 0, 1, 2
+    (the state, then the two observables) are seeded by hash64(trial seed,
+    k), and words [d, t, k] are that stream seed's SeedSequence words.
+    """
+    dims = np.array(config.dims, dtype=np.uint64)
+    trial_seeds = hash64(config.seed, dims[:, None], np.arange(config.trials, dtype=np.uint64))
+    stream_seeds = hash64(trial_seeds[..., None], np.arange(3, dtype=np.uint64))
+    return trial_seeds, seed_sequence_words(stream_seeds)
+
+
+def _chunk_instances(config: SweepConfig, dim: int, trials: range, trial_seeds, words):
     """Draw, validate and normalise the instances of one chunk of trials.
 
-    Returns the per-trial seeds, the states as one stacked DensityMatrix
-    and both observables as (T, n, n) standard-basis stacks. A rejected
-    instance raises ValueError naming (dim, trial, seed).
+    ``trial_seeds`` (N,) and ``words`` (N, 3, 4) are the dimension's rows
+    of the sweep's seed table. Returns the chunk's trial seeds as ints,
+    the states as one stacked DensityMatrix and both observables as
+    (T, n, n) standard-basis stacks. A rejected instance raises ValueError
+    naming (dim, trial, seed).
     """
-    seeds = [hash64(config.seed, dim, trial) for trial in trials]
+    seeds = trial_seeds[trials.start : trials.stop].tolist()
+    streams = words[trials.start : trials.stop]
     try:
-        rho = random_density(dim, [hash64(s, 0) for s in seeds])
-        a = random_hermitian(dim, [hash64(s, 1) for s in seeds]).matrix
-        b = random_hermitian(dim, [hash64(s, 2) for s in seeds]).matrix
+        rho = random_density(dim, preset_seeds(streams[:, 0]))
+        a = random_hermitian(dim, preset_seeds(streams[:, 1])).matrix
+        b = random_hermitian(dim, preset_seeds(streams[:, 2])).matrix
     except StackRejection as exc:
         k = exc.index
         raise ValueError(f"dim {dim}, trial {trials[k]}, seed {seeds[k]}: {exc}") from exc
@@ -296,12 +335,13 @@ def _records(config: SweepConfig, functions):
     ``config.output_path``, and None when it writes nothing.
     """
     fmt = None if config.output_path is None else config.format
-    for dim in config.dims:
+    trial_seeds, words = _sweep_seeds(config)
+    for dim, dim_seeds, dim_words in zip(config.dims, trial_seeds, words):
         chunk = min(config.trials, max(1, _STACK_ENTRIES // (dim * dim)))
         by_f = [[] for _ in functions]
         for start in range(0, config.trials, chunk):
             trials = range(start, min(start + chunk, config.trials))
-            seeds, rho, a, b = _chunk_instances(config, dim, trials)
+            seeds, rho, a, b = _chunk_instances(config, dim, trials, dim_seeds, dim_words)
             # one rotation and one tilde pass per f, read by one report and
             # one audit that each cover the chunk's (trial, f) grid
             terms = eigenbasis_terms(rho, functions, a, b)

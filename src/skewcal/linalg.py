@@ -14,13 +14,16 @@ ValueError whose message is the reason alone and whose ``index`` names
 the failing matrix, so a single matrix fails at index 0 with the text
 that matrix k of a stack gets. The samplers take one seed or a sequence
 of per-matrix seeds and return the same type either way: a sequence
-gives a stack whose slices equal the one-seed draws bit for bit.
+gives a stack whose slices equal the one-seed draws bit for bit. A seed
+is an integer or an ISeedSequence; ``seed_sequence_words`` and
+``preset_seeds`` turn an array of integer seeds into ISeedSequences that
+draw the integers' streams in one hash pass.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -41,9 +44,11 @@ __all__ = [
     "matrix_to_json",
     "modular_kernel_apply",
     "modular_kernel_matrix",
+    "preset_seeds",
     "random_density",
     "random_hermitian",
     "save_matrix",
+    "seed_sequence_words",
 ]
 
 # Inputs may carry round-off off Hermiticity; repairs up to this max-abs
@@ -274,14 +279,17 @@ def modular_kernel_apply(rho: DensityMatrix, f: MonotoneFunction, a) -> np.ndarr
 
 
 def _is_seed(seed) -> bool:
-    return isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if isinstance(seed, (int, np.integer)):
+        return not isinstance(seed, bool)
+    return isinstance(seed, np.random.bit_generator.ISeedSequence)
 
 
-def _seed_list(seed: int | Sequence[int]) -> tuple[list, bool]:
-    """(seeds, stacked): an integer seed is a stack of one, a sequence one seed per matrix.
+def _seed_list(seed) -> tuple[list, bool]:
+    """(seeds, stacked): one seed is a stack of one, a sequence one seed per matrix.
 
-    A seed is a Python or numpy integer, never a bool; anything else, an
-    empty sequence or a string (bytes would read as their character codes)
+    A seed is a Python or numpy integer, never a bool, or an
+    ``np.random.bit_generator.ISeedSequence``; anything else, an empty
+    sequence or a string (bytes would read as their character codes)
     raises ValueError.
     """
     if _is_seed(seed):
@@ -295,12 +303,115 @@ def _seed_list(seed: int | Sequence[int]) -> tuple[list, bool]:
     return seeds, True
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, pool size 4):
+# every word is a uint32 and every product wraps mod 2**32. Its hash
+# constant runs through a fixed sequence whatever the entropy, so each
+# step's constants are precomputed here, as (steps, 1) columns.
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and the multiply constant of each of ``steps`` consecutive hashmix steps."""
+    xors, mults = [], []
+    for _ in range(steps):
+        xors.append(init)
+        init = init * mult & 0xFFFFFFFF
+        mults.append(init)
+    return np.array(xors, dtype=np.uint32)[:, None], np.array(mults, dtype=np.uint32)[:, None]
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 ``words`` with ``xor`` and ``mult`` broadcast; a new array."""
+    out = words ^ xor
+    out *= mult
+    out ^= out >> 16
+    return out
+
+
+# mix_entropy: steps 0-3 hash the pool's 4 words (2 entropy words, then 0
+# twice), then 3 steps for each source word's mix into the other words
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+# generate_state(4, np.uint64): 8 uint32 words, from pool words 0-3 twice
+_OUT_XOR, _OUT_MULT = (c.reshape(2, 4, 1) for c in _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+
+
+def seed_sequence_words(seeds) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every s of a uint64 array, in one pass.
+
+    Returns the (*seeds.shape, 4) uint64 words that ``PCG64(s)`` takes
+    from numpy's SeedSequence hash, so ``preset_seeds`` of them draws the
+    integer seeds' streams bit for bit. A seed below 2**32 is one entropy
+    word and a larger one two, but SeedSequence fills the rest of its pool
+    by hashing 0 words, so both are hashed as their (low, high) words here.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    flat = seeds.ravel()
+    entropy = np.zeros((4, flat.size), dtype=np.uint32)
+    np.bitwise_and(flat, 0xFFFFFFFF, out=entropy[0], casting="unsafe")
+    np.right_shift(flat, 32, out=entropy[1], casting="unsafe")
+    pool = _hashmix(entropy, _POOL_XOR[:4], _POOL_MULT[:4])
+    # each source word's hashmix, mixed into the other three words at once
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        h = _hashmix(pool[src], _POOL_XOR[steps], _POOL_MULT[steps])
+        mixed = pool[dst] * _MIX_MULT_L - h * _MIX_MULT_R
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    out = _hashmix(pool, _OUT_XOR, _OUT_MULT).reshape(8, -1)
+    # uint64 word j is uint32 words 2j (low half) and 2j + 1, as numpy's
+    # little-endian view makes them
+    words = np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    return words.reshape(seeds.shape + (4,))
+
+
+@functools.cache
+def _preset_seed_type() -> type:
+    """The ISeedSequence that hands PCG64 precomputed words; built on first use.
+
+    ``import skewcal`` does not load numpy.random, so the class is defined
+    when a sweep first needs it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetSeed(ISeedSequence):
+        """A seed whose ``generate_state(4, np.uint64)`` returns its four stored words."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"a preset seed holds generate_state(4, np.uint64) only, "
+                    f"got ({n_words!r}, {dtype!r})"
+                )
+            return self.words
+
+    return PresetSeed
+
+
+def preset_seeds(words: np.ndarray) -> list:
+    """One ISeedSequence per row of a (T, 4) uint64 table of ``seed_sequence_words``.
+
+    ``default_rng`` of seed k draws the stream of the integer whose words
+    are row k. Any other ``generate_state`` request raises ValueError.
+    """
+    preset = _preset_seed_type()
+    return [preset(row) for row in np.ascontiguousarray(words, dtype=np.uint64)]
+
+
 def _ginibre(dim: int, seeds: list) -> np.ndarray:
     """(T, n, n) stack of i.i.d. standard complex Gaussian matrices, one per seed.
 
     Matrix k takes its real parts, then its imaginary parts, from one
     ``standard_normal((2, n, n))`` draw of ``default_rng(seeds[k])``: the
-    same stream as two (n, n) draws.
+    same stream as two (n, n) draws. A seed is an integer or an
+    ISeedSequence: ``preset_seeds(seed_sequence_words(seeds))`` draws the
+    integer seeds' streams bit for bit, and saves ``default_rng`` numpy's
+    SeedSequence hash of each integer.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
@@ -313,11 +424,12 @@ def _ginibre(dim: int, seeds: list) -> np.ndarray:
     return g
 
 
-def random_hermitian(dim: int, seed: int | Sequence[int]) -> HermitianMatrix:
+def random_hermitian(dim: int, seed) -> HermitianMatrix:
     """GUE-type draw (G + G†)/2 with G i.i.d. standard complex Gaussian.
 
-    An integer ``seed`` gives one matrix; a sequence of T seeds gives the
-    (T, n, n) stack whose matrix k is ``random_hermitian(dim, seed[k]).matrix``.
+    One ``seed``, an integer or an ISeedSequence, gives one matrix; a
+    sequence of T seeds gives the (T, n, n) stack whose matrix k is
+    ``random_hermitian(dim, seed[k]).matrix``.
     """
     seeds, stacked = _seed_list(seed)
     g = _ginibre(dim, seeds)
@@ -326,12 +438,13 @@ def random_hermitian(dim: int, seed: int | Sequence[int]) -> HermitianMatrix:
     return HermitianMatrix(h if stacked else h[0])
 
 
-def random_density(dim: int, seed: int | Sequence[int]) -> DensityMatrix:
+def random_density(dim: int, seed) -> DensityMatrix:
     """Wishart-type draw G G† / Tr, mixed slightly toward the maximally mixed state.
 
-    An integer ``seed`` gives one state; a sequence of T seeds gives the
-    stack whose state k is ``random_density(dim, seed[k])``, validated and
-    decomposed with one batched eigh.
+    One ``seed``, an integer or an ISeedSequence, gives one state; a
+    sequence of T seeds gives the stack whose state k is
+    ``random_density(dim, seed[k])``, validated and decomposed with one
+    batched eigh.
     """
     seeds, stacked = _seed_list(seed)
     g = _ginibre(dim, seeds)

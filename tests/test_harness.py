@@ -78,6 +78,59 @@ def test_hash64_chains_splitmix_steps():
     assert len(values) == 64
 
 
+@pytest.mark.parametrize("seed", [-1, 0, 2**63, 2**64 - 1, 2**64 + 5])
+def test_hash64_over_arrays_equals_the_int_hash_elementwise(seed):
+    dims = np.array([1, 2, 3, 8, 64], dtype=np.uint64)
+    trials = np.arange(40)  # an int64 array is hashed as its uint64 words
+    seeds = hash64(seed, dims[:, None], trials)
+    assert seeds.dtype == np.uint64 and seeds.shape == (5, 40)
+    assert seeds.tolist() == [[hash64(seed, d, t) for t in range(40)] for d in dims.tolist()]
+    streams = hash64(seeds[..., None], np.arange(3))
+    assert streams.shape == (5, 40, 3)
+    assert streams.tolist() == [[[hash64(s, k) for k in range(3)] for s in row] for row in seeds.tolist()]
+    # integer words still give a Python int
+    assert type(hash64(seed, 3, 7)) is int and type(hash64(np.int64(3), np.uint64(7))) is int
+
+
+def test_sweep_seed_table_holds_each_streams_seed_sequence_words():
+    config = _tiny_config(dims=(2, 5, 64), trials=3, seed=2**64 - 1)
+    trial_seeds, words = harness._sweep_seeds(config)
+    assert trial_seeds.shape == (3, 3) and words.shape == (3, 3, 3, 4)
+    for d, dim in enumerate(config.dims):
+        for trial in range(config.trials):
+            seed = hash64(config.seed, dim, trial)
+            assert trial_seeds[d, trial] == seed
+            for k in range(3):
+                expected = np.random.SeedSequence(hash64(seed, k)).generate_state(4, np.uint64)
+                assert words[d, trial, k].tobytes() == expected.tobytes()
+
+
+def test_sweep_seeds_once_and_never_hashes_an_int_seed_per_trial(monkeypatch):
+    # the whole sweep's seeds come from one array pass; no stream is seeded
+    # by default_rng of an int, whose SeedSequence hash runs per call
+    hashes, rng_seeds = [], []
+    real_hash, real_rng = harness.hash64, np.random.default_rng
+
+    def counted_hash(*words):
+        hashes.append(words)
+        return real_hash(*words)
+
+    def counted_rng(seed=None):
+        rng_seeds.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(harness, "hash64", counted_hash)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    records = []
+    run_sweep(_tiny_config(dims=(2, 3, 64), trials=5), records.append)
+    assert len(hashes) == 2
+    assert len(rng_seeds) == 3 * 3 * 5
+    assert not any(isinstance(seed, (int, np.integer)) for seed in rng_seeds)
+    # a record's seed is a Python int, as json and csv spell it
+    assert all(type(r["seed"]) is int for r in records)
+    assert records[0]["seed"] == real_hash(11, 2, 0)
+
+
 def test_sweep_config_normalization_and_validation():
     config = SweepConfig(dims=(4, 2, 2, 3), trials=5, f_specs=("sld",))
     assert config.dims == (2, 3, 4)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -222,6 +224,79 @@ def test_samplers_reject_seeds_that_are_not_integers(sampler):
     draws = [sampler(3, seed).matrix for seed in seeds]
     for draw in draws[1:]:
         assert draw.reshape(3, 3).tobytes() == draws[0].tobytes()
+
+
+# Seeds at every word boundary of SeedSequence's entropy (one uint32 word
+# below 2**32, two from 2**32 on), then small, 32-bit and full 64-bit ones.
+EDGE_SEEDS = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+def _word_test_seeds() -> np.ndarray:
+    rng = np.random.default_rng(20081)
+    return np.concatenate(
+        [
+            np.array(EDGE_SEEDS, dtype=np.uint64),
+            np.arange(3, 1000, dtype=np.uint64),
+            rng.integers(0, 2**32, 1000, dtype=np.uint64),
+            rng.integers(0, 2**64 - 1, 1000, dtype=np.uint64, endpoint=True),
+        ]
+    )
+
+
+def test_seed_sequence_words_equal_numpy_seed_sequence():
+    seeds = _word_test_seeds()
+    assert len(seeds) >= 3000 and (seeds < 2**32).sum() >= 1000
+    words = linalg.seed_sequence_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    for seed, row in zip(seeds.tolist(), words):
+        expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert row.tobytes() == expected.tobytes(), seed
+    # any shape of seeds: one row of words per seed, in place
+    shaped = linalg.seed_sequence_words(seeds[:24].reshape(2, 4, 3))
+    assert shaped.shape == (2, 4, 3, 4)
+    assert shaped.reshape(-1, 4).tobytes() == words[:24].tobytes()
+
+
+def test_preset_seeds_draw_the_integer_streams_bit_for_bit():
+    seeds = _word_test_seeds()[::15]
+    presets = linalg.preset_seeds(linalg.seed_sequence_words(seeds))
+    for seed, preset in zip(seeds.tolist(), presets):
+        mine, theirs = np.random.default_rng(preset), np.random.default_rng(seed)
+        assert mine.standard_normal((2, 5, 5)).tobytes() == theirs.standard_normal((2, 5, 5)).tobytes()
+        # the generators stay in step past the first draw
+        assert mine.integers(0, 2**63, 8).tobytes() == theirs.integers(0, 2**63, 8).tobytes()
+    # the samplers take them, one or a sequence, next to the integers
+    ints = seeds[:6].tolist()
+    for sampler in (random_hermitian, random_density):
+        assert sampler(4, presets[:6]).matrix.tobytes() == sampler(4, ints).matrix.tobytes()
+        assert sampler(4, presets[0]).matrix.tobytes() == sampler(4, ints[0]).matrix.tobytes()
+
+
+def test_preset_seed_holds_only_pcg64s_request():
+    (preset,) = linalg.preset_seeds(linalg.seed_sequence_words(np.array([7], dtype=np.uint64)))
+    assert preset.generate_state(4, np.uint64).tobytes() == (
+        np.random.SeedSequence(7).generate_state(4, np.uint64).tobytes()
+    )
+    for request in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (4,)):
+        with pytest.raises(ValueError, match="generate_state"):
+            preset.generate_state(*request)
+    # a bit generator that asks for other words fails instead of seeding wrong
+    with pytest.raises(ValueError, match="generate_state"):
+        np.random.MT19937(preset)
+
+
+def test_import_skewcal_does_not_load_numpy_random():
+    # numpy.random costs ~10 ms of import; a sweep loads it on its first draw
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, skewcal; print('numpy.random' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # Every stack rejection below is checked with the bad matrix at each position
