@@ -43,12 +43,12 @@ one value per state, each from that state's entries alone. The audit
 runs once per stack and covers every catalog entry in the same array
 pass (:func:`audit_G_equals_H`), returning (T, F) columns; a single
 state's spectral arrays broadcast as a stack of one, with no second
-eigendecomposition. It takes the observables' eigenbasis entries and the
-(T, F, n, n) tilde values on the eigenvalue ratios from
-:func:`skewcal.qinfo.eigenbasis_terms`, the one rotation and the one
-tilde pass per catalog entry that the stacked report reads too. The
-kernels are those tilde values times lam_j, and H reads them at the
-atoms, which are the eigenbasis entries in ravel order.
+eigendecomposition. It takes the observables' eigenbasis entries, the
+(T, F, n, n) tilde values on the eigenvalue ratios and the kernels
+lam_j tilde from :func:`skewcal.qinfo.eigenbasis_terms`, the one rotation
+and the one catalog tilde call that the stacked report reads too; H reads
+the tilde values at the atoms, which are the eigenbasis entries in ravel
+order.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
+    _dot,
     _kernel_apply_stack,
     _product_traces,
     as_matrix,
@@ -225,11 +226,12 @@ class AtomicPairMeasure:
         so the second term is 0 and C of round-off size.
         """
         a, b, z = self.m_xx, self.m_yy, self.m_xy
-        a_pos, a_neg, b_pos, b_neg = (np.maximum(m, 0.0) for m in (a, -a, b, -b))
-        g = np.sqrt(a_pos * b_pos)
+        # [[a+, b+], [a-, b-]], and their largest entries [[A+, B+], [A-, B-]]
+        parts = np.maximum(np.array(((a, b), (-a, -b))), 0.0)
+        (pos_a, pos_b), (neg_a, neg_b) = np.max(parts, axis=-1)
+        g = np.sqrt(parts[0, 0] * parts[0, 1])
         s = np.max(g, axis=-1)
         c = np.max(np.maximum(np.abs(z) - g, 0.0), axis=-1)
-        pos_a, neg_a, pos_b, neg_b = (np.max(m, axis=-1) for m in (a_pos, a_neg, b_pos, b_neg))
         # + 0.0 turns the -0.0 of a zero bound into 0.0
         off = -2.0 * (2.0 * s * c + c * c) - 2.0 * (pos_a * neg_b + neg_a * pos_b) + 0.0
         return _value(np.minimum(np.min(self.weights, axis=-1), off))
@@ -258,11 +260,13 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     equals the K^2 array's diagonal bit for bit.
     """
     lead = np.shape(xt)[:-2]
-    lam = m.eigenvalues[..., None, :]
-    m_xx, m_yy, m_xy = (
-        (entries * lam).reshape(lead + (-1,))
-        for entries in (np.abs(xt) ** 2, np.abs(et) ** 2, np.real(np.conj(xt) * et))
-    )
+    # the three marginals as one (3, ..., K) array: |xt|^2, |et|^2, Re(conj(xt) et)
+    pair = np.array((xt, et))
+    entries = np.empty((3,) + pair.shape[1:])
+    entries[:2] = np.abs(pair) ** 2
+    entries[2] = np.real(np.conj(pair[0]) * pair[1])
+    entries *= m.eigenvalues[..., None, :]
+    m_xx, m_yy, m_xy = entries.reshape((3,) + lead + (-1,))
     return AtomicPairMeasure(
         values=np.broadcast_to(m.spectrum(), m_xx.shape),
         weights=2.0 * (m_xx * m_yy - m_xy * m_xy),
@@ -270,11 +274,6 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
         m_yy=m_yy,
         m_xy=m_xy,
     )
-
-
-def _dot(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """p . w over the last axis: one BLAS dot per state (and entry), whatever the stack."""
-    return (p[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
 def h_from_measure(mu: AtomicPairMeasure, q):
@@ -300,9 +299,9 @@ def h_from_measure(mu: AtomicPairMeasure, q):
     atoms = np.shape(mu.values)
     if q.ndim != len(atoms) + 1 or q.shape[:-2] + q.shape[-1:] != atoms:
         raise ValueError(f"tilde values {q.shape} do not match atoms {atoms} with an entry axis")
-    p = mu.values + 1.0
-    px, py, pz = (_dot(p, w)[..., None] for w in (mu.m_xx, mu.m_yy, mu.m_xy))
-    qx, qy, qz = (_dot(q, w[..., None, :]) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
+    marginals = np.array((mu.m_xx, mu.m_yy, mu.m_xy))
+    px, py, pz = _dot(mu.values + 1.0, marginals)[..., None]
+    qx, qy, qz = _dot(q, marginals[..., None, :])
     return 0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz))
 
 
@@ -325,9 +324,10 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     """Check the trace-route inequality gap against its spectral double integral.
 
     ``terms`` is :func:`~skewcal.qinfo.eigenbasis_terms` of ``m.rho``: the
-    observables a and b, their eigenbasis entries u† a u and u† b u, and
-    the (T, F, n, n) tilde values on the eigenvalue ratios, the arrays the
-    stacked report reads too. The audit covers the (T, F) grid of states
+    observables a and b, their eigenbasis entries u† a u and u† b u, the
+    (T, F, n, n) tilde values on the eigenvalue ratios and the kernels
+    k = tilde * lam_j, the arrays the stacked report reads too. The audit
+    covers the (T, F) grid of states
     (T = 1 for one state) and catalog entries in one pass and returns
     columns: ``G``, ``H``, ``residual`` = |G - H| and ``gform_min`` as
     (T, F) arrays, ``mu_min_atom`` as a (T,) array (mu does not depend on
@@ -340,20 +340,29 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     -MU_ATOM_SLACK times its mass, and a negative quadratic form G^f on
     either centered observable.
 
-    Once per stack: Tr(rho a), Tr(rho b), Re Tr(rho aa), Re Tr(rho bb),
-    Re Tr(rho ab), so the variances and the covariance; the centered
-    observables, and their eigenbasis entries u† a u - Tr(rho a) 1 (the
-    centering commutes with the rotation), shared by the graph forms E1 and
-    the measure mu. Over every entry at once: the modular kernels
-    k = tilde * lam_j, H by :func:`h_from_measure` from the (T, K)
-    marginals and the (T, F, K) per-atom tilde values, and the kernel form
-    F of G^f = E1 / 2 - F. The 2FT products k o (u† a u) and k o (u† b u)
-    go back to the standard basis as one batch, validated finite and
+    Once per stack, a and b stacked as (2, T, ...) rows: Tr(rho a),
+    Tr(rho b), Re Tr(rho aa), Re Tr(rho bb), then Re Tr(rho ab), so the
+    variances and the covariance; the centered observables, and their
+    eigenbasis entries u† a u - Tr(rho a) 1 (the centering commutes with the
+    rotation), shared by the graph forms E1 (one call for both) and the
+    measure mu (its three marginals one array). Over every entry at once:
+    H by :func:`h_from_measure` from the (T, K) marginals and the (T, F, K)
+    per-atom tilde values, and the kernel forms F of G^f = E1 / 2 - F of
+    both centered observables in one call. The 2FT products k o (u† a u)
+    and k o (u† b u) go back to the standard basis as one batch, validated finite and
     Hermitian (a failure raises ValueError). The informations and the
     correlation are then Re Tr(rho x y) - Re Tr(kx y) against the unrotated
     observables, the last trace as an entry sum, the same operations as
     :func:`~skewcal.qinfo.f_correlation`, so G equals the public direct
     route bit for bit.
+
+    G = H is an identity for states of trace 1. G's traces and H's measure
+    of the centered observables use Tr rho in different places (for one,
+    Re Tr(rho a0 b0) = cov_ab - Tr(rho a) Tr(rho b) (1 - Tr rho)), so
+    |G - H| carries a term of order |Tr rho - 1| times the observables'
+    scale, which a DensityMatrix admits up to TRACE_TOL = 1e-10. That term
+    lies far below G_H_RTOL and is the audit's residual floor on such
+    states; at trace 1 only round-off is left.
     """
     if terms.rho is not m.rho:
         raise ValueError("terms were computed for another state than the model's")
@@ -362,26 +371,29 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     rho, ma, mb = m.rho.matrix.reshape(-1, n, n), terms.a, terms.b
     t, f = terms.tilde.shape[:2]
 
-    # the f-independent half: Tr(rho x) and Re Tr(rho x y), each once
-    ra, rb = rho @ ma, rho @ mb
-    exp_a, exp_b = _real_trace(ra), _real_trace(rb)
-    tr_aa, tr_bb, tr_ab = (_real_trace(r @ y) for r, y in ((ra, ma), (rb, mb), (ra, mb)))
+    # the f-independent half, each once, with a and b stacked as (2, T, ...)
+    # rows: Tr(rho x) and Re Tr(rho x x), then Re Tr(rho a b)
+    pair = np.array((ma, mb))
+    r = rho @ pair
+    exp = _real_trace(r)
+    (exp_a, exp_b), (tr_aa, tr_bb) = exp, _real_trace(r @ pair)
+    tr_ab = _real_trace(r[0] @ mb)
     var_a = tr_aa - exp_a * exp_a
     var_b = tr_bb - exp_b * exp_b
     cov_ab = tr_ab - exp_a * exp_b
-    shift_a, shift_b = (x[:, None, None] * np.eye(n) for x in (exp_a, exp_b))
-    a0, b0 = ma - shift_a, mb - shift_b
-    at0, bt0 = terms.at - shift_a, terms.bt - shift_b
-    mu = build_mu(m, at0, bt0)
+    # the centered a0 and b0, and their eigenbasis entries
+    shift = exp[:, :, None, None] * np.eye(n)
+    centered = pair - shift
+    centered_t = np.array((terms.at, terms.bt)) - shift
+    mu = build_mu(m, *centered_t)
     mu_min = mu.min_weight_bound
     mu_negative = mu_min < -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0)
-    graph = [(xt, form_E1(m, x, x, (xt, xt))) for x, xt in ((a0, at0), (b0, bt0))]
+    e1 = form_E1(m, centered, centered, (centered_t, centered_t))
 
-    # one kernel per (state, entry), modular_kernel_matrix's expression on the
-    # shared tilde values, applied to both observables in one validated
-    # (T, 2F, n, n) batch ordered (k_0 o a, k_0 o b, k_1 o a, ...)
-    lam = m.eigenvalues.reshape(-1, n)
-    kernels = terms.tilde * lam[:, None, None, :]
+    # the shared kernel of each (state, entry), modular_kernel_matrix's
+    # expression, applied to both observables in one validated (T, 2F, n, n)
+    # batch ordered (k_0 o a, k_0 o b, k_1 o a, ...)
+    kernels = terms.kernels
     tilted = np.stack((terms.at, terms.bt), axis=1)
     mapped = (kernels[:, :, None] * tilted[:, None]).reshape(t, 2 * f, n, n)
     applied = _kernel_apply_stack(m.eigenvectors[..., None, :, :], mapped)
@@ -396,14 +408,12 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     h = h_from_measure(mu, terms.tilde.reshape(t, f, n * n))
     residual = np.abs(g - h)
 
-    # form_G(m, f, x, x) with the f-independent parts reused
+    # form_G(m, f, x, x) of a0 and b0 as (2, T, F) rows, with E1 reused
+    x = centered_t[:, :, None]
+    gforms = (0.5 * e1[..., None] - _weighted_form(kernels, x, x)).real
+    negative = gforms < -GFORM_SLACK * np.maximum(e1.real, 0.0)[..., None]
     mismatch = residual > G_H_RTOL * np.fmax(1.0, np.abs(g))
-    masks = [mismatch, mu_negative[:, None]]
-    gforms = []
-    for xt, e1 in graph:
-        gf = (0.5 * e1[:, None] - _weighted_form(kernels, xt[:, None], xt[:, None])).real
-        gforms.append(gf)
-        masks.append(gf < -GFORM_SLACK * np.maximum(e1.real, 0.0)[:, None])
+    masks = (mismatch, mu_negative[:, None], *negative)
     return {
         "G": g,
         "H": h,

@@ -22,9 +22,11 @@ trial draws from its own generators, seeded by ISeedSequences that hand
 over its rows (``linalg.preset_seeds``), so every stream is that of
 ``default_rng`` of its integer seed bit for bit; the samplers take the
 chunk's seeds and return validated stacks. Sampling, validation
-(with one batched eigh) and the Frobenius normalisation run once per chunk.
-The chunk's observables are then rotated into the states' eigenbases once,
-and tilde is evaluated on the eigenvalue ratios once per catalog entry
+(with one batched eigh) and the Frobenius normalisation (two BLAS dots over
+the whole stack, each matrix's norm bit for bit ``np.linalg.norm``) run
+once per chunk. The chunk's observables are then rotated into the states'
+eigenbases once, and tilde is evaluated on the eigenvalue ratios in one
+catalog call for every entry, with the kernels built from it once
 (``eigenbasis_terms``); one stacked report and, optionally, one G = H
 audit read those arrays side by side. Each covers the chunk's (trial,
 entry) grid in one array pass and returns (T, F) columns, the audit's
@@ -32,13 +34,14 @@ residual and flags appended to the report's. Each entry's records are
 built from those columns in one pass per chunk. A sweep that writes a
 file also turns the same columns into the records' text, one repr pass
 per column block: the scalars that do not depend on f once per trial, the
-others and the residuals once per (trial, entry). Only the draws and the
-observables' Frobenius norms run per trial. A rejected trial is reported
+others and the residuals once per (trial, entry). Only the draws run per
+trial. A rejected trial is reported
 with its (dim, trial, seed). The stacks and the report's temporaries hold
 O(_STACK_ENTRIES) numbers whatever the trial count; the seed table holds
 O(dims x trials) words, 104 B per (dim, trial) for the trial seed and its
-three streams' words, for the whole sweep (its construction peaks near
-475 B per (dim, trial) of temporaries); the records of one dimension,
+three streams' words, for the whole sweep (it is built in blocks of
+_SEED_BLOCK pairs, whose temporaries take about 400 B per pair); the
+records of one dimension,
 with their text when there is output, are kept until it is written.
 Every stacked operation and reduction acts on one trial's entries, so a
 record's bits do not depend on the chunk its trial fell in, and equal
@@ -60,6 +63,7 @@ import numpy as np
 from .gns import AUDIT_FLAGS, GnsModel, audit_G_equals_H
 from .linalg import (
     StackRejection,
+    _frobenius_norms,
     load_density,
     load_hermitian,
     preset_seeds,
@@ -101,6 +105,10 @@ MAX_SWEEP_DIM = 64
 # A sweep evaluates trials in chunks of at most this many matrix entries per
 # (T, n, n) stack, so T = max(1, _STACK_ENTRIES // n**2) trials per chunk.
 _STACK_ENTRIES = 8192
+
+# A sweep hashes its (dim, trial) pairs' seeds in blocks of this many pairs,
+# about 3 MB of temporaries per block; every bench workload fits in one.
+_SEED_BLOCK = 8192
 
 # A record's fields in order, which is also the csv header.
 CSV_COLUMNS = ("dim", "f", "trial", "seed", *_SCALARS, "residuals", "flags")
@@ -283,25 +291,38 @@ def summarize_records(records, tol: float = DEFAULT_TOL) -> SweepSummary:
 def _normalize(stack: np.ndarray) -> None:
     """Scale each matrix of a (T, n, n) stack to unit Frobenius norm, in place.
 
-    Each norm is ``np.linalg.norm`` of its own matrix, so its bits do not
+    The norms come from one pass over the stack (``linalg._frobenius_norms``),
+    each bit for bit ``np.linalg.norm`` of its own matrix, so they do not
     depend on the stack; a matrix of norm below 1e-300 is left as it is.
     """
-    norms = np.array([np.linalg.norm(m) for m in stack])
+    norms = _frobenius_norms(stack)
     norms[norms < 1e-300] = 1.0
     stack /= norms[:, None, None]
 
 
 def _sweep_seeds(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every seed of a sweep in one array pass: (trial seeds (D, N), stream words (D, N, 3, 4)).
+    """Every seed of a sweep: (trial seeds (D, N), stream words (D, N, 3, 4)).
 
     Trial seed [d, t] is hash64(seed, dims[d], t); its streams k = 0, 1, 2
     (the state, then the two observables) are seeded by hash64(trial seed,
-    k), and words [d, t, k] are that stream seed's SeedSequence words.
+    k), and words [d, t, k] are that stream seed's SeedSequence words. The
+    (dim, trial) pairs are hashed in blocks of _SEED_BLOCK rows, one array
+    pass each, written into the preallocated tables, so the hashes'
+    temporaries stay O(_SEED_BLOCK) whatever the sweep's size.
     """
     dims = np.array(config.dims, dtype=np.uint64)
-    trial_seeds = hash64(config.seed, dims[:, None], np.arange(config.trials, dtype=np.uint64))
-    stream_seeds = hash64(trial_seeds[..., None], np.arange(3, dtype=np.uint64))
-    return trial_seeds, seed_sequence_words(stream_seeds)
+    trials = config.trials
+    trial_seeds = np.empty((len(dims), trials), dtype=np.uint64)
+    words = np.empty((len(dims), trials, 3, 4), dtype=np.uint64)
+    flat_seeds, flat_words = trial_seeds.reshape(-1), words.reshape(-1, 3, 4)
+    for start in range(0, flat_seeds.size, _SEED_BLOCK):
+        block = slice(start, min(start + _SEED_BLOCK, flat_seeds.size))
+        rows = np.arange(block.start, block.stop)
+        seeds = hash64(config.seed, dims[rows // trials], (rows % trials).astype(np.uint64))
+        flat_seeds[block] = seeds
+        streams = hash64(seeds[:, None], np.arange(3, dtype=np.uint64))
+        flat_words[block] = seed_sequence_words(streams)
+    return trial_seeds, words
 
 
 def _chunk_instances(config: SweepConfig, dim: int, trials: range, trial_seeds, words):
@@ -342,7 +363,7 @@ def _records(config: SweepConfig, functions):
         for start in range(0, config.trials, chunk):
             trials = range(start, min(start + chunk, config.trials))
             seeds, rho, a, b = _chunk_instances(config, dim, trials, dim_seeds, dim_words)
-            # one rotation and one tilde pass per f, read by one report and
+            # one rotation and one catalog tilde call, read by one report and
             # one audit that each cover the chunk's (trial, f) grid
             terms = eigenbasis_terms(rho, functions, a, b)
             columns = _report_in_eigenbasis(terms, config.tol)
@@ -350,11 +371,17 @@ def _records(config: SweepConfig, functions):
             flags = _flag_names(columns["flags"], _FLAGS)
             if config.gns_audit:
                 audit = audit_G_equals_H(GnsModel(rho), terms)
-                residuals = [np.column_stack((r, col)) for r, col in zip(residuals, audit["residual"].T)]
+                residuals = [
+                    np.concatenate((r, col[:, None]), axis=1)
+                    for r, col in zip(residuals, audit["residual"].T)
+                ]
                 flags = [
                     [names + more for names, more in zip(f_flags, f_more)]
                     for f_flags, f_more in zip(flags, _flag_names(audit["flags"], AUDIT_FLAGS))
                 ]
+            # the chunk's (T, F, n, n) tilde values and kernels are done with:
+            # free them before its text and the next chunk's stacks are built
+            del terms
             # (F, T, len(_SCALARS)): the _SCALARS values of each (entry, trial)
             scalars = np.array([columns[name] for name in _SCALARS]).transpose(2, 1, 0)
             if fmt is None:

@@ -14,6 +14,7 @@ tilde(x) = x * tilde(1/x).
 
 from __future__ import annotations
 
+import functools
 import logging
 import numbers
 from dataclasses import asdict, dataclass
@@ -83,27 +84,83 @@ def wyd_f(beta: float, x) -> float | np.ndarray:
     beta = _require_beta(beta)
     arr = _as_positive_array(x)
     u = arr - 1.0
-    near = np.abs(u) < WYD_SERIES_WINDOW
-    safe = np.where(near, 2.0, arr)
-    num = beta * (1.0 - beta) * np.square(safe - 1.0)
-    den = (np.power(safe, beta) - 1.0) * (np.power(safe, 1.0 - beta) - 1.0)
-    gamma = beta * (1.0 - beta)
-    series = 1.0 + 0.5 * u - (1.0 - gamma) / 12.0 * np.square(u)
-    out = np.where(near, series, num / den)
+    (out,) = _wyd_values([beta], arr, u, np.square(u))
     return _match_input(out, x)
 
 
-def tilde_transform(f: "MonotoneFunction", x, clamp: bool = True) -> float | np.ndarray:
+def _wyd_values(betas, arr: np.ndarray, u: np.ndarray, u_sq: np.ndarray) -> np.ndarray:
+    """wyd_f of each beta on the positive array ``arr``, as a (len(betas), *arr.shape) array.
+
+    ``u`` is arr - 1 and ``u_sq`` its square. Only the powers x^b and
+    x^(1-b) are taken once per beta, each the call a lone entry makes, so
+    that numpy's scalar-exponent paths (sqrt for 0.5) give the same bits;
+    the window, the quotient and the series run once over every beta.
+    """
+    near = np.abs(u) < WYD_SERIES_WINDOW
+    safe = np.where(near, 2.0, arr)
+    b = np.array(betas, dtype=float).reshape((-1,) + (1,) * arr.ndim)
+    den = np.empty(b.shape[:1] + arr.shape)
+    out = np.empty_like(den)
+    for k, beta in enumerate(betas):
+        den[k] = np.power(safe, beta)
+        out[k] = np.power(safe, 1.0 - beta)
+    den -= 1.0
+    out -= 1.0
+    den *= out
+    gamma = b * (1.0 - b)
+    np.multiply(gamma, np.square(safe - 1.0), out=out)
+    out /= den
+    # the series, in den: (1 + u/2) - ((1 - gamma) / 12) u^2
+    np.multiply((1.0 - gamma) / 12.0, u_sq, out=den)
+    np.subtract(1.0 + 0.5 * u, den, out=den)
+    np.copyto(out, den, where=near)
+    return out
+
+
+def _is_wyd(f: "MonotoneFunction") -> bool:
+    """Whether ``f`` is an entry built by :func:`wyd`, whose values ``_wyd_values`` gives."""
+    return isinstance(f.evaluate, functools.partial) and f.evaluate.func is wyd_f
+
+
+def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
     """Apply tilde(x) = ((x + 1) - (x - 1)^2 * f(0) / f(x)) / 2 elementwise.
 
+    ``f`` is one catalog entry, and the result is shaped like ``x``, or a
+    sequence of F entries: ``x`` is then a (..., n, n) stack of ratio
+    matrices and the result the (..., F, n, n) array whose [..., k, :, :]
+    is entry k's transform. A catalog call checks positivity and forms
+    x + 1, (x - 1)^2 and the wyd series window once for every entry, and
+    the entries built by :func:`wyd` share one pass; each value has the
+    bits of the entry's own call.
+
     Round-off can push the mathematically nonnegative result a hair below
-    zero; values in [TILDE_CLAMP_FLOOR, 0) are clamped to 0 and logged when
-    ``clamp`` is set. Larger negatives are returned untouched so validation
-    can see them.
+    zero; values in [TILDE_CLAMP_FLOOR, 0) are clamped to 0 and logged
+    (one count per call) when ``clamp`` is set. Larger negatives are
+    returned untouched so validation can see them.
     """
     arr = _as_positive_array(x)
-    fx = np.asarray(f(arr), dtype=float)
-    out = 0.5 * ((arr + 1.0) - np.square(arr - 1.0) * (f.f_at_zero / fx))
+    u = arr - 1.0
+    u_sq = np.square(u)
+    if isinstance(f, MonotoneFunction):
+        fx = np.asarray(f(arr), dtype=float)
+        out = 0.5 * ((arr + 1.0) - u_sq * (f.f_at_zero / fx))
+    else:
+        entries = tuple(f)
+        if arr.ndim < 2:
+            raise ValueError(f"a catalog takes a stack of ratio matrices, got shape {arr.shape}")
+        fx = np.empty(arr.shape[:-2] + (len(entries),) + arr.shape[-2:])
+        wyd_at = [k for k, entry in enumerate(entries) if _is_wyd(entry)]
+        if wyd_at:
+            betas = [entries[k].params[0] for k in wyd_at]
+            fx[..., wyd_at, :, :] = np.moveaxis(_wyd_values(betas, arr, u, u_sq), 0, -3)
+        for k, entry in enumerate(entries):
+            if k not in wyd_at:
+                fx[..., k, :, :] = entry(arr)
+        # the single-entry expression above, in place in fx
+        out = np.divide(np.array([e.f_at_zero for e in entries])[:, None, None], fx, out=fx)
+        out *= u_sq[..., None, :, :]
+        np.subtract((arr + 1.0)[..., None, :, :], out, out=out)
+        out *= 0.5
     if clamp:
         neg = (out < 0.0) & (out >= TILDE_CLAMP_FLOOR)
         count = int(np.count_nonzero(neg))
@@ -146,7 +203,7 @@ def wyd(beta: float) -> MonotoneFunction:
     return MonotoneFunction(
         name=f"wyd:{beta!r}",
         params=(beta,),
-        evaluate=lambda x: wyd_f(beta, x),
+        evaluate=functools.partial(wyd_f, beta),
         f_at_zero=beta * (1.0 - beta),
     )
 

@@ -6,8 +6,9 @@ original matrices, the information quantities through the modular kernel
 of any catalog function; each validates an observable once per call.
 :func:`eigenbasis_terms` takes one state or a stack of T and F catalog
 entries at once: it rotates the observables into the eigenbasis once and
-evaluates tilde on the eigenvalue ratios once per entry, into one
-(T, F, n, n) array that the stacked report and the G = H audit both read.
+evaluates tilde on the eigenvalue ratios in one catalog call, into one
+(T, F, n, n) array, and its kernels lam_j tilde, that the stacked report
+and the G = H audit both read.
 The report computes the f-independent half (expectations, Var, Cov, lhs,
 commutator term) once, and the rest over the (T, F) grid as weighted
 entry sums and, for the wyd family, also along the power-sandwich route
@@ -228,8 +229,10 @@ class EigenbasisTerms:
 
     ``a`` and ``b`` are the standard-basis observables as (T, n, n) stacks
     (T = 1 for one state), ``at`` and ``bt`` their entries u† a u and
-    u† b u in each state's eigenbasis, and ``tilde`` the (T, F, n, n) array
-    of tilde(lam_i / lam_j), entry ``functions[k]`` at ``tilde[:, k]``.
+    u† b u in each state's eigenbasis, ``tilde`` the (T, F, n, n) array
+    of tilde(lam_i / lam_j), entry ``functions[k]`` at ``tilde[:, k]``, and
+    ``kernels`` the modular kernels lam_j tilde(lam_i / lam_j) of the same
+    shape.
     """
 
     rho: DensityMatrix
@@ -239,18 +242,21 @@ class EigenbasisTerms:
     at: np.ndarray
     bt: np.ndarray
     tilde: np.ndarray
+    kernels: np.ndarray
 
 
 def eigenbasis_terms(
     rho: DensityMatrix, functions: Sequence[MonotoneFunction], a, b
 ) -> EigenbasisTerms:
-    """Rotate ``a`` and ``b`` into the eigenbasis of ``rho`` once and evaluate tilde once per entry.
+    """Rotate ``a`` and ``b`` into the eigenbasis of ``rho`` once and evaluate tilde once.
 
     ``rho`` is one state or a stack and ``a``, ``b`` are shaped like its
     matrix (ValueError otherwise). Each function sees f only through tilde on
-    the eigenvalue ratios lam_i / lam_j, so one pass per entry of
-    ``functions``, written into its slice of one (T, F, n, n) array, serves
-    both :func:`_report_in_eigenbasis` and :func:`~skewcal.gns.audit_G_equals_H`.
+    the eigenvalue ratios lam_i / lam_j, so one catalog call of
+    :func:`~skewcal.monotone.tilde_transform` for every entry of
+    ``functions``, one (T, F, n, n) array, and the kernels built from it
+    serve both :func:`_report_in_eigenbasis` and
+    :func:`~skewcal.gns.audit_G_equals_H`.
     """
     n = rho.dim
     ma, mb = as_matrix(a), as_matrix(b)
@@ -260,11 +266,8 @@ def eigenbasis_terms(
                 f"observable shape {x.shape} does not match state shape {rho.matrix.shape}"
             )
     lam = rho.eigenvalues.reshape(-1, n)
-    ratios = lam[:, :, None] / lam[:, None, :]
     functions = tuple(functions)
-    tilde = np.empty((len(lam), len(functions), n, n))
-    for k, f in enumerate(functions):
-        tilde[:, k] = tilde_transform(f, ratios)
+    tilde = tilde_transform(functions, lam[:, :, None] / lam[:, None, :])
     return EigenbasisTerms(
         rho=rho,
         functions=functions,
@@ -273,6 +276,7 @@ def eigenbasis_terms(
         at=rho.to_eigenbasis(ma).reshape(-1, n, n),
         bt=rho.to_eigenbasis(mb).reshape(-1, n, n),
         tilde=tilde,
+        kernels=tilde * lam[:, None, None, :],
     )
 
 
@@ -317,7 +321,7 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     tol_eff, slack = (tol * scale)[:, None], (INVARIANT_SLACK * scale)[:, None]
 
     # the kernel lam_j tilde(lam_i / lam_j) of every entry
-    kernels = terms.tilde * lam[:, None, None, :]
+    kernels = terms.kernels
     tr_aa, tr_bb, tr_ab = tr_rho_aa[:, None], tr_rho_bb[:, None], tr_rho_ab.real[:, None]
     info_a = tr_aa - _entry_sums(kernels, p_aa)
     info_b = tr_bb - _entry_sums(kernels, p_bb)
@@ -329,10 +333,14 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     # real part taken last
     betas = [wyd_parameter(f) for f in terms.functions]
     k_wyd = [k for k, beta in enumerate(betas) if beta is not None]
-    w_beta = np.empty((len(lam), len(k_wyd)) + p_aa.shape[1:])
+    # lam^beta and lam^(1 - beta) as (T, wyd entries, n) arrays, one power
+    # call per beta (numpy's scalar-exponent paths fix their bits), and the
+    # sandwich weights lam_i^beta lam_j^(1 - beta) in one product
+    powers = np.empty((2, len(lam), len(k_wyd), lam.shape[1]))
     for j, k in enumerate(k_wyd):
-        beta = betas[k]
-        w_beta[:, j] = np.power(lam, beta)[:, :, None] * np.power(lam, 1.0 - beta)[:, None, :]
+        powers[0, :, j] = np.power(lam, betas[k])
+        powers[1, :, j] = np.power(lam, 1.0 - betas[k])
+    w_beta = powers[0][..., :, None] * powers[1][..., None, :]
     sandwich = np.abs(
         np.array(
             (

@@ -674,3 +674,105 @@ def test_audited_sweep_records_are_per_trial_audits():
         for row, entry in zip(rows, entries):
             assert repr(row["residuals"][-1]) == repr(entry["residual"]), (trial, row["f"])
             assert row["flags"] == entry["flags"] == []
+
+
+def _bound_of_each_part(mu):
+    # min_weight_bound with each marginal's positive and negative parts and
+    # their maxima taken on their own, one array call each
+    a, b, z = mu.m_xx, mu.m_yy, mu.m_xy
+    a_pos, a_neg, b_pos, b_neg = (np.maximum(x, 0.0) for x in (a, -a, b, -b))
+    g = np.sqrt(a_pos * b_pos)
+    s = np.max(g, axis=-1)
+    c = np.max(np.maximum(np.abs(z) - g, 0.0), axis=-1)
+    pos_a, neg_a, pos_b, neg_b = (np.max(x, axis=-1) for x in (a_pos, a_neg, b_pos, b_neg))
+    off = -2.0 * (2.0 * s * c + c * c) - 2.0 * (pos_a * neg_b + neg_a * pos_b) + 0.0
+    return np.minimum(np.min(mu.weights, axis=-1), off)
+
+
+def _audit_form_cases():
+    yield random_density(4, seed=1500), 1
+    for states in _stack_cases():
+        yield _stack(states), len(states)
+
+
+def test_stacked_audit_forms_equal_each_observables_own():
+    # the audit computes E1 and the G-forms of a0 and b0 in one stacked call
+    # each, mu's marginals as one (3, T, K) array and the parts of its
+    # bound as stacked arrays; each equals its own per-observable value, by repr
+    functions = [from_key(k) for k in ALL_KEYS]
+    for rho, t in _audit_form_cases():
+        m, n = GnsModel(rho), rho.dim
+        seeds = list(range(1600 + 10 * n, 1600 + 10 * n + t))
+        a, b = (random_hermitian(n, [s + k for s in seeds]).matrix.reshape(rho.matrix.shape) for k in (0, 5))
+        terms = eigenbasis_terms(rho, functions, a, b)
+        lam = m.eigenvalues.reshape(-1, n)
+        gforms, graph, centered, centered_t = [], [], [], []
+        for x, xt in ((terms.a, terms.at), (terms.b, terms.bt)):
+            shift = gns._real_trace(rho.matrix.reshape(-1, n, n) @ x)[:, None, None] * np.eye(n)
+            x0, xt0 = x - shift, xt - shift
+            e1 = form_E1(m, x0, x0, (xt0, xt0))
+            kernel_form = gns._weighted_form(terms.kernels, xt0[:, None], xt0[:, None])
+            gforms.append((0.5 * e1[:, None] - kernel_form).real)
+            graph.append(e1)
+            centered.append(x0)
+            centered_t.append(xt0)
+        pair, pair_t = np.array(centered), np.array(centered_t)
+        assert repr(form_E1(m, pair, pair, (pair_t, pair_t)).tolist()) == repr(np.array(graph).tolist())
+        at0, bt0 = centered_t
+        audit = audit_G_equals_H(m, terms)
+        assert repr(audit["gform_min"].tolist()) == repr(np.minimum(*gforms).tolist())
+        mu = build_mu(m, at0, bt0)
+        marginals = (np.abs(at0) ** 2, np.abs(bt0) ** 2, np.real(np.conj(at0) * bt0))
+        for got, entries in zip((mu.m_xx, mu.m_yy, mu.m_xy), marginals):
+            assert repr(got.tolist()) == repr((entries * lam[:, None, :]).reshape(t, -1).tolist())
+        assert repr(audit["mu_min_atom"].tolist()) == repr(_bound_of_each_part(mu).tolist())
+        # H's six dots, each marginal on its own
+        q = terms.tilde.reshape(t, len(functions), n * n)
+        p = mu.values + 1.0
+        px, py, pz = (gns._dot(p, w)[..., None] for w in (mu.m_xx, mu.m_yy, mu.m_xy))
+        qx, qy, qz = (gns._dot(q, w[..., None, :]) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
+        h = 0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz))
+        assert repr(audit["H"].tolist()) == repr(h.tolist())
+
+
+def test_mu_bound_of_stacked_parts_equals_each_part_s_own():
+    # negative, zero and signed-zero marginals, one state and a stack
+    rng = np.random.default_rng(1700)
+    for shape in ((9,), (5, 16), (3, 1)):
+        for _ in range(50):
+            a, b, z = (rng.standard_normal(shape) * (rng.random(shape) < 0.7) for _ in range(3))
+            for x in (a, b, z):
+                x[rng.random(shape) < 0.2] = -0.0
+            mu = gns.AtomicPairMeasure(
+                values=np.ones(shape), weights=2.0 * (a * b - z * z), m_xx=a, m_yy=b, m_xy=z
+            )
+            assert repr(np.asarray(mu.min_weight_bound).tolist()) == repr(_bound_of_each_part(mu).tolist())
+
+
+def test_audit_residual_floor_is_the_states_trace_defect():
+    # DensityMatrix admits |Tr rho - 1| up to TRACE_TOL = 1e-10. G's direct
+    # traces and H's measure of the centered observables agree only when
+    # Tr rho = 1: Re Tr(rho a0 b0) = cov_ab - <a><b> (1 - Tr rho), and so on.
+    # So |G - H| carries a term of order the trace defect, here 4e-11, far
+    # above round-off and far below G_H_RTOL; at trace 1 only round-off is left
+    u, _ = np.linalg.qr(random_hermitian(4, seed=1800).matrix)
+    functions = [from_key(k) for k in ALL_KEYS]
+    worst = {}
+    for name, lam in (("defect", (0.4, 0.25, 0.25 - 4e-11, 0.1)), ("trace one", (0.4, 0.25, 0.25, 0.1))):
+        rho = DensityMatrix((u * np.array(lam)) @ u.conj().T)
+        defect = abs(float(np.trace(rho.matrix).real) - 1.0)
+        residuals = []
+        for seed in range(1810, 1820):
+            a, b = (random_hermitian(4, seed=seed + k).matrix for k in (0, 100))
+            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+            audit = _audit(GnsModel(rho), functions, a, b)
+            assert not audit["flags"].any()
+            residuals.append(float(audit["residual"].max()))
+        worst[name] = (max(residuals), defect)
+    residual, defect = worst["defect"]
+    assert 3.9e-11 < defect < 4.1e-11
+    # unit Frobenius norms, so |<a><b>| and the variances are at most 1
+    assert 1e-3 * defect < residual <= 4.0 * defect
+    residual, defect = worst["trace one"]
+    assert defect <= 4 * np.finfo(float).eps
+    assert residual <= 50 * np.finfo(float).eps

@@ -1,6 +1,7 @@
 """Sweep harness: seeding, record streams, summaries, file checks, and the CLI."""
 
 import csv
+import importlib.util
 import io
 import itertools
 import json
@@ -9,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -870,3 +872,70 @@ def test_cli_check_rejects_bool_matrix_entries(tmp_path, capsys, fixtures_dir):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "not a JSON number" in captured.err
     assert captured.out == ""
+
+
+def test_batched_norms_are_each_matrix_s_np_linalg_norm():
+    # one pass over the stack gives every matrix's np.linalg.norm, by repr,
+    # whatever the dimension and the stack size
+    rng = np.random.default_rng(53)
+    for n in range(1, 65):
+        for count in (1, 3, 20, 128):
+            stack = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+            stack *= 10.0 ** rng.uniform(-8.0, 8.0, (count, 1, 1))
+            expected = [float(np.linalg.norm(m)) for m in stack]
+            assert repr(linalg._frobenius_norms(stack).tolist()) == repr(expected), (n, count)
+
+
+def test_normalize_leaves_a_zero_matrix_and_scales_the_rest_by_their_norms():
+    rng = np.random.default_rng(54)
+    stack = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+    stack[2] = 0.0
+    expected = [m if k == 2 else m / np.linalg.norm(m) for k, m in enumerate(stack)]
+    harness._normalize(stack)
+    assert repr(stack.tolist()) == repr(np.array(expected).tolist())
+
+
+def test_sweep_seed_table_is_the_same_in_any_blocks(monkeypatch):
+    # blocks of 7 pairs cut across dims; the table is the one-block table
+    config = _tiny_config(dims=(2, 5, 64), trials=5, seed=2**63)
+    whole = harness._sweep_seeds(config)
+    calls = []
+    real_hash = harness.hash64
+    monkeypatch.setattr(harness, "hash64", lambda *w: calls.append(w) or real_hash(*w))
+    monkeypatch.setattr(harness, "_SEED_BLOCK", 7)
+    blocked = harness._sweep_seeds(config)
+    assert len(calls) == 2 * 3  # 15 pairs in blocks of 7, 7 and 1
+    for table, again in zip(whole, blocked):
+        assert table.dtype == again.dtype and table.tobytes() == again.tobytes()
+
+
+def test_every_bench_workload_seeds_in_one_block(monkeypatch):
+    # the seed pass has a fixed cost; a workload that needed two blocks
+    # would pay it twice per round. bench/run.py is loaded from its file
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "run.py")
+    spec = importlib.util.spec_from_file_location("skewcal_bench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    assert max(len(w.dims) * w.trials for w in run.WORKLOADS.values()) <= harness._SEED_BLOCK
+
+
+def test_sweep_seed_table_memory_is_the_table_plus_one_block():
+    # 9 dims x 20000 trials keep 104 B per (dim, trial); building them may
+    # add one block's temporaries (about 400 B per pair), not the sweep's
+    config = _tiny_config(dims=tuple(range(2, 11)), trials=20000)
+    harness._sweep_seeds(_tiny_config())
+    tracemalloc.start()
+    try:
+        trial_seeds, words = harness._sweep_seeds(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = trial_seeds.nbytes + words.nbytes
+    assert kept == 104 * 9 * 20000
+    # one block of 8192 pairs
+    assert peak <= kept + 512 * 8192
+    last = (8, 19999)
+    seed = hash64(config.seed, config.dims[last[0]], last[1])
+    assert trial_seeds[last] == seed
+    assert words[last][2].tobytes() == linalg.seed_sequence_words(np.uint64(hash64(seed, 2))).tobytes()

@@ -489,3 +489,31 @@ def test_matrix_json_serializes_with_plain_json(tmp_path):
     h = random_hermitian(4, seed=44)
     text = json.dumps(matrix_to_json(h))
     assert np.array_equal(matrix_from_json(json.loads(text)), h.matrix)
+
+
+def test_nonfinite_entries_are_named_first_and_warn_nothing():
+    # the finiteness check runs only once some residual is off the bare
+    # threshold, as every non-finite entry makes it (NaN, or inf where
+    # inf + 0j meets inf j across the diagonal); it still names the first
+    # non-finite matrix ahead of an earlier non-Hermitian one, and no
+    # RuntimeWarning escapes (the suite turns one into an error)
+    herm = random_hermitian(3, STACK_SEEDS).matrix
+    asymmetric = herm[0].copy()
+    asymmetric[0, 1] += 1e-7
+    poisoned = []
+    for value in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, -np.inf), complex(np.nan, 1.0)):
+        for at in ((0, 0), (0, 1), (1, 0)):
+            bad = herm[2].copy()
+            bad[at] = value
+            poisoned.append(bad)
+    crossed = herm[2].copy()
+    crossed[0, 1], crossed[1, 0] = np.inf, complex(0.0, np.inf)
+    poisoned.append(crossed)
+    for bad in poisoned:
+        _rejected(0, "matrix entries must be finite", HermitianMatrix, bad)
+        for k in range(1, len(STACK_SEEDS)):
+            stack = _with_bad(herm, k, bad)
+            stack[0] = asymmetric
+            _rejected(k, "matrix entries must be finite", HermitianMatrix, stack)
+    stack = _with_bad(herm, 2, asymmetric)
+    _rejected(2, "matrix is not Hermitian: max deviation 5.000e-08", HermitianMatrix, stack)

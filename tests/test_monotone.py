@@ -241,3 +241,85 @@ def test_fixed_entries_envelope_property(x):
     for f in (sld(), harmonic()):
         t = tilde_transform(f, x)
         assert 0.0 <= t <= 0.5 * (x + 1.0) * (1.0 + 1e-12)
+
+
+def _catalog_ratio_grids():
+    # ratio matrices that hit x = 1 exactly, both sides of the wyd series
+    # window |x - 1| < WYD_SERIES_WINDOW and just past it, 1e-15 (where the
+    # bumped entry below clamps) and the validation range
+    offsets = np.array([-1.01, -0.99, -0.5, -1e-3, 1e-3, 0.5, 0.99, 1.01]) * WYD_SERIES_WINDOW
+    x = np.concatenate((default_grid(), 1.0 + offsets, [1.0, 1e-15, 1e15]))
+    yield x.reshape(1, -1)
+    yield x[:250].reshape(2, 5, 25)
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 8, 32):
+        lam = rng.dirichlet(np.ones(n), 3) + 1e-10
+        lam[0, -1] = lam[0, 0] * (1.0 + 0.5 * WYD_SERIES_WINDOW)
+        yield lam[:, :, None] / lam[:, None, :]
+
+
+def _catalog_entries():
+    bumped = MonotoneFunction("bumped", (), sld().evaluate, 0.5 + 5e-15)
+    # named like a wyd entry but evaluated by its own function (sld's)
+    impostor = MonotoneFunction("wyd:0.3", (0.3,), sld().evaluate, 0.21)
+    keys = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic", "wyd:0.25", "wyd:0.75")
+    return [from_key(key) for key in keys] + [bumped, impostor]
+
+
+def _plain_tilde(f, x):
+    # tilde with no clamp, each step one numpy call on x alone: wyd_f's
+    # formula with a scalar exponent for wyd entries, f itself otherwise
+    # (the impostor carries a wyd name but sld's function)
+    beta = None if f.evaluate is sld().evaluate else wyd_parameter(f)
+    if beta is None:
+        fx = f(x)
+    else:
+        u = x - 1.0
+        near = np.abs(u) < WYD_SERIES_WINDOW
+        safe = np.where(near, 2.0, x)
+        num = beta * (1.0 - beta) * np.square(safe - 1.0)
+        den = (np.power(safe, beta) - 1.0) * (np.power(safe, 1.0 - beta) - 1.0)
+        series = 1.0 + 0.5 * u - (1.0 - beta * (1.0 - beta)) / 12.0 * np.square(u)
+        fx = np.where(near, series, num / den)
+    return 0.5 * ((x + 1.0) - np.square(x - 1.0) * (f.f_at_zero / fx))
+
+
+def _clamp_counts(caplog, call) -> tuple[object, list[int]]:
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="skewcal.monotone"):
+        out = call()
+    return out, [r.args[0] for r in caplog.records if r.msg.startswith("clamped")]
+
+
+def test_catalog_tilde_equals_one_call_per_entry_bit_for_bit(caplog):
+    # a catalog call gives each entry's own values at [..., k, :, :], by
+    # repr, and logs one clamp count: the sum of the entries' own counts
+    entries = _catalog_entries()
+    clamped = 0
+    for x in _catalog_ratio_grids():
+        for chosen in (entries, entries[3:5], entries[1:2], entries[::-1]):
+            both, logged = _clamp_counts(caplog, lambda: tilde_transform(chosen, x))
+            assert both.shape == x.shape[:-2] + (len(chosen),) + x.shape[-2:]
+            counts = []
+            for k, f in enumerate(chosen):
+                alone, own = _clamp_counts(caplog, lambda: tilde_transform(f, x))
+                assert repr(both[..., k, :, :].tolist()) == repr(alone.tolist()), (f.name, x.shape)
+                counts += own
+            assert len(logged) <= 1 and sum(logged) == sum(counts)
+            clamped += sum(counts)
+            raw = tilde_transform(chosen, x, clamp=False)
+            for k, f in enumerate(chosen):
+                alone = tilde_transform(f, x, clamp=False)
+                assert repr(raw[..., k, :, :].tolist()) == repr(alone.tolist())
+                assert repr(alone.tolist()) == repr(_plain_tilde(f, x).tolist()), f.name
+    assert clamped > 0  # the grids do reach the clamp
+
+
+def test_catalog_tilde_takes_ratio_matrices_and_positive_values():
+    x = np.full((2, 3, 3), 2.0)
+    assert tilde_transform([], x).shape == (2, 0, 3, 3)
+    with pytest.raises(ValueError, match="ratio matrices"):
+        tilde_transform([sld()], np.ones(4))
+    with pytest.raises(ValueError, match="strictly positive"):
+        tilde_transform([sld(), wyd(0.5)], -x)
+

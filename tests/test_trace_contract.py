@@ -56,9 +56,9 @@ def test_traced_sweeps_record_every_wrapped_layer(tmp_path):
 
 
 def test_audited_sweep_builds_one_kernel_per_instance_and_f():
-    # one tilde pass per f, shared by the stacked report and the audit: the
-    # audit's kernels (direct route and G-form) and H's per-atom values all
-    # read it, and H covers every f in one call
+    # one catalog tilde call for every f, shared by the stacked report and
+    # the audit: the kernels (report, direct route and G-form) and H's
+    # per-atom values all read it, and H covers every f in one call
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
@@ -67,8 +67,9 @@ def test_audited_sweep_builds_one_kernel_per_instance_and_f():
     calls = tracer.calls()
     assert calls["qinfo.report"] == 1
     assert calls["gns.h"] == 1
-    assert calls["monotone.tilde"] == len(KEYS) == 5
-    assert tracer.counts["monotone.tilde.elements"] == len(KEYS) * 3**2
+    assert calls["monotone.tilde"] == 1
+    # the call takes the trial's 3^2 ratios once, for all five entries
+    assert tracer.counts["monotone.tilde.elements"] == 3**2
     # H reads the K = 3^2 per-atom marginals of the one trial, not K^2 atom pairs
     assert tracer.counts["gns.h.atom_pairs"] == calls["gns.h"] * 3**2
 
@@ -88,9 +89,9 @@ def test_audited_sweep_audits_once_per_dim_chunk():
     assert calls["gns.model"] == 2 * chunks
     # per chunk, a and b are rotated once for the report and the audit, and
     # the audit centers them in the eigenbasis without rotating again; one
-    # tilde pass per (chunk, f)
+    # catalog tilde call per chunk
     assert calls["linalg.rotate"] == 2 * chunks
-    assert calls["monotone.tilde"] == chunks * len(KEYS)
+    assert calls["monotone.tilde"] == chunks
     # one H per chunk for every f, each call over the chunk's T trials times
     # n^2 atom slots: n^2 per trial, where the K x K measure had n^4
     assert calls["gns.h"] == chunks
@@ -113,9 +114,9 @@ def test_traced_sweep_reports_once_per_dim_chunk():
     assert calls["linalg.sample"] == 3 * chunks
     assert calls["linalg.eigh"] == chunks
     # one stacked DensityMatrix.to_eigenbasis per observable and chunk, and
-    # one tilde pass per (chunk, f)
+    # one catalog tilde call per chunk
     assert calls["linalg.rotate"] == 2 * chunks
-    assert calls["monotone.tilde"] == chunks * len(KEYS)
+    assert calls["monotone.tilde"] == chunks
 
 
 def test_traced_check_evaluates_one_instance_once():
