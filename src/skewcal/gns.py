@@ -48,7 +48,9 @@ eigendecomposition. It takes the observables' eigenbasis entries, the
 lam_j tilde from :func:`skewcal.qinfo.eigenbasis_terms`, the one rotation
 and the one catalog tilde call that the stacked report reads too; H reads
 the tilde values at the atoms, which are the eigenbasis entries in ravel
-order.
+order. G's kernel traces are :func:`skewcal.qinfo._kernel_traces` of the
+same terms, the one implementation of the direct route, and
+:func:`form_G` reads its kernel from ``eigenbasis_terms`` too.
 """
 
 from __future__ import annotations
@@ -57,19 +59,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DensityMatrix,
-    _dot,
-    _kernel_apply_stack,
-    _product_traces,
-    as_matrix,
-    modular_kernel_matrix,
-)
+from .linalg import DensityMatrix, _as_matrix, _dot
 from .monotone import MonotoneFunction
 # The audit reads its tilde values from qinfo.eigenbasis_terms and calls
 # tilde_transform nowhere; bench/tracing.py wraps it here by name.
 from .monotone import tilde_transform  # noqa: F401
-from .qinfo import EigenbasisTerms, _grid
+from .qinfo import EigenbasisTerms, _grid, _kernel_traces, eigenbasis_terms
 # The audit computes the direct route on whole stacks and calls none of
 # these; bench/tracing.py wraps them here by name.
 from .qinfo import centered, covariance, f_correlation, f_information, variance  # noqa: F401
@@ -129,8 +124,8 @@ class GnsModel:
 
     def inner(self, x, y):
         """GNS inner product Tr(rho x† y), by direct trace."""
-        xh = as_matrix(x).conj().swapaxes(-1, -2)
-        return _value(np.trace(self.rho.matrix @ xh @ as_matrix(y), axis1=-2, axis2=-1))
+        xh = _as_matrix(x).conj().swapaxes(-1, -2)
+        return _value(np.trace(self.rho.matrix @ xh @ _as_matrix(y), axis1=-2, axis2=-1))
 
     def to_eigenbasis(self, x) -> np.ndarray:
         return self.rho.to_eigenbasis(x)
@@ -168,10 +163,13 @@ def form_G(m: GnsModel, f: MonotoneFunction, xi, eta):
     """Nonnegative-difference form G^f = form_E1 / 2 - F.
 
     F is the kernel form <tilde(Delta)^(1/2) xi, tilde(Delta)^(1/2) eta>,
-    the modular kernel of (rho, f) summed against the eigenbasis entries.
+    the modular kernel of (rho, f) summed against the eigenbasis entries;
+    the kernel and the entries are those of
+    :func:`~skewcal.qinfo.eigenbasis_terms`.
     """
-    xt, et = m.to_eigenbasis(xi), m.to_eigenbasis(eta)
-    kernel = modular_kernel_matrix(m.rho, f)
+    terms = eigenbasis_terms(m.rho, [f], xi, eta)
+    shape = m.rho.matrix.shape
+    xt, et, kernel = (x.reshape(shape) for x in (terms.at, terms.bt, terms.kernels))
     return 0.5 * form_E1(m, xi, eta, (xt, et)) - _weighted_form(kernel, xt, et)
 
 
@@ -348,13 +346,13 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     measure mu (its three marginals one array). Over every entry at once:
     H by :func:`h_from_measure` from the (T, K) marginals and the (T, F, K)
     per-atom tilde values, and the kernel forms F of G^f = E1 / 2 - F of
-    both centered observables in one call. The 2FT products k o (u† a u)
-    and k o (u† b u) go back to the standard basis as one batch, validated finite and
-    Hermitian (a failure raises ValueError). The informations and the
-    correlation are then Re Tr(rho x y) - Re Tr(kx y) against the unrotated
-    observables, the last trace as an entry sum, the same operations as
-    :func:`~skewcal.qinfo.f_correlation`, so G equals the public direct
-    route bit for bit.
+    both centered observables in one call. The informations and the
+    correlation are Re Tr(rho x y) less the kernel traces of
+    :func:`~skewcal.qinfo._kernel_traces`, whose back-rotated kernel
+    products are validated finite and Hermitian (a failure raises
+    ValueError). :func:`~skewcal.qinfo.f_correlation` and
+    :func:`~skewcal.qinfo.f_information` run that same code on a stack of
+    one, so G equals the public direct route bit for bit.
 
     G = H is an identity for states of trace 1. G's traces and H's measure
     of the centered observables use Tr rho in different places (for one,
@@ -383,35 +381,29 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     cov_ab = tr_ab - exp_a * exp_b
     # the centered a0 and b0, and their eigenbasis entries
     shift = exp[:, :, None, None] * np.eye(n)
-    centered = pair - shift
-    centered_t = np.array((terms.at, terms.bt)) - shift
-    mu = build_mu(m, *centered_t)
+    pair0 = pair - shift
+    pair0_t = np.array((terms.at, terms.bt)) - shift
+    mu = build_mu(m, *pair0_t)
     mu_min = mu.min_weight_bound
     mu_negative = mu_min < -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0)
-    e1 = form_E1(m, centered, centered, (centered_t, centered_t))
+    e1 = form_E1(m, pair0, pair0, (pair0_t, pair0_t))
 
-    # the shared kernel of each (state, entry), modular_kernel_matrix's
-    # expression, applied to both observables in one validated (T, 2F, n, n)
-    # batch ordered (k_0 o a, k_0 o b, k_1 o a, ...)
-    kernels = terms.kernels
-    tilted = np.stack((terms.at, terms.bt), axis=1)
-    mapped = (kernels[:, :, None] * tilted[:, None]).reshape(t, 2 * f, n, n)
-    applied = _kernel_apply_stack(m.eigenvectors[..., None, :, :], mapped)
-    ka, kb = applied[:, 0::2], applied[:, 1::2]
-    # Tr(ka a), Tr(kb b) and Tr(ka b) against the unrotated observables
-    info_a = tr_aa[:, None] - _product_traces(ka, ma)
-    info_b = tr_bb[:, None] - _product_traces(kb, mb)
-    corr_ab = tr_ab[:, None] - _product_traces(ka, mb)
+    # form_G(m, f, x, x) of a0 and b0 as (2, T, F) rows, with E1 reused;
+    # taken before the kernel traces, the order that measured faster at dim 32
+    x = pair0_t[:, :, None]
+    gforms = (0.5 * e1[..., None] - _weighted_form(terms.kernels, x, x)).real
+    negative = gforms < -GFORM_SLACK * np.maximum(e1.real, 0.0)[..., None]
+
+    # the direct route's kernel traces, the public qinfo functions' own code
+    k_aa, k_bb, k_ab = _kernel_traces(terms)
+    info_a = tr_aa[:, None] - k_aa
+    info_b = tr_bb[:, None] - k_bb
+    corr_ab = tr_ab[:, None] - k_ab
     g = _gap(var_a, var_b, cov_ab, info_a, info_b, corr_ab)
     # atom i * n + j carries the ratio lam_i / lam_j, so its tilde value is
     # entry (i, j) of the shared pass, in ravel order
     h = h_from_measure(mu, terms.tilde.reshape(t, f, n * n))
     residual = np.abs(g - h)
-
-    # form_G(m, f, x, x) of a0 and b0 as (2, T, F) rows, with E1 reused
-    x = centered_t[:, :, None]
-    gforms = (0.5 * e1[..., None] - _weighted_form(kernels, x, x)).real
-    negative = gforms < -GFORM_SLACK * np.maximum(e1.real, 0.0)[..., None]
     mismatch = residual > G_H_RTOL * np.fmax(1.0, np.abs(g))
     masks = (mismatch, mu_negative[:, None], *negative)
     return {

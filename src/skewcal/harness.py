@@ -19,7 +19,7 @@ arrays of (dim, trial) and then of (trial seed, k), and numpy's
 SeedSequence hash of each stream seed, into one (dims, trials, 3, 4)
 table of the words that PCG64 takes from it (``_sweep_seeds``). Each
 trial draws from its own generators, seeded by ISeedSequences that hand
-over its rows (``linalg.preset_seeds``), so every stream is that of
+over its rows (``linalg._preset_seeds``), so every stream is that of
 ``default_rng`` of its integer seed bit for bit; the samplers take the
 chunk's seeds and return validated stacks. Sampling, validation
 (with one batched eigh) and the Frobenius normalisation (two BLAS dots over
@@ -64,12 +64,12 @@ from .gns import AUDIT_FLAGS, GnsModel, audit_G_equals_H
 from .linalg import (
     StackRejection,
     _frobenius_norms,
+    _preset_seeds,
+    _seed_sequence_words,
     load_density,
     load_hermitian,
-    preset_seeds,
     random_density,
     random_hermitian,
-    seed_sequence_words,
 )
 from .monotone import from_key
 from .qinfo import (
@@ -321,7 +321,7 @@ def _sweep_seeds(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
         seeds = hash64(config.seed, dims[rows // trials], (rows % trials).astype(np.uint64))
         flat_seeds[block] = seeds
         streams = hash64(seeds[:, None], np.arange(3, dtype=np.uint64))
-        flat_words[block] = seed_sequence_words(streams)
+        flat_words[block] = _seed_sequence_words(streams)
     return trial_seeds, words
 
 
@@ -337,9 +337,9 @@ def _chunk_instances(config: SweepConfig, dim: int, trials: range, trial_seeds, 
     seeds = trial_seeds[trials.start : trials.stop].tolist()
     streams = words[trials.start : trials.stop]
     try:
-        rho = random_density(dim, preset_seeds(streams[:, 0]))
-        a = random_hermitian(dim, preset_seeds(streams[:, 1])).matrix
-        b = random_hermitian(dim, preset_seeds(streams[:, 2])).matrix
+        rho = random_density(dim, _preset_seeds(streams[:, 0]))
+        a = random_hermitian(dim, _preset_seeds(streams[:, 1])).matrix
+        b = random_hermitian(dim, _preset_seeds(streams[:, 2])).matrix
     except StackRejection as exc:
         k = exc.index
         raise ValueError(f"dim {dim}, trial {trials[k]}, seed {seeds[k]}: {exc}") from exc

@@ -1,8 +1,9 @@
-"""Dense Hermitian and density-matrix types plus the modular correlation kernel.
+"""Dense Hermitian and density-matrix types, seeded samplers and the JSON wire format.
 
 Everything here is desk-scale dense numerics: validated constructors, a
-cached eigendecomposition per state, the entrywise kernel built from a monotone-function transform, and the JSON
-wire format for matrices.
+cached eigendecomposition per state, the batched back-rotation of kernel
+products that :func:`skewcal.qinfo.eigenbasis_terms`' kernels feed, and
+the JSON wire format for matrices.
 
 HermitianMatrix and DensityMatrix take one (n, n) matrix or a (T, n, n)
 stack of T matrices of one dimension. Validation is written once, for
@@ -15,8 +16,8 @@ the failing matrix, so a single matrix fails at index 0 with the text
 that matrix k of a stack gets. The samplers take one seed or a sequence
 of per-matrix seeds and return the same type either way: a sequence
 gives a stack whose slices equal the one-seed draws bit for bit. A seed
-is an integer or an ISeedSequence; ``seed_sequence_words`` and
-``preset_seeds`` turn an array of integer seeds into ISeedSequences that
+is an integer or an ISeedSequence; ``_seed_sequence_words`` and
+``_preset_seeds`` turn an array of integer seeds into ISeedSequences that
 draw the integers' streams in one hash pass.
 """
 
@@ -27,7 +28,8 @@ import json
 
 import numpy as np
 
-from .monotone import MonotoneFunction, tilde_transform
+# Nothing here calls tilde_transform; bench/tracing.py wraps it here by name.
+from .monotone import tilde_transform  # noqa: F401
 
 __all__ = [
     "DENSITY_REGULARIZATION",
@@ -36,19 +38,12 @@ __all__ = [
     "DensityMatrix",
     "HermitianMatrix",
     "StackRejection",
-    "as_matrix",
     "eigendecompose",
     "load_density",
     "load_hermitian",
-    "matrix_from_json",
-    "matrix_to_json",
-    "modular_kernel_apply",
-    "modular_kernel_matrix",
-    "preset_seeds",
     "random_density",
     "random_hermitian",
     "save_matrix",
-    "seed_sequence_words",
 ]
 
 # Inputs may carry round-off off Hermiticity; repairs up to this max-abs
@@ -68,7 +63,7 @@ RECONSTRUCTION_RTOL = 1e-9
 DENSITY_REGULARIZATION = 1e-8
 
 
-def as_matrix(a) -> np.ndarray:
+def _as_matrix(a) -> np.ndarray:
     """Complex ndarray view of a HermitianMatrix, DensityMatrix, or array-like."""
     if isinstance(a, (HermitianMatrix, DensityMatrix)):
         return a.matrix
@@ -103,8 +98,9 @@ def _hermitian_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a non-finite entry leaves a NaN (or an infinite) residual, so finite
     # entries need checking only when some residual is off the bare threshold
     with np.errstate(invalid="ignore"):
-        sym = m + m.conj().swapaxes(1, 2)
-        sym *= 0.5
+        # halved before the sum, so entries near the float maximum do not overflow
+        sym = 0.5 * m
+        sym += sym.conj().swapaxes(1, 2)
         residual = np.abs(m - sym).max(axis=(1, 2))
     # the scale is at least 1, so it is only needed past the bare threshold
     if not (residual <= HERMITICITY_REPAIR_THRESHOLD).all():
@@ -171,7 +167,7 @@ def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
     stack gives (T, n) and (T, n, n) arrays from one batched ``eigh``, each
     matrix checked on its own and a failure a StackRejection at its index.
     """
-    m = as_matrix(h)
+    m = _as_matrix(h)
     stacked = m.ndim == 3
     if not stacked:
         m = m[None]
@@ -221,22 +217,10 @@ class DensityMatrix:
     def to_eigenbasis(self, a) -> np.ndarray:
         """Entries of ``a`` in the eigenbasis of the state: u† a u, or u_k† a_k u_k over a stack."""
         u = self.eigenvectors
-        return u.conj().swapaxes(-1, -2) @ as_matrix(a) @ u
+        return u.conj().swapaxes(-1, -2) @ _as_matrix(a) @ u
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, spectrum={np.array2string(self.eigenvalues, precision=4)})"
-
-
-def modular_kernel_matrix(rho: DensityMatrix, f: MonotoneFunction) -> np.ndarray:
-    """Kernel k[i, j] = tilde(lam_i / lam_j) * lam_j over the state's eigenbasis.
-
-    Symmetric in (i, j) because tilde(x) = x * tilde(1/x). A stacked state
-    gives the (T, n, n) stack of its states' kernels, entry for entry
-    those of each state alone.
-    """
-    lam = rho.eigenvalues
-    ratios = lam[..., :, None] / lam[..., None, :]
-    return np.asarray(tilde_transform(f, ratios), dtype=float) * lam[..., None, :]
 
 
 def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
@@ -280,22 +264,6 @@ def _product_traces(kx: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
     return np.einsum("tfij,tij->tf", kx, y_t).real
-
-
-def modular_kernel_apply(rho: DensityMatrix, f: MonotoneFunction, a) -> np.ndarray:
-    """Apply the modular correlation kernel of (rho, f) to an observable.
-
-    In the eigenbasis of rho the observable's entries are scaled entrywise
-    by the kernel; the result is rotated back and is Hermitian up to
-    round-off by kernel symmetry. Returns its validated Hermitian part as
-    an (n, n) array: the G = H audit's batched kernel application on a
-    stack of one.
-    """
-    m = as_matrix(a)
-    if m.shape != rho.matrix.shape:
-        raise ValueError(f"observable shape {m.shape} does not match state dim {rho.dim}")
-    mapped = modular_kernel_matrix(rho, f) * rho.to_eigenbasis(m)
-    return _kernel_apply_stack(rho.eigenvectors, mapped[None])[0]
 
 
 def _is_seed(seed) -> bool:
@@ -355,11 +323,11 @@ _POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _OUT_XOR, _OUT_MULT = (c.reshape(2, 4, 1) for c in _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
 
 
-def seed_sequence_words(seeds) -> np.ndarray:
+def _seed_sequence_words(seeds) -> np.ndarray:
     """``SeedSequence(s).generate_state(4, np.uint64)`` for every s of a uint64 array, in one pass.
 
     Returns the (*seeds.shape, 4) uint64 words that ``PCG64(s)`` takes
-    from numpy's SeedSequence hash, so ``preset_seeds`` of them draws the
+    from numpy's SeedSequence hash, so ``_preset_seeds`` of them draws the
     integer seeds' streams bit for bit. A seed below 2**32 is one entropy
     word and a larger one two, but SeedSequence fills the rest of its pool
     by hashing 0 words, so both are hashed as their (low, high) words here.
@@ -413,8 +381,8 @@ def _preset_seed_type() -> type:
     return PresetSeed
 
 
-def preset_seeds(words: np.ndarray) -> list:
-    """One ISeedSequence per row of a (T, 4) uint64 table of ``seed_sequence_words``.
+def _preset_seeds(words: np.ndarray) -> list:
+    """One ISeedSequence per row of a (T, 4) uint64 table of ``_seed_sequence_words``.
 
     ``default_rng`` of seed k draws the stream of the integer whose words
     are row k. Any other ``generate_state`` request raises ValueError.
@@ -429,7 +397,7 @@ def _ginibre(dim: int, seeds: list) -> np.ndarray:
     Matrix k takes its real parts, then its imaginary parts, from one
     ``standard_normal((2, n, n))`` draw of ``default_rng(seeds[k])``: the
     same stream as two (n, n) draws. A seed is an integer or an
-    ISeedSequence: ``preset_seeds(seed_sequence_words(seeds))`` draws the
+    ISeedSequence: ``_preset_seeds(_seed_sequence_words(seeds))`` draws the
     integer seeds' streams bit for bit, and saves ``default_rng`` numpy's
     SeedSequence hash of each integer.
     """
@@ -481,8 +449,8 @@ def random_density(dim: int, seed) -> DensityMatrix:
 # of JSON numbers. repr-level float serialization round-trips bit-exactly.
 
 
-def matrix_to_json(m) -> dict:
-    arr = as_matrix(m)
+def _matrix_to_json(m) -> dict:
+    arr = _as_matrix(m)
     if arr.ndim != 2:
         raise ValueError(f"matrix JSON holds one matrix, got shape {arr.shape}")
     return {
@@ -492,7 +460,7 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def matrix_from_json(data: dict) -> np.ndarray:
+def _matrix_from_json(data: dict) -> np.ndarray:
     if not isinstance(data, dict):
         raise ValueError("matrix JSON must be an object")
     missing = {"n", "re", "im"} - set(data)
@@ -517,7 +485,7 @@ def matrix_from_json(data: dict) -> np.ndarray:
 
 
 def save_matrix(path, m) -> None:
-    data = matrix_to_json(m)
+    data = _matrix_to_json(m)
     with open(path, "w") as fh:
         json.dump(data, fh)
         fh.write("\n")
@@ -533,9 +501,9 @@ def _load_json(path) -> dict:
 
 def load_hermitian(path) -> HermitianMatrix:
     """Read a matrix JSON file and validate Hermiticity."""
-    return HermitianMatrix(matrix_from_json(_load_json(path)))
+    return HermitianMatrix(_matrix_from_json(_load_json(path)))
 
 
 def load_density(path) -> DensityMatrix:
     """Read a matrix JSON file and validate it as a faithful state."""
-    return DensityMatrix(matrix_from_json(_load_json(path)))
+    return DensityMatrix(_matrix_from_json(_load_json(path)))

@@ -33,7 +33,6 @@ __all__ = [
     "validate_catalog_entry",
     "wyd",
     "wyd_f",
-    "wyd_parameter",
 ]
 
 logger = logging.getLogger(__name__)
@@ -117,9 +116,16 @@ def _wyd_values(betas, arr: np.ndarray, u: np.ndarray, u_sq: np.ndarray) -> np.n
     return out
 
 
-def _is_wyd(f: "MonotoneFunction") -> bool:
-    """Whether ``f`` is an entry built by :func:`wyd`, whose values ``_wyd_values`` gives."""
-    return isinstance(f.evaluate, functools.partial) and f.evaluate.func is wyd_f
+def _wyd_beta(f: "MonotoneFunction") -> float | None:
+    """beta when ``f`` evaluates ``functools.partial(wyd_f, beta)``, else None.
+
+    Not read from the name or params, so the shared wyd pass and the
+    report's power sandwich use the beta that ``f(x)`` itself uses.
+    """
+    ev = f.evaluate
+    if isinstance(ev, functools.partial) and ev.func is wyd_f and len(ev.args) == 1:
+        return _require_beta(ev.args[0])
+    return None
 
 
 def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
@@ -149,10 +155,11 @@ def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
         if arr.ndim < 2:
             raise ValueError(f"a catalog takes a stack of ratio matrices, got shape {arr.shape}")
         fx = np.empty(arr.shape[:-2] + (len(entries),) + arr.shape[-2:])
-        wyd_at = [k for k, entry in enumerate(entries) if _is_wyd(entry)]
+        betas = [_wyd_beta(entry) for entry in entries]
+        wyd_at = [k for k, beta in enumerate(betas) if beta is not None]
         if wyd_at:
-            betas = [entries[k].params[0] for k in wyd_at]
-            fx[..., wyd_at, :, :] = np.moveaxis(_wyd_values(betas, arr, u, u_sq), 0, -3)
+            wyd_fx = _wyd_values([betas[k] for k in wyd_at], arr, u, u_sq)
+            fx[..., wyd_at, :, :] = np.moveaxis(wyd_fx, 0, -3)
         for k, entry in enumerate(entries):
             if k not in wyd_at:
                 fx[..., k, :, :] = entry(arr)
@@ -237,13 +244,6 @@ def from_key(key: str) -> MonotoneFunction:
             raise ValueError(f"malformed wyd parameter {raw!r} in key {key!r}") from None
         return wyd(beta)
     raise ValueError(f"unknown monotone function key {key!r}")
-
-
-def wyd_parameter(f: MonotoneFunction) -> float | None:
-    """Return beta when ``f`` belongs to the wyd family, else None."""
-    if f.name.startswith("wyd:") and f.params:
-        return f.params[0]
-    return None
 
 
 def default_grid(lo: float = 1e-6, hi: float = 1e6, points: int = 241) -> np.ndarray:

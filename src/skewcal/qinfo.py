@@ -2,18 +2,21 @@
 
 All scalars are real numbers built from traces against a faithful density
 matrix. The module-level functions compute them by direct traces on the
-original matrices, the information quantities through the modular kernel
-of any catalog function; each validates an observable once per call.
+original matrices; each validates an observable once per call.
 :func:`eigenbasis_terms` takes one state or a stack of T and F catalog
 entries at once: it rotates the observables into the eigenbasis once and
 evaluates tilde on the eigenvalue ratios in one catalog call, into one
 (T, F, n, n) array, and its kernels lam_j tilde, that the stacked report
 and the G = H audit both read.
+The direct route's kernel traces have one implementation,
+:func:`_kernel_traces` on such terms: :func:`f_correlation` and
+:func:`f_information` run it on a stack of one, the G = H audit on a chunk.
 The report computes the f-independent half (expectations, Var, Cov, lhs,
 commutator term) once, and the rest over the (T, F) grid as weighted
 entry sums and, for the wyd family, also along the power-sandwich route
 Tr(rho^beta a rho^(1-beta) b); the disagreement of the kernel and
-sandwich routes is surfaced as a residual, never hidden.
+sandwich routes is surfaced as a residual, never hidden, and flagged
+when it passes the tolerance.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     HermitianMatrix,
+    _as_matrix,
+    _kernel_apply_stack,
     _product_traces,
-    as_matrix,
-    modular_kernel_apply,
 )
-from .monotone import MonotoneFunction, tilde_transform, wyd_parameter
+from .monotone import MonotoneFunction, _wyd_beta, tilde_transform
 
 __all__ = [
     "DEFAULT_TOL",
@@ -84,7 +87,7 @@ def _observable(rho: DensityMatrix, a) -> np.ndarray:
     """
     if rho.matrix.ndim != 2:
         raise ValueError(f"expected a single state, got a stack of shape {rho.matrix.shape}")
-    m = as_matrix(a)
+    m = _as_matrix(a)
     if m.shape != rho.matrix.shape:
         raise ValueError(f"observable shape {m.shape} does not match state dim {rho.dim}")
     return HermitianMatrix(m).matrix
@@ -121,27 +124,25 @@ def variance(rho: DensityMatrix, a) -> float:
     return _covariance(rho, m, m)
 
 
-def _f_correlation(rho: DensityMatrix, f: MonotoneFunction, ma: np.ndarray, mb: np.ndarray):
-    # Tr(kernel(a) b) as an entry sum, the G = H audit's expression on a stack of one
-    ka = modular_kernel_apply(rho, f, ma)
-    k_trace = _product_traces(ka[None, None], mb[None])[0, 0]
-    return float(np.trace(rho.matrix @ ma @ mb).real) - float(k_trace)
-
-
 def f_correlation(rho: DensityMatrix, f: MonotoneFunction, a, b) -> float:
     """Metric-adjusted correlation Re Tr(rho a b) - Re Tr(kernel(a) b).
 
     ``kernel`` is the modular correlation kernel of (rho, f); for the wyd
     family it equals Re Tr(rho a b) - Re Tr(rho^beta a rho^(1-beta) b), the
     power-sandwich route whose disagreement the report carries as residuals.
+    The kernel trace is :func:`_kernel_traces` on a stack of one, so the
+    G = H audit's G carries this value bit for bit.
     """
-    return _f_correlation(rho, f, _observable(rho, a), _observable(rho, b))
+    ma, mb = _observable(rho, a), _observable(rho, b)
+    _, _, k_ab = _kernel_traces(eigenbasis_terms(rho, [f], ma, mb))
+    return float(np.trace(rho.matrix @ ma @ mb).real) - float(k_ab[0, 0])
 
 
 def f_information(rho: DensityMatrix, f: MonotoneFunction, a) -> float:
     """Metric-adjusted skew information: the f-correlation of a with itself."""
     m = _observable(rho, a)
-    return _f_correlation(rho, f, m, m)
+    k_aa, _, _ = _kernel_traces(eigenbasis_terms(rho, [f], m, m))
+    return float(np.trace(rho.matrix @ m @ m).real) - float(k_aa[0, 0])
 
 
 def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
@@ -220,6 +221,7 @@ _FLAGS = (
     "negative_lhs",
     "negative_info_a",
     "negative_info_b",
+    "route_disagreement",
 )
 
 
@@ -259,7 +261,7 @@ def eigenbasis_terms(
     :func:`~skewcal.gns.audit_G_equals_H`.
     """
     n = rho.dim
-    ma, mb = as_matrix(a), as_matrix(b)
+    ma, mb = _as_matrix(a), _as_matrix(b)
     for x in (ma, mb):
         if x.shape != rho.matrix.shape:
             raise ValueError(
@@ -280,6 +282,31 @@ def eigenbasis_terms(
     )
 
 
+def _kernel_traces(terms: EigenbasisTerms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re Tr((k o a) a), Re Tr((k o b) b) and Re Tr((k o a) b) as (T, F) arrays.
+
+    k o x is the kernel of each (state, entry) of ``terms`` times the
+    eigenbasis entries of x, rotated back to the standard basis: the
+    direct route, Re Tr(rho x y) less these traces, of the informations
+    and the correlation. The 2FT products go back as one (T, 2F, n, n)
+    batch ordered (k_0 o a, k_0 o b, k_1 o a, ...), validated finite and
+    Hermitian (a failure raises ValueError), and each trace is an entry
+    sum against the unrotated observable. Each value is that of its state
+    and entry alone.
+    """
+    kernels = terms.kernels
+    t, f, n = kernels.shape[:3]
+    tilted = np.stack((terms.at, terms.bt), axis=1)
+    mapped = (kernels[:, :, None] * tilted[:, None]).reshape(t, 2 * f, n, n)
+    applied = _kernel_apply_stack(terms.rho.eigenvectors[..., None, :, :], mapped)
+    ka, kb = applied[:, 0::2], applied[:, 1::2]
+    return (
+        _product_traces(ka, terms.a),
+        _product_traces(kb, terms.b),
+        _product_traces(ka, terms.b),
+    )
+
+
 def _entry_sums(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
     """sum_ij weights[t, f, i, j] products[t, i, j] per (t, f): one instance's entries each."""
     return np.einsum("tfij,tij->tf", weights, products)
@@ -292,7 +319,10 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     over every entry. Each name in _SCALARS maps to a (T, F) array (T = 1
     for one state; the f-independent ones repeat along F), ``residuals`` to
     a tuple of F arrays, (T, 3) for a wyd entry and (T, 0) otherwise, and
-    ``flags`` to a (T, F, len(_FLAGS)) boolean mask. Every reduction runs
+    ``flags`` to a (T, F, len(_FLAGS)) boolean mask; ``route_disagreement``
+    marks a residual above tol * max(1, var_a, var_b). A wyd entry is one
+    that evaluates ``functools.partial(wyd_f, beta)``, whatever its name,
+    and its sandwich takes that beta. Every reduction runs
     over the entries of one (instance, entry) only, so a value does not
     depend on which other trials or entries share the call.
     """
@@ -331,7 +361,7 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
 
     # independent route for the wyd entries: unsymmetrized power sandwich,
     # real part taken last
-    betas = [wyd_parameter(f) for f in terms.functions]
+    betas = [_wyd_beta(f) for f in terms.functions]
     k_wyd = [k for k, beta in enumerate(betas) if beta is not None]
     # lam^beta and lam^(1 - beta) as (T, wyd entries, n) arrays, one power
     # call per beta (numpy's scalar-exponent paths fix their bits), and the
@@ -353,6 +383,10 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     residuals = [np.empty((len(lam), 0))] * len(terms.functions)
     for j, k in enumerate(k_wyd):
         residuals[k] = sandwich[:, :, j].T
+    # a route disagreement is judged on the scale of the quantities compared
+    route_bound = tol * np.fmax(1.0, np.fmax(var_a, var_b))
+    disagree = np.zeros(gap.shape, bool)
+    disagree[:, k_wyd] = sandwich.max(axis=0) > route_bound[:, None]
 
     columns = (var_a[:, None], var_b[:, None], cov_ab[:, None], info_a, info_b, corr_ab)
     scalars = _grid((*columns, lhs[:, None], rhs, gap, heis[:, None]), gap.shape, float)
@@ -363,6 +397,7 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
         lhs[:, None] < -slack,
         info_a < -slack,
         info_b < -slack,
+        disagree,
     )
     return {
         **dict(zip(_SCALARS, scalars)),
@@ -407,7 +442,8 @@ def evaluate_inequalities(
     plus nonnegativity of the variances, informations, and the left-hand
     side. Violations are flagged on the report, never raised. For wyd
     entries the kernel-route quantities are cross-checked against the
-    power-sandwich route and the disagreements recorded as residuals.
+    power-sandwich route and the disagreements recorded as residuals; one
+    above tol * max(1, var_a, var_b) flags ``route_disagreement``.
     """
     # the sweep's stacked evaluation, on a stack of one state and one entry
     terms = eigenbasis_terms(rho, [f], _observable(rho, a), _observable(rho, b))

@@ -938,4 +938,4 @@ def test_sweep_seed_table_memory_is_the_table_plus_one_block():
     last = (8, 19999)
     seed = hash64(config.seed, config.dims[last[0]], last[1])
     assert trial_seeds[last] == seed
-    assert words[last][2].tobytes() == linalg.seed_sequence_words(np.uint64(hash64(seed, 2))).tobytes()
+    assert words[last][2].tobytes() == linalg._seed_sequence_words(np.uint64(hash64(seed, 2))).tobytes()

@@ -1,4 +1,9 @@
-"""Matrix types, spectral utilities, kernels, and the JSON wire format."""
+"""Matrix types, spectral utilities, kernels, and the JSON wire format.
+
+The modular kernel is built by ``qinfo.eigenbasis_terms`` and applied by
+``qinfo._kernel_traces`` through ``linalg._kernel_apply_stack``; its
+tests read both.
+"""
 
 import json
 import os
@@ -9,6 +14,7 @@ import numpy as np
 import pytest
 
 import skewcal.linalg as linalg
+import skewcal.qinfo as qinfo
 from oracle import FROZEN, power_sandwich
 from skewcal.linalg import (
     FAITHFULNESS_FLOOR,
@@ -16,19 +22,18 @@ from skewcal.linalg import (
     DensityMatrix,
     HermitianMatrix,
     StackRejection,
-    as_matrix,
+    _as_matrix,
+    _matrix_from_json,
+    _matrix_to_json,
     eigendecompose,
     load_density,
     load_hermitian,
-    matrix_from_json,
-    matrix_to_json,
-    modular_kernel_apply,
-    modular_kernel_matrix,
     random_density,
     random_hermitian,
     save_matrix,
 )
 from skewcal.monotone import from_key, harmonic, sld, wyd
+from skewcal.qinfo import _kernel_traces, eigenbasis_terms, f_correlation, f_information
 
 
 def test_hermitian_accepts_and_repairs_roundoff():
@@ -54,6 +59,18 @@ def test_hermitian_repair_threshold_scales_with_the_data():
     # entries of size <= 1 keep the bare threshold: 5e-9 > 1e-9 is rejected
     with pytest.raises(ValueError, match="not Hermitian"):
         HermitianMatrix([[1.0, 0.5], [0.5 + 1e-8, 0.25]])
+
+
+def test_hermitian_repair_does_not_overflow_near_the_float_maximum():
+    # (M + M†)/2 is formed as M/2 + M†/2: the sum of two entries near the
+    # float maximum would overflow to inf before the halving
+    h = HermitianMatrix([[1e308, 0], [0, 1]])
+    assert h.herm_residual == 0.0
+    assert np.array_equal(h.matrix, np.array([[1e308, 0], [0, 1]], dtype=complex))
+    huge = np.array([[1e308, 1.5e308 + 1e308j], [1.5e308 - 1e308j, -1.7e308]])
+    stack = HermitianMatrix(np.array([huge, huge.conj().T]))
+    assert np.array_equal(stack.herm_residual, [0.0, 0.0])
+    assert np.array_equal(stack.matrix[0], huge)
 
 
 def test_hermitian_rejects_bad_input():
@@ -101,8 +118,30 @@ def test_eigenbasis_roundtrip():
     assert np.allclose(back, a, atol=1e-13)
 
 
+def _kernel(rho, f):
+    """The (n, n) modular kernel of one state and one entry, as eigenbasis_terms builds it."""
+    zero = np.zeros_like(rho.matrix)
+    return eigenbasis_terms(rho, [f], zero, zero).kernels[0, 0]
+
+
+def _applied(monkeypatch, rho, f, a, b):
+    """_kernel_traces of (rho, f, a, b) and the (2, n, n) back-rotated products k o a, k o b."""
+    seen = []
+    real = qinfo._kernel_apply_stack
+
+    def spy(u, mapped):
+        seen.append(real(u, mapped))
+        return seen[-1]
+
+    monkeypatch.setattr(qinfo, "_kernel_apply_stack", spy)
+    traces = _kernel_traces(eigenbasis_terms(rho, [f], a, b))
+    monkeypatch.undo()
+    (applied,) = seen
+    return traces, applied[0]
+
+
 def test_kernel_matrix_fixture_entry(fixture_rho):
-    k = modular_kernel_matrix(fixture_rho, wyd(0.5))
+    k = _kernel(fixture_rho, wyd(0.5))
     assert k[0, 1] == pytest.approx(FROZEN["fixture_kernel_entry_wyd_half"], rel=1e-13)
     assert k[1, 0] == pytest.approx(FROZEN["fixture_kernel_entry_wyd_half"], rel=1e-13)
     # diagonal entries reduce to the eigenvalues because tilde(1) = 1
@@ -112,48 +151,69 @@ def test_kernel_matrix_fixture_entry(fixture_rho):
 @pytest.mark.parametrize("key", ["wyd:0.2", "wyd:0.5", "sld", "harmonic"])
 def test_kernel_matrix_symmetric_positive(key):
     rho = random_density(6, seed=21)
-    k = modular_kernel_matrix(rho, from_key(key))
+    k = _kernel(rho, from_key(key))
     assert np.all(k > 0.0)
     assert np.max(np.abs(k - k.T)) < 1e-12 * np.max(k)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.25, 0.5, 0.75, 0.9])
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
-def test_kernel_apply_matches_power_sandwich(dim, beta):
+def test_kernel_apply_matches_power_sandwich(dim, beta, monkeypatch):
+    # the applied kernel is the power sandwich rho^beta a rho^(1 - beta),
+    # Hermitian-symmetrized, as a matrix and in the public traces
     rho = random_density(dim, seed=dim * 101 + 7)
     a = random_hermitian(dim, seed=dim * 101 + 8)
-    via_kernel = modular_kernel_apply(rho, wyd(beta), a)
+    b = random_hermitian(dim, seed=dim * 101 + 9)
+    _, (via_kernel, _) = _applied(monkeypatch, rho, wyd(beta), a.matrix, b.matrix)
     via_powers = power_sandwich(rho.matrix, beta, a.matrix)
     scale = max(1.0, float(np.linalg.norm(a.matrix)))
     assert float(np.linalg.norm(via_kernel - via_powers)) <= 1e-9 * scale
+    tr_ab = float(np.trace(rho.matrix @ a.matrix @ b.matrix).real)
+    tr_aa = float(np.trace(rho.matrix @ a.matrix @ a.matrix).real)
+    corr = tr_ab - float(np.trace(via_powers @ b.matrix).real)
+    info = tr_aa - float(np.trace(via_powers @ a.matrix).real)
+    scale *= max(1.0, float(np.linalg.norm(b.matrix)))
+    assert abs(f_correlation(rho, wyd(beta), a, b) - corr) <= 1e-9 * scale
+    assert abs(f_information(rho, wyd(beta), a) - info) <= 1e-9 * scale
 
 
-def test_kernel_apply_is_linear_and_hermitian():
+def test_kernel_apply_is_linear_and_hermitian(monkeypatch):
     rho = random_density(4, seed=33)
     a = random_hermitian(4, seed=34).matrix
     b = random_hermitian(4, seed=35).matrix
     f = sld()
-    ka = modular_kernel_apply(rho, f, a)
-    kb = modular_kernel_apply(rho, f, b)
-    combo = modular_kernel_apply(rho, f, 2.0 * a + b)
+    (k_aa, k_bb, k_ab), (ka, kb) = _applied(monkeypatch, rho, f, a, b)
+    _, (combo, _) = _applied(monkeypatch, rho, f, 2.0 * a + b, b)
     assert np.allclose(combo, 2.0 * ka + kb, atol=1e-12)
-    assert np.allclose(ka, ka.conj().T, atol=1e-13)
+    # the products come back exactly Hermitian: the validated Hermitian parts
+    assert np.array_equal(ka, ka.conj().T) and np.array_equal(kb, kb.conj().T)
+    # the traces are entry sums of those products against the observables
+    for trace, kx, y in ((k_aa, ka, a), (k_bb, kb, b), (k_ab, ka, b)):
+        assert trace.shape == (1, 1)
+        assert trace[0, 0] == pytest.approx(float(np.trace(kx @ y).real), abs=1e-12)
+    # the kernel is self-adjoint: Tr((k o a) b) = Tr((k o b) a)
+    (_, _, k_ba), _ = _applied(monkeypatch, rho, f, b, a)
+    assert k_ab[0, 0] == pytest.approx(k_ba[0, 0], abs=1e-12)
 
 
-def test_kernel_apply_on_maximally_mixed_state():
+def test_kernel_apply_on_maximally_mixed_state(monkeypatch):
     n = 5
     rho = DensityMatrix(np.eye(n) / n)
-    a = random_hermitian(n, seed=77)
+    a = random_hermitian(n, seed=77).matrix
+    b = random_hermitian(n, seed=78).matrix
     for key in ("wyd:0.3", "sld", "harmonic"):
-        mapped = modular_kernel_apply(rho, from_key(key), a)
-        assert np.allclose(mapped, a.matrix / n, atol=1e-14)
+        _, (ka, kb) = _applied(monkeypatch, rho, from_key(key), a, b)
+        assert np.allclose(ka, a / n, atol=1e-14)
+        assert np.allclose(kb, b / n, atol=1e-14)
 
 
 def test_kernel_apply_rejects_shape_mismatch():
     rho = random_density(3, seed=2)
     a = random_hermitian(4, seed=2)
     with pytest.raises(ValueError, match="shape"):
-        modular_kernel_apply(rho, sld(), a)
+        eigenbasis_terms(rho, [sld()], a, a)
+    with pytest.raises(ValueError, match="shape"):
+        f_information(rho, sld(), a)
 
 
 def test_random_draws_are_deterministic():
@@ -246,20 +306,20 @@ def _word_test_seeds() -> np.ndarray:
 def test_seed_sequence_words_equal_numpy_seed_sequence():
     seeds = _word_test_seeds()
     assert len(seeds) >= 3000 and (seeds < 2**32).sum() >= 1000
-    words = linalg.seed_sequence_words(seeds)
+    words = linalg._seed_sequence_words(seeds)
     assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
     for seed, row in zip(seeds.tolist(), words):
         expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
         assert row.tobytes() == expected.tobytes(), seed
     # any shape of seeds: one row of words per seed, in place
-    shaped = linalg.seed_sequence_words(seeds[:24].reshape(2, 4, 3))
+    shaped = linalg._seed_sequence_words(seeds[:24].reshape(2, 4, 3))
     assert shaped.shape == (2, 4, 3, 4)
     assert shaped.reshape(-1, 4).tobytes() == words[:24].tobytes()
 
 
 def test_preset_seeds_draw_the_integer_streams_bit_for_bit():
     seeds = _word_test_seeds()[::15]
-    presets = linalg.preset_seeds(linalg.seed_sequence_words(seeds))
+    presets = linalg._preset_seeds(linalg._seed_sequence_words(seeds))
     for seed, preset in zip(seeds.tolist(), presets):
         mine, theirs = np.random.default_rng(preset), np.random.default_rng(seed)
         assert mine.standard_normal((2, 5, 5)).tobytes() == theirs.standard_normal((2, 5, 5)).tobytes()
@@ -273,7 +333,7 @@ def test_preset_seeds_draw_the_integer_streams_bit_for_bit():
 
 
 def test_preset_seed_holds_only_pcg64s_request():
-    (preset,) = linalg.preset_seeds(linalg.seed_sequence_words(np.array([7], dtype=np.uint64)))
+    (preset,) = linalg._preset_seeds(linalg._seed_sequence_words(np.array([7], dtype=np.uint64)))
     assert preset.generate_state(4, np.uint64).tobytes() == (
         np.random.SeedSequence(7).generate_state(4, np.uint64).tobytes()
     )
@@ -405,10 +465,10 @@ def test_single_matrix_rejection_equals_stack_rejection():
 
 def test_as_matrix_views():
     h = random_hermitian(3, seed=4)
-    assert as_matrix(h) is h.matrix
+    assert _as_matrix(h) is h.matrix
     rho = random_density(3, seed=4)
-    assert as_matrix(rho) is rho.matrix
-    arr = as_matrix([[1.0, 0.0], [0.0, 1.0]])
+    assert _as_matrix(rho) is rho.matrix
+    arr = _as_matrix([[1.0, 0.0], [0.0, 1.0]])
     assert arr.dtype == complex
 
 
@@ -432,32 +492,32 @@ def test_json_roundtrip_is_exact(tmp_path):
 
 
 def test_matrix_json_field_validation():
-    good = matrix_to_json(np.eye(2))
+    good = _matrix_to_json(np.eye(2))
     assert set(good) == {"n", "re", "im"}
-    assert np.array_equal(matrix_from_json(good), np.eye(2, dtype=complex))
+    assert np.array_equal(_matrix_from_json(good), np.eye(2, dtype=complex))
 
     with pytest.raises(ValueError, match="object"):
-        matrix_from_json([1, 2, 3])
+        _matrix_from_json([1, 2, 3])
     with pytest.raises(ValueError, match="missing"):
-        matrix_from_json({"n": 2, "re": [[1, 0], [0, 1]]})
+        _matrix_from_json({"n": 2, "re": [[1, 0], [0, 1]]})
     with pytest.raises(ValueError, match="positive integer"):
-        matrix_from_json({"n": 0, "re": [], "im": []})
+        _matrix_from_json({"n": 0, "re": [], "im": []})
     with pytest.raises(ValueError, match="positive integer"):
-        matrix_from_json({"n": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
+        _matrix_from_json({"n": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]})
     # a bool is an int in Python, but True is no matrix size
     with pytest.raises(ValueError, match="positive integer"):
-        matrix_from_json({"n": True, "re": [[1.0]], "im": [[0.0]]})
+        _matrix_from_json({"n": True, "re": [[1.0]], "im": [[0.0]]})
     with pytest.raises(ValueError, match="numeric"):
-        matrix_from_json({"n": 2, "re": [[1, 0], [0, "x"]], "im": [[0, 0], [0, 0]]})
+        _matrix_from_json({"n": 2, "re": [[1, 0], [0, "x"]], "im": [[0, 0], [0, 0]]})
     with pytest.raises(ValueError, match="2 x 2"):
-        matrix_from_json({"n": 2, "re": [[1, 0, 0], [0, 1, 0]], "im": [[0, 0], [0, 0]]})
+        _matrix_from_json({"n": 2, "re": [[1, 0, 0], [0, 1, 0]], "im": [[0, 0], [0, 0]]})
     # numpy reads true as 1.0 and "1.5" as 1.5, but neither is a JSON number
     for re, im in (([[True]], [[0]]), ([["1.5"]], [[0]]), ([[1.0]], [[False]])):
         with pytest.raises(ValueError, match="not a JSON number"):
-            matrix_from_json({"n": 1, "re": re, "im": im})
+            _matrix_from_json({"n": 1, "re": re, "im": im})
     # an integer beyond float range is a rejected entry, not an OverflowError
     with pytest.raises(ValueError, match="numeric"):
-        matrix_from_json({"n": 1, "re": [[10**400]], "im": [[0]]})
+        _matrix_from_json({"n": 1, "re": [[10**400]], "im": [[0]]})
 
 
 def test_load_rejects_bad_files(tmp_path, fixtures_dir):
@@ -487,8 +547,8 @@ def test_fixture_files_load(fixtures_dir):
 def test_matrix_json_serializes_with_plain_json(tmp_path):
     # the wire format must survive a plain json round trip bit for bit
     h = random_hermitian(4, seed=44)
-    text = json.dumps(matrix_to_json(h))
-    assert np.array_equal(matrix_from_json(json.loads(text)), h.matrix)
+    text = json.dumps(_matrix_to_json(h))
+    assert np.array_equal(_matrix_from_json(json.loads(text)), h.matrix)
 
 
 def test_nonfinite_entries_are_named_first_and_warn_nothing():

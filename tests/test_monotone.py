@@ -1,5 +1,6 @@
 """Catalog functions: closed forms, the tilde transform, and grid validation."""
 
+import functools
 import logging
 
 import numpy as np
@@ -12,6 +13,7 @@ from skewcal.monotone import (
     MonotoneFunction,
     TILDE_CLAMP_FLOOR,
     WYD_SERIES_WINDOW,
+    _wyd_beta,
     default_grid,
     from_key,
     harmonic,
@@ -20,7 +22,6 @@ from skewcal.monotone import (
     validate_catalog_entry,
     wyd,
     wyd_f,
-    wyd_parameter,
 )
 
 CATALOG_KEYS = ("sld", "harmonic", "wyd:0.1", "wyd:0.25", "wyd:0.5", "wyd:0.75", "wyd:0.9")
@@ -119,9 +120,14 @@ def test_from_key_roundtrip():
         f = from_key(key)
         assert from_key(f.name).name == f.name
     assert from_key(" sld ").name == "sld"
-    assert wyd_parameter(from_key("wyd:0.3")) == 0.3
-    assert wyd_parameter(sld()) is None
-    assert wyd_parameter(harmonic()) is None
+    assert _wyd_beta(from_key("wyd:0.3")) == 0.3
+    assert _wyd_beta(sld()) is None
+    assert _wyd_beta(harmonic()) is None
+    # a wyd name with another evaluator is no wyd entry, and an evaluator
+    # partial(wyd_f, beta) gives its own beta whatever the name and params say
+    assert _wyd_beta(MonotoneFunction("wyd:0.3", (0.3,), sld().evaluate, 0.21)) is None
+    assert _wyd_beta(MonotoneFunction("wyd:0.3", (0.3,), functools.partial(wyd_f, 0.5), 0.25)) == 0.5
+    assert _wyd_beta(MonotoneFunction("plain", (), functools.partial(wyd_f, 0.7), 0.21)) == 0.7
 
 
 @pytest.mark.parametrize("key", ["", "wyd", "wyd:", "wyd:abc", "wyd:1.5", "wyd:0", "bures"])
@@ -262,15 +268,17 @@ def _catalog_entries():
     bumped = MonotoneFunction("bumped", (), sld().evaluate, 0.5 + 5e-15)
     # named like a wyd entry but evaluated by its own function (sld's)
     impostor = MonotoneFunction("wyd:0.3", (0.3,), sld().evaluate, 0.21)
+    # named and parametrized wyd:0.3 but evaluating wyd_f at beta 0.5
+    mislabelled = MonotoneFunction("wyd:0.3", (0.3,), functools.partial(wyd_f, 0.5), 0.25)
     keys = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic", "wyd:0.25", "wyd:0.75")
-    return [from_key(key) for key in keys] + [bumped, impostor]
+    return [from_key(key) for key in keys] + [bumped, impostor, mislabelled]
 
 
 def _plain_tilde(f, x):
     # tilde with no clamp, each step one numpy call on x alone: wyd_f's
     # formula with a scalar exponent for wyd entries, f itself otherwise
     # (the impostor carries a wyd name but sld's function)
-    beta = None if f.evaluate is sld().evaluate else wyd_parameter(f)
+    beta = _wyd_beta(f)
     if beta is None:
         fx = f(x)
     else:
@@ -313,6 +321,17 @@ def test_catalog_tilde_equals_one_call_per_entry_bit_for_bit(caplog):
                 assert repr(raw[..., k, :, :].tolist()) == repr(alone.tolist())
                 assert repr(alone.tolist()) == repr(_plain_tilde(f, x).tolist()), f.name
     assert clamped > 0  # the grids do reach the clamp
+
+
+def test_catalog_tilde_follows_the_beta_an_entry_evaluates():
+    # the catalog pass once took beta from params: this entry's catalog
+    # values were then those of wyd:0.3, up to 0.2 off its own call
+    mislabelled = MonotoneFunction("wyd:0.3", (0.3,), functools.partial(wyd_f, 0.5), 0.25)
+    x = np.concatenate((default_grid(), [1.0, 1.0 + 0.5 * WYD_SERIES_WINDOW])).reshape(1, -1)
+    catalog = tilde_transform([sld(), mislabelled, wyd(0.3)], x)[1]
+    alone = tilde_transform(mislabelled, x)
+    assert catalog.tobytes() == alone.tobytes()
+    assert catalog.tobytes() == tilde_transform(wyd(0.5), x).tobytes()
 
 
 def test_catalog_tilde_takes_ratio_matrices_and_positive_values():

@@ -1,5 +1,7 @@
 """Scalar quantities and the inequality evaluator against the frozen oracle."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import oracle
 import skewcal.qinfo as qinfo
 from oracle import FROZEN
 from skewcal.linalg import DensityMatrix, HermitianMatrix, random_density, random_hermitian
-from skewcal.monotone import MonotoneFunction, from_key, harmonic, sld, wyd
+from skewcal.monotone import MonotoneFunction, from_key, harmonic, sld, wyd, wyd_f
 from skewcal.qinfo import (
     UncertaintyReport,
     _report_in_eigenbasis,
@@ -234,6 +236,51 @@ def test_flags_fire_on_invalid_profile(fixture_rho, fixture_a, fixture_b):
     report = evaluate_inequalities(fixture_rho, mild, fixture_a, fixture_b)
     assert "negative_info_a" in report.flags
     assert "negative_info_b" in report.flags
+
+
+def _found_instance():
+    return random_density(3, 1), random_hermitian(3, 2), random_hermitian(3, 3)
+
+
+def test_report_picks_the_sandwich_route_by_evaluator():
+    # an entry named and parametrized like wyd:0.3 that evaluates sld has
+    # no power sandwich: its residuals are empty, on one state and a stack
+    impostor = MonotoneFunction("wyd:0.3", (0.3,), sld().evaluate, 0.5)
+    rho, a, b = _found_instance()
+    report = evaluate_inequalities(rho, impostor, a, b)
+    assert report.path_residuals == () and report.flags == ()
+    states = random_density(3, [1, 4])
+    x, y = (random_hermitian(3, seeds).matrix for seeds in ([2, 5], [3, 6]))
+    columns = _report_in_eigenbasis(eigenbasis_terms(states, [impostor, wyd(0.3)], x, y), 1e-9)
+    assert columns["residuals"][0].shape == (2, 0)
+    assert columns["residuals"][1].shape == (2, 3)
+    # an entry labelled wyd:0.3 that evaluates wyd_f at beta 0.5 gets the
+    # beta 0.5 sandwich and kernel: its report is wyd:0.5's, and its
+    # information that of the public route
+    mislabelled = MonotoneFunction("wyd:0.3", (0.3,), functools.partial(wyd_f, 0.5), 0.25)
+    report = evaluate_inequalities(rho, mislabelled, a, b)
+    reference = evaluate_inequalities(rho, wyd(0.5), a, b)
+    assert repr(report) == repr(reference)
+    assert report.info_a == pytest.approx(f_information(rho, mislabelled, a), abs=1e-13)
+    assert max(report.path_residuals) < 1e-15 and report.flags == ()
+
+
+def test_route_disagreement_fires_alone_on_a_wrong_f_at_zero():
+    # a wyd:0.5 entry whose stored f(0) is 0.3, not 0.25: the kernel route
+    # reads f(0) and the power sandwich does not, so they part by ~0.15,
+    # while every inequality and nonnegativity check still holds
+    wrong = MonotoneFunction("wyd:0.5", (0.5,), functools.partial(wyd_f, 0.5), 0.3)
+    rho, a, b = _found_instance()
+    report = evaluate_inequalities(rho, wrong, a, b)
+    assert report.flags == ("route_disagreement",)
+    assert all(0.13 < r < 0.17 for r in report.path_residuals)
+    assert evaluate_inequalities(rho, wyd(0.5), a, b).flags == ()
+    assert qinfo._FLAGS[-1] == "route_disagreement"
+    # the bound is tol * max(1, var_a, var_b): it fires just below the
+    # largest residual over that scale and not just above
+    edge = max(report.path_residuals) / max(1.0, variance(rho, a), variance(rho, b))
+    assert evaluate_inequalities(rho, wrong, a, b, tol=0.99 * edge).flags == ("route_disagreement",)
+    assert evaluate_inequalities(rho, wrong, a, b, tol=1.01 * edge).flags == ()
 
 
 def test_stacked_report_flags_each_instance_on_its_own(fixture_a, fixture_b):

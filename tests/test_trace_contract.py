@@ -7,8 +7,13 @@ benchmark. The module is loaded from its file and not modified.
 
 The benchmark also reports ``len(skewcal.__all__)``, so the package root
 and every module must keep an ``__all__`` whose names all resolve.
+
+A module imports no name it never uses, except a name the traced run
+wraps in that module.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import math
@@ -17,6 +22,7 @@ import os
 import skewcal
 from skewcal.harness import _STACK_ENTRIES, SweepConfig, check_instance, run_sweep
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "skewcal")
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 TRACING_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracing.py"
@@ -145,3 +151,41 @@ def test_package_root_and_module_exports_resolve():
         assert module.__all__, module_name
         for name in module.__all__:
             assert hasattr(module, name), (module_name, name)
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads, nor lists in its ``__all__``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else ()
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            used |= {elt.value for elt in node.value.elts}
+    return imported - used
+
+
+def test_modules_import_only_names_they_use_or_the_tracer_wraps():
+    tracing = _load_tracing()
+    unused = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        wrapped = {name for owner, name, _ in tracing.TARGETS if owner == module}
+        if module in tracing.TILDE_CALLERS:
+            wrapped.add("tilde_transform")
+        names = _unused_imports(path)
+        assert names <= wrapped, (module, sorted(names - wrapped))
+        if names:
+            unused[module] = names
+    # only the tracer keeps these alive
+    assert unused == {
+        "gns": {"centered", "covariance", "f_correlation", "f_information", "variance", "tilde_transform"},
+        "linalg": {"tilde_transform"},
+    }
