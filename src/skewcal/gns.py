@@ -48,9 +48,10 @@ eigendecomposition. It takes the observables' eigenbasis entries, the
 lam_j tilde from :func:`skewcal.qinfo.eigenbasis_terms`, the one rotation
 and the one catalog tilde call that the stacked report reads too; H reads
 the tilde values at the atoms, which are the eigenbasis entries in ravel
-order. G's kernel traces are :func:`skewcal.qinfo._kernel_traces` of the
-same terms, the one implementation of the direct route, and
-:func:`form_G` reads its kernel from ``eigenbasis_terms`` too.
+order. This module holds the modular side only: G, the direct route's
+gap, is :func:`skewcal.qinfo._direct_gap` of the same terms, the one
+implementation of the direct-trace scalars, and :func:`form_G` reads its
+kernel from ``eigenbasis_terms`` too.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ from .monotone import MonotoneFunction
 # The audit reads its tilde values from qinfo.eigenbasis_terms and calls
 # tilde_transform nowhere; bench/tracing.py wraps it here by name.
 from .monotone import tilde_transform  # noqa: F401
-from .qinfo import EigenbasisTerms, _grid, _kernel_traces, eigenbasis_terms
-# The audit computes the direct route on whole stacks and calls none of
-# these; bench/tracing.py wraps them here by name.
+from .qinfo import EigenbasisTerms, _direct_gap, _grid, _trace_moments, eigenbasis_terms
+# The audit takes G from qinfo._direct_gap and calls none of these;
+# bench/tracing.py wraps them here by name.
 from .qinfo import centered, covariance, f_correlation, f_information, variance  # noqa: F401
 
 __all__ = [
@@ -95,11 +96,6 @@ AUDIT_FLAGS = ("g_h_mismatch", "mu_negative_atom", "gform_negative", "gform_nega
 def _value(x):
     """A 0-d result as a Python scalar; a stack's per-state array as it is."""
     return x.item() if np.ndim(x) == 0 else x
-
-
-def _real_trace(m: np.ndarray) -> np.ndarray:
-    """Re Tr of each matrix of a stack, summed as for that matrix alone."""
-    return np.trace(m, axis1=-2, axis2=-1).real
 
 
 class GnsModel:
@@ -303,21 +299,6 @@ def h_from_measure(mu: AtomicPairMeasure, q):
     return 0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz))
 
 
-def _gap(var_a, var_b, cov_ab, info_a, info_b, corr_ab) -> np.ndarray:
-    """G = var_a var_b - cov^2 - info_a info_b + corr^2 per (state, entry).
-
-    Evaluated on Python floats, as the public qinfo route is: its ``** 2``
-    is libm's pow, which can differ in the last bit from numpy's x * x.
-    """
-    columns = (var_a, var_b, cov_ab, info_a, info_b, corr_ab)
-    return np.array(
-        [
-            [va * vb - cov**2 - ia * ib + corr**2 for ia, ib, corr in zip(*entries)]
-            for va, vb, cov, *entries in zip(*(c.tolist() for c in columns))
-        ]
-    )
-
-
 def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarray]:
     """Check the trace-route inequality gap against its spectral double integral.
 
@@ -338,21 +319,21 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     -MU_ATOM_SLACK times its mass, and a negative quadratic form G^f on
     either centered observable.
 
-    Once per stack, a and b stacked as (2, T, ...) rows: Tr(rho a),
-    Tr(rho b), Re Tr(rho aa), Re Tr(rho bb), then Re Tr(rho ab), so the
-    variances and the covariance; the centered observables, and their
-    eigenbasis entries u† a u - Tr(rho a) 1 (the centering commutes with the
-    rotation), shared by the graph forms E1 (one call for both) and the
-    measure mu (its three marginals one array). Over every entry at once:
-    H by :func:`h_from_measure` from the (T, K) marginals and the (T, F, K)
-    per-atom tilde values, and the kernel forms F of G^f = E1 / 2 - F of
-    both centered observables in one call. The informations and the
-    correlation are Re Tr(rho x y) less the kernel traces of
-    :func:`~skewcal.qinfo._kernel_traces`, whose back-rotated kernel
+    Once per stack, Tr(rho a) and Tr(rho b) of
+    :func:`~skewcal.qinfo._trace_moments` center the observables and their
+    eigenbasis entries u† a u - Tr(rho a) 1 (the centering commutes with
+    the rotation), which the graph forms E1 (one call for both) and the
+    measure mu (its three marginals one array) share. Over every entry at
+    once: H by :func:`h_from_measure` from the (T, K) marginals and the
+    (T, F, K) per-atom tilde values, the kernel forms F of
+    G^f = E1 / 2 - F of both centered observables in one call, and G by
+    :func:`~skewcal.qinfo._direct_gap` from the same moments. That is the
+    code the public :func:`~skewcal.qinfo.variance`,
+    :func:`~skewcal.qinfo.covariance`, :func:`~skewcal.qinfo.f_information`
+    and :func:`~skewcal.qinfo.f_correlation` run on one state, so G equals
+    the public direct route bit for bit; its back-rotated kernel
     products are validated finite and Hermitian (a failure raises
-    ValueError). :func:`~skewcal.qinfo.f_correlation` and
-    :func:`~skewcal.qinfo.f_information` run that same code on a stack of
-    one, so G equals the public direct route bit for bit.
+    ValueError).
 
     G = H is an identity for states of trace 1. G's traces and H's measure
     of the centered observables use Tr rho in different places (for one,
@@ -365,23 +346,13 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     if terms.rho is not m.rho:
         raise ValueError("terms were computed for another state than the model's")
     n = m.dim
-    # a single state's spectral arrays broadcast against stacks of one
-    rho, ma, mb = m.rho.matrix.reshape(-1, n, n), terms.a, terms.b
     t, f = terms.tilde.shape[:2]
-
-    # the f-independent half, each once, with a and b stacked as (2, T, ...)
-    # rows: Tr(rho x) and Re Tr(rho x x), then Re Tr(rho a b)
-    pair = np.array((ma, mb))
-    r = rho @ pair
-    exp = _real_trace(r)
-    (exp_a, exp_b), (tr_aa, tr_bb) = exp, _real_trace(r @ pair)
-    tr_ab = _real_trace(r[0] @ mb)
-    var_a = tr_aa - exp_a * exp_a
-    var_b = tr_bb - exp_b * exp_b
-    cov_ab = tr_ab - exp_a * exp_b
+    # Tr(rho a) and Tr(rho b) center the observables; G reads every moment
+    moments = _trace_moments(m.rho, terms.a, terms.b)
+    shift = moments[0][:, :, None, None] * np.eye(n)
     # the centered a0 and b0, and their eigenbasis entries
-    shift = exp[:, :, None, None] * np.eye(n)
-    pair0 = pair - shift
+    pair0 = np.array((terms.a, terms.b))
+    pair0 -= shift
     pair0_t = np.array((terms.at, terms.bt)) - shift
     mu = build_mu(m, *pair0_t)
     mu_min = mu.min_weight_bound
@@ -389,17 +360,13 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     e1 = form_E1(m, pair0, pair0, (pair0_t, pair0_t))
 
     # form_G(m, f, x, x) of a0 and b0 as (2, T, F) rows, with E1 reused;
-    # taken before the kernel traces, the order that measured faster at dim 32
+    # taken before G's kernel traces, the order that measured faster at dim 32
     x = pair0_t[:, :, None]
     gforms = (0.5 * e1[..., None] - _weighted_form(terms.kernels, x, x)).real
     negative = gforms < -GFORM_SLACK * np.maximum(e1.real, 0.0)[..., None]
 
-    # the direct route's kernel traces, the public qinfo functions' own code
-    k_aa, k_bb, k_ab = _kernel_traces(terms)
-    info_a = tr_aa[:, None] - k_aa
-    info_b = tr_bb[:, None] - k_bb
-    corr_ab = tr_ab[:, None] - k_ab
-    g = _gap(var_a, var_b, cov_ab, info_a, info_b, corr_ab)
+    # G by the direct route, the public qinfo functions' own code
+    g = _direct_gap(terms, moments)
     # atom i * n + j carries the ratio lam_i / lam_j, so its tilde value is
     # entry (i, j) of the shared pass, in ravel order
     h = h_from_measure(mu, terms.tilde.reshape(t, f, n * n))

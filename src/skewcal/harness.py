@@ -367,18 +367,16 @@ def _records(config: SweepConfig, functions):
             # one audit that each cover the chunk's (trial, f) grid
             terms = eigenbasis_terms(rho, functions, a, b)
             columns = _report_in_eigenbasis(terms, config.tol)
-            residuals = columns["residuals"]
-            flags = _flag_names(columns["flags"], _FLAGS)
+            residuals, masks, names = columns["residuals"], columns["flags"], _FLAGS
             if config.gns_audit:
                 audit = audit_G_equals_H(GnsModel(rho), terms)
                 residuals = [
                     np.concatenate((r, col[:, None]), axis=1)
                     for r, col in zip(residuals, audit["residual"].T)
                 ]
-                flags = [
-                    [names + more for names, more in zip(f_flags, f_more)]
-                    for f_flags, f_more in zip(flags, _flag_names(audit["flags"], AUDIT_FLAGS))
-                ]
+                masks = np.concatenate((masks, audit["flags"]), axis=2)
+                names = _FLAGS + AUDIT_FLAGS
+            flags = _flag_names(masks, names)
             # the chunk's (T, F, n, n) tilde values and kernels are done with:
             # free them before its text and the next chunk's stacks are built
             del terms

@@ -1,9 +1,8 @@
 """Dense Hermitian and density-matrix types, seeded samplers and the JSON wire format.
 
 Everything here is desk-scale dense numerics: validated constructors, a
-cached eigendecomposition per state, the batched back-rotation of kernel
-products that :func:`skewcal.qinfo.eigenbasis_terms`' kernels feed, and
-the JSON wire format for matrices.
+cached eigendecomposition per state, and the JSON wire format for
+matrices.
 
 HermitianMatrix and DensityMatrix take one (n, n) matrix or a (T, n, n)
 stack of T matrices of one dimension. Validation is written once, for
@@ -223,22 +222,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, spectrum={np.array2string(self.eigenvalues, precision=4)})"
 
 
-def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
-    """Rotate a stack of kernel products k o x back: u (k o x) u† per matrix.
-
-    ``mapped[..., s, :, :]`` is a kernel times an observable's eigenbasis
-    entries, and ``u`` the eigenvectors of its state: (n, n) for one state,
-    or (..., 1, n, n) to broadcast each state's over its products. Every
-    result is validated finite and Hermitian by _hermitian_stack (a failure
-    raises the StackRejection a single HermitianMatrix would); returns the
-    Hermitian parts, shaped like ``mapped``. One batched matmul keeps each
-    matrix's bits those of a stack of one.
-    """
-    back = u @ mapped @ u.conj().swapaxes(-1, -2)
-    n = back.shape[-1]
-    return _hermitian_stack(back.reshape(-1, n, n))[0].reshape(back.shape)
-
-
 def _dot(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """p . w over the last axis: one BLAS dot per row (and entry), whatever the stack."""
     return (p[..., None, :] @ w[..., :, None])[..., 0, 0]
@@ -253,17 +236,6 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     flat = stack.reshape(len(stack), -1)
     re, im = flat.real, flat.imag
     return np.sqrt(_dot(re, re) + _dot(im, im))
-
-
-def _product_traces(kx: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re Tr(kx[t, f] y[t]) for a (T, F, n, n) stack ``kx`` and a (T, n, n) stack ``y``.
-
-    Each trace is the entry sum sum_ij kx_ij y_ji, taken against a
-    contiguous transpose of ``y``: O(n^2) per trace instead of a matmul,
-    and the same reduction over one trace's entries whatever T and F are.
-    """
-    y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
-    return np.einsum("tfij,tij->tf", kx, y_t).real
 
 
 def _is_seed(seed) -> bool:

@@ -134,10 +134,11 @@ def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
     ``f`` is one catalog entry, and the result is shaped like ``x``, or a
     sequence of F entries: ``x`` is then a (..., n, n) stack of ratio
     matrices and the result the (..., F, n, n) array whose [..., k, :, :]
-    is entry k's transform. A catalog call checks positivity and forms
-    x + 1, (x - 1)^2 and the wyd series window once for every entry, and
-    the entries built by :func:`wyd` share one pass; each value has the
-    bits of the entry's own call.
+    is entry k's transform. One entry is the catalog of one over ``x`` as
+    one row. A catalog call checks positivity and forms x + 1, (x - 1)^2
+    and the wyd series window once for every entry, and the entries built
+    by :func:`wyd` share one pass; each value has the bits of the entry's
+    own call.
 
     Round-off can push the mathematically nonnegative result a hair below
     zero; values in [TILDE_CLAMP_FLOOR, 0) are clamped to 0 and logged
@@ -145,36 +146,35 @@ def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
     returned untouched so validation can see them.
     """
     arr = _as_positive_array(x)
+    if isinstance(f, MonotoneFunction):
+        out = tilde_transform([f], arr.reshape(1, -1), clamp).reshape(arr.shape)
+        return _match_input(out, x)
+    entries = tuple(f)
+    if arr.ndim < 2:
+        raise ValueError(f"a catalog takes a stack of ratio matrices, got shape {arr.shape}")
     u = arr - 1.0
     u_sq = np.square(u)
-    if isinstance(f, MonotoneFunction):
-        fx = np.asarray(f(arr), dtype=float)
-        out = 0.5 * ((arr + 1.0) - u_sq * (f.f_at_zero / fx))
-    else:
-        entries = tuple(f)
-        if arr.ndim < 2:
-            raise ValueError(f"a catalog takes a stack of ratio matrices, got shape {arr.shape}")
-        fx = np.empty(arr.shape[:-2] + (len(entries),) + arr.shape[-2:])
-        betas = [_wyd_beta(entry) for entry in entries]
-        wyd_at = [k for k, beta in enumerate(betas) if beta is not None]
-        if wyd_at:
-            wyd_fx = _wyd_values([betas[k] for k in wyd_at], arr, u, u_sq)
-            fx[..., wyd_at, :, :] = np.moveaxis(wyd_fx, 0, -3)
-        for k, entry in enumerate(entries):
-            if k not in wyd_at:
-                fx[..., k, :, :] = entry(arr)
-        # the single-entry expression above, in place in fx
-        out = np.divide(np.array([e.f_at_zero for e in entries])[:, None, None], fx, out=fx)
-        out *= u_sq[..., None, :, :]
-        np.subtract((arr + 1.0)[..., None, :, :], out, out=out)
-        out *= 0.5
+    fx = np.empty(arr.shape[:-2] + (len(entries),) + arr.shape[-2:])
+    betas = [_wyd_beta(entry) for entry in entries]
+    wyd_at = [k for k, beta in enumerate(betas) if beta is not None]
+    if wyd_at:
+        wyd_fx = _wyd_values([betas[k] for k in wyd_at], arr, u, u_sq)
+        fx[..., wyd_at, :, :] = np.moveaxis(wyd_fx, 0, -3)
+    for k, entry in enumerate(entries):
+        if k not in wyd_at:
+            fx[..., k, :, :] = entry(arr)
+    # the formula, in place in fx
+    out = np.divide(np.array([e.f_at_zero for e in entries])[:, None, None], fx, out=fx)
+    out *= u_sq[..., None, :, :]
+    np.subtract((arr + 1.0)[..., None, :, :], out, out=out)
+    out *= 0.5
     if clamp:
         neg = (out < 0.0) & (out >= TILDE_CLAMP_FLOOR)
         count = int(np.count_nonzero(neg))
         if count:
             logger.debug("clamped %d tilde round-off value(s) to zero", count)
             out = np.where(neg, 0.0, out)
-    return _match_input(out, x)
+    return out
 
 
 @dataclass(frozen=True)

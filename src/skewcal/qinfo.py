@@ -1,16 +1,20 @@
 """State-level covariance, skew information, and the coupled uncertainty checks.
 
 All scalars are real numbers built from traces against a faithful density
-matrix. The module-level functions compute them by direct traces on the
-original matrices; each validates an observable once per call.
-:func:`eigenbasis_terms` takes one state or a stack of T and F catalog
-entries at once: it rotates the observables into the eigenbasis once and
-evaluates tilde on the eigenvalue ratios in one catalog call, into one
-(T, F, n, n) array, and its kernels lam_j tilde, that the stacked report
-and the G = H audit both read.
-The direct route's kernel traces have one implementation,
-:func:`_kernel_traces` on such terms: :func:`f_correlation` and
-:func:`f_information` run it on a stack of one, the G = H audit on a chunk.
+matrix. :func:`eigenbasis_terms` takes one state or a stack of T and F
+catalog entries at once: it rotates the observables into the eigenbasis
+once and evaluates tilde on the eigenvalue ratios in one catalog call,
+into one (T, F, n, n) array, and its kernels lam_j tilde, that the
+stacked report and the G = H audit both read.
+
+This module is the home of the direct route, traces on the original
+matrices, and each of its quantities has one implementation: the moments
+Tr(rho x) and Re Tr(rho x y) in :func:`_trace_moments`, the kernel traces
+Re Tr((k o x) y) of such terms in :func:`_kernel_traces`, and G from both
+in :func:`_direct_gap`. The public per-instance functions run them on one
+state, validating each observable once per call; the G = H audit runs
+them on a chunk.
+
 The report computes the f-independent half (expectations, Var, Cov, lhs,
 commutator term) once, and the rest over the (T, F) grid as weighted
 entry sums and, for the wyd family, also along the power-sandwich route
@@ -27,13 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DensityMatrix,
-    HermitianMatrix,
-    _as_matrix,
-    _kernel_apply_stack,
-    _product_traces,
-)
+from .linalg import DensityMatrix, HermitianMatrix, _as_matrix, _hermitian_stack
 from .monotone import MonotoneFunction, _wyd_beta, tilde_transform
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "covariance",
     "eigenbasis_terms",
     "evaluate_inequalities",
-    "expectation",
     "f_correlation",
     "f_information",
     "heisenberg_bound",
@@ -93,35 +90,50 @@ def _observable(rho: DensityMatrix, a) -> np.ndarray:
     return HermitianMatrix(m).matrix
 
 
-def _expectation(rho: DensityMatrix, m: np.ndarray) -> float:
-    return float(np.trace(rho.matrix @ m).real)
+def _trace_moments(rho: DensityMatrix, a: np.ndarray, b: np.ndarray):
+    """Tr(rho x) and Re Tr(rho x x) for x = a, b as (2, ...) rows, and Re Tr(rho a b).
+
+    ``a`` and ``b`` are shaped like the state's matrix, or (T, n, n) stacks
+    over one state or a stack of T. One product rho (a, b) serves every
+    trace: (rho x) x of both observables in one batched matmul, then
+    (rho a) b. Each trace is summed over its own matrix, so a stack gives
+    each state's stack-of-one values bit for bit.
+    """
+    pair = np.array((a, b))
+    r = rho.matrix @ pair
+    return tuple(np.trace(x, axis1=-2, axis2=-1).real for x in (r, r @ pair, r[0] @ b))
 
 
-def expectation(rho: DensityMatrix, a) -> float:
-    """Tr(rho a) for a Hermitian observable."""
-    return _expectation(rho, _observable(rho, a))
+def _covariances(moments) -> tuple:
+    """var_a, var_b and cov_ab from the moments of :func:`_trace_moments`."""
+    (exp_a, exp_b), (tr_aa, tr_bb), tr_ab = moments
+    return tr_aa - exp_a * exp_a, tr_bb - exp_b * exp_b, tr_ab - exp_a * exp_b
 
 
 def centered(rho: DensityMatrix, a) -> np.ndarray:
     """a - Tr(rho a) * identity."""
     m = _observable(rho, a)
-    return m - _expectation(rho, m) * np.eye(rho.dim)
-
-
-def _covariance(rho: DensityMatrix, ma: np.ndarray, mb: np.ndarray) -> float:
-    tr_ab = float(np.trace(rho.matrix @ ma @ mb).real)
-    return tr_ab - _expectation(rho, ma) * _expectation(rho, mb)
+    (exp, _), _, _ = _trace_moments(rho, m, m)
+    return m - exp * np.eye(rho.dim)
 
 
 def covariance(rho: DensityMatrix, a, b) -> float:
     """Symmetrized covariance Re Tr(rho a b) - Tr(rho a) Tr(rho b)."""
-    return _covariance(rho, _observable(rho, a), _observable(rho, b))
+    moments = _trace_moments(rho, _observable(rho, a), _observable(rho, b))
+    return float(_covariances(moments)[2])
 
 
 def variance(rho: DensityMatrix, a) -> float:
-    """Variance of an observable in the state; covariance of a with itself."""
+    """Variance Re Tr(rho a a) - Tr(rho a)^2 of an observable in the state."""
     m = _observable(rho, a)
-    return _covariance(rho, m, m)
+    return float(_covariances(_trace_moments(rho, m, m))[0])
+
+
+def _correlation(rho: DensityMatrix, f: MonotoneFunction, ma: np.ndarray, mb: np.ndarray) -> float:
+    """:func:`f_correlation` of observables that :func:`_observable` has already validated."""
+    _, _, tr_ab = _trace_moments(rho, ma, mb)
+    _, _, k_ab = _kernel_traces(eigenbasis_terms(rho, [f], ma, mb))
+    return float(tr_ab) - float(k_ab[0, 0])
 
 
 def f_correlation(rho: DensityMatrix, f: MonotoneFunction, a, b) -> float:
@@ -130,19 +142,17 @@ def f_correlation(rho: DensityMatrix, f: MonotoneFunction, a, b) -> float:
     ``kernel`` is the modular correlation kernel of (rho, f); for the wyd
     family it equals Re Tr(rho a b) - Re Tr(rho^beta a rho^(1-beta) b), the
     power-sandwich route whose disagreement the report carries as residuals.
-    The kernel trace is :func:`_kernel_traces` on a stack of one, so the
-    G = H audit's G carries this value bit for bit.
+    The traces are :func:`_trace_moments` and :func:`_kernel_traces` on
+    one state, the code the G = H audit runs on a chunk, so its G carries
+    this value bit for bit.
     """
-    ma, mb = _observable(rho, a), _observable(rho, b)
-    _, _, k_ab = _kernel_traces(eigenbasis_terms(rho, [f], ma, mb))
-    return float(np.trace(rho.matrix @ ma @ mb).real) - float(k_ab[0, 0])
+    return _correlation(rho, f, _observable(rho, a), _observable(rho, b))
 
 
 def f_information(rho: DensityMatrix, f: MonotoneFunction, a) -> float:
     """Metric-adjusted skew information: the f-correlation of a with itself."""
     m = _observable(rho, a)
-    k_aa, _, _ = _kernel_traces(eigenbasis_terms(rho, [f], m, m))
-    return float(np.trace(rho.matrix @ m @ m).real) - float(k_aa[0, 0])
+    return _correlation(rho, f, m, m)
 
 
 def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
@@ -304,6 +314,54 @@ def _kernel_traces(terms: EigenbasisTerms) -> tuple[np.ndarray, np.ndarray, np.n
         _product_traces(ka, terms.a),
         _product_traces(kb, terms.b),
         _product_traces(ka, terms.b),
+    )
+
+
+def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
+    """Rotate a stack of kernel products k o x back: u (k o x) u† per matrix.
+
+    ``u`` is (..., 1, n, n), each state's eigenvectors broadcast over its
+    products ``mapped[..., s, :, :]``. Every result is validated finite and
+    Hermitian (a failure raises the StackRejection a single HermitianMatrix
+    would); returns the Hermitian parts, shaped like ``mapped``. One
+    batched matmul keeps each matrix's bits those of a stack of one.
+    """
+    back = u @ mapped @ u.conj().swapaxes(-1, -2)
+    n = back.shape[-1]
+    return _hermitian_stack(back.reshape(-1, n, n))[0].reshape(back.shape)
+
+
+def _product_traces(kx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re Tr(kx[t, f] y[t]) for a (T, F, n, n) stack ``kx`` and a (T, n, n) stack ``y``.
+
+    Each trace is the entry sum sum_ij kx_ij y_ji against a contiguous
+    transpose of ``y``: O(n^2) per trace, over one trace's entries
+    whatever T and F are.
+    """
+    y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
+    return np.einsum("tfij,tij->tf", kx, y_t).real
+
+
+def _direct_gap(terms: EigenbasisTerms, moments) -> np.ndarray:
+    """G = var_a var_b - cov^2 - info_a info_b + corr^2 per (state, entry) of ``terms``.
+
+    ``moments`` is :func:`_trace_moments` of the terms' state and (T, n, n)
+    observables. The informations and the correlation are Re Tr(rho x y)
+    less :func:`_kernel_traces`, the public functions' own code, and G is
+    evaluated on Python floats as they are: ``** 2`` is libm's pow, which
+    can differ in the last bit from numpy's x * x.
+    """
+    _, (tr_aa, tr_bb), tr_ab = moments
+    k_aa, k_bb, k_ab = _kernel_traces(terms)
+    info_a = tr_aa[:, None] - k_aa
+    info_b = tr_bb[:, None] - k_bb
+    corr_ab = tr_ab[:, None] - k_ab
+    columns = (*_covariances(moments), info_a, info_b, corr_ab)
+    return np.array(
+        [
+            [va * vb - cov**2 - ia * ib + corr**2 for ia, ib, corr in zip(*entries)]
+            for va, vb, cov, *entries in zip(*(c.tolist() for c in columns))
+        ]
     )
 
 

@@ -22,20 +22,15 @@ from skewcal.gns import (
     h_from_measure,
 )
 from skewcal.harness import SweepConfig, hash64, run_sweep
-from skewcal.linalg import (
-    FAITHFULNESS_FLOOR,
-    DensityMatrix,
-    _product_traces,
-    random_density,
-    random_hermitian,
-)
+from skewcal.linalg import FAITHFULNESS_FLOOR, DensityMatrix, random_density, random_hermitian
 from skewcal.monotone import from_key, harmonic, sld, tilde_transform, wyd
 from skewcal.qinfo import (
     _flag_names,
+    _product_traces,
+    _trace_moments,
     centered,
     covariance,
     eigenbasis_terms,
-    expectation,
     f_correlation,
     f_information,
     variance,
@@ -539,7 +534,7 @@ def test_audit_rejects_terms_of_another_state_and_misshapen_tilde_values():
 
 
 def _g_cases():
-    for dim in (2, 3, 4, 6, 8, 16, 24, 32):
+    for dim in (1, 2, 3, 4, 6, 8, 16, 24, 32, 64):
         yield random_density(dim, seed=800 + dim)
     yield _cluster_state(seed=809)
 
@@ -570,7 +565,7 @@ def test_h_from_measure_consistency():
     a = random_hermitian(3, seed=91).matrix
     b = random_hermitian(3, seed=92).matrix
     functions = [sld(), wyd(0.3)]
-    at0, bt0 = (m.to_eigenbasis(x) - expectation(m.rho, x) * np.eye(3) for x in (a, b))
+    at0, bt0 = (m.to_eigenbasis(x) - np.trace(m.rho.matrix @ x).real * np.eye(3) for x in (a, b))
     mu = build_mu(m, at0, bt0)
     audit = _audit(m, functions, a, b)
     q = np.array([tilde_transform(f, mu.values) for f in functions])
@@ -655,6 +650,26 @@ def test_entry_sum_traces_do_not_depend_on_the_stack(dim):
         assert np.allclose(stacked, exact, rtol=1e-12, atol=1e-12 * dim)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
+def test_trace_moments_do_not_depend_on_the_stack(dim):
+    # the audit's Tr(rho x) and Re Tr(rho x y): a (T, n, n) stack gives, bit
+    # for bit, what each state gives as a stack of one
+    for t in (1, 3, 7):
+        seeds = [50 * dim + 10 * t + k for k in range(t)]
+        rho = random_density(dim, seeds)
+        a, b = (random_hermitian(dim, [s + k for s in seeds]).matrix for k in (1, 2))
+        stacked = _trace_moments(rho, a, b)
+        assert [x.shape for x in stacked] == [(2, t), (2, t), (t,)]
+        alone = [
+            _trace_moments(DensityMatrix(rho.matrix[k : k + 1]), a[k : k + 1], b[k : k + 1])
+            for k in range(t)
+        ]
+        for got, parts in zip(stacked, zip(*alone)):
+            assert repr(got.tolist()) == repr(np.concatenate(parts, axis=-1).tolist()), (t,)
+        exact = np.einsum("tij,tjk,tki->t", rho.matrix, a, b).real
+        assert np.allclose(stacked[2], exact, rtol=1e-12, atol=1e-12 * dim)
+
+
 def test_audited_sweep_records_are_per_trial_audits():
     # dim 64 runs two trials per chunk, so trial 2 starts a second chunk
     functions = [from_key(k) for k in ALL_KEYS]
@@ -708,7 +723,8 @@ def test_stacked_audit_forms_equal_each_observables_own():
         lam = m.eigenvalues.reshape(-1, n)
         gforms, graph, centered, centered_t = [], [], [], []
         for x, xt in ((terms.a, terms.at), (terms.b, terms.bt)):
-            shift = gns._real_trace(rho.matrix.reshape(-1, n, n) @ x)[:, None, None] * np.eye(n)
+            exp = np.trace(rho.matrix.reshape(-1, n, n) @ x, axis1=1, axis2=2).real
+            shift = exp[:, None, None] * np.eye(n)
             x0, xt0 = x - shift, xt - shift
             e1 = form_E1(m, x0, x0, (xt0, xt0))
             kernel_form = gns._weighted_form(terms.kernels, xt0[:, None], xt0[:, None])

@@ -590,6 +590,9 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
         assert any(
             {"main_inequality_violation", "g_h_mismatch"} <= names for names in flags
         ) == gns_audit
+        # the report's flags come first, then the audit's, each in its own order
+        order = harness._FLAGS + harness.AUDIT_FLAGS
+        assert all(r["flags"] == sorted(r["flags"], key=order.index) for r in records)
 
 
 def test_sweep_without_output_builds_no_text(monkeypatch):

@@ -1,7 +1,7 @@
 """Matrix types, spectral utilities, kernels, and the JSON wire format.
 
 The modular kernel is built by ``qinfo.eigenbasis_terms`` and applied by
-``qinfo._kernel_traces`` through ``linalg._kernel_apply_stack``; its
+``qinfo._kernel_traces`` through ``qinfo._kernel_apply_stack``; its
 tests read both.
 """
 

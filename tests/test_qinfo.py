@@ -17,7 +17,6 @@ from skewcal.qinfo import (
     covariance,
     eigenbasis_terms,
     evaluate_inequalities,
-    expectation,
     f_correlation,
     f_information,
     heisenberg_bound,
@@ -161,7 +160,7 @@ def test_kernel_route_agrees_with_power_route(beta):
 def test_expectation_and_centering():
     rho, a, _ = _random_instance(3, tag=23)
     a0 = centered(rho, a)
-    assert expectation(rho, a0) == pytest.approx(0.0, abs=1e-13)
+    assert float(np.trace(rho.matrix @ a0).real) == pytest.approx(0.0, abs=1e-13)
     assert variance(rho, a) == pytest.approx(
         float(np.trace(rho.matrix @ a0 @ a0).real), abs=1e-12
     )
@@ -384,7 +383,6 @@ def test_single_instance_functions_reject_a_stacked_state():
     b = random_hermitian(3, [11, 12, 13])
     f = sld()
     calls = (
-        lambda: expectation(rho, a),
         lambda: centered(rho, a),
         lambda: covariance(rho, a, b),
         lambda: variance(rho, a),
@@ -413,7 +411,6 @@ def test_single_instance_functions_reject_a_non_hermitian_observable():
     f = sld()
     for rho, bad, good in cases:
         calls = (
-            lambda: expectation(rho, bad),
             lambda: centered(rho, bad),
             lambda: covariance(rho, good, bad),
             lambda: variance(rho, bad),
@@ -503,7 +500,6 @@ def test_public_functions_validate_each_observable_once(monkeypatch, fixture_rho
     a, b = fixture_a.matrix, random_hermitian(fixture_rho.dim, seed=31).matrix
     f = wyd(0.5)
     calls = {
-        "expectation": (lambda: expectation(fixture_rho, a), 1),
         "centered": (lambda: centered(fixture_rho, a), 1),
         "variance": (lambda: variance(fixture_rho, a), 1),
         "covariance": (lambda: covariance(fixture_rho, a, b), 2),
