@@ -35,13 +35,17 @@ print("modular spectrum has", model.spectrum().size, "atoms for dim", model.dim)
 report = evaluate_inequalities(rho, f, a.matrix, b.matrix)
 xa = centered(rho, a.matrix)
 xb = centered(rho, b.matrix)
-print("cov via form :", 0.5 * form_E1(model, xa, xb).real, " trace route:", report.cov_ab)
+# E1 and mu take the entries u* X u in the eigenbasis of rho, where Delta
+# scales entry (i, j) by lam_i / lam_j and E1 is the kernel sum of
+# lam_i + lam_j; form_G rotates its standard-basis arguments itself.
+xta, xtb = rho.to_eigenbasis(xa), rho.to_eigenbasis(xb)
+print("cov via form :", 0.5 * form_E1(model, xta, xtb).real, " trace route:", report.cov_ab)
 print("corr via form:", form_G(model, f, xa, xb).real, " trace route:", report.corr_ab)
 
 # E1 and F sandwich every mixed term: F = E1 / 2 - G is the ftilde(Delta)
 # form, E1 the f-independent envelope (Delta + 1), and F <= E1 / 2
 # entrywise in any orthogonal decomposition.
-e1_half = 0.5 * form_E1(model, xa, xa)
+e1_half = 0.5 * form_E1(model, xta, xta)
 print("E1(a,a) / 2  :", e1_half.real)
 print("F(a,a)       :", (e1_half - form_G(model, f, xa, xa)).real, " (= var - info)")
 
@@ -58,7 +62,7 @@ print("flags    =", tuple(name for name, hit in zip(AUDIT_FLAGS, audit["flags"][
 # nonnegative by a Cauchy-Schwarz argument. The audit never forms its
 # K x K weights: it certifies, from the K per-atom marginals, a lower
 # bound on the smallest one.
-mu = build_mu(model, model.to_eigenbasis(xa), model.to_eigenbasis(xb))
+mu = build_mu(model, xta, xtb)
 print("certified lower bound on the smallest mu atom:", mu.min_weight_bound)
 
 

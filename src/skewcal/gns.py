@@ -5,6 +5,9 @@ product <x, y> = Tr(rho x† y) and cyclic vector the identity matrix. The
 modular operator acts as x -> rho x rho^(-1): it scales the eigenbasis
 matrix unit e_i e_j† by lam_i / lam_j, so every spectral integral below is
 an exact sum over n^2 atoms, the rank-one projections onto the e_i e_j†.
+The forms and the measure therefore take vectors by their eigenbasis
+entries u† x u: there <x, y> weighs entry (i, j) of conj(x) y by lam_j and
+<x, Delta y> by lam_i.
 
 The centerpiece is the identity audit: the inequality gap
 
@@ -49,9 +52,9 @@ lam_j tilde from :func:`skewcal.qinfo.eigenbasis_terms`, the one rotation
 and the one catalog tilde call that the stacked report reads too; H reads
 the tilde values at the atoms, which are the eigenbasis entries in ravel
 order. This module holds the modular side only: G, the direct route's
-gap, is :func:`skewcal.qinfo._direct_gap` of the same terms, the one
-implementation of the direct-trace scalars, and :func:`form_G` reads its
-kernel from ``eigenbasis_terms`` too.
+gap, is :func:`skewcal.qinfo._scalars` of the direct traces of the same
+terms, the report's formula, and :func:`form_G` reads its kernel from
+``eigenbasis_terms`` too.
 """
 
 from __future__ import annotations
@@ -60,13 +63,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, _as_matrix, _dot
+from .linalg import DensityMatrix, _dot
 from .monotone import MonotoneFunction
 # The audit reads its tilde values from qinfo.eigenbasis_terms and calls
 # tilde_transform nowhere; bench/tracing.py wraps it here by name.
 from .monotone import tilde_transform  # noqa: F401
-from .qinfo import EigenbasisTerms, _direct_gap, _grid, _trace_moments, eigenbasis_terms
-# The audit takes G from qinfo._direct_gap and calls none of these;
+from .qinfo import EigenbasisTerms, _grid, _kernel_traces, _scalars, _trace_moments, eigenbasis_terms
+# The audit takes G from qinfo._scalars and calls none of these;
 # bench/tracing.py wraps them here by name.
 from .qinfo import centered, covariance, f_correlation, f_information, variance  # noqa: F401
 
@@ -106,8 +109,8 @@ class GnsModel:
     operator acts entrywise in the eigenbasis by the eigenvalue ratios
     lam_i / lam_j. Over a stacked DensityMatrix of T states,
     ``eigenvalues`` and ``eigenvectors`` carry a leading trial axis,
-    vectors are (T, n, n) stacks, and the inner product, the forms and the
-    measure give one value per state.
+    vectors are (T, n, n) stacks, and the forms and the measure give one
+    value per state.
     """
 
     __slots__ = ("rho", "dim", "eigenvalues", "eigenvectors")
@@ -117,14 +120,6 @@ class GnsModel:
         self.dim = rho.dim
         self.eigenvalues = rho.eigenvalues
         self.eigenvectors = rho.eigenvectors
-
-    def inner(self, x, y):
-        """GNS inner product Tr(rho x† y), by direct trace."""
-        xh = _as_matrix(x).conj().swapaxes(-1, -2)
-        return _value(np.trace(self.rho.matrix @ xh @ _as_matrix(y), axis1=-2, axis2=-1))
-
-    def to_eigenbasis(self, x) -> np.ndarray:
-        return self.rho.to_eigenbasis(x)
 
     def spectrum(self) -> np.ndarray:
         """Value lam_i / lam_j of each atom i * n + j, (T, n^2) over a stack.
@@ -141,18 +136,16 @@ def _weighted_form(kernel: np.ndarray, xt: np.ndarray, et: np.ndarray):
     return _value(np.sum(kernel * np.conj(xt) * et, axis=(-2, -1)))
 
 
-def form_E1(m: GnsModel, xi, eta, eigenbasis=None):
-    """Graph form <xi, (1 + Delta) eta>: <xi, Delta eta> plus the plain inner product.
+def form_E1(m: GnsModel, xt, et):
+    """Graph form <xi, (1 + Delta) eta> of two vectors given by their eigenbasis entries.
 
-    ``eigenbasis`` may pass the pair (u† xi u, u† eta u) that the caller
-    already holds; otherwise xi is rotated once, and eta too unless it is xi.
+    ``xt`` and ``et`` are u† xi u and u† eta u, as :func:`build_mu` takes
+    them. <xi, eta> = Tr(rho xi† eta) weighs entry (i, j) of conj(xt) et by
+    lam_j and <xi, Delta eta> by lam_i, so E1 is their sum against the
+    kernel lam_i + lam_j.
     """
-    if eigenbasis is None:
-        xt = m.to_eigenbasis(xi)
-        eigenbasis = (xt, xt if eta is xi else m.to_eigenbasis(eta))
     lam = m.eigenvalues
-    kernel = (lam[..., :, None] / lam[..., None, :]) * lam[..., None, :]
-    return _weighted_form(kernel, *eigenbasis) + m.inner(xi, eta)
+    return _weighted_form(lam[..., :, None] + lam[..., None, :], xt, et)
 
 
 def form_G(m: GnsModel, f: MonotoneFunction, xi, eta):
@@ -166,7 +159,7 @@ def form_G(m: GnsModel, f: MonotoneFunction, xi, eta):
     terms = eigenbasis_terms(m.rho, [f], xi, eta)
     shape = m.rho.matrix.shape
     xt, et, kernel = (x.reshape(shape) for x in (terms.at, terms.bt, terms.kernels))
-    return 0.5 * form_E1(m, xi, eta, (xt, et)) - _weighted_form(kernel, xt, et)
+    return 0.5 * form_E1(m, xt, et) - _weighted_form(kernel, xt, et)
 
 
 def _compute_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
@@ -320,20 +313,21 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     either centered observable.
 
     Once per stack, Tr(rho a) and Tr(rho b) of
-    :func:`~skewcal.qinfo._trace_moments` center the observables and their
-    eigenbasis entries u† a u - Tr(rho a) 1 (the centering commutes with
-    the rotation), which the graph forms E1 (one call for both) and the
-    measure mu (its three marginals one array) share. Over every entry at
-    once: H by :func:`h_from_measure` from the (T, K) marginals and the
-    (T, F, K) per-atom tilde values, the kernel forms F of
-    G^f = E1 / 2 - F of both centered observables in one call, and G by
-    :func:`~skewcal.qinfo._direct_gap` from the same moments. That is the
-    code the public :func:`~skewcal.qinfo.variance`,
+    :func:`~skewcal.qinfo._trace_moments` center the observables' eigenbasis
+    entries, u† a u - Tr(rho a) 1 (the centering commutes with the
+    rotation); the graph forms E1 (the lam_i + lam_j kernel sum, one call
+    for both) and the measure mu (its three marginals one array) read only
+    these entries. Over every entry at once: H by :func:`h_from_measure`
+    from the (T, K) marginals and the (T, F, K) per-atom tilde values, the
+    kernel forms F of G^f = E1 / 2 - F of both centered observables in one
+    call, and G by :func:`~skewcal.qinfo._scalars`, the report's formula,
+    from the same moments and :func:`~skewcal.qinfo._kernel_traces`. That
+    is the code the public :func:`~skewcal.qinfo.variance`,
     :func:`~skewcal.qinfo.covariance`, :func:`~skewcal.qinfo.f_information`
     and :func:`~skewcal.qinfo.f_correlation` run on one state, so G equals
-    the public direct route bit for bit; its back-rotated kernel
-    products are validated finite and Hermitian (a failure raises
-    ValueError).
+    the report's formula on the public values bit for bit; its
+    back-rotated kernel products are validated finite and Hermitian (a
+    failure raises ValueError).
 
     G = H is an identity for states of trace 1. G's traces and H's measure
     of the centered observables use Tr rho in different places (for one,
@@ -350,14 +344,12 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     # Tr(rho a) and Tr(rho b) center the observables; G reads every moment
     moments = _trace_moments(m.rho, terms.a, terms.b)
     shift = moments[0][:, :, None, None] * np.eye(n)
-    # the centered a0 and b0, and their eigenbasis entries
-    pair0 = np.array((terms.a, terms.b))
-    pair0 -= shift
+    # the eigenbasis entries of the centered a0 and b0
     pair0_t = np.array((terms.at, terms.bt)) - shift
     mu = build_mu(m, *pair0_t)
     mu_min = mu.min_weight_bound
     mu_negative = mu_min < -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0)
-    e1 = form_E1(m, pair0, pair0, (pair0_t, pair0_t))
+    e1 = form_E1(m, pair0_t, pair0_t)
 
     # form_G(m, f, x, x) of a0 and b0 as (2, T, F) rows, with E1 reused;
     # taken before G's kernel traces, the order that measured faster at dim 32
@@ -366,7 +358,7 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     negative = gforms < -GFORM_SLACK * np.maximum(e1.real, 0.0)[..., None]
 
     # G by the direct route, the public qinfo functions' own code
-    g = _direct_gap(terms, moments)
+    g = _scalars(moments, _kernel_traces(terms))["gap"]
     # atom i * n + j carries the ratio lam_i / lam_j, so its tilde value is
     # entry (i, j) of the shared pass, in ravel order
     h = h_from_measure(mu, terms.tilde.reshape(t, f, n * n))

@@ -141,11 +141,19 @@ def hash64(*words):
 
     Integer words give a Python int. A word may also be an integer array:
     the hash then runs elementwise on uint64 arrays, broadcast over the
-    words, and equals the integer hash of each element's words.
+    words, and equals the integer hash of each element's words. Words are
+    taken modulo 2^64, so -1 hashes as 2^64 - 1. A bool, a float or any
+    other non-integer word, and an array of such a dtype, raise ValueError
+    rather than being truncated to an integer.
     """
     h = 0
     for w in words:
-        w = w.astype(np.uint64) if isinstance(w, np.ndarray) else int(w) & _MASK64
+        if isinstance(w, np.ndarray):
+            if w.dtype.kind not in "iu":
+                raise ValueError(f"hash64 word must be an integer array, got dtype {w.dtype}")
+            w = w.astype(np.uint64)
+        else:
+            w = _integer(w, "hash64 word") & _MASK64
         _, h = splitmix64(h ^ w)
     return h
 

@@ -9,11 +9,14 @@ stacked report and the G = H audit both read.
 
 This module is the home of the direct route, traces on the original
 matrices, and each of its quantities has one implementation: the moments
-Tr(rho x) and Re Tr(rho x y) in :func:`_trace_moments`, the kernel traces
-Re Tr((k o x) y) of such terms in :func:`_kernel_traces`, and G from both
-in :func:`_direct_gap`. The public per-instance functions run them on one
-state, validating each observable once per call; the G = H audit runs
-them on a chunk.
+Tr(rho x) and Re Tr(rho x y) in :func:`_trace_moments` and the kernel
+traces Re Tr((k o x) y) of such terms in :func:`_kernel_traces`. The
+public per-instance functions run them on one state, validating each
+observable once per call; the G = H audit runs them on a chunk. The two
+routes differ only in how they take traces: :func:`_scalars` turns
+either's traces into Var, Cov, the informations, the correlation, lhs,
+rhs and the gap by one formula, which the report applies to its
+eigenbasis entry sums and the audit, for G, to the direct traces.
 
 The report computes the f-independent half (expectations, Var, Cov, lhs,
 commutator term) once, and the rest over the (T, F) grid as weighted
@@ -131,9 +134,8 @@ def variance(rho: DensityMatrix, a) -> float:
 
 def _correlation(rho: DensityMatrix, f: MonotoneFunction, ma: np.ndarray, mb: np.ndarray) -> float:
     """:func:`f_correlation` of observables that :func:`_observable` has already validated."""
-    _, _, tr_ab = _trace_moments(rho, ma, mb)
-    _, _, k_ab = _kernel_traces(eigenbasis_terms(rho, [f], ma, mb))
-    return float(tr_ab) - float(k_ab[0, 0])
+    traces = _kernel_traces(eigenbasis_terms(rho, [f], ma, mb))
+    return _scalars(_trace_moments(rho, ma, mb), traces)["corr_ab"].item()
 
 
 def f_correlation(rho: DensityMatrix, f: MonotoneFunction, a, b) -> float:
@@ -342,27 +344,27 @@ def _product_traces(kx: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("tfij,tij->tf", kx, y_t).real
 
 
-def _direct_gap(terms: EigenbasisTerms, moments) -> np.ndarray:
-    """G = var_a var_b - cov^2 - info_a info_b + corr^2 per (state, entry) of ``terms``.
+def _scalars(moments, kernel_traces) -> dict:
+    """var_a, var_b, cov_ab, info_a, info_b, corr_ab, lhs, rhs and gap from traces.
 
-    ``moments`` is :func:`_trace_moments` of the terms' state and (T, n, n)
-    observables. The informations and the correlation are Re Tr(rho x y)
-    less :func:`_kernel_traces`, the public functions' own code, and G is
-    evaluated on Python floats as they are: ``** 2`` is libm's pow, which
-    can differ in the last bit from numpy's x * x.
+    ``moments`` are (Tr rho a, Tr rho b), (Re Tr rho a a, Re Tr rho b b) and
+    Re Tr rho a b, as :func:`_trace_moments` returns them, and
+    ``kernel_traces`` the Re Tr((k o x) y) of :func:`_kernel_traces`, with
+    one more (entry) axis. Both routes take their traces their own way and
+    share this one formula; var_a, var_b, cov_ab and lhs come out shaped
+    like the moments, the rest with the entry axis. Squares are x * x: on
+    numpy scalars x ** 2 is libm's pow, which can differ in the last bit.
     """
     _, (tr_aa, tr_bb), tr_ab = moments
-    k_aa, k_bb, k_ab = _kernel_traces(terms)
-    info_a = tr_aa[:, None] - k_aa
-    info_b = tr_bb[:, None] - k_bb
-    corr_ab = tr_ab[:, None] - k_ab
-    columns = (*_covariances(moments), info_a, info_b, corr_ab)
-    return np.array(
-        [
-            [va * vb - cov**2 - ia * ib + corr**2 for ia, ib, corr in zip(*entries)]
-            for va, vb, cov, *entries in zip(*(c.tolist() for c in columns))
-        ]
-    )
+    k_aa, k_bb, k_ab = kernel_traces
+    var_a, var_b, cov_ab = _covariances(moments)
+    lhs = var_a * var_b - cov_ab * cov_ab
+    info_a = tr_aa[..., None] - k_aa
+    info_b = tr_bb[..., None] - k_bb
+    corr_ab = tr_ab[..., None] - k_ab
+    rhs = info_a * info_b - corr_ab * corr_ab
+    gap = lhs[..., None] - rhs
+    return dict(zip(_SCALARS, (var_a, var_b, cov_ab, info_a, info_b, corr_ab, lhs, rhs, gap)))
 
 
 def _entry_sums(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -398,24 +400,20 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     tr_rho_ba = np.einsum("tj,tij->t", lam, p_ab)
     tr_rho_aa, tr_rho_bb = (np.einsum("ti,tij->t", lam, p) for p in (p_aa, p_bb))
 
-    var_a = tr_rho_aa - exp_a * exp_a
-    var_b = tr_rho_bb - exp_b * exp_b
-    cov_ab = tr_rho_ab.real - exp_a * exp_b
     heis = 0.25 * np.abs(tr_rho_ab - tr_rho_ba) ** 2
-    lhs = var_a * var_b - cov_ab * cov_ab
+
+    # the audit's formula on these traces; the kernel traces are the kernel
+    # lam_j tilde(lam_i / lam_j) of every entry summed against each product
+    moments = ((exp_a, exp_b), (tr_rho_aa, tr_rho_bb), tr_rho_ab.real)
+    kernel_traces = [_entry_sums(terms.kernels, p) for p in (p_aa, p_bb, p_ab.real)]
+    values = {**_scalars(moments, kernel_traces), "heisenberg_rhs": heis}
+    var_a, var_b, lhs = values["var_a"], values["var_b"], values["lhs"]
+    info_a, info_b, corr_ab, gap = (values[k] for k in ("info_a", "info_b", "corr_ab", "gap"))
 
     # fmax, like max(1.0, x), keeps the scale at 1 when the product is NaN
     scale = np.fmax(1.0, var_a * var_b)
     tol_eff, slack = (tol * scale)[:, None], (INVARIANT_SLACK * scale)[:, None]
-
-    # the kernel lam_j tilde(lam_i / lam_j) of every entry
-    kernels = terms.kernels
-    tr_aa, tr_bb, tr_ab = tr_rho_aa[:, None], tr_rho_bb[:, None], tr_rho_ab.real[:, None]
-    info_a = tr_aa - _entry_sums(kernels, p_aa)
-    info_b = tr_bb - _entry_sums(kernels, p_bb)
-    corr_ab = tr_ab - _entry_sums(kernels, p_ab.real)
-    rhs = info_a * info_b - corr_ab * corr_ab
-    gap = lhs[:, None] - rhs
+    tr_aa, tr_bb, tr_ab = (x[:, None] for x in (tr_rho_aa, tr_rho_bb, tr_rho_ab.real))
 
     # independent route for the wyd entries: unsymmetrized power sandwich,
     # real part taken last
@@ -446,8 +444,8 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     disagree = np.zeros(gap.shape, bool)
     disagree[:, k_wyd] = sandwich.max(axis=0) > route_bound[:, None]
 
-    columns = (var_a[:, None], var_b[:, None], cov_ab[:, None], info_a, info_b, corr_ab)
-    scalars = _grid((*columns, lhs[:, None], rhs, gap, heis[:, None]), gap.shape, float)
+    # the per-state columns repeat along the entry axis
+    scalars = _grid([values[name].reshape(len(lam), -1) for name in _SCALARS], gap.shape, float)
     flags = (
         ~np.isfinite(scalars).all(axis=0),
         gap < -tol_eff,

@@ -76,35 +76,41 @@ def _vector(dim, seed):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def test_inner_product_and_cyclic_vector():
-    m = _model(3, seed=53)
-    x, y = _vector(3, seed=54), _vector(3, seed=55)
-    direct = complex(np.trace(m.rho.matrix @ x.conj().T @ y))
-    assert m.inner(x, y) == pytest.approx(direct, abs=1e-13)
-    one = np.eye(3)  # the cyclic vector
-    assert m.inner(one, one) == pytest.approx(1.0, abs=1e-13)
-    # expectation of an observable is its inner product against the cyclic vector
-    a = random_hermitian(3, seed=56)
-    assert m.inner(one, a.matrix) == pytest.approx(
-        complex(np.trace(m.rho.matrix @ a.matrix)), abs=1e-13
-    )
-
-
 def test_form_E1_is_the_modular_graph_form():
-    # the entrywise ratios act as the modular operator Delta y = rho y rho^(-1)
-    m = _model(4, seed=57)
-    x, y = _vector(4, seed=58), _vector(4, seed=59)
-    delta_y = m.rho.matrix @ y @ np.linalg.inv(m.rho.matrix)
-    expected = m.inner(x, delta_y) + m.inner(x, y)
-    assert form_E1(m, x, y) == pytest.approx(expected, abs=1e-11)
+    # E1(x, y) = <x, Delta y> + <x, y> = Tr(rho x† rho y rho^-1) + Tr(rho x† y),
+    # with Delta y = rho y rho^-1 taken here by matrix products and an
+    # inverse. The inverse makes this reference's own round-off grow with
+    # the condition number kappa = lam_max / lam_min, so the float64 bound
+    # is 8 n eps kappa |x| |y| (Frobenius norms); over 40 seeds of each case
+    # below, the near-floor state's kappa ~ 2e9 included, the largest error
+    # was 1.5 n eps kappa |x| |y|, at dim 1
+    eps = np.finfo(float).eps
+    states = [random_density(dim, seed=57 + dim) for dim in (1, 2, 8, 32, 64)]
+    for rho in states + [_near_floor_state(seed=58)]:
+        m, n, r = GnsModel(rho), rho.dim, rho.matrix
+        x, y = _vector(n, seed=59 + n), _vector(n, seed=60 + n)
+        xh = x.conj().T
+        expected = np.trace(r @ xh @ r @ y @ np.linalg.inv(r)) + np.trace(r @ xh @ y)
+        kappa = float(np.max(m.eigenvalues) / np.min(m.eigenvalues))
+        bound = 8 * n * eps * kappa * np.linalg.norm(x) * np.linalg.norm(y)
+        xt, yt = rho.to_eigenbasis(x), rho.to_eigenbasis(y)
+        assert abs(form_E1(m, xt, yt) - expected) <= bound, n
+        # on the cyclic vector 1: <1, 1> = <1, Delta 1> = Tr rho, and
+        # <1, a> = <1, Delta a> = Tr(rho a) for an observable a
+        one = rho.to_eigenbasis(np.eye(n))
+        a = random_hermitian(n, seed=61 + n).matrix
+        assert abs(form_E1(m, one, one) - 2.0 * np.trace(r)) <= 4 * n * eps, n
+        e1_a = form_E1(m, one, rho.to_eigenbasis(a))
+        assert abs(e1_a - 2.0 * np.trace(r @ a)) <= 4 * n * eps * np.linalg.norm(a), n
 
 
 def test_forms_are_sesquilinear():
     m = _model(3, seed=61)
     x, y = _vector(3, seed=62), _vector(3, seed=63)
+    xt, yt = m.rho.to_eigenbasis(x), m.rho.to_eigenbasis(y)
     c = 0.7 - 1.9j
-    assert form_E1(m, c * x, y) == pytest.approx(np.conj(c) * form_E1(m, x, y), abs=1e-11)
-    assert form_E1(m, x, c * y) == pytest.approx(c * form_E1(m, x, y), abs=1e-11)
+    assert form_E1(m, c * xt, yt) == pytest.approx(np.conj(c) * form_E1(m, xt, yt), abs=1e-11)
+    assert form_E1(m, xt, c * yt) == pytest.approx(c * form_E1(m, xt, yt), abs=1e-11)
     f = wyd(0.3)
     assert form_G(m, f, c * x, y) == pytest.approx(np.conj(c) * form_G(m, f, x, y), abs=1e-11)
     assert form_G(m, f, x, c * y) == pytest.approx(c * form_G(m, f, x, y), abs=1e-11)
@@ -115,7 +121,8 @@ def test_harmonic_kernel_form_is_half_the_graph_form():
     m = _model(4, seed=64)
     x, y = _vector(4, seed=65), _vector(4, seed=66)
     assert form_G(m, harmonic(), x, y) == pytest.approx(0.0, abs=1e-11)
-    assert abs(form_G(m, harmonic(), x, x)) <= 1e-12 * abs(form_E1(m, x, x))
+    xt = m.rho.to_eigenbasis(x)
+    assert abs(form_G(m, harmonic(), x, x)) <= 1e-12 * abs(form_E1(m, xt, xt))
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
@@ -126,7 +133,8 @@ def test_form_routes_reproduce_trace_scalars(key):
         a = random_hermitian(dim, seed=68 + dim)
         b = random_hermitian(dim, seed=69 + dim)
         a0, b0 = centered(m.rho, a), centered(m.rho, b)
-        assert 0.5 * form_E1(m, a0, b0).real == pytest.approx(
+        at0, bt0 = m.rho.to_eigenbasis(a0), m.rho.to_eigenbasis(b0)
+        assert 0.5 * form_E1(m, at0, bt0).real == pytest.approx(
             covariance(m.rho, a, b), abs=1e-10
         )
         assert form_G(m, f, a0, b0).real == pytest.approx(
@@ -141,7 +149,7 @@ def test_gform_expansion_and_nonnegativity(key):
     f = from_key(key)
     m = _model(4, seed=71)
     x = _vector(4, seed=72)
-    xt = m.to_eigenbasis(x)
+    xt = m.rho.to_eigenbasis(x)
     lam = m.eigenvalues
     ratios = _ratios(m)
     g = 0.5 * (ratios + 1.0) - np.asarray(tilde_transform(f, ratios), dtype=float)
@@ -150,7 +158,7 @@ def test_gform_expansion_and_nonnegativity(key):
     assert value.real == pytest.approx(expected, abs=1e-11 * max(1.0, abs(expected)))
     assert abs(value.imag) <= 1e-11 * max(1.0, abs(expected))
     assert np.all(g > -1e-14)
-    assert value.real >= -1e-12 * form_E1(m, x, x).real
+    assert value.real >= -1e-12 * form_E1(m, xt, xt).real
 
 
 def _spectrum_cases():
@@ -174,7 +182,7 @@ def test_spectrum_transpose_is_the_reciprocal():
 
 def _mu(m, x, y):
     # the measure of two vectors given in the standard basis
-    return build_mu(m, m.to_eigenbasis(x), m.to_eigenbasis(y))
+    return build_mu(m, m.rho.to_eigenbasis(x), m.rho.to_eigenbasis(y))
 
 
 def test_mu_vanishes_on_equal_arguments():
@@ -540,9 +548,11 @@ def _g_cases():
 
 
 def test_audit_g_is_the_public_direct_route():
-    # G is var_a var_b - cov^2 - I_a I_b + corr^2 from the public qinfo
-    # functions, bit for bit: the audit's one kernel per entry, applied to
-    # both observables in one batched stack, is their kernel application
+    # G is the report's (var_a var_b - cov cov) - (I_a I_b - corr corr) on
+    # the public qinfo functions' floats, bit for bit: the audit's one kernel
+    # per entry, applied to both observables in one batched stack, is their
+    # kernel application, and its scalars are qinfo._scalars, the formula
+    # the report applies to its own traces
     functions = [from_key(k) for k in ALL_KEYS]
     for rho in _g_cases():
         n = rho.dim
@@ -553,7 +563,7 @@ def test_audit_g_is_the_public_direct_route():
         for f, entry in zip(functions, entries):
             info_a, info_b = f_information(rho, f, a), f_information(rho, f, b)
             corr_ab = f_correlation(rho, f, a, b)
-            g = var_a * var_b - cov_ab**2 - info_a * info_b + corr_ab**2
+            g = (var_a * var_b - cov_ab * cov_ab) - (info_a * info_b - corr_ab * corr_ab)
             assert repr(entry["G"]) == repr(g), (n, f.name)
             assert entry["flags"] == [], (n, f.name)
 
@@ -565,7 +575,7 @@ def test_h_from_measure_consistency():
     a = random_hermitian(3, seed=91).matrix
     b = random_hermitian(3, seed=92).matrix
     functions = [sld(), wyd(0.3)]
-    at0, bt0 = (m.to_eigenbasis(x) - np.trace(m.rho.matrix @ x).real * np.eye(3) for x in (a, b))
+    at0, bt0 = (m.rho.to_eigenbasis(x) - np.trace(m.rho.matrix @ x).real * np.eye(3) for x in (a, b))
     mu = build_mu(m, at0, bt0)
     audit = _audit(m, functions, a, b)
     q = np.array([tilde_transform(f, mu.values) for f in functions])
@@ -721,19 +731,17 @@ def test_stacked_audit_forms_equal_each_observables_own():
         a, b = (random_hermitian(n, [s + k for s in seeds]).matrix.reshape(rho.matrix.shape) for k in (0, 5))
         terms = eigenbasis_terms(rho, functions, a, b)
         lam = m.eigenvalues.reshape(-1, n)
-        gforms, graph, centered, centered_t = [], [], [], []
+        gforms, graph, centered_t = [], [], []
         for x, xt in ((terms.a, terms.at), (terms.b, terms.bt)):
             exp = np.trace(rho.matrix.reshape(-1, n, n) @ x, axis1=1, axis2=2).real
-            shift = exp[:, None, None] * np.eye(n)
-            x0, xt0 = x - shift, xt - shift
-            e1 = form_E1(m, x0, x0, (xt0, xt0))
+            xt0 = xt - exp[:, None, None] * np.eye(n)
+            e1 = form_E1(m, xt0, xt0)
             kernel_form = gns._weighted_form(terms.kernels, xt0[:, None], xt0[:, None])
             gforms.append((0.5 * e1[:, None] - kernel_form).real)
             graph.append(e1)
-            centered.append(x0)
             centered_t.append(xt0)
-        pair, pair_t = np.array(centered), np.array(centered_t)
-        assert repr(form_E1(m, pair, pair, (pair_t, pair_t)).tolist()) == repr(np.array(graph).tolist())
+        pair_t = np.array(centered_t)
+        assert repr(form_E1(m, pair_t, pair_t).tolist()) == repr(np.array(graph).tolist())
         at0, bt0 = centered_t
         audit = audit_G_equals_H(m, terms)
         assert repr(audit["gform_min"].tolist()) == repr(np.minimum(*gforms).tolist())

@@ -94,6 +94,19 @@ def test_hash64_over_arrays_equals_the_int_hash_elementwise(seed):
     assert type(hash64(seed, 3, 7)) is int and type(hash64(np.int64(3), np.uint64(7))) is int
 
 
+def test_hash64_rejects_bool_float_and_non_integer_words():
+    # int() would read 1.5 as 1 and True as 1, two hashes of another word
+    for word in (1.5, 1.0, np.float64(2.0), True, np.bool_(False), "7", None, 1 + 0j):
+        with pytest.raises(ValueError, match="hash64 word"):
+            hash64(42, word)
+    for array in (np.array([1.0, 2.0]), np.array([True]), np.array(["1"]), np.array([1j])):
+        with pytest.raises(ValueError, match="hash64 word"):
+            hash64(array, 42)
+    # integer words of every kind are taken modulo 2^64
+    assert hash64(np.int64(-1)) == hash64(-1) == hash64(2**64 - 1) == hash64(np.uint64(2**64 - 1))
+    assert hash64(np.array([-1], dtype=np.int8)).tolist() == [hash64(2**64 - 1)]
+
+
 def test_sweep_seed_table_holds_each_streams_seed_sequence_words():
     config = _tiny_config(dims=(2, 5, 64), trials=3, seed=2**64 - 1)
     trial_seeds, words = harness._sweep_seeds(config)

@@ -147,6 +147,50 @@ def test_report_fields_match_standalone_functions(dim, key):
     assert report.flags == ()
 
 
+def _float_scalars(exp_a, exp_b, tr_aa, tr_bb, tr_ab, k_aa, k_bb, k_ab):
+    # the report's expressions, in its order, on Python floats
+    var_a, var_b, cov_ab = tr_aa - exp_a * exp_a, tr_bb - exp_b * exp_b, tr_ab - exp_a * exp_b
+    lhs = var_a * var_b - cov_ab * cov_ab
+    info_a, info_b, corr_ab = tr_aa - k_aa, tr_bb - k_bb, tr_ab - k_ab
+    rhs = info_a * info_b - corr_ab * corr_ab
+    return [var_a, var_b, cov_ab, info_a, info_b, corr_ab, lhs, rhs, lhs - rhs]
+
+
+def test_scalars_square_by_multiplication_where_pow_differs():
+    # On numpy scalars and Python floats x ** 2 is libm's pow, which can
+    # differ from x * x in the last bit; on ndarrays it is np.square, x * x
+    # bit for bit. The traces to scalars formula squares by x * x. Forged
+    # traces put squares where pow differs into cov_ab and corr_ab, on one
+    # state's shapes (numpy scalar moments and (1, 1) kernel traces, as the
+    # public functions pass them) and on a stack, and every scalar must be
+    # the report's float expression by repr
+    rng = np.random.default_rng(2300)
+    hits = [x for x in rng.standard_normal(20000).tolist() if np.float64(x) ** 2 != x * x]
+    assert len(hits) >= 8, "no draw whose pow square differs from x * x"
+    hits = hits[:8]
+    names = qinfo._SCALARS[:-1]
+    for x, (k_aa, k_bb) in zip(hits, rng.standard_normal((len(hits), 2)).tolist()):
+        # zero means and second moments: cov_ab = x and lhs = -(x * x) exactly,
+        # and a zero kernel trace makes corr_ab = x
+        zero = np.float64(0.0)
+        moments = ((zero, zero), (zero, zero), np.float64(x))
+        traces = (np.array([[k_aa]]), np.array([[k_bb]]), np.array([[0.0]]))
+        got = qinfo._scalars(moments, traces)
+        expected = _float_scalars(0.0, 0.0, 0.0, 0.0, x, k_aa, k_bb, 0.0)
+        assert [repr(np.asarray(got[k]).item()) for k in names] == list(map(repr, expected)), x
+    # a stack of 8 states and 3 entries: the same formula per (state, entry)
+    t, f = len(hits), 3
+    exp_a, exp_b, tr_aa, tr_bb, tr_ab = rng.standard_normal((5, t))
+    k_aa, k_bb, k_ab = rng.standard_normal((3, t, f))
+    got = qinfo._scalars(((exp_a, exp_b), (tr_aa, tr_bb), tr_ab), (k_aa, k_bb, k_ab))
+    for i in range(t):
+        for k in range(f):
+            traces = (exp_a[i], exp_b[i], tr_aa[i], tr_bb[i], tr_ab[i], k_aa[i, k], k_bb[i, k], k_ab[i, k])
+            values = _float_scalars(*map(float, traces))
+            row = [got[name][i] if got[name].ndim == 1 else got[name][i, k] for name in names]
+            assert list(map(repr, map(float, row))) == list(map(repr, values)), (i, k)
+
+
 @pytest.mark.parametrize("beta", [0.1, 0.35, 0.5, 0.65, 0.9])
 def test_kernel_route_agrees_with_power_route(beta):
     for dim in (2, 3, 5, 7):
