@@ -76,6 +76,25 @@ def _vector(dim, seed):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
+def test_inner_product_and_cyclic_vector():
+    # Delta fixes the centralizer of rho, so when either argument commutes
+    # with rho, E1(x, y) = 2 <x, y> = 2 Tr(rho x† y): the GNS inner product
+    m = _model(3, seed=53)
+    r = m.rho.matrix
+    x = _vector(3, seed=54)
+    z = r @ r - 0.3j * r + 0.5 * np.eye(3)  # a polynomial in rho
+    xt, zt = m.rho.to_eigenbasis(x), m.rho.to_eigenbasis(z)
+    assert form_E1(m, xt, zt) == pytest.approx(2.0 * np.trace(r @ x.conj().T @ z), abs=1e-13)
+    assert form_E1(m, zt, xt) == pytest.approx(2.0 * np.trace(r @ z.conj().T @ x), abs=1e-13)
+    one = m.rho.to_eigenbasis(np.eye(3))  # the cyclic vector
+    assert form_E1(m, one, one) == pytest.approx(2.0, abs=1e-13)
+    # expectation of an observable is its inner product against the cyclic vector
+    a = random_hermitian(3, seed=56).matrix
+    assert form_E1(m, one, m.rho.to_eigenbasis(a)) == pytest.approx(
+        2.0 * complex(np.trace(r @ a)), abs=1e-13
+    )
+
+
 def test_form_E1_is_the_modular_graph_form():
     # E1(x, y) = <x, Delta y> + <x, y> = Tr(rho x† rho y rho^-1) + Tr(rho x† y),
     # with Delta y = rho y rho^-1 taken here by matrix products and an
