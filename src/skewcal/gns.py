@@ -43,17 +43,20 @@ quantities (:func:`build_mu`).
 A GnsModel holds one DensityMatrix or a stacked one of T states; the
 forms, the measure and H then take (T, n, n) stacks of vectors and give
 one value per state, each from that state's entries alone. The audit
-runs once per stack and covers every catalog entry in the same array
-pass (:func:`audit_G_equals_H`), returning (T, F) columns; a single
-state's spectral arrays broadcast as a stack of one, with no second
-eigendecomposition. It takes the observables' eigenbasis entries, the
-(T, F, n, n) tilde values on the eigenvalue ratios and the kernels
-lam_j tilde from :func:`skewcal.qinfo.eigenbasis_terms`, the one rotation
-and the one catalog tilde call that the stacked report reads too; H reads
-the tilde values at the atoms, which are the eigenbasis entries in ravel
-order. This module holds the modular side only: G, the direct route's
-gap, is :func:`skewcal.qinfo._scalars` of the direct traces of the same
-terms, the report's formula, and :func:`form_G` reads its kernel from
+runs once per stack and covers every catalog entry at once
+(:func:`audit_G_equals_H`), returning (T, F) columns; a single state's
+spectral arrays broadcast as a stack of one, with no second
+eigendecomposition. Its largest arrays are one observable's (T, F, n, n)
+batch of kernel products: the G-forms and G's back-rotated kernel
+products take a's batch and then b's, never both in one array. It takes
+the observables' eigenbasis entries, the (T, F, n, n) tilde values on the
+eigenvalue ratios and the kernels lam_j tilde from
+:func:`skewcal.qinfo.eigenbasis_terms`, the one rotation and the one
+catalog tilde call that the stacked report reads too; H reads the tilde
+values at the atoms, which are the eigenbasis entries in ravel order.
+This module holds the modular side only: G, the direct route's gap, is
+:func:`skewcal.qinfo._scalars` of the direct traces of the same terms,
+the report's formula, and :func:`form_G` reads its kernel from
 ``eigenbasis_terms`` too.
 """
 
@@ -68,7 +71,7 @@ from .monotone import MonotoneFunction
 # The audit reads its tilde values from qinfo.eigenbasis_terms and calls
 # tilde_transform nowhere; bench/tracing.py wraps it here by name.
 from .monotone import tilde_transform  # noqa: F401
-from .qinfo import EigenbasisTerms, _grid, _kernel_traces, _scalars, _trace_moments, eigenbasis_terms
+from .qinfo import EigenbasisTerms, _kernel_traces, _scalars, _trace_moments, eigenbasis_terms
 # The audit takes G from qinfo._scalars and calls none of these;
 # bench/tracing.py wraps them here by name.
 from .qinfo import centered, covariance, f_correlation, f_information, variance  # noqa: F401
@@ -319,9 +322,11 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     for both) and the measure mu (its three marginals one array) read only
     these entries. Over every entry at once: H by :func:`h_from_measure`
     from the (T, K) marginals and the (T, F, K) per-atom tilde values, the
-    kernel forms F of G^f = E1 / 2 - F of both centered observables in one
-    call, and G by :func:`~skewcal.qinfo._scalars`, the report's formula,
-    from the same moments and :func:`~skewcal.qinfo._kernel_traces`. That
+    kernel forms F of G^f = E1 / 2 - F of each centered observable, one
+    observable's (T, F, n, n) batch at a time, and G by
+    :func:`~skewcal.qinfo._scalars`, the report's formula, from the same
+    moments and :func:`~skewcal.qinfo._kernel_traces`, which back-rotates
+    a's kernel products and then b's. That
     is the code the public :func:`~skewcal.qinfo.variance`,
     :func:`~skewcal.qinfo.covariance`, :func:`~skewcal.qinfo.f_information`
     and :func:`~skewcal.qinfo.f_correlation` run on one state, so G equals
@@ -351,11 +356,13 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     mu_negative = mu_min < -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0)
     e1 = form_E1(m, pair0_t, pair0_t)
 
-    # form_G(m, f, x, x) of a0 and b0 as (2, T, F) rows, with E1 reused;
-    # taken before G's kernel traces, the order that measured faster at dim 32
-    x = pair0_t[:, :, None]
-    gforms = (0.5 * e1[..., None] - _weighted_form(terms.kernels, x, x)).real
-    negative = gforms < -GFORM_SLACK * np.maximum(e1.real, 0.0)[..., None]
+    # form_G(m, f, x, x) of a0 and then b0 as (2, T, F) rows, with E1 reused,
+    # one observable's (T, F, n, n) batch at a time; taken before G's kernel
+    # traces, the order that measured faster at dim 32
+    gforms = np.array([
+        (0.5 * e1x[..., None] - _weighted_form(terms.kernels, x[:, None], x[:, None])).real
+        for x, e1x in zip(pair0_t, e1)
+    ])
 
     # G by the direct route, the public qinfo functions' own code
     g = _scalars(moments, _kernel_traces(terms))["gap"]
@@ -363,13 +370,16 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     # entry (i, j) of the shared pass, in ravel order
     h = h_from_measure(mu, terms.tilde.reshape(t, f, n * n))
     residual = np.abs(g - h)
-    mismatch = residual > G_H_RTOL * np.fmax(1.0, np.abs(g))
-    masks = (mismatch, mu_negative[:, None], *negative)
+    flags = np.empty((t, f, len(AUDIT_FLAGS)), bool)
+    np.greater(residual, G_H_RTOL * np.fmax(1.0, np.abs(g)), out=flags[..., 0])
+    flags[..., 1] = mu_negative[:, None]
+    gform_floor = -GFORM_SLACK * np.maximum(e1.real, 0.0)[..., None]
+    np.less(gforms, gform_floor, out=flags[..., 2:].transpose(2, 0, 1))
     return {
         "G": g,
         "H": h,
         "residual": residual,
         "mu_min_atom": mu_min,
         "gform_min": np.minimum(*gforms),
-        "flags": _grid(masks, g.shape, bool).transpose(1, 2, 0),
+        "flags": flags,
     }

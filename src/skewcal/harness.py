@@ -29,7 +29,7 @@ eigenbases once, and tilde is evaluated on the eigenvalue ratios in one
 catalog call for every entry, with the kernels built from it once
 (``eigenbasis_terms``); one stacked report and, optionally, one G = H
 audit read those arrays side by side. Each covers the chunk's (trial,
-entry) grid in one array pass and returns (T, F) columns, the audit's
+entry) grid in one call and returns (T, F) columns, the audit's
 residual and flags appended to the report's. Each entry's records are
 built from those columns in one pass per chunk. A sweep that writes a
 file also turns the same columns into the records' text, one repr pass

@@ -300,47 +300,46 @@ def _kernel_traces(terms: EigenbasisTerms) -> tuple[np.ndarray, np.ndarray, np.n
     k o x is the kernel of each (state, entry) of ``terms`` times the
     eigenbasis entries of x, rotated back to the standard basis: the
     direct route, Re Tr(rho x y) less these traces, of the informations
-    and the correlation. The 2FT products go back as one (T, 2F, n, n)
-    batch ordered (k_0 o a, k_0 o b, k_1 o a, ...), validated finite and
+    and the correlation. The FT products of each observable go back as
+    one (T, F, n, n) batch, a's and then b's, each validated finite and
     Hermitian (a failure raises ValueError), and each trace is an entry
-    sum against the unrotated observable. Each value is that of its state
-    and entry alone.
+    sum against the unrotated observable, transposed once. Each value is
+    that of its state and entry alone.
     """
     kernels = terms.kernels
-    t, f, n = kernels.shape[:3]
-    tilted = np.stack((terms.at, terms.bt), axis=1)
-    mapped = (kernels[:, :, None] * tilted[:, None]).reshape(t, 2 * f, n, n)
-    applied = _kernel_apply_stack(terms.rho.eigenvectors[..., None, :, :], mapped)
-    ka, kb = applied[:, 0::2], applied[:, 1::2]
-    return (
-        _product_traces(ka, terms.a),
-        _product_traces(kb, terms.b),
-        _product_traces(ka, terms.b),
-    )
+    u = terms.rho.eigenvectors[..., None, :, :]
+    a_t, b_t = (np.ascontiguousarray(y.swapaxes(-1, -2)) for y in (terms.a, terms.b))
+    ka = _kernel_apply_stack(u, kernels * terms.at[:, None])
+    k_aa, k_ab = _product_traces(ka, a_t), _product_traces(ka, b_t)
+    # one observable's batch at a time: k o a is freed before k o b is formed
+    del ka
+    kb = _kernel_apply_stack(u, kernels * terms.bt[:, None])
+    return k_aa, _product_traces(kb, b_t), k_ab
 
 
 def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
     """Rotate a stack of kernel products k o x back: u (k o x) u† per matrix.
 
     ``u`` is (..., 1, n, n), each state's eigenvectors broadcast over its
-    products ``mapped[..., s, :, :]``. Every result is validated finite and
-    Hermitian (a failure raises the StackRejection a single HermitianMatrix
-    would); returns the Hermitian parts, shaped like ``mapped``. One
-    batched matmul keeps each matrix's bits those of a stack of one.
+    products ``mapped[..., s, :, :]``, one observable's (T, F, n, n) batch.
+    Every result is validated finite and Hermitian (a failure raises the
+    StackRejection a single HermitianMatrix would); returns the Hermitian
+    parts, shaped like ``mapped``. One batched matmul keeps each matrix's
+    bits those of a stack of one.
     """
     back = u @ mapped @ u.conj().swapaxes(-1, -2)
     n = back.shape[-1]
     return _hermitian_stack(back.reshape(-1, n, n))[0].reshape(back.shape)
 
 
-def _product_traces(kx: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _product_traces(kx: np.ndarray, y_t: np.ndarray) -> np.ndarray:
     """Re Tr(kx[t, f] y[t]) for a (T, F, n, n) stack ``kx`` and a (T, n, n) stack ``y``.
 
-    Each trace is the entry sum sum_ij kx_ij y_ji against a contiguous
-    transpose of ``y``: O(n^2) per trace, over one trace's entries
-    whatever T and F are.
+    ``y_t`` is the contiguous transpose of ``y``, taken once by the caller
+    for all the traces against it, and each trace is the entry sum
+    sum_ij kx_ij y_ji: O(n^2) per trace, over one trace's entries whatever
+    T and F are.
     """
-    y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
     return np.einsum("tfij,tij->tf", kx, y_t).real
 
 

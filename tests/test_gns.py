@@ -1,6 +1,7 @@
 """Modular model, sesquilinear forms, the pair measure, and the G = H audit."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,8 +570,8 @@ def _g_cases():
 def test_audit_g_is_the_public_direct_route():
     # G is the report's (var_a var_b - cov cov) - (I_a I_b - corr corr) on
     # the public qinfo functions' floats, bit for bit: the audit's one kernel
-    # per entry, applied to both observables in one batched stack, is their
-    # kernel application, and its scalars are qinfo._scalars, the formula
+    # per entry, applied to each observable's batch of states and entries, is
+    # their kernel application, and its scalars are qinfo._scalars, the formula
     # the report applies to its own traces
     functions = [from_key(k) for k in ALL_KEYS]
     for rho in _g_cases():
@@ -585,6 +586,29 @@ def test_audit_g_is_the_public_direct_route():
             g = (var_a * var_b - cov_ab * cov_ab) - (info_a * info_b - corr_ab * corr_ab)
             assert repr(entry["G"]) == repr(g), (n, f.name)
             assert entry["flags"] == [], (n, f.name)
+
+
+@pytest.mark.parametrize(("n", "t"), [(16, 1), (32, 1), (64, 2)])
+def test_audit_working_set_is_a_few_observable_batches(n, t):
+    # the audit takes its kernel products and G-forms one observable's
+    # (T, F, n, n) complex batch at a time, so the peak traced memory of one
+    # call stays within 8 such batches; both observables in one (T, 2F, n, n)
+    # batch take 10.5-11.8
+    functions = [from_key(k) for k in ALL_KEYS]
+    seeds = [1000 + 10 * n + k for k in range(t)]
+    rho = random_density(n, seeds)
+    a, b = (random_hermitian(n, [s + k for s in seeds]).matrix for k in (1, 2))
+    m, terms = GnsModel(rho), eigenbasis_terms(rho, functions, a, b)
+    audit_G_equals_H(m, terms)  # a first call's one-off allocations are not the working set
+    tracemalloc.start()
+    try:
+        audit = audit_G_equals_H(m, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batch = t * len(functions) * n * n * np.dtype(complex).itemsize
+    assert peak <= 8 * batch, peak / batch
+    assert not audit["flags"].any()
 
 
 def test_h_from_measure_consistency():
@@ -661,17 +685,19 @@ def test_stacked_audit_equals_per_trial_audits():
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
 def test_entry_sum_traces_do_not_depend_on_the_stack(dim):
     # the audit's Tr(k o x . y) entry sums: a (T, F) stack gives, bit for bit,
-    # what each (t, f) gives as a stack of one
+    # what each (t, f) gives as a stack of one; they take y's contiguous
+    # transpose
     rng = np.random.default_rng(dim)
     for t, f in ((1, 1), (3, 5), (7, 2)):
         shape = (t, 2 * f, dim, dim)
         kx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        kx = kx[:, 0::2]  # strided, as the audit's ka slice of its batch is
+        kx = kx[:, 0::2]  # strided too, as a slice of a batch is
         y = rng.standard_normal((t, dim, dim)) + 1j * rng.standard_normal((t, dim, dim))
-        stacked = _product_traces(kx, y)
+        y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
+        stacked = _product_traces(kx, y_t)
         assert stacked.shape == (t, f)
         alone = [
-            [_product_traces(kx[i, k][None, None].copy(), y[i][None])[0, 0] for k in range(f)]
+            [_product_traces(kx[i, k][None, None].copy(), y_t[i][None])[0, 0] for k in range(f)]
             for i in range(t)
         ]
         assert repr(stacked.tolist()) == repr(np.array(alone).tolist()), (t, f)

@@ -125,7 +125,12 @@ def _kernel(rho, f):
 
 
 def _applied(monkeypatch, rho, f, a, b):
-    """_kernel_traces of (rho, f, a, b) and the (2, n, n) back-rotated products k o a, k o b."""
+    """_kernel_traces of (rho, f, a, b) and the back-rotated products (k o a, k o b), each (n, n).
+
+    The kernels go back one observable at a time: k o a from the first
+    _kernel_apply_stack call and k o b from the second, each a (1, 1, n, n)
+    batch for one state and one entry.
+    """
     seen = []
     real = qinfo._kernel_apply_stack
 
@@ -136,8 +141,8 @@ def _applied(monkeypatch, rho, f, a, b):
     monkeypatch.setattr(qinfo, "_kernel_apply_stack", spy)
     traces = _kernel_traces(eigenbasis_terms(rho, [f], a, b))
     monkeypatch.undo()
-    (applied,) = seen
-    return traces, applied[0]
+    ka, kb = seen
+    return traces, (ka[0, 0], kb[0, 0])
 
 
 def test_kernel_matrix_fixture_entry(fixture_rho):
