@@ -46,14 +46,17 @@ one value per state, each from that state's entries alone. The audit
 runs once per stack and covers every catalog entry at once
 (:func:`audit_G_equals_H`), returning (T, F) columns; a single state's
 spectral arrays broadcast as a stack of one, with no second
-eigendecomposition. Its largest arrays are one observable's (T, F, n, n)
-batch of kernel products: the G-forms and G's back-rotated kernel
-products take a's batch and then b's, never both in one array. It takes
-the observables' eigenbasis entries, the (T, F, n, n) tilde values on the
-eigenvalue ratios and the kernels lam_j tilde from
-:func:`skewcal.qinfo.eigenbasis_terms`, the one rotation and the one
-catalog tilde call that the stacked report reads too; H reads the tilde
-values at the atoms, which are the eigenbasis entries in ravel order.
+eigendecomposition. It takes the observables' eigenbasis entries, the
+(T, F, n, n) tilde values on the eigenvalue ratios and the kernels
+lam_j tilde from :func:`skewcal.qinfo.eigenbasis_terms`, the one rotation
+and the one catalog tilde call that the stacked report reads too. The
+tilde values at the atoms are those entries in ravel order, and mu's
+marginals are one (3, T, K) array, so H and the G-forms are both dots of
+the same (T, F, K) tilde values against the same marginals:
+G^f(x0, x0) = E1 / 2 - sum_k tilde(s_k) m_xx[k], the kernel form
+sum_ij k_ij |x0_ij|^2 summed atom by atom. Its largest arrays are G's
+back-rotated kernel products, one observable's (T, F, n, n) batch at a
+time, a's and then b's.
 This module holds the modular side only: G, the direct route's gap, is
 :func:`skewcal.qinfo._scalars` of the direct traces of the same terms,
 the report's formula, and :func:`form_G` reads its kernel from
@@ -175,25 +178,26 @@ class AtomicPairMeasure:
     """Signed measure on pairs of spectrum atoms, held by its per-atom marginals.
 
     Atom k = i * n + j is eigenbasis entry (i, j) with value lam_i / lam_j
-    (:meth:`GnsModel.spectrum`), so K = n^2. The weight of the atom pair
-    (k, l) is
+    (:meth:`GnsModel.spectrum`), so K = n^2. ``marginals`` is the one
+    (3, ..., K) array of m_xx, m_yy and m_xy that :func:`build_mu` builds,
+    and every reader (``mass``, ``min_weight_bound``, :func:`h_from_measure`
+    and the audit's G-forms) takes its rows as views. The weight of the
+    atom pair (k, l) is
     w[k, l] = m_xx[k] m_yy[l] + m_yy[k] m_xx[l] - 2 m_xy[k] m_xy[l]; the
     K x K array is never formed. ``weights[k]`` is the diagonal weight
     w[k, k] = 2 (m_xx[k] m_yy[k] - m_xy[k]^2) and ``values[k]`` the ratio of
-    atom k. Over a stack every array carries a leading trial axis and the
-    properties give one value per state.
+    atom k. Over a stack every array carries a trial axis before the atom
+    axis and the properties give one value per state.
     """
 
     values: np.ndarray
     weights: np.ndarray
-    m_xx: np.ndarray
-    m_yy: np.ndarray
-    m_xy: np.ndarray
+    marginals: np.ndarray
 
     @property
     def mass(self):
         """Total weight sum_kl w[k, l] = 2 (sum m_xx sum m_yy - (sum m_xy)^2)."""
-        sx, sy, sz = (np.sum(m, axis=-1) for m in (self.m_xx, self.m_yy, self.m_xy))
+        sx, sy, sz = np.sum(self.marginals, axis=-1)
         return _value(2.0 * (sx * sy - sz * sz))
 
     @property
@@ -215,13 +219,14 @@ class AtomicPairMeasure:
         marginals are never negative and obey Cauchy-Schwarz up to round-off,
         so the second term is 0 and C of round-off size.
         """
-        a, b, z = self.m_xx, self.m_yy, self.m_xy
-        # [[a+, b+], [a-, b-]], and their largest entries [[A+, B+], [A-, B-]]
-        parts = np.maximum(np.array(((a, b), (-a, -b))), 0.0)
-        (pos_a, pos_b), (neg_a, neg_b) = np.max(parts, axis=-1)
-        g = np.sqrt(parts[0, 0] * parts[0, 1])
+        ab, z = self.marginals[:2], self.marginals[2]
+        pos = np.maximum(ab, 0.0)
+        g = np.sqrt(pos[0] * pos[1])
+        # A+, B+ are the largest positive parts; A-, B- the positive parts of -min
+        pos_a, pos_b = np.max(pos, axis=-1)
+        neg_a, neg_b = np.maximum(-np.min(ab, axis=-1), 0.0)
         s = np.max(g, axis=-1)
-        c = np.max(np.maximum(np.abs(z) - g, 0.0), axis=-1)
+        c = np.maximum(np.max(np.abs(z) - g, axis=-1), 0.0)
         # + 0.0 turns the -0.0 of a zero bound into 0.0
         off = -2.0 * (2.0 * s * c + c * c) - 2.0 * (pos_a * neg_b + neg_a * pos_b) + 0.0
         return _value(np.minimum(np.min(self.weights, axis=-1), off))
@@ -241,13 +246,15 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     bounded through the projection Cauchy-Schwarz inequality, which makes
     each atom's Gram matrix of marginals positive semidefinite, and the two
     plus terms dominate by the arithmetic-geometric mean inequality. The
-    audit gates ``mu_negative_atom`` on
+    three marginals are one (3, ..., K) array,
+    :attr:`AtomicPairMeasure.marginals`, which every reader takes as it
+    is. The audit gates ``mu_negative_atom`` on
     :attr:`AtomicPairMeasure.min_weight_bound`, which is <= the minimum
     over all K^2 weights in exact arithmetic and never forms them: the gate
-    flags bound < -MU_ATOM_SLACK * max(mass, 0), where ``mass`` equals
-    sum_kl w exactly, so it fires on every instance whose smallest pair
-    weight lies below -MU_ATOM_SLACK * max(sum_kl w, 0). Its diagonal part
-    equals the K^2 array's diagonal bit for bit.
+    flags unless bound >= -MU_ATOM_SLACK * max(mass, 0), where ``mass``
+    equals sum_kl w exactly, so it fires on every instance whose smallest
+    pair weight lies below -MU_ATOM_SLACK * max(sum_kl w, 0). Its diagonal
+    part equals the K^2 array's diagonal bit for bit.
     """
     lead = np.shape(xt)[:-2]
     # the three marginals as one (3, ..., K) array: |xt|^2, |et|^2, Re(conj(xt) et)
@@ -256,13 +263,12 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     entries[:2] = np.abs(pair) ** 2
     entries[2] = np.real(np.conj(pair[0]) * pair[1])
     entries *= m.eigenvalues[..., None, :]
-    m_xx, m_yy, m_xy = entries.reshape((3,) + lead + (-1,))
+    marginals = entries.reshape((3,) + lead + (-1,))
+    m_xx, m_yy, m_xy = marginals
     return AtomicPairMeasure(
         values=np.broadcast_to(m.spectrum(), m_xx.shape),
         weights=2.0 * (m_xx * m_yy - m_xy * m_xy),
-        m_xx=m_xx,
-        m_yy=m_yy,
-        m_xy=m_xy,
+        marginals=marginals,
     )
 
 
@@ -279,19 +285,20 @@ def h_from_measure(mu: AtomicPairMeasure, q):
         H = (1/4) [2 (P_x Q_y + P_y Q_x) - 4 (P_z Q_z + Q_x Q_y - Q_z^2)]
 
     with p = values + 1, P_x = p . m_xx, Q_x = q . m_xx (y for m_yy, z for
-    m_xy). Both the integrand and the weights are sums of outer products of
-    per-atom vectors, so the double sum factors into these inner products
-    exactly; only the summation order differs. The P's are computed once
-    for every entry, and each Q is its own dot per (state, entry). Returns
-    one H per (state, entry); a ``q`` of another shape raises ValueError.
+    m_xy), each a dot against a row of ``mu.marginals``, which is read as
+    it is, with no stacked copy. Both the integrand and the weights are
+    sums of outer products of per-atom vectors, so the double sum factors
+    into these inner products exactly; only the summation order differs.
+    The P's are computed once for every entry, and each Q is its own dot
+    per (state, entry). Returns one H per (state, entry); a ``q`` of
+    another shape raises ValueError.
     """
     q = np.asarray(q, dtype=float)
     atoms = np.shape(mu.values)
     if q.ndim != len(atoms) + 1 or q.shape[:-2] + q.shape[-1:] != atoms:
         raise ValueError(f"tilde values {q.shape} do not match atoms {atoms} with an entry axis")
-    marginals = np.array((mu.m_xx, mu.m_yy, mu.m_xy))
-    px, py, pz = _dot(mu.values + 1.0, marginals)[..., None]
-    qx, qy, qz = _dot(q, marginals[..., None, :])
+    px, py, pz = _dot(mu.values + 1.0, mu.marginals)[..., None]
+    qx, qy, qz = _dot(q, mu.marginals[..., None, :])
     return 0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz))
 
 
@@ -313,18 +320,19 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     centered observables. |G - H| beyond G_H_RTOL * max(1, |G|) is flagged,
     as are a certified lower bound on the weights of mu below
     -MU_ATOM_SLACK times its mass, and a negative quadratic form G^f on
-    either centered observable.
+    either centered observable. Each gate flags unless its value is
+    within bound, so a NaN G, H, bound or form is flagged.
 
     Once per stack, Tr(rho a) and Tr(rho b) of
     :func:`~skewcal.qinfo._trace_moments` center the observables' eigenbasis
     entries, u† a u - Tr(rho a) 1 (the centering commutes with the
     rotation); the graph forms E1 (the lam_i + lam_j kernel sum, one call
     for both) and the measure mu (its three marginals one array) read only
-    these entries. Over every entry at once: H by :func:`h_from_measure`
-    from the (T, K) marginals and the (T, F, K) per-atom tilde values, the
-    kernel forms F of G^f = E1 / 2 - F of each centered observable, one
-    observable's (T, F, n, n) batch at a time, and G by
-    :func:`~skewcal.qinfo._scalars`, the report's formula, from the same
+    these entries. Over every entry at once, from mu's marginals and the
+    (T, F, K) per-atom tilde values q: H by :func:`h_from_measure`, and
+    the G-forms G^f = E1 / 2 - q . m_xx of a0 (m_yy of b0), which equal
+    :func:`form_G` on each centered observable up to summation order. G
+    is :func:`~skewcal.qinfo._scalars`, the report's formula, of the same
     moments and :func:`~skewcal.qinfo._kernel_traces`, which back-rotates
     a's kernel products and then b's. That
     is the code the public :func:`~skewcal.qinfo.variance`,
@@ -353,28 +361,25 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     pair0_t = np.array((terms.at, terms.bt)) - shift
     mu = build_mu(m, *pair0_t)
     mu_min = mu.min_weight_bound
-    mu_negative = mu_min < -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0)
-    e1 = form_E1(m, pair0_t, pair0_t)
-
-    # form_G(m, f, x, x) of a0 and then b0 as (2, T, F) rows, with E1 reused,
-    # one observable's (T, F, n, n) batch at a time; taken before G's kernel
-    # traces, the order that measured faster at dim 32
-    gforms = np.array([
-        (0.5 * e1x[..., None] - _weighted_form(terms.kernels, x[:, None], x[:, None])).real
-        for x, e1x in zip(pair0_t, e1)
-    ])
+    e1 = form_E1(m, pair0_t, pair0_t).real
+    # atom i * n + j carries the ratio lam_i / lam_j, so its tilde value is
+    # entry (i, j) of the shared pass, in ravel order
+    q = terms.tilde.reshape(t, f, n * n)
+    # form_G(m, f, x, x) of a0 and then b0 as (2, T, F) rows, with E1 reused:
+    # the kernel form sum_ij k_ij |x_ij|^2 is q . m_xx (m_yy for b0)
+    gforms = 0.5 * e1[..., None] - _dot(q, mu.marginals[:2, :, None, :])
 
     # G by the direct route, the public qinfo functions' own code
     g = _scalars(moments, _kernel_traces(terms))["gap"]
-    # atom i * n + j carries the ratio lam_i / lam_j, so its tilde value is
-    # entry (i, j) of the shared pass, in ravel order
-    h = h_from_measure(mu, terms.tilde.reshape(t, f, n * n))
+    h = h_from_measure(mu, q)
     residual = np.abs(g - h)
+    # each gate is written so that a NaN fails it: not (x within its bound)
     flags = np.empty((t, f, len(AUDIT_FLAGS)), bool)
-    np.greater(residual, G_H_RTOL * np.fmax(1.0, np.abs(g)), out=flags[..., 0])
-    flags[..., 1] = mu_negative[:, None]
-    gform_floor = -GFORM_SLACK * np.maximum(e1.real, 0.0)[..., None]
-    np.less(gforms, gform_floor, out=flags[..., 2:].transpose(2, 0, 1))
+    np.less_equal(residual, G_H_RTOL * np.fmax(1.0, np.abs(g)), out=flags[..., 0])
+    flags[..., 1] = (mu_min >= -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0))[:, None]
+    gform_floor = -GFORM_SLACK * np.maximum(e1, 0.0)[..., None]
+    np.greater_equal(gforms, gform_floor, out=flags[..., 2:].transpose(2, 0, 1))
+    np.logical_not(flags, out=flags)
     return {
         "G": g,
         "H": h,

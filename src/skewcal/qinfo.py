@@ -21,9 +21,10 @@ eigenbasis entry sums and the audit, for G, to the direct traces.
 The report computes the f-independent half (expectations, Var, Cov, lhs,
 commutator term) once, and the rest over the (T, F) grid as weighted
 entry sums and, for the wyd family, also along the power-sandwich route
-Tr(rho^beta a rho^(1-beta) b); the disagreement of the kernel and
-sandwich routes is surfaced as a residual, never hidden, and flagged
-when it passes the tolerance.
+Tr(rho^beta a rho^(1-beta) b), :func:`_scalars` of entry sums against the
+weights lam_i^beta lam_j^(1-beta) in place of the kernels; the
+disagreement of the kernel and sandwich routes is surfaced as a residual,
+never hidden, and flagged when it passes the tolerance.
 """
 
 from __future__ import annotations
@@ -302,19 +303,19 @@ def _kernel_traces(terms: EigenbasisTerms) -> tuple[np.ndarray, np.ndarray, np.n
     direct route, Re Tr(rho x y) less these traces, of the informations
     and the correlation. The FT products of each observable go back as
     one (T, F, n, n) batch, a's and then b's, each validated finite and
-    Hermitian (a failure raises ValueError), and each trace is an entry
-    sum against the unrotated observable, transposed once. Each value is
-    that of its state and entry alone.
+    Hermitian (a failure raises ValueError), and each trace Tr(kx y) is
+    the :func:`_entry_sums` of kx against the unrotated observable y,
+    transposed once. Each value is that of its state and entry alone.
     """
     kernels = terms.kernels
     u = terms.rho.eigenvectors[..., None, :, :]
     a_t, b_t = (np.ascontiguousarray(y.swapaxes(-1, -2)) for y in (terms.a, terms.b))
     ka = _kernel_apply_stack(u, kernels * terms.at[:, None])
-    k_aa, k_ab = _product_traces(ka, a_t), _product_traces(ka, b_t)
+    k_aa, k_ab = _entry_sums(ka, a_t).real, _entry_sums(ka, b_t).real
     # one observable's batch at a time: k o a is freed before k o b is formed
     del ka
     kb = _kernel_apply_stack(u, kernels * terms.bt[:, None])
-    return k_aa, _product_traces(kb, b_t), k_ab
+    return k_aa, _entry_sums(kb, b_t).real, k_ab
 
 
 def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
@@ -330,17 +331,6 @@ def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
     back = u @ mapped @ u.conj().swapaxes(-1, -2)
     n = back.shape[-1]
     return _hermitian_stack(back.reshape(-1, n, n))[0].reshape(back.shape)
-
-
-def _product_traces(kx: np.ndarray, y_t: np.ndarray) -> np.ndarray:
-    """Re Tr(kx[t, f] y[t]) for a (T, F, n, n) stack ``kx`` and a (T, n, n) stack ``y``.
-
-    ``y_t`` is the contiguous transpose of ``y``, taken once by the caller
-    for all the traces against it, and each trace is the entry sum
-    sum_ij kx_ij y_ji: O(n^2) per trace, over one trace's entries whatever
-    T and F are.
-    """
-    return np.einsum("tfij,tij->tf", kx, y_t).real
 
 
 def _scalars(moments, kernel_traces) -> dict:
@@ -367,7 +357,12 @@ def _scalars(moments, kernel_traces) -> dict:
 
 
 def _entry_sums(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """sum_ij weights[t, f, i, j] products[t, i, j] per (t, f): one instance's entries each."""
+    """sum_ij weights[t, f, i, j] products[t, i, j] per (t, f): one instance's entries each.
+
+    O(n^2) per (t, f), over that instance's entries whatever T and F are.
+    With ``products`` the contiguous transpose y_t of a (T, n, n) stack y,
+    it is Tr(weights[t, f] y[t]), the direct route's kernel traces.
+    """
     return np.einsum("tfij,tij->tf", weights, products)
 
 
@@ -407,12 +402,11 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     kernel_traces = [_entry_sums(terms.kernels, p) for p in (p_aa, p_bb, p_ab.real)]
     values = {**_scalars(moments, kernel_traces), "heisenberg_rhs": heis}
     var_a, var_b, lhs = values["var_a"], values["var_b"], values["lhs"]
-    info_a, info_b, corr_ab, gap = (values[k] for k in ("info_a", "info_b", "corr_ab", "gap"))
+    info_a, info_b, gap = (values[k] for k in ("info_a", "info_b", "gap"))
 
     # fmax, like max(1.0, x), keeps the scale at 1 when the product is NaN
     scale = np.fmax(1.0, var_a * var_b)
     tol_eff, slack = (tol * scale)[:, None], (INVARIANT_SLACK * scale)[:, None]
-    tr_aa, tr_bb, tr_ab = (x[:, None] for x in (tr_rho_aa, tr_rho_bb, tr_rho_ab.real))
 
     # independent route for the wyd entries: unsymmetrized power sandwich,
     # real part taken last
@@ -426,15 +420,11 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
         powers[0, :, j] = np.power(lam, betas[k])
         powers[1, :, j] = np.power(lam, 1.0 - betas[k])
     w_beta = powers[0][..., :, None] * powers[1][..., None, :]
-    sandwich = np.abs(
-        np.array(
-            (
-                corr_ab[:, k_wyd] - (tr_ab - _entry_sums(w_beta, p_ab.real)),
-                info_a[:, k_wyd] - (tr_aa - _entry_sums(w_beta, p_aa)),
-                info_b[:, k_wyd] - (tr_bb - _entry_sums(w_beta, p_bb)),
-            )
-        )
-    )
+    # the report's own formula with w_beta in place of the kernels, and
+    # |kernel - sandwich| of (corr_ab, info_a, info_b)
+    by_sandwich = _scalars(moments, [_entry_sums(w_beta, p) for p in (p_aa, p_bb, p_ab.real)])
+    routes = ("corr_ab", "info_a", "info_b")
+    sandwich = np.abs(np.array([values[k][:, k_wyd] - by_sandwich[k] for k in routes]))
     residuals = [np.empty((len(lam), 0))] * len(terms.functions)
     for j, k in enumerate(k_wyd):
         residuals[k] = sandwich[:, :, j].T

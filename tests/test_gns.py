@@ -26,8 +26,8 @@ from skewcal.harness import SweepConfig, hash64, run_sweep
 from skewcal.linalg import FAITHFULNESS_FLOOR, DensityMatrix, random_density, random_hermitian
 from skewcal.monotone import from_key, harmonic, sld, tilde_transform, wyd
 from skewcal.qinfo import (
+    _entry_sums,
     _flag_names,
-    _product_traces,
     _trace_moments,
     centered,
     covariance,
@@ -209,7 +209,7 @@ def test_mu_vanishes_on_equal_arguments():
     m = _model(4, seed=76)
     a0 = centered(m.rho, random_hermitian(4, seed=77).matrix)
     mu = _mu(m, a0, a0)
-    w = pair_weights(mu.m_xx, mu.m_yy, mu.m_xy)
+    w = pair_weights(*mu.marginals)
     assert np.max(np.abs(w)) <= 1e-12 * max(1.0, np.sum(np.abs(w)) + 1.0)
     assert abs(mu.mass) <= 1e-12 * max(1.0, np.sum(np.abs(w)) + 1.0)
 
@@ -220,11 +220,11 @@ def _assert_certified(mu, where):
     # The bound holds in exact arithmetic; an off-diagonal weight whose exact
     # value is 0 (at dim 2 the two ratio-1 atoms of centered observables)
     # may round below it, by at most a few eps times the largest term
-    w = pair_weights(mu.m_xx, mu.m_yy, mu.m_xy)
+    w = pair_weights(*mu.marginals)
     assert mu.weights.shape == mu.values.shape == (w.shape[0],), where
     assert np.array_equal(mu.weights, np.diag(w)), where
     assert mu.mass == pytest.approx(float(np.sum(w)), rel=1e-12, abs=1e-300), where
-    a, b, z = (np.abs(m) for m in (mu.m_xx, mu.m_yy, mu.m_xy))
+    a, b, z = np.abs(mu.marginals)
     terms = np.outer(a, b) + np.outer(b, a) + 2.0 * np.outer(z, z)
     round_off = 4.0 * np.finfo(float).eps * float(np.max(terms))
     assert mu.min_weight_bound <= float(np.min(np.diag(w))), where
@@ -393,7 +393,7 @@ def test_separable_h_matches_pair_sum(key):
         b0 = centered(rho, random_hermitian(m.dim, seed=500 + m.dim).matrix)
         mu = _mu(m, a0, b0)
         s, t = mu.values[:, None], mu.values[None, :]
-        terms = 0.25 * pair_integrand(tilde, s, t) * pair_weights(mu.m_xx, mu.m_yy, mu.m_xy)
+        terms = 0.25 * pair_integrand(tilde, s, t) * pair_weights(*mu.marginals)
         scale = float(np.sum(np.abs(terms)))
         assert scale > 0.0, name
         (h,) = h_from_measure(mu, tilde(mu.values)[None])
@@ -451,12 +451,14 @@ def _inject_marginals(monkeypatch, edit, diagonal_kept):
     # m_xx, m_yy, m_xy) at its heaviest atom k; the former K x K gate must
     # fire on every result, and with ``diagonal_kept`` the edit leaves every
     # diagonal weight as it was. H integrates the edited marginals, so
-    # G = H fails as well
+    # G = H fails as well; the G-forms read them too, and neither edit
+    # lowers a G-form
     real = gns.build_mu
 
     def edited(m, xt, et):
         mu = real(m, xt, et)
-        m_xx, m_yy, m_xy = (np.array(x) for x in (mu.m_xx, mu.m_yy, mu.m_xy))
+        marginals = np.array(mu.marginals)
+        m_xx, m_yy, m_xy = marginals
         for x, y, z in zip(m_xx, m_yy, m_xy):
             before = np.diag(pair_weights(x, y, z))
             edit(int(np.argmax(x * y)), x, y, z)
@@ -464,7 +466,7 @@ def _inject_marginals(monkeypatch, edit, diagonal_kept):
             assert np.min(w) < -MU_ATOM_SLACK * max(float(np.sum(w)), 0.0)
             assert np.array_equal(np.diag(w), before) == diagonal_kept
         weights = 2.0 * (m_xx * m_yy - m_xy * m_xy)
-        return dataclasses.replace(mu, weights=weights, m_xx=m_xx, m_yy=m_yy, m_xy=m_xy)
+        return dataclasses.replace(mu, weights=weights, marginals=marginals)
 
     monkeypatch.setattr(gns, "build_mu", edited)
 
@@ -505,6 +507,22 @@ def test_gform_negative_gate_fires(monkeypatch):
         monkeypatch,
         lambda key: ("gform_negative", "gform_negative") if key == "harmonic" else (),
     )
+
+
+def test_audit_gates_fail_on_nan():
+    # observables of norm ~1e150 overflow the traces and the marginals to
+    # inf and then NaN: G, H, the residual and the bound on mu are NaN, and
+    # at 1e160 the G-forms too. A NaN is not within any bound, so each gate
+    # it reaches flags, as the report's checks do
+    rho = random_density(3, 1)
+    for scale, expected in ((1e150, [True, True, False, False]), (1e160, [True] * 4)):
+        a, b = (scale * random_hermitian(3, seed).matrix for seed in (2, 3))
+        with np.errstate(all="ignore"):
+            audit = _audit(GnsModel(rho), [from_key("wyd:0.5")], a, b)
+        for key in ("G", "H", "residual", "mu_min_atom"):
+            assert np.isnan(audit[key]).all(), (scale, key)
+        assert np.isnan(audit["gform_min"]).all() == (scale == 1e160), scale
+        assert audit["flags"].tolist() == [[expected]], scale
 
 
 def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
@@ -684,9 +702,9 @@ def test_stacked_audit_equals_per_trial_audits():
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
 def test_entry_sum_traces_do_not_depend_on_the_stack(dim):
-    # the audit's Tr(k o x . y) entry sums: a (T, F) stack gives, bit for bit,
-    # what each (t, f) gives as a stack of one; they take y's contiguous
-    # transpose
+    # the audit's Tr(k o x . y) entry sums, the real part of _entry_sums: a
+    # (T, F) stack gives, bit for bit, what each (t, f) gives as a stack of
+    # one; they take y's contiguous transpose
     rng = np.random.default_rng(dim)
     for t, f in ((1, 1), (3, 5), (7, 2)):
         shape = (t, 2 * f, dim, dim)
@@ -694,10 +712,10 @@ def test_entry_sum_traces_do_not_depend_on_the_stack(dim):
         kx = kx[:, 0::2]  # strided too, as a slice of a batch is
         y = rng.standard_normal((t, dim, dim)) + 1j * rng.standard_normal((t, dim, dim))
         y_t = np.ascontiguousarray(y.swapaxes(-1, -2))
-        stacked = _product_traces(kx, y_t)
+        stacked = _entry_sums(kx, y_t).real
         assert stacked.shape == (t, f)
         alone = [
-            [_product_traces(kx[i, k][None, None].copy(), y_t[i][None])[0, 0] for k in range(f)]
+            [_entry_sums(kx[i, k][None, None].copy(), y_t[i][None]).real[0, 0] for k in range(f)]
             for i in range(t)
         ]
         assert repr(stacked.tolist()) == repr(np.array(alone).tolist()), (t, f)
@@ -749,7 +767,7 @@ def test_audited_sweep_records_are_per_trial_audits():
 def _bound_of_each_part(mu):
     # min_weight_bound with each marginal's positive and negative parts and
     # their maxima taken on their own, one array call each
-    a, b, z = mu.m_xx, mu.m_yy, mu.m_xy
+    a, b, z = mu.marginals
     a_pos, a_neg, b_pos, b_neg = (np.maximum(x, 0.0) for x in (a, -a, b, -b))
     g = np.sqrt(a_pos * b_pos)
     s = np.max(g, axis=-1)
@@ -766,9 +784,10 @@ def _audit_form_cases():
 
 
 def test_stacked_audit_forms_equal_each_observables_own():
-    # the audit computes E1 and the G-forms of a0 and b0 in one stacked call
-    # each, mu's marginals as one (3, T, K) array and the parts of its
-    # bound as stacked arrays; each equals its own per-observable value, by repr
+    # the audit computes E1 of a0 and b0 in one stacked call, mu's marginals
+    # as one (3, T, K) array, the G-forms 0.5 E1 - q . m as one stacked dot
+    # against two of its rows and the parts of its bound from that array;
+    # each equals its own per-observable value, by repr
     functions = [from_key(k) for k in ALL_KEYS]
     for rho, t in _audit_form_cases():
         m, n = GnsModel(rho), rho.dim
@@ -776,13 +795,14 @@ def test_stacked_audit_forms_equal_each_observables_own():
         a, b = (random_hermitian(n, [s + k for s in seeds]).matrix.reshape(rho.matrix.shape) for k in (0, 5))
         terms = eigenbasis_terms(rho, functions, a, b)
         lam = m.eigenvalues.reshape(-1, n)
+        q = terms.tilde.reshape(t, len(functions), n * n)
         gforms, graph, centered_t = [], [], []
         for x, xt in ((terms.a, terms.at), (terms.b, terms.bt)):
             exp = np.trace(rho.matrix.reshape(-1, n, n) @ x, axis1=1, axis2=2).real
             xt0 = xt - exp[:, None, None] * np.eye(n)
             e1 = form_E1(m, xt0, xt0)
-            kernel_form = gns._weighted_form(terms.kernels, xt0[:, None], xt0[:, None])
-            gforms.append((0.5 * e1[:, None] - kernel_form).real)
+            own = (np.abs(xt0) ** 2 * lam[:, None, :]).reshape(t, -1)
+            gforms.append(0.5 * e1.real[:, None] - gns._dot(q, own[:, None, :]))
             graph.append(e1)
             centered_t.append(xt0)
         pair_t = np.array(centered_t)
@@ -791,17 +811,40 @@ def test_stacked_audit_forms_equal_each_observables_own():
         audit = audit_G_equals_H(m, terms)
         assert repr(audit["gform_min"].tolist()) == repr(np.minimum(*gforms).tolist())
         mu = build_mu(m, at0, bt0)
+        assert mu.marginals.shape == (3, t, n * n)
         marginals = (np.abs(at0) ** 2, np.abs(bt0) ** 2, np.real(np.conj(at0) * bt0))
-        for got, entries in zip((mu.m_xx, mu.m_yy, mu.m_xy), marginals):
+        for got, entries in zip(mu.marginals, marginals):
             assert repr(got.tolist()) == repr((entries * lam[:, None, :]).reshape(t, -1).tolist())
         assert repr(audit["mu_min_atom"].tolist()) == repr(_bound_of_each_part(mu).tolist())
         # H's six dots, each marginal on its own
-        q = terms.tilde.reshape(t, len(functions), n * n)
         p = mu.values + 1.0
-        px, py, pz = (gns._dot(p, w)[..., None] for w in (mu.m_xx, mu.m_yy, mu.m_xy))
-        qx, qy, qz = (gns._dot(q, w[..., None, :]) for w in (mu.m_xx, mu.m_yy, mu.m_xy))
+        px, py, pz = (gns._dot(p, w)[..., None] for w in mu.marginals)
+        qx, qy, qz = (gns._dot(q, w[..., None, :]) for w in mu.marginals)
         h = 0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz))
         assert repr(audit["H"].tolist()) == repr(h.tolist())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 32, 64])
+def test_audit_gforms_match_the_public_form_g(dim):
+    # the audit sums the kernel form atom by atom, q . m_xx, and form_G sums
+    # k_ij |x0_ij|^2 over the entries of the standard-basis a0 rotated on its
+    # own. Every term of either sum is nonnegative and the terms add up to at
+    # most E1 / 2 (tilde(s) <= (s + 1) / 2), so each route rounds off by at
+    # most about K eps E1 for K = n^2 atoms, and so does the minimum over a0
+    # and b0 of their difference
+    functions = [from_key(k) for k in ALL_KEYS]
+    eps = np.finfo(float).eps
+    for trial in range(3):
+        seed = 1900 + 10 * dim + trial
+        m = _model(dim, seed=seed)
+        a, b = (random_hermitian(dim, seed=seed + k).matrix for k in (1, 2))
+        audit = _audit(m, functions, a, b)
+        pair0 = [centered(m.rho, x) for x in (a, b)]
+        e1 = max(form_E1(m, *(m.rho.to_eigenbasis(x0),) * 2).real for x0 in pair0)
+        for k, f in enumerate(functions):
+            public = min(form_G(m, f, x0, x0).real for x0 in pair0)
+            got = audit["gform_min"][0, k]
+            assert abs(got - public) <= dim * dim * eps * e1, (dim, trial, ALL_KEYS[k])
 
 
 def test_mu_bound_of_stacked_parts_equals_each_part_s_own():
@@ -813,7 +856,7 @@ def test_mu_bound_of_stacked_parts_equals_each_part_s_own():
             for x in (a, b, z):
                 x[rng.random(shape) < 0.2] = -0.0
             mu = gns.AtomicPairMeasure(
-                values=np.ones(shape), weights=2.0 * (a * b - z * z), m_xx=a, m_yy=b, m_xy=z
+                values=np.ones(shape), weights=2.0 * (a * b - z * z), marginals=np.array((a, b, z))
             )
             assert repr(np.asarray(mu.min_weight_bound).tolist()) == repr(_bound_of_each_part(mu).tolist())
 
