@@ -28,7 +28,7 @@ b = random_hermitian(4, seed=9)
 f = from_key("wyd:0.3")
 
 model = GnsModel(rho)
-print("modular spectrum has", model.spectrum().size, "atoms for dim", model.dim)
+print("modular spectrum has", model.spectrum().size, "atoms for dim", model.rho.dim)
 
 # The forms of the centered observables reproduce the trace-formula
 # scalars: cov = Re E1 / 2 and corr = Re G with G = E1 / 2 - F.

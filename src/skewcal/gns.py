@@ -98,8 +98,8 @@ G_H_RTOL = 1e-8
 MU_ATOM_SLACK = 1e-12
 GFORM_SLACK = 1e-12
 
-# Flag of each audit mask column: G vs H, mu, and the G-form of a and of b.
-AUDIT_FLAGS = ("g_h_mismatch", "mu_negative_atom", "gform_negative", "gform_negative")
+# Flag of each audit mask column: G vs H, mu, and the G-forms of a and b.
+AUDIT_FLAGS = ("g_h_mismatch", "mu_negative_atom", "gform_negative")
 
 
 def _value(x):
@@ -111,28 +111,25 @@ class GnsModel:
     """Modular data of the state Tr(rho .), or of each state of a stack.
 
     Vectors of the representation are plain matrices; the cyclic vector is
-    the identity. Attributes expose the state's spectral data; the modular
-    operator acts entrywise in the eigenbasis by the eigenvalue ratios
-    lam_i / lam_j. Over a stacked DensityMatrix of T states,
-    ``eigenvalues`` and ``eigenvectors`` carry a leading trial axis,
-    vectors are (T, n, n) stacks, and the forms and the measure give one
-    value per state.
+    the identity. The model holds only ``rho``, whose ``eigenvalues`` and
+    ``eigenvectors`` are the spectral data; the modular operator acts
+    entrywise in the eigenbasis by the eigenvalue ratios lam_i / lam_j.
+    Over a stacked DensityMatrix of T states those carry a leading trial
+    axis, vectors are (T, n, n) stacks, and the forms and the measure give
+    one value per state.
     """
 
-    __slots__ = ("rho", "dim", "eigenvalues", "eigenvectors")
+    __slots__ = ("rho",)
 
     def __init__(self, rho: DensityMatrix):
         self.rho = rho
-        self.dim = rho.dim
-        self.eigenvalues = rho.eigenvalues
-        self.eigenvectors = rho.eigenvectors
 
     def spectrum(self) -> np.ndarray:
         """Value lam_i / lam_j of each atom i * n + j, (T, n^2) over a stack.
 
         Equal ratios stay separate atoms: merging them changes no integral.
         """
-        return _compute_spectrum(self.eigenvalues)
+        return _compute_spectrum(self.rho.eigenvalues)
 
 
 def _weighted_form(kernel: np.ndarray, xt: np.ndarray, et: np.ndarray):
@@ -150,7 +147,7 @@ def form_E1(m: GnsModel, xt, et):
     lam_j and <xi, Delta eta> by lam_i, so E1 is their sum against the
     kernel lam_i + lam_j.
     """
-    lam = m.eigenvalues
+    lam = m.rho.eigenvalues
     return _weighted_form(lam[..., :, None] + lam[..., None, :], xt, et)
 
 
@@ -262,7 +259,7 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     entries = np.empty((3,) + pair.shape[1:])
     entries[:2] = np.abs(pair) ** 2
     entries[2] = np.real(np.conj(pair[0]) * pair[1])
-    entries *= m.eigenvalues[..., None, :]
+    entries *= m.rho.eigenvalues[..., None, :]
     marginals = entries.reshape((3,) + lead + (-1,))
     m_xx, m_yy, m_xy = marginals
     return AtomicPairMeasure(
@@ -320,8 +317,9 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     centered observables. |G - H| beyond G_H_RTOL * max(1, |G|) is flagged,
     as are a certified lower bound on the weights of mu below
     -MU_ATOM_SLACK times its mass, and a negative quadratic form G^f on
-    either centered observable. Each gate flags unless its value is
-    within bound, so a NaN G, H, bound or form is flagged.
+    either centered observable (one ``gform_negative`` for both). Each
+    gate flags unless its value is within bound, so a NaN G, H, bound or
+    form is flagged.
 
     Once per stack, Tr(rho a) and Tr(rho b) of
     :func:`~skewcal.qinfo._trace_moments` center the observables' eigenbasis
@@ -352,7 +350,7 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     """
     if terms.rho is not m.rho:
         raise ValueError("terms were computed for another state than the model's")
-    n = m.dim
+    n = m.rho.dim
     t, f = terms.tilde.shape[:2]
     # Tr(rho a) and Tr(rho b) center the observables; G reads every moment
     moments = _trace_moments(m.rho, terms.a, terms.b)
@@ -377,8 +375,9 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     flags = np.empty((t, f, len(AUDIT_FLAGS)), bool)
     np.less_equal(residual, G_H_RTOL * np.fmax(1.0, np.abs(g)), out=flags[..., 0])
     flags[..., 1] = (mu_min >= -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0))[:, None]
+    # one gate for both G-forms: it holds only if each is within its floor
     gform_floor = -GFORM_SLACK * np.maximum(e1, 0.0)[..., None]
-    np.greater_equal(gforms, gform_floor, out=flags[..., 2:].transpose(2, 0, 1))
+    np.all(gforms >= gform_floor, axis=0, out=flags[..., 2])
     np.logical_not(flags, out=flags)
     return {
         "G": g,

@@ -31,18 +31,19 @@ catalog call for every entry, with the kernels built from it once
 audit read those arrays side by side. Each covers the chunk's (trial,
 entry) grid in one call and returns (T, F) columns, the audit's
 residual and flags appended to the report's. Each entry's records are
-built from those columns in one pass per chunk. A sweep that writes a
-file also turns the same columns into the records' text, one repr pass
-per column block: the scalars that do not depend on f once per trial, the
-others and the residuals once per (trial, entry). Only the draws run per
-trial. A rejected trial is reported
+built from those columns in one pass per chunk. A sweep that writes jsonl
+also turns the same columns into the records' lines, one repr pass per
+column block: the scalars that do not depend on f once per trial, the
+others and the residuals once per (trial, entry); a csv row is
+``csv.writer`` applied to the record's values (``_csv_row``). Only the
+draws run per trial. A rejected trial is reported
 with its (dim, trial, seed). The stacks and the report's temporaries hold
 O(_STACK_ENTRIES) numbers whatever the trial count; the seed table holds
 O(dims x trials) words, 104 B per (dim, trial) for the trial seed and its
 three streams' words, for the whole sweep (it is built in blocks of
 _SEED_BLOCK pairs, whose temporaries take about 400 B per pair); the
 records of one dimension,
-with their text when there is output, are kept until it is written.
+with their lines when the output is jsonl, are kept until it is written.
 Every stacked operation and reduction acts on one trial's entries, so a
 record's bits do not depend on the chunk its trial fell in, and equal
 those of ``evaluate_inequalities`` on the regenerated instance.
@@ -115,7 +116,7 @@ CSV_COLUMNS = ("dim", "f", "trial", "seed", *_SCALARS, "residuals", "flags")
 
 # Positions in _SCALARS of the report's scalars that do not depend on f,
 # whose (T, F) columns _report_in_eigenbasis fills with one value per trial,
-# and of the others.
+# and of the others, as the jsonl text pass reads them.
 _SHARED = [_SCALARS.index(name) for name in ("var_a", "var_b", "cov_ab", "lhs", "heisenberg_rhs")]
 _PER_ENTRY = [_SCALARS.index(name) for name in ("info_a", "info_b", "corr_ab", "rhs", "gap")]
 
@@ -360,10 +361,10 @@ def _chunk_instances(config: SweepConfig, dim: int, trials: range, trial_seeds, 
 def _records(config: SweepConfig, functions):
     """Yield (record, text) pairs in (dim, f, trial) order: every f on each drawn instance.
 
-    The text is the record's jsonl line or csv row when the sweep writes
-    ``config.output_path``, and None when it writes nothing.
+    The text is the record's jsonl line when the sweep writes jsonl to
+    ``config.output_path``, and None otherwise.
     """
-    fmt = None if config.output_path is None else config.format
+    lines = config.output_path is not None and config.format == "jsonl"
     trial_seeds, words = _sweep_seeds(config)
     for dim, dim_seeds, dim_words in zip(config.dims, trial_seeds, words):
         chunk = min(config.trials, max(1, _STACK_ENTRIES // (dim * dim)))
@@ -390,10 +391,10 @@ def _records(config: SweepConfig, functions):
             del terms
             # (F, T, len(_SCALARS)): the _SCALARS values of each (entry, trial)
             scalars = np.array([columns[name] for name in _SCALARS]).transpose(2, 1, 0)
-            if fmt is None:
-                texts = [[None] * len(trials)] * len(functions)
+            if lines:
+                texts = _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags)
             else:
-                texts = _chunk_texts(fmt, dim, functions, trials, seeds, scalars, residuals, flags)
+                texts = [[None] * len(trials)] * len(functions)
             for f, rows, res, f_flags, f_texts, pairs in zip(
                 functions, scalars.tolist(), residuals, flags, texts, by_f
             ):
@@ -426,8 +427,8 @@ def _records(config: SweepConfig, functions):
             yield from pairs
 
 
-def _chunk_texts(fmt, dim, functions, trials, seeds, scalars, residuals, flags) -> list[list]:
-    """The jsonl line or csv row of each record of one chunk, as [f][t] lists.
+def _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags) -> list[list]:
+    """The jsonl line of each record of one chunk, as [f][t] lists.
 
     ``scalars`` holds the (F, T, len(_SCALARS)) values. The _SHARED ones
     are printed once per trial, from the first entry's rows, and the
@@ -435,16 +436,13 @@ def _chunk_texts(fmt, dim, functions, trials, seeds, scalars, residuals, flags) 
     residuals, in one ``_float_texts`` pass.
     """
     count = len(trials)
-    shared = list(_grouped(_float_texts(scalars[0][:, _SHARED], fmt), len(_SHARED), count))
-    own = _float_texts(scalars[:, :, _PER_ENTRY], fmt)
+    shared = list(_grouped(_float_texts(scalars[0][:, _SHARED]), len(_SHARED), count))
+    own = _float_texts(scalars[:, :, _PER_ENTRY])
     own = list(_grouped(own, len(_PER_ENTRY), len(functions) * count))
     texts = []
     for k, (f, res, f_flags) in enumerate(zip(functions, residuals, flags)):
-        res_texts = _grouped(_float_texts(res, fmt), res.shape[1], count)
+        res_texts = _grouped(_float_texts(res), res.shape[1], count)
         rows = zip(trials, seeds, shared, own[k * count : (k + 1) * count], res_texts, f_flags)
-        if fmt == "csv":
-            texts.append([_csv_row((dim, f.name, trial, seed), *rest) for trial, seed, *rest in rows])
-            continue
         head = f'{{"dim": {dim}, "f": {json.dumps(f.name)}, "trial": '
         texts.append(
             [
@@ -458,16 +456,16 @@ def _chunk_texts(fmt, dim, functions, trials, seeds, scalars, residuals, flags) 
     return texts
 
 
-def _float_texts(values: np.ndarray, fmt: str) -> list[str]:
-    """The text of each float of ``values``, in C order, as one repr pass over the block.
+def _float_texts(values: np.ndarray) -> list[str]:
+    """The json text of each float of ``values``, in C order, as one repr pass over the block.
 
-    Both formats spell a float as its repr; jsonl spells nan, inf and -inf
-    as json does (NaN, Infinity, -Infinity), csv keeps repr's spelling.
+    A float is spelled as its repr, except nan, inf and -inf, which are
+    spelled as json does (NaN, Infinity, -Infinity).
     """
     if not values.size:
         return []
     texts = repr(values.ravel().tolist())[1:-1].split(", ")
-    if fmt == "jsonl" and not np.isfinite(values).all():
+    if not np.isfinite(values).all():
         texts = [_JSON_NONFINITE.get(text, text) for text in texts]
     return texts
 
@@ -477,37 +475,33 @@ def _grouped(texts: list[str], width: int, count: int):
     return zip(*[iter(texts)] * width) if width else [()] * count
 
 
-def _csv_row(head, shared, own, residuals, flags) -> list:
-    """One csv record in CSV_COLUMNS order from its texts.
+def _csv_row(record: dict) -> list:
+    """The csv row of a record: its values in CSV_COLUMNS order, residuals and flags joined by ';'.
 
-    ``head`` is (dim, f, trial, seed), ``shared`` and ``own`` the texts of
-    the _SHARED and _PER_ENTRY scalars, ``residuals`` the residuals' texts
-    and ``flags`` the flag names.
+    ``csv.writer`` spells each float as its repr, and so does the join.
     """
-    var_a, var_b, cov_ab, lhs, heisenberg_rhs = shared
-    info_a, info_b, corr_ab, rhs, gap = own
-    scalars = (var_a, var_b, cov_ab, info_a, info_b, corr_ab, lhs, rhs, gap, heisenberg_rhs)
-    return [*head, *scalars, ";".join(residuals), ";".join(flags)]
+    residuals = ";".join(map(repr, record["residuals"]))
+    return [*(record[name] for name in CSV_COLUMNS[:-2]), residuals, ";".join(record["flags"])]
 
 
 def _emitted(records, record_sink, out=None, fmt="jsonl"):
-    """Pass each record to ``record_sink`` (if given), write its text to ``out`` (if given), yield it.
+    """Pass each record to ``record_sink`` (if given), write it to ``out`` (if given), yield it.
 
     ``records`` holds (record, text) pairs; the sink sees a record before
-    its text is written.
+    it is written. A jsonl record is written as its text, a csv one as
+    ``_csv_row`` of the record.
     """
-    if out is not None:
-        if fmt == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            write = writer.writerow
-        else:
-            write = out.write
+    writer = None
+    if out is not None and fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
     for record, text in records:
         if record_sink is not None:
             record_sink(record)
-        if out is not None:
-            write(text)
+        if writer is not None:
+            writer.writerow(_csv_row(record))
+        elif out is not None:
+            out.write(text)
         yield record
 
 
@@ -516,9 +510,9 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
 
     Each record goes to ``record_sink`` (if given), then to
     ``config.output_path`` (if given), then to ``summarize_records``.
-    A jsonl line holds the bytes of ``json.dumps(record)`` and a csv row
-    what ``csv.writer`` writes for the record's values, but both are built
-    from the chunk's column arrays; a sweep without output builds no text.
+    A jsonl line holds the bytes of ``json.dumps(record)``, built from the
+    chunk's column arrays, and a csv row what ``csv.writer`` writes for the
+    record's values; a sweep without output builds no text.
     Inequality violations are recorded and flagged, never raised. An
     exception from the sink propagates; the file then holds the records
     before the one that raised.

@@ -191,27 +191,20 @@ def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
 class DensityMatrix:
     """Faithful state, or (T, n, n) stack of them: Hermitian, unit trace, spectrum above the floor.
 
-    Spectral data is computed once here; every kernel downstream reuses
-    ``eigenvalues`` (descending) and ``eigenvectors``, which over a stack
-    carry a leading trial axis.
+    ``matrix``, ``dim`` and ``herm_residual`` are those of the validated
+    HermitianMatrix. Spectral data is computed once here; every kernel
+    downstream reuses ``eigenvalues`` (descending) and ``eigenvectors``,
+    which over a stack carry a leading trial axis.
     """
 
-    __slots__ = ("base", "eigenvalues", "eigenvectors")
+    __slots__ = ("matrix", "dim", "herm_residual", "eigenvalues", "eigenvectors")
 
     def __init__(self, entries):
-        base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
-        shape = base.matrix.shape
-        lam, u = _faithful_spectrum(base.matrix.reshape((-1,) + shape[-2:]))
-        self.base = base
+        h = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
+        self.matrix, self.dim, self.herm_residual = h.matrix, h.dim, h.herm_residual
+        shape = h.matrix.shape
+        lam, u = _faithful_spectrum(h.matrix.reshape((-1,) + shape[-2:]))
         self.eigenvalues, self.eigenvectors = lam.reshape(shape[:-1]), u.reshape(shape)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.base.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
 
     def to_eigenbasis(self, a) -> np.ndarray:
         """Entries of ``a`` in the eigenbasis of the state: u† a u, or u_k† a_k u_k over a stack."""

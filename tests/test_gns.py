@@ -68,7 +68,7 @@ def _model(dim, seed):
 
 def _ratios(m):
     # the eigenvalue ratios lam_i / lam_j by which Delta acts entrywise
-    lam = m.eigenvalues
+    lam = m.rho.eigenvalues
     return lam[:, None] / lam[None, :]
 
 
@@ -111,7 +111,7 @@ def test_form_E1_is_the_modular_graph_form():
         x, y = _vector(n, seed=59 + n), _vector(n, seed=60 + n)
         xh = x.conj().T
         expected = np.trace(r @ xh @ r @ y @ np.linalg.inv(r)) + np.trace(r @ xh @ y)
-        kappa = float(np.max(m.eigenvalues) / np.min(m.eigenvalues))
+        kappa = float(np.max(m.rho.eigenvalues) / np.min(m.rho.eigenvalues))
         bound = 8 * n * eps * kappa * np.linalg.norm(x) * np.linalg.norm(y)
         xt, yt = rho.to_eigenbasis(x), rho.to_eigenbasis(y)
         assert abs(form_E1(m, xt, yt) - expected) <= bound, n
@@ -170,7 +170,7 @@ def test_gform_expansion_and_nonnegativity(key):
     m = _model(4, seed=71)
     x = _vector(4, seed=72)
     xt = m.rho.to_eigenbasis(x)
-    lam = m.eigenvalues
+    lam = m.rho.eigenvalues
     ratios = _ratios(m)
     g = 0.5 * (ratios + 1.0) - np.asarray(tilde_transform(f, ratios), dtype=float)
     expected = float(np.sum(g * lam[None, :] * np.abs(xt) ** 2))
@@ -195,7 +195,7 @@ def test_spectrum_is_the_ratio_of_each_eigenbasis_entry():
 
 def test_spectrum_transpose_is_the_reciprocal():
     for m in _spectrum_cases():
-        n = m.dim
+        n = m.rho.dim
         values = m.spectrum().reshape(n, n)
         assert np.allclose(values.T, 1.0 / values, rtol=1e-15, atol=0.0)
 
@@ -278,8 +278,8 @@ def test_certificate_is_below_the_k2_minimum(family, dim, seed):
         "near-floor": lambda: _near_floor_state(seed),
     }[family]()
     m = GnsModel(rho)
-    a0 = centered(rho, random_hermitian(m.dim, seed=seed + 1).matrix)
-    b0 = centered(rho, random_hermitian(m.dim, seed=seed + 2).matrix)
+    a0 = centered(rho, random_hermitian(rho.dim, seed=seed + 1).matrix)
+    b0 = centered(rho, random_hermitian(rho.dim, seed=seed + 2).matrix)
     _assert_certified(_mu(m, a0, b0), (family, dim, seed))
 
 
@@ -389,8 +389,8 @@ def test_separable_h_matches_pair_sum(key):
 
     for name, rho in _h_oracle_cases():
         m = GnsModel(rho)
-        a0 = centered(rho, random_hermitian(m.dim, seed=400 + m.dim).matrix)
-        b0 = centered(rho, random_hermitian(m.dim, seed=500 + m.dim).matrix)
+        a0 = centered(rho, random_hermitian(rho.dim, seed=400 + rho.dim).matrix)
+        b0 = centered(rho, random_hermitian(rho.dim, seed=500 + rho.dim).matrix)
         mu = _mu(m, a0, b0)
         s, t = mu.values[:, None], mu.values[None, :]
         terms = 0.25 * pair_integrand(tilde, s, t) * pair_weights(*mu.marginals)
@@ -496,26 +496,39 @@ def test_mu_negative_atom_gate_fires_on_a_cauchy_schwarz_break(monkeypatch):
 def test_gform_negative_gate_fires(monkeypatch):
     # the harmonic G-form is 0 up to round-off (tilde = (x + 1)/2), so a graph
     # form E1 read 1e-6 too small makes it negative on both centered
-    # observables; E1 feeds only the G-form, so G and H do not move
+    # observables; E1 feeds only the G-form, so G and H do not move. The
+    # gate names the failure once, however many forms fail
     real = gns.form_E1
 
     def shrunk_e1(*args):
         return (1.0 - 1e-6) * real(*args)
 
     monkeypatch.setattr(gns, "form_E1", shrunk_e1)
-    _assert_flags(
-        monkeypatch,
-        lambda key: ("gform_negative", "gform_negative") if key == "harmonic" else (),
-    )
+    _assert_flags(monkeypatch, lambda key: ("gform_negative",) if key == "harmonic" else ())
+
+
+@pytest.mark.parametrize("observable", [0, 1])
+def test_gform_negative_gate_fires_on_either_observable(monkeypatch, observable):
+    # E1 of a0 is row 0 of the audit's one stacked call and E1 of b0 row 1;
+    # shrinking one row makes only that observable's harmonic G-form negative
+    real = gns.form_E1
+
+    def shrunk_row(*args):
+        e1 = real(*args)
+        e1[observable] *= 1.0 - 1e-6
+        return e1
+
+    monkeypatch.setattr(gns, "form_E1", shrunk_row)
+    _assert_flags(monkeypatch, lambda key: ("gform_negative",) if key == "harmonic" else ())
 
 
 def test_audit_gates_fail_on_nan():
     # observables of norm ~1e150 overflow the traces and the marginals to
     # inf and then NaN: G, H, the residual and the bound on mu are NaN, and
     # at 1e160 the G-forms too. A NaN is not within any bound, so each gate
-    # it reaches flags, as the report's checks do
+    # it reaches flags, as the report's checks do, and each flag is named once
     rho = random_density(3, 1)
-    for scale, expected in ((1e150, [True, True, False, False]), (1e160, [True] * 4)):
+    for scale, expected in ((1e150, [True, True, False]), (1e160, [True] * 3)):
         a, b = (scale * random_hermitian(3, seed).matrix for seed in (2, 3))
         with np.errstate(all="ignore"):
             audit = _audit(GnsModel(rho), [from_key("wyd:0.5")], a, b)
@@ -523,6 +536,14 @@ def test_audit_gates_fail_on_nan():
             assert np.isnan(audit[key]).all(), (scale, key)
         assert np.isnan(audit["gform_min"]).all() == (scale == 1e160), scale
         assert audit["flags"].tolist() == [[expected]], scale
+        names = [name for name, hit in zip(AUDIT_FLAGS, expected) if hit]
+        assert _flag_names(audit["flags"], AUDIT_FLAGS) == [[names]], scale
+    # a NaN G-form of a0 alone fails the one gate beside b0's finite form
+    a = 1e160 * random_hermitian(3, 2).matrix
+    with np.errstate(all="ignore"):
+        audit = _audit(GnsModel(rho), [from_key("wyd:0.5")], a, random_hermitian(3, 3).matrix)
+    assert np.isnan(audit["gform_min"]).all()
+    assert audit["flags"][0, 0, AUDIT_FLAGS.index("gform_negative")]
 
 
 def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
@@ -608,10 +629,12 @@ def test_audit_g_is_the_public_direct_route():
 
 @pytest.mark.parametrize(("n", "t"), [(16, 1), (32, 1), (64, 2)])
 def test_audit_working_set_is_a_few_observable_batches(n, t):
-    # the audit takes its kernel products and G-forms one observable's
-    # (T, F, n, n) complex batch at a time, so the peak traced memory of one
-    # call stays within 8 such batches; both observables in one (T, 2F, n, n)
-    # batch take 10.5-11.8
+    # the audit back-rotates its kernel products one observable's
+    # (T, F, n, n) complex batch at a time, and its G-forms are per-atom dots
+    # of the (T, F, K) tilde values against mu's marginals, with no batch of
+    # their own; the peak traced memory of one call stays within 8 such
+    # batches (6.0-6.8 here), below the 10.5-11.8 that both observables'
+    # products in one (T, 2F, n, n) batch take
     functions = [from_key(k) for k in ALL_KEYS]
     seeds = [1000 + 10 * n + k for k in range(t)]
     rho = random_density(n, seeds)
@@ -650,14 +673,15 @@ def test_h_from_measure_consistency():
 
 
 def test_model_exposes_spectral_data():
-    m = _model(3, seed=93)
-    assert m.dim == 3
+    # the model holds its state and no copy of it: the spectral data are the state's
+    rho = random_density(3, seed=93)
+    m = GnsModel(rho)
+    assert m.rho is rho
+    assert [name for name in dir(m) if not name.startswith("_")] == ["rho", "spectrum"]
     assert np.allclose(np.diag(_ratios(m)), 1.0, atol=0.0)
-    assert m.eigenvalues.shape == (3,)
+    assert rho.dim == 3 and rho.eigenvalues.shape == (3,)
     assert np.allclose(
-        m.rho.matrix,
-        (m.eigenvectors * m.eigenvalues) @ m.eigenvectors.conj().T,
-        atol=1e-12,
+        rho.matrix, (rho.eigenvectors * rho.eigenvalues) @ rho.eigenvectors.conj().T, atol=1e-12
     )
 
 
@@ -794,7 +818,7 @@ def test_stacked_audit_forms_equal_each_observables_own():
         seeds = list(range(1600 + 10 * n, 1600 + 10 * n + t))
         a, b = (random_hermitian(n, [s + k for s in seeds]).matrix.reshape(rho.matrix.shape) for k in (0, 5))
         terms = eigenbasis_terms(rho, functions, a, b)
-        lam = m.eigenvalues.reshape(-1, n)
+        lam = m.rho.eigenvalues.reshape(-1, n)
         q = terms.tilde.reshape(t, len(functions), n * n)
         gforms, graph, centered_t = [], [], []
         for x, xt in ((terms.a, terms.at), (terms.b, terms.bt)):

@@ -608,13 +608,20 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
         assert all(r["flags"] == sorted(r["flags"], key=order.index) for r in records)
 
 
-def test_sweep_without_output_builds_no_text(monkeypatch):
-    def no_text(values, fmt):
-        raise AssertionError("a sweep without output built record text")
+def test_sweep_without_output_builds_no_text(monkeypatch, tmp_path):
+    # only a jsonl sweep takes the column text pass: a sweep without output
+    # builds no text, and a csv sweep writes csv.writer's rows of the records
+    def no_text(values):
+        raise AssertionError("a sweep without jsonl output built jsonl text")
 
     monkeypatch.setattr(harness, "_float_texts", no_text)
+    path = tmp_path / "records.csv"
     for gns_audit in (False, True):
         assert run_sweep(_tiny_config(gns_audit=gns_audit)).total == 2 * 4 * 2
+        records = []
+        config = _tiny_config(gns_audit=gns_audit, output_path=str(path), format="csv")
+        assert run_sweep(config, record_sink=records.append).total == 2 * 4 * 2
+        assert path.read_text() == _csv_text(records)
 
 
 def test_check_instance_passes_on_fixture(fixtures_dir):

@@ -256,7 +256,7 @@ def test_stacked_draws_equal_single_draws_bit_for_bit():
             (rho.to_eigenbasis(observables.matrix[k]), rotated[k]),
         ):
             assert single.tobytes() == stacked.tobytes()
-        assert rho.base.herm_residual == states.base.herm_residual[k]
+        assert rho.herm_residual == states.herm_residual[k]
     with pytest.raises(ValueError, match="non-empty"):
         random_density(4, [])
 

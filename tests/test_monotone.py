@@ -1,5 +1,6 @@
 """Catalog functions: closed forms, the tilde transform, and grid validation."""
 
+import dataclasses
 import functools
 import logging
 
@@ -172,6 +173,28 @@ def test_validation_flags_decreasing_entry():
     fading = MonotoneFunction("fading", (), lambda x: 2.0 / (1.0 + np.asarray(x, dtype=float)), 2.0)
     report = validate_catalog_entry(fading)
     assert report.max_monotonicity_drop > 0.0
+    assert not report.ok
+
+
+def test_validation_flags_an_entry_off_normalization():
+    # 2 sld keeps symmetry, monotonicity and the tilde bounds, but f(1) = 2
+    doubled = MonotoneFunction("doubled", (), lambda x: 2.0 * sld().evaluate(x), 1.0)
+    assert validate_catalog_entry(doubled).violations() == ["f(1) off by 1.000e+00"]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("min_value", 0.0, "nonpositive value on grid"),
+        ("min_value", np.nan, "nonpositive value on grid"),
+        ("normalization_error", np.nan, "f(1) off by nan"),
+    ],
+)
+def test_validation_flags_a_broken_value_or_normalization_field(field, value, message):
+    # a clean report with one field broken, a NaN included, fails that bound alone
+    clean = validate_catalog_entry(sld())
+    report = dataclasses.replace(clean, **{field: value})
+    assert report.violations() == [message]
     assert not report.ok
 
 

@@ -20,6 +20,7 @@ from skewcal.qinfo import (
     f_correlation,
     f_information,
     heisenberg_bound,
+    validate_tol,
     variance,
 )
 
@@ -555,3 +556,10 @@ def test_public_functions_validate_each_observable_once(monkeypatch, fixture_rho
         built.clear()
         call()
         assert len(built) == count, name
+
+
+@pytest.mark.parametrize("tol", ["abc", None, [1e-9], "", object()])
+def test_non_numeric_tolerance_is_rejected(tol):
+    # float() raises TypeError or ValueError on these; both become the tol error
+    with pytest.raises(ValueError, match="tol must be a positive finite number"):
+        validate_tol(tol)
