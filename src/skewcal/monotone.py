@@ -22,6 +22,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._buffers import _empty
+
 __all__ = [
     "MonotoneFunction",
     "ValidationReport",
@@ -87,33 +89,44 @@ def wyd_f(beta: float, x) -> float | np.ndarray:
     return _match_input(out, x)
 
 
-def _wyd_values(betas, arr: np.ndarray, u: np.ndarray, u_sq: np.ndarray) -> np.ndarray:
+def _wyd_values(betas, arr: np.ndarray, u: np.ndarray, u_sq: np.ndarray, out=None) -> np.ndarray:
     """wyd_f of each beta on the positive array ``arr``, as a (len(betas), *arr.shape) array.
 
     ``u`` is arr - 1 and ``u_sq`` its square. Only the powers x^b and
-    x^(1-b) are taken once per beta, each the call a lone entry makes, so
-    that numpy's scalar-exponent paths (sqrt for 0.5) give the same bits;
-    the window, the quotient and the series run once over every beta.
+    x^(1-b) depend on the exponent: each distinct exponent of the call is
+    taken once, in the call a lone entry makes, so that numpy's
+    scalar-exponent paths (sqrt for 0.5) give the same bits, and an entry
+    whose exponent came up before copies that power (1 - 0.5 is 0.5, and
+    1 - 0.1 is 0.9, in float64). The window, the quotient and the series
+    run once over every beta. With chunk buffers ``out``, the arrays are
+    its ``safe``, ``wyd_denominator`` and ``wyd`` buffers.
     """
     near = np.abs(u) < WYD_SERIES_WINDOW
-    safe = np.where(near, 2.0, arr)
+    # x itself off the window, and 2 (a harmless quotient) inside it
+    safe = _empty(out, "safe", arr.shape)
+    np.copyto(safe, arr)
+    safe[near] = 2.0
     b = np.array(betas, dtype=float).reshape((-1,) + (1,) * arr.ndim)
-    den = np.empty(b.shape[:1] + arr.shape)
-    out = np.empty_like(den)
+    den = _empty(out, "wyd_denominator", b.shape[:1] + arr.shape)
+    values = _empty(out, "wyd", den.shape)
+    powers = {}
     for k, beta in enumerate(betas):
-        den[k] = np.power(safe, beta)
-        out[k] = np.power(safe, 1.0 - beta)
+        for dest, exponent in ((den[k, ...], beta), (values[k, ...], 1.0 - beta)):
+            if exponent in powers:
+                np.copyto(dest, powers[exponent])
+            else:
+                powers[exponent] = np.power(safe, exponent, out=dest)
     den -= 1.0
-    out -= 1.0
-    den *= out
+    values -= 1.0
+    den *= values
     gamma = b * (1.0 - b)
-    np.multiply(gamma, np.square(safe - 1.0), out=out)
-    out /= den
+    np.multiply(gamma, np.square(safe - 1.0), out=values)
+    values /= den
     # the series, in den: (1 + u/2) - ((1 - gamma) / 12) u^2
     np.multiply((1.0 - gamma) / 12.0, u_sq, out=den)
     np.subtract(1.0 + 0.5 * u, den, out=den)
-    np.copyto(out, den, where=near)
-    return out
+    np.copyto(values, den, where=near)
+    return values
 
 
 def _wyd_beta(f: "MonotoneFunction") -> float | None:
@@ -128,7 +141,7 @@ def _wyd_beta(f: "MonotoneFunction") -> float | None:
     return None
 
 
-def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
+def tilde_transform(f, x, clamp: bool = True, *, out=None) -> float | np.ndarray:
     """Apply tilde(x) = ((x + 1) - (x - 1)^2 * f(0) / f(x)) / 2 elementwise.
 
     ``f`` is one catalog entry, and the result is shaped like ``x``, or a
@@ -138,43 +151,45 @@ def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
     one row. A catalog call checks positivity and forms x + 1, (x - 1)^2
     and the wyd series window once for every entry, and the entries built
     by :func:`wyd` share one pass; each value has the bits of the entry's
-    own call.
+    own call. ``out`` is a sweep's chunk buffers, for a catalog on a
+    (T, n, n) stack: the result is then its ``tilde`` buffer, valid until
+    the sweep's next chunk starts, and the temporaries are buffers too.
 
     Round-off can push the mathematically nonnegative result a hair below
-    zero; values in [TILDE_CLAMP_FLOOR, 0) are clamped to 0 and logged
-    (one count per call) when ``clamp`` is set. Larger negatives are
+    zero; values in [TILDE_CLAMP_FLOOR, 0) are clamped to 0 in place and
+    logged (one count per call) when ``clamp`` is set. Larger negatives are
     returned untouched so validation can see them.
     """
     arr = _as_positive_array(x)
     if isinstance(f, MonotoneFunction):
-        out = tilde_transform([f], arr.reshape(1, -1), clamp).reshape(arr.shape)
-        return _match_input(out, x)
+        values = tilde_transform([f], arr.reshape(1, -1), clamp).reshape(arr.shape)
+        return _match_input(values, x)
     entries = tuple(f)
     if arr.ndim < 2:
         raise ValueError(f"a catalog takes a stack of ratio matrices, got shape {arr.shape}")
-    u = arr - 1.0
-    u_sq = np.square(u)
-    fx = np.empty(arr.shape[:-2] + (len(entries),) + arr.shape[-2:])
+    u = np.subtract(arr, 1.0, out=out and out.take("shifted", arr.shape))
+    u_sq = np.square(u, out=out and out.take("shifted_squared", arr.shape))
+    fx = _empty(out, "tilde", arr.shape[:-2] + (len(entries),) + arr.shape[-2:])
     betas = [_wyd_beta(entry) for entry in entries]
     wyd_at = [k for k, beta in enumerate(betas) if beta is not None]
     if wyd_at:
-        wyd_fx = _wyd_values([betas[k] for k in wyd_at], arr, u, u_sq)
+        wyd_fx = _wyd_values([betas[k] for k in wyd_at], arr, u, u_sq, out)
         fx[..., wyd_at, :, :] = np.moveaxis(wyd_fx, 0, -3)
     for k, entry in enumerate(entries):
         if k not in wyd_at:
             fx[..., k, :, :] = entry(arr)
     # the formula, in place in fx
-    out = np.divide(np.array([e.f_at_zero for e in entries])[:, None, None], fx, out=fx)
-    out *= u_sq[..., None, :, :]
-    np.subtract((arr + 1.0)[..., None, :, :], out, out=out)
-    out *= 0.5
+    values = np.divide(np.array([e.f_at_zero for e in entries])[:, None, None], fx, out=fx)
+    values *= u_sq[..., None, :, :]
+    np.subtract((arr + 1.0)[..., None, :, :], values, out=values)
+    values *= 0.5
     if clamp:
-        neg = (out < 0.0) & (out >= TILDE_CLAMP_FLOOR)
+        neg = (values < 0.0) & (values >= TILDE_CLAMP_FLOOR)
         count = int(np.count_nonzero(neg))
         if count:
             logger.debug("clamped %d tilde round-off value(s) to zero", count)
-            out = np.where(neg, 0.0, out)
-    return out
+            values[neg] = 0.0
+    return values
 
 
 @dataclass(frozen=True)
@@ -278,7 +293,9 @@ class ValidationReport:
         # each bound is written so that a NaN field fails it
         out = []
         if not np.isfinite(self.min_value) or self.min_value <= 0.0:
-            out.append("nonpositive value on grid")
+            out.append(
+                f"nonpositive or non-finite value on grid: min {self.min_value:.3e}"
+            )
         if not self.normalization_error <= NORMALIZATION_TOL:
             out.append(f"f(1) off by {self.normalization_error:.3e}")
         if not self.max_symmetry_violation <= SYMMETRY_RTOL:

@@ -553,8 +553,8 @@ def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
     # shares with the report, so the asymmetry is injected there
     real = qinfo.tilde_transform
 
-    def asymmetric(f, x):
-        tilde = real(f, x).copy()
+    def asymmetric(f, x, *, out=None):
+        tilde = real(f, x, out=out).copy()
         tilde[..., 0, 1] += 1e-3
         return tilde
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -367,6 +368,14 @@ def test_run_sweep_names_the_rejected_trial(monkeypatch):
     assert calls == [2, 1]
 
 
+def _regenerated(record: dict):
+    """The state and the observables of a record's trial, drawn on their own and normalised."""
+    seed, dim = record["seed"], record["dim"]
+    rho = random_density(dim, hash64(seed, 0))
+    a, b = (random_hermitian(dim, hash64(seed, k)).matrix for k in (1, 2))
+    return rho, a / np.linalg.norm(a), b / np.linalg.norm(b)
+
+
 def test_record_bits_are_a_function_of_the_trial_alone():
     dim = 64
     # two trials fill a dim-64 chunk, so trial 2 of 3 starts a second, partial one
@@ -377,15 +386,97 @@ def test_record_bits_are_a_function_of_the_trial_alone():
         run_sweep(SweepConfig(dims=(dim,), trials=trials, f_specs=KEYS, seed=7), records.append)
         sweeps[trials] = {(r["f"], r["trial"]): r for r in records}
     for (key, trial), record in sweeps[3].items():
-        seed = record["seed"]
-        rho = random_density(dim, hash64(seed, 0))
-        a, b = (random_hermitian(dim, hash64(seed, k)).matrix for k in (1, 2))
-        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)  # the sweep's normalisation
+        rho, a, b = _regenerated(record)
         single = evaluate_inequalities(rho, from_key(key), a, b)
         assert _report_bits(single.to_dict()) == _report_bits(record), (key, trial)
         for other in (sweeps[1], sweeps[4]):
             if (key, trial) in other:
                 assert _report_bits(other[key, trial]) == _report_bits(record), (key, trial)
+
+
+@pytest.mark.parametrize("gns_audit", [False, True])
+def test_chunk_buffers_carry_nothing_between_chunks_or_dims(gns_audit):
+    # one sweep's large chunks share its buffers: dim 32's 3072 entries fill
+    # a prefix of them, dim 64 fills them and then half of them in its
+    # partial chunk, and dims 3 and 16 allocate their own. Each record must
+    # equal the sweep of its dim alone and the evaluation of its instance alone
+    dims = (3, 16, 32, 64)
+    assert [min(3, max(1, harness._STACK_ENTRIES // d**2)) * d**2 for d in dims] == [
+        27, 768, 3072, 8192
+    ]
+    assert harness._BUFFERED_ENTRIES <= 3072
+    config = dict(trials=3, f_specs=KEYS, seed=23, gns_audit=gns_audit)
+    together, alone = [], []
+    run_sweep(SweepConfig(dims=dims, **config), together.append)
+    for dim in dims:
+        run_sweep(SweepConfig(dims=(dim,), **config), alone.append)
+    assert len(together) == len(dims) * 3 * len(KEYS)
+    assert [_report_bits(r) for r in together] == [_report_bits(r) for r in alone]
+    for record in together:
+        rho, a, b = _regenerated(record)
+        f = from_key(record["f"])
+        single = evaluate_inequalities(rho, f, a, b).to_dict()
+        if gns_audit:
+            terms = qinfo.eigenbasis_terms(rho, [f], a, b)
+            audit = harness.audit_G_equals_H(harness.GnsModel(rho), terms)
+            single["residuals"].append(audit["residual"].item())
+        assert _report_bits(single) == _report_bits(record), record
+
+
+def test_a_sweep_leaves_arrays_returned_before_it_alone():
+    # without buffers, evaluate_inequalities and eigenbasis_terms return
+    # arrays of their own, which no later sweep's chunks write into
+    rho = random_density(16, 41)
+    a, b = (random_hermitian(16, seed).matrix for seed in (42, 43))
+    functions = [from_key(key) for key in KEYS]
+    report = evaluate_inequalities(rho, functions[0], a, b)
+    terms = qinfo.eigenbasis_terms(rho, functions, a, b)
+    names = ("a", "b", "at", "bt", "tilde", "kernels")
+    before = repr(report.to_dict()), [getattr(terms, name).tobytes() for name in names]
+    state = rho.matrix.tobytes(), rho.eigenvectors.tobytes()
+    for gns_audit in (False, True):
+        run_sweep(SweepConfig(dims=(16, 64), trials=3, f_specs=KEYS, gns_audit=gns_audit))
+    assert (repr(report.to_dict()), [getattr(terms, name).tobytes() for name in names]) == before
+    assert (rho.matrix.tobytes(), rho.eigenvectors.tobytes()) == state
+
+
+# One sweep in a fresh interpreter: the minor page faults it takes per chunk.
+FAULT_CHILD = """\
+import resource, sys
+from skewcal.harness import SweepConfig, run_sweep
+config = SweepConfig(dims=(64,), trials=int(sys.argv[1]), f_specs=sys.argv[2].split(","))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_sweep(config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the bound is set against glibc's malloc, which returns a freed heap top to the kernel",
+)
+def test_sweep_faults_few_pages_per_chunk():
+    # Allocated and freed per chunk, the dim-64 stacks (about 2 MB) leave
+    # glibc a heap top past its trim threshold, which it returns to the
+    # kernel, and the next chunk faults it back in: about 180 to 280 minor
+    # faults per chunk. The chunk buffers live for the whole sweep; of the
+    # about 8 faults per chunk they leave at 400 trials (200 chunks of
+    # T = 2), most are the first chunk's: the block's first touch and
+    # numpy's and LAPACK's first calls.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    trials = 400
+    done = subprocess.run(
+        [sys.executable, "-c", FAULT_CHILD, str(trials), ",".join(KEYS)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    chunks = trials // max(1, harness._STACK_ENTRIES // 64**2)
+    assert int(done.stdout) / chunks < 40
 
 
 def test_sweep_matches_golden_stream(fixtures_dir):
@@ -561,8 +652,8 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
     # per trial across the entries, as the report computes it
     real_report, real_audit = harness._report_in_eigenbasis, harness.audit_G_equals_H
 
-    def forged_report(terms, tol):
-        columns = real_report(terms, tol)
+    def forged_report(terms, tol, *, out=None):
+        columns = real_report(terms, tol, out=out)
         last = len(columns["gap"]) - 1
         columns["var_a"][0] = np.nan
         columns["cov_ab"][last] = -0.0
@@ -637,7 +728,7 @@ def test_check_instance_passes_on_fixture(fixtures_dir):
 def test_check_instance_decomposes_the_state_once(monkeypatch, fixtures_dir):
     # the report and the audit both reuse the loaded state's eigendecomposition
     real, calls = linalg.eigendecompose, []
-    monkeypatch.setattr(linalg, "eigendecompose", lambda h: calls.append(h) or real(h))
+    monkeypatch.setattr(linalg, "eigendecompose", lambda h, **kw: calls.append(h) or real(h, **kw))
     payload, code = check_instance(*_fixture_paths(fixtures_dir), "wyd:0.5")
     assert code == 0 and payload["audit"]["flags"] == []
     assert len(calls) == 1

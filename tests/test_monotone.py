@@ -15,6 +15,7 @@ from skewcal.monotone import (
     TILDE_CLAMP_FLOOR,
     WYD_SERIES_WINDOW,
     _wyd_beta,
+    _wyd_values,
     default_grid,
     from_key,
     harmonic,
@@ -185,8 +186,8 @@ def test_validation_flags_an_entry_off_normalization():
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("min_value", 0.0, "nonpositive value on grid"),
-        ("min_value", np.nan, "nonpositive value on grid"),
+        ("min_value", 0.0, "nonpositive or non-finite value on grid: min 0.000e+00"),
+        ("min_value", np.nan, "nonpositive or non-finite value on grid: min nan"),
         ("normalization_error", np.nan, "f(1) off by nan"),
     ],
 )
@@ -210,10 +211,20 @@ def test_validation_grid_handling():
 
 @pytest.mark.parametrize(
     "f, grid",
-    [(wyd(0.5), [1e-300, 1e300]), (harmonic(), [1e-300, 1e300]), (wyd(0.5), [1e-320, 1.0])],
+    [
+        (wyd(0.5), [1e-300, 1e300]),
+        (harmonic(), [1e-300, 1e300]),
+        (wyd(0.5), [1e-320, 1.0]),
+        # NaN below x = 2, so min_value and normalization_error are NaN too
+        (
+            MonotoneFunction("sqrt(x - 2)", (), lambda x: np.sqrt(np.asarray(x) - 2.0), 0.0),
+            [1.0, 4.0],
+        ),
+    ],
 )
 def test_validation_fails_every_nan_field(f, grid):
-    # overflow at the grid's ends turns fields into NaN, and NaN passes no bound
+    # overflow at the grid's ends, or an entry undefined on part of the grid,
+    # turns fields into NaN, and NaN passes no bound; every such message prints nan
     with np.errstate(all="ignore"):
         report = validate_catalog_entry(f, grid=grid)
     fields = report.to_dict()
@@ -221,6 +232,7 @@ def test_validation_fails_every_nan_field(f, grid):
     assert nan_fields, fields
     assert not report.ok
     assert sum("nan" in v for v in report.violations()) == len(nan_fields), fields
+    assert ("min_value" in nan_fields) == (f.name == "sqrt(x - 2)")
 
 
 def test_default_grid_shape():
@@ -344,6 +356,31 @@ def test_catalog_tilde_equals_one_call_per_entry_bit_for_bit(caplog):
                 assert repr(raw[..., k, :, :].tolist()) == repr(alone.tolist())
                 assert repr(alone.tolist()) == repr(_plain_tilde(f, x).tolist()), f.name
     assert clamped > 0  # the grids do reach the clamp
+
+
+def test_catalog_takes_one_power_pass_per_distinct_exponent(monkeypatch):
+    # the acceptance catalog's wyd entries take x^0.1, x^0.9, x^0.5 twice,
+    # x^0.9 and x^(1 - 0.9): in float64 1 - 0.5 is 0.5 and 1 - 0.1 is 0.9,
+    # while 1 - 0.9 is 0.09999999999999998, so the six powers are four passes
+    entries = [from_key(key) for key in ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")]
+    power, exponents = np.power, []
+
+    def counting(base, exponent, *args, **kwargs):
+        exponents.append(exponent)
+        return power(base, exponent, *args, **kwargs)
+
+    for x in _catalog_ratio_grids():
+        exponents.clear()
+        monkeypatch.setattr(np, "power", counting)
+        catalog = tilde_transform(entries, x)
+        monkeypatch.undo()
+        assert sorted(exponents) == [1.0 - 0.9, 0.1, 0.5, 0.9]
+        # each entry's values are its lone call's, bit for bit
+        for k, f in enumerate(entries):
+            assert catalog[..., k, :, :].tobytes() == tilde_transform(f, x).tobytes(), f.name
+        u = x - 1.0
+        for row, beta in zip(_wyd_values([0.1, 0.5, 0.9], x, u, np.square(u)), (0.1, 0.5, 0.9)):
+            assert row.tobytes() == wyd_f(beta, x).tobytes(), beta
 
 
 def test_catalog_tilde_follows_the_beta_an_entry_evaluates():
