@@ -93,8 +93,9 @@ __all__ = [
 G_H_RTOL = 1e-8
 
 # The certified lower bound on the weights of mu may undershoot zero by
-# round-off up to this fraction of the total mass; the quadratic form G may
-# undershoot similarly relative to the graph form E1.
+# round-off up to this fraction of the weights' uncancelled size
+# (AtomicPairMeasure.weight_scale); the quadratic form G may undershoot
+# similarly relative to the graph form E1.
 MU_ATOM_SLACK = 1e-12
 GFORM_SLACK = 1e-12
 
@@ -228,6 +229,20 @@ class AtomicPairMeasure:
         off = -2.0 * (2.0 * s * c + c * c) - 2.0 * (pos_a * neg_b + neg_a * pos_b) + 0.0
         return _value(np.minimum(np.min(self.weights, axis=-1), off))
 
+    @property
+    def weight_scale(self):
+        """A+ B+: the product of the largest positive parts of m_xx and m_yy.
+
+        The size of a weight before its terms cancel: each of the three
+        terms of every w[k, l] is at most 2 A+ B+ in size, since
+        |m_xy[k]| <= sqrt(m_xx[k] m_yy[k]) up to round-off, however small
+        their sum (or the mass) comes out. The round-off in a weight, and in
+        :attr:`min_weight_bound`, is a few eps times it; the
+        ``mu_negative_atom`` gate's slack is MU_ATOM_SLACK times it.
+        """
+        pos_a, pos_b = np.max(np.maximum(self.marginals[:2], 0.0), axis=-1)
+        return _value(pos_a * pos_b)
+
 
 def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     """Product measure mu = m_xx (x) m_yy + m_yy (x) m_xx - 2 m_xy (x) m_xy.
@@ -248,10 +263,11 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     is. The audit gates ``mu_negative_atom`` on
     :attr:`AtomicPairMeasure.min_weight_bound`, which is <= the minimum
     over all K^2 weights in exact arithmetic and never forms them: the gate
-    flags unless bound >= -MU_ATOM_SLACK * max(mass, 0), where ``mass``
-    equals sum_kl w exactly, so it fires on every instance whose smallest
-    pair weight lies below -MU_ATOM_SLACK * max(sum_kl w, 0). Its diagonal
-    part equals the K^2 array's diagonal bit for bit.
+    flags unless bound >= -MU_ATOM_SLACK * weight_scale, so it fires on
+    every instance whose smallest pair weight lies below that. The slack
+    scales with the size of the weights' terms, not with their sum, which
+    can cancel far below the round-off of one weight. Its diagonal part
+    equals the K^2 array's diagonal bit for bit.
     """
     lead = np.shape(xt)[:-2]
     # the three marginals as one (3, ..., K) array: |xt|^2, |et|^2, Re(conj(xt) et)
@@ -315,9 +331,10 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     eigendecomposition is reused. G is assembled from direct traces, the
     route of the qinfo scalars; H integrates the pair measure of the
     centered observables. |G - H| beyond G_H_RTOL * max(1, |G|) is flagged,
-    as are a certified lower bound on the weights of mu below
-    -MU_ATOM_SLACK times its mass, and a negative quadratic form G^f on
-    either centered observable (one ``gform_negative`` for both). Each
+    as are a certified lower bound on the weights of mu below -MU_ATOM_SLACK
+    times their uncancelled size (:attr:`AtomicPairMeasure.weight_scale`),
+    and a negative quadratic form G^f on either centered observable (one
+    ``gform_negative`` for both). Each
     gate flags unless its value is within bound, so a NaN G, H, bound or
     form is flagged.
 
@@ -374,7 +391,7 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     # each gate is written so that a NaN fails it: not (x within its bound)
     flags = np.empty((t, f, len(AUDIT_FLAGS)), bool)
     np.less_equal(residual, G_H_RTOL * np.fmax(1.0, np.abs(g)), out=flags[..., 0])
-    flags[..., 1] = (mu_min >= -MU_ATOM_SLACK * np.maximum(mu.mass, 0.0))[:, None]
+    flags[..., 1] = (mu_min >= -MU_ATOM_SLACK * mu.weight_scale)[:, None]
     # one gate for both G-forms: it holds only if each is within its floor
     gform_floor = -GFORM_SLACK * np.maximum(e1, 0.0)[..., None]
     np.all(gforms >= gform_floor, axis=0, out=flags[..., 2])

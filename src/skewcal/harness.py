@@ -39,22 +39,19 @@ others and the residuals once per (trial, entry); a csv row is
 draws run per trial. A rejected trial is reported
 with its (dim, trial, seed).
 
-Memory: every stage of a chunk of at least _BUFFERED_ENTRIES matrix
-entries (T n^2) writes its stacks into the sweep's chunk buffers
-(``_buffers.ChunkBuffers``), one block allocated when the sweep starts
-and freed when it ends, sized for its largest such chunk: T n^2 times
-112 + 16F bytes for what a chunk keeps until its records are built (and
-a conjugate that several stages share), plus the largest stage's scratch
-(tilde's, 32 + 16F bytes per entry from four keys up), which the stages
-share one after the other; 2.4 MiB at n = 64 with five keys,
-O(_STACK_ENTRIES) whatever the trial count. The draws of a chunk
-overwrite the previous chunk's states, observables and terms. Allocated
-and freed per chunk, those stacks let glibc return the top of its heap
-to the kernel between chunks, which then faulted its pages back in;
-smaller chunks allocate theirs, which stay below that. The seed table
-holds O(dims x trials) words, 104 B per (dim, trial) for the trial seed
-and its three streams' words, for the whole sweep (it is built in blocks
-of _SEED_BLOCK pairs, whose temporaries take about 400 B per pair); the
+Memory: each chunk allocates its stacks and frees them, and every array
+a function returns is its caller's own. Without the audit, a chunk holds
+about max(200 + 16F, 144 + 32F) bytes per entry of its (T, n, n) stacks
+at its peak, 2.4 MiB at n = 64 with five keys, O(_STACK_ENTRIES)
+whatever the trial count. Before its first chunk, a sweep allocates one
+block of that size for its largest chunk and frees it at once, without
+writing to it: that raises glibc's dynamic mmap and trim thresholds
+above a chunk's stacks, so the heap top that a chunk frees stays mapped
+for the next one instead of going back to the kernel and faulting in
+again (``_records`` gives the condition). The seed table holds
+O(dims x trials) words, 104 B per (dim, trial) for the trial seed and
+its three streams' words, for the whole sweep (it is built in blocks of
+_SEED_BLOCK pairs, whose temporaries take about 400 B per pair); the
 records of one dimension, with their lines when the output is jsonl, are
 kept until it is written.
 Every stacked operation and reduction acts on one trial's entries, so a
@@ -74,7 +71,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._buffers import ChunkBuffers
 from .gns import AUDIT_FLAGS, GnsModel, audit_G_equals_H
 from .linalg import (
     StackRejection,
@@ -120,14 +116,6 @@ MAX_SWEEP_DIM = 64
 # A sweep evaluates trials in chunks of at most this many matrix entries per
 # (T, n, n) stack, so T = max(1, _STACK_ENTRIES // n**2) trials per chunk.
 _STACK_ENTRIES = 8192
-
-# Chunks of at least this many matrix entries (T n^2) write their stacks into
-# the sweep's chunk buffers; smaller ones allocate them, as the per-instance
-# functions do. With five keys, chunks freed per chunk made glibc return heap
-# pages to the kernel from 2560 entries on (58 minor faults per round at 2560,
-# none at 2304, alike at n = 8, 16 and 32), while below that the buffers'
-# per-call costs and spread-out writes made a chunk 1-8% slower.
-_BUFFERED_ENTRIES = 2560
 
 # A sweep hashes its (dim, trial) pairs' seeds in blocks of this many pairs,
 # about 3 MB of temporaries per block; every bench workload fits in one.
@@ -361,21 +349,21 @@ def _chunk_trials(trials: int, dim: int) -> int:
     return min(trials, max(1, _STACK_ENTRIES // (dim * dim)))
 
 
-def _chunk_instances(config: SweepConfig, dim: int, trials: range, trial_seeds, words, buffers):
+def _chunk_instances(config: SweepConfig, dim: int, trials: range, trial_seeds, words):
     """Draw, validate and normalise the instances of one chunk of trials.
 
     ``trial_seeds`` (N,) and ``words`` (N, 3, 4) are the dimension's rows
     of the sweep's seed table. Returns the chunk's trial seeds as ints,
     the states as one stacked DensityMatrix and both observables as
-    (T, n, n) standard-basis stacks, in the chunk ``buffers`` when given.
-    A rejected instance raises ValueError naming (dim, trial, seed).
+    (T, n, n) standard-basis stacks. A rejected instance raises ValueError
+    naming (dim, trial, seed).
     """
     seeds = trial_seeds[trials.start : trials.stop].tolist()
     streams = words[trials.start : trials.stop]
     try:
-        rho = random_density(dim, _preset_seeds(streams[:, 0]), out=buffers)
-        a = random_hermitian(dim, _preset_seeds(streams[:, 1]), out=buffers).matrix
-        b = random_hermitian(dim, _preset_seeds(streams[:, 2]), out=buffers).matrix
+        rho = random_density(dim, _preset_seeds(streams[:, 0]))
+        a = random_hermitian(dim, _preset_seeds(streams[:, 1])).matrix
+        b = random_hermitian(dim, _preset_seeds(streams[:, 2])).matrix
     except StackRejection as exc:
         k = exc.index
         raise ValueError(f"dim {dim}, trial {trials[k]}, seed {seeds[k]}: {exc}") from exc
@@ -393,24 +381,33 @@ def _records(config: SweepConfig, functions):
     """
     lines = config.output_path is not None and config.format == "jsonl"
     trial_seeds, words = _sweep_seeds(config)
-    # the stacks of every large chunk, sized for the largest, allocated once
-    entries = {dim: _chunk_trials(config.trials, dim) * dim * dim for dim in config.dims}
-    largest = max((e for e in entries.values() if e >= _BUFFERED_ENTRIES), default=0)
-    buffers = ChunkBuffers(largest, len(functions)) if largest else None
+    # Freed per chunk, a chunk's stacks would leave glibc a free heap top past
+    # its trim threshold, which it returns to the kernel, and the next chunk
+    # would fault those pages back in. glibc mmaps a block at or above its
+    # mmap threshold (128 KiB at first), and freeing such a block raises that
+    # threshold to the block's size and the trim threshold to twice it (for
+    # blocks up to 32 MiB on 64-bit, unless a MALLOC_*_THRESHOLD_ setting
+    # fixed them). So this block, which no one writes, is allocated and freed
+    # at once: sized for the largest chunk's stacks, it keeps every chunk's
+    # arrays on the heap and its freed top below the trim threshold. Under
+    # another allocator it costs one untouched allocation.
+    # Per entry of a (T, n, n) stack, a chunk holds 112 + 16F bytes until its
+    # records are built (the state, a, b, the eigenvectors, the rotated
+    # observables, a conjugate, tilde and the kernels) plus the larger of the
+    # samplers' 88 B and tilde's 32 + 16F B of scratch.
+    f = len(functions)
+    entries = max(_chunk_trials(config.trials, dim) * dim * dim for dim in config.dims)
+    np.empty(entries * max(200 + 16 * f, 144 + 32 * f), np.uint8)
     for dim, dim_seeds, dim_words in zip(config.dims, trial_seeds, words):
         chunk = _chunk_trials(config.trials, dim)
-        out = buffers if entries[dim] >= _BUFFERED_ENTRIES else None
         by_f = [[] for _ in functions]
         for start in range(0, config.trials, chunk):
             trials = range(start, min(start + chunk, config.trials))
-            if out is not None:
-                out.next_chunk()
-            seeds, rho, a, b = _chunk_instances(config, dim, trials, dim_seeds, dim_words, out)
+            seeds, rho, a, b = _chunk_instances(config, dim, trials, dim_seeds, dim_words)
             # one rotation and one catalog tilde call, read by one report and
-            # one audit that each cover the chunk's (trial, f) grid; in the
-            # buffers, the terms are valid until the next chunk's draws
-            terms = eigenbasis_terms(rho, functions, a, b, out=out)
-            columns = _report_in_eigenbasis(terms, config.tol, out=out)
+            # one audit that each cover the chunk's (trial, f) grid
+            terms = eigenbasis_terms(rho, functions, a, b)
+            columns = _report_in_eigenbasis(terms, config.tol)
             residuals, masks, names = columns["residuals"], columns["flags"], _FLAGS
             if config.gns_audit:
                 audit = audit_G_equals_H(GnsModel(rho), terms)
@@ -422,8 +419,7 @@ def _records(config: SweepConfig, functions):
                 names = _FLAGS + AUDIT_FLAGS
             flags = _flag_names(masks, names)
             # the chunk's (T, F, n, n) tilde values and kernels are done with:
-            # unbuffered, free them before its text and the next chunk's
-            # stacks are built
+            # free them before its text and the next chunk's stacks are built
             del terms
             # (F, T, len(_SCALARS)): the _SCALARS values of each (entry, trial)
             scalars = np.array([columns[name] for name in _SCALARS]).transpose(2, 1, 0)

@@ -27,8 +27,6 @@ import json
 
 import numpy as np
 
-from ._buffers import _empty
-
 # Nothing here calls tilde_transform; bench/tracing.py wraps it here by name.
 from .monotone import tilde_transform  # noqa: F401
 
@@ -89,23 +87,20 @@ def _require(ok: np.ndarray, reason) -> None:
         raise StackRejection(index, reason(index))
 
 
-def _hermitian_stack(m: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate a (T, n, n) complex stack; return ((M + M†)/2, max|M - (M + M†)/2|) per matrix.
 
     Rejects a matrix with a non-finite entry, or whose repair residual
     exceeds HERMITICITY_REPAIR_THRESHOLD * max(1, max|M|); non-finite
-    entries are named first, as the first such matrix of the stack. With
-    chunk buffers ``out``, (M + M†)/2 is written into the next ``hermitian``
-    slot and the temporaries into scratch buffers.
+    entries are named first, as the first such matrix of the stack.
     """
     # a non-finite entry leaves a NaN (or an infinite) residual, so finite
     # entries need checking only when some residual is off the bare threshold
     with np.errstate(invalid="ignore"):
         # halved before the sum, so entries near the float maximum do not overflow
-        sym = np.multiply(0.5, m, out=out and out.take("hermitian", m.shape, complex))
-        sym += np.conjugate(sym, out=out and out.take("adjoint", m.shape, complex)).swapaxes(1, 2)
-        deviation = np.subtract(m, sym, out=out and out.take("adjoint", m.shape, complex))
-        residual = np.abs(deviation, out=out and out.take("deviation", m.shape)).max(axis=(1, 2))
+        sym = 0.5 * m
+        sym += sym.conj().swapaxes(1, 2)
+        residual = np.abs(m - sym).max(axis=(1, 2))
     # the scale is at least 1, so it is only needed past the bare threshold
     if not (residual <= HERMITICITY_REPAIR_THRESHOLD).all():
         _require(np.isfinite(m).all(axis=(1, 2)), lambda k: "matrix entries must be finite")
@@ -118,20 +113,19 @@ def _hermitian_stack(m: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     return sym, residual
 
 
-def _faithful_spectrum(sym: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _faithful_spectrum(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (T, n) and eigenvectors (T, n, n) of a stack of Hermitian states.
 
     Rejects a matrix whose trace is not 1 within TRACE_TOL, whose
     eigendecomposition fails its reconstruction check, or whose smallest
-    eigenvalue lies below FAITHFULNESS_FLOOR. ``out`` is passed to
-    :func:`eigendecompose`.
+    eigenvalue lies below FAITHFULNESS_FLOOR.
     """
     trace = np.trace(sym, axis1=1, axis2=2).real
     _require(
         np.abs(trace - 1.0) <= TRACE_TOL,
         lambda k: f"density matrix trace {float(trace[k])!r} is not 1 within {TRACE_TOL:.1e}",
     )
-    lam, u = eigendecompose(sym, out=out)
+    lam, u = eigendecompose(sym)
     _require(
         lam[:, -1] >= FAITHFULNESS_FLOOR,
         lambda k: f"state is not faithful: smallest eigenvalue {lam[k, -1]:.3e} is below "
@@ -147,18 +141,16 @@ class HermitianMatrix:
     that repair; deviations beyond HERMITICITY_REPAIR_THRESHOLD times
     max(1, max|M|) raise, so the threshold scales with the data. For a
     stack, ``herm_residual`` is the (T,) array of per-matrix residuals.
-    Treat instances as immutable. ``out`` is a sweep's chunk buffers
-    (``skewcal._buffers``): the repaired matrix is then written into one
-    of them and is valid only until the sweep's next chunk starts.
+    Treat instances as immutable.
     """
 
     __slots__ = ("matrix", "dim", "herm_residual")
 
-    def __init__(self, entries, *, out=None):
+    def __init__(self, entries):
         m = np.asarray(entries, dtype=complex)
         if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or 0 in m.shape:
             raise ValueError(f"expected a non-empty square matrix or stack, got shape {m.shape}")
-        sym, residual = _hermitian_stack(m.reshape((-1,) + m.shape[-2:]), out)
+        sym, residual = _hermitian_stack(m.reshape((-1,) + m.shape[-2:]))
         self.matrix, self.dim = sym.reshape(m.shape), int(m.shape[-1])
         self.herm_residual = residual if m.ndim == 3 else float(residual[0])
 
@@ -166,15 +158,13 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim}, herm_residual={np.max(self.herm_residual):.2e})"
 
 
-def eigendecompose(h, *, out=None) -> tuple[np.ndarray, np.ndarray]:
+def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix or stack.
 
     Returns (lam, u) with h = u @ diag(lam) @ u†; the reconstruction is
     verified to RECONSTRUCTION_RTOL relative Frobenius error. A (T, n, n)
     stack gives (T, n) and (T, n, n) arrays from one batched ``eigh``, each
     matrix checked on its own and a failure a StackRejection at its index.
-    ``out`` is a sweep's chunk buffers: u and the check's temporaries are
-    then written into them, and u is valid until the next chunk starts.
     """
     m = _as_matrix(h)
     stacked = m.ndim == 3
@@ -185,12 +175,8 @@ def eigendecompose(h, *, out=None) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigendecomposition did not converge: {exc}") from exc
     lam = np.ascontiguousarray(lam[:, ::-1])
-    vectors = _empty(out, "eigenvectors", u.shape, complex)
-    np.copyto(vectors, u[:, :, ::-1])
-    u = vectors
-    scaled = np.multiply(u, lam[:, None, :], out=out and out.take("scaled", u.shape, complex))
-    adjoint = np.conjugate(u, out=out and out.take("adjoint", u.shape, complex)).swapaxes(1, 2)
-    recon = np.matmul(scaled, adjoint, out=out and out.take("reconstruction", u.shape, complex))
+    u = np.ascontiguousarray(u[:, :, ::-1])
+    recon = (u * lam[:, None, :]) @ u.conj().swapaxes(1, 2)
     recon -= m
     residual = np.linalg.norm(recon, axis=(1, 2))
     scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), np.finfo(float).tiny)
@@ -208,33 +194,22 @@ class DensityMatrix:
     ``matrix``, ``dim`` and ``herm_residual`` are those of the validated
     HermitianMatrix. Spectral data is computed once here; every kernel
     downstream reuses ``eigenvalues`` (descending) and ``eigenvectors``,
-    which over a stack carry a leading trial axis. ``out`` is a sweep's
-    chunk buffers, as for HermitianMatrix: the matrix and the eigenvectors
-    are then written into them and are valid until the next chunk starts.
+    which over a stack carry a leading trial axis.
     """
 
     __slots__ = ("matrix", "dim", "herm_residual", "eigenvalues", "eigenvectors")
 
-    def __init__(self, entries, *, out=None):
-        h = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries, out=out)
+    def __init__(self, entries):
+        h = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
         self.matrix, self.dim, self.herm_residual = h.matrix, h.dim, h.herm_residual
         shape = h.matrix.shape
-        lam, u = _faithful_spectrum(h.matrix.reshape((-1,) + shape[-2:]), out)
+        lam, u = _faithful_spectrum(h.matrix.reshape((-1,) + shape[-2:]))
         self.eigenvalues, self.eigenvectors = lam.reshape(shape[:-1]), u.reshape(shape)
 
-    def to_eigenbasis(self, a, *, out=None) -> np.ndarray:
-        """Entries of ``a`` in the eigenbasis of the state: u† a u, or u_k† a_k u_k over a stack.
-
-        ``out`` is a sweep's chunk buffers for a stacked state and a stack
-        ``a``: the result is then the next ``eigenbasis`` slot, valid until
-        the next chunk starts.
-        """
+    def to_eigenbasis(self, a) -> np.ndarray:
+        """Entries of ``a`` in the eigenbasis of the state: u† a u, or u_k† a_k u_k over a stack."""
         u = self.eigenvectors
-        x = _as_matrix(a)
-        adjoint = np.conjugate(u, out=out and out.take("adjoint", u.shape, complex))
-        rotation = out and out.take("rotation", x.shape, complex)
-        left = np.matmul(adjoint.swapaxes(-1, -2), x, out=rotation)
-        return np.matmul(left, u, out=out and out.take("eigenbasis", x.shape, complex))
+        return u.conj().swapaxes(-1, -2) @ _as_matrix(a) @ u
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, spectrum={np.array2string(self.eigenvalues, precision=4)})"
@@ -381,7 +356,7 @@ def _preset_seeds(words: np.ndarray) -> list:
     return [preset(row) for row in np.ascontiguousarray(words, dtype=np.uint64)]
 
 
-def _ginibre(dim: int, seeds: list, out=None) -> np.ndarray:
+def _ginibre(dim: int, seeds: list) -> np.ndarray:
     """(T, n, n) stack of i.i.d. standard complex Gaussian matrices, one per seed.
 
     Matrix k takes its real parts, then its imaginary parts, from one
@@ -389,54 +364,48 @@ def _ginibre(dim: int, seeds: list, out=None) -> np.ndarray:
     same stream as two (n, n) draws. A seed is an integer or an
     ISeedSequence: ``_preset_seeds(_seed_sequence_words(seeds))`` draws the
     integer seeds' streams bit for bit, and saves ``default_rng`` numpy's
-    SeedSequence hash of each integer. With chunk buffers ``out``, the draws
-    and the stack are written into its ``draws`` and ``ginibre`` buffers.
+    SeedSequence hash of each integer.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    raw = _empty(out, "draws", (len(seeds), 2, dim, dim))
+    raw = np.empty((len(seeds), 2, dim, dim))
     for k, seed in enumerate(seeds):
         np.random.default_rng(seed).standard_normal(out=raw[k])
-    g = _empty(out, "ginibre", (len(seeds), dim, dim), complex)
+    g = np.empty((len(seeds), dim, dim), dtype=complex)
     g.real = raw[:, 0]
     g.imag = raw[:, 1]
     return g
 
 
-def random_hermitian(dim: int, seed, *, out=None) -> HermitianMatrix:
+def random_hermitian(dim: int, seed) -> HermitianMatrix:
     """GUE-type draw (G + G†)/2 with G i.i.d. standard complex Gaussian.
 
     One ``seed``, an integer or an ISeedSequence, gives one matrix; a
     sequence of T seeds gives the (T, n, n) stack whose matrix k is
-    ``random_hermitian(dim, seed[k]).matrix``. ``out`` is a sweep's chunk
-    buffers: the draw and its products are then written into them, and the
-    matrix is valid until the next chunk starts.
+    ``random_hermitian(dim, seed[k]).matrix``.
     """
     seeds, stacked = _seed_list(seed)
-    h = _ginibre(dim, seeds, out)
-    h += np.conjugate(h, out=out and out.take("adjoint", h.shape, complex)).swapaxes(1, 2)
+    g = _ginibre(dim, seeds)
+    h = g + g.conj().swapaxes(1, 2)
     h *= 0.5
-    return HermitianMatrix(h if stacked else h[0], out=out)
+    return HermitianMatrix(h if stacked else h[0])
 
 
-def random_density(dim: int, seed, *, out=None) -> DensityMatrix:
+def random_density(dim: int, seed) -> DensityMatrix:
     """Wishart-type draw G G† / Tr, mixed slightly toward the maximally mixed state.
 
     One ``seed``, an integer or an ISeedSequence, gives one state; a
     sequence of T seeds gives the stack whose state k is
     ``random_density(dim, seed[k])``, validated and decomposed with one
-    batched eigh. ``out`` is a sweep's chunk buffers, as for
-    :func:`random_hermitian`; the state's matrix and eigenvectors are then
-    valid until the next chunk starts.
+    batched eigh.
     """
     seeds, stacked = _seed_list(seed)
-    g = _ginibre(dim, seeds, out)
-    adjoint = np.conjugate(g, out=out and out.take("adjoint", g.shape, complex)).swapaxes(1, 2)
-    w = np.matmul(g, adjoint, out=out and out.take("wishart", g.shape, complex))
+    g = _ginibre(dim, seeds)
+    w = g @ g.conj().swapaxes(1, 2)
     w /= np.trace(w, axis1=1, axis2=2).real[:, None, None]
     w *= 1.0 - DENSITY_REGULARIZATION
     w += DENSITY_REGULARIZATION * np.eye(dim) / dim
-    return DensityMatrix(w if stacked else w[0], out=out)
+    return DensityMatrix(w if stacked else w[0])
 
 
 # --- JSON wire format -------------------------------------------------------

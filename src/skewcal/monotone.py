@@ -22,8 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._buffers import _empty
-
 __all__ = [
     "MonotoneFunction",
     "ValidationReport",
@@ -89,7 +87,7 @@ def wyd_f(beta: float, x) -> float | np.ndarray:
     return _match_input(out, x)
 
 
-def _wyd_values(betas, arr: np.ndarray, u: np.ndarray, u_sq: np.ndarray, out=None) -> np.ndarray:
+def _wyd_values(betas, arr: np.ndarray, u: np.ndarray, u_sq: np.ndarray) -> np.ndarray:
     """wyd_f of each beta on the positive array ``arr``, as a (len(betas), *arr.shape) array.
 
     ``u`` is arr - 1 and ``u_sq`` its square. Only the powers x^b and
@@ -98,17 +96,13 @@ def _wyd_values(betas, arr: np.ndarray, u: np.ndarray, u_sq: np.ndarray, out=Non
     scalar-exponent paths (sqrt for 0.5) give the same bits, and an entry
     whose exponent came up before copies that power (1 - 0.5 is 0.5, and
     1 - 0.1 is 0.9, in float64). The window, the quotient and the series
-    run once over every beta. With chunk buffers ``out``, the arrays are
-    its ``safe``, ``wyd_denominator`` and ``wyd`` buffers.
+    run once over every beta.
     """
     near = np.abs(u) < WYD_SERIES_WINDOW
-    # x itself off the window, and 2 (a harmless quotient) inside it
-    safe = _empty(out, "safe", arr.shape)
-    np.copyto(safe, arr)
-    safe[near] = 2.0
+    safe = np.where(near, 2.0, arr)
     b = np.array(betas, dtype=float).reshape((-1,) + (1,) * arr.ndim)
-    den = _empty(out, "wyd_denominator", b.shape[:1] + arr.shape)
-    values = _empty(out, "wyd", den.shape)
+    den = np.empty(b.shape[:1] + arr.shape)
+    values = np.empty_like(den)
     powers = {}
     for k, beta in enumerate(betas):
         for dest, exponent in ((den[k, ...], beta), (values[k, ...], 1.0 - beta)):
@@ -141,7 +135,7 @@ def _wyd_beta(f: "MonotoneFunction") -> float | None:
     return None
 
 
-def tilde_transform(f, x, clamp: bool = True, *, out=None) -> float | np.ndarray:
+def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
     """Apply tilde(x) = ((x + 1) - (x - 1)^2 * f(0) / f(x)) / 2 elementwise.
 
     ``f`` is one catalog entry, and the result is shaped like ``x``, or a
@@ -151,9 +145,7 @@ def tilde_transform(f, x, clamp: bool = True, *, out=None) -> float | np.ndarray
     one row. A catalog call checks positivity and forms x + 1, (x - 1)^2
     and the wyd series window once for every entry, and the entries built
     by :func:`wyd` share one pass; each value has the bits of the entry's
-    own call. ``out`` is a sweep's chunk buffers, for a catalog on a
-    (T, n, n) stack: the result is then its ``tilde`` buffer, valid until
-    the sweep's next chunk starts, and the temporaries are buffers too.
+    own call.
 
     Round-off can push the mathematically nonnegative result a hair below
     zero; values in [TILDE_CLAMP_FLOOR, 0) are clamped to 0 in place and
@@ -167,13 +159,13 @@ def tilde_transform(f, x, clamp: bool = True, *, out=None) -> float | np.ndarray
     entries = tuple(f)
     if arr.ndim < 2:
         raise ValueError(f"a catalog takes a stack of ratio matrices, got shape {arr.shape}")
-    u = np.subtract(arr, 1.0, out=out and out.take("shifted", arr.shape))
-    u_sq = np.square(u, out=out and out.take("shifted_squared", arr.shape))
-    fx = _empty(out, "tilde", arr.shape[:-2] + (len(entries),) + arr.shape[-2:])
+    u = arr - 1.0
+    u_sq = np.square(u)
+    fx = np.empty(arr.shape[:-2] + (len(entries),) + arr.shape[-2:])
     betas = [_wyd_beta(entry) for entry in entries]
     wyd_at = [k for k, beta in enumerate(betas) if beta is not None]
     if wyd_at:
-        wyd_fx = _wyd_values([betas[k] for k in wyd_at], arr, u, u_sq, out)
+        wyd_fx = _wyd_values([betas[k] for k in wyd_at], arr, u, u_sq)
         fx[..., wyd_at, :, :] = np.moveaxis(wyd_fx, 0, -3)
     for k, entry in enumerate(entries):
         if k not in wyd_at:

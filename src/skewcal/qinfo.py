@@ -261,7 +261,7 @@ class EigenbasisTerms:
 
 
 def eigenbasis_terms(
-    rho: DensityMatrix, functions: Sequence[MonotoneFunction], a, b, *, out=None
+    rho: DensityMatrix, functions: Sequence[MonotoneFunction], a, b
 ) -> EigenbasisTerms:
     """Rotate ``a`` and ``b`` into the eigenbasis of ``rho`` once and evaluate tilde once.
 
@@ -272,11 +272,6 @@ def eigenbasis_terms(
     ``functions``, one (T, F, n, n) array, and the kernels built from it
     serve both :func:`_report_in_eigenbasis` and
     :func:`~skewcal.gns.audit_G_equals_H`.
-
-    ``out`` is a sweep's chunk buffers, for a stacked state: the ratios,
-    the rotations, tilde and the kernels are then written into them, so the
-    terms of one chunk are valid only until the sweep's next chunk starts.
-    Without it the terms own their arrays.
     """
     n = rho.dim
     ma, mb = _as_matrix(a), _as_matrix(b)
@@ -287,19 +282,16 @@ def eigenbasis_terms(
             )
     lam = rho.eigenvalues.reshape(-1, n)
     functions = tuple(functions)
-    ratios = out and out.take("ratios", (len(lam), n, n))
-    ratios = np.divide(lam[:, :, None], lam[:, None, :], out=ratios)
-    tilde = tilde_transform(functions, ratios, out=out)
-    kernels = out and out.take("kernels", tilde.shape)
+    tilde = tilde_transform(functions, lam[:, :, None] / lam[:, None, :])
     return EigenbasisTerms(
         rho=rho,
         functions=functions,
         a=ma.reshape(-1, n, n),
         b=mb.reshape(-1, n, n),
-        at=rho.to_eigenbasis(ma, out=out).reshape(-1, n, n),
-        bt=rho.to_eigenbasis(mb, out=out).reshape(-1, n, n),
+        at=rho.to_eigenbasis(ma).reshape(-1, n, n),
+        bt=rho.to_eigenbasis(mb).reshape(-1, n, n),
         tilde=tilde,
-        kernels=np.multiply(tilde, lam[:, None, None, :], out=kernels),
+        kernels=tilde * lam[:, None, None, :],
     )
 
 
@@ -374,7 +366,7 @@ def _entry_sums(weights: np.ndarray, products: np.ndarray) -> np.ndarray:
     return np.einsum("tfij,tij->tf", weights, products)
 
 
-def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float, *, out=None) -> dict:
+def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     """Report columns over the (T, F) grid of the states and catalog entries of ``terms``.
 
     The f-independent half is computed once per state, the rest in one pass
@@ -386,9 +378,7 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float, *, out=None) -> di
     that evaluates ``functools.partial(wyd_f, beta)``, whatever its name,
     and its sandwich takes that beta. Every reduction runs
     over the entries of one (instance, entry) only, so a value does not
-    depend on which other trials or entries share the call. ``out`` is a
-    sweep's chunk buffers: the entry products and the sandwich weights are
-    then written into them; the columns are always new arrays.
+    depend on which other trials or entries share the call.
     """
     lam = terms.rho.eigenvalues.reshape(-1, terms.rho.dim)
     at, bt = terms.at, terms.bt
@@ -396,11 +386,8 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float, *, out=None) -> di
     # observables sit in its eigenbasis: Tr(rho X Y) = sum_ij lam_i X_ij Y_ji
     # and Tr((k o X) Y) = sum_ij k_ij X_ij Y_ji.
     # entrywise products X_ij Y_ji; the products of (b, a) are those of (a, b) transposed
-    p_ab, p_aa, p_bb = (
-        np.multiply(x, y.swapaxes(1, 2), out=out and out.take("products", at.shape, complex))
-        for x, y in ((at, bt), (at, at), (bt, bt))
-    )
-    p_aa, p_bb = p_aa.real, p_bb.real
+    p_ab = at * bt.swapaxes(1, 2)
+    p_aa, p_bb = ((x * x.swapaxes(1, 2)).real for x in (at, bt))
 
     exp_a, exp_b = (np.einsum("ti,tii->t", lam, x).real for x in (at, bt))
     tr_rho_ab = np.einsum("ti,tij->t", lam, p_ab)
@@ -432,11 +419,7 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float, *, out=None) -> di
     for j, k in enumerate(k_wyd):
         powers[0, :, j] = np.power(lam, betas[k])
         powers[1, :, j] = np.power(lam, 1.0 - betas[k])
-    w_beta = np.multiply(
-        powers[0][..., :, None],
-        powers[1][..., None, :],
-        out=out and out.take("sandwich", powers.shape[1:] + powers.shape[-1:]),
-    )
+    w_beta = powers[0][..., :, None] * powers[1][..., None, :]
     # the report's own formula with w_beta in place of the kernels, and
     # |kernel - sandwich| of (corr_ab, info_a, info_b)
     by_sandwich = _scalars(moments, [_entry_sums(w_beta, p) for p in (p_aa, p_bb, p_ab.real)])

@@ -493,6 +493,28 @@ def test_mu_negative_atom_gate_fires_on_a_cauchy_schwarz_break(monkeypatch):
     _assert_flags(monkeypatch, lambda key: ("g_h_mismatch", "mu_negative_atom"))
 
 
+def test_mu_negative_atom_gate_holds_where_the_mass_cancels(monkeypatch):
+    # a sound dim-2 sweep instance (trial seed 17169423411046829223,
+    # normalised observables) whose centered a0 and b0 are nearly parallel:
+    # the mass cancels to 7.2e-6 while m_xx m_yy is about 0.01, and a
+    # diagonal weight rounds to -1.4e-17. That is round-off of the weights'
+    # terms, within the slack scaled by their uncancelled size, though not
+    # within one scaled by the mass
+    seed = 17169423411046829223
+    rho = random_density(2, hash64(seed, 0))
+    a, b = (random_hermitian(2, hash64(seed, k)).matrix for k in (1, 2))
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    built, real = [], gns.build_mu
+    monkeypatch.setattr(gns, "build_mu", lambda *args: built.append(real(*args)) or built[-1])
+    audit = _audit(GnsModel(rho), [from_key(key) for key in ALL_KEYS], a, b)
+    (mu,) = built
+    assert (audit["G"] > 3e-6).all() and (audit["G"] < 4e-6).all()
+    assert audit["mu_min_atom"].item() == mu.min_weight_bound < 0.0
+    assert mu.min_weight_bound < -MU_ATOM_SLACK * max(mu.mass, 0.0)
+    assert mu.min_weight_bound >= -MU_ATOM_SLACK * mu.weight_scale
+    assert not audit["flags"].any()
+
+
 def test_gform_negative_gate_fires(monkeypatch):
     # the harmonic G-form is 0 up to round-off (tilde = (x + 1)/2), so a graph
     # form E1 read 1e-6 too small makes it negative on both centered
@@ -553,8 +575,8 @@ def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
     # shares with the report, so the asymmetry is injected there
     real = qinfo.tilde_transform
 
-    def asymmetric(f, x, *, out=None):
-        tilde = real(f, x, out=out).copy()
+    def asymmetric(f, x):
+        tilde = real(f, x).copy()
         tilde[..., 0, 1] += 1e-3
         return tilde
 

@@ -395,16 +395,14 @@ def test_record_bits_are_a_function_of_the_trial_alone():
 
 
 @pytest.mark.parametrize("gns_audit", [False, True])
-def test_chunk_buffers_carry_nothing_between_chunks_or_dims(gns_audit):
-    # one sweep's large chunks share its buffers: dim 32's 3072 entries fill
-    # a prefix of them, dim 64 fills them and then half of them in its
-    # partial chunk, and dims 3 and 16 allocate their own. Each record must
-    # equal the sweep of its dim alone and the evaluation of its instance alone
+def test_records_do_not_depend_on_the_chunks_or_dims_beside_them(gns_audit):
+    # chunks of 27 to 8192 entries in one sweep, and at dim 64 a full chunk
+    # followed by a partial one. Each record must equal the sweep of its dim
+    # alone and the evaluation of its instance alone
     dims = (3, 16, 32, 64)
     assert [min(3, max(1, harness._STACK_ENTRIES // d**2)) * d**2 for d in dims] == [
         27, 768, 3072, 8192
     ]
-    assert harness._BUFFERED_ENTRIES <= 3072
     config = dict(trials=3, f_specs=KEYS, seed=23, gns_audit=gns_audit)
     together, alone = [], []
     run_sweep(SweepConfig(dims=dims, **config), together.append)
@@ -424,8 +422,8 @@ def test_chunk_buffers_carry_nothing_between_chunks_or_dims(gns_audit):
 
 
 def test_a_sweep_leaves_arrays_returned_before_it_alone():
-    # without buffers, evaluate_inequalities and eigenbasis_terms return
-    # arrays of their own, which no later sweep's chunks write into
+    # evaluate_inequalities and eigenbasis_terms return arrays of their own,
+    # which no later sweep's chunks write into
     rho = random_density(16, 41)
     a, b = (random_hermitian(16, seed).matrix for seed in (42, 43))
     functions = [from_key(key) for key in KEYS]
@@ -444,7 +442,10 @@ def test_a_sweep_leaves_arrays_returned_before_it_alone():
 FAULT_CHILD = """\
 import resource, sys
 from skewcal.harness import SweepConfig, run_sweep
-config = SweepConfig(dims=(64,), trials=int(sys.argv[1]), f_specs=sys.argv[2].split(","))
+config = SweepConfig(
+    dims=(64,), trials=int(sys.argv[1]), f_specs=sys.argv[2].split(","),
+    gns_audit=sys.argv[3] == "1",
+)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run_sweep(config)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
@@ -455,20 +456,21 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="the bound is set against glibc's malloc, which returns a freed heap top to the kernel",
 )
-def test_sweep_faults_few_pages_per_chunk():
-    # Allocated and freed per chunk, the dim-64 stacks (about 2 MB) leave
-    # glibc a heap top past its trim threshold, which it returns to the
-    # kernel, and the next chunk faults it back in: about 180 to 280 minor
-    # faults per chunk. The chunk buffers live for the whole sweep; of the
-    # about 8 faults per chunk they leave at 400 trials (200 chunks of
-    # T = 2), most are the first chunk's: the block's first touch and
-    # numpy's and LAPACK's first calls.
+@pytest.mark.parametrize("gns_audit", [False, True])
+def test_sweep_faults_few_pages_per_chunk(gns_audit):
+    # Allocated and freed per chunk, the dim-64 stacks (about 2 MB, more
+    # with the audit) leave glibc a heap top past its default trim
+    # threshold, which it returns to the kernel, and the next chunk faults
+    # it back in: about 180 to 280 minor faults per chunk, about 1500 with
+    # the audit. The block a sweep frees before its first chunk raises that
+    # threshold; of the few faults per chunk left at 400 trials (200 chunks
+    # of T = 2), most are the first chunk's: numpy's and LAPACK's first calls.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     trials = 400
     done = subprocess.run(
-        [sys.executable, "-c", FAULT_CHILD, str(trials), ",".join(KEYS)],
+        [sys.executable, "-c", FAULT_CHILD, str(trials), ",".join(KEYS), str(int(gns_audit))],
         env=env,
         capture_output=True,
         text=True,
@@ -652,8 +654,8 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
     # per trial across the entries, as the report computes it
     real_report, real_audit = harness._report_in_eigenbasis, harness.audit_G_equals_H
 
-    def forged_report(terms, tol, *, out=None):
-        columns = real_report(terms, tol, out=out)
+    def forged_report(terms, tol):
+        columns = real_report(terms, tol)
         last = len(columns["gap"]) - 1
         columns["var_a"][0] = np.nan
         columns["cov_ab"][last] = -0.0
@@ -728,7 +730,7 @@ def test_check_instance_passes_on_fixture(fixtures_dir):
 def test_check_instance_decomposes_the_state_once(monkeypatch, fixtures_dir):
     # the report and the audit both reuse the loaded state's eigendecomposition
     real, calls = linalg.eigendecompose, []
-    monkeypatch.setattr(linalg, "eigendecompose", lambda h, **kw: calls.append(h) or real(h, **kw))
+    monkeypatch.setattr(linalg, "eigendecompose", lambda h: calls.append(h) or real(h))
     payload, code = check_instance(*_fixture_paths(fixtures_dir), "wyd:0.5")
     assert code == 0 and payload["audit"]["flags"] == []
     assert len(calls) == 1

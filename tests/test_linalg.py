@@ -386,8 +386,8 @@ def test_stacked_samplers_reject_nonfinite_draws_by_index(monkeypatch):
     ginibre = linalg._ginibre
     for k in range(len(STACK_SEEDS)):
 
-        def poisoned(dim, seeds, out=None, k=k):
-            g = ginibre(dim, seeds, out)
+        def poisoned(dim, seeds, k=k):
+            g = ginibre(dim, seeds)
             g[k, 1, 0] = np.nan
             return g
 

@@ -537,9 +537,9 @@ def test_public_functions_validate_each_observable_once(monkeypatch, fixture_rho
     built = []
     real_init = HermitianMatrix.__init__
 
-    def counting(self, entries, *, out=None):
+    def counting(self, entries):
         built.append(entries)
-        real_init(self, entries, out=out)
+        real_init(self, entries)
 
     monkeypatch.setattr(HermitianMatrix, "__init__", counting)
     a, b = fixture_a.matrix, random_hermitian(fixture_rho.dim, seed=31).matrix
