@@ -17,7 +17,7 @@ the measure.
 
 import numpy as np
 
-from skewcal.gns import AUDIT_FLAGS, GnsModel, audit_G_equals_H, build_mu, form_E1, form_G
+from skewcal.gns import AUDIT_FLAGS, audit_G_equals_H, build_mu, form_E1, form_G
 from skewcal.linalg import random_density, random_hermitian
 from skewcal.monotone import from_key, tilde_transform
 from skewcal.qinfo import centered, eigenbasis_terms, evaluate_inequalities
@@ -27,8 +27,10 @@ a = random_hermitian(4, seed=8)
 b = random_hermitian(4, seed=9)
 f = from_key("wyd:0.3")
 
-model = GnsModel(rho)
-print("modular spectrum has", model.spectrum().size, "atoms for dim", model.rho.dim)
+# Delta scales the eigenbasis entry (i, j) by lam_i / lam_j: one atom of
+# its spectrum per entry. The forms and mu take the state itself.
+lam = rho.eigenvalues
+print("modular spectrum has", (lam[:, None] / lam[None, :]).size, "atoms for dim", rho.dim)
 
 # The forms of the centered observables reproduce the trace-formula
 # scalars: cov = Re E1 / 2 and corr = Re G with G = E1 / 2 - F.
@@ -39,20 +41,21 @@ xb = centered(rho, b.matrix)
 # scales entry (i, j) by lam_i / lam_j and E1 is the kernel sum of
 # lam_i + lam_j; form_G rotates its standard-basis arguments itself.
 xta, xtb = rho.to_eigenbasis(xa), rho.to_eigenbasis(xb)
-print("cov via form :", 0.5 * form_E1(model, xta, xtb).real, " trace route:", report.cov_ab)
-print("corr via form:", form_G(model, f, xa, xb).real, " trace route:", report.corr_ab)
+print("cov via form :", 0.5 * form_E1(rho, xta, xtb).real, " trace route:", report.cov_ab)
+print("corr via form:", form_G(rho, f, xa, xb).real, " trace route:", report.corr_ab)
 
 # E1 and F sandwich every mixed term: F = E1 / 2 - G is the ftilde(Delta)
 # form, E1 the f-independent envelope (Delta + 1), and F <= E1 / 2
 # entrywise in any orthogonal decomposition.
-e1_half = 0.5 * form_E1(model, xta, xta)
+e1_half = 0.5 * form_E1(rho, xta, xta)
 print("E1(a,a) / 2  :", e1_half.real)
-print("F(a,a)       :", (e1_half - form_G(model, f, xa, xa)).real, " (= var - info)")
+print("F(a,a)       :", (e1_half - form_G(rho, f, xa, xa)).real, " (= var - info)")
 
 # The audit: G from the report scalars, H from the spectral measure. It
-# reads the rotation and the tilde pass that the stacked report shares.
+# reads the state, the rotation and the tilde pass that the stacked report
+# shares, all from one eigenbasis_terms.
 # It returns (states, entries) columns; here one state and one entry.
-audit = audit_G_equals_H(model, eigenbasis_terms(rho, [f], a.matrix, b.matrix))
+audit = audit_G_equals_H(eigenbasis_terms(rho, [f], a.matrix, b.matrix))
 print("\nG        =", audit["G"].item())
 print("H        =", audit["H"].item())
 print("residual =", audit["residual"].item())
@@ -62,7 +65,7 @@ print("flags    =", tuple(name for name, hit in zip(AUDIT_FLAGS, audit["flags"][
 # nonnegative by a Cauchy-Schwarz argument. The audit never forms its
 # K x K weights: it certifies, from the K per-atom marginals, a lower
 # bound on the smallest one.
-mu = build_mu(model, xta, xtb)
+mu = build_mu(rho, xta, xtb)
 print("certified lower bound on the smallest mu atom:", mu.min_weight_bound)
 
 
@@ -85,7 +88,7 @@ for i in range(50):
     rho_i = random_density(3 + i % 4, seed=100 + i)
     a_i = random_hermitian(rho_i.dim, seed=200 + i)
     b_i = random_hermitian(rho_i.dim, seed=300 + i)
-    r = audit_G_equals_H(GnsModel(rho_i), eigenbasis_terms(rho_i, [f], a_i, b_i))
+    r = audit_G_equals_H(eigenbasis_terms(rho_i, [f], a_i, b_i))
     assert not r["flags"].any()
     worst = max(worst, r["residual"].item())
 print("\n50 random audits, worst |G - H| residual:", worst)

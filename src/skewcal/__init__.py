@@ -27,7 +27,7 @@ from .linalg import (
     save_matrix,
 )
 from .qinfo import UncertaintyReport, eigenbasis_terms, evaluate_inequalities
-from .gns import GnsModel, audit_G_equals_H
+from .gns import audit_G_equals_H
 from .harness import (
     SweepConfig,
     SweepSummary,
@@ -59,7 +59,6 @@ __all__ = [
     # single-instance checks
     "evaluate_inequalities",
     "UncertaintyReport",
-    "GnsModel",
     "eigenbasis_terms",
     "audit_G_equals_H",
     # sweeps and records

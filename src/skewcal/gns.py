@@ -40,19 +40,20 @@ is positive semidefinite, and with the arithmetic-geometric mean
 inequality that bounds every pair weight from below by per-atom
 quantities (:func:`build_mu`).
 
-A GnsModel holds one DensityMatrix or a stacked one of T states; the
-forms, the measure and H then take (T, n, n) stacks of vectors and give
-one value per state, each from that state's entries alone. The audit
-runs once per stack and covers every catalog entry at once
-(:func:`audit_G_equals_H`), returning (T, F) columns; a single state's
-spectral arrays broadcast as a stack of one, with no second
-eigendecomposition. It takes the observables' eigenbasis entries, the
-(T, F, n, n) tilde values on the eigenvalue ratios and the kernels
-lam_j tilde from :func:`skewcal.qinfo.eigenbasis_terms`, the one rotation
-and the one catalog tilde call that the stacked report reads too. The
-tilde values at the atoms are those entries in ravel order, and mu's
-marginals are one (3, T, K) array, so H and the G-forms are both dots of
-the same (T, F, K) tilde values against the same marginals:
+The forms and the measure take the state itself, one DensityMatrix or a
+stacked one of T states, whose ``eigenvalues`` are the spectral data;
+over a stack they take (T, n, n) stacks of vectors and give one value per
+state, each from that state's entries alone. The audit runs once per
+stack and covers every catalog entry at once (:func:`audit_G_equals_H`),
+returning (T, F) columns; a single state's spectral arrays broadcast as a
+stack of one, with no second eigendecomposition. It takes the state, the
+observables' eigenbasis entries, the (T, F, n, n) tilde values on the
+eigenvalue ratios and the kernels lam_j tilde from one
+:func:`skewcal.qinfo.eigenbasis_terms`, the one rotation and the one
+catalog tilde call that the stacked report reads too. The tilde values at
+the atoms are those entries in ravel order, and mu's marginals are one
+(3, T, K) array, so H and the G-forms read the same dots of the (T, F, K)
+tilde values against those marginals, taken once by :func:`h_from_measure`:
 G^f(x0, x0) = E1 / 2 - sum_k tilde(s_k) m_xx[k], the kernel form
 sum_ij k_ij |x0_ij|^2 summed atom by atom. Its largest arrays are G's
 back-rotated kernel products, one observable's (T, F, n, n) batch at a
@@ -81,12 +82,10 @@ from .qinfo import centered, covariance, f_correlation, f_information, variance 
 
 __all__ = [
     "AtomicPairMeasure",
-    "GnsModel",
     "audit_G_equals_H",
     "build_mu",
     "form_E1",
     "form_G",
-    "h_from_measure",
 ]
 
 # |G - H| is accepted up to this much relative slack.
@@ -109,28 +108,12 @@ def _value(x):
 
 
 class GnsModel:
-    """Modular data of the state Tr(rho .), or of each state of a stack.
-
-    Vectors of the representation are plain matrices; the cyclic vector is
-    the identity. The model holds only ``rho``, whose ``eigenvalues`` and
-    ``eigenvectors`` are the spectral data; the modular operator acts
-    entrywise in the eigenbasis by the eigenvalue ratios lam_i / lam_j.
-    Over a stacked DensityMatrix of T states those carry a leading trial
-    axis, vectors are (T, n, n) stacks, and the forms and the measure give
-    one value per state.
-    """
+    """The state Tr(rho .) as ``rho``; nothing takes one, and bench/tracing.py wraps the name."""
 
     __slots__ = ("rho",)
 
     def __init__(self, rho: DensityMatrix):
         self.rho = rho
-
-    def spectrum(self) -> np.ndarray:
-        """Value lam_i / lam_j of each atom i * n + j, (T, n^2) over a stack.
-
-        Equal ratios stay separate atoms: merging them changes no integral.
-        """
-        return _compute_spectrum(self.rho.eigenvalues)
 
 
 def _weighted_form(kernel: np.ndarray, xt: np.ndarray, et: np.ndarray):
@@ -140,7 +123,7 @@ def _weighted_form(kernel: np.ndarray, xt: np.ndarray, et: np.ndarray):
     return _value(np.sum(kernel * np.conj(xt) * et, axis=(-2, -1)))
 
 
-def form_E1(m: GnsModel, xt, et):
+def form_E1(rho: DensityMatrix, xt, et):
     """Graph form <xi, (1 + Delta) eta> of two vectors given by their eigenbasis entries.
 
     ``xt`` and ``et`` are u† xi u and u† eta u, as :func:`build_mu` takes
@@ -148,11 +131,11 @@ def form_E1(m: GnsModel, xt, et):
     lam_j and <xi, Delta eta> by lam_i, so E1 is their sum against the
     kernel lam_i + lam_j.
     """
-    lam = m.rho.eigenvalues
+    lam = rho.eigenvalues
     return _weighted_form(lam[..., :, None] + lam[..., None, :], xt, et)
 
 
-def form_G(m: GnsModel, f: MonotoneFunction, xi, eta):
+def form_G(rho: DensityMatrix, f: MonotoneFunction, xi, eta):
     """Nonnegative-difference form G^f = form_E1 / 2 - F.
 
     F is the kernel form <tilde(Delta)^(1/2) xi, tilde(Delta)^(1/2) eta>,
@@ -160,13 +143,15 @@ def form_G(m: GnsModel, f: MonotoneFunction, xi, eta):
     the kernel and the entries are those of
     :func:`~skewcal.qinfo.eigenbasis_terms`.
     """
-    terms = eigenbasis_terms(m.rho, [f], xi, eta)
-    shape = m.rho.matrix.shape
+    terms = eigenbasis_terms(rho, [f], xi, eta)
+    shape = rho.matrix.shape
     xt, et, kernel = (x.reshape(shape) for x in (terms.at, terms.bt, terms.kernels))
-    return 0.5 * form_E1(m, xt, et) - _weighted_form(kernel, xt, et)
+    return 0.5 * form_E1(rho, xt, et) - _weighted_form(kernel, xt, et)
 
 
 def _compute_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
+    # value lam_i / lam_j of each atom i * n + j, (T, n^2) over a stack;
+    # equal ratios stay separate atoms, since merging them changes no integral
     lam = eigenvalues
     return (lam[..., :, None] / lam[..., None, :]).reshape(lam.shape[:-1] + (-1,))
 
@@ -175,12 +160,12 @@ def _compute_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
 class AtomicPairMeasure:
     """Signed measure on pairs of spectrum atoms, held by its per-atom marginals.
 
-    Atom k = i * n + j is eigenbasis entry (i, j) with value lam_i / lam_j
-    (:meth:`GnsModel.spectrum`), so K = n^2. ``marginals`` is the one
-    (3, ..., K) array of m_xx, m_yy and m_xy that :func:`build_mu` builds,
-    and every reader (``mass``, ``min_weight_bound``, :func:`h_from_measure`
-    and the audit's G-forms) takes its rows as views. The weight of the
-    atom pair (k, l) is
+    Atom k = i * n + j is eigenbasis entry (i, j) with value lam_i / lam_j,
+    so K = n^2. ``marginals`` is the one (3, ..., K) array of m_xx, m_yy and
+    m_xy that :func:`build_mu` builds, and every reader
+    (``min_weight_bound``, ``weight_scale`` and :func:`h_from_measure`,
+    whose dots the audit's G-forms take too) reads its rows as views. The
+    weight of the atom pair (k, l) is
     w[k, l] = m_xx[k] m_yy[l] + m_yy[k] m_xx[l] - 2 m_xy[k] m_xy[l]; the
     K x K array is never formed. ``weights[k]`` is the diagonal weight
     w[k, k] = 2 (m_xx[k] m_yy[k] - m_xy[k]^2) and ``values[k]`` the ratio of
@@ -191,12 +176,6 @@ class AtomicPairMeasure:
     values: np.ndarray
     weights: np.ndarray
     marginals: np.ndarray
-
-    @property
-    def mass(self):
-        """Total weight sum_kl w[k, l] = 2 (sum m_xx sum m_yy - (sum m_xy)^2)."""
-        sx, sy, sz = np.sum(self.marginals, axis=-1)
-        return _value(2.0 * (sx * sy - sz * sz))
 
     @property
     def min_weight_bound(self):
@@ -236,19 +215,19 @@ class AtomicPairMeasure:
         The size of a weight before its terms cancel: each of the three
         terms of every w[k, l] is at most 2 A+ B+ in size, since
         |m_xy[k]| <= sqrt(m_xx[k] m_yy[k]) up to round-off, however small
-        their sum (or the mass) comes out. The round-off in a weight, and in
-        :attr:`min_weight_bound`, is a few eps times it; the
+        their sum, the total weight, comes out. The round-off in a weight,
+        and in :attr:`min_weight_bound`, is a few eps times it; the
         ``mu_negative_atom`` gate's slack is MU_ATOM_SLACK times it.
         """
         pos_a, pos_b = np.max(np.maximum(self.marginals[:2], 0.0), axis=-1)
         return _value(pos_a * pos_b)
 
 
-def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
+def build_mu(rho: DensityMatrix, xt, et) -> AtomicPairMeasure:
     """Product measure mu = m_xx (x) m_yy + m_yy (x) m_xx - 2 m_xy (x) m_xy.
 
     ``xt`` and ``et`` are the entries u† xi u and u† eta u of two vectors
-    in the state's eigenbasis ((T, n, n) stacks over a stacked model).
+    in the eigenbasis of ``rho`` ((T, n, n) stacks over a stacked state).
     m_xx, m_yy, m_xy are the spectral weights Re <xi, e_k xi>,
     Re <eta, e_k eta>, Re <xi, e_k eta> of the atoms e_k, the rank-one
     projections onto the matrix units e_i e_j†: for atom k = i * n + j they
@@ -275,11 +254,11 @@ def build_mu(m: GnsModel, xt, et) -> AtomicPairMeasure:
     entries = np.empty((3,) + pair.shape[1:])
     entries[:2] = np.abs(pair) ** 2
     entries[2] = np.real(np.conj(pair[0]) * pair[1])
-    entries *= m.rho.eigenvalues[..., None, :]
+    entries *= rho.eigenvalues[..., None, :]
     marginals = entries.reshape((3,) + lead + (-1,))
     m_xx, m_yy, m_xy = marginals
     return AtomicPairMeasure(
-        values=np.broadcast_to(m.spectrum(), m_xx.shape),
+        values=np.broadcast_to(_compute_spectrum(rho.eigenvalues), m_xx.shape),
         weights=2.0 * (m_xx * m_yy - m_xy * m_xy),
         marginals=marginals,
     )
@@ -303,26 +282,28 @@ def h_from_measure(mu: AtomicPairMeasure, q):
     sums of outer products of per-atom vectors, so the double sum factors
     into these inner products exactly; only the summation order differs.
     The P's are computed once for every entry, and each Q is its own dot
-    per (state, entry). Returns one H per (state, entry); a ``q`` of
-    another shape raises ValueError.
+    per (state, entry). Returns (H, dots): one H per (state, entry), and
+    the (3, ..., F) array of the dots Q_x, Q_y and Q_z, which the audit's
+    G-forms read too. A ``q`` of another shape raises ValueError.
     """
     q = np.asarray(q, dtype=float)
     atoms = np.shape(mu.values)
     if q.ndim != len(atoms) + 1 or q.shape[:-2] + q.shape[-1:] != atoms:
         raise ValueError(f"tilde values {q.shape} do not match atoms {atoms} with an entry axis")
     px, py, pz = _dot(mu.values + 1.0, mu.marginals)[..., None]
-    qx, qy, qz = _dot(q, mu.marginals[..., None, :])
-    return 0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz))
+    dots = _dot(q, mu.marginals[..., None, :])
+    qx, qy, qz = dots
+    return 0.25 * (2.0 * (px * qy + py * qx) - 4.0 * (pz * qz + qx * qy - qz * qz)), dots
 
 
-def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarray]:
+def audit_G_equals_H(terms: EigenbasisTerms) -> dict[str, np.ndarray]:
     """Check the trace-route inequality gap against its spectral double integral.
 
-    ``terms`` is :func:`~skewcal.qinfo.eigenbasis_terms` of ``m.rho``: the
-    observables a and b, their eigenbasis entries u† a u and u† b u, the
-    (T, F, n, n) tilde values on the eigenvalue ratios and the kernels
-    k = tilde * lam_j, the arrays the stacked report reads too. The audit
-    covers the (T, F) grid of states
+    ``terms`` is :func:`~skewcal.qinfo.eigenbasis_terms` of the state or
+    stack ``terms.rho``: the observables a and b, their eigenbasis entries
+    u† a u and u† b u, the (T, F, n, n) tilde values on the eigenvalue
+    ratios and the kernels k = tilde * lam_j, the arrays the stacked report
+    reads too. The audit covers the (T, F) grid of states
     (T = 1 for one state) and catalog entries in one pass and returns
     columns: ``G``, ``H``, ``residual`` = |G - H| and ``gform_min`` as
     (T, F) arrays, ``mu_min_atom`` as a (T,) array (mu does not depend on
@@ -345,8 +326,9 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     for both) and the measure mu (its three marginals one array) read only
     these entries. Over every entry at once, from mu's marginals and the
     (T, F, K) per-atom tilde values q: H by :func:`h_from_measure`, and
-    the G-forms G^f = E1 / 2 - q . m_xx of a0 (m_yy of b0), which equal
-    :func:`form_G` on each centered observable up to summation order. G
+    the G-forms G^f = E1 / 2 - q . m_xx of a0 (m_yy of b0) from the same
+    call's dots, which equal :func:`form_G` on each centered observable up
+    to summation order. G
     is :func:`~skewcal.qinfo._scalars`, the report's formula, of the same
     moments and :func:`~skewcal.qinfo._kernel_traces`, which back-rotates
     a's kernel products and then b's. That
@@ -365,28 +347,27 @@ def audit_G_equals_H(m: GnsModel, terms: EigenbasisTerms) -> dict[str, np.ndarra
     lies far below G_H_RTOL and is the audit's residual floor on such
     states; at trace 1 only round-off is left.
     """
-    if terms.rho is not m.rho:
-        raise ValueError("terms were computed for another state than the model's")
-    n = m.rho.dim
+    rho = terms.rho
+    n = rho.dim
     t, f = terms.tilde.shape[:2]
     # Tr(rho a) and Tr(rho b) center the observables; G reads every moment
-    moments = _trace_moments(m.rho, terms.a, terms.b)
+    moments = _trace_moments(rho, terms.a, terms.b)
     shift = moments[0][:, :, None, None] * np.eye(n)
     # the eigenbasis entries of the centered a0 and b0
     pair0_t = np.array((terms.at, terms.bt)) - shift
-    mu = build_mu(m, *pair0_t)
+    mu = build_mu(rho, *pair0_t)
     mu_min = mu.min_weight_bound
-    e1 = form_E1(m, pair0_t, pair0_t).real
+    e1 = form_E1(rho, pair0_t, pair0_t).real
     # atom i * n + j carries the ratio lam_i / lam_j, so its tilde value is
     # entry (i, j) of the shared pass, in ravel order
     q = terms.tilde.reshape(t, f, n * n)
-    # form_G(m, f, x, x) of a0 and then b0 as (2, T, F) rows, with E1 reused:
-    # the kernel form sum_ij k_ij |x_ij|^2 is q . m_xx (m_yy for b0)
-    gforms = 0.5 * e1[..., None] - _dot(q, mu.marginals[:2, :, None, :])
 
     # G by the direct route, the public qinfo functions' own code
     g = _scalars(moments, _kernel_traces(terms))["gap"]
-    h = h_from_measure(mu, q)
+    h, dots = h_from_measure(mu, q)
+    # form_G(rho, f, x, x) of a0 and then b0 as (2, T, F) rows, with E1 reused:
+    # the kernel form sum_ij k_ij |x_ij|^2 is q . m_xx (m_yy for b0), H's dots
+    gforms = 0.5 * e1[..., None] - dots[:2]
     residual = np.abs(g - h)
     # each gate is written so that a NaN fails it: not (x within its bound)
     flags = np.empty((t, f, len(AUDIT_FLAGS)), bool)

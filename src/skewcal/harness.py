@@ -42,13 +42,14 @@ with its (dim, trial, seed).
 Memory: each chunk allocates its stacks and frees them, and every array
 a function returns is its caller's own. Without the audit, a chunk holds
 about max(200 + 16F, 144 + 32F) bytes per entry of its (T, n, n) stacks
-at its peak, 2.4 MiB at n = 64 with five keys, O(_STACK_ENTRIES)
-whatever the trial count. Before its first chunk, a sweep allocates one
-block of that size for its largest chunk and frees it at once, without
-writing to it: that raises glibc's dynamic mmap and trim thresholds
-above a chunk's stacks, so the heap top that a chunk frees stays mapped
-for the next one instead of going back to the kernel and faulting in
-again (``_records`` gives the condition). The seed table holds
+at its peak, 2.4 MiB at n = 64 with five keys, and with it about
+232 + 88F, 5.3 MiB; both are O(_STACK_ENTRIES) whatever the trial count.
+Before its first chunk, a sweep allocates one block of that peak size
+for its largest chunk and frees it at once, without writing to it: that
+raises glibc's dynamic mmap and trim thresholds above a chunk's stacks,
+so the heap top that a chunk frees stays mapped for the next one instead
+of going back to the kernel and faulting in again (``_records`` gives
+the condition). The seed table holds
 O(dims x trials) words, 104 B per (dim, trial) for the trial seed and
 its three streams' words, for the whole sweep (it is built in blocks of
 _SEED_BLOCK pairs, whose temporaries take about 400 B per pair); the
@@ -71,7 +72,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gns import AUDIT_FLAGS, GnsModel, audit_G_equals_H
+from .gns import AUDIT_FLAGS, audit_G_equals_H
+# Nothing here builds a GnsModel; bench/tracing.py wraps it here by name.
+from .gns import GnsModel  # noqa: F401
 from .linalg import (
     StackRejection,
     _frobenius_norms,
@@ -394,10 +397,14 @@ def _records(config: SweepConfig, functions):
     # Per entry of a (T, n, n) stack, a chunk holds 112 + 16F bytes until its
     # records are built (the state, a, b, the eigenvectors, the rotated
     # observables, a conjugate, tilde and the kernels) plus the larger of the
-    # samplers' 88 B and tilde's 32 + 16F B of scratch.
+    # samplers' 88 B and tilde's 32 + 16F B of scratch. The audit peaks at
+    # 232 + 88F B (tracemalloc: 314 at F = 1, 659 at F = 5), above twice the
+    # plain size, so under a block of the plain size audited chunks at n = 32
+    # and 64 would trim their heap top and fault it back in.
     f = len(functions)
+    per_entry = 232 + 88 * f if config.gns_audit else max(200 + 16 * f, 144 + 32 * f)
     entries = max(_chunk_trials(config.trials, dim) * dim * dim for dim in config.dims)
-    np.empty(entries * max(200 + 16 * f, 144 + 32 * f), np.uint8)
+    np.empty(entries * per_entry, np.uint8)
     for dim, dim_seeds, dim_words in zip(config.dims, trial_seeds, words):
         chunk = _chunk_trials(config.trials, dim)
         by_f = [[] for _ in functions]
@@ -410,7 +417,7 @@ def _records(config: SweepConfig, functions):
             columns = _report_in_eigenbasis(terms, config.tol)
             residuals, masks, names = columns["residuals"], columns["flags"], _FLAGS
             if config.gns_audit:
-                audit = audit_G_equals_H(GnsModel(rho), terms)
+                audit = audit_G_equals_H(terms)
                 residuals = [
                     np.concatenate((r, col[:, None]), axis=1)
                     for r, col in zip(residuals, audit["residual"].T)
@@ -571,7 +578,7 @@ def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_T
         b = load_hermitian(b_path)
         terms = eigenbasis_terms(rho, [from_key(f_spec)], a, b)
         report = UncertaintyReport._from_terms(terms, tol)
-        audit = audit_G_equals_H(GnsModel(rho), terms)
+        audit = audit_G_equals_H(terms)
     except (OSError, ValueError) as exc:
         return {"error": str(exc)}, 1
     # each audit column holds the one state and the one entry

@@ -37,7 +37,6 @@ __all__ = [
     "DensityMatrix",
     "HermitianMatrix",
     "StackRejection",
-    "eigendecompose",
     "load_density",
     "load_hermitian",
     "random_density",
@@ -158,18 +157,14 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim}, herm_residual={np.max(self.herm_residual):.2e})"
 
 
-def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix or stack.
+def eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and orthonormal eigenvectors of a (T, n, n) Hermitian stack.
 
-    Returns (lam, u) with h = u @ diag(lam) @ u†; the reconstruction is
-    verified to RECONSTRUCTION_RTOL relative Frobenius error. A (T, n, n)
-    stack gives (T, n) and (T, n, n) arrays from one batched ``eigh``, each
-    matrix checked on its own and a failure a StackRejection at its index.
+    Returns the (T, n) and (T, n, n) arrays (lam, u) of one batched ``eigh``,
+    with m[k] = u[k] @ diag(lam[k]) @ u[k]†. Each reconstruction is verified
+    to RECONSTRUCTION_RTOL relative Frobenius error on its own, a failure a
+    StackRejection at its index.
     """
-    m = _as_matrix(h)
-    stacked = m.ndim == 3
-    if not stacked:
-        m = m[None]
     try:
         lam, u = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -185,7 +180,7 @@ def eigendecompose(h) -> tuple[np.ndarray, np.ndarray]:
         lambda k: f"eigendecomposition reconstruction residual {residual[k]:.3e} exceeds "
         f"{RECONSTRUCTION_RTOL:.1e} * ||h||",
     )
-    return (lam, u) if stacked else (lam[0], u[0])
+    return lam, u
 
 
 class DensityMatrix:

@@ -63,6 +63,8 @@ def _require_beta(beta: float) -> float:
 
 def _as_positive_array(x, name: str = "x") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():  # before the sign test, which a NaN fails too
+        raise ValueError(f"{name} must be finite")
     if arr.size and not np.all(arr > 0.0):
         raise ValueError(f"{name} must be strictly positive")
     return arr
@@ -318,7 +320,13 @@ def validate_catalog_entry(f: MonotoneFunction, grid: np.ndarray | None = None) 
     xs = np.sort(xs.ravel())
 
     values = np.asarray(f(xs), dtype=float)
-    mirrored = xs * np.asarray(f(1.0 / xs), dtype=float)
+    # 1 / x overflows to inf below about 1e-308, where f and tilde reject it:
+    # the mirrored values are NaN there
+    with np.errstate(over="ignore"):
+        inv = 1.0 / xs
+    mirror = np.isfinite(inv)
+    inv[~mirror] = 1.0
+    mirrored = np.where(mirror, xs * np.asarray(f(inv), dtype=float), np.nan)
     scale = np.maximum(np.abs(values), np.finfo(float).tiny)
     symmetry = float(np.max(np.abs(values - mirrored) / scale))
 
@@ -331,7 +339,7 @@ def validate_catalog_entry(f: MonotoneFunction, grid: np.ndarray | None = None) 
     clamped = int(np.count_nonzero(round_off))
     excess = float(np.max(raw_tilde - 0.5 * (xs + 1.0)))
     tilde_clamped = np.where(round_off, 0.0, raw_tilde)
-    mirrored_tilde = xs * np.asarray(tilde_transform(f, 1.0 / xs), dtype=float)
+    mirrored_tilde = np.where(mirror, xs * np.asarray(tilde_transform(f, inv), dtype=float), np.nan)
     # absolute floor keeps clamped-to-zero points from dividing by zero
     tilde_scale = np.maximum(np.abs(tilde_clamped), 1e-12)
     tilde_symmetry = float(np.max(np.abs(tilde_clamped - mirrored_tilde) / tilde_scale))

@@ -17,7 +17,7 @@ import oracle
 from conftest import record_acceptance
 from oracle import FROZEN
 from skewcal.cli import main
-from skewcal.gns import GnsModel, audit_G_equals_H
+from skewcal.gns import audit_G_equals_H
 from skewcal.linalg import DensityMatrix, random_density, random_hermitian
 from skewcal.monotone import default_grid, from_key, validate_catalog_entry, wyd
 from skewcal.qinfo import DEFAULT_TOL, eigenbasis_terms, evaluate_inequalities
@@ -168,7 +168,7 @@ def test_criterion_4_proof_transcription_audit():
         rho = random_density(dim, seed=7_000 + 3 * i)
         a = random_hermitian(dim, seed=7_001 + 3 * i)
         b = random_hermitian(dim, seed=7_002 + 3 * i)
-        audit = audit_G_equals_H(GnsModel(rho), eigenbasis_terms(rho, [from_key(key)], a, b))
+        audit = audit_G_equals_H(eigenbasis_terms(rho, [from_key(key)], a, b))
         flagged += bool(audit["flags"].any())
         g, residual = audit["G"].item(), audit["residual"].item()
         worst_residual_ratio = max(worst_residual_ratio, residual / max(1.0, abs(g)))

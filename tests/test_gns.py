@@ -15,7 +15,6 @@ from skewcal.gns import (
     AUDIT_FLAGS,
     G_H_RTOL,
     MU_ATOM_SLACK,
-    GnsModel,
     audit_G_equals_H,
     build_mu,
     form_E1,
@@ -43,9 +42,9 @@ ALL_KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
 GRID_COLUMNS = ("G", "H", "residual", "gform_min")
 
 
-def _audit(m, functions, a, b):
+def _audit(rho, functions, a, b):
     # the audit reads the rotation and tilde pass the stacked report shares
-    return audit_G_equals_H(m, eigenbasis_terms(m.rho, functions, a, b))
+    return audit_G_equals_H(eigenbasis_terms(rho, functions, a, b))
 
 
 def _entries(audit):
@@ -62,13 +61,18 @@ def _entries(audit):
     ]
 
 
-def _model(dim, seed):
-    return GnsModel(random_density(dim, seed=seed))
+def _state(dim, seed):
+    return random_density(dim, seed=seed)
 
 
-def _ratios(m):
+def _spectrum(rho):
+    # the value lam_i / lam_j of each atom i * n + j, as build_mu reads it
+    return gns._compute_spectrum(rho.eigenvalues)
+
+
+def _ratios(rho):
     # the eigenvalue ratios lam_i / lam_j by which Delta acts entrywise
-    lam = m.rho.eigenvalues
+    lam = rho.eigenvalues
     return lam[:, None] / lam[None, :]
 
 
@@ -80,18 +84,18 @@ def _vector(dim, seed):
 def test_inner_product_and_cyclic_vector():
     # Delta fixes the centralizer of rho, so when either argument commutes
     # with rho, E1(x, y) = 2 <x, y> = 2 Tr(rho x† y): the GNS inner product
-    m = _model(3, seed=53)
-    r = m.rho.matrix
+    rho = _state(3, seed=53)
+    r = rho.matrix
     x = _vector(3, seed=54)
     z = r @ r - 0.3j * r + 0.5 * np.eye(3)  # a polynomial in rho
-    xt, zt = m.rho.to_eigenbasis(x), m.rho.to_eigenbasis(z)
-    assert form_E1(m, xt, zt) == pytest.approx(2.0 * np.trace(r @ x.conj().T @ z), abs=1e-13)
-    assert form_E1(m, zt, xt) == pytest.approx(2.0 * np.trace(r @ z.conj().T @ x), abs=1e-13)
-    one = m.rho.to_eigenbasis(np.eye(3))  # the cyclic vector
-    assert form_E1(m, one, one) == pytest.approx(2.0, abs=1e-13)
+    xt, zt = rho.to_eigenbasis(x), rho.to_eigenbasis(z)
+    assert form_E1(rho, xt, zt) == pytest.approx(2.0 * np.trace(r @ x.conj().T @ z), abs=1e-13)
+    assert form_E1(rho, zt, xt) == pytest.approx(2.0 * np.trace(r @ z.conj().T @ x), abs=1e-13)
+    one = rho.to_eigenbasis(np.eye(3))  # the cyclic vector
+    assert form_E1(rho, one, one) == pytest.approx(2.0, abs=1e-13)
     # expectation of an observable is its inner product against the cyclic vector
     a = random_hermitian(3, seed=56).matrix
-    assert form_E1(m, one, m.rho.to_eigenbasis(a)) == pytest.approx(
+    assert form_E1(rho, one, rho.to_eigenbasis(a)) == pytest.approx(
         2.0 * complex(np.trace(r @ a)), abs=1e-13
     )
 
@@ -107,58 +111,58 @@ def test_form_E1_is_the_modular_graph_form():
     eps = np.finfo(float).eps
     states = [random_density(dim, seed=57 + dim) for dim in (1, 2, 8, 32, 64)]
     for rho in states + [_near_floor_state(seed=58)]:
-        m, n, r = GnsModel(rho), rho.dim, rho.matrix
+        n, r = rho.dim, rho.matrix
         x, y = _vector(n, seed=59 + n), _vector(n, seed=60 + n)
         xh = x.conj().T
         expected = np.trace(r @ xh @ r @ y @ np.linalg.inv(r)) + np.trace(r @ xh @ y)
-        kappa = float(np.max(m.rho.eigenvalues) / np.min(m.rho.eigenvalues))
+        kappa = float(np.max(rho.eigenvalues) / np.min(rho.eigenvalues))
         bound = 8 * n * eps * kappa * np.linalg.norm(x) * np.linalg.norm(y)
         xt, yt = rho.to_eigenbasis(x), rho.to_eigenbasis(y)
-        assert abs(form_E1(m, xt, yt) - expected) <= bound, n
+        assert abs(form_E1(rho, xt, yt) - expected) <= bound, n
         # on the cyclic vector 1: <1, 1> = <1, Delta 1> = Tr rho, and
         # <1, a> = <1, Delta a> = Tr(rho a) for an observable a
         one = rho.to_eigenbasis(np.eye(n))
         a = random_hermitian(n, seed=61 + n).matrix
-        assert abs(form_E1(m, one, one) - 2.0 * np.trace(r)) <= 4 * n * eps, n
-        e1_a = form_E1(m, one, rho.to_eigenbasis(a))
+        assert abs(form_E1(rho, one, one) - 2.0 * np.trace(r)) <= 4 * n * eps, n
+        e1_a = form_E1(rho, one, rho.to_eigenbasis(a))
         assert abs(e1_a - 2.0 * np.trace(r @ a)) <= 4 * n * eps * np.linalg.norm(a), n
 
 
 def test_forms_are_sesquilinear():
-    m = _model(3, seed=61)
+    rho = _state(3, seed=61)
     x, y = _vector(3, seed=62), _vector(3, seed=63)
-    xt, yt = m.rho.to_eigenbasis(x), m.rho.to_eigenbasis(y)
+    xt, yt = rho.to_eigenbasis(x), rho.to_eigenbasis(y)
     c = 0.7 - 1.9j
-    assert form_E1(m, c * xt, yt) == pytest.approx(np.conj(c) * form_E1(m, xt, yt), abs=1e-11)
-    assert form_E1(m, xt, c * yt) == pytest.approx(c * form_E1(m, xt, yt), abs=1e-11)
+    assert form_E1(rho, c * xt, yt) == pytest.approx(np.conj(c) * form_E1(rho, xt, yt), abs=1e-11)
+    assert form_E1(rho, xt, c * yt) == pytest.approx(c * form_E1(rho, xt, yt), abs=1e-11)
     f = wyd(0.3)
-    assert form_G(m, f, c * x, y) == pytest.approx(np.conj(c) * form_G(m, f, x, y), abs=1e-11)
-    assert form_G(m, f, x, c * y) == pytest.approx(c * form_G(m, f, x, y), abs=1e-11)
+    assert form_G(rho, f, c * x, y) == pytest.approx(np.conj(c) * form_G(rho, f, x, y), abs=1e-11)
+    assert form_G(rho, f, x, c * y) == pytest.approx(c * form_G(rho, f, x, y), abs=1e-11)
 
 
 def test_harmonic_kernel_form_is_half_the_graph_form():
     # tilde = (x + 1)/2 makes the kernel term F equal E1 / 2 and therefore G identically zero
-    m = _model(4, seed=64)
+    rho = _state(4, seed=64)
     x, y = _vector(4, seed=65), _vector(4, seed=66)
-    assert form_G(m, harmonic(), x, y) == pytest.approx(0.0, abs=1e-11)
-    xt = m.rho.to_eigenbasis(x)
-    assert abs(form_G(m, harmonic(), x, x)) <= 1e-12 * abs(form_E1(m, xt, xt))
+    assert form_G(rho, harmonic(), x, y) == pytest.approx(0.0, abs=1e-11)
+    xt = rho.to_eigenbasis(x)
+    assert abs(form_G(rho, harmonic(), x, x)) <= 1e-12 * abs(form_E1(rho, xt, xt))
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_form_routes_reproduce_trace_scalars(key):
     f = from_key(key)
     for dim in (2, 3, 5):
-        m = _model(dim, seed=67 + dim)
+        rho = _state(dim, seed=67 + dim)
         a = random_hermitian(dim, seed=68 + dim)
         b = random_hermitian(dim, seed=69 + dim)
-        a0, b0 = centered(m.rho, a), centered(m.rho, b)
-        at0, bt0 = m.rho.to_eigenbasis(a0), m.rho.to_eigenbasis(b0)
-        assert 0.5 * form_E1(m, at0, bt0).real == pytest.approx(
-            covariance(m.rho, a, b), abs=1e-10
+        a0, b0 = centered(rho, a), centered(rho, b)
+        at0, bt0 = rho.to_eigenbasis(a0), rho.to_eigenbasis(b0)
+        assert 0.5 * form_E1(rho, at0, bt0).real == pytest.approx(
+            covariance(rho, a, b), abs=1e-10
         )
-        assert form_G(m, f, a0, b0).real == pytest.approx(
-            f_correlation(m.rho, f, a, b), abs=1e-10
+        assert form_G(rho, f, a0, b0).real == pytest.approx(
+            f_correlation(rho, f, a, b), abs=1e-10
         )
 
 
@@ -167,63 +171,62 @@ def test_gform_expansion_and_nonnegativity(key):
     # G expands as sum_ij g(lam_i / lam_j) lam_j |x_ij|^2 in the eigenbasis,
     # with g(x) = (x + 1)/2 - tilde(x) >= 0
     f = from_key(key)
-    m = _model(4, seed=71)
+    rho = _state(4, seed=71)
     x = _vector(4, seed=72)
-    xt = m.rho.to_eigenbasis(x)
-    lam = m.rho.eigenvalues
-    ratios = _ratios(m)
+    xt = rho.to_eigenbasis(x)
+    lam = rho.eigenvalues
+    ratios = _ratios(rho)
     g = 0.5 * (ratios + 1.0) - np.asarray(tilde_transform(f, ratios), dtype=float)
     expected = float(np.sum(g * lam[None, :] * np.abs(xt) ** 2))
-    value = form_G(m, f, x, x)
+    value = form_G(rho, f, x, x)
     assert value.real == pytest.approx(expected, abs=1e-11 * max(1.0, abs(expected)))
     assert abs(value.imag) <= 1e-11 * max(1.0, abs(expected))
     assert np.all(g > -1e-14)
-    assert value.real >= -1e-12 * form_E1(m, xt, xt).real
+    assert value.real >= -1e-12 * form_E1(rho, xt, xt).real
 
 
 def _spectrum_cases():
-    yield _model(5, seed=73)
-    yield GnsModel(DensityMatrix(np.eye(4) / 4))
-    yield GnsModel(_cluster_state(seed=307))
+    yield _state(5, seed=73)
+    yield DensityMatrix(np.eye(4) / 4)
+    yield _cluster_state(seed=307)
 
 
 def test_spectrum_is_the_ratio_of_each_eigenbasis_entry():
     # atom i * n + j is entry (i, j), valued lam_i / lam_j, even where ratios repeat
-    for m in _spectrum_cases():
-        assert np.array_equal(m.spectrum(), _ratios(m).ravel())
+    for rho in _spectrum_cases():
+        assert np.array_equal(_spectrum(rho), _ratios(rho).ravel())
 
 
 def test_spectrum_transpose_is_the_reciprocal():
-    for m in _spectrum_cases():
-        n = m.rho.dim
-        values = m.spectrum().reshape(n, n)
+    for rho in _spectrum_cases():
+        n = rho.dim
+        values = _spectrum(rho).reshape(n, n)
         assert np.allclose(values.T, 1.0 / values, rtol=1e-15, atol=0.0)
 
 
-def _mu(m, x, y):
+def _mu(rho, x, y):
     # the measure of two vectors given in the standard basis
-    return build_mu(m, m.rho.to_eigenbasis(x), m.rho.to_eigenbasis(y))
+    return build_mu(rho, rho.to_eigenbasis(x), rho.to_eigenbasis(y))
 
 
 def test_mu_vanishes_on_equal_arguments():
-    m = _model(4, seed=76)
-    a0 = centered(m.rho, random_hermitian(4, seed=77).matrix)
-    mu = _mu(m, a0, a0)
+    rho = _state(4, seed=76)
+    a0 = centered(rho, random_hermitian(4, seed=77).matrix)
+    mu = _mu(rho, a0, a0)
     w = pair_weights(*mu.marginals)
     assert np.max(np.abs(w)) <= 1e-12 * max(1.0, np.sum(np.abs(w)) + 1.0)
-    assert abs(mu.mass) <= 1e-12 * max(1.0, np.sum(np.abs(w)) + 1.0)
+    assert abs(np.sum(w)) <= 1e-12 * max(1.0, np.sum(np.abs(w)) + 1.0)
 
 
 def _assert_certified(mu, where):
-    # against the K x K definition: the diagonal weights bit for bit, the
-    # mass up to summation order, and the bound at or below every weight.
+    # against the K x K definition: the diagonal weights bit for bit and the
+    # bound at or below every weight.
     # The bound holds in exact arithmetic; an off-diagonal weight whose exact
     # value is 0 (at dim 2 the two ratio-1 atoms of centered observables)
     # may round below it, by at most a few eps times the largest term
     w = pair_weights(*mu.marginals)
     assert mu.weights.shape == mu.values.shape == (w.shape[0],), where
     assert np.array_equal(mu.weights, np.diag(w)), where
-    assert mu.mass == pytest.approx(float(np.sum(w)), rel=1e-12, abs=1e-300), where
     a, b, z = np.abs(mu.marginals)
     terms = np.outer(a, b) + np.outer(b, a) + 2.0 * np.outer(z, z)
     round_off = 4.0 * np.finfo(float).eps * float(np.max(terms))
@@ -234,25 +237,26 @@ def _assert_certified(mu, where):
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_mu_atoms_are_nonnegative(dim):
-    m = _model(dim, seed=78 + dim)
-    a0 = centered(m.rho, random_hermitian(dim, seed=79 + dim).matrix)
-    b0 = centered(m.rho, random_hermitian(dim, seed=80 + dim).matrix)
-    mu = _mu(m, a0, b0)
+    rho = _state(dim, seed=78 + dim)
+    a0 = centered(rho, random_hermitian(dim, seed=79 + dim).matrix)
+    b0 = centered(rho, random_hermitian(dim, seed=80 + dim).matrix)
+    mu = _mu(rho, a0, b0)
     w = _assert_certified(mu, dim)
-    assert np.min(w) >= -1e-12 * max(mu.mass, 0.0)
-    assert mu.min_weight_bound >= -MU_ATOM_SLACK * max(mu.mass, 0.0)
+    mass = max(float(np.sum(w)), 0.0)
+    assert np.min(w) >= -1e-12 * mass
+    assert mu.min_weight_bound >= -MU_ATOM_SLACK * mass
 
 
 def test_mu_on_degenerate_state():
     n = 3
-    m = GnsModel(DensityMatrix(np.eye(n) / n))
-    a0 = centered(m.rho, random_hermitian(n, seed=81).matrix)
-    b0 = centered(m.rho, random_hermitian(n, seed=82).matrix)
-    mu = _mu(m, a0, b0)
+    rho = DensityMatrix(np.eye(n) / n)
+    a0 = centered(rho, random_hermitian(n, seed=81).matrix)
+    b0 = centered(rho, random_hermitian(n, seed=82).matrix)
+    mu = _mu(rho, a0, b0)
     # every eigenbasis entry is its own atom at the ratio 1
-    assert m.spectrum().tolist() == [1.0] * n * n
+    assert _spectrum(rho).tolist() == [1.0] * n * n
     w = _assert_certified(mu, "mixed")
-    assert np.min(w) >= -1e-12 * max(mu.mass, 0.0)
+    assert np.min(w) >= -1e-12 * max(float(np.sum(w)), 0.0)
 
 
 def _near_floor_state(seed):
@@ -277,10 +281,9 @@ def test_certificate_is_below_the_k2_minimum(family, dim, seed):
         "cluster": lambda: _cluster_state(seed),
         "near-floor": lambda: _near_floor_state(seed),
     }[family]()
-    m = GnsModel(rho)
     a0 = centered(rho, random_hermitian(rho.dim, seed=seed + 1).matrix)
     b0 = centered(rho, random_hermitian(rho.dim, seed=seed + 2).matrix)
-    _assert_certified(_mu(m, a0, b0), (family, dim, seed))
+    _assert_certified(_mu(rho, a0, b0), (family, dim, seed))
 
 
 def test_pair_integrand_values():
@@ -302,17 +305,16 @@ def test_pair_integrand_values():
 
 
 def test_h_matches_gap_on_fixture(fixture_rho, fixture_a, fixture_b):
-    m = GnsModel(fixture_rho)
     f = wyd(0.5)
     a0 = centered(fixture_rho, fixture_a.matrix)
     b0 = centered(fixture_rho, fixture_b.matrix)
-    mu = _mu(m, a0, b0)
-    (h,) = h_from_measure(mu, tilde_transform(f, mu.values)[None])
+    mu = _mu(fixture_rho, a0, b0)
+    (h,), _ = h_from_measure(mu, tilde_transform(f, mu.values)[None])
     assert h == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-12)
 
 
 def test_audit_fixture(fixture_rho, fixture_a, fixture_b):
-    audit = _audit(GnsModel(fixture_rho), [wyd(0.5)], fixture_a, fixture_b)
+    audit = _audit(fixture_rho, [wyd(0.5)], fixture_a, fixture_b)
     assert set(audit) == {"G", "H", "residual", "mu_min_atom", "gform_min", "flags"}
     assert all(audit[key].shape == (1, 1) for key in GRID_COLUMNS)
     assert audit["mu_min_atom"].shape == (1,)
@@ -328,10 +330,10 @@ def test_audit_fixture(fixture_rho, fixture_a, fixture_b):
 def test_audit_random_instances(key):
     f = from_key(key)
     for dim in (2, 3, 4, 6):
-        m = _model(dim, seed=83 + dim)
+        rho = _state(dim, seed=83 + dim)
         a = random_hermitian(dim, seed=84 + dim)
         b = random_hermitian(dim, seed=85 + dim)
-        (entry,) = _entries(_audit(m, [f], a, b))
+        (entry,) = _entries(_audit(rho, [f], a, b))
         assert entry["flags"] == [], (key, dim, entry)
         assert entry["residual"] <= 1e-8 * max(1.0, abs(entry["G"]))
         assert entry["H"] >= -1e-10 * max(1.0, abs(entry["G"]))
@@ -363,10 +365,10 @@ def test_audit_is_continuous_across_a_near_degenerate_pair(gap):
     # and a pair just together are audited to the same float64 accuracy
     functions = [from_key(k) for k in ALL_KEYS]
     for seed in range(50):
-        m = GnsModel(_near_pair_state(1000 + seed, gap))
+        rho = _near_pair_state(1000 + seed, gap)
         a = random_hermitian(4, seed=2000 + seed)
         b = random_hermitian(4, seed=3000 + seed)
-        for key, entry in zip(ALL_KEYS, _entries(_audit(m, functions, a, b))):
+        for key, entry in zip(ALL_KEYS, _entries(_audit(rho, functions, a, b))):
             where = (gap, seed, key, entry)
             assert entry["flags"] == [], where
             assert entry["residual"] <= 2e-14 * max(1.0, abs(entry["G"])), where
@@ -388,41 +390,40 @@ def test_separable_h_matches_pair_sum(key):
         return tilde_transform(f, x)
 
     for name, rho in _h_oracle_cases():
-        m = GnsModel(rho)
         a0 = centered(rho, random_hermitian(rho.dim, seed=400 + rho.dim).matrix)
         b0 = centered(rho, random_hermitian(rho.dim, seed=500 + rho.dim).matrix)
-        mu = _mu(m, a0, b0)
+        mu = _mu(rho, a0, b0)
         s, t = mu.values[:, None], mu.values[None, :]
         terms = 0.25 * pair_integrand(tilde, s, t) * pair_weights(*mu.marginals)
         scale = float(np.sum(np.abs(terms)))
         assert scale > 0.0, name
-        (h,) = h_from_measure(mu, tilde(mu.values)[None])
+        (h,), _ = h_from_measure(mu, tilde(mu.values)[None])
         assert abs(h - float(np.sum(terms))) <= 1e-12 * scale, name
 
 
 def test_audit_at_wide_dims_one_call_per_instance():
     functions = [from_key(k) for k in ALL_KEYS]
     for dim in (16, 24, 32):
-        m = _model(dim, seed=600 + dim)
+        rho = _state(dim, seed=600 + dim)
         a = random_hermitian(dim, seed=601 + dim)
         b = random_hermitian(dim, seed=602 + dim)
-        entries = _entries(_audit(m, functions, a, b))
+        entries = _entries(_audit(rho, functions, a, b))
         assert len(entries) == len(functions)
         for key, entry in zip(ALL_KEYS, entries):
             assert entry["flags"] == [], (key, dim, entry)
             assert entry["residual"] <= G_H_RTOL * max(1.0, abs(entry["G"]))
         # the f-independent work is shared, never changed, by batching entries
-        singles = [_entries(_audit(m, [f], a, b))[0] for f in functions]
+        singles = [_entries(_audit(rho, [f], a, b))[0] for f in functions]
         assert repr(entries) == repr(singles)
 
 
 def _audit_cases():
     functions = [from_key(k) for k in ALL_KEYS]
     for dim in (2, 3, 5):
-        m = _model(dim, seed=700 + dim)
+        rho = _state(dim, seed=700 + dim)
         a = random_hermitian(dim, seed=701 + dim)
         b = random_hermitian(dim, seed=702 + dim)
-        yield _entries(_audit(m, functions, a, b))
+        yield _entries(_audit(rho, functions, a, b))
 
 
 def _assert_flags(monkeypatch, expected):
@@ -439,8 +440,8 @@ def test_g_h_mismatch_gate_fires(monkeypatch):
     real = gns.h_from_measure
 
     def offset_h(mu, q):
-        h = real(mu, q)
-        return h + 100.0 * G_H_RTOL * np.fmax(1.0, np.abs(h))
+        h, dots = real(mu, q)
+        return h + 100.0 * G_H_RTOL * np.fmax(1.0, np.abs(h)), dots
 
     monkeypatch.setattr(gns, "h_from_measure", offset_h)
     _assert_flags(monkeypatch, lambda key: ("g_h_mismatch",))
@@ -455,8 +456,8 @@ def _inject_marginals(monkeypatch, edit, diagonal_kept):
     # lowers a G-form
     real = gns.build_mu
 
-    def edited(m, xt, et):
-        mu = real(m, xt, et)
+    def edited(rho, xt, et):
+        mu = real(rho, xt, et)
         marginals = np.array(mu.marginals)
         m_xx, m_yy, m_xy = marginals
         for x, y, z in zip(m_xx, m_yy, m_xy):
@@ -506,11 +507,12 @@ def test_mu_negative_atom_gate_holds_where_the_mass_cancels(monkeypatch):
     a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
     built, real = [], gns.build_mu
     monkeypatch.setattr(gns, "build_mu", lambda *args: built.append(real(*args)) or built[-1])
-    audit = _audit(GnsModel(rho), [from_key(key) for key in ALL_KEYS], a, b)
+    audit = _audit(rho, [from_key(key) for key in ALL_KEYS], a, b)
     (mu,) = built
     assert (audit["G"] > 3e-6).all() and (audit["G"] < 4e-6).all()
     assert audit["mu_min_atom"].item() == mu.min_weight_bound < 0.0
-    assert mu.min_weight_bound < -MU_ATOM_SLACK * max(mu.mass, 0.0)
+    mass = float(np.sum(pair_weights(*mu.marginals)))
+    assert mu.min_weight_bound < -MU_ATOM_SLACK * max(mass, 0.0)
     assert mu.min_weight_bound >= -MU_ATOM_SLACK * mu.weight_scale
     assert not audit["flags"].any()
 
@@ -553,7 +555,7 @@ def test_audit_gates_fail_on_nan():
     for scale, expected in ((1e150, [True, True, False]), (1e160, [True] * 3)):
         a, b = (scale * random_hermitian(3, seed).matrix for seed in (2, 3))
         with np.errstate(all="ignore"):
-            audit = _audit(GnsModel(rho), [from_key("wyd:0.5")], a, b)
+            audit = _audit(rho, [from_key("wyd:0.5")], a, b)
         for key in ("G", "H", "residual", "mu_min_atom"):
             assert np.isnan(audit[key]).all(), (scale, key)
         assert np.isnan(audit["gform_min"]).all() == (scale == 1e160), scale
@@ -563,7 +565,7 @@ def test_audit_gates_fail_on_nan():
     # a NaN G-form of a0 alone fails the one gate beside b0's finite form
     a = 1e160 * random_hermitian(3, 2).matrix
     with np.errstate(all="ignore"):
-        audit = _audit(GnsModel(rho), [from_key("wyd:0.5")], a, random_hermitian(3, 3).matrix)
+        audit = _audit(rho, [from_key("wyd:0.5")], a, random_hermitian(3, 3).matrix)
     assert np.isnan(audit["gform_min"]).all()
     assert audit["flags"][0, 0, AUDIT_FLAGS.index("gform_negative")]
 
@@ -583,13 +585,13 @@ def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
     monkeypatch.setattr(qinfo, "tilde_transform", asymmetric)
     functions = [from_key(k) for k in ALL_KEYS]
     for dim in (2, 3, 5):
-        m = _model(dim, seed=710 + dim)
+        rho = _state(dim, seed=710 + dim)
         a = random_hermitian(dim, seed=711 + dim)
         b = random_hermitian(dim, seed=712 + dim)
         with pytest.raises(ValueError, match="not Hermitian"):
-            _audit(m, functions, a, b)
+            _audit(rho, functions, a, b)
     monkeypatch.undo()
-    assert not _audit(m, functions, a, b)["flags"].any()
+    assert not _audit(rho, functions, a, b)["flags"].any()
 
 
 def test_audit_with_no_catalog_entries_matches_the_report():
@@ -600,7 +602,7 @@ def test_audit_with_no_catalog_entries_matches_the_report():
     states = random_density(3, [64, 65, 66])
     sa, sb = (random_hermitian(3, seeds).matrix for seeds in ([67, 68, 69], [70, 71, 72]))
     for state, x, y, t in ((rho, a, b, 1), (states, sa, sb, 3)):
-        audit = _audit(GnsModel(state), [], x, y)
+        audit = _audit(state, [], x, y)
         assert all(audit[key].shape == (t, 0) for key in GRID_COLUMNS)
         assert audit["flags"].shape == (t, 0, len(AUDIT_FLAGS))
         assert audit["mu_min_atom"].shape == (t,)
@@ -609,12 +611,10 @@ def test_audit_with_no_catalog_entries_matches_the_report():
         assert columns["residuals"] == ()
 
 
-def test_audit_rejects_terms_of_another_state_and_misshapen_tilde_values():
-    m, other = _model(3, seed=73), _model(3, seed=74)
+def test_h_from_measure_rejects_misshapen_tilde_values():
+    rho = _state(3, seed=73)
     a, b = random_hermitian(3, seed=75), random_hermitian(3, seed=76)
-    with pytest.raises(ValueError, match="another state"):
-        audit_G_equals_H(m, eigenbasis_terms(other.rho, [sld()], a, b))
-    mu = _mu(m, centered(m.rho, a), centered(m.rho, b))
+    mu = _mu(rho, centered(rho, a), centered(rho, b))
     q = tilde_transform(sld(), mu.values)
     # one state's measure takes (F, K) tilde values: an entry axis, then the atoms
     for bad in (q, q[None, :-1], q[None, None]):
@@ -639,7 +639,7 @@ def test_audit_g_is_the_public_direct_route():
         n = rho.dim
         a = random_hermitian(n, seed=900 + n)
         b = random_hermitian(n, seed=950 + n)
-        entries = _entries(_audit(GnsModel(rho), functions, a, b))
+        entries = _entries(_audit(rho, functions, a, b))
         var_a, var_b, cov_ab = variance(rho, a), variance(rho, b), covariance(rho, a, b)
         for f, entry in zip(functions, entries):
             info_a, info_b = f_information(rho, f, a), f_information(rho, f, b)
@@ -661,11 +661,11 @@ def test_audit_working_set_is_a_few_observable_batches(n, t):
     seeds = [1000 + 10 * n + k for k in range(t)]
     rho = random_density(n, seeds)
     a, b = (random_hermitian(n, [s + k for s in seeds]).matrix for k in (1, 2))
-    m, terms = GnsModel(rho), eigenbasis_terms(rho, functions, a, b)
-    audit_G_equals_H(m, terms)  # a first call's one-off allocations are not the working set
+    terms = eigenbasis_terms(rho, functions, a, b)
+    audit_G_equals_H(terms)  # a first call's one-off allocations are not the working set
     tracemalloc.start()
     try:
-        audit = audit_G_equals_H(m, terms)
+        audit = audit_G_equals_H(terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -677,30 +677,36 @@ def test_audit_working_set_is_a_few_observable_batches(n, t):
 def test_h_from_measure_consistency():
     # the audit's H is the measure of the centered observables, integrated;
     # it centers them in the eigenbasis, u† a u - Tr(rho a) 1
-    m = _model(3, seed=90)
+    rho = _state(3, seed=90)
     a = random_hermitian(3, seed=91).matrix
     b = random_hermitian(3, seed=92).matrix
     functions = [sld(), wyd(0.3)]
-    at0, bt0 = (m.rho.to_eigenbasis(x) - np.trace(m.rho.matrix @ x).real * np.eye(3) for x in (a, b))
-    mu = build_mu(m, at0, bt0)
-    audit = _audit(m, functions, a, b)
+    at0, bt0 = (rho.to_eigenbasis(x) - np.trace(rho.matrix @ x).real * np.eye(3) for x in (a, b))
+    mu = build_mu(rho, at0, bt0)
+    audit = _audit(rho, functions, a, b)
     q = np.array([tilde_transform(f, mu.values) for f in functions])
-    assert repr(h_from_measure(mu, q).tolist()) == repr(audit["H"][0].tolist())
+    h, dots = h_from_measure(mu, q)
+    assert repr(h.tolist()) == repr(audit["H"][0].tolist())
+    # its dots Q_x, Q_y, Q_z, one row per marginal, each as that marginal's own dot
+    assert dots.shape == (3, len(functions))
+    for got, w in zip(dots, mu.marginals):
+        assert repr(got.tolist()) == repr(gns._dot(q, w).tolist())
     assert mu.min_weight_bound == audit["mu_min_atom"][0]
     # against the rotation of the standard-basis centered observables, only
     # round-off moves
-    rotated = _mu(m, centered(m.rho, a), centered(m.rho, b))
-    h_rotated = h_from_measure(rotated, q)
+    rotated = _mu(rho, centered(rho, a), centered(rho, b))
+    h_rotated, _ = h_from_measure(rotated, q)
     assert np.allclose(h_rotated, audit["H"][0], rtol=1e-13, atol=1e-15)
 
 
 def test_model_exposes_spectral_data():
-    # the model holds its state and no copy of it: the spectral data are the state's
+    # the forms, the measure and the audit take the state itself, and the
+    # model is left holding its state alone: the spectral data are the state's
     rho = random_density(3, seed=93)
-    m = GnsModel(rho)
+    m = gns.GnsModel(rho)
     assert m.rho is rho
-    assert [name for name in dir(m) if not name.startswith("_")] == ["rho", "spectrum"]
-    assert np.allclose(np.diag(_ratios(m)), 1.0, atol=0.0)
+    assert [name for name in dir(m) if not name.startswith("_")] == ["rho"]
+    assert np.allclose(np.diag(_ratios(rho)), 1.0, atol=0.0)
     assert rho.dim == 3 and rho.eigenvalues.shape == (3,)
     assert np.allclose(
         rho.matrix, (rho.eigenvectors * rho.eigenvalues) @ rho.eigenvectors.conj().T, atol=1e-12
@@ -733,12 +739,12 @@ def test_stacked_audit_equals_per_trial_audits():
         n, t = states[0].dim, len(states)
         a = np.array([random_hermitian(n, seed=1300 + k).matrix for k in range(t)])
         b = np.array([random_hermitian(n, seed=1400 + k).matrix for k in range(t)])
-        singles = [_audit(GnsModel(rho), functions, a[k], b[k]) for k, rho in enumerate(states)]
+        singles = [_audit(rho, functions, a[k], b[k]) for k, rho in enumerate(states)]
         expected = _bits({key: np.concatenate([s[key] for s in singles]) for key in keys}, keys)
         for cut in (1, t // 2, t - 1):
             chunks = [range(0, cut), range(cut, t)]
             audits = [
-                _audit(GnsModel(_stack([states[k] for k in c])), functions, a[c], b[c])
+                _audit(_stack([states[k] for k in c]), functions, a[c], b[c])
                 for c in chunks
             ]
             stacked = {key: np.concatenate([x[key] for x in audits]) for key in keys}
@@ -803,7 +809,7 @@ def test_audited_sweep_records_are_per_trial_audits():
         rho = random_density(64, hash64(seed, 0))
         a, b = (random_hermitian(64, hash64(seed, k)).matrix for k in (1, 2))
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)  # the sweep's normalisation
-        entries = _entries(_audit(GnsModel(rho), functions, a, b))
+        entries = _entries(_audit(rho, functions, a, b))
         assert [r["f"] for r in rows] == [f.name for f in functions]
         for row, entry in zip(rows, entries):
             assert repr(row["residuals"][-1]) == repr(entry["residual"]), (trial, row["f"])
@@ -831,32 +837,32 @@ def _audit_form_cases():
 
 def test_stacked_audit_forms_equal_each_observables_own():
     # the audit computes E1 of a0 and b0 in one stacked call, mu's marginals
-    # as one (3, T, K) array, the G-forms 0.5 E1 - q . m as one stacked dot
-    # against two of its rows and the parts of its bound from that array;
+    # as one (3, T, K) array, the G-forms 0.5 E1 - q . m from two rows of
+    # H's one stacked dot against it and the parts of its bound from that array;
     # each equals its own per-observable value, by repr
     functions = [from_key(k) for k in ALL_KEYS]
     for rho, t in _audit_form_cases():
-        m, n = GnsModel(rho), rho.dim
+        n = rho.dim
         seeds = list(range(1600 + 10 * n, 1600 + 10 * n + t))
         a, b = (random_hermitian(n, [s + k for s in seeds]).matrix.reshape(rho.matrix.shape) for k in (0, 5))
         terms = eigenbasis_terms(rho, functions, a, b)
-        lam = m.rho.eigenvalues.reshape(-1, n)
+        lam = rho.eigenvalues.reshape(-1, n)
         q = terms.tilde.reshape(t, len(functions), n * n)
         gforms, graph, centered_t = [], [], []
         for x, xt in ((terms.a, terms.at), (terms.b, terms.bt)):
             exp = np.trace(rho.matrix.reshape(-1, n, n) @ x, axis1=1, axis2=2).real
             xt0 = xt - exp[:, None, None] * np.eye(n)
-            e1 = form_E1(m, xt0, xt0)
+            e1 = form_E1(rho, xt0, xt0)
             own = (np.abs(xt0) ** 2 * lam[:, None, :]).reshape(t, -1)
             gforms.append(0.5 * e1.real[:, None] - gns._dot(q, own[:, None, :]))
             graph.append(e1)
             centered_t.append(xt0)
         pair_t = np.array(centered_t)
-        assert repr(form_E1(m, pair_t, pair_t).tolist()) == repr(np.array(graph).tolist())
+        assert repr(form_E1(rho, pair_t, pair_t).tolist()) == repr(np.array(graph).tolist())
         at0, bt0 = centered_t
-        audit = audit_G_equals_H(m, terms)
+        audit = audit_G_equals_H(terms)
         assert repr(audit["gform_min"].tolist()) == repr(np.minimum(*gforms).tolist())
-        mu = build_mu(m, at0, bt0)
+        mu = build_mu(rho, at0, bt0)
         assert mu.marginals.shape == (3, t, n * n)
         marginals = (np.abs(at0) ** 2, np.abs(bt0) ** 2, np.real(np.conj(at0) * bt0))
         for got, entries in zip(mu.marginals, marginals):
@@ -882,13 +888,13 @@ def test_audit_gforms_match_the_public_form_g(dim):
     eps = np.finfo(float).eps
     for trial in range(3):
         seed = 1900 + 10 * dim + trial
-        m = _model(dim, seed=seed)
+        rho = _state(dim, seed=seed)
         a, b = (random_hermitian(dim, seed=seed + k).matrix for k in (1, 2))
-        audit = _audit(m, functions, a, b)
-        pair0 = [centered(m.rho, x) for x in (a, b)]
-        e1 = max(form_E1(m, *(m.rho.to_eigenbasis(x0),) * 2).real for x0 in pair0)
+        audit = _audit(rho, functions, a, b)
+        pair0 = [centered(rho, x) for x in (a, b)]
+        e1 = max(form_E1(rho, *(rho.to_eigenbasis(x0),) * 2).real for x0 in pair0)
         for k, f in enumerate(functions):
-            public = min(form_G(m, f, x0, x0).real for x0 in pair0)
+            public = min(form_G(rho, f, x0, x0).real for x0 in pair0)
             got = audit["gform_min"][0, k]
             assert abs(got - public) <= dim * dim * eps * e1, (dim, trial, ALL_KEYS[k])
 
@@ -923,7 +929,7 @@ def test_audit_residual_floor_is_the_states_trace_defect():
         for seed in range(1810, 1820):
             a, b = (random_hermitian(4, seed=seed + k).matrix for k in (0, 100))
             a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-            audit = _audit(GnsModel(rho), functions, a, b)
+            audit = _audit(rho, functions, a, b)
             assert not audit["flags"].any()
             residuals.append(float(audit["residual"].max()))
         worst[name] = (max(residuals), defect)

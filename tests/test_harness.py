@@ -416,7 +416,7 @@ def test_records_do_not_depend_on_the_chunks_or_dims_beside_them(gns_audit):
         single = evaluate_inequalities(rho, f, a, b).to_dict()
         if gns_audit:
             terms = qinfo.eigenbasis_terms(rho, [f], a, b)
-            audit = harness.audit_G_equals_H(harness.GnsModel(rho), terms)
+            audit = harness.audit_G_equals_H(terms)
             single["residuals"].append(audit["residual"].item())
         assert _report_bits(single) == _report_bits(record), record
 
@@ -451,6 +451,22 @@ run_sweep(config)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
+# Several 40-trial sweeps at dim 32 and then at dim 64 in one interpreter:
+# the minor page faults of the last sweep at each dim.
+LOOP_FAULT_CHILD = """\
+import resource, sys
+from skewcal.harness import SweepConfig, run_sweep
+for dim in (32, 64):
+    config = SweepConfig(
+        dims=(dim,), trials=40, f_specs=sys.argv[1].split(","), gns_audit=sys.argv[2] == "1",
+    )
+    for _ in range(int(sys.argv[3])):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_sweep(config)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(dim, faults)
+"""
+
 
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
@@ -465,20 +481,33 @@ def test_sweep_faults_few_pages_per_chunk(gns_audit):
     # the audit. The block a sweep frees before its first chunk raises that
     # threshold; of the few faults per chunk left at 400 trials (200 chunks
     # of T = 2), most are the first chunk's: numpy's and LAPACK's first calls.
+    # The block is sized for the sweep's own chunks, audited or not. A loop
+    # of short sweeps checks that where the first chunk's faults do not
+    # spread over hundreds of chunks: there, under a block sized for the
+    # plain chunk, each audited chunk takes hundreds of faults at dim 32 and
+    # about a hundred at dim 64.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+    def child(script, *args):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
     trials = 400
-    done = subprocess.run(
-        [sys.executable, "-c", FAULT_CHILD, str(trials), ",".join(KEYS), str(int(gns_audit))],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
     chunks = trials // max(1, harness._STACK_ENTRIES // 64**2)
-    assert int(done.stdout) / chunks < 40
+    assert int(child(FAULT_CHILD, trials, ",".join(KEYS), int(gns_audit))) / chunks < 40
+    for line in child(LOOP_FAULT_CHILD, ",".join(KEYS), int(gns_audit), 4).splitlines():
+        dim, faults = map(int, line.split())
+        chunks = math.ceil(40 / max(1, harness._STACK_ENTRIES // dim**2))
+        assert faults / chunks < 40, (dim, faults)
 
 
 def test_sweep_matches_golden_stream(fixtures_dir):
@@ -672,8 +701,8 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
         columns["flags"][last, 0] = True
         return columns
 
-    def forged_audit(model, terms):
-        audit = real_audit(model, terms)
+    def forged_audit(terms):
+        audit = real_audit(terms)
         audit["residual"][0, -1] = np.inf
         audit["residual"][-1, 0] = np.nan
         audit["flags"][0, 0, 0] = True

@@ -90,11 +90,12 @@ def test_hermitian_rejects_bad_input():
 
 
 def test_eigendecompose_descending_and_reconstructs():
-    h = random_hermitian(5, seed=3)
+    h = random_hermitian(5, STACK_SEEDS).matrix
     lam, u = eigendecompose(h)
+    assert lam.shape == (len(STACK_SEEDS), 5) and u.shape == h.shape
     assert np.all(np.diff(lam) <= 0)
-    assert np.allclose((u * lam) @ u.conj().T, h.matrix, atol=1e-12)
-    assert np.allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
+    assert np.allclose((u * lam[:, None, :]) @ u.conj().swapaxes(1, 2), h, atol=1e-12)
+    assert np.allclose(u.conj().swapaxes(1, 2) @ u, np.eye(5), atol=1e-12)
 
 
 def test_density_validation():
@@ -437,9 +438,9 @@ def test_stack_rejects_failed_reconstruction_by_index(monkeypatch):
 
         monkeypatch.setattr(linalg.np.linalg, "eigh", perturbed)
         _rejected(k, "eigendecomposition reconstruction", random_density, 3, STACK_SEEDS)
-    # a single matrix is a stack of one, rejected at index 0
+    # a single state is a stack of one, rejected at index 0
     monkeypatch.setattr(linalg.np.linalg, "eigh", lambda m: perturbed(m, k=0))
-    _rejected(0, "eigendecomposition reconstruction", eigendecompose, np.diag([2.0, 1.0]))
+    _rejected(0, "eigendecomposition reconstruction", DensityMatrix, np.diag([0.6, 0.4]))
 
 
 def test_single_matrix_rejection_equals_stack_rejection():

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,27 @@ def test_wyd_rejects_nonpositive_x():
         wyd_f(0.5, 0.0)
     with pytest.raises(ValueError):
         wyd_f(0.5, np.array([2.0, -1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_catalog_functions_reject_non_finite_input(bad):
+    # computed on, an inf gives NaN with a RuntimeWarning, and a NaN or an inf
+    # in a grid is not the nonpositive point a sign test would call it; each
+    # is a ValueError that says finite, raised before any arithmetic can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: wyd_f(0.5, bad),
+            lambda: wyd_f(0.5, np.array([2.0, bad])),
+            lambda: tilde_transform(wyd(0.5), bad),
+            lambda: tilde_transform(sld(), np.array([bad, 2.0])),
+            lambda: tilde_transform([sld(), wyd(0.5)], np.full((1, 2, 2), bad)),
+        ):
+            with pytest.raises(ValueError, match="x must be finite"):
+                call()
+        for f in (sld(), wyd(0.5), harmonic()):
+            with pytest.raises(ValueError, match="grid must be finite"):
+                validate_catalog_entry(f, grid=[bad, 2.0])
 
 
 @pytest.mark.parametrize("beta", [0.05, 0.1, 0.5, 0.9, 0.95])
@@ -207,6 +229,13 @@ def test_validation_grid_handling():
     report = validate_catalog_entry(sld(), grid=np.array([4.0, 0.25, 1.0]))
     assert report.grid_size == 3
     assert report.ok
+    # a point whose mirror 1 / x overflows to inf leaves the symmetry fields
+    # NaN, which fail their bounds, and warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_catalog_entry(wyd(0.5), grid=[1e-320, 1.0])
+    assert np.isnan(report.max_symmetry_violation) and np.isnan(report.max_tilde_symmetry_violation)
+    assert report.min_value == 0.25 and not report.ok
 
 
 @pytest.mark.parametrize(

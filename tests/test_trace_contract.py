@@ -91,8 +91,8 @@ def test_audited_sweep_audits_once_per_dim_chunk():
     assert chunks == 3  # one chunk at dim 3, two at dim 64
     calls = tracer.calls()
     assert calls["gns.audit"] == calls["gns.mu"] == chunks
-    # one GnsModel per chunk, plus the one spectrum it computes for the chunk
-    assert calls["gns.model"] == 2 * chunks
+    # no GnsModel is built: build_mu computes the chunk's one spectrum
+    assert calls["gns.model"] == chunks
     # per chunk, a and b are rotated once for the report and the audit, and
     # the audit centers them in the eigenbasis without rotating again; one
     # catalog tilde call per chunk
@@ -187,5 +187,6 @@ def test_modules_import_only_names_they_use_or_the_tracer_wraps():
     # only the tracer keeps these alive
     assert unused == {
         "gns": {"centered", "covariance", "f_correlation", "f_information", "variance", "tilde_transform"},
+        "harness": {"GnsModel"},
         "linalg": {"tilde_transform"},
     }
