@@ -32,9 +32,10 @@ audit read those arrays side by side. Each covers the chunk's (trial,
 entry) grid in one call and returns (T, F) columns, the audit's
 residual and flags appended to the report's. Each entry's records are
 built from those columns in one pass per chunk. A sweep that writes jsonl
-also turns the same columns into the records' lines, one repr pass per
-column block: the scalars that do not depend on f once per trial, the
-others and the residuals once per (trial, entry); a csv row is
+also turns the same columns into the records' lines, in one text pass per
+chunk over the scalars that do not depend on f, once per trial, and the
+others and the residuals, once per (trial, entry): one repr spells each
+distinct 64-bit pattern among them once (``_float_texts``). A csv row is
 ``csv.writer`` applied to the record's values (``_csv_row``). Only the
 draws run per trial. A rejected trial is reported
 with its (dim, trial, seed).
@@ -471,17 +472,23 @@ def _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags) -> li
 
     ``scalars`` holds the (F, T, len(_SCALARS)) values. The _SHARED ones
     are printed once per trial, from the first entry's rows, and the
-    _PER_ENTRY ones once per (entry, trial); each block, and each entry's
-    residuals, in one ``_float_texts`` pass.
+    _PER_ENTRY ones once per (entry, trial). Those two blocks and every
+    entry's residuals are spelled in one ``_float_texts`` pass over their
+    concatenation, which spells each distinct float of the chunk once.
     """
     count = len(trials)
-    shared = list(_grouped(_float_texts(scalars[0][:, _SHARED]), len(_SHARED), count))
-    own = _float_texts(scalars[:, :, _PER_ENTRY])
-    own = list(_grouped(own, len(_PER_ENTRY), len(functions) * count))
+    blocks = [scalars[0][:, _SHARED], scalars[:, :, _PER_ENTRY], *residuals]
+    spelled = _float_texts(np.concatenate(blocks, axis=None))
+    ends = np.cumsum([block.size for block in blocks]).tolist()
+    shared = list(_grouped(spelled[: ends[0]], len(_SHARED), count))
+    own = list(_grouped(spelled[ends[0] : ends[1]], len(_PER_ENTRY), len(functions) * count))
+    res_texts = [
+        _grouped(spelled[start:end], res.shape[1], count)
+        for start, end, res in zip(ends[1:], ends[2:], residuals)
+    ]
     texts = []
-    for k, (f, res, f_flags) in enumerate(zip(functions, residuals, flags)):
-        res_texts = _grouped(_float_texts(res), res.shape[1], count)
-        rows = zip(trials, seeds, shared, own[k * count : (k + 1) * count], res_texts, f_flags)
+    for k, (f, f_res, f_flags) in enumerate(zip(functions, res_texts, flags)):
+        rows = zip(trials, seeds, shared, own[k * count : (k + 1) * count], f_res, f_flags)
         head = f'{{"dim": {dim}, "f": {json.dumps(f.name)}, "trial": '
         texts.append(
             [
@@ -496,17 +503,19 @@ def _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags) -> li
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
-    """The json text of each float of ``values``, in C order, as one repr pass over the block.
+    """The json text of each float of ``values``, in C order, spelling each distinct float once.
 
     A float is spelled as its repr, except nan, inf and -inf, which are
-    spelled as json does (NaN, Infinity, -Infinity).
+    spelled as json does (NaN, Infinity, -Infinity). The floats are keyed
+    on their 64-bit patterns, so 0.0 and -0.0 stay apart, and one repr
+    pass spells the distinct patterns.
     """
-    if not values.size:
-        return []
-    texts = repr(values.ravel().tolist())[1:-1].split(", ")
-    if not np.isfinite(values).all():
-        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
-    return texts
+    bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    spelled = repr(distinct.tolist())[1:-1].split(", ")
+    if not np.isfinite(distinct).all():
+        spelled = [_JSON_NONFINITE.get(text, text) for text in spelled]
+    return [spelled[i] for i in inverse.tolist()]
 
 
 def _grouped(texts: list[str], width: int, count: int):

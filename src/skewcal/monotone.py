@@ -147,7 +147,8 @@ def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
     one row. A catalog call checks positivity and forms x + 1, (x - 1)^2
     and the wyd series window once for every entry, and the entries built
     by :func:`wyd` share one pass; each value has the bits of the entry's
-    own call.
+    own call. An entry with f(0) = 0 is not evaluated: its transform is
+    (x + 1)/2, exact for every finite x.
 
     Round-off can push the mathematically nonnegative result a hair below
     zero; values in [TILDE_CLAMP_FLOOR, 0) are clamped to 0 in place and
@@ -161,20 +162,28 @@ def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
     entries = tuple(f)
     if arr.ndim < 2:
         raise ValueError(f"a catalog takes a stack of ratio matrices, got shape {arr.shape}")
-    u = arr - 1.0
-    u_sq = np.square(u)
-    fx = np.empty(arr.shape[:-2] + (len(entries),) + arr.shape[-2:])
-    betas = [_wyd_beta(entry) for entry in entries]
-    wyd_at = [k for k, beta in enumerate(betas) if beta is not None]
-    if wyd_at:
-        wyd_fx = _wyd_values([betas[k] for k in wyd_at], arr, u, u_sq)
-        fx[..., wyd_at, :, :] = np.moveaxis(wyd_fx, 0, -3)
-    for k, entry in enumerate(entries):
-        if k not in wyd_at:
-            fx[..., k, :, :] = entry(arr)
-    # the formula, in place in fx
-    values = np.divide(np.array([e.f_at_zero for e in entries])[:, None, None], fx, out=fx)
-    values *= u_sq[..., None, :, :]
+    f0 = np.array([e.f_at_zero for e in entries])
+    live = f0 != 0.0
+    # each entry's (x - 1)^2 f(0) / f(x), then the formula, in place. The
+    # term is 0 for f(0) = 0, so those entries take neither f nor (x - 1)^2:
+    # their f slot holds 1, the divide gives 0, and the masked multiply
+    # keeps it, even where (x - 1)^2 overflows
+    values = np.ones(arr.shape[:-2] + (len(entries),) + arr.shape[-2:])
+    if live.any():
+        u = arr - 1.0
+        u_sq = np.square(u)
+        betas = [_wyd_beta(entry) for entry in entries]
+        wyd_at = [k for k, beta in enumerate(betas) if beta is not None]
+        if wyd_at:
+            wyd_fx = _wyd_values([betas[k] for k in wyd_at], arr, u, u_sq)
+            values[..., wyd_at, :, :] = np.moveaxis(wyd_fx, 0, -3)
+        for k, entry in enumerate(entries):
+            if live[k] and k not in wyd_at:
+                values[..., k, :, :] = entry(arr)
+        np.divide(f0[:, None, None], values, out=values)
+        np.multiply(values, u_sq[..., None, :, :], out=values, where=live[:, None, None])
+    else:
+        values.fill(0.0)
     np.subtract((arr + 1.0)[..., None, :, :], values, out=values)
     values *= 0.5
     if clamp:

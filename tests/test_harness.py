@@ -1,5 +1,6 @@
 """Sweep harness: seeding, record streams, summaries, file checks, and the CLI."""
 
+import builtins
 import csv
 import importlib.util
 import io
@@ -680,13 +681,19 @@ def test_sweep_text_equals_per_record_dumps(gns_audit, monkeypatch, tmp_path):
 def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_path):
     # the sampled instances reach no non-finite value or flag, so the report
     # and the audit are fed them: each f-independent column keeps one value
-    # per trial across the entries, as the report computes it
+    # per trial across the entries, as the report computes it. Every chunk
+    # holds 0.0 beside -0.0, NaN with and without its sign bit, both
+    # infinities, 5e-324, and 1e16 in the shared block, an entry's block and
+    # a residual; its text pass spells each distinct bit pattern once.
     real_report, real_audit = harness._report_in_eigenbasis, harness.audit_G_equals_H
+    real_texts = harness._chunk_texts
+    negative_nan = np.copysign(np.nan, -1.0)
 
     def forged_report(terms, tol):
         columns = real_report(terms, tol)
         last = len(columns["gap"]) - 1
         columns["var_a"][0] = np.nan
+        columns["var_b"][last] = 0.0
         columns["cov_ab"][last] = -0.0
         columns["lhs"][last] = -np.inf
         columns["heisenberg_rhs"][0] = 1e16
@@ -694,9 +701,11 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
         columns["info_b"][0, 1] = 1e-5
         columns["corr_ab"][last, -1] = -0.0
         columns["rhs"][0, -1] = 5e-324
-        columns["gap"][last, 1] = np.nan
+        columns["rhs"][last, 0] = 1e16
+        columns["gap"][last, 1] = negative_nan
         columns["residuals"][0][last] = (np.nan, -0.0, 5e-324)
         columns["residuals"][1][0, 2] = -np.inf
+        columns["residuals"][1][last, 0] = 1e16
         columns["flags"][0, :, 1] = True
         columns["flags"][last, 0] = True
         return columns
@@ -708,16 +717,39 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
         audit["flags"][0, 0, 0] = True
         return audit
 
+    spelled = []  # per jsonl chunk, the float lists its text pass passed to repr
+
+    def counted_texts(*args):
+        spelled.append([])
+        return real_texts(*args)
+
+    def counted_repr(value):
+        if isinstance(value, list):  # the text pass's; _csv_row spells floats one by one
+            spelled[-1].append(value)
+        return builtins.repr(value)
+
     monkeypatch.setattr(harness, "_report_in_eigenbasis", forged_report)
     monkeypatch.setattr(harness, "audit_G_equals_H", forged_audit)
+    monkeypatch.setattr(harness, "_chunk_texts", counted_texts)
+    monkeypatch.setattr(harness, "repr", counted_repr, raising=False)
     monkeypatch.setattr(harness, "_STACK_ENTRIES", 18)
+    edges = np.array([0.0, -0.0, np.nan, negative_nan, np.inf, -np.inf, 5e-324, 1e16])
     for gns_audit in (False, True):
+        spelled.clear()
         config = SweepConfig(dims=(2, 3), trials=4, f_specs=KEYS, seed=5, gns_audit=gns_audit)
         records = _written_as_dumped(config, tmp_path)
         texts = {repr(r[c]) for r in records for c in SCALARS} | {
             repr(x) for r in records for x in r["residuals"]
         }
-        assert {"nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "1e-05"} <= texts
+        assert {"nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e+16", "1e-05"} <= texts
+        # one chunk of 4 trials at dim 2 and two of 2 at dim 3, one repr each,
+        # of pairwise distinct bit patterns
+        assert len(spelled) == 3
+        for calls in spelled:
+            assert len(calls) == 1
+            bits = np.array(calls[0]).view(np.uint64)
+            assert np.unique(bits).size == bits.size
+            assert set(edges.view(np.uint64).tolist()) <= set(bits.tolist())
         assert any(r["residuals"] == [] for r in records) != gns_audit
         flags = [set(r["flags"]) for r in records]
         assert any("main_inequality_violation" in names for names in flags)

@@ -120,6 +120,15 @@ def test_sld_harmonic_transform_duality():
     assert np.array_equal(tilde_transform(harmonic(), grid), sld()(grid))
 
 
+def test_harmonic_tilde_is_exact_where_the_square_overflows():
+    # f(0) = 0 drops the (x - 1)^2 f(0) / f(x) term, so (x - 1)^2, which
+    # overflows above about 1.3e154, is not formed, and tilde is (x + 1) / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tilde_transform(harmonic(), 1e300) == 5e299
+        assert validate_catalog_entry(harmonic(), grid=[1e-300, 1e300]).ok
+
+
 def test_tilde_is_one_at_one():
     for key in CATALOG_KEYS:
         assert tilde_transform(from_key(key), 1.0) == 1.0
@@ -242,7 +251,7 @@ def test_validation_grid_handling():
     "f, grid",
     [
         (wyd(0.5), [1e-300, 1e300]),
-        (harmonic(), [1e-300, 1e300]),
+        (sld(), [1e-300, 1e300]),
         (wyd(0.5), [1e-320, 1.0]),
         # NaN below x = 2, so min_value and normalization_error are NaN too
         (
