@@ -40,33 +40,27 @@ is positive semidefinite, and with the arithmetic-geometric mean
 inequality that bounds every pair weight from below by per-atom
 quantities (:func:`build_mu`).
 
-The forms and the measure take the state itself, one DensityMatrix or a
-stacked one of T states, whose ``eigenvalues`` are the spectral data;
-over a stack they take (T, n, n) stacks of vectors and give one value per
-state, each from that state's entries alone. The audit runs once per
-stack and covers every catalog entry at once (:func:`audit_G_equals_H`),
-returning (T, F) columns; a single state's spectral arrays broadcast as a
-stack of one, with no second eigendecomposition. It takes the state, the
-observables' eigenbasis entries, the (T, F, n, n) tilde values on the
-eigenvalue ratios and the kernels lam_j tilde from one
-:func:`skewcal.qinfo.eigenbasis_terms`, the one rotation and the one
-catalog tilde call that the stacked report reads too. The tilde values at
-the atoms are those entries in ravel order, and mu's marginals are one
-(3, T, K) array, so H and the G-forms read the same dots of the (T, F, K)
-tilde values against those marginals, taken once by :func:`h_from_measure`:
-G^f(x0, x0) = E1 / 2 - sum_k tilde(s_k) m_xx[k], the kernel form
-sum_ij k_ij |x0_ij|^2 summed atom by atom. Its largest arrays are G's
-back-rotated kernel products, one observable's (T, F, n, n) batch at a
-time, a's and then b's.
-This module holds the modular side only: G, the direct route's gap, is
-:func:`skewcal.qinfo._scalars` of the direct traces of the same terms,
-the report's formula, and :func:`form_G` reads its kernel from
-``eigenbasis_terms`` too.
+The forms and the measure take the state, one DensityMatrix or a stacked
+one of T states, and (T, n, n) stacks of vectors over a stack, giving one
+value per state from that state's entries alone. The audit
+(:func:`audit_G_equals_H`) runs once per stack for every catalog entry
+and returns (T, F) columns; a single state's spectral arrays broadcast as
+a stack of one. It reads one :func:`skewcal.qinfo.eigenbasis_terms`, the
+rotation and the tilde call the stacked report reads too: the
+observables' eigenbasis entries as one (2, T, n, n) pair, a's and then
+b's, which it centers on a copy, and the (T, F, n, n) tilde values and
+kernels. The tilde values at the atoms are those entries in ravel order,
+so H and the G-forms read the same dots of the (T, F, K) tilde values
+against mu's (3, T, K) marginals, taken once by :func:`h_from_measure`:
+G^f(x0, x0) = E1 / 2 - sum_k tilde(s_k) m_xx[k]. Its largest arrays are
+G's back-rotated kernel products, one observable's (T, F, n, n) batch at
+a time. G is :func:`skewcal.qinfo._scalars` of the direct traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -196,17 +190,15 @@ class AtomicPairMeasure:
         marginals are never negative and obey Cauchy-Schwarz up to round-off,
         so the second term is 0 and C of round-off size.
         """
-        ab, z = self.marginals[:2], self.marginals[2]
-        pos = np.maximum(ab, 0.0)
+        pos, (pos_a, pos_b) = self._positive_parts
         g = np.sqrt(pos[0] * pos[1])
         # A+, B+ are the largest positive parts; A-, B- the positive parts of -min
-        pos_a, pos_b = np.max(pos, axis=-1)
-        neg_a, neg_b = np.maximum(-np.min(ab, axis=-1), 0.0)
-        s = np.max(g, axis=-1)
-        c = np.maximum(np.max(np.abs(z) - g, axis=-1), 0.0)
+        neg_a, neg_b = np.maximum(-self.marginals[:2].min(axis=-1), 0.0)
+        s = g.max(axis=-1)
+        c = np.maximum((np.abs(self.marginals[2]) - g).max(axis=-1), 0.0)
         # + 0.0 turns the -0.0 of a zero bound into 0.0
         off = -2.0 * (2.0 * s * c + c * c) - 2.0 * (pos_a * neg_b + neg_a * pos_b) + 0.0
-        return _value(np.minimum(np.min(self.weights, axis=-1), off))
+        return _value(np.minimum(self.weights.min(axis=-1), off))
 
     @property
     def weight_scale(self):
@@ -219,8 +211,13 @@ class AtomicPairMeasure:
         and in :attr:`min_weight_bound`, is a few eps times it; the
         ``mu_negative_atom`` gate's slack is MU_ATOM_SLACK times it.
         """
-        pos_a, pos_b = np.max(np.maximum(self.marginals[:2], 0.0), axis=-1)
-        return _value(pos_a * pos_b)
+        return _value(np.multiply(*self._positive_parts[1]))
+
+    @cached_property
+    def _positive_parts(self):
+        """The positive parts of m_xx and m_yy, (2, ..., K), and their maxima A+, B+, (2, ...)."""
+        pos = np.maximum(self.marginals[:2], 0.0)
+        return pos, pos.max(axis=-1)
 
 
 def build_mu(rho: DensityMatrix, xt, et) -> AtomicPairMeasure:
@@ -248,14 +245,13 @@ def build_mu(rho: DensityMatrix, xt, et) -> AtomicPairMeasure:
     can cancel far below the round-off of one weight. Its diagonal part
     equals the K^2 array's diagonal bit for bit.
     """
-    lead = np.shape(xt)[:-2]
     # the three marginals as one (3, ..., K) array: |xt|^2, |et|^2, Re(conj(xt) et)
     pair = np.array((xt, et))
     entries = np.empty((3,) + pair.shape[1:])
     entries[:2] = np.abs(pair) ** 2
     entries[2] = np.real(np.conj(pair[0]) * pair[1])
     entries *= rho.eigenvalues[..., None, :]
-    marginals = entries.reshape((3,) + lead + (-1,))
+    marginals = entries.reshape(entries.shape[:-2] + (-1,))
     m_xx, m_yy, m_xy = marginals
     return AtomicPairMeasure(
         values=np.broadcast_to(_compute_spectrum(rho.eigenvalues), m_xx.shape),
@@ -300,44 +296,35 @@ def audit_G_equals_H(terms: EigenbasisTerms) -> dict[str, np.ndarray]:
     """Check the trace-route inequality gap against its spectral double integral.
 
     ``terms`` is :func:`~skewcal.qinfo.eigenbasis_terms` of the state or
-    stack ``terms.rho``: the observables a and b, their eigenbasis entries
-    u† a u and u† b u, the (T, F, n, n) tilde values on the eigenvalue
-    ratios and the kernels k = tilde * lam_j, the arrays the stacked report
-    reads too. The audit covers the (T, F) grid of states
-    (T = 1 for one state) and catalog entries in one pass and returns
-    columns: ``G``, ``H``, ``residual`` = |G - H| and ``gform_min`` as
-    (T, F) arrays, ``mu_min_atom`` as a (T,) array (mu does not depend on
-    f), and ``flags``, a (T, F, len(AUDIT_FLAGS)) boolean mask. Each value
-    equals the audit of its state alone, and the state's own
-    eigendecomposition is reused. G is assembled from direct traces, the
-    route of the qinfo scalars; H integrates the pair measure of the
-    centered observables. |G - H| beyond G_H_RTOL * max(1, |G|) is flagged,
-    as are a certified lower bound on the weights of mu below -MU_ATOM_SLACK
-    times their uncancelled size (:attr:`AtomicPairMeasure.weight_scale`),
-    and a negative quadratic form G^f on either centered observable (one
-    ``gform_negative`` for both). Each
-    gate flags unless its value is within bound, so a NaN G, H, bound or
-    form is flagged.
+    stack ``terms.rho`` (T = 1 for one state). The audit covers the (T, F)
+    grid of states and catalog entries in one pass and returns columns:
+    ``G``, ``H``, ``residual`` = |G - H| and ``gform_min`` as (T, F)
+    arrays, ``mu_min_atom`` as a (T,) array (mu does not depend on f), and
+    ``flags``, a (T, F, len(AUDIT_FLAGS)) boolean mask. Each value equals
+    the audit of its state alone. G is assembled from direct traces; H
+    integrates the pair measure of the centered observables. Flagged are
+    |G - H| beyond G_H_RTOL * max(1, |G|), a certified lower bound on the
+    weights of mu below -MU_ATOM_SLACK times their uncancelled size
+    (:attr:`AtomicPairMeasure.weight_scale`), and a negative G^f on either
+    centered observable (one ``gform_negative`` for both). Each gate flags
+    unless its value is within bound, so a NaN G, H, bound or form is
+    flagged.
 
-    Once per stack, Tr(rho a) and Tr(rho b) of
-    :func:`~skewcal.qinfo._trace_moments` center the observables' eigenbasis
-    entries, u† a u - Tr(rho a) 1 (the centering commutes with the
-    rotation); the graph forms E1 (the lam_i + lam_j kernel sum, one call
-    for both) and the measure mu (its three marginals one array) read only
-    these entries. Over every entry at once, from mu's marginals and the
-    (T, F, K) per-atom tilde values q: H by :func:`h_from_measure`, and
-    the G-forms G^f = E1 / 2 - q . m_xx of a0 (m_yy of b0) from the same
-    call's dots, which equal :func:`form_G` on each centered observable up
-    to summation order. G
-    is :func:`~skewcal.qinfo._scalars`, the report's formula, of the same
-    moments and :func:`~skewcal.qinfo._kernel_traces`, which back-rotates
-    a's kernel products and then b's. That
-    is the code the public :func:`~skewcal.qinfo.variance`,
-    :func:`~skewcal.qinfo.covariance`, :func:`~skewcal.qinfo.f_information`
-    and :func:`~skewcal.qinfo.f_correlation` run on one state, so G equals
-    the report's formula on the public values bit for bit; its
-    back-rotated kernel products are validated finite and Hermitian (a
-    failure raises ValueError).
+    Tr(rho a) and Tr(rho b) of :func:`~skewcal.qinfo._trace_moments`
+    center the observables in the eigenbasis (centering commutes with the
+    rotation): they come off the diagonal of a copy of ``terms.pair_t``.
+    The graph forms E1 and mu's three marginals read only these centered
+    entries, each one call for both observables. Over every entry at once,
+    :func:`h_from_measure` gives H and the dots q . m_xx and q . m_yy of the
+    (T, F, K) per-atom tilde values q, and the G-forms
+    G^f = E1 / 2 - q . m_xx of a0 (m_yy of b0) follow; they equal
+    :func:`form_G` up to summation order. G is
+    :func:`~skewcal.qinfo._scalars` of the same moments and
+    :func:`~skewcal.qinfo._kernel_traces`: the code the public variance,
+    covariance, f_information and f_correlation run on one state, so G is
+    the report's formula on their values bit for bit. The back-rotated
+    kernel products are validated finite and Hermitian (a failure raises
+    ValueError).
 
     G = H is an identity for states of trace 1. G's traces and H's measure
     of the centered observables use Tr rho in different places (for one,
@@ -350,11 +337,11 @@ def audit_G_equals_H(terms: EigenbasisTerms) -> dict[str, np.ndarray]:
     rho = terms.rho
     n = rho.dim
     t, f = terms.tilde.shape[:2]
-    # Tr(rho a) and Tr(rho b) center the observables; G reads every moment
+    # Tr(rho a) and Tr(rho b) center a0 and b0 in the eigenbasis, off the
+    # diagonal of a copy and nothing else; G reads every moment
     moments = _trace_moments(rho, terms.a, terms.b)
-    shift = moments[0][:, :, None, None] * np.eye(n)
-    # the eigenbasis entries of the centered a0 and b0
-    pair0_t = np.array((terms.at, terms.bt)) - shift
+    pair0_t = terms.pair_t.copy()
+    pair0_t.reshape(2, t, n * n)[..., :: n + 1] -= moments[0][..., None]
     mu = build_mu(rho, *pair0_t)
     mu_min = mu.min_weight_bound
     e1 = form_E1(rho, pair0_t, pair0_t).real
@@ -375,7 +362,7 @@ def audit_G_equals_H(terms: EigenbasisTerms) -> dict[str, np.ndarray]:
     flags[..., 1] = (mu_min >= -MU_ATOM_SLACK * mu.weight_scale)[:, None]
     # one gate for both G-forms: it holds only if each is within its floor
     gform_floor = -GFORM_SLACK * np.maximum(e1, 0.0)[..., None]
-    np.all(gforms >= gform_floor, axis=0, out=flags[..., 2])
+    (gforms >= gform_floor).all(axis=0, out=flags[..., 2])
     np.logical_not(flags, out=flags)
     return {
         "G": g,

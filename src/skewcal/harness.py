@@ -20,16 +20,15 @@ SeedSequence hash of each stream seed, into one (dims, trials, 3, 4)
 table of the words that PCG64 takes from it (``_sweep_seeds``). Each
 trial draws from its own generators, seeded by ISeedSequences that hand
 over its rows (``linalg._preset_seeds``), so every stream is that of
-``default_rng`` of its integer seed bit for bit; the samplers take the
-chunk's seeds and return validated stacks. Sampling, validation
-(with one batched eigh) and the Frobenius normalisation (two BLAS dots over
-the whole stack, each matrix's norm bit for bit ``np.linalg.norm``) run
-once per chunk. The chunk's observables are then rotated into the states'
-eigenbases once, and tilde is evaluated on the eigenvalue ratios in one
-catalog call for every entry, with the kernels built from it once
-(``eigenbasis_terms``); one stacked report and, optionally, one G = H
-audit read those arrays side by side. Each covers the chunk's (trial,
-entry) grid in one call and returns (T, F) columns, the audit's
+``default_rng`` of its integer seed bit for bit. A chunk makes two draws,
+each validated as one stack: its states, with one batched eigh, and its
+(2, T, n, n) pair of observables, a's T matrices and then b's, with one
+Frobenius normalisation (two BLAS dots, each norm bit for bit
+``np.linalg.norm``). One batched matmul rotates the pair into the states'
+eigenbases, and one catalog call evaluates tilde on the eigenvalue
+ratios for every entry (``qinfo._pair_terms``); one stacked report and,
+optionally, one G = H audit read those arrays, each over the chunk's
+(trial, entry) grid in one call, returning (T, F) columns, the audit's
 residual and flags appended to the report's. Each entry's records are
 built from those columns in one pass per chunk. A sweep that writes jsonl
 also turns the same columns into the records' lines, in one text pass per
@@ -37,28 +36,27 @@ chunk over the scalars that do not depend on f, once per trial, and the
 others and the residuals, once per (trial, entry): one repr spells each
 distinct 64-bit pattern among them once (``_float_texts``). A csv row is
 ``csv.writer`` applied to the record's values (``_csv_row``). Only the
-draws run per trial. A rejected trial is reported
-with its (dim, trial, seed).
+draws run per trial. A rejected trial is named by (dim, trial, seed).
 
 Memory: each chunk allocates its stacks and frees them, and every array
 a function returns is its caller's own. Without the audit, a chunk holds
 about max(200 + 16F, 144 + 32F) bytes per entry of its (T, n, n) stacks
-at its peak, 2.4 MiB at n = 64 with five keys, and with it about
-232 + 88F, 5.3 MiB; both are O(_STACK_ENTRIES) whatever the trial count.
-Before its first chunk, a sweep allocates one block of that peak size
-for its largest chunk and frees it at once, without writing to it: that
-raises glibc's dynamic mmap and trim thresholds above a chunk's stacks,
-so the heap top that a chunk frees stays mapped for the next one instead
-of going back to the kernel and faulting in again (``_records`` gives
-the condition). The seed table holds
-O(dims x trials) words, 104 B per (dim, trial) for the trial seed and
-its three streams' words, for the whole sweep (it is built in blocks of
-_SEED_BLOCK pairs, whose temporaries take about 400 B per pair); the
-records of one dimension, with their lines when the output is jsonl, are
-kept until it is written.
-Every stacked operation and reduction acts on one trial's entries, so a
-record's bits do not depend on the chunk its trial fell in, and equal
-those of ``evaluate_inequalities`` on the regenerated instance.
+at its peak (the pair's draw takes about 150), 2.4 MiB at n = 64 with
+five keys, and with it about 232 + 88F, 5.3 MiB; both are
+O(_STACK_ENTRIES) whatever the trial count. Before its first chunk, a
+sweep allocates one block of that peak size for its largest chunk and
+frees it at once, without writing to it: that raises glibc's dynamic
+mmap and trim thresholds above a chunk's stacks, so the heap top that a
+chunk frees stays mapped for the next one instead of going back to the
+kernel and faulting in again (``_records`` gives the condition). The
+seed table holds O(dims x trials) words, 104 B per (dim, trial) for the
+trial seed and its three streams' words, for the whole sweep (built in
+blocks of _SEED_BLOCK pairs, whose temporaries take about 400 B per
+pair); the records of one dimension, with their lines when the output
+is jsonl, are kept until it is written. Every stacked operation and
+reduction acts on one trial's entries, so a record's bits do not depend
+on the chunk its trial fell in, and equal those of
+``evaluate_inequalities`` on the regenerated instance.
 """
 
 from __future__ import annotations
@@ -93,6 +91,7 @@ from .qinfo import (
     DEFAULT_TOL,
     UncertaintyReport,
     _flag_names,
+    _pair_terms,
     _report_in_eigenbasis,
     eigenbasis_terms,
     validate_tol,
@@ -357,24 +356,24 @@ def _chunk_instances(config: SweepConfig, dim: int, trials: range, trial_seeds, 
     """Draw, validate and normalise the instances of one chunk of trials.
 
     ``trial_seeds`` (N,) and ``words`` (N, 3, 4) are the dimension's rows
-    of the sweep's seed table. Returns the chunk's trial seeds as ints,
-    the states as one stacked DensityMatrix and both observables as
-    (T, n, n) standard-basis stacks. A rejected instance raises ValueError
-    naming (dim, trial, seed).
+    of the sweep's seed table. Returns the chunk's trial seeds as ints, the
+    states as one stacked DensityMatrix and the observables as one
+    (2, T, n, n) pair, drawn as one stack of 2T, a's and then b's: index k
+    is trial k % T. A rejected instance raises ValueError naming (dim,
+    trial, seed).
     """
     seeds = trial_seeds[trials.start : trials.stop].tolist()
     streams = words[trials.start : trials.stop]
     try:
         rho = random_density(dim, _preset_seeds(streams[:, 0]))
-        a = random_hermitian(dim, _preset_seeds(streams[:, 1])).matrix
-        b = random_hermitian(dim, _preset_seeds(streams[:, 2])).matrix
+        # every trial's stream 1, then every trial's stream 2
+        pair = random_hermitian(dim, _preset_seeds(streams[:, 1:].swapaxes(0, 1).reshape(-1, 4)))
     except StackRejection as exc:
-        k = exc.index
+        k = exc.index % len(seeds)
         raise ValueError(f"dim {dim}, trial {trials[k]}, seed {seeds[k]}: {exc}") from exc
     if config.normalize_observables:
-        _normalize(a)
-        _normalize(b)
-    return seeds, rho, a, b
+        _normalize(pair.matrix)
+    return seeds, rho, pair.matrix.reshape(2, len(seeds), dim, dim)
 
 
 def _records(config: SweepConfig, functions):
@@ -398,10 +397,11 @@ def _records(config: SweepConfig, functions):
     # Per entry of a (T, n, n) stack, a chunk holds 112 + 16F bytes until its
     # records are built (the state, a, b, the eigenvectors, the rotated
     # observables, a conjugate, tilde and the kernels) plus the larger of the
-    # samplers' 88 B and tilde's 32 + 16F B of scratch. The audit peaks at
-    # 232 + 88F B (tracemalloc: 314 at F = 1, 659 at F = 5), above twice the
-    # plain size, so under a block of the plain size audited chunks at n = 32
-    # and 64 would trim their heap top and fault it back in.
+    # samplers' 88 B and tilde's 32 + 16F B of scratch (the pair's draw, made
+    # before most of those stacks, peaks at 145 B in tracemalloc at n = 32, 64).
+    # The audit peaks at 232 + 88F B (tracemalloc: 314 at F = 1, 659 at F = 5),
+    # above twice the plain size, so under a block of the plain size audited
+    # chunks at n = 32 and 64 would trim their heap top and fault it back in.
     f = len(functions)
     per_entry = 232 + 88 * f if config.gns_audit else max(200 + 16 * f, 144 + 32 * f)
     entries = max(_chunk_trials(config.trials, dim) * dim * dim for dim in config.dims)
@@ -411,10 +411,9 @@ def _records(config: SweepConfig, functions):
         by_f = [[] for _ in functions]
         for start in range(0, config.trials, chunk):
             trials = range(start, min(start + chunk, config.trials))
-            seeds, rho, a, b = _chunk_instances(config, dim, trials, dim_seeds, dim_words)
-            # one rotation and one catalog tilde call, read by one report and
-            # one audit that each cover the chunk's (trial, f) grid
-            terms = eigenbasis_terms(rho, functions, a, b)
+            seeds, rho, pair = _chunk_instances(config, dim, trials, dim_seeds, dim_words)
+            # one pair rotation and one tilde call, for the report and the audit
+            terms = _pair_terms(rho, functions, pair)
             columns = _report_in_eigenbasis(terms, config.tol)
             residuals, masks, names = columns["residuals"], columns["flags"], _FLAGS
             if config.gns_audit:

@@ -60,6 +60,9 @@ RECONSTRUCTION_RTOL = 1e-9
 # the faithfulness floor always holds.
 DENSITY_REGULARIZATION = 1e-8
 
+# Floor of a reconstruction check's scale, so that a zero matrix divides nothing.
+_TINY = np.finfo(float).tiny
+
 
 def _as_matrix(a) -> np.ndarray:
     """Complex ndarray view of a HermitianMatrix, DensityMatrix, or array-like."""
@@ -173,10 +176,10 @@ def eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = np.ascontiguousarray(u[:, :, ::-1])
     recon = (u * lam[:, None, :]) @ u.conj().swapaxes(1, 2)
     recon -= m
-    residual = np.linalg.norm(recon, axis=(1, 2))
-    scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), np.finfo(float).tiny)
+    # each matrix's Frobenius norm as np.linalg.norm(x, axis=(1, 2)) computes it
+    residual, norm = (np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2))) for x in (recon, m))
     _require(
-        residual <= RECONSTRUCTION_RTOL * scale,
+        residual <= RECONSTRUCTION_RTOL * np.maximum(norm, _TINY),
         lambda k: f"eigendecomposition reconstruction residual {residual[k]:.3e} exceeds "
         f"{RECONSTRUCTION_RTOL:.1e} * ||h||",
     )
@@ -380,8 +383,9 @@ def random_hermitian(dim: int, seed) -> HermitianMatrix:
     ``random_hermitian(dim, seed[k]).matrix``.
     """
     seeds, stacked = _seed_list(seed)
-    g = _ginibre(dim, seeds)
-    h = g + g.conj().swapaxes(1, 2)
+    h = _ginibre(dim, seeds)
+    # in place: h.conj() is a new array, so no entry is read after it is written
+    h += h.conj().swapaxes(1, 2)
     h *= 0.5
     return HermitianMatrix(h if stacked else h[0])
 

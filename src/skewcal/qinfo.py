@@ -2,10 +2,10 @@
 
 All scalars are real numbers built from traces against a faithful density
 matrix. :func:`eigenbasis_terms` takes one state or a stack of T and F
-catalog entries at once: it rotates the observables into the eigenbasis
-once and evaluates tilde on the eigenvalue ratios in one catalog call,
-into one (T, F, n, n) array, and its kernels lam_j tilde, that the
-stacked report and the G = H audit both read.
+catalog entries at once: it rotates the observables, stacked as one pair,
+into the eigenbasis in one call and evaluates tilde on the eigenvalue
+ratios in one catalog call, into one (T, F, n, n) array, and its kernels
+lam_j tilde, that the stacked report and the G = H audit both read.
 
 This module is the home of the direct route, traces on the original
 matrices, and each of its quantities has one implementation: the moments
@@ -134,9 +134,10 @@ def variance(rho: DensityMatrix, a) -> float:
 
 
 def _correlation(rho: DensityMatrix, f: MonotoneFunction, ma: np.ndarray, mb: np.ndarray) -> float:
-    """:func:`f_correlation` of observables that :func:`_observable` has already validated."""
-    traces = _kernel_traces(eigenbasis_terms(rho, [f], ma, mb))
-    return _scalars(_trace_moments(rho, ma, mb), traces)["corr_ab"].item()
+    """:func:`f_correlation` of validated observables: k_ab of a's back-rotated products alone."""
+    terms = eigenbasis_terms(rho, [f], ma, mb)
+    (k_ab,) = _kernel_sums(terms, terms.at, (np.ascontiguousarray(terms.b.swapaxes(-1, -2)),))
+    return (_trace_moments(rho, ma, mb)[2][..., None] - k_ab).item()
 
 
 def f_correlation(rho: DensityMatrix, f: MonotoneFunction, a, b) -> float:
@@ -242,22 +243,25 @@ _FLAGS = (
 class EigenbasisTerms:
     """What the stacked report and the G = H audit share for one state or a stack of T.
 
-    ``a`` and ``b`` are the standard-basis observables as (T, n, n) stacks
-    (T = 1 for one state), ``at`` and ``bt`` their entries u† a u and
-    u† b u in each state's eigenbasis, ``tilde`` the (T, F, n, n) array
-    of tilde(lam_i / lam_j), entry ``functions[k]`` at ``tilde[:, k]``, and
-    ``kernels`` the modular kernels lam_j tilde(lam_i / lam_j) of the same
-    shape.
+    ``pair`` holds the standard-basis observables a and b as one
+    (2, T, n, n) array (T = 1 for one state) and ``pair_t`` their entries
+    u† a u and u† b u in each state's eigenbasis; ``a``, ``b``, ``at`` and
+    ``bt`` are views of their halves. ``tilde`` is the (T, F, n, n) array of
+    tilde(lam_i / lam_j), entry ``functions[k]`` at ``tilde[:, k]``, and
+    ``kernels`` the modular kernels lam_j tilde(lam_i / lam_j).
     """
 
     rho: DensityMatrix
     functions: tuple[MonotoneFunction, ...]
-    a: np.ndarray
-    b: np.ndarray
-    at: np.ndarray
-    bt: np.ndarray
+    pair: np.ndarray
+    pair_t: np.ndarray
     tilde: np.ndarray
     kernels: np.ndarray
+
+    a = property(lambda self: self.pair[0])
+    b = property(lambda self: self.pair[1])
+    at = property(lambda self: self.pair_t[0])
+    bt = property(lambda self: self.pair_t[1])
 
 
 def eigenbasis_terms(
@@ -266,30 +270,36 @@ def eigenbasis_terms(
     """Rotate ``a`` and ``b`` into the eigenbasis of ``rho`` once and evaluate tilde once.
 
     ``rho`` is one state or a stack and ``a``, ``b`` are shaped like its
-    matrix (ValueError otherwise). Each function sees f only through tilde on
-    the eigenvalue ratios lam_i / lam_j, so one catalog call of
+    matrix (ValueError otherwise); the terms hold them copied into one pair.
+    Each function sees f only through tilde on the eigenvalue ratios
+    lam_i / lam_j, so one catalog call of
     :func:`~skewcal.monotone.tilde_transform` for every entry of
     ``functions``, one (T, F, n, n) array, and the kernels built from it
     serve both :func:`_report_in_eigenbasis` and
     :func:`~skewcal.gns.audit_G_equals_H`.
     """
-    n = rho.dim
     ma, mb = _as_matrix(a), _as_matrix(b)
-    for x in (ma, mb):
-        if x.shape != rho.matrix.shape:
-            raise ValueError(
-                f"observable shape {x.shape} does not match state shape {rho.matrix.shape}"
-            )
+    if not ma.shape == mb.shape == rho.matrix.shape:
+        raise ValueError(
+            f"observable shapes {ma.shape}, {mb.shape} do not match state shape {rho.matrix.shape}"
+        )
+    return _pair_terms(rho, functions, np.array((ma, mb)))
+
+
+def _pair_terms(rho: DensityMatrix, functions, pair: np.ndarray) -> EigenbasisTerms:
+    """:func:`eigenbasis_terms` of a (2, *rho.matrix.shape) ``pair``, uncopied, rotated in one call.
+
+    ``to_eigenbasis`` is a batched matmul: each half keeps its own rotation's bits.
+    """
+    n = rho.dim
     lam = rho.eigenvalues.reshape(-1, n)
     functions = tuple(functions)
     tilde = tilde_transform(functions, lam[:, :, None] / lam[:, None, :])
     return EigenbasisTerms(
         rho=rho,
         functions=functions,
-        a=ma.reshape(-1, n, n),
-        b=mb.reshape(-1, n, n),
-        at=rho.to_eigenbasis(ma).reshape(-1, n, n),
-        bt=rho.to_eigenbasis(mb).reshape(-1, n, n),
+        pair=pair.reshape(2, -1, n, n),
+        pair_t=rho.to_eigenbasis(pair).reshape(2, -1, n, n),
         tilde=tilde,
         kernels=tilde * lam[:, None, None, :],
     )
@@ -298,24 +308,24 @@ def eigenbasis_terms(
 def _kernel_traces(terms: EigenbasisTerms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re Tr((k o a) a), Re Tr((k o b) b) and Re Tr((k o a) b) as (T, F) arrays.
 
-    k o x is the kernel of each (state, entry) of ``terms`` times the
-    eigenbasis entries of x, rotated back to the standard basis: the
-    direct route, Re Tr(rho x y) less these traces, of the informations
-    and the correlation. The FT products of each observable go back as
-    one (T, F, n, n) batch, a's and then b's, each validated finite and
-    Hermitian (a failure raises ValueError), and each trace Tr(kx y) is
-    the :func:`_entry_sums` of kx against the unrotated observable y,
-    transposed once. Each value is that of its state and entry alone.
+    k o x is the kernel of each (state, entry) times the eigenbasis entries
+    of x, rotated back: the direct route of the informations and the
+    correlation is Re Tr(rho x y) less these traces. The FT products of
+    each observable go back as one (T, F, n, n) batch, a's and then b's,
+    validated finite and Hermitian (a failure raises ValueError); each
+    Tr(kx y) is the :func:`_entry_sums` of kx against the transpose of the
+    unrotated y. Each value is that of its state and entry alone.
     """
-    kernels = terms.kernels
-    u = terms.rho.eigenvectors[..., None, :, :]
-    a_t, b_t = (np.ascontiguousarray(y.swapaxes(-1, -2)) for y in (terms.a, terms.b))
-    ka = _kernel_apply_stack(u, kernels * terms.at[:, None])
-    k_aa, k_ab = _entry_sums(ka, a_t).real, _entry_sums(ka, b_t).real
+    a_t, b_t = np.ascontiguousarray(terms.pair.swapaxes(-1, -2))
     # one observable's batch at a time: k o a is freed before k o b is formed
-    del ka
-    kb = _kernel_apply_stack(u, kernels * terms.bt[:, None])
-    return k_aa, _entry_sums(kb, b_t).real, k_ab
+    k_aa, k_ab = _kernel_sums(terms, terms.at, (a_t, b_t))
+    return (k_aa, *_kernel_sums(terms, terms.bt, (b_t,)), k_ab)
+
+
+def _kernel_sums(terms: EigenbasisTerms, xt: np.ndarray, transposes) -> list[np.ndarray]:
+    """Re Tr((k o x) y) as (T, F) per contiguous transpose y_t in ``transposes``, xt = u† x u."""
+    kx = _kernel_apply_stack(terms.rho.eigenvectors[..., None, :, :], terms.kernels * xt[:, None])
+    return [_entry_sums(kx, y_t).real for y_t in transposes]
 
 
 def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
@@ -381,13 +391,13 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     depend on which other trials or entries share the call.
     """
     lam = terms.rho.eigenvalues.reshape(-1, terms.rho.dim)
-    at, bt = terms.at, terms.bt
+    at, bt = pair_t = terms.pair_t
     # All traces against the state collapse to weighted entry sums once the
     # observables sit in its eigenbasis: Tr(rho X Y) = sum_ij lam_i X_ij Y_ji
     # and Tr((k o X) Y) = sum_ij k_ij X_ij Y_ji.
     # entrywise products X_ij Y_ji; the products of (b, a) are those of (a, b) transposed
     p_ab = at * bt.swapaxes(1, 2)
-    p_aa, p_bb = ((x * x.swapaxes(1, 2)).real for x in (at, bt))
+    p_aa, p_bb = (pair_t * pair_t.swapaxes(-1, -2)).real
 
     exp_a, exp_b = (np.einsum("ti,tii->t", lam, x).real for x in (at, bt))
     tr_rho_ab = np.einsum("ti,tij->t", lam, p_ab)

@@ -369,6 +369,63 @@ def test_run_sweep_names_the_rejected_trial(monkeypatch):
     assert calls == [2, 1]
 
 
+@pytest.mark.parametrize(
+    "draw, index, trial",
+    [(0, 1, 1), (0, 3, 1), (1, 0, 2), (1, 1, 2)],
+    ids=["a-chunk1", "b-chunk1", "a-chunk2", "b-chunk2"],
+)
+def test_run_sweep_names_the_trial_of_a_rejected_observable(monkeypatch, draw, index, trial):
+    # dim 64 runs T = 2 trials and then T = 1 per chunk; a chunk draws a and
+    # b as one stack of 2T, a's T matrices and then b's, so pair index k is
+    # trial k % T of the chunk, whichever half it falls in
+    ginibre = linalg._ginibre
+    sizes = []
+
+    def poison(dim, seeds):
+        g = ginibre(dim, seeds)
+        sizes.append(len(seeds))
+        # each chunk draws its states and then its pair: odd calls are pairs
+        if len(sizes) == 2 * draw + 2:
+            g[index, 3, 5] = np.nan
+        return g
+
+    monkeypatch.setattr(linalg, "_ginibre", poison)
+    config = SweepConfig(dims=(64,), trials=3, f_specs=("sld",), seed=5)
+    seed = hash64(5, 64, trial)
+    with pytest.raises(
+        ValueError, match=f"^dim 64, trial {trial}, seed {seed}: matrix entries must be finite"
+    ):
+        run_sweep(config)
+    assert sizes == [2, 4, 1, 2][: 2 * draw + 2]
+
+
+def test_chunk_pair_equals_separate_draws_and_rotations_bit_for_bit():
+    # each chunk draws, normalises and rotates a and b as one (2, T, n, n)
+    # pair; each half holds the bits of its own draw and its own rotation.
+    # The invariance tests compare records with evaluate_inequalities, which
+    # rotates through the same pair path, so they would miss a change here.
+    config = SweepConfig(dims=(2, 16, 64), trials=3, f_specs=KEYS, seed=9)
+    functions = [from_key(key) for key in KEYS]
+    trial_seeds, words = harness._sweep_seeds(config)
+    chunks = []
+    for dim, dim_seeds, dim_words in zip(config.dims, trial_seeds, words):
+        step = harness._chunk_trials(config.trials, dim)
+        for start in range(0, config.trials, step):
+            trials = range(start, min(start + step, config.trials))
+            _, rho, pair = harness._chunk_instances(config, dim, trials, dim_seeds, dim_words)
+            assert pair.shape == (2, len(trials), dim, dim)
+            terms = qinfo._pair_terms(rho, functions, pair)
+            streams = dim_words[trials.start : trials.stop]
+            for k, (x, xt) in enumerate(((terms.a, terms.at), (terms.b, terms.bt))):
+                alone = random_hermitian(dim, linalg._preset_seeds(streams[:, k + 1])).matrix
+                harness._normalize(alone)
+                assert x.tobytes() == alone.tobytes(), (dim, start, k)
+                assert xt.tobytes() == rho.to_eigenbasis(alone).tobytes(), (dim, start, k)
+            chunks.append((dim, len(trials)))
+    # dim 64 runs a full chunk of two trials and then a partial one
+    assert chunks == [(2, 3), (16, 3), (64, 2), (64, 1)]
+
+
 def _regenerated(record: dict):
     """The state and the observables of a record's trial, drawn on their own and normalised."""
     seed, dim = record["seed"], record["dim"]

@@ -558,6 +558,26 @@ def test_public_functions_validate_each_observable_once(monkeypatch, fixture_rho
         assert len(built) == count, name
 
 
+def test_correlation_back_rotates_only_a_s_kernel_products(monkeypatch, fixture_rho, fixture_a):
+    # f_correlation and f_information read k_ab (k_aa) alone, which sums a's
+    # back-rotated kernel products against b; b's products are never formed,
+    # and the value is corr_ab of the full direct route bit for bit
+    a, b = fixture_a.matrix, random_hermitian(fixture_rho.dim, seed=31).matrix
+    f = wyd(0.5)
+
+    def full_route(x, y):
+        traces = qinfo._kernel_traces(eigenbasis_terms(fixture_rho, [f], x, y))
+        return qinfo._scalars(qinfo._trace_moments(fixture_rho, x, y), traces)["corr_ab"].item()
+
+    expected = (full_route(a, b), full_route(a, a))
+    batches = []
+    real = qinfo._kernel_apply_stack
+    monkeypatch.setattr(qinfo, "_kernel_apply_stack", lambda u, m: batches.append(m) or real(u, m))
+    got = (f_correlation(fixture_rho, f, a, b), f_information(fixture_rho, f, a))
+    assert len(batches) == 2
+    assert repr(got) == repr(expected)
+
+
 @pytest.mark.parametrize("tol", ["abc", None, [1e-9], "", object()])
 def test_non_numeric_tolerance_is_rejected(tol):
     # float() raises TypeError or ValueError on these; both become the tol error

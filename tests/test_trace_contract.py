@@ -93,10 +93,10 @@ def test_audited_sweep_audits_once_per_dim_chunk():
     assert calls["gns.audit"] == calls["gns.mu"] == chunks
     # no GnsModel is built: build_mu computes the chunk's one spectrum
     assert calls["gns.model"] == chunks
-    # per chunk, a and b are rotated once for the report and the audit, and
-    # the audit centers them in the eigenbasis without rotating again; one
-    # catalog tilde call per chunk
-    assert calls["linalg.rotate"] == 2 * chunks
+    # per chunk, the (a, b) pair is rotated once for the report and the
+    # audit, and the audit centers it in the eigenbasis without rotating
+    # again; one catalog tilde call per chunk
+    assert calls["linalg.rotate"] == chunks
     assert calls["monotone.tilde"] == chunks
     # one H per chunk for every f, each call over the chunk's T trials times
     # n^2 atom slots: n^2 per trial, where the K x K measure had n^4
@@ -116,18 +116,18 @@ def test_traced_sweep_reports_once_per_dim_chunk():
     assert chunks == 3  # one chunk at dim 3, two at dim 64
     calls = tracer.calls()
     assert calls["qinfo.report"] == chunks < records
-    # per chunk: one state stack and two observable stacks, and one batched eigh
-    assert calls["linalg.sample"] == 3 * chunks
+    # per chunk: one state stack and one stack of the (a, b) pair, and one batched eigh
+    assert calls["linalg.sample"] == 2 * chunks
     assert calls["linalg.eigh"] == chunks
-    # one stacked DensityMatrix.to_eigenbasis per observable and chunk, and
-    # one catalog tilde call per chunk
-    assert calls["linalg.rotate"] == 2 * chunks
+    # one stacked DensityMatrix.to_eigenbasis of the pair per chunk, and one
+    # catalog tilde call per chunk
+    assert calls["linalg.rotate"] == chunks
     assert calls["monotone.tilde"] == chunks
 
 
 def test_traced_check_evaluates_one_instance_once():
     # check_instance builds one terms object for the report and the audit:
-    # one tilde pass and the two rotations of a and b, nothing more
+    # one tilde pass and one rotation of the (a, b) pair, nothing more
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     names = ("rho_fixture.json", "sigma_x.json", "sigma_y.json")
@@ -137,7 +137,7 @@ def test_traced_check_evaluates_one_instance_once():
     assert code == 0, payload
     calls = tracer.calls()
     assert calls["monotone.tilde"] == 1
-    assert calls["linalg.rotate"] == 2
+    assert calls["linalg.rotate"] == 1
     assert calls["linalg.eigh"] == 1
     assert calls["gns.h"] == 1
 
