@@ -57,6 +57,6 @@ for key in keys:
 # positive and normalized but breaks the symmetry f(x) = x f(1/x).
 from skewcal.monotone import MonotoneFunction
 
-bogus = MonotoneFunction("bogus", (), lambda x: (1.0 + np.asarray(x) ** 2) / 2.0, 0.5)
+bogus = MonotoneFunction("bogus", lambda x: (1.0 + np.asarray(x) ** 2) / 2.0, 0.5)
 report = validate_catalog_entry(bogus)
 print(f"\nbogus entry ok = {report.ok}; first violation: {report.violations()[0]}")

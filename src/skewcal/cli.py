@@ -14,7 +14,7 @@ from .harness import (
     read_records,
     run_sweep,
 )
-from .monotone import from_key, validate_catalog_entry
+from .monotone import _wyd_beta, from_key, validate_catalog_entry
 from .qinfo import DEFAULT_TOL
 
 _DEFAULT_CATALOG = ("sld", "harmonic", "wyd:0.1", "wyd:0.25", "wyd:0.5", "wyd:0.75", "wyd:0.9")
@@ -152,7 +152,7 @@ def _cmd_catalog(args) -> int:
         return 1
     if not args.validate:
         for key, f in entries:
-            kind = "parametric" if f.params else "fixed"
+            kind = "fixed" if _wyd_beta(f) is None else "parametric"
             print(f"{key}\t{kind}\tf(0) = {f.f_at_zero:g}")
         return 0
     reports = [validate_catalog_entry(f) for _, f in entries]

@@ -47,14 +47,15 @@ value per state from that state's entries alone. The audit
 and returns (T, F) columns; a single state's spectral arrays broadcast as
 a stack of one. It reads one :func:`skewcal.qinfo.eigenbasis_terms`, the
 rotation and the tilde call the stacked report reads too: the
-observables' eigenbasis entries as one (2, T, n, n) pair, a's and then
-b's, which it centers on a copy, and the (T, F, n, n) tilde values and
-kernels. The tilde values at the atoms are those entries in ravel order,
-so H and the G-forms read the same dots of the (T, F, K) tilde values
-against mu's (3, T, K) marginals, taken once by :func:`h_from_measure`:
-G^f(x0, x0) = E1 / 2 - sum_k tilde(s_k) m_xx[k]. Its largest arrays are
-G's back-rotated kernel products, one observable's (T, F, n, n) batch at
-a time. G is :func:`skewcal.qinfo._scalars` of the direct traces.
+observables as one (2, T, n, n) pair, a's and then b's, which
+:func:`skewcal.qinfo._trace_moments` reads uncopied, their eigenbasis
+entries, which it centers on a copy, and the (T, F, n, n) tilde values
+and kernels. The tilde values at the atoms are those entries in ravel
+order, so H and the G-forms read the same dots of the (T, F, K) tilde
+values against mu's (3, T, K) marginals, taken once by
+:func:`h_from_measure`: G^f(x0, x0) = E1 / 2 - sum_k tilde(s_k) m_xx[k].
+Its largest arrays are G's back-rotated kernel products, one
+observable's (T, F, n, n) batch at a time. G is :func:`skewcal.qinfo._scalars` of the direct traces.
 """
 
 from __future__ import annotations
@@ -246,10 +247,10 @@ def build_mu(rho: DensityMatrix, xt, et) -> AtomicPairMeasure:
     equals the K^2 array's diagonal bit for bit.
     """
     # the three marginals as one (3, ..., K) array: |xt|^2, |et|^2, Re(conj(xt) et)
-    pair = np.array((xt, et))
-    entries = np.empty((3,) + pair.shape[1:])
-    entries[:2] = np.abs(pair) ** 2
-    entries[2] = np.real(np.conj(pair[0]) * pair[1])
+    entries = np.empty((3,) + np.shape(xt))
+    entries[0] = np.abs(xt) ** 2
+    entries[1] = np.abs(et) ** 2
+    entries[2] = np.real(np.conj(xt) * et)
     entries *= rho.eigenvalues[..., None, :]
     marginals = entries.reshape(entries.shape[:-2] + (-1,))
     m_xx, m_yy, m_xy = marginals
@@ -311,12 +312,13 @@ def audit_G_equals_H(terms: EigenbasisTerms) -> dict[str, np.ndarray]:
     flagged.
 
     Tr(rho a) and Tr(rho b) of :func:`~skewcal.qinfo._trace_moments`
-    center the observables in the eigenbasis (centering commutes with the
-    rotation): they come off the diagonal of a copy of ``terms.pair_t``.
-    The graph forms E1 and mu's three marginals read only these centered
-    entries, each one call for both observables. Over every entry at once,
-    :func:`h_from_measure` gives H and the dots q . m_xx and q . m_yy of the
-    (T, F, K) per-atom tilde values q, and the G-forms
+    of ``terms.pair``, which it reads uncopied, center the observables in
+    the eigenbasis (centering commutes with the rotation): they come off
+    the diagonal of a copy of ``terms.pair_t``, the audit's one copy of a
+    pair. The graph forms E1 and mu's three marginals read only these
+    centered entries, each one call for both observables. Over every entry
+    at once, :func:`h_from_measure` gives H and the dots q . m_xx and
+    q . m_yy of the (T, F, K) per-atom tilde values q, and the G-forms
     G^f = E1 / 2 - q . m_xx of a0 (m_yy of b0) follow; they equal
     :func:`form_G` up to summation order. G is
     :func:`~skewcal.qinfo._scalars` of the same moments and
@@ -339,7 +341,7 @@ def audit_G_equals_H(terms: EigenbasisTerms) -> dict[str, np.ndarray]:
     t, f = terms.tilde.shape[:2]
     # Tr(rho a) and Tr(rho b) center a0 and b0 in the eigenbasis, off the
     # diagonal of a copy and nothing else; G reads every moment
-    moments = _trace_moments(rho, terms.a, terms.b)
+    moments = _trace_moments(rho, terms.pair)
     pair0_t = terms.pair_t.copy()
     pair0_t.reshape(2, t, n * n)[..., :: n + 1] -= moments[0][..., None]
     mu = build_mu(rho, *pair0_t)

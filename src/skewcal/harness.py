@@ -32,11 +32,12 @@ optionally, one G = H audit read those arrays, each over the chunk's
 residual and flags appended to the report's. Each entry's records are
 built from those columns in one pass per chunk. A sweep that writes jsonl
 also turns the same columns into the records' lines, in one text pass per
-chunk over the scalars that do not depend on f, once per trial, and the
-others and the residuals, once per (trial, entry): one repr spells each
-distinct 64-bit pattern among them once (``_float_texts``). A csv row is
-``csv.writer`` applied to the record's values (``_csv_row``). Only the
-draws run per trial. A rejected trial is named by (dim, trial, seed).
+chunk over every (trial, entry)'s scalars and residuals: one repr spells
+each distinct 64-bit pattern among them once (``_float_texts``), so a
+value that does not depend on f is spelled once for all the entries. A
+csv row is ``csv.writer`` applied to the record's values (``_csv_row``).
+Only the draws run per trial. A rejected trial is named by (dim, trial,
+seed).
 
 Memory: each chunk allocates its stacks and frees them, and every array
 a function returns is its caller's own. Without the audit, a chunk holds
@@ -48,15 +49,19 @@ sweep allocates one block of that peak size for its largest chunk and
 frees it at once, without writing to it: that raises glibc's dynamic
 mmap and trim thresholds above a chunk's stacks, so the heap top that a
 chunk frees stays mapped for the next one instead of going back to the
-kernel and faulting in again (``_records`` gives the condition). The
-seed table holds O(dims x trials) words, 104 B per (dim, trial) for the
-trial seed and its three streams' words, for the whole sweep (built in
-blocks of _SEED_BLOCK pairs, whose temporaries take about 400 B per
-pair); the records of one dimension, with their lines when the output
-is jsonl, are kept until it is written. Every stacked operation and
-reduction acts on one trial's entries, so a record's bits do not depend
-on the chunk its trial fell in, and equal those of
-``evaluate_inequalities`` on the regenerated instance.
+kernel and faulting in again (``_records`` gives the condition). This
+works only below glibc's 32 MiB ceiling on that mmap threshold, since
+freeing a larger block raises no threshold, so a sweep whose block passes
+it (audited from 44 keys, plain from about 124, at n = 64) faults
+thousands of pages back in per chunk. The seed table holds
+O(dims x trials) words, 104 B per (dim, trial) for the trial seed and
+its three streams' words, for the whole sweep (built in blocks of
+_SEED_BLOCK pairs, whose temporaries take about 400 B per pair); the
+records of one dimension, with their lines when the output is jsonl, are
+kept until it is written. Every stacked operation and reduction acts on
+one trial's entries, so a record's bits do not depend on the chunk its
+trial fell in, and equal those of ``evaluate_inequalities`` on the
+regenerated instance.
 """
 
 from __future__ import annotations
@@ -126,12 +131,6 @@ _SEED_BLOCK = 8192
 
 # A record's fields in order, which is also the csv header.
 CSV_COLUMNS = ("dim", "f", "trial", "seed", *_SCALARS, "residuals", "flags")
-
-# Positions in _SCALARS of the report's scalars that do not depend on f,
-# whose (T, F) columns _report_in_eigenbasis fills with one value per trial,
-# and of the others, as the jsonl text pass reads them.
-_SHARED = [_SCALARS.index(name) for name in ("var_a", "var_b", "cov_ab", "lhs", "heisenberg_rhs")]
-_PER_ENTRY = [_SCALARS.index(name) for name in ("info_a", "info_b", "corr_ab", "rhs", "gap")]
 
 # json's spelling of the floats whose repr is nan, inf and -inf.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -469,25 +468,23 @@ def _records(config: SweepConfig, functions):
 def _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags) -> list[list]:
     """The jsonl line of each record of one chunk, as [f][t] lists.
 
-    ``scalars`` holds the (F, T, len(_SCALARS)) values. The _SHARED ones
-    are printed once per trial, from the first entry's rows, and the
-    _PER_ENTRY ones once per (entry, trial). Those two blocks and every
-    entry's residuals are spelled in one ``_float_texts`` pass over their
-    concatenation, which spells each distinct float of the chunk once.
+    ``scalars`` holds the (F, T, len(_SCALARS)) values, and each line
+    unpacks its own (entry, trial) row in _SCALARS order, the row its
+    record dict reads. That block and every entry's residuals are spelled
+    in one ``_float_texts`` pass over their concatenation, which spells
+    each distinct float of the chunk once, so a value that does not depend
+    on f is spelled once however many entries repeat it; each block's
+    texts are reshaped like it and read as nested lists.
     """
-    count = len(trials)
-    blocks = [scalars[0][:, _SHARED], scalars[:, :, _PER_ENTRY], *residuals]
+    blocks = [scalars, *residuals]
     spelled = _float_texts(np.concatenate(blocks, axis=None))
     ends = np.cumsum([block.size for block in blocks]).tolist()
-    shared = list(_grouped(spelled[: ends[0]], len(_SHARED), count))
-    own = list(_grouped(spelled[ends[0] : ends[1]], len(_PER_ENTRY), len(functions) * count))
-    res_texts = [
-        _grouped(spelled[start:end], res.shape[1], count)
-        for start, end, res in zip(ends[1:], ends[2:], residuals)
-    ]
+    rows, *res_texts = (
+        spelled[start:end].reshape(block.shape).tolist()
+        for start, end, block in zip([0, *ends], ends, blocks)
+    )
     texts = []
-    for k, (f, f_res, f_flags) in enumerate(zip(functions, res_texts, flags)):
-        rows = zip(trials, seeds, shared, own[k * count : (k + 1) * count], f_res, f_flags)
+    for f, f_rows, f_res, f_flags in zip(functions, rows, res_texts, flags):
         head = f'{{"dim": {dim}, "f": {json.dumps(f.name)}, "trial": '
         texts.append(
             [
@@ -495,31 +492,29 @@ def _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags) -> li
                 f'"info_a": {ia}, "info_b": {ib}, "corr_ab": {ca}, "lhs": {lhs}, "rhs": {rhs}, '
                 f'"gap": {gap}, "heisenberg_rhs": {heis}, "residuals": [{", ".join(r)}], '
                 f'"flags": {json.dumps(names) if names else "[]"}}}\n'
-                for trial, seed, (va, vb, cov, lhs, heis), (ia, ib, ca, rhs, gap), r, names in rows
+                for trial, seed, (va, vb, cov, ia, ib, ca, lhs, rhs, gap, heis), r, names in zip(
+                    trials, seeds, f_rows, f_res, f_flags
+                )
             ]
         )
     return texts
 
 
-def _float_texts(values: np.ndarray) -> list[str]:
+def _float_texts(values: np.ndarray) -> np.ndarray:
     """The json text of each float of ``values``, in C order, spelling each distinct float once.
 
     A float is spelled as its repr, except nan, inf and -inf, which are
     spelled as json does (NaN, Infinity, -Infinity). The floats are keyed
     on their 64-bit patterns, so 0.0 and -0.0 stay apart, and one repr
-    pass spells the distinct patterns.
+    pass spells the distinct patterns. Returns a flat object array of the
+    texts, mapped back from the distinct ones by one fancy index.
     """
     bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
     distinct = bits.view(np.float64)
     spelled = repr(distinct.tolist())[1:-1].split(", ")
     if not np.isfinite(distinct).all():
         spelled = [_JSON_NONFINITE.get(text, text) for text in spelled]
-    return [spelled[i] for i in inverse.tolist()]
-
-
-def _grouped(texts: list[str], width: int, count: int):
-    """``texts`` as ``count`` consecutive tuples of ``width`` texts each."""
-    return zip(*[iter(texts)] * width) if width else [()] * count
+    return np.array(spelled, dtype=object)[inverse]
 
 
 def _csv_row(record: dict) -> list:

@@ -176,8 +176,7 @@ def eigendecompose(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = np.ascontiguousarray(u[:, :, ::-1])
     recon = (u * lam[:, None, :]) @ u.conj().swapaxes(1, 2)
     recon -= m
-    # each matrix's Frobenius norm as np.linalg.norm(x, axis=(1, 2)) computes it
-    residual, norm = (np.sqrt(np.add.reduce((x.conj() * x).real, axis=(1, 2))) for x in (recon, m))
+    residual, norm = _frobenius_norms(recon), _frobenius_norms(m)
     _require(
         residual <= RECONSTRUCTION_RTOL * np.maximum(norm, _TINY),
         lambda k: f"eigendecomposition reconstruction residual {residual[k]:.3e} exceeds "

@@ -128,7 +128,7 @@ def _wyd_values(betas, arr: np.ndarray, u: np.ndarray, u_sq: np.ndarray) -> np.n
 def _wyd_beta(f: "MonotoneFunction") -> float | None:
     """beta when ``f`` evaluates ``functools.partial(wyd_f, beta)``, else None.
 
-    Not read from the name or params, so the shared wyd pass and the
+    Not read from the name, so the shared wyd pass and the
     report's power sandwich use the beta that ``f(x)`` itself uses.
     """
     ev = f.evaluate
@@ -197,14 +197,15 @@ def tilde_transform(f, x, clamp: bool = True) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class MonotoneFunction:
-    """A catalog entry: evaluator plus the stored limit at zero.
+    """A catalog entry: its name, its evaluator and the stored limit at zero.
 
     ``f_at_zero`` is data rather than a computed limit so that entries with
     f(0) = 0 (where the tilde transform degenerates to (x + 1)/2) stay exact.
+    A wyd entry's beta is read from its evaluator (:func:`_wyd_beta`), so
+    no field can disagree with the beta ``f(x)`` uses.
     """
 
     name: str
-    params: tuple[float, ...]
     evaluate: Callable[[float | np.ndarray], float | np.ndarray]
     f_at_zero: float
 
@@ -227,7 +228,6 @@ def wyd(beta: float) -> MonotoneFunction:
     beta = _require_beta(beta)
     return MonotoneFunction(
         name=f"wyd:{beta!r}",
-        params=(beta,),
         evaluate=functools.partial(wyd_f, beta),
         f_at_zero=beta * (1.0 - beta),
     )
@@ -235,7 +235,7 @@ def wyd(beta: float) -> MonotoneFunction:
 
 def sld() -> MonotoneFunction:
     """Arithmetic-mean entry f(x) = (1 + x)/2 with f(0) = 1/2."""
-    return MonotoneFunction("sld", (), _sld_profile, 0.5)
+    return MonotoneFunction("sld", _sld_profile, 0.5)
 
 
 def harmonic() -> MonotoneFunction:
@@ -244,7 +244,7 @@ def harmonic() -> MonotoneFunction:
     Its tilde transform is identically (x + 1)/2, exercising the f(0) = 0
     branch of the formula.
     """
-    return MonotoneFunction("harmonic", (), _harmonic_profile, 0.0)
+    return MonotoneFunction("harmonic", _harmonic_profile, 0.0)
 
 
 def from_key(key: str) -> MonotoneFunction:

@@ -94,18 +94,18 @@ def _observable(rho: DensityMatrix, a) -> np.ndarray:
     return HermitianMatrix(m).matrix
 
 
-def _trace_moments(rho: DensityMatrix, a: np.ndarray, b: np.ndarray):
+def _trace_moments(rho: DensityMatrix, pair: np.ndarray):
     """Tr(rho x) and Re Tr(rho x x) for x = a, b as (2, ...) rows, and Re Tr(rho a b).
 
-    ``a`` and ``b`` are shaped like the state's matrix, or (T, n, n) stacks
-    over one state or a stack of T. One product rho (a, b) serves every
-    trace: (rho x) x of both observables in one batched matmul, then
+    ``pair`` holds a and b as one (2, ...) array, each half shaped like the
+    state's matrix or a (T, n, n) stack over one state or a stack of T; it
+    is read as it is, with no stacked copy. One product rho (a, b) serves
+    every trace: (rho x) x of both observables in one batched matmul, then
     (rho a) b. Each trace is summed over its own matrix, so a stack gives
     each state's stack-of-one values bit for bit.
     """
-    pair = np.array((a, b))
     r = rho.matrix @ pair
-    return tuple(np.trace(x, axis1=-2, axis2=-1).real for x in (r, r @ pair, r[0] @ b))
+    return tuple(np.trace(x, axis1=-2, axis2=-1).real for x in (r, r @ pair, r[0] @ pair[1]))
 
 
 def _covariances(moments) -> tuple:
@@ -117,27 +117,27 @@ def _covariances(moments) -> tuple:
 def centered(rho: DensityMatrix, a) -> np.ndarray:
     """a - Tr(rho a) * identity."""
     m = _observable(rho, a)
-    (exp, _), _, _ = _trace_moments(rho, m, m)
+    (exp, _), _, _ = _trace_moments(rho, np.array((m, m)))
     return m - exp * np.eye(rho.dim)
 
 
 def covariance(rho: DensityMatrix, a, b) -> float:
     """Symmetrized covariance Re Tr(rho a b) - Tr(rho a) Tr(rho b)."""
-    moments = _trace_moments(rho, _observable(rho, a), _observable(rho, b))
+    moments = _trace_moments(rho, np.array((_observable(rho, a), _observable(rho, b))))
     return float(_covariances(moments)[2])
 
 
 def variance(rho: DensityMatrix, a) -> float:
     """Variance Re Tr(rho a a) - Tr(rho a)^2 of an observable in the state."""
     m = _observable(rho, a)
-    return float(_covariances(_trace_moments(rho, m, m))[0])
+    return float(_covariances(_trace_moments(rho, np.array((m, m))))[0])
 
 
 def _correlation(rho: DensityMatrix, f: MonotoneFunction, ma: np.ndarray, mb: np.ndarray) -> float:
     """:func:`f_correlation` of validated observables: k_ab of a's back-rotated products alone."""
     terms = eigenbasis_terms(rho, [f], ma, mb)
     (k_ab,) = _kernel_sums(terms, terms.at, (np.ascontiguousarray(terms.b.swapaxes(-1, -2)),))
-    return (_trace_moments(rho, ma, mb)[2][..., None] - k_ab).item()
+    return (_trace_moments(rho, terms.pair)[2][..., None] - k_ab).item()
 
 
 def f_correlation(rho: DensityMatrix, f: MonotoneFunction, a, b) -> float:
@@ -323,24 +323,20 @@ def _kernel_traces(terms: EigenbasisTerms) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _kernel_sums(terms: EigenbasisTerms, xt: np.ndarray, transposes) -> list[np.ndarray]:
-    """Re Tr((k o x) y) as (T, F) per contiguous transpose y_t in ``transposes``, xt = u† x u."""
-    kx = _kernel_apply_stack(terms.rho.eigenvectors[..., None, :, :], terms.kernels * xt[:, None])
-    return [_entry_sums(kx, y_t).real for y_t in transposes]
+    """Re Tr((k o x) y) as (T, F) per contiguous transpose y_t in ``transposes``, xt = u† x u.
 
-
-def _kernel_apply_stack(u: np.ndarray, mapped: np.ndarray) -> np.ndarray:
-    """Rotate a stack of kernel products k o x back: u (k o x) u† per matrix.
-
-    ``u`` is (..., 1, n, n), each state's eigenvectors broadcast over its
-    products ``mapped[..., s, :, :]``, one observable's (T, F, n, n) batch.
-    Every result is validated finite and Hermitian (a failure raises the
-    StackRejection a single HermitianMatrix would); returns the Hermitian
-    parts, shaped like ``mapped``. One batched matmul keeps each matrix's
-    bits those of a stack of one.
+    The kernel products k o x of every (state, entry), one observable's
+    (T, F, n, n) batch, are rotated back, u (k o x) u† with each state's
+    eigenvectors, in one batched matmul, so each matrix keeps the bits of a
+    stack of one. Every result is validated finite and Hermitian (a failure
+    raises the StackRejection a single HermitianMatrix would), and each
+    trace is the :func:`_entry_sums` of its Hermitian part against y_t.
     """
-    back = u @ mapped @ u.conj().swapaxes(-1, -2)
+    u = terms.rho.eigenvectors[..., None, :, :]
+    back = u @ (terms.kernels * xt[:, None]) @ u.conj().swapaxes(-1, -2)
     n = back.shape[-1]
-    return _hermitian_stack(back.reshape(-1, n, n))[0].reshape(back.shape)
+    kx = _hermitian_stack(back.reshape(-1, n, n))[0].reshape(back.shape)
+    return [_entry_sums(kx, y_t).real for y_t in transposes]
 
 
 def _scalars(moments, kernel_traces) -> dict:

@@ -783,16 +783,50 @@ def test_trace_moments_do_not_depend_on_the_stack(dim):
         seeds = [50 * dim + 10 * t + k for k in range(t)]
         rho = random_density(dim, seeds)
         a, b = (random_hermitian(dim, [s + k for s in seeds]).matrix for k in (1, 2))
-        stacked = _trace_moments(rho, a, b)
+        stacked = _trace_moments(rho, np.array((a, b)))
         assert [x.shape for x in stacked] == [(2, t), (2, t), (t,)]
         alone = [
-            _trace_moments(DensityMatrix(rho.matrix[k : k + 1]), a[k : k + 1], b[k : k + 1])
+            _trace_moments(DensityMatrix(rho.matrix[k : k + 1]), np.array((a, b))[:, k : k + 1])
             for k in range(t)
         ]
         for got, parts in zip(stacked, zip(*alone)):
             assert repr(got.tolist()) == repr(np.concatenate(parts, axis=-1).tolist()), (t,)
         exact = np.einsum("tij,tjk,tki->t", rho.matrix, a, b).real
         assert np.allclose(stacked[2], exact, rtol=1e-12, atol=1e-12 * dim)
+
+
+def test_audit_hands_on_the_pair_it_holds(monkeypatch):
+    # the moments read terms.pair itself, not a restacked copy of its halves
+    seen, real = [], gns._trace_moments
+    monkeypatch.setattr(gns, "_trace_moments", lambda *args: seen.append(args) or real(*args))
+    seeds = [71, 72, 73]
+    rho = random_density(4, seeds)
+    a, b = (random_hermitian(4, [s + k for s in seeds]).matrix for k in (1, 2))
+    terms = eigenbasis_terms(rho, [from_key(k) for k in ALL_KEYS], a, b)
+    audit_G_equals_H(terms)
+    assert [len(args) for args in seen] == [2]
+    ((got_rho, pair),) = seen
+    assert got_rho is rho and pair is terms.pair
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 64])
+def test_build_mu_marginals_equal_the_restacked_construction(dim):
+    # build_mu fills its (3, T, K) marginals from xt and et directly; they
+    # equal, bit for bit, those of the pair stacked from them as one array
+    for t in (1, 3):
+        seeds = [90 * dim + 10 * t + k for k in range(t)]
+        rho = random_density(dim, seeds)
+        xt, et = (
+            rho.to_eigenbasis(random_hermitian(dim, [s + k for s in seeds]).matrix) for k in (1, 2)
+        )
+        pair = np.array((xt, et))
+        entries = np.empty((3,) + pair.shape[1:])
+        entries[:2] = np.abs(pair) ** 2
+        entries[2] = np.real(np.conj(pair[0]) * pair[1])
+        entries *= rho.eigenvalues[..., None, :]
+        mu = build_mu(rho, xt, et)
+        assert mu.marginals.shape == (3, t, dim * dim)
+        assert mu.marginals.tobytes() == entries.reshape(3, t, -1).tobytes(), t
 
 
 def test_audited_sweep_records_are_per_trial_audits():

@@ -737,11 +737,13 @@ def test_sweep_text_equals_per_record_dumps(gns_audit, monkeypatch, tmp_path):
 
 def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_path):
     # the sampled instances reach no non-finite value or flag, so the report
-    # and the audit are fed them: each f-independent column keeps one value
-    # per trial across the entries, as the report computes it. Every chunk
-    # holds 0.0 beside -0.0, NaN with and without its sign bit, both
-    # infinities, 5e-324, and 1e16 in the shared block, an entry's block and
-    # a residual; its text pass spells each distinct bit pattern once.
+    # and the audit are fed them. The report gives an f-independent column
+    # one value per trial across the entries; here one such cell of each
+    # chunk differs between two entries of a trial, and each line must read
+    # its own entry's row, as its record dict does. Every chunk holds 0.0
+    # beside -0.0, NaN with and without its sign bit, both infinities,
+    # 5e-324, and 1e16 among the f-independent values, an entry's own values
+    # and a residual; its text pass spells each distinct bit pattern once.
     real_report, real_audit = harness._report_in_eigenbasis, harness.audit_G_equals_H
     real_texts = harness._chunk_texts
     negative_nan = np.copysign(np.nan, -1.0)
@@ -750,6 +752,7 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
         columns = real_report(terms, tol)
         last = len(columns["gap"]) - 1
         columns["var_a"][0] = np.nan
+        columns["var_a"][0, 1] = 0.375
         columns["var_b"][last] = 0.0
         columns["cov_ab"][last] = -0.0
         columns["lhs"][last] = -np.inf
@@ -799,6 +802,11 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
             repr(x) for r in records for x in r["residuals"]
         }
         assert {"nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e+16", "1e-05"} <= texts
+        # the first trial of each chunk reads var_a 0.375 under its second
+        # entry alone, and NaN under the others
+        firsts = [r for r in records if (r["dim"], r["trial"]) in ((2, 0), (3, 0), (3, 2))]
+        assert [r["var_a"] for r in firsts if r["f"] == KEYS[1]] == [0.375] * 3
+        assert all(math.isnan(r["var_a"]) for r in firsts if r["f"] != KEYS[1])
         # one chunk of 4 trials at dim 2 and two of 2 at dim 3, one repr each,
         # of pairwise distinct bit patterns
         assert len(spelled) == 3
@@ -961,6 +969,13 @@ def test_cli_catalog_lists_entries(capsys):
     out = capsys.readouterr().out
     assert "sld" in out and "harmonic" in out and "wyd:0.5" in out
     assert "f(0) = 0.25" in out  # wyd:0.5 limit
+    # the kind column of every default key: the wyd entries are parametric
+    kinds = dict(line.split("\t")[:2] for line in out.splitlines())
+    assert kinds == {
+        "sld": "fixed",
+        "harmonic": "fixed",
+        **{f"wyd:{beta}": "parametric" for beta in ("0.1", "0.25", "0.5", "0.75", "0.9")},
+    }
 
 
 def test_python_dash_m_skewcal_runs_the_cli(capsys, tmp_path):

@@ -1,8 +1,8 @@
 """Matrix types, spectral utilities, kernels, and the JSON wire format.
 
 The modular kernel is built by ``qinfo.eigenbasis_terms`` and applied by
-``qinfo._kernel_traces`` through ``qinfo._kernel_apply_stack``; its
-tests read both.
+``qinfo._kernel_traces``, whose back-rotated products pass through
+``qinfo._hermitian_stack``; its tests read both.
 """
 
 import json
@@ -128,22 +128,23 @@ def _kernel(rho, f):
 def _applied(monkeypatch, rho, f, a, b):
     """_kernel_traces of (rho, f, a, b) and the back-rotated products (k o a, k o b), each (n, n).
 
-    The kernels go back one observable at a time: k o a from the first
-    _kernel_apply_stack call and k o b from the second, each a (1, 1, n, n)
-    batch for one state and one entry.
+    The kernels go back one observable at a time: k o a is the Hermitian
+    part the first _hermitian_stack check returns and k o b the second's,
+    each a (1, n, n) stack for one state and one entry.
     """
     seen = []
-    real = qinfo._kernel_apply_stack
+    real = qinfo._hermitian_stack
 
-    def spy(u, mapped):
-        seen.append(real(u, mapped))
-        return seen[-1]
+    def spy(stack):
+        result = real(stack)
+        seen.append(result[0])
+        return result
 
-    monkeypatch.setattr(qinfo, "_kernel_apply_stack", spy)
+    monkeypatch.setattr(qinfo, "_hermitian_stack", spy)
     traces = _kernel_traces(eigenbasis_terms(rho, [f], a, b))
     monkeypatch.undo()
     ka, kb = seen
-    return traces, (ka[0, 0], kb[0, 0])
+    return traces, (ka[0], kb[0])
 
 
 def test_kernel_matrix_fixture_entry(fixture_rho):

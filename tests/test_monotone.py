@@ -157,10 +157,10 @@ def test_from_key_roundtrip():
     assert _wyd_beta(sld()) is None
     assert _wyd_beta(harmonic()) is None
     # a wyd name with another evaluator is no wyd entry, and an evaluator
-    # partial(wyd_f, beta) gives its own beta whatever the name and params say
-    assert _wyd_beta(MonotoneFunction("wyd:0.3", (0.3,), sld().evaluate, 0.21)) is None
-    assert _wyd_beta(MonotoneFunction("wyd:0.3", (0.3,), functools.partial(wyd_f, 0.5), 0.25)) == 0.5
-    assert _wyd_beta(MonotoneFunction("plain", (), functools.partial(wyd_f, 0.7), 0.21)) == 0.7
+    # partial(wyd_f, beta) gives its own beta whatever the name says
+    assert _wyd_beta(MonotoneFunction("wyd:0.3", sld().evaluate, 0.21)) is None
+    assert _wyd_beta(MonotoneFunction("wyd:0.3", functools.partial(wyd_f, 0.5), 0.25)) == 0.5
+    assert _wyd_beta(MonotoneFunction("plain", functools.partial(wyd_f, 0.7), 0.21)) == 0.7
 
 
 @pytest.mark.parametrize("key", ["", "wyd", "wyd:", "wyd:abc", "wyd:1.5", "wyd:0", "bures"])
@@ -171,7 +171,7 @@ def test_from_key_rejects_malformed(key):
 
 def test_clamp_absorbs_roundoff_negatives(caplog):
     # a slightly inflated f(0) pushes tilde just below zero near x = 0
-    bumped = MonotoneFunction("bumped", (), sld().evaluate, 0.5 + 5e-15)
+    bumped = MonotoneFunction("bumped", sld().evaluate, 0.5 + 5e-15)
     x = 1e-15
     raw = tilde_transform(bumped, x, clamp=False)
     assert TILDE_CLAMP_FLOOR <= raw < 0.0
@@ -182,7 +182,7 @@ def test_clamp_absorbs_roundoff_negatives(caplog):
 
 
 def test_clamp_leaves_genuine_violations_visible():
-    broken = MonotoneFunction("broken", (), sld().evaluate, 10.0)
+    broken = MonotoneFunction("broken", sld().evaluate, 10.0)
     assert tilde_transform(broken, 3.0) < TILDE_CLAMP_FLOOR
 
 
@@ -195,14 +195,14 @@ def test_catalog_entries_validate_clean(key):
 
 
 def test_validation_flags_symmetry_breakage():
-    crooked = MonotoneFunction("crooked", (), lambda x: 0.5 * (1.0 + np.square(x)), 0.5)
+    crooked = MonotoneFunction("crooked", lambda x: 0.5 * (1.0 + np.square(x)), 0.5)
     report = validate_catalog_entry(crooked)
     assert not report.ok
     assert any("symmetry" in v for v in report.violations())
 
 
 def test_validation_flags_decreasing_entry():
-    fading = MonotoneFunction("fading", (), lambda x: 2.0 / (1.0 + np.asarray(x, dtype=float)), 2.0)
+    fading = MonotoneFunction("fading", lambda x: 2.0 / (1.0 + np.asarray(x, dtype=float)), 2.0)
     report = validate_catalog_entry(fading)
     assert report.max_monotonicity_drop > 0.0
     assert not report.ok
@@ -210,7 +210,7 @@ def test_validation_flags_decreasing_entry():
 
 def test_validation_flags_an_entry_off_normalization():
     # 2 sld keeps symmetry, monotonicity and the tilde bounds, but f(1) = 2
-    doubled = MonotoneFunction("doubled", (), lambda x: 2.0 * sld().evaluate(x), 1.0)
+    doubled = MonotoneFunction("doubled", lambda x: 2.0 * sld().evaluate(x), 1.0)
     assert validate_catalog_entry(doubled).violations() == ["f(1) off by 1.000e+00"]
 
 
@@ -255,7 +255,7 @@ def test_validation_grid_handling():
         (wyd(0.5), [1e-320, 1.0]),
         # NaN below x = 2, so min_value and normalization_error are NaN too
         (
-            MonotoneFunction("sqrt(x - 2)", (), lambda x: np.sqrt(np.asarray(x) - 2.0), 0.0),
+            MonotoneFunction("sqrt(x - 2)", lambda x: np.sqrt(np.asarray(x) - 2.0), 0.0),
             [1.0, 4.0],
         ),
     ],
@@ -338,11 +338,11 @@ def _catalog_ratio_grids():
 
 
 def _catalog_entries():
-    bumped = MonotoneFunction("bumped", (), sld().evaluate, 0.5 + 5e-15)
+    bumped = MonotoneFunction("bumped", sld().evaluate, 0.5 + 5e-15)
     # named like a wyd entry but evaluated by its own function (sld's)
-    impostor = MonotoneFunction("wyd:0.3", (0.3,), sld().evaluate, 0.21)
+    impostor = MonotoneFunction("wyd:0.3", sld().evaluate, 0.21)
     # named and parametrized wyd:0.3 but evaluating wyd_f at beta 0.5
-    mislabelled = MonotoneFunction("wyd:0.3", (0.3,), functools.partial(wyd_f, 0.5), 0.25)
+    mislabelled = MonotoneFunction("wyd:0.3", functools.partial(wyd_f, 0.5), 0.25)
     keys = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic", "wyd:0.25", "wyd:0.75")
     return [from_key(key) for key in keys] + [bumped, impostor, mislabelled]
 
@@ -422,9 +422,9 @@ def test_catalog_takes_one_power_pass_per_distinct_exponent(monkeypatch):
 
 
 def test_catalog_tilde_follows_the_beta_an_entry_evaluates():
-    # the catalog pass once took beta from params: this entry's catalog
+    # the catalog pass once took beta from a params field: this entry's catalog
     # values were then those of wyd:0.3, up to 0.2 off its own call
-    mislabelled = MonotoneFunction("wyd:0.3", (0.3,), functools.partial(wyd_f, 0.5), 0.25)
+    mislabelled = MonotoneFunction("wyd:0.3", functools.partial(wyd_f, 0.5), 0.25)
     x = np.concatenate((default_grid(), [1.0, 1.0 + 0.5 * WYD_SERIES_WINDOW])).reshape(1, -1)
     catalog = tilde_transform([sld(), mislabelled, wyd(0.3)], x)[1]
     alone = tilde_transform(mislabelled, x)

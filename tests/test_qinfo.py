@@ -273,10 +273,10 @@ def test_flags_fire_on_invalid_profile(fixture_rho, fixture_a, fixture_b):
     # an inflated f(0) drives the kernel outside its envelope, producing
     # negative informations and a broken main inequality; the evaluator
     # must flag rather than raise
-    bogus = MonotoneFunction("bogus", (), sld().evaluate, 10.0)
+    bogus = MonotoneFunction("bogus", sld().evaluate, 10.0)
     report = evaluate_inequalities(fixture_rho, bogus, fixture_a, fixture_b)
     assert "main_inequality_violation" in report.flags
-    mild = MonotoneFunction("mild", (), sld().evaluate, -1.0)
+    mild = MonotoneFunction("mild", sld().evaluate, -1.0)
     report = evaluate_inequalities(fixture_rho, mild, fixture_a, fixture_b)
     assert "negative_info_a" in report.flags
     assert "negative_info_b" in report.flags
@@ -287,9 +287,9 @@ def _found_instance():
 
 
 def test_report_picks_the_sandwich_route_by_evaluator():
-    # an entry named and parametrized like wyd:0.3 that evaluates sld has
-    # no power sandwich: its residuals are empty, on one state and a stack
-    impostor = MonotoneFunction("wyd:0.3", (0.3,), sld().evaluate, 0.5)
+    # an entry named like wyd:0.3 that evaluates sld has no power
+    # sandwich: its residuals are empty, on one state and a stack
+    impostor = MonotoneFunction("wyd:0.3", sld().evaluate, 0.5)
     rho, a, b = _found_instance()
     report = evaluate_inequalities(rho, impostor, a, b)
     assert report.path_residuals == () and report.flags == ()
@@ -301,7 +301,7 @@ def test_report_picks_the_sandwich_route_by_evaluator():
     # an entry labelled wyd:0.3 that evaluates wyd_f at beta 0.5 gets the
     # beta 0.5 sandwich and kernel: its report is wyd:0.5's, and its
     # information that of the public route
-    mislabelled = MonotoneFunction("wyd:0.3", (0.3,), functools.partial(wyd_f, 0.5), 0.25)
+    mislabelled = MonotoneFunction("wyd:0.3", functools.partial(wyd_f, 0.5), 0.25)
     report = evaluate_inequalities(rho, mislabelled, a, b)
     reference = evaluate_inequalities(rho, wyd(0.5), a, b)
     assert repr(report) == repr(reference)
@@ -313,7 +313,7 @@ def test_route_disagreement_fires_alone_on_a_wrong_f_at_zero():
     # a wyd:0.5 entry whose stored f(0) is 0.3, not 0.25: the kernel route
     # reads f(0) and the power sandwich does not, so they part by ~0.15,
     # while every inequality and nonnegativity check still holds
-    wrong = MonotoneFunction("wyd:0.5", (0.5,), functools.partial(wyd_f, 0.5), 0.3)
+    wrong = MonotoneFunction("wyd:0.5", functools.partial(wyd_f, 0.5), 0.3)
     rho, a, b = _found_instance()
     report = evaluate_inequalities(rho, wrong, a, b)
     assert report.flags == ("route_disagreement",)
@@ -331,7 +331,7 @@ def test_stacked_report_flags_each_instance_on_its_own(fixture_a, fixture_b):
     # the inflated f(0) breaks the inequality on a skewed state; on the
     # maximally mixed state every ratio is 1, the kernel reduces to lam and
     # nothing is flagged
-    bogus = MonotoneFunction("bogus", (), sld().evaluate, 10.0)
+    bogus = MonotoneFunction("bogus", sld().evaluate, 10.0)
     states = [
         DensityMatrix(np.diag([0.5, 0.5]).astype(complex)),
         DensityMatrix(np.diag([0.75, 0.25]).astype(complex)),
@@ -567,12 +567,13 @@ def test_correlation_back_rotates_only_a_s_kernel_products(monkeypatch, fixture_
 
     def full_route(x, y):
         traces = qinfo._kernel_traces(eigenbasis_terms(fixture_rho, [f], x, y))
-        return qinfo._scalars(qinfo._trace_moments(fixture_rho, x, y), traces)["corr_ab"].item()
+        moments = qinfo._trace_moments(fixture_rho, np.array((x, y)))
+        return qinfo._scalars(moments, traces)["corr_ab"].item()
 
     expected = (full_route(a, b), full_route(a, a))
     batches = []
-    real = qinfo._kernel_apply_stack
-    monkeypatch.setattr(qinfo, "_kernel_apply_stack", lambda u, m: batches.append(m) or real(u, m))
+    real = qinfo._hermitian_stack
+    monkeypatch.setattr(qinfo, "_hermitian_stack", lambda m: batches.append(m) or real(m))
     got = (f_correlation(fixture_rho, f, a, b), f_information(fixture_rho, f, a))
     assert len(batches) == 2
     assert repr(got) == repr(expected)
