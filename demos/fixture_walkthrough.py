@@ -38,22 +38,22 @@ print("commutator route:       ", -0.5 * np.trace(comm @ comm).real)
 # The full report carries both sides of the inequality, the gap, the
 # Schrodinger commutator bound, and cross-route residuals.
 report = evaluate_inequalities(rho, wyd(0.5), sigma_x, sigma_y)
-print("\nvar_a  =", report.var_a, " var_b =", report.var_b)
-print("cov_ab =", report.cov_ab, " corr_ab =", report.corr_ab)
-print("info_a =", report.info_a, " info_b =", report.info_b)
-print("lhs    =", report.lhs)
-print("rhs    =", report.rhs)
-print("gap    =", report.gap)
+print("\nvar_a  =", report["var_a"], " var_b =", report["var_b"])
+print("cov_ab =", report["cov_ab"], " corr_ab =", report["corr_ab"])
+print("info_a =", report["info_a"], " info_b =", report["info_b"])
+print("lhs    =", report["lhs"])
+print("rhs    =", report["rhs"])
+print("gap    =", report["gap"])
 
 # Heisenberg term: [sigma_x, sigma_y] = 2i sigma_z, so
 # |Tr(rho [A, B])|^2 / 4 = |2i (p - q)|^2 / 4 = (p - q)^2 = 1/4.
-print("heisenberg rhs =", report.heisenberg_rhs, " expected", (p - q) ** 2)
+print("heisenberg rhs =", report["heisenberg_rhs"], " expected", (p - q) ** 2)
 
 # The chain lhs >= rhs and lhs >= heisenberg holds with room to spare
 # here; no flags raised, and the kernel and power-sandwich routes agree
 # to machine precision.
-print("flags =", report.flags)
-print("residuals =", report.path_residuals)
+print("flags =", report["flags"])
+print("residuals =", report["residuals"])
 
 # Variance needs no f at all and matches the report.
 print("\nvariance(sigma_x) =", variance(rho, sigma_x))
@@ -62,4 +62,4 @@ print("\nvariance(sigma_x) =", variance(rho, sigma_x))
 # information is the largest among the catalog, harmonic is zero.
 for f in (sld(), wyd(0.5), wyd(0.1)):
     r = evaluate_inequalities(rho, f, sigma_x, sigma_y)
-    print(f"{f.name:<10} info_a = {r.info_a:.12f}  gap = {r.gap:.12f}")
+    print(f"{f.name:<10} info_a = {r['info_a']:.12f}  gap = {r['gap']:.12f}")

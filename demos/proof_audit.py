@@ -41,8 +41,8 @@ xb = centered(rho, b.matrix)
 # scales entry (i, j) by lam_i / lam_j and E1 is the kernel sum of
 # lam_i + lam_j; form_G rotates its standard-basis arguments itself.
 xta, xtb = rho.to_eigenbasis(xa), rho.to_eigenbasis(xb)
-print("cov via form :", 0.5 * form_E1(rho, xta, xtb).real, " trace route:", report.cov_ab)
-print("corr via form:", form_G(rho, f, xa, xb).real, " trace route:", report.corr_ab)
+print("cov via form :", 0.5 * form_E1(rho, xta, xtb).real, " trace route:", report["cov_ab"])
+print("corr via form:", form_G(rho, f, xa, xb).real, " trace route:", report["corr_ab"])
 
 # E1 and F sandwich every mixed term: F = E1 / 2 - G is the ftilde(Delta)
 # form, E1 the f-independent envelope (Delta + 1), and F <= E1 / 2

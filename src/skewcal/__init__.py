@@ -26,7 +26,7 @@ from .linalg import (
     random_hermitian,
     save_matrix,
 )
-from .qinfo import UncertaintyReport, eigenbasis_terms, evaluate_inequalities
+from .qinfo import eigenbasis_terms, evaluate_inequalities
 from .gns import audit_G_equals_H
 from .harness import (
     SweepConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "validate_catalog_entry",
     # single-instance checks
     "evaluate_inequalities",
-    "UncertaintyReport",
     "eigenbasis_terms",
     "audit_G_equals_H",
     # sweeps and records

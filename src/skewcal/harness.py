@@ -94,8 +94,8 @@ from .qinfo import (
     _FLAGS,
     _SCALARS,
     DEFAULT_TOL,
-    UncertaintyReport,
     _flag_names,
+    _instance_report,
     _pair_terms,
     _report_in_eigenbasis,
     eigenbasis_terms,
@@ -571,16 +571,17 @@ def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_T
 
     Returns (payload, exit_code): 0 on pass, 2 on any flagged tolerance
     violation, 1 on input errors (malformed files, non-Hermitian input,
-    unfaithful state, shape mismatch). The payload carries the full report
-    plus the identity audit (G, H, residual, mu_min_atom, gform_min and the
-    audit flags' names). One rotation and one tilde pass serve both.
+    unfaithful state, shape mismatch). The payload carries the report, the
+    dict evaluate_inequalities returns, and the identity audit (G, H,
+    residual, mu_min_atom, gform_min and the audit flags' names). One
+    rotation and one tilde pass serve both.
     """
     try:
         rho = load_density(rho_path)
         a = load_hermitian(a_path)
         b = load_hermitian(b_path)
         terms = eigenbasis_terms(rho, [from_key(f_spec)], a, b)
-        report = UncertaintyReport._from_terms(terms, tol)
+        report = _instance_report(terms, tol)
         audit = audit_G_equals_H(terms)
     except (OSError, ValueError) as exc:
         return {"error": str(exc)}, 1
@@ -588,15 +589,37 @@ def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_T
     names = ("G", "H", "residual", "mu_min_atom", "gform_min")
     ((flags,),) = _flag_names(audit["flags"], AUDIT_FLAGS)
     payload = {
-        "report": report.to_dict(),
+        "report": report,
         "audit": {**{name: audit[name].item() for name in names}, "flags": flags},
     }
-    code = 2 if (report.flags or flags) else 0
+    code = 2 if (report["flags"] or flags) else 0
     return payload, code
 
 
+def _field_ok(value, types, items=None) -> bool:
+    """isinstance(value, types), and of each item against ``items`` if given; no bool passes."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        return False
+    return items is None or all(_field_ok(x, items) for x in value)
+
+
+# Each record field's type: (what it must be, the value's types, its items'); NaN is a number.
+_FIELD_TYPES = {
+    **dict.fromkeys(("dim", "trial", "seed"), ("an integer", int, None)),
+    "f": ("a string", str, None),
+    **dict.fromkeys(_SCALARS, ("a number", (int, float), None)),
+    "residuals": ("a list of numbers", list, (int, float)),
+    "flags": ("a list of strings", list, str),
+}
+
+
 def read_records(path) -> list[dict]:
-    """Load a jsonl record stream written by run_sweep."""
+    """Load a jsonl record stream written by run_sweep.
+
+    Each non-blank line must be a JSON object whose record fields, where it
+    carries them, have the types of _FIELD_TYPES; a partial record loads.
+    Any other line raises ValueError naming ``path:line``.
+    """
     records = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -609,6 +632,10 @@ def read_records(path) -> list[dict]:
                 raise ValueError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{line_no}: a record must be a JSON object")
+            for name, (kind, types, items) in _FIELD_TYPES.items():
+                if name in record and not _field_ok(record[name], types, items):
+                    got = record[name]
+                    raise ValueError(f"{path}:{line_no}: {name} must be {kind}, got {got!r}")
             records.append(record)
     return records
 

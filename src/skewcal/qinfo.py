@@ -40,7 +40,6 @@ from .monotone import MonotoneFunction, _wyd_beta, tilde_transform
 
 __all__ = [
     "DEFAULT_TOL",
-    "UncertaintyReport",
     "centered",
     "covariance",
     "eigenbasis_terms",
@@ -168,49 +167,6 @@ def heisenberg_bound(rho: DensityMatrix, a, b) -> float:
     ma, mb = _observable(rho, a), _observable(rho, b)
     comm = np.trace(rho.matrix @ (ma @ mb - mb @ ma))
     return 0.25 * float(abs(comm)) ** 2
-
-
-@dataclass(frozen=True)
-class UncertaintyReport:
-    """All scalars of one inequality evaluation plus self-check metadata.
-
-    ``lhs`` is var_a * var_b - cov_ab^2, ``rhs`` is
-    info_a * info_b - corr_ab^2, and ``gap = lhs - rhs`` is the quantity
-    the main inequality asserts to be nonnegative. ``path_residuals``
-    carries cross-route disagreements; ``flags`` names any tolerance
-    violations instead of raising.
-    """
-
-    var_a: float
-    var_b: float
-    cov_ab: float
-    info_a: float
-    info_b: float
-    corr_ab: float
-    lhs: float
-    rhs: float
-    gap: float
-    heisenberg_rhs: float
-    path_residuals: tuple[float, ...]
-    flags: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            **{name: getattr(self, name) for name in _SCALARS},
-            "residuals": list(self.path_residuals),
-            "flags": list(self.flags),
-        }
-
-    @classmethod
-    def _from_terms(cls, terms: EigenbasisTerms, tol) -> UncertaintyReport:
-        """The report of the one state and the one catalog entry of ``terms``."""
-        columns = _report_in_eigenbasis(terms, validate_tol(tol))
-        ((flags,),) = _flag_names(columns["flags"], _FLAGS)
-        return cls(
-            **{name: columns[name].item() for name in _SCALARS},
-            path_residuals=tuple(columns["residuals"][0][0].tolist()),
-            flags=tuple(flags),
-        )
 
 
 # Scalar columns of a report, in record order.
@@ -476,13 +432,24 @@ def _flag_names(masks: np.ndarray, names: tuple[str, ...]) -> list[list[list[str
     ]
 
 
+def _instance_report(terms: EigenbasisTerms, tol) -> dict:
+    """The report of the one state and entry of ``terms``: _SCALARS, residuals and flags."""
+    columns = _report_in_eigenbasis(terms, validate_tol(tol))
+    ((flags,),) = _flag_names(columns["flags"], _FLAGS)
+    return {
+        **{name: columns[name].item() for name in _SCALARS},
+        "residuals": columns["residuals"][0][0].tolist(),
+        "flags": flags,
+    }
+
+
 def evaluate_inequalities(
     rho: DensityMatrix,
     f: MonotoneFunction,
     a,
     b,
     tol: float = DEFAULT_TOL,
-) -> UncertaintyReport:
+) -> dict:
     """Evaluate both uncertainty inequalities for one (state, f, a, b) instance.
 
     Checks, at effective tolerance tol * max(1, var_a * var_b):
@@ -495,7 +462,11 @@ def evaluate_inequalities(
     entries the kernel-route quantities are cross-checked against the
     power-sandwich route and the disagreements recorded as residuals; one
     above tol * max(1, var_a, var_b) flags ``route_disagreement``.
+
+    Returns the dict of a sweep record's fields after (dim, f, trial, seed),
+    in order and bit for bit: the ten scalars (lhs and rhs the two sides,
+    gap = lhs - rhs), then the ``residuals`` and ``flags`` lists.
     """
     # the sweep's stacked evaluation, on a stack of one state and one entry
     terms = eigenbasis_terms(rho, [f], _observable(rho, a), _observable(rho, b))
-    return UncertaintyReport._from_terms(terms, tol)
+    return _instance_report(terms, tol)

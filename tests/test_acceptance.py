@@ -147,7 +147,7 @@ def test_criterion_3_kernel_vs_closed_form():
         a = random_hermitian(dim, seed=3 * i + 1)
         b = random_hermitian(dim, seed=3 * i + 2)
         report = evaluate_inequalities(rho, wyd(beta), a, b)
-        worst = max(worst, max(report.path_residuals))
+        worst = max(worst, max(report["residuals"]))
     ok = worst <= 1e-9
     record_acceptance(
         3,
@@ -192,14 +192,14 @@ def test_criterion_5_fixture_exactness(fixture_rho, fixture_a, fixture_b):
     )
     report = evaluate_inequalities(fixture_rho, wyd(0.5), fixture_a, fixture_b)
     checks = {
-        "var_a": (report.var_a, FROZEN["fixture_var_a"]),
-        "var_b": (report.var_b, FROZEN["fixture_var_b"]),
-        "cov_ab": (report.cov_ab, FROZEN["fixture_cov_ab"]),
-        "info_a": (report.info_a, FROZEN["fixture_info_wyd_half"]),
-        "info_b": (report.info_b, FROZEN["fixture_info_wyd_half"]),
-        "corr_ab": (report.corr_ab, FROZEN["fixture_corr_ab"]),
-        "gap": (report.gap, FROZEN["fixture_gap_wyd_half"]),
-        "heisenberg_rhs": (report.heisenberg_rhs, FROZEN["fixture_heisenberg"]),
+        "var_a": (report["var_a"], FROZEN["fixture_var_a"]),
+        "var_b": (report["var_b"], FROZEN["fixture_var_b"]),
+        "cov_ab": (report["cov_ab"], FROZEN["fixture_cov_ab"]),
+        "info_a": (report["info_a"], FROZEN["fixture_info_wyd_half"]),
+        "info_b": (report["info_b"], FROZEN["fixture_info_wyd_half"]),
+        "corr_ab": (report["corr_ab"], FROZEN["fixture_corr_ab"]),
+        "gap": (report["gap"], FROZEN["fixture_gap_wyd_half"]),
+        "heisenberg_rhs": (report["heisenberg_rhs"], FROZEN["fixture_heisenberg"]),
     }
     worst = max(abs(got - want) for got, want in checks.values())
     ok = frozen_ok and worst <= 1e-10
@@ -245,17 +245,18 @@ def test_criterion_7_degenerate_suites():
         for f in functions:
             # maximally mixed state: every skew quantity collapses
             rep = evaluate_inequalities(mixed, f, a.matrix, b.matrix)
-            track(rep.info_a, rep.info_b, rep.corr_ab, rep.heisenberg_rhs, rep.gap - rep.lhs)
+            track(rep["info_a"], rep["info_b"], rep["corr_ab"], rep["heisenberg_rhs"])
+            track(rep["gap"] - rep["lhs"])
             # observable commuting with the state carries no skew information
             rep = evaluate_inequalities(rho, f, commuting, b.matrix)
-            track(rep.info_a, rep.corr_ab)
+            track(rep["info_a"], rep["corr_ab"])
             # equal observables: both sides factor and cancel exactly
             rep = evaluate_inequalities(rho, f, a.matrix, a.matrix)
-            track(rep.lhs, rep.rhs, rep.gap, rep.heisenberg_rhs)
+            track(rep["lhs"], rep["rhs"], rep["gap"], rep["heisenberg_rhs"])
             # scalar observable: everything vanishes
             rep = evaluate_inequalities(rho, f, scalar, b.matrix)
-            track(rep.var_a, rep.info_a, rep.cov_ab, rep.corr_ab, rep.lhs, rep.rhs,
-                  rep.gap, rep.heisenberg_rhs)
+            track(rep["var_a"], rep["info_a"], rep["cov_ab"], rep["corr_ab"])
+            track(rep["lhs"], rep["rhs"], rep["gap"], rep["heisenberg_rhs"])
     ok = worst <= 1e-10
     record_acceptance(
         7,

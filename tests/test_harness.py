@@ -33,7 +33,7 @@ from skewcal.harness import (
     splitmix64,
     summarize_records,
 )
-from skewcal.linalg import random_density, random_hermitian
+from skewcal.linalg import load_density, load_hermitian, random_density, random_hermitian
 from skewcal.monotone import from_key
 from skewcal.qinfo import evaluate_inequalities, validate_tol
 
@@ -434,7 +434,7 @@ def _regenerated(record: dict):
     return rho, a / np.linalg.norm(a), b / np.linalg.norm(b)
 
 
-def test_record_bits_are_a_function_of_the_trial_alone():
+def test_record_bits_are_a_function_of_the_trial_alone(fixtures_dir):
     dim = 64
     # two trials fill a dim-64 chunk, so trial 2 of 3 starts a second, partial one
     assert max(1, harness._STACK_ENTRIES // dim**2) == 2
@@ -446,10 +446,19 @@ def test_record_bits_are_a_function_of_the_trial_alone():
     for (key, trial), record in sweeps[3].items():
         rho, a, b = _regenerated(record)
         single = evaluate_inequalities(rho, from_key(key), a, b)
-        assert _report_bits(single.to_dict()) == _report_bits(record), (key, trial)
+        # the report is the record's fields after (dim, f, trial, seed), in order
+        assert tuple(single) == CSV_COLUMNS[4:], (key, trial)
+        assert _report_bits(single) == _report_bits(record), (key, trial)
         for other in (sweeps[1], sweeps[4]):
             if (key, trial) in other:
                 assert _report_bits(other[key, trial]) == _report_bits(record), (key, trial)
+    # check's report is that dict too, with no round trip
+    paths = _fixture_paths(fixtures_dir)
+    rho, a, b = load_density(paths[0]), load_hermitian(paths[1]), load_hermitian(paths[2])
+    for key in KEYS:
+        payload, code = check_instance(*paths, key)
+        assert code == 0, key
+        assert repr(payload["report"]) == repr(evaluate_inequalities(rho, from_key(key), a, b)), key
 
 
 @pytest.mark.parametrize("gns_audit", [False, True])
@@ -471,7 +480,7 @@ def test_records_do_not_depend_on_the_chunks_or_dims_beside_them(gns_audit):
     for record in together:
         rho, a, b = _regenerated(record)
         f = from_key(record["f"])
-        single = evaluate_inequalities(rho, f, a, b).to_dict()
+        single = evaluate_inequalities(rho, f, a, b)
         if gns_audit:
             terms = qinfo.eigenbasis_terms(rho, [f], a, b)
             audit = harness.audit_G_equals_H(terms)
@@ -488,11 +497,11 @@ def test_a_sweep_leaves_arrays_returned_before_it_alone():
     report = evaluate_inequalities(rho, functions[0], a, b)
     terms = qinfo.eigenbasis_terms(rho, functions, a, b)
     names = ("a", "b", "at", "bt", "tilde", "kernels")
-    before = repr(report.to_dict()), [getattr(terms, name).tobytes() for name in names]
+    before = repr(report), [getattr(terms, name).tobytes() for name in names]
     state = rho.matrix.tobytes(), rho.eigenvectors.tobytes()
     for gns_audit in (False, True):
         run_sweep(SweepConfig(dims=(16, 64), trials=3, f_specs=KEYS, gns_audit=gns_audit))
-    assert (repr(report.to_dict()), [getattr(terms, name).tobytes() for name in names]) == before
+    assert (repr(report), [getattr(terms, name).tobytes() for name in names]) == before
     assert (rho.matrix.tobytes(), rho.eigenvectors.tobytes()) == state
 
 
@@ -909,12 +918,39 @@ def test_read_records_handles_blank_and_bad_lines(tmp_path, capsys):
     path.write_text('{"gap": 1.0}\nnot json\n')
     with pytest.raises(ValueError, match=":2:"):
         read_records(path)
-    for line in ("[1, 2]", "3.5", '"gap"', "null"):
+    # a line must be an object whose record fields have their types: a JSON
+    # true read as a gap would count as a pass with min_gap True
+    objects = ("[1, 2]", "3.5", '"gap"', "null")
+    fields = (
+        ("gap", "true"),
+        ("var_a", '"1.0"'),
+        ("heisenberg_rhs", "null"),
+        ("dim", "2.0"),
+        ("trial", "false"),
+        ("seed", '"7"'),
+        ("f", "0.5"),
+        ("residuals", "0.0"),
+        ("residuals", "[0.0, true]"),
+        ("flags", '"negative_lhs"'),
+        ("flags", "[1]"),
+    )
+    for line, error in itertools.chain(
+        ((line, ":3: a record must be a JSON object") for line in objects),
+        ((f'{{"{name}": {value}}}', f":3: {name} must be ") for name, value in fields),
+    ):
         path.write_text(f'{{"gap": 1.0}}\n\n{line}\n')
-        with pytest.raises(ValueError, match=":3: a record must be a JSON object"):
+        with pytest.raises(ValueError, match=error):
             read_records(path)
         assert main(["hist", "--in", str(path), "--out", str(tmp_path / "gaps.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+    # non-finite numbers, integer scalars, unknown fields and partial records load
+    path.write_text(
+        '{"dim": 2, "f": "sld", "trial": 0, "seed": 18446744073709551615, "gap": NaN, '
+        '"lhs": -Infinity, "rhs": 0, "residuals": [Infinity, 1], "flags": ["negative_lhs"]}\n'
+        '{"gap": 1.0, "note": true}\n'
+    )
+    first, second = read_records(path)
+    assert math.isnan(first["gap"]) and first["lhs"] == -math.inf and second["note"] is True
 
 
 def test_gap_histogram_buckets(tmp_path):
@@ -947,11 +983,17 @@ def test_gap_histogram_edge_cases(tmp_path, capsys):
     for bad in (True, False, "1.0", None, [1.0]):
         with pytest.raises(ValueError, match=r"records\[1\]: gap .* is not a real number"):
             emit_gap_histogram([{"gap": 1.0}, {"gap": bad}])
+    # a record without a gap loads and fails in the histogram; a gap of
+    # another type fails at the read, which names the line
     path = tmp_path / "records.jsonl"
-    for line in ('{"lhs": 1.0}', '{"gap": true}', '{"gap": "1.0"}'):
+    for line, error in (
+        ('{"lhs": 1.0}', "records[1]"),
+        ('{"gap": true}', f"{path}:2: gap must be a number"),
+        ('{"gap": "1.0"}', f"{path}:2: gap must be a number"),
+    ):
         path.write_text(f'{{"gap": 1.0}}\n{line}\n')
         assert main(["hist", "--in", str(path), "--out", str(tmp_path / "gaps.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: records[1]")
+        assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
 def test_gap_histogram_rejects_nonfinite_gaps(tmp_path, capsys):

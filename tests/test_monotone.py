@@ -129,6 +129,25 @@ def test_harmonic_tilde_is_exact_where_the_square_overflows():
         assert validate_catalog_entry(harmonic(), grid=[1e-300, 1e300]).ok
 
 
+# tilde = ((x + 1) - (x - 1)^2 f(0) / f(x)) / 2 subtracts two terms of size
+# x / 2 that cancel at extreme ratios, so far from x = 1 it keeps no digit.
+# These two points pin that open defect; they pass once tilde is computed
+# by a cancellation-free route, and strict turns that into an XPASS failure.
+# Neither point raises a numpy warning: each fails on its assertion alone.
+CANCELS = "tilde cancels at extreme ratios"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"{CANCELS}: symmetry off by 1.1e12")
+def test_sld_validates_clean_at_extreme_ratios():
+    assert validate_catalog_entry(sld(), grid=[1e-16, 1e16]).ok
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"{CANCELS}: -4.27e135, not 5.0e134")
+def test_wyd_tilde_matches_the_oracle_at_an_extreme_ratio():
+    value = tilde_transform(wyd(0.1), 1e150)
+    assert value == pytest.approx(float(wyd_tilde_mp(0.1, 1e150)), rel=1e-12)
+
+
 def test_tilde_is_one_at_one():
     for key in CATALOG_KEYS:
         assert tilde_transform(from_key(key), 1.0) == 1.0

@@ -1,6 +1,7 @@
 """Scalar quantities and the inequality evaluator against the frozen oracle."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from oracle import FROZEN
 from skewcal.linalg import DensityMatrix, HermitianMatrix, random_density, random_hermitian
 from skewcal.monotone import MonotoneFunction, from_key, harmonic, sld, wyd, wyd_f
 from skewcal.qinfo import (
-    UncertaintyReport,
     _report_in_eigenbasis,
     centered,
     covariance,
@@ -28,7 +28,7 @@ ALL_KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
 
 
 def _rows(columns):
-    """The stacked report's columns as one ``UncertaintyReport.to_dict()``-shaped dict per (f, t), [f][t]."""
+    """The stacked report's columns as one ``evaluate_inequalities``-shaped dict per (f, t), [f][t]."""
     flags = qinfo._flag_names(columns["flags"], qinfo._FLAGS)
     return [
         [
@@ -95,18 +95,18 @@ def test_fixture_scalars_standalone_routes(fixture_rho, fixture_a, fixture_b):
 
 def test_fixture_report_matches_oracle(fixture_rho, fixture_a, fixture_b):
     report = evaluate_inequalities(fixture_rho, wyd(0.5), fixture_a, fixture_b)
-    assert report.var_a == pytest.approx(FROZEN["fixture_var_a"], abs=1e-10)
-    assert report.var_b == pytest.approx(FROZEN["fixture_var_b"], abs=1e-10)
-    assert report.cov_ab == pytest.approx(FROZEN["fixture_cov_ab"], abs=1e-10)
-    assert report.info_a == pytest.approx(FROZEN["fixture_info_wyd_half"], abs=1e-10)
-    assert report.info_b == pytest.approx(FROZEN["fixture_info_wyd_half"], abs=1e-10)
-    assert report.corr_ab == pytest.approx(FROZEN["fixture_corr_ab"], abs=1e-10)
-    assert report.lhs == pytest.approx(FROZEN["fixture_lhs"], abs=1e-10)
-    assert report.rhs == pytest.approx(FROZEN["fixture_rhs_wyd_half"], abs=1e-10)
-    assert report.gap == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
-    assert report.heisenberg_rhs == pytest.approx(FROZEN["fixture_heisenberg"], abs=1e-10)
-    assert report.flags == ()
-    assert max(report.path_residuals) < 1e-13
+    assert report["var_a"] == pytest.approx(FROZEN["fixture_var_a"], abs=1e-10)
+    assert report["var_b"] == pytest.approx(FROZEN["fixture_var_b"], abs=1e-10)
+    assert report["cov_ab"] == pytest.approx(FROZEN["fixture_cov_ab"], abs=1e-10)
+    assert report["info_a"] == pytest.approx(FROZEN["fixture_info_wyd_half"], abs=1e-10)
+    assert report["info_b"] == pytest.approx(FROZEN["fixture_info_wyd_half"], abs=1e-10)
+    assert report["corr_ab"] == pytest.approx(FROZEN["fixture_corr_ab"], abs=1e-10)
+    assert report["lhs"] == pytest.approx(FROZEN["fixture_lhs"], abs=1e-10)
+    assert report["rhs"] == pytest.approx(FROZEN["fixture_rhs_wyd_half"], abs=1e-10)
+    assert report["gap"] == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
+    assert report["heisenberg_rhs"] == pytest.approx(FROZEN["fixture_heisenberg"], abs=1e-10)
+    assert report["flags"] == []
+    assert max(report["residuals"]) < 1e-13
 
 
 def test_fixture_fixed_entry_informations(fixture_rho, fixture_a):
@@ -143,9 +143,9 @@ def test_report_fields_match_standalone_functions(dim, key):
         "heisenberg_rhs": heisenberg_bound(rho, a, b),
     }
     for field, value in expected.items():
-        assert getattr(report, field) == pytest.approx(value, abs=1e-11 * max(1.0, abs(value)))
-    assert report.gap == pytest.approx(report.lhs - report.rhs, abs=0.0)
-    assert report.flags == ()
+        assert report[field] == pytest.approx(value, abs=1e-11 * max(1.0, abs(value)))
+    assert report["gap"] == pytest.approx(report["lhs"] - report["rhs"], abs=0.0)
+    assert report["flags"] == []
 
 
 def _float_scalars(exp_a, exp_b, tr_aa, tr_bb, tr_ab, k_aa, k_bb, k_ab):
@@ -275,11 +275,11 @@ def test_flags_fire_on_invalid_profile(fixture_rho, fixture_a, fixture_b):
     # must flag rather than raise
     bogus = MonotoneFunction("bogus", sld().evaluate, 10.0)
     report = evaluate_inequalities(fixture_rho, bogus, fixture_a, fixture_b)
-    assert "main_inequality_violation" in report.flags
+    assert "main_inequality_violation" in report["flags"]
     mild = MonotoneFunction("mild", sld().evaluate, -1.0)
     report = evaluate_inequalities(fixture_rho, mild, fixture_a, fixture_b)
-    assert "negative_info_a" in report.flags
-    assert "negative_info_b" in report.flags
+    assert "negative_info_a" in report["flags"]
+    assert "negative_info_b" in report["flags"]
 
 
 def _found_instance():
@@ -292,7 +292,7 @@ def test_report_picks_the_sandwich_route_by_evaluator():
     impostor = MonotoneFunction("wyd:0.3", sld().evaluate, 0.5)
     rho, a, b = _found_instance()
     report = evaluate_inequalities(rho, impostor, a, b)
-    assert report.path_residuals == () and report.flags == ()
+    assert report["residuals"] == [] and report["flags"] == []
     states = random_density(3, [1, 4])
     x, y = (random_hermitian(3, seeds).matrix for seeds in ([2, 5], [3, 6]))
     columns = _report_in_eigenbasis(eigenbasis_terms(states, [impostor, wyd(0.3)], x, y), 1e-9)
@@ -305,8 +305,8 @@ def test_report_picks_the_sandwich_route_by_evaluator():
     report = evaluate_inequalities(rho, mislabelled, a, b)
     reference = evaluate_inequalities(rho, wyd(0.5), a, b)
     assert repr(report) == repr(reference)
-    assert report.info_a == pytest.approx(f_information(rho, mislabelled, a), abs=1e-13)
-    assert max(report.path_residuals) < 1e-15 and report.flags == ()
+    assert report["info_a"] == pytest.approx(f_information(rho, mislabelled, a), abs=1e-13)
+    assert max(report["residuals"]) < 1e-15 and report["flags"] == []
 
 
 def test_route_disagreement_fires_alone_on_a_wrong_f_at_zero():
@@ -316,15 +316,16 @@ def test_route_disagreement_fires_alone_on_a_wrong_f_at_zero():
     wrong = MonotoneFunction("wyd:0.5", functools.partial(wyd_f, 0.5), 0.3)
     rho, a, b = _found_instance()
     report = evaluate_inequalities(rho, wrong, a, b)
-    assert report.flags == ("route_disagreement",)
-    assert all(0.13 < r < 0.17 for r in report.path_residuals)
-    assert evaluate_inequalities(rho, wyd(0.5), a, b).flags == ()
+    assert report["flags"] == ["route_disagreement"]
+    assert all(0.13 < r < 0.17 for r in report["residuals"])
+    assert evaluate_inequalities(rho, wyd(0.5), a, b)["flags"] == []
     assert qinfo._FLAGS[-1] == "route_disagreement"
     # the bound is tol * max(1, var_a, var_b): it fires just below the
     # largest residual over that scale and not just above
-    edge = max(report.path_residuals) / max(1.0, variance(rho, a), variance(rho, b))
-    assert evaluate_inequalities(rho, wrong, a, b, tol=0.99 * edge).flags == ("route_disagreement",)
-    assert evaluate_inequalities(rho, wrong, a, b, tol=1.01 * edge).flags == ()
+    edge = max(report["residuals"]) / max(1.0, variance(rho, a), variance(rho, b))
+    below, above = (evaluate_inequalities(rho, wrong, a, b, tol=k * edge) for k in (0.99, 1.01))
+    assert below["flags"] == ["route_disagreement"]
+    assert above["flags"] == []
 
 
 def test_stacked_report_flags_each_instance_on_its_own(fixture_a, fixture_b):
@@ -351,7 +352,7 @@ def test_stacked_report_flags_each_instance_on_its_own(fixture_a, fixture_b):
     assert "main_inequality_violation" in rows[1]["flags"]
     for state, row in zip(states, rows):
         single = evaluate_inequalities(state, bogus, fixture_a, fixture_b)
-        assert repr(row) == repr(single.to_dict())
+        assert repr(row) == repr(single)
 
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -480,13 +481,14 @@ def test_evaluate_repairs_an_observable_within_the_threshold():
     for f in (sld(), wyd(0.5)):
         report = evaluate_inequalities(rho, f, nudged, b)
         assert repr(report) == repr(evaluate_inequalities(rho, f, repaired, b))
-        assert report.flags == ()
+        assert report["flags"] == []
 
 
-def test_report_to_dict_layout(fixture_rho, fixture_a, fixture_b):
+def test_report_dict_layout(fixture_rho, fixture_a, fixture_b):
+    # the report is a plain dict, ready for json.dumps, in record field order
     report = evaluate_inequalities(fixture_rho, wyd(0.5), fixture_a, fixture_b)
-    data = report.to_dict()
-    assert set(data) == {
+    assert type(report) is dict
+    assert list(report) == [
         "var_a",
         "var_b",
         "cov_ab",
@@ -499,18 +501,19 @@ def test_report_to_dict_layout(fixture_rho, fixture_a, fixture_b):
         "heisenberg_rhs",
         "residuals",
         "flags",
-    }
-    assert data["residuals"] == list(report.path_residuals)
-    assert data["flags"] == []
-    assert len(data["residuals"]) == 3  # three cross-route checks per wyd entry
-    assert isinstance(report, UncertaintyReport)
+    ]
+    assert all(type(report[name]) is float for name in qinfo._SCALARS)
+    assert type(report["residuals"]) is list and type(report["flags"]) is list
+    assert report["flags"] == []
+    assert len(report["residuals"]) == 3  # three cross-route checks per wyd entry
+    assert json.loads(json.dumps(report)) == report
 
 
 def test_fixed_entries_report_no_residuals(fixture_rho, fixture_a, fixture_b):
     for f in (sld(), harmonic()):
         report = evaluate_inequalities(fixture_rho, f, fixture_a, fixture_b)
-        assert report.path_residuals == ()
-        assert report.flags == ()
+        assert report["residuals"] == []
+        assert report["flags"] == []
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
