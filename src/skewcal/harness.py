@@ -30,14 +30,13 @@ ratios for every entry (``qinfo._pair_terms``); one stacked report and,
 optionally, one G = H audit read those arrays, each over the chunk's
 (trial, entry) grid in one call, returning (T, F) columns, the audit's
 residual and flags appended to the report's. Each entry's records are
-built from those columns in one pass per chunk. A sweep that writes jsonl
-also turns the same columns into the records' lines, in one text pass per
-chunk over every (trial, entry)'s scalars and residuals: one repr spells
-each distinct 64-bit pattern among them once (``_float_texts``), so a
-value that does not depend on f is spelled once for all the entries. A
-csv row is ``csv.writer`` applied to the record's values (``_csv_row``).
-Only the draws run per trial. A rejected trial is named by (dim, trial,
-seed).
+built from those columns in one pass per chunk. A sweep that writes a
+file also turns the same columns into the records' jsonl or csv lines, in
+one text pass per chunk over every (trial, entry)'s scalars and
+residuals: one repr spells each distinct 64-bit pattern among them once
+(``_float_texts``), so a value that does not depend on f is spelled once
+for all the entries; jsonl alone respells nan and inf as json does. Only
+the draws run per trial. A rejected trial is named by (dim, trial, seed).
 
 Memory: each chunk allocates its stacks and frees them, and every array
 a function returns is its caller's own. Without the audit, a chunk holds
@@ -57,7 +56,7 @@ thousands of pages back in per chunk. The seed table holds
 O(dims x trials) words, 104 B per (dim, trial) for the trial seed and
 its three streams' words, for the whole sweep (built in blocks of
 _SEED_BLOCK pairs, whose temporaries take about 400 B per pair); the
-records of one dimension, with their lines when the output is jsonl, are
+records of one dimension, with their lines if the sweep writes a file, are
 kept until it is written. Every stacked operation and reduction acts on
 one trial's entries, so a record's bits do not depend on the chunk its
 trial fell in, and equal those of ``evaluate_inequalities`` on the
@@ -267,37 +266,38 @@ class SweepSummary:
 
 
 def summarize_records(records, tol: float = DEFAULT_TOL) -> SweepSummary:
-    """Reduce an iterable of record dicts to a SweepSummary, order independently."""
+    """Reduce an iterable of record dicts to a SweepSummary, order independently.
+
+    A record that lacks a field read here raises ValueError naming it and ``records[k]``.
+    """
     tol = validate_tol(tol)
     total = passes = boundary = violations = 0
     min_gap = min_key = min_instance = None
     max_residual = 0.0
     for record in records:
         total += 1
-        gap = record["gap"]
-        finite = math.isfinite(gap)
-        tol_eff = tol * max(1.0, record["var_a"] * record["var_b"])
-        if record["flags"] or not finite:
-            violations += 1
-        elif abs(gap) <= tol_eff:
-            boundary += 1
-        else:
-            passes += 1
-        for residual in record["residuals"]:
-            # max() keeps the old value against a NaN; here a NaN sticks
-            if math.isnan(residual) or residual > max_residual:
-                max_residual = residual
-        if not finite:
-            continue
-        key = (record["dim"], record["f"], record["trial"])
-        if min_gap is None or gap < min_gap or (gap == min_gap and key < min_key):
-            min_gap, min_key = gap, key
-            min_instance = {
-                "dim": record["dim"],
-                "f": record["f"],
-                "trial": record["trial"],
-                "seed": record["seed"],
-            }
+        try:
+            gap = record["gap"]
+            finite = math.isfinite(gap)
+            tol_eff = tol * max(1.0, record["var_a"] * record["var_b"])
+            if record["flags"] or not finite:
+                violations += 1
+            elif abs(gap) <= tol_eff:
+                boundary += 1
+            else:
+                passes += 1
+            for residual in record["residuals"]:
+                # max() keeps the old value against a NaN; here a NaN sticks
+                if math.isnan(residual) or residual > max_residual:
+                    max_residual = residual
+            if not finite:
+                continue
+            key = (record["dim"], record["f"], record["trial"])
+            if min_gap is None or gap < min_gap or (gap == min_gap and key < min_key):
+                min_gap, min_key = gap, key
+                min_instance = {name: record[name] for name in ("dim", "f", "trial", "seed")}
+        except KeyError as exc:
+            raise ValueError(f"records[{total - 1}] has no {exc.args[0]!r}") from None
     return SweepSummary(
         total=total,
         passes=passes,
@@ -378,10 +378,10 @@ def _chunk_instances(config: SweepConfig, dim: int, trials: range, trial_seeds, 
 def _records(config: SweepConfig, functions):
     """Yield (record, text) pairs in (dim, f, trial) order: every f on each drawn instance.
 
-    The text is the record's jsonl line when the sweep writes jsonl to
-    ``config.output_path``, and None otherwise.
+    The text is the record's line in ``config.format`` when the sweep
+    writes to ``config.output_path``, and None otherwise.
     """
-    lines = config.output_path is not None and config.format == "jsonl"
+    fmt = None if config.output_path is None else config.format
     trial_seeds, words = _sweep_seeds(config)
     # Freed per chunk, a chunk's stacks would leave glibc a free heap top past
     # its trim threshold, which it returns to the kernel, and the next chunk
@@ -429,8 +429,8 @@ def _records(config: SweepConfig, functions):
             del terms
             # (F, T, len(_SCALARS)): the _SCALARS values of each (entry, trial)
             scalars = np.array([columns[name] for name in _SCALARS]).transpose(2, 1, 0)
-            if lines:
-                texts = _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags)
+            if fmt:
+                texts = _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags, fmt)
             else:
                 texts = [[None] * len(trials)] * len(functions)
             for f, rows, res, f_flags, f_texts, pairs in zip(
@@ -465,8 +465,8 @@ def _records(config: SweepConfig, functions):
             yield from pairs
 
 
-def _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags) -> list[list]:
-    """The jsonl line of each record of one chunk, as [f][t] lists.
+def _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags, fmt) -> list[list]:
+    """The ``fmt`` line, jsonl or csv, of each record of one chunk, as [f][t] lists.
 
     ``scalars`` holds the (F, T, len(_SCALARS)) values, and each line
     unpacks its own (entry, trial) row in _SCALARS order, the row its
@@ -474,10 +474,11 @@ def _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags) -> li
     in one ``_float_texts`` pass over their concatenation, which spells
     each distinct float of the chunk once, so a value that does not depend
     on f is spelled once however many entries repeat it; each block's
-    texts are reshaped like it and read as nested lists.
+    texts are reshaped like it and read as nested lists. ``_csv_row`` joins
+    a csv line.
     """
     blocks = [scalars, *residuals]
-    spelled = _float_texts(np.concatenate(blocks, axis=None))
+    spelled = _float_texts(np.concatenate(blocks, axis=None), fmt == "jsonl")
     ends = np.cumsum([block.size for block in blocks]).tolist()
     rows, *res_texts = (
         spelled[start:end].reshape(block.shape).tolist()
@@ -485,6 +486,12 @@ def _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags) -> li
     )
     texts = []
     for f, f_rows, f_res, f_flags in zip(functions, rows, res_texts, flags):
+        fields = zip(trials, seeds, f_rows, f_res, f_flags)
+        if fmt == "csv":
+            # a catalog name holds no comma, quote or line break for csv to quote
+            head = f"{dim},{f.name},"
+            texts.append([_csv_row(head, *field) for field in fields])
+            continue
         head = f'{{"dim": {dim}, "f": {json.dumps(f.name)}, "trial": '
         texts.append(
             [
@@ -492,57 +499,44 @@ def _chunk_texts(dim, functions, trials, seeds, scalars, residuals, flags) -> li
                 f'"info_a": {ia}, "info_b": {ib}, "corr_ab": {ca}, "lhs": {lhs}, "rhs": {rhs}, '
                 f'"gap": {gap}, "heisenberg_rhs": {heis}, "residuals": [{", ".join(r)}], '
                 f'"flags": {json.dumps(names) if names else "[]"}}}\n'
-                for trial, seed, (va, vb, cov, ia, ib, ca, lhs, rhs, gap, heis), r, names in zip(
-                    trials, seeds, f_rows, f_res, f_flags
-                )
+                for trial, seed, (va, vb, cov, ia, ib, ca, lhs, rhs, gap, heis), r, names in fields
             ]
         )
     return texts
 
 
-def _float_texts(values: np.ndarray) -> np.ndarray:
-    """The json text of each float of ``values``, in C order, spelling each distinct float once.
+def _float_texts(values: np.ndarray, json_nonfinite: bool) -> np.ndarray:
+    """The text of each float of ``values``, in C order, spelling each distinct float once.
 
-    A float is spelled as its repr, except nan, inf and -inf, which are
-    spelled as json does (NaN, Infinity, -Infinity). The floats are keyed
-    on their 64-bit patterns, so 0.0 and -0.0 stay apart, and one repr
-    pass spells the distinct patterns. Returns a flat object array of the
-    texts, mapped back from the distinct ones by one fancy index.
+    A float is spelled as its repr, as ``csv.writer`` does, and with
+    ``json_nonfinite`` nan, inf and -inf as json does (NaN, Infinity,
+    -Infinity). The floats are keyed on their 64-bit patterns, so 0.0 and
+    -0.0 stay apart, and one repr pass spells the distinct patterns; the
+    texts come back as a flat object array by one fancy index.
     """
     bits, inverse = np.unique(values.ravel().view(np.uint64), return_inverse=True)
     distinct = bits.view(np.float64)
     spelled = repr(distinct.tolist())[1:-1].split(", ")
-    if not np.isfinite(distinct).all():
+    if json_nonfinite and not np.isfinite(distinct).all():
         spelled = [_JSON_NONFINITE.get(text, text) for text in spelled]
     return np.array(spelled, dtype=object)[inverse]
 
 
-def _csv_row(record: dict) -> list:
-    """The csv row of a record: its values in CSV_COLUMNS order, residuals and flags joined by ';'.
+def _csv_row(head: str, trial: int, seed: int, row: list, residuals: list, flags: list) -> str:
+    """A record's csv line, as ``csv.writer`` writes its values, from its float texts.
 
-    ``csv.writer`` spells each float as its repr, and so does the join.
+    ``head`` is "dim,f,", ``row`` the _SCALARS texts, and the residuals'
+    texts are joined by ';', as the flag names are.
     """
-    residuals = ";".join(map(repr, record["residuals"]))
-    return [*(record[name] for name in CSV_COLUMNS[:-2]), residuals, ";".join(record["flags"])]
+    return f"{head}{trial},{seed},{','.join(row)},{';'.join(residuals)},{';'.join(flags)}\n"
 
 
-def _emitted(records, record_sink, out=None, fmt="jsonl"):
-    """Pass each record to ``record_sink`` (if given), write it to ``out`` (if given), yield it.
-
-    ``records`` holds (record, text) pairs; the sink sees a record before
-    it is written. A jsonl record is written as its text, a csv one as
-    ``_csv_row`` of the record.
-    """
-    writer = None
-    if out is not None and fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+def _emitted(records, record_sink, out=None):
+    """Pass each record to ``record_sink`` and then its text to ``out``, if given; yield it."""
     for record, text in records:
         if record_sink is not None:
             record_sink(record)
-        if writer is not None:
-            writer.writerow(_csv_row(record))
-        elif out is not None:
+        if out is not None:
             out.write(text)
         yield record
 
@@ -552,9 +546,10 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
 
     Each record goes to ``record_sink`` (if given), then to
     ``config.output_path`` (if given), then to ``summarize_records``.
-    A jsonl line holds the bytes of ``json.dumps(record)``, built from the
-    chunk's column arrays, and a csv row what ``csv.writer`` writes for the
-    record's values; a sweep without output builds no text.
+    A jsonl line holds the bytes of ``json.dumps(record)``, and a csv line,
+    after the CSV_COLUMNS header, those ``csv.writer`` writes for the
+    record's values; both come from one text pass over the chunk's column
+    arrays, and a sweep without output builds no text.
     Inequality violations are recorded and flagged, never raised. An
     exception from the sink propagates; the file then holds the records
     before the one that raised.
@@ -563,7 +558,9 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
     if config.output_path is None:
         return summarize_records(_emitted(records, record_sink), config.tol)
     with open(config.output_path, "w", newline="") as out:
-        return summarize_records(_emitted(records, record_sink, out, config.format), config.tol)
+        if config.format == "csv":
+            out.write(",".join(CSV_COLUMNS) + "\n")
+        return summarize_records(_emitted(records, record_sink, out), config.tol)
 
 
 def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_TOL):

@@ -21,8 +21,8 @@ eigenbasis entry sums and the audit, for G, to the direct traces.
 The report computes the f-independent half (expectations, Var, Cov, lhs,
 commutator term) once, and the rest over the (T, F) grid as weighted
 entry sums and, for the wyd family, also along the power-sandwich route
-Tr(rho^beta a rho^(1-beta) b), :func:`_scalars` of entry sums against the
-weights lam_i^beta lam_j^(1-beta) in place of the kernels; the
+Tr(rho^beta a rho^(1-beta) b), where corr_ab, info_a and info_b are each a
+trace less its entry sum against lam_i^beta lam_j^(1-beta); the
 disagreement of the kernel and sandwich routes is surfaced as a residual,
 never hidden, and flagged when it passes the tolerance.
 """
@@ -382,11 +382,12 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
         powers[0, :, j] = np.power(lam, betas[k])
         powers[1, :, j] = np.power(lam, 1.0 - betas[k])
     w_beta = powers[0][..., :, None] * powers[1][..., None, :]
-    # the report's own formula with w_beta in place of the kernels, and
-    # |kernel - sandwich| of (corr_ab, info_a, info_b)
-    by_sandwich = _scalars(moments, [_entry_sums(w_beta, p) for p in (p_aa, p_bb, p_ab.real)])
+    # |kernel - sandwich| of (corr_ab, info_a, info_b); the sandwich route
+    # takes each as its trace less its entry sum against w_beta
     routes = ("corr_ab", "info_a", "info_b")
-    sandwich = np.abs(np.array([values[k][:, k_wyd] - by_sandwich[k] for k in routes]))
+    traces = zip((tr_rho_ab.real, tr_rho_aa, tr_rho_bb), (p_ab.real, p_aa, p_bb))
+    by_sandwich = [tr[:, None] - _entry_sums(w_beta, p) for tr, p in traces]
+    sandwich = np.abs(np.array([values[k][:, k_wyd] - s for k, s in zip(routes, by_sandwich)]))
     residuals = [np.empty((len(lam), 0))] * len(terms.functions)
     for j, k in enumerate(k_wyd):
         residuals[k] = sandwich[:, :, j].T

@@ -669,6 +669,17 @@ def test_summary_max_residual_keeps_nan():
     assert summarize_records(records[1:]).max_residual == 1.0
 
 
+def test_summary_of_a_partial_record_names_the_record_and_field(tmp_path):
+    # read_records loads a partial record; summarizing it names what is missing
+    path = tmp_path / "partial.jsonl"
+    path.write_text('{"gap": 1.0}\n')
+    with pytest.raises(ValueError, match=r"records\[0\] has no 'var_a'"):
+        summarize_records(read_records(path))
+    records = [_summary_record(), {k: v for k, v in _summary_record().items() if k != "flags"}]
+    with pytest.raises(ValueError, match=r"records\[1\] has no 'flags'"):
+        summarize_records(records)
+
+
 def test_summary_nonfinite_gap_is_a_violation_outside_min_gap():
     gaps = (0.5, float("nan"), 0.25, float("inf"), float("-inf"))
     records = [_summary_record(trial=i, gap=g) for i, g in enumerate(gaps)]
@@ -786,14 +797,14 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
         audit["flags"][0, 0, 0] = True
         return audit
 
-    spelled = []  # per jsonl chunk, the float lists its text pass passed to repr
+    spelled = []  # per chunk, the float lists its text pass passed to repr
 
     def counted_texts(*args):
         spelled.append([])
         return real_texts(*args)
 
     def counted_repr(value):
-        if isinstance(value, list):  # the text pass's; _csv_row spells floats one by one
+        if isinstance(value, list):  # the text pass's; nothing else spells a float
             spelled[-1].append(value)
         return builtins.repr(value)
 
@@ -817,8 +828,9 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
         assert [r["var_a"] for r in firsts if r["f"] == KEYS[1]] == [0.375] * 3
         assert all(math.isnan(r["var_a"]) for r in firsts if r["f"] != KEYS[1])
         # one chunk of 4 trials at dim 2 and two of 2 at dim 3, one repr each,
-        # of pairwise distinct bit patterns
-        assert len(spelled) == 3
+        # of pairwise distinct bit patterns: 3 for the jsonl sweep, then 3
+        # for the csv one
+        assert len(spelled) == 2 * 3
         for calls in spelled:
             assert len(calls) == 1
             bits = np.array(calls[0]).view(np.uint64)
@@ -837,18 +849,26 @@ def test_sweep_text_of_forged_columns_equals_per_record_dumps(monkeypatch, tmp_p
 
 
 def test_sweep_without_output_builds_no_text(monkeypatch, tmp_path):
-    # only a jsonl sweep takes the column text pass: a sweep without output
-    # builds no text, and a csv sweep writes csv.writer's rows of the records
-    def no_text(values):
-        raise AssertionError("a sweep without jsonl output built jsonl text")
+    # a sweep without output builds no text, and a csv sweep takes the same
+    # column text pass as a jsonl one, once per chunk, and writes
+    # csv.writer's rows of the records
+    real_texts, calls = harness._float_texts, []
 
-    monkeypatch.setattr(harness, "_float_texts", no_text)
+    def counted_texts(values, json_nonfinite):
+        calls.append(json_nonfinite)
+        return real_texts(values, json_nonfinite)
+
+    monkeypatch.setattr(harness, "_float_texts", counted_texts)
     path = tmp_path / "records.csv"
     for gns_audit in (False, True):
         assert run_sweep(_tiny_config(gns_audit=gns_audit)).total == 2 * 4 * 2
+        assert calls == []
         records = []
         config = _tiny_config(gns_audit=gns_audit, output_path=str(path), format="csv")
         assert run_sweep(config, record_sink=records.append).total == 2 * 4 * 2
+        # one chunk at dim 2 and one at dim 3, spelled as repr spells them
+        assert calls == [False, False]
+        calls.clear()
         assert path.read_text() == _csv_text(records)
 
 
