@@ -70,7 +70,8 @@ from .monotone import MonotoneFunction
 # The audit reads its tilde values from qinfo.eigenbasis_terms and calls
 # tilde_transform nowhere; bench/tracing.py wraps it here by name.
 from .monotone import tilde_transform  # noqa: F401
-from .qinfo import EigenbasisTerms, _kernel_traces, _scalars, _trace_moments, eigenbasis_terms
+from .qinfo import EigenbasisTerms, eigenbasis_terms
+from .qinfo import _gate_flags, _kernel_traces, _scalars, _trace_moments
 # The audit takes G from qinfo._scalars and calls none of these;
 # bench/tracing.py wraps them here by name.
 from .qinfo import centered, covariance, f_correlation, f_information, variance  # noqa: F401
@@ -92,9 +93,6 @@ G_H_RTOL = 1e-8
 # similarly relative to the graph form E1.
 MU_ATOM_SLACK = 1e-12
 GFORM_SLACK = 1e-12
-
-# Flag of each audit mask column: G vs H, mu, and the G-forms of a and b.
-AUDIT_FLAGS = ("g_h_mismatch", "mu_negative_atom", "gform_negative")
 
 
 def _value(x):
@@ -209,8 +207,8 @@ class AtomicPairMeasure:
         terms of every w[k, l] is at most 2 A+ B+ in size, since
         |m_xy[k]| <= sqrt(m_xx[k] m_yy[k]) up to round-off, however small
         their sum, the total weight, comes out. The round-off in a weight,
-        and in :attr:`min_weight_bound`, is a few eps times it; the
-        ``mu_negative_atom`` gate's slack is MU_ATOM_SLACK times it.
+        and in :attr:`min_weight_bound`, is a few eps times it; the audit's
+        gate on mu has a slack of MU_ATOM_SLACK times it.
         """
         return _value(np.multiply(*self._positive_parts[1]))
 
@@ -237,7 +235,7 @@ def build_mu(rho: DensityMatrix, xt, et) -> AtomicPairMeasure:
     plus terms dominate by the arithmetic-geometric mean inequality. The
     three marginals are one (3, ..., K) array,
     :attr:`AtomicPairMeasure.marginals`, which every reader takes as it
-    is. The audit gates ``mu_negative_atom`` on
+    is. The audit gates mu on
     :attr:`AtomicPairMeasure.min_weight_bound`, which is <= the minimum
     over all K^2 weights in exact arithmetic and never forms them: the gate
     flags unless bound >= -MU_ATOM_SLACK * weight_scale, so it fires on
@@ -301,15 +299,15 @@ def audit_G_equals_H(terms: EigenbasisTerms) -> dict[str, np.ndarray]:
     grid of states and catalog entries in one pass and returns columns:
     ``G``, ``H``, ``residual`` = |G - H| and ``gform_min`` as (T, F)
     arrays, ``mu_min_atom`` as a (T,) array (mu does not depend on f), and
-    ``flags``, a (T, F, len(AUDIT_FLAGS)) boolean mask. Each value equals
-    the audit of its state alone. G is assembled from direct traces; H
-    integrates the pair measure of the centered observables. Flagged are
-    |G - H| beyond G_H_RTOL * max(1, |G|), a certified lower bound on the
-    weights of mu below -MU_ATOM_SLACK times their uncancelled size
-    (:attr:`AtomicPairMeasure.weight_scale`), and a negative G^f on either
-    centered observable (one ``gform_negative`` for both). Each gate flags
-    unless its value is within bound, so a NaN G, H, bound or form is
-    flagged.
+    ``flags``, the (T, F) boolean flag of each gate of the audit's table,
+    keyed by its name (:func:`~skewcal.qinfo._gate_flags`). Each value
+    equals the audit of its state alone. G is assembled from direct traces;
+    H integrates the pair measure of the centered observables. Its gates
+    flag |G - H| beyond G_H_RTOL * max(1, |G|), a certified lower bound on
+    the weights of mu below -MU_ATOM_SLACK times their uncancelled size
+    (:attr:`AtomicPairMeasure.weight_scale`), and a G^f of either centered
+    observable below -GFORM_SLACK times its E1 (one gate for both), so a
+    NaN G, H, bound or form is flagged.
 
     Tr(rho a) and Tr(rho b) of :func:`~skewcal.qinfo._trace_moments`
     of ``terms.pair``, which it reads uncopied, center the observables in
@@ -358,19 +356,18 @@ def audit_G_equals_H(terms: EigenbasisTerms) -> dict[str, np.ndarray]:
     # the kernel form sum_ij k_ij |x_ij|^2 is q . m_xx (m_yy for b0), H's dots
     gforms = 0.5 * e1[..., None] - dots[:2]
     residual = np.abs(g - h)
-    # each gate is written so that a NaN fails it: not (x within its bound)
-    flags = np.empty((t, f, len(AUDIT_FLAGS)), bool)
-    np.less_equal(residual, G_H_RTOL * np.fmax(1.0, np.abs(g)), out=flags[..., 0])
-    flags[..., 1] = (mu_min >= -MU_ATOM_SLACK * mu.weight_scale)[:, None]
-    # one gate for both G-forms: it holds only if each is within its floor
-    gform_floor = -GFORM_SLACK * np.maximum(e1, 0.0)[..., None]
-    (gforms >= gform_floor).all(axis=0, out=flags[..., 2])
-    np.logical_not(flags, out=flags)
+    # the audit's gates, each (low, high); the G-form gate compares each
+    # observable's form with its own floor and holds only where both clear it
+    gates = {
+        "g_h_mismatch": (residual, G_H_RTOL * np.fmax(1.0, np.abs(g))),
+        "mu_negative_atom": ((-MU_ATOM_SLACK * mu.weight_scale)[:, None], mu_min[:, None]),
+        "gform_negative": (-GFORM_SLACK * np.maximum(e1, 0.0)[..., None], gforms),
+    }
     return {
         "G": g,
         "H": h,
         "residual": residual,
         "mu_min_atom": mu_min,
         "gform_min": np.minimum(*gforms),
-        "flags": flags,
+        "flags": _gate_flags(gates, g.shape),
     }

@@ -75,7 +75,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .gns import AUDIT_FLAGS, audit_G_equals_H
+from .gns import audit_G_equals_H
 # Nothing here builds a GnsModel; bench/tracing.py wraps it here by name.
 from .gns import GnsModel  # noqa: F401
 from .linalg import (
@@ -90,7 +90,6 @@ from .linalg import (
 )
 from .monotone import from_key
 from .qinfo import (
-    _FLAGS,
     _SCALARS,
     DEFAULT_TOL,
     _flag_names,
@@ -414,16 +413,16 @@ def _records(config: SweepConfig, functions):
             # one pair rotation and one tilde call, for the report and the audit
             terms = _pair_terms(rho, functions, pair)
             columns = _report_in_eigenbasis(terms, config.tol)
-            residuals, masks, names = columns["residuals"], columns["flags"], _FLAGS
+            residuals, flags = columns["residuals"], columns["flags"]
             if config.gns_audit:
                 audit = audit_G_equals_H(terms)
                 residuals = [
                     np.concatenate((r, col[:, None]), axis=1)
                     for r, col in zip(residuals, audit["residual"].T)
                 ]
-                masks = np.concatenate((masks, audit["flags"]), axis=2)
-                names = _FLAGS + AUDIT_FLAGS
-            flags = _flag_names(masks, names)
+                # the report's gates, then the audit's, each in its table's order
+                flags = {**flags, **audit["flags"]}
+            flags = _flag_names(flags)
             # the chunk's (T, F, n, n) tilde values and kernels are done with:
             # free them before its text and the next chunk's stacks are built
             del terms
@@ -584,7 +583,7 @@ def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_T
         return {"error": str(exc)}, 1
     # each audit column holds the one state and the one entry
     names = ("G", "H", "residual", "mu_min_atom", "gform_min")
-    ((flags,),) = _flag_names(audit["flags"], AUDIT_FLAGS)
+    ((flags,),) = _flag_names(audit["flags"])
     payload = {
         "report": report,
         "audit": {**{name: audit[name].item() for name in names}, "flags": flags},

@@ -24,7 +24,10 @@ entry sums and, for the wyd family, also along the power-sandwich route
 Tr(rho^beta a rho^(1-beta) b), where corr_ab, info_a and info_b are each a
 trace less its entry sum against lam_i^beta lam_j^(1-beta); the
 disagreement of the kernel and sandwich routes is surfaced as a residual,
-never hidden, and flagged when it passes the tolerance.
+never hidden, and flagged when it passes the tolerance. Each route, the
+report and the audit, states its gates as one ordered table of named
+(low, high) rows; :func:`_gate_flags` flags a row unless low <= high, so
+a NaN on either side fails every gate.
 """
 
 from __future__ import annotations
@@ -183,17 +186,6 @@ _SCALARS = (
     "heisenberg_rhs",
 )
 
-# Flag names, in the order they are reported on a record.
-_FLAGS = (
-    "nonfinite_scalar",
-    "main_inequality_violation",
-    "commutator_bound_violation",
-    "negative_lhs",
-    "negative_info_a",
-    "negative_info_b",
-    "route_disagreement",
-)
-
 
 @dataclass(frozen=True, eq=False)
 class EigenbasisTerms:
@@ -335,8 +327,9 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     over every entry. Each name in _SCALARS maps to a (T, F) array (T = 1
     for one state; the f-independent ones repeat along F), ``residuals`` to
     a tuple of F arrays, (T, 3) for a wyd entry and (T, 0) otherwise, and
-    ``flags`` to a (T, F, len(_FLAGS)) boolean mask; ``route_disagreement``
-    marks a residual above tol * max(1, var_a, var_b). A wyd entry is one
+    ``flags`` to the (T, F) boolean flag of each gate of the report's table,
+    keyed by its name (:func:`_gate_flags`); the route gate holds while the
+    worst residual is within tol * max(1, var_a, var_b). A wyd entry is one
     that evaluates ``functools.partial(wyd_f, beta)``, whatever its name,
     and its sandwich takes that beta. Every reduction runs
     over the entries of one (instance, entry) only, so a value does not
@@ -391,52 +384,61 @@ def _report_in_eigenbasis(terms: EigenbasisTerms, tol: float) -> dict:
     residuals = [np.empty((len(lam), 0))] * len(terms.functions)
     for j, k in enumerate(k_wyd):
         residuals[k] = sandwich[:, :, j].T
-    # a route disagreement is judged on the scale of the quantities compared
-    route_bound = tol * np.fmax(1.0, np.fmax(var_a, var_b))
-    disagree = np.zeros(gap.shape, bool)
-    disagree[:, k_wyd] = sandwich.max(axis=0) > route_bound[:, None]
+    # the worst route disagreement of each entry; an entry without a sandwich has none
+    worst = np.zeros(gap.shape)
+    worst[:, k_wyd] = sandwich.max(axis=0)
 
     # the per-state columns repeat along the entry axis
-    scalars = _grid([values[name].reshape(len(lam), -1) for name in _SCALARS], gap.shape, float)
-    flags = (
-        ~np.isfinite(scalars).all(axis=0),
-        gap < -tol_eff,
-        (lhs - heis)[:, None] < -tol_eff,
-        lhs[:, None] < -slack,
-        info_a < -slack,
-        info_b < -slack,
-        disagree,
-    )
+    scalars = np.empty((len(_SCALARS),) + gap.shape)
+    for row, name in zip(scalars, _SCALARS):
+        row[...] = values[name].reshape(len(lam), -1)
+    # the report's gates, each (low, high), in the order a record names them;
+    # a route disagreement is judged on the scale of the quantities compared
+    gates = {
+        "nonfinite_scalar": (np.abs(scalars).max(axis=0), np.finfo(float).max),
+        "main_inequality_violation": (-tol_eff, gap),
+        "commutator_bound_violation": (-tol_eff, (lhs - heis)[:, None]),
+        "negative_lhs": (-slack, lhs[:, None]),
+        "negative_info_a": (-slack, info_a),
+        "negative_info_b": (-slack, info_b),
+        "route_disagreement": (worst, tol * np.fmax(1.0, np.fmax(var_a, var_b))[:, None]),
+    }
     return {
         **dict(zip(_SCALARS, scalars)),
         "residuals": tuple(residuals),
-        "flags": _grid(flags, gap.shape, bool).transpose(1, 2, 0),
+        "flags": _gate_flags(gates, gap.shape),
     }
 
 
-def _grid(parts, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """One (len(parts), *shape) array whose row k is ``parts[k]`` broadcast to ``shape``."""
-    out = np.empty((len(parts),) + shape, dtype)
-    for row, part in zip(out, parts):
-        row[...] = part
-    return out
+def _gate_flags(gates: dict, shape: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """The rows of one (len(gates), *shape) mask, keyed by gate: each is not (low <= high).
+
+    Each (low, high) of ``gates`` broadcasts to ``shape`` or, for a gate over
+    k quantities, to (k, *shape), and that gate holds only where all k do.
+    """
+    flags = np.empty((len(gates),) + shape, bool)
+    for row, (low, high) in zip(flags, gates.values()):
+        held = np.less_equal(low, high)
+        np.logical_not(held.all(axis=0) if held.ndim > row.ndim else held, out=row)
+    return dict(zip(gates, flags))
 
 
-def _flag_names(masks: np.ndarray, names: tuple[str, ...]) -> list[list[list[str]]]:
-    """The names set in a (T, F, len(names)) mask, as one list per (entry, instance), [f][t]."""
-    t, f = masks.shape[:2]
+def _flag_names(flags: dict[str, np.ndarray]) -> list[list[list[str]]]:
+    """The names of the (T, F) ``flags`` set on each (entry, instance), in key order, [f][t]."""
+    masks = np.array(list(flags.values()))
+    t, f = masks.shape[1:]
     if not masks.any():
         return [[[] for _ in range(t)] for _ in range(f)]
     return [
-        [[name for name, hit in zip(names, row) if hit] for row in entry]
-        for entry in masks.swapaxes(0, 1).tolist()
+        [[name for name, hit in zip(flags, row) if hit] for row in entry]
+        for entry in masks.transpose(2, 1, 0).tolist()
     ]
 
 
 def _instance_report(terms: EigenbasisTerms, tol) -> dict:
     """The report of the one state and entry of ``terms``: _SCALARS, residuals and flags."""
     columns = _report_in_eigenbasis(terms, validate_tol(tol))
-    ((flags,),) = _flag_names(columns["flags"], _FLAGS)
+    ((flags,),) = _flag_names(columns["flags"])
     return {
         **{name: columns[name].item() for name in _SCALARS},
         "residuals": columns["residuals"][0][0].tolist(),
@@ -462,7 +464,8 @@ def evaluate_inequalities(
     side. Violations are flagged on the report, never raised. For wyd
     entries the kernel-route quantities are cross-checked against the
     power-sandwich route and the disagreements recorded as residuals; one
-    above tol * max(1, var_a, var_b) flags ``route_disagreement``.
+    above tol * max(1, var_a, var_b) is flagged. A NaN fails every check
+    it reaches.
 
     Returns the dict of a sweep record's fields after (dim, f, trial, seed),
     in order and bit for bit: the ten scalars (lhs and rhs the two sides,

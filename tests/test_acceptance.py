@@ -169,7 +169,7 @@ def test_criterion_4_proof_transcription_audit():
         a = random_hermitian(dim, seed=7_001 + 3 * i)
         b = random_hermitian(dim, seed=7_002 + 3 * i)
         audit = audit_G_equals_H(eigenbasis_terms(rho, [from_key(key)], a, b))
-        flagged += bool(audit["flags"].any())
+        flagged += any(mask.any() for mask in audit["flags"].values())
         g, residual = audit["G"].item(), audit["residual"].item()
         worst_residual_ratio = max(worst_residual_ratio, residual / max(1.0, abs(g)))
     ok = flagged == 0 and worst_residual_ratio <= 1e-8

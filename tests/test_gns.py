@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracle import FROZEN, pair_integrand, pair_weights
 from skewcal.gns import (
-    AUDIT_FLAGS,
     G_H_RTOL,
     MU_ATOM_SLACK,
     audit_G_equals_H,
@@ -41,16 +40,24 @@ ALL_KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
 # the (T, F) columns of an audit; mu_min_atom is (T,)
 GRID_COLUMNS = ("G", "H", "residual", "gform_min")
 
+# the audit's gates, in its table's order
+AUDIT_GATES = ["g_h_mismatch", "mu_negative_atom", "gform_negative"]
+
 
 def _audit(rho, functions, a, b):
     # the audit reads the rotation and tilde pass the stacked report shares
     return audit_G_equals_H(eigenbasis_terms(rho, functions, a, b))
 
 
+def _flagged(audit):
+    # whether any gate of the audit flags any (state, entry)
+    return any(mask.any() for mask in audit["flags"].values())
+
+
 def _entries(audit):
     # one check-payload-shaped dict per catalog entry of a one-state audit
     (mu_min,) = audit["mu_min_atom"].tolist()
-    flags = _flag_names(audit["flags"], AUDIT_FLAGS)
+    flags = _flag_names(audit["flags"])
     return [
         {
             **{key: audit[key][0, k].item() for key in GRID_COLUMNS},
@@ -318,7 +325,8 @@ def test_audit_fixture(fixture_rho, fixture_a, fixture_b):
     assert set(audit) == {"G", "H", "residual", "mu_min_atom", "gform_min", "flags"}
     assert all(audit[key].shape == (1, 1) for key in GRID_COLUMNS)
     assert audit["mu_min_atom"].shape == (1,)
-    assert audit["flags"].shape == (1, 1, len(AUDIT_FLAGS))
+    assert list(audit["flags"]) == AUDIT_GATES
+    assert all(mask.shape == (1, 1) for mask in audit["flags"].values())
     (entry,) = _entries(audit)
     assert entry["G"] == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
     assert entry["H"] == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
@@ -514,7 +522,7 @@ def test_mu_negative_atom_gate_holds_where_the_mass_cancels(monkeypatch):
     mass = float(np.sum(pair_weights(*mu.marginals)))
     assert mu.min_weight_bound < -MU_ATOM_SLACK * max(mass, 0.0)
     assert mu.min_weight_bound >= -MU_ATOM_SLACK * mu.weight_scale
-    assert not audit["flags"].any()
+    assert not _flagged(audit)
 
 
 def test_gform_negative_gate_fires(monkeypatch):
@@ -550,24 +558,29 @@ def test_audit_gates_fail_on_nan():
     # observables of norm ~1e150 overflow the traces and the marginals to
     # inf and then NaN: G, H, the residual and the bound on mu are NaN, and
     # at 1e160 the G-forms too. A NaN is not within any bound, so each gate
-    # it reaches flags, as the report's checks do, and each flag is named once
+    # it reaches flags, as the report's checks do, and each flag is named once.
+    # The report of the same terms has NaN lhs, rhs and gap at 1e150 and only
+    # NaN scalars and residuals at 1e160: its first four gates fail, then all
     rho = random_density(3, 1)
-    for scale, expected in ((1e150, [True, True, False]), (1e160, [True] * 3)):
+    for scale, expected, reached in ((1e150, [True, True, False], 4), (1e160, [True] * 3, 7)):
         a, b = (scale * random_hermitian(3, seed).matrix for seed in (2, 3))
+        terms = eigenbasis_terms(rho, [from_key("wyd:0.5")], a, b)
         with np.errstate(all="ignore"):
-            audit = _audit(rho, [from_key("wyd:0.5")], a, b)
+            audit = audit_G_equals_H(terms)
+            report = qinfo._report_in_eigenbasis(terms, 1e-9)["flags"]
+        assert _flag_names(report) == [[list(report)[:reached]]], scale
         for key in ("G", "H", "residual", "mu_min_atom"):
             assert np.isnan(audit[key]).all(), (scale, key)
         assert np.isnan(audit["gform_min"]).all() == (scale == 1e160), scale
-        assert audit["flags"].tolist() == [[expected]], scale
-        names = [name for name, hit in zip(AUDIT_FLAGS, expected) if hit]
-        assert _flag_names(audit["flags"], AUDIT_FLAGS) == [[names]], scale
+        assert [mask.tolist() for mask in audit["flags"].values()] == [[[x]] for x in expected]
+        names = [name for name, hit in zip(AUDIT_GATES, expected) if hit]
+        assert _flag_names(audit["flags"]) == [[names]], scale
     # a NaN G-form of a0 alone fails the one gate beside b0's finite form
     a = 1e160 * random_hermitian(3, 2).matrix
     with np.errstate(all="ignore"):
         audit = _audit(rho, [from_key("wyd:0.5")], a, random_hermitian(3, 3).matrix)
     assert np.isnan(audit["gform_min"]).all()
-    assert audit["flags"][0, 0, AUDIT_FLAGS.index("gform_negative")]
+    assert audit["flags"]["gform_negative"][0, 0]
 
 
 def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
@@ -591,7 +604,7 @@ def test_audit_rejects_a_non_hermitian_kernel_product(monkeypatch):
         with pytest.raises(ValueError, match="not Hermitian"):
             _audit(rho, functions, a, b)
     monkeypatch.undo()
-    assert not _audit(rho, functions, a, b)["flags"].any()
+    assert not _flagged(_audit(rho, functions, a, b))
 
 
 def test_audit_with_no_catalog_entries_matches_the_report():
@@ -604,7 +617,8 @@ def test_audit_with_no_catalog_entries_matches_the_report():
     for state, x, y, t in ((rho, a, b, 1), (states, sa, sb, 3)):
         audit = _audit(state, [], x, y)
         assert all(audit[key].shape == (t, 0) for key in GRID_COLUMNS)
-        assert audit["flags"].shape == (t, 0, len(AUDIT_FLAGS))
+        assert list(audit["flags"]) == AUDIT_GATES
+        assert all(mask.shape == (t, 0) for mask in audit["flags"].values())
         assert audit["mu_min_atom"].shape == (t,)
         columns = qinfo._report_in_eigenbasis(eigenbasis_terms(state, [], x, y), 1e-9)
         assert columns["gap"].shape == (t, 0)
@@ -671,7 +685,7 @@ def test_audit_working_set_is_a_few_observable_batches(n, t):
         tracemalloc.stop()
     batch = t * len(functions) * n * n * np.dtype(complex).itemsize
     assert peak <= 8 * batch, peak / batch
-    assert not audit["flags"].any()
+    assert not _flagged(audit)
 
 
 def test_h_from_measure_consistency():
@@ -734,22 +748,28 @@ def test_stacked_audit_equals_per_trial_audits():
     # a chunk's audit columns are each state's stack-of-one columns, by repr
     # on every column, whatever the chunk boundaries
     functions = [from_key(k) for k in ALL_KEYS]
-    keys = (*GRID_COLUMNS, "mu_min_atom", "flags")
+    # each gate's (T, F) flag is a column of its own
+    keys = (*GRID_COLUMNS, "mu_min_atom", *AUDIT_GATES)
+
+    def _audit_columns(*args):
+        audit = _audit(*args)
+        return {**audit, **audit["flags"]}
+
     for states in _stack_cases():
         n, t = states[0].dim, len(states)
         a = np.array([random_hermitian(n, seed=1300 + k).matrix for k in range(t)])
         b = np.array([random_hermitian(n, seed=1400 + k).matrix for k in range(t)])
-        singles = [_audit(rho, functions, a[k], b[k]) for k, rho in enumerate(states)]
+        singles = [_audit_columns(rho, functions, a[k], b[k]) for k, rho in enumerate(states)]
         expected = _bits({key: np.concatenate([s[key] for s in singles]) for key in keys}, keys)
         for cut in (1, t // 2, t - 1):
             chunks = [range(0, cut), range(cut, t)]
             audits = [
-                _audit(_stack([states[k] for k in c]), functions, a[c], b[c])
+                _audit_columns(_stack([states[k] for k in c]), functions, a[c], b[c])
                 for c in chunks
             ]
             stacked = {key: np.concatenate([x[key] for x in audits]) for key in keys}
             assert _bits(stacked, keys) == expected, (n, cut)
-        assert not any(s["flags"].any() for s in singles)
+        assert not any(_flagged(s) for s in singles)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
@@ -964,7 +984,7 @@ def test_audit_residual_floor_is_the_states_trace_defect():
             a, b = (random_hermitian(4, seed=seed + k).matrix for k in (0, 100))
             a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
             audit = _audit(rho, functions, a, b)
-            assert not audit["flags"].any()
+            assert not _flagged(audit)
             residuals.append(float(audit["residual"].max()))
         worst[name] = (max(residuals), defect)
     residual, defect = worst["defect"]

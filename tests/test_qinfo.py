@@ -29,7 +29,7 @@ ALL_KEYS = ("wyd:0.1", "wyd:0.5", "wyd:0.9", "sld", "harmonic")
 
 def _rows(columns):
     """The stacked report's columns as one ``evaluate_inequalities``-shaped dict per (f, t), [f][t]."""
-    flags = qinfo._flag_names(columns["flags"], qinfo._FLAGS)
+    flags = qinfo._flag_names(columns["flags"])
     return [
         [
             {
@@ -319,7 +319,8 @@ def test_route_disagreement_fires_alone_on_a_wrong_f_at_zero():
     assert report["flags"] == ["route_disagreement"]
     assert all(0.13 < r < 0.17 for r in report["residuals"])
     assert evaluate_inequalities(rho, wyd(0.5), a, b)["flags"] == []
-    assert qinfo._FLAGS[-1] == "route_disagreement"
+    columns = _report_in_eigenbasis(eigenbasis_terms(rho, [wrong], a.matrix, b.matrix), 1e-9)
+    assert list(columns["flags"])[-1] == "route_disagreement"
     # the bound is tol * max(1, var_a, var_b): it fires just below the
     # largest residual over that scale and not just above
     edge = max(report["residuals"]) / max(1.0, variance(rho, a), variance(rho, b))
@@ -390,6 +391,16 @@ def _negative_lhs_row():
     return MIXED, SIGMA_X, b
 
 
+def _nan_flags(key):
+    # a's NaN entry reaches var_a, cov_ab, info_a, corr_ab, lhs, rhs, the gap
+    # and the commutator term, and a NaN fails every gate it reaches: all but
+    # negative_info_b (info_b is 0), and for a wyd entry the route gate too,
+    # whose info_a and corr_ab residuals are NaN
+    gates = ["main_inequality_violation", "commutator_bound_violation", "negative_lhs"]
+    route = ["route_disagreement"] if key.startswith("wyd:") else []
+    return ["nonfinite_scalar", *gates, "negative_info_a", *route]
+
+
 @pytest.mark.parametrize("key", ALL_KEYS)
 @pytest.mark.parametrize(
     "flag, bad_row",
@@ -402,13 +413,14 @@ def _negative_lhs_row():
 def test_report_flags_fire_alone_on_the_bad_row(flag, bad_row, key):
     # the sampled instances of a sweep do not reach these flags, so the bad
     # rows feed the stacked evaluator observables that no finite Hermitian
-    # pair is
+    # pair is. The commutator and lhs rows fire their gate alone; the NaN
+    # row fires every gate its NaN reaches
     good = (SKEWED, SIGMA_X, SIGMA_Z)
     states, a, b = (np.stack(parts) for parts in zip(good, bad_row()))
     terms = eigenbasis_terms(DensityMatrix(states), [from_key(key)], a, b)
     (rows,) = _rows(_report_in_eigenbasis(terms, 1e-9))
     assert rows[0]["flags"] == []
-    assert rows[1]["flags"] == [flag]
+    assert rows[1]["flags"] == (_nan_flags(key) if flag == "nonfinite_scalar" else [flag])
 
 
 def test_evaluate_validates_inputs(fixture_rho, fixture_a, fixture_b):
@@ -527,7 +539,8 @@ def test_report_over_f_entries_equals_single_entry_reports(dim):
         a, b = (random_hermitian(dim, [s + k for s in seeds]).matrix for k in (1, 2))
         columns = _report_in_eigenbasis(eigenbasis_terms(rho, functions, a, b), 1e-9)
         assert columns["gap"].shape == (t, len(functions))
-        assert columns["flags"].shape == (t, len(functions), len(qinfo._FLAGS))
+        assert len(columns["flags"]) == 7
+        assert all(m.shape == (t, len(functions)) for m in columns["flags"].values())
         rows = _rows(columns)
         for f, f_rows in zip(functions, rows):
             (alone,) = _rows(_report_in_eigenbasis(eigenbasis_terms(rho, [f], a, b), 1e-9))
