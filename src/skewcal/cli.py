@@ -1,4 +1,10 @@
-"""Command line front end: verify, check, catalog, and hist subcommands."""
+"""Command line front end: verify, check, catalog, and hist subcommands.
+
+The library returns results and raises ValueError or OSError on bad input;
+exit codes are set here alone. Each subcommand returns 0, or 2 when its
+result flags a violation, and ``main`` turns a raised input error into one
+``error: ...`` line on stderr and exit code 1.
+"""
 
 from __future__ import annotations
 
@@ -112,44 +118,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        config = SweepConfig(
-            dims=tuple(int(d) for d in args.dims.split(",") if d.strip()),
-            trials=args.trials,
-            f_specs=tuple(_split_keys(args.f, ("wyd:0.5",))),
-            seed=args.seed,
-            tol=args.tol,
-            normalize_observables=not args.no_normalize,
-            gns_audit=args.gns_audit,
-            output_path=args.out,
-            format=args.format,
-        )
-        summary = run_sweep(config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = SweepConfig(
+        dims=tuple(int(d) for d in args.dims.split(",") if d.strip()),
+        trials=args.trials,
+        f_specs=tuple(_split_keys(args.f, ("wyd:0.5",))),
+        seed=args.seed,
+        tol=args.tol,
+        normalize_observables=not args.no_normalize,
+        gns_audit=args.gns_audit,
+        output_path=args.out,
+        format=args.format,
+    )
+    summary = run_sweep(config)
     print(json.dumps(summary.to_dict()))
     return 0 if summary.violations == 0 else 2
 
 
 def _cmd_check(args) -> int:
-    payload, code = check_instance(args.rho, args.a, args.b, args.f, tol=args.tol)
-    if code == 1:
-        print(f"error: {payload['error']}", file=sys.stderr)
-        return 1
+    payload = check_instance(args.rho, args.a, args.b, args.f, tol=args.tol)
     print(json.dumps(payload))
-    return code
+    return 2 if payload["report"]["flags"] or payload["audit"]["flags"] else 0
 
 
 def _cmd_catalog(args) -> int:
     keys = _split_keys(args.f, _DEFAULT_CATALOG)
-    try:
-        if not keys:
-            raise ValueError("--f gives no monotone function keys")
-        entries = [(key, from_key(key)) for key in keys]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if not keys:
+        raise ValueError("--f gives no monotone function keys")
+    entries = [(key, from_key(key)) for key in keys]
     if not args.validate:
         for key, f in entries:
             kind = "fixed" if _wyd_beta(f) is None else "parametric"
@@ -161,17 +156,14 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    try:
-        records = read_records(args.input)
-        rows = emit_gap_histogram(records, n_buckets=args.buckets, out_path=args.out)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records = read_records(args.input)
+    rows = emit_gap_histogram(records, n_buckets=args.buckets, out_path=args.out)
     print(f"wrote {len(rows)} buckets covering {len(records)} records to {args.out}")
     return 0
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; an input error (OSError or ValueError) prints ``error: ...`` and returns 1."""
     args = _build_parser().parse_args(argv)
     handlers = {
         "verify": _cmd_verify,
@@ -179,7 +171,11 @@ def main(argv=None) -> int:
         "catalog": _cmd_catalog,
         "hist": _cmd_hist,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

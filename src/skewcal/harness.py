@@ -12,6 +12,13 @@ summarizes them through ``summarize_records``, whose reductions are order
 independent, so the summary is invariant under shuffling of the record
 stream.
 
+Errors: ``run_sweep``, ``check_instance``, ``read_records`` and
+``emit_gap_histogram`` return their results and raise ValueError or
+OSError on bad input, ``SweepConfig`` on a bad field; none of them sets
+an exit code, which is ``skewcal.cli``'s policy alone. ``SweepConfig`` and
+``check_instance`` refuse a catalog key whose entry
+``validate_catalog_entry`` rejects, naming the key and its violations.
+
 Stacked evaluation: a sweep runs each dimension n in chunks of up to
 T = max(1, _STACK_ENTRIES // n**2) trials. Every seed of the sweep is
 derived once, before the first chunk, in one array pass: hash64 over
@@ -81,6 +88,7 @@ from .gns import GnsModel  # noqa: F401
 from .linalg import (
     StackRejection,
     _frobenius_norms,
+    _integer,
     _preset_seeds,
     _seed_sequence_words,
     load_density,
@@ -88,7 +96,7 @@ from .linalg import (
     random_density,
     random_hermitian,
 )
-from .monotone import from_key
+from .monotone import MonotoneFunction, from_key, validate_catalog_entry
 from .qinfo import (
     _SCALARS,
     DEFAULT_TOL,
@@ -169,11 +177,13 @@ def hash64(*words):
     return h
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; ValueError for a bool or a non-integer, never a truncation."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _catalog_entry(key: str) -> MonotoneFunction:
+    """``from_key(key)``; ValueError naming the key when ``validate_catalog_entry`` rejects it."""
+    f = from_key(key)
+    violations = validate_catalog_entry(f).violations()
+    if violations:
+        raise ValueError(f"catalog entry {key!r} fails validation: {'; '.join(violations)}")
+    return f
 
 
 def _flag(value, name: str) -> bool:
@@ -198,10 +208,11 @@ class SweepConfig:
     the catalog names of its keys (``from_key(key).name``), deduplicated in
     first-seen order, which also fixes the record ordering within a
     dimension. Malformed fields raise ValueError: ``dims`` and ``f_specs``
-    must be sequences (a bare int or string is not), the integer fields
-    integers, the two switches bools, numpy ones included, and
-    ``output_path`` None or a non-empty str or os.PathLike (``open`` takes
-    an int or a bool as a file descriptor).
+    must be sequences (a bare int or string is not), each key's entry must
+    pass ``validate_catalog_entry``, the integer fields integers, the two
+    switches bools, numpy ones included, and ``output_path`` None or a
+    non-empty str or os.PathLike (``open`` takes an int or a bool as a
+    file descriptor).
     """
 
     dims: tuple[int, ...]
@@ -227,7 +238,7 @@ class SweepConfig:
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         keys = _sequence(self.f_specs, "f_specs")
-        specs = tuple(dict.fromkeys(from_key(str(key)).name for key in keys))
+        specs = tuple(dict.fromkeys(_catalog_entry(str(key)).name for key in keys))
         if not specs:
             raise ValueError("f_specs must be non-empty")
         object.__setattr__(self, "f_specs", specs)
@@ -562,34 +573,30 @@ def run_sweep(config: SweepConfig, record_sink=None) -> SweepSummary:
         return summarize_records(_emitted(records, record_sink, out), config.tol)
 
 
-def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_TOL):
+def check_instance(rho_path, a_path, b_path, f_spec: str, tol: float = DEFAULT_TOL) -> dict:
     """Evaluate one instance from matrix JSON files.
 
-    Returns (payload, exit_code): 0 on pass, 2 on any flagged tolerance
-    violation, 1 on input errors (malformed files, non-Hermitian input,
-    unfaithful state, shape mismatch). The payload carries the report, the
-    dict evaluate_inequalities returns, and the identity audit (G, H,
-    residual, mu_min_atom, gform_min and the audit flags' names). One
-    rotation and one tilde pass serve both.
+    Returns the payload ``{"report", "audit"}``: the report is the dict
+    evaluate_inequalities returns, the audit the identity audit's G, H,
+    residual, mu_min_atom, gform_min and the names of its flags. One
+    rotation and one tilde pass serve both. Input errors (malformed files,
+    non-Hermitian input, unfaithful state, shape mismatch, a bad tolerance,
+    or an entry that validate_catalog_entry rejects) raise ValueError or
+    OSError.
     """
-    try:
-        rho = load_density(rho_path)
-        a = load_hermitian(a_path)
-        b = load_hermitian(b_path)
-        terms = eigenbasis_terms(rho, [from_key(f_spec)], a, b)
-        report = _instance_report(terms, tol)
-        audit = audit_G_equals_H(terms)
-    except (OSError, ValueError) as exc:
-        return {"error": str(exc)}, 1
+    rho = load_density(rho_path)
+    a = load_hermitian(a_path)
+    b = load_hermitian(b_path)
+    terms = eigenbasis_terms(rho, [_catalog_entry(f_spec)], a, b)
+    report = _instance_report(terms, tol)
+    audit = audit_G_equals_H(terms)
     # each audit column holds the one state and the one entry
     names = ("G", "H", "residual", "mu_min_atom", "gform_min")
     ((flags,),) = _flag_names(audit["flags"])
-    payload = {
+    return {
         "report": report,
         "audit": {**{name: audit[name].item() for name in names}, "flags": flags},
     }
-    code = 2 if (report["flags"] or flags) else 0
-    return payload, code
 
 
 def _field_ok(value, types, items=None) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 
 import numpy as np
 
@@ -228,6 +229,13 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(re, re) + _dot(im, im))
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError for a bool or a non-integer, never a truncation."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _is_seed(seed) -> bool:
     if isinstance(seed, (int, np.integer)):
         return not isinstance(seed, bool)
@@ -363,6 +371,7 @@ def _ginibre(dim: int, seeds: list) -> np.ndarray:
     integer seeds' streams bit for bit, and saves ``default_rng`` numpy's
     SeedSequence hash of each integer.
     """
+    dim = _integer(dim, "dim")
     if dim < 1:
         raise ValueError("dim must be at least 1")
     raw = np.empty((len(seeds), 2, dim, dim))

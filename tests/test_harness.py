@@ -10,6 +10,7 @@ import math
 import os
 import platform
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -275,8 +276,8 @@ def test_bool_tolerance_is_rejected(tol, fixtures_dir):
         SweepConfig(dims=(2,), trials=1, f_specs=("sld",), tol=tol)
     with pytest.raises(ValueError, match="tol"):
         summarize_records([], tol=tol)
-    payload, code = check_instance(*_fixture_paths(fixtures_dir), "wyd:0.5", tol=tol)
-    assert code == 1 and "tol" in payload["error"]
+    with pytest.raises(ValueError, match="tol"):
+        check_instance(*_fixture_paths(fixtures_dir), "wyd:0.5", tol=tol)
     # a numeric string still passes
     assert validate_tol("1e-6") == 1e-6
 
@@ -456,8 +457,8 @@ def test_record_bits_are_a_function_of_the_trial_alone(fixtures_dir):
     paths = _fixture_paths(fixtures_dir)
     rho, a, b = load_density(paths[0]), load_hermitian(paths[1]), load_hermitian(paths[2])
     for key in KEYS:
-        payload, code = check_instance(*paths, key)
-        assert code == 0, key
+        payload = check_instance(*paths, key)
+        assert payload["report"]["flags"] == payload["audit"]["flags"] == [], key
         assert repr(payload["report"]) == repr(evaluate_inequalities(rho, from_key(key), a, b)), key
 
 
@@ -886,8 +887,7 @@ def test_sweep_without_output_builds_no_text(monkeypatch, tmp_path):
 
 def test_check_instance_passes_on_fixture(fixtures_dir):
     rho_path, a_path, b_path = _fixture_paths(fixtures_dir)
-    payload, code = check_instance(rho_path, a_path, b_path, "wyd:0.5")
-    assert code == 0
+    payload = check_instance(rho_path, a_path, b_path, "wyd:0.5")
     assert payload["report"]["gap"] == pytest.approx(FROZEN["fixture_gap_wyd_half"], abs=1e-10)
     assert payload["report"]["flags"] == []
     assert payload["audit"]["residual"] <= 1e-10
@@ -913,17 +913,17 @@ def test_check_passes_large_norm_nearly_commuting_observables(tmp_path):
         path.write_text(json.dumps({"n": 4, "re": m.real.tolist(), "im": m.imag.tolist()}))
         paths.append(str(path))
     for key in ("sld", "wyd:0.5", "wyd:0.1", "harmonic"):
-        payload, code = check_instance(*paths, key)
+        payload = check_instance(*paths, key)
         assert payload["report"]["flags"] == [], key
-        assert (code, payload["audit"]["flags"]) == (0, []), key
+        assert payload["audit"]["flags"] == [], key
 
 
 def test_check_instance_decomposes_the_state_once(monkeypatch, fixtures_dir):
     # the report and the audit both reuse the loaded state's eigendecomposition
     real, calls = linalg.eigendecompose, []
     monkeypatch.setattr(linalg, "eigendecompose", lambda h: calls.append(h) or real(h))
-    payload, code = check_instance(*_fixture_paths(fixtures_dir), "wyd:0.5")
-    assert code == 0 and payload["audit"]["flags"] == []
+    payload = check_instance(*_fixture_paths(fixtures_dir), "wyd:0.5")
+    assert payload["report"]["flags"] == payload["audit"]["flags"] == []
     assert len(calls) == 1
 
 
@@ -933,25 +933,24 @@ def test_check_instance_error_paths(tmp_path, fixtures_dir):
     non_herm = os.path.join(fixtures_dir, "non_hermitian.json")
     unfaithful = os.path.join(fixtures_dir, "unfaithful.json")
 
-    for args in (
-        (bad_trace, a_path, b_path, "wyd:0.5"),
-        (unfaithful, a_path, b_path, "wyd:0.5"),
-        (rho_path, non_herm, b_path, "wyd:0.5"),
-        (rho_path, a_path, b_path, "wyd:oops"),
-        (str(tmp_path / "missing.json"), a_path, b_path, "wyd:0.5"),
+    for args, error, match in (
+        ((bad_trace, a_path, b_path, "wyd:0.5"), ValueError, "trace"),
+        ((unfaithful, a_path, b_path, "wyd:0.5"), ValueError, "faithful"),
+        ((rho_path, non_herm, b_path, "wyd:0.5"), ValueError, "Hermitian"),
+        ((rho_path, a_path, b_path, "wyd:oops"), ValueError, "malformed wyd"),
+        ((str(tmp_path / "missing.json"), a_path, b_path, "wyd:0.5"), OSError, "missing.json"),
     ):
-        payload, code = check_instance(*args)
-        assert code == 1
-        assert "error" in payload
+        with pytest.raises(error, match=match):
+            check_instance(*args)
 
     # shape mismatch between the state and an observable
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"n": 3, "re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}))
-    payload, code = check_instance(rho_path, str(wide), b_path, "wyd:0.5")
-    assert code == 1 and "shape" in payload["error"]
+    with pytest.raises(ValueError, match="shape"):
+        check_instance(rho_path, str(wide), b_path, "wyd:0.5")
 
 
-def test_check_instance_flag_exit_code(monkeypatch, fixtures_dir):
+def test_check_instance_flag_exit_code(monkeypatch, capsys, fixtures_dir):
     rho_path, a_path, b_path = _fixture_paths(fixtures_dir)
     real = qinfo._report_in_eigenbasis
 
@@ -961,9 +960,11 @@ def test_check_instance_flag_exit_code(monkeypatch, fixtures_dir):
         return {**columns, "flags": {**columns["flags"], "main_inequality_violation": main}}
 
     monkeypatch.setattr(qinfo, "_report_in_eigenbasis", forged)
-    payload, code = check_instance(rho_path, a_path, b_path, "wyd:0.5")
-    assert code == 2
+    payload = check_instance(rho_path, a_path, b_path, "wyd:0.5")
     assert payload["report"]["flags"] == ["main_inequality_violation"]
+    # the flag alone makes the CLI exit 2, with the same payload on stdout
+    assert main(["check", "--rho", rho_path, "--a", a_path, "--b", b_path]) == 2
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 def test_read_records_handles_blank_and_bad_lines(tmp_path, capsys):
@@ -1173,8 +1174,8 @@ def test_cli_rejects_invalid_tolerance(tol, capsys, fixtures_dir):
     assert "tol" in capsys.readouterr().err
     assert main(["verify", "--dims", "2", "--trials", "1", f"--tol={tol}"]) == 1
     assert "tol" in capsys.readouterr().err
-    payload, code = check_instance(rho_path, a_path, b_path, "wyd:0.5", tol=float(tol))
-    assert code == 1 and "tol" in payload["error"]
+    with pytest.raises(ValueError, match="tol"):
+        check_instance(rho_path, a_path, b_path, "wyd:0.5", tol=float(tol))
     with pytest.raises(ValueError, match="tol"):
         summarize_records([], tol=float(tol))
 
@@ -1196,6 +1197,62 @@ def test_cli_usage_errors_exit_1_and_help_exits_0(capsys, fixtures_dir):
             main(argv)
         assert exc.value.code == 0, argv
         assert "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--dims", "0"],
+        ["check", "--rho", "missing.json", "--a", "missing.json", "--b", "missing.json"],
+        ["catalog", "--f", "wyd:nope"],
+        ["hist", "--in", "missing.jsonl", "--out", "gaps.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_input_error_exits_1_with_one_error_line(argv, monkeypatch, tmp_path, capsys):
+    # every subcommand's input error takes main's one error path
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# wyd betas whose catalog entry fails validate_catalog_entry on the default
+# grid: f is -inf inside tilde at 1e-17, and the symmetry is off at 1e-6 and 1e-9
+@pytest.mark.parametrize(
+    "key, violation",
+    [
+        ("wyd:1e-17", "nonpositive or non-finite value on grid: min -inf"),
+        ("wyd:1e-06", "symmetry f(x) = x f(1/x) off by 3.7"),
+        ("wyd:1e-09", "symmetry f(x) = x f(1/x) off by 3.2"),
+    ],
+    ids=["1e-17", "1e-6", "1e-9"],
+)
+def test_verify_and_check_refuse_an_entry_the_catalog_check_rejects(key, violation, capsys, fixtures_dir):
+    # catalog --validate reports the entry, exit 2 and no RuntimeWarning
+    assert main(["catalog", "--validate", "--f", key]) == 2
+    (report,) = json.loads(capsys.readouterr().out)
+    assert not report["ok"] and violation in "; ".join(report["violations"])
+    # the library raises, naming the key and its violations, before anything is evaluated
+    message = f"catalog entry '{key}' fails validation: .*{re.escape(violation)}"
+    with pytest.raises(ValueError, match=message):
+        SweepConfig(dims=(2,), trials=1, f_specs=("sld", key))
+    with pytest.raises(ValueError, match=message):
+        check_instance(*_fixture_paths(fixtures_dir), key)
+    # and the CLI exits 1 through its one error path
+    rho_path, a_path, b_path = _fixture_paths(fixtures_dir)
+    for argv in (
+        ["verify", "--dims", "2", "--trials", "1", "--f", key],
+        ["check", "--rho", rho_path, "--a", a_path, "--b", b_path, "--f", key],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert re.match(f"error: {message}", line), line
 
 
 def test_cli_check_rejects_a_bool_matrix_size(tmp_path, capsys):

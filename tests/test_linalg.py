@@ -293,6 +293,18 @@ def test_samplers_reject_seeds_that_are_not_integers(sampler):
         assert draw.reshape(3, 3).tobytes() == draws[0].tobytes()
 
 
+@pytest.mark.parametrize("sampler", [random_hermitian, random_density])
+def test_samplers_reject_a_dim_that_is_not_an_integer(sampler):
+    # a bool or a float dim is a ValueError, never a TypeError from numpy
+    for bad in (True, False, np.bool_(True), 2.0, 3.5, "3", None):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            sampler(bad, 1)
+    # numpy integers draw what the int draws
+    expected = sampler(3, 1).matrix
+    for dim in (np.int8(3), np.uint64(3)):
+        assert sampler(dim, 1).matrix.tobytes() == expected.tobytes()
+
+
 # Seeds at every word boundary of SeedSequence's entropy (one uint32 word
 # below 2**32, two from 2**32 on), then small, 32-bit and full 64-bit ones.
 EDGE_SEEDS = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]

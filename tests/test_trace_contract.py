@@ -133,8 +133,8 @@ def test_traced_check_evaluates_one_instance_once():
     names = ("rho_fixture.json", "sigma_x.json", "sigma_y.json")
     paths = (os.path.join(FIXTURES, name) for name in names)
     with tracing.traced(tracer):
-        payload, code = check_instance(*paths, "wyd:0.5")
-    assert code == 0, payload
+        payload = check_instance(*paths, "wyd:0.5")
+    assert payload["report"]["flags"] == payload["audit"]["flags"] == [], payload
     calls = tracer.calls()
     assert calls["monotone.tilde"] == 1
     assert calls["linalg.rotate"] == 1
